@@ -28,9 +28,8 @@ print(f"decoded centerline: {len(coarse)} slices, "
       f"lateral range {np.ptp(coarse.xy[:, 0]):.1f} mm")
 
 result = straighten_stage(volume, cfg, heatmaps=heatmaps)
-print(f"straightened volume {result.straightened.shape} "
-      f"(in-plane {cfg.delta_mm} mm, rows = arc length)")
-print(f"mid-sagittal image {result.sagittal.values.shape}")
+print(f"mid-sagittal image {result.sagittal.values.shape} "
+      f"(anterior-posterior x arc-length rows, {cfg.delta_mm} mm pixels)")
 
 # the planted body centers should sit on the central column of the image
 transform = result.transform

@@ -20,11 +20,10 @@ from .genant import (GenantMeasurement, VertebraKeypoints, genant_index, grade,
                      heights, patient_score)
 from .localization import (CenterlinePolyline, centerline_mae, centerline_target,
                            slicewise_centerline, soft_argmax_2d, upsample_curve)
-from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps, oracle_predictions
+from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
 from .pipeline import PipelineConfig, run_phantom_chain
 from .straighten import (SpineCurve, StraightenedImage, StraightenTransform,
-                         build_spine_curve, mid_sagittal_slice, straighten_volume,
-                         to_world)
+                         build_spine_curve, mid_sagittal_slice, straighten_volume)
 
 __version__ = "0.1.0"
 
@@ -38,9 +37,8 @@ __all__ = [
     "decode_keypoints", "detect", "detection_loss", "detection_loss_grad",
     "encode_keypoints", "generate_anchors", "generate_phantom", "genant_index",
     "grade", "heights", "iou", "localization_error", "match_detections",
-    "mid_sagittal_slice", "nms", "oracle_heatmaps", "oracle_predictions",
-    "patient_score", "read_va1", "read_vg1", "resample_volume", "roc_auc",
-    "run_phantom_chain", "slicewise_centerline", "soft_argmax_2d",
-    "straighten_volume", "to_world", "trilinear_sample", "upsample_curve",
-    "write_va1", "write_vg1",
+    "mid_sagittal_slice", "nms", "oracle_heatmaps", "patient_score",
+    "read_va1", "read_vg1", "resample_volume", "roc_auc", "run_phantom_chain",
+    "slicewise_centerline", "soft_argmax_2d", "straighten_volume",
+    "trilinear_sample", "upsample_curve", "write_va1", "write_vg1",
 ]

@@ -16,7 +16,6 @@ written).  All outputs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import evaluation, genant, pipeline
 from .core import GeometryError, UndefinedMetricError, Volume3D, resample_volume
-from .formats import FormatError, read_va1, read_vg1, write_json, write_va1, write_vg1
+from .formats import (FormatError, read_json, read_va1, read_vg1, write_json, write_va1,
+                      write_vg1)
 from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
 from .pipeline import PipelineConfig
 
@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--moderate-cut", type=float, default=None)
         p.add_argument("--severe-cut", type=float, default=None)
         p.add_argument("--output", type=Path, required=True)
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("phantom", help="generate a synthetic spine with oracle files")
     p.add_argument("phantom_config", type=Path, nargs="?", default=None,
@@ -90,17 +89,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_from_dict(doc: dict, source) -> PipelineConfig:
+    try:
+        return PipelineConfig.from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{source}: bad pipeline config ({exc})") from exc
+
+
 def resolve_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     if args.config is not None:
-        doc = _load_json(args.config)
+        doc = read_json(args.config)
         if "config" in doc and isinstance(doc["config"], dict):
             doc = doc["config"]
         doc.pop("phantom", None)
-        try:
-            cfg = PipelineConfig.from_dict(doc)
-        except TypeError as exc:
-            raise FormatError(f"{args.config}: bad pipeline config ({exc})") from exc
+        cfg = _config_from_dict(doc, args.config)
     overrides = {
         "seed": args.seed,
         "working_spacing_mm": args.spacing,
@@ -113,25 +116,15 @@ def resolve_config(args) -> PipelineConfig:
     }
     updates = {k: v for k, v in overrides.items() if v is not None}
     if updates:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), **updates})
+        cfg = _config_from_dict({**cfg.to_dict(), **updates}, "command line")
     return cfg
-
-
-def _load_json(path: Path) -> dict:
-    if not path.exists():
-        raise FormatError(f"no such file: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def cmd_phantom(args) -> int:
     cfg = resolve_config(args)
     phantom_cfg = PhantomConfig()
     if args.phantom_config is not None:
-        doc = _load_json(args.phantom_config)
+        doc = read_json(args.phantom_config)
         doc = doc.get("phantom", doc)
         try:
             phantom_cfg = PhantomConfig.from_dict(doc)
@@ -168,15 +161,15 @@ def cmd_straighten(args) -> int:
     heatmaps = read_vg1(args.heatmaps) if args.heatmaps else None
     annotations = read_va1(args.annotations) if args.annotations else None
     result = pipeline.straighten_stage(volume, cfg, heatmaps=heatmaps,
-                                       annotations=annotations, workers=args.workers)
+                                       annotations=annotations)
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
-    write_vg1(out / "straightened.vg1", result.straightened)
-    sagittal = result.sagittal.values
+    t = result.transform
     write_vg1(out / "sagittal.vg1",
-              Volume3D(sagittal[None, :, :], result.straightened.spacing,
-                       (0.0, result.straightened.origin[1], result.straightened.origin[2])))
-    doc = result.transform.to_dict()
+              Volume3D(result.sagittal.values[None, :, :],
+                       (t.delta, t.delta, result.curve.step),
+                       (0.0, -t.j_half * t.delta, float(t.s[0]))))
+    doc = t.to_dict()
     doc["config"] = cfg.to_dict()
     write_json(out / "transform.json", doc)
     return EXIT_OK
@@ -188,7 +181,7 @@ def _read_sagittal_and_transform(sagittal_path: Path, transform_path: Path):
     sagittal_vol = read_vg1(sagittal_path)
     if sagittal_vol.shape[0] != 1:
         raise GeometryError(f"{sagittal_path}: expected a single sagittal plane")
-    doc = _load_json(transform_path)
+    doc = read_json(transform_path)
     try:
         transform = StraightenTransform.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -272,7 +265,7 @@ def cmd_targets(args) -> int:
 
 
 def _study_from_files(det_path: Path, gt_path: Path, cfg: PipelineConfig) -> dict:
-    doc = _load_json(det_path)
+    doc = read_json(det_path)
     if "vertebrae" not in doc:
         raise FormatError(f"{det_path}: missing 'vertebrae'")
     dets = []
@@ -284,21 +277,10 @@ def _study_from_files(det_path: Path, gt_path: Path, cfg: PipelineConfig) -> dic
             raise FormatError(f"{det_path}: vertebra {i}: {exc}") from exc
         if kps.shape != (6, 3):
             raise FormatError(f"{det_path}: vertebra {i}: bad keypoints_world")
-        dets.append({
-            "box": pipeline.sagittal_plane_box(kps),
-            "score": 1.0 if entry.get("score") is None else float(entry["score"]),
-            "center_mm": ((kps[2] + kps[3]) / 2).tolist(),
-            "genant": g,
-        })
-    gts = []
-    for kps in read_va1(gt_path):
-        m = genant.measure(kps, **cfg.grade_cuts())
-        gts.append({
-            "box": pipeline.sagittal_plane_box(kps.as_array()),
-            "center_mm": kps.center().tolist(),
-            "genant": m.genant,
-        })
-    return {"detections": dets, "ground_truth": gts}
+        dets.append((kps, g, entry.get("score")))
+    gts = [(kps.as_array(), genant.measure(kps, **cfg.grade_cuts()).genant)
+           for kps in read_va1(gt_path)]
+    return pipeline.evaluation_study(dets, gts)
 
 
 def cmd_evaluate(args) -> int:

@@ -10,7 +10,6 @@ Coordinate conventions used throughout the package:
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +203,7 @@ def _sample_voxel_coords(values: np.ndarray, idx: np.ndarray, fill: float) -> np
     return np.where(inside, out, fill)
 
 
-def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL,
-                    workers: int = 1) -> Volume3D:
+def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL) -> Volume3D:
     """Trilinear resample onto a grid with the given spacing.
 
     The origin is preserved and the new grid covers at least the original
@@ -229,22 +227,15 @@ def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL,
         out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
             new_shape[0], new_shape[1], k1 - k0)
 
-    _run_chunked(fill_chunk, new_shape[2], workers)
+    _run_chunked(fill_chunk, new_shape[2])
     return Volume3D(out, new_spacing, vol.origin)
 
 
-def _run_chunked(fn, n: int, workers: int, min_chunk: int = 4):
-    """Run fn(k0, k1) over [0, n) in contiguous chunks, optionally threaded.
+def _run_chunked(fn, n: int):
+    """Run fn(k0, k1) over [0, n) in contiguous chunks of at most 32 slices.
 
-    Chunks are disjoint, so concurrent writes to distinct output slabs are safe.
+    Chunking bounds the temporary point arrays one fill call builds, and so
+    the peak memory of full-volume resampling.
     """
-    workers = max(1, int(workers))
-    if workers == 1 or n <= min_chunk:
-        chunk = max(min_chunk, min(32, n))
-        for k0 in range(0, n, chunk):
-            fn(k0, min(k0 + chunk, n))
-        return
-    bounds = np.linspace(0, n, workers * 4 + 1).astype(int)
-    jobs = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda ab: fn(*ab), jobs))
+    for k0 in range(0, n, 32):
+        fn(k0, min(k0 + 32, n))

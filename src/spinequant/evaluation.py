@@ -137,17 +137,17 @@ def roc_auc(scores, labels) -> float:
 
 
 def _tied_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by their average rank."""
+    """1-based ranks with ties replaced by their average rank.
+
+    Equals ``scipy.stats.rankdata(x, method="average")``; importing
+    scipy.stats would add about 0.3 s and 20 MB to every process.
+    """
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x))
     sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])  # start of each tie run
+    last = np.r_[first[1:], len(x)] - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((first + last) / 2 + 1, last - first + 1)
     return ranks
 
 

@@ -29,7 +29,8 @@ class FormatError(ValueError):
     """Malformed or inconsistent input file."""
 
 
-def _load_json(path: Path) -> dict:
+def read_json(path: Path) -> dict:
+    """Load a JSON document; a missing file or invalid JSON raises FormatError."""
     if not path.exists():
         raise FormatError(f"no such file: {path}")
     try:
@@ -66,7 +67,7 @@ def write_vg1(path, vol: Volume3D) -> Path:
 def read_vg1(path) -> Volume3D:
     """Read a VG1 volume; validates the header and the blob size."""
     path = Path(path)
-    header = _load_json(path)
+    header = read_json(path)
     for key in ("shape", "spacing", "origin", "dtype", "data"):
         if key not in header:
             raise FormatError(f"{path}: missing '{key}'")
@@ -110,7 +111,7 @@ def write_va1(path, vertebrae: list[VertebraKeypoints], extra: dict | None = Non
 def read_va1(path) -> list[VertebraKeypoints]:
     """Read a VA1 annotation file into keypoint sets."""
     path = Path(path)
-    doc = _load_json(path)
+    doc = read_json(path)
     if "vertebrae" not in doc or not isinstance(doc["vertebrae"], list):
         raise FormatError(f"{path}: missing 'vertebrae' list")
     out = []

@@ -5,9 +5,10 @@ sinusoidally curved centerline inside an air background.  Each body is
 oriented orthogonal to the local centerline tangent and its height profile
 runs piecewise-linearly from the anterior to the posterior edge through the
 middle, so the planted anterior/middle/posterior heights are realized
-exactly and the six keypoints are known in closed form.  Oracle builders
+exactly and the six keypoints are known in closed form.  Oracle outputs
 replace the two networks: per-slice Gaussian heatmaps centered on the
-centerline target, and detection maps filled with the assigned targets.
+centerline target here, and the assigned detection targets echoed back as
+prediction maps (``pipeline.run_phantom_chain``).
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Volume3D
-from .detection import AnchorGrid, DetectionTargets, assign_targets
 from .genant import VertebraKeypoints, genant_index
 from .localization import centerline_target
 from .straighten import StraightenTransform
@@ -253,16 +253,3 @@ def project_annotations(annotations: list[VertebraKeypoints],
                         transform: StraightenTransform) -> list[np.ndarray]:
     """World keypoints projected onto the straightened image, (6, 2) pixels each."""
     return [transform.world_to_pixel(kps.as_array()) for kps in annotations]
-
-
-def oracle_predictions(annotations_2d, genant_indices, anchors: AnchorGrid,
-                       iou_threshold: float = 0.5
-                       ) -> tuple[np.ndarray, np.ndarray, DetectionTargets]:
-    """Ideal detector output: targets echoed back as prediction maps.
-
-    Returns (objectness map, offsets map, targets).  Feeding the maps into
-    ``detect`` recovers every annotated vertebra exactly.
-    """
-    gt = list(zip(annotations_2d, genant_indices))
-    targets = assign_targets(anchors, gt, iou_threshold=iou_threshold)
-    return targets.objectness.copy(), targets.offsets.copy(), targets

@@ -30,6 +30,9 @@ class PipelineConfig:
 
     working_spacing_mm: float = 3.0
     delta_mm: float = 1.0
+    # (left-right, anterior-posterior) half-widths of the straightened grid.
+    # Only the mid-sagittal plane is sampled, so only the anterior-posterior
+    # entry shapes the outputs; the pair stays so echoed configs still load.
     half_extent_mm: tuple[float, float] = (60.0, 60.0)
     smoothing_lambda: float = 10.0
     curve_pad_mm: float = 15.0
@@ -46,6 +49,23 @@ class PipelineConfig:
     softargmax_temperature: float = 1.0
     fill: float = DEFAULT_FILL
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("working_spacing_mm", "delta_mm"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("nms_iou", "assign_iou", "match_iou"):
+            value = getattr(self, name)
+            if not 0 < value <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+        if not 0 <= self.objectness_threshold <= 1:
+            raise ValueError("objectness_threshold must be in [0, 1], "
+                             f"got {self.objectness_threshold!r}")
+        if not self.severe_cut < self.moderate_cut < self.mild_cut:
+            raise ValueError(
+                "grade cuts must be ordered severe_cut < moderate_cut < mild_cut, "
+                f"got {self.severe_cut!r}, {self.moderate_cut!r}, {self.mild_cut!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -70,7 +90,6 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class StraightenResult:
     curve: SpineCurve
-    straightened: Volume3D
     transform: StraightenTransform
     sagittal: StraightenedImage
 
@@ -111,18 +130,22 @@ def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
 
 def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
                      heatmaps: Volume3D | None = None,
-                     annotations: list[VertebraKeypoints] | None = None,
-                     workers: int = 1) -> StraightenResult:
-    """Resample the volume along its centerline and take the mid-sagittal plane."""
+                     annotations: list[VertebraKeypoints] | None = None
+                     ) -> StraightenResult:
+    """Sample the mid-sagittal plane of the volume straightened along its centerline.
+
+    Every later stage reads only this plane, so the left-right half-extent is
+    0 and no other plane of the straightened volume is computed.
+    """
     polyline = extract_centerline(vol, cfg, heatmaps=heatmaps, annotations=annotations)
     curve = straighten.build_spine_curve(polyline, step=cfg.delta_mm,
                                          smoothing=cfg.smoothing_lambda,
                                          pad_mm=cfg.curve_pad_mm)
-    straightened, transform = straighten.straighten_volume(
-        vol, curve, delta=cfg.delta_mm, half_extent=cfg.half_extent_mm,
-        fill=cfg.fill, workers=workers)
-    sagittal = straighten.mid_sagittal_slice(straightened, transform)
-    return StraightenResult(curve, straightened, transform, sagittal)
+    plane, transform = straighten.straighten_volume(
+        vol, curve, delta=cfg.delta_mm, half_extent=(0.0, cfg.half_extent_mm[1]),
+        fill=cfg.fill)
+    sagittal = straighten.mid_sagittal_slice(plane, transform)
+    return StraightenResult(curve, transform, sagittal)
 
 
 def image_anchors(image: StraightenedImage, cfg: PipelineConfig) -> AnchorGrid:
@@ -270,22 +293,30 @@ class ChainResult:
     def study_for_evaluation(self, cfg: PipelineConfig,
                              results: list | None = None) -> dict:
         """Pred/gt entries in the form evaluate_study_set consumes."""
-        gt_entries = []
-        for kps, g in zip(self.annotations, self.planted_genant):
-            gt_entries.append({
-                "box": sagittal_plane_box(kps.as_array()),
-                "center_mm": kps.center().tolist(),
-                "genant": g,
-            })
-        det_entries = []
-        for r in (self.results if results is None else results):
-            det_entries.append({
-                "box": sagittal_plane_box(r.keypoints_mm),
-                "score": 1.0 if r.score is None else r.score,
-                "center_mm": ((r.keypoints_mm[2] + r.keypoints_mm[3]) / 2).tolist(),
-                "genant": r.measurement.genant,
-            })
-        return {"detections": det_entries, "ground_truth": gt_entries}
+        return evaluation_study(
+            [(r.keypoints_mm, r.measurement.genant, r.score)
+             for r in (self.results if results is None else results)],
+            [(kps.as_array(), g) for kps, g in zip(self.annotations, self.planted_genant)])
+
+
+def evaluation_study(detections, ground_truth) -> dict:
+    """One study in the form evaluate_study_set consumes, from world keypoints.
+
+    ``detections`` holds (keypoints_mm, genant, score) triples, where a score
+    of None (graded annotations) counts as 1.0; ``ground_truth`` holds
+    (keypoints_mm, genant) pairs.
+    """
+    def entry(kps_mm, g):
+        kps_mm = np.asarray(kps_mm, dtype=float)
+        return {"box": sagittal_plane_box(kps_mm),
+                "center_mm": ((kps_mm[2] + kps_mm[3]) / 2).tolist(),
+                "genant": g}
+
+    return {
+        "detections": [{**entry(kps, g), "score": 1.0 if score is None else float(score)}
+                       for kps, g, score in detections],
+        "ground_truth": [entry(kps, g) for kps, g in ground_truth],
+    }
 
 
 def sagittal_plane_box(kps_mm: np.ndarray) -> list[float]:
@@ -300,8 +331,7 @@ def sagittal_plane_box(kps_mm: np.ndarray) -> list[float]:
 
 def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
                       keypoint_noise_mm: float = 0.0,
-                      noise_seed: int = 0,
-                      workers: int = 1) -> ChainResult:
+                      noise_seed: int = 0) -> ChainResult:
     """Phantom -> oracle heatmaps -> straightening -> oracle detection -> grading.
 
     ``keypoint_noise_mm`` adds Gaussian noise of that magnitude to every
@@ -311,7 +341,7 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
     volume, annotations, planted = generate_phantom(phantom_cfg)
     working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
     heatmaps, _ = oracle_heatmaps(annotations, working)
-    result = straighten_stage(volume, cfg, heatmaps=heatmaps, workers=workers)
+    result = straighten_stage(volume, cfg, heatmaps=heatmaps)
 
     anchors = image_anchors(result.sagittal, cfg)
     kps_px = project_annotations(annotations, result.transform)

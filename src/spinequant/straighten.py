@@ -308,14 +308,14 @@ class StraightenedImage:
 
 def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
                       half_extent: tuple[float, float] = (60.0, 60.0),
-                      fill: float = DEFAULT_FILL,
-                      workers: int = 1) -> tuple[Volume3D, StraightenTransform]:
+                      fill: float = DEFAULT_FILL) -> tuple[Volume3D, StraightenTransform]:
     """Resample the volume so the curve becomes the straight vertical line.
 
     Output voxel (i, j, k) samples the input at
     ``c(s_k) + (i - i_half) * delta * u(s_k) + (j - j_half) * delta * v(s_k)``,
     so the curve itself maps to the centered column i = j = 0 (offset indices)
-    and row spacing equals the curve's arc-length step.
+    and row spacing equals the curve's arc-length step.  A left-right
+    half-extent of 0 samples only the mid-sagittal plane (i_half = 0).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -336,7 +336,7 @@ def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
         out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
             ni, nj, k1 - k0)
 
-    _run_chunked(fill_chunk, nk, workers)
+    _run_chunked(fill_chunk, nk)
     transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v,
                                     float(delta), i_half, j_half)
     straight = Volume3D(out, (delta, delta, curve.step),
@@ -351,8 +351,3 @@ def mid_sagittal_slice(straight: Volume3D, transform: StraightenTransform) -> St
             or straight.shape[2] != transform.n_rows:
         raise GeometryError("straightened volume does not match the transform")
     return StraightenedImage(np.asarray(straight.values[transform.i_half]), transform)
-
-
-def to_world(transform: StraightenTransform, p2d) -> np.ndarray:
-    """World-mm position of an image point (x = anterior-posterior, y = row)."""
-    return transform.pixel_to_world(p2d)

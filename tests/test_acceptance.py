@@ -175,7 +175,7 @@ def test_criterion_6_end_to_end():
     for seed in range(20):
         phantom_cfg = PhantomConfig(
             scoliosis_amplitude_mm=amplitudes[seed % 3], seed=seed)
-        chain = run_phantom_chain(phantom_cfg, cfg, workers=2)
+        chain = run_phantom_chain(phantom_cfg, cfg)
         assert len(chain.results) == 12
         gt_centers = np.stack([a.center() for a in chain.annotations])
         planted = np.asarray(chain.planted_genant)
@@ -250,15 +250,10 @@ def test_criterion_8_performance():
         z, "world")
     curve = build_spine_curve(polyline, step=1.0)
     t0 = time.perf_counter()
-    single, _ = straighten_volume(vol, curve, delta=1.0, workers=1)
-    t_single = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    threaded, _ = straighten_volume(vol, curve, delta=1.0, workers=8)
-    t_threaded = time.perf_counter() - t0
-    assert t_single < 30.0
-    assert t_threaded < 8.0
-    assert single.values.tobytes() == threaded.values.tobytes()
-    del vol, single, threaded
+    straight, _ = straighten_volume(vol, curve, delta=1.0)
+    t_straighten = time.perf_counter() - t0
+    assert t_straighten < 8.0
+    del vol, straight
 
     t0 = time.perf_counter()
     chain = run_phantom_chain(PhantomConfig(scoliosis_amplitude_mm=15.0, seed=0),

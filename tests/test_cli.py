@@ -52,8 +52,8 @@ def workspace(tmp_path_factory):
 
 def test_compose_chain_outputs_exist(workspace):
     for rel in ("ph/volume.vg1", "ph/volume.vg1.raw", "ph/gt.va1", "ph/heatmaps.vg1",
-                "ph/phantom_manifest.json", "st/straightened.vg1", "st/sagittal.vg1",
-                "st/transform.json", "tg/targets.vg1", "tg/targets_manifest.json",
+                "ph/phantom_manifest.json", "st/sagittal.vg1", "st/transform.json",
+                "tg/targets.vg1", "tg/targets_manifest.json",
                 "sc/detections.json", "ev/report.json", "ev/report.txt"):
         assert (workspace / rel).exists(), rel
 
@@ -156,6 +156,30 @@ def test_evaluate_multiple_studies_patient_level(workspace, tmp_path):
     gt = workspace / "ph" / "gt.va1"
     assert run("evaluate", det, gt, det, gt, "--output", tmp_path / "ev3",
                "--config", workspace / "config.json") == 4
+
+
+def test_straighten_writes_only_the_plane_and_transform(workspace):
+    assert sorted(p.name for p in (workspace / "st").iterdir()) == \
+        ["sagittal.vg1", "sagittal.vg1.raw", "transform.json"]
+    sagittal = read_vg1(workspace / "st" / "sagittal.vg1")
+    transform = json.loads((workspace / "st" / "transform.json").read_text())
+    assert transform["i_half"] == 0
+    assert sagittal.shape == (1, 2 * transform["j_half"] + 1, len(transform["rows"]))
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--spacing", "0", "working_spacing_mm"),
+    ("--delta", "0", "delta_mm"),
+    ("--nms-iou", "2", "nms_iou"),
+])
+def test_out_of_range_config_exits_2(workspace, tmp_path, capsys, flag, value, field):
+    code = run("straighten", workspace / "ph" / "volume.vg1",
+               "--heatmaps", workspace / "ph" / "heatmaps.vg1",
+               "--output", tmp_path / "o", "--config", workspace / "config.json",
+               flag, value)
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -282,6 +306,6 @@ def test_echoed_config_reproduces_run(workspace, tmp_path):
                "--output", tmp_path / "st2",
                "--config", workspace / "st" / "transform.json")
     assert code == 0
-    for name in ("straightened.vg1.raw", "sagittal.vg1.raw", "transform.json"):
+    for name in ("sagittal.vg1", "sagittal.vg1.raw", "transform.json"):
         assert (tmp_path / "st2" / name).read_bytes() == \
             (workspace / "st" / name).read_bytes()

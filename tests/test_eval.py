@@ -122,6 +122,18 @@ def test_roc_auc_identical_scores_half():
     assert roc_auc([0.5] * 8, [1, 0, 1, 0, 1, 0, 0, 1]) == 0.5
 
 
+def test_tied_ranks_equal_scipy_rankdata():
+    from scipy.stats import rankdata
+
+    from spinequant.evaluation import _tied_ranks
+
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        n = int(rng.integers(1, 120))
+        x = rng.integers(0, 1 + trial % 6, n).astype(float)   # tie-heavy
+        np.testing.assert_array_equal(_tied_ranks(x), rankdata(x, method="average"))
+
+
 def test_roc_auc_single_class_error():
     with pytest.raises(UndefinedMetricError):
         roc_auc([0.5, 0.6], [1, 1])

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from spinequant.core import resample_volume
-from spinequant.detection import detect
+from spinequant.detection import assign_targets, detect
 from spinequant.formats import write_vg1
 from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
 from spinequant.phantom import (DEFAULT_HEIGHTS, PhantomConfig, generate_phantom,
-                                oracle_heatmaps, oracle_predictions,
-                                project_annotations)
+                                oracle_heatmaps, project_annotations)
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage
 
 
@@ -161,8 +160,8 @@ def test_oracle_predictions_recover_all_vertebrae():
     cfg, vol, anns, gs, result = chain_fixture()
     anchors = image_anchors(result.sagittal, cfg)
     kps_px = project_annotations(anns, result.transform)
-    objectness, offsets, targets = oracle_predictions(kps_px, gs, anchors)
-    dets = detect(objectness, offsets, anchors,
+    targets = assign_targets(anchors, list(zip(kps_px, gs)))
+    dets = detect(targets.objectness, targets.offsets, anchors,
                   score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
     assert len(dets) == len(anns)
     dets = sorted(dets, key=lambda d: d.box.cy)
@@ -173,15 +172,16 @@ def test_oracle_predictions_recover_all_vertebrae():
 def test_oracle_predictions_empty_annotations():
     cfg, vol, anns, gs, result = chain_fixture()
     anchors = image_anchors(result.sagittal, cfg)
-    objectness, offsets, _ = oracle_predictions([], [], anchors)
-    assert detect(objectness, offsets, anchors) == []
+    targets = assign_targets(anchors, [])
+    assert detect(targets.objectness, targets.offsets, anchors) == []
 
 
 def test_oracle_predictions_perturbation_moves_decoded_linearly():
     cfg, vol, anns, gs, result = chain_fixture()
     anchors = image_anchors(result.sagittal, cfg)
     kps_px = project_annotations(anns, result.transform)
-    objectness, offsets, targets = oracle_predictions(kps_px, gs, anchors)
+    targets = assign_targets(anchors, list(zip(kps_px, gs)))
+    offsets = targets.offsets
     pos = np.argwhere(targets.objectness == 1)[0]
     ix, iy, t = (int(v) for v in pos)
     anchor = anchors.box(ix, iy, t)

@@ -3,9 +3,11 @@ import pytest
 
 from spinequant.core import GeometryError
 from spinequant.evaluation import evaluate_study_set
-from spinequant.phantom import PhantomConfig
+from spinequant.phantom import PhantomConfig, generate_phantom
 from spinequant.pipeline import (PipelineConfig, pack_prediction_planes,
-                                 run_phantom_chain, unpack_prediction_planes)
+                                 run_phantom_chain, straighten_stage,
+                                 unpack_prediction_planes)
+from spinequant.straighten import mid_sagittal_slice, straighten_volume
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +93,35 @@ def test_config_round_trips_through_dict():
     cfg = PipelineConfig(delta_mm=2.0, nms_iou=0.3, anchor_ratios=(1.0, 2.0))
     back = PipelineConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+@pytest.mark.parametrize("field, value", [
+    ("working_spacing_mm", 0.0), ("working_spacing_mm", float("nan")),
+    ("delta_mm", -1.0), ("nms_iou", 0.0), ("nms_iou", 1.5), ("assign_iou", 0.0),
+    ("match_iou", 2.0), ("objectness_threshold", -0.1),
+    ("objectness_threshold", 1.1), ("severe_cut", 0.74), ("mild_cut", 0.7),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
+
+
+def test_config_accepts_range_bounds():
+    PipelineConfig(nms_iou=1.0, assign_iou=1.0, match_iou=1.0,
+                   objectness_threshold=0.0)
+    PipelineConfig(objectness_threshold=1.0)
+
+
+def test_straighten_stage_plane_matches_full_volume_plane():
+    cfg = PipelineConfig(half_extent_mm=(25.0, 30.0))
+    vol, anns, _ = generate_phantom(PhantomConfig(
+        n_vertebrae=4, shape=(80, 80, 144), spacing=(1.25, 1.25, 1.25),
+        scoliosis_amplitude_mm=10.0, seed=5))
+    result = straighten_stage(vol, cfg, annotations=anns)
+    full, transform = straighten_volume(vol, result.curve, delta=cfg.delta_mm,
+                                        half_extent=cfg.half_extent_mm, fill=cfg.fill)
+    want = mid_sagittal_slice(full, transform).values
+    assert result.sagittal.values.dtype == want.dtype
+    assert result.sagittal.values.tobytes() == want.tobytes()
+    assert result.transform.i_half == 0
+    assert result.transform.j_half == transform.j_half == 30

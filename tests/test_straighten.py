@@ -4,7 +4,7 @@ import pytest
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
 from spinequant.straighten import (StraightenTransform, build_spine_curve,
-                                   mid_sagittal_slice, straighten_volume, to_world)
+                                   mid_sagittal_slice, straighten_volume)
 
 
 def line_polyline(z0=0.0, z1=50.0, n=51, dx=0.0, dy=0.0, x0=10.0, y0=20.0):
@@ -145,7 +145,7 @@ def test_to_world_hits_curve_samples_exactly():
     vol = _random_volume(shape=(40, 30, 100))
     _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(8.0, 8.0))
     for k in (0, 5, len(curve) - 1):
-        got = to_world(transform, (transform.j_half, float(k)))
+        got = transform.pixel_to_world((transform.j_half, float(k)))
         np.testing.assert_allclose(got, curve.centers[k], atol=1e-12)
 
 
@@ -169,9 +169,9 @@ def test_to_world_out_of_bounds():
     vol = _random_volume()
     _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(5.0, 5.0))
     with pytest.raises(GeometryError):
-        to_world(transform, (-1.0, 0.0))
+        transform.pixel_to_world((-1.0, 0.0))
     with pytest.raises(GeometryError):
-        to_world(transform, (0.0, transform.n_rows + 4.0))
+        transform.pixel_to_world((0.0, transform.n_rows + 4.0))
 
 
 def test_world_pixel_round_trip_within_pixel():
@@ -206,15 +206,15 @@ def test_arc_distance_bounds_straightened_distance():
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = sorted(rng.integers(0, transform.n_rows, 2).tolist())
-        pa = to_world(transform, (transform.j_half, float(a)))
-        pb = to_world(transform, (transform.j_half, float(b)))
+        pa = transform.pixel_to_world((transform.j_half, float(a)))
+        pb = transform.pixel_to_world((transform.j_half, float(b)))
         # the numeric arc-length table is polygonal, hence the small slack
         assert np.linalg.norm(pa - pb) <= abs(curve.s[b] - curve.s[a]) * (1 + 1e-3) + 1e-9
     # equality for a straight curve
     line = build_spine_curve(line_polyline(), step=1.0)
     _, t2 = straighten_volume(vol, line, delta=1.0, half_extent=(4.0, 4.0))
-    pa = to_world(t2, (t2.j_half, 3.0))
-    pb = to_world(t2, (t2.j_half, 33.0))
+    pa = t2.pixel_to_world((t2.j_half, 3.0))
+    pb = t2.pixel_to_world((t2.j_half, 33.0))
     assert np.linalg.norm(pa - pb) == pytest.approx(30.0, abs=1e-9)
 
 
@@ -227,15 +227,3 @@ def test_transform_round_trips_through_dict():
     np.testing.assert_allclose(back.v, transform.v)
     assert back.delta == transform.delta
     assert back.j_half == transform.j_half
-
-
-def test_straighten_workers_match_serial():
-    z = np.linspace(0, 50, 51)
-    polyline = CenterlinePolyline(
-        np.column_stack([12 + 5 * np.sin(z / 9), np.full_like(z, 10.0)]), z, "world")
-    curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
-    vol = _random_volume(shape=(26, 22, 60), seed=3)
-    serial, _ = straighten_volume(vol, curve, delta=1.0, half_extent=(6.0, 6.0))
-    threaded, _ = straighten_volume(vol, curve, delta=1.0, half_extent=(6.0, 6.0),
-                                    workers=4)
-    assert serial.values.tobytes() == threaded.values.tobytes()
