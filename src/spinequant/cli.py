@@ -194,20 +194,25 @@ def _read_sagittal_and_transform(sagittal_path: Path, transform_path: Path):
     return StraightenedImage(values, transform), doc.get("config")
 
 
+def _read_predictions(path: Path, sagittal, n_types: int):
+    """Objectness and offset maps of a prediction raster on the sagittal image."""
+    pred_vol = read_vg1(path)
+    if pred_vol.shape[:2] != sagittal.values.shape:
+        raise GeometryError(
+            f"prediction raster {pred_vol.shape[:2]} does not match the "
+            f"sagittal image {sagittal.values.shape}")
+    objectness, offsets, _ = pipeline.unpack_prediction_planes(pred_vol.values, n_types)
+    return objectness, offsets
+
+
 def cmd_score(args) -> int:
     cfg = resolve_config(args)
     if (args.predictions is None) == (args.annotations is None):
         raise FormatError("provide exactly one of --predictions or --annotations")
     sagittal, _ = _read_sagittal_and_transform(args.sagittal, args.transform)
     if args.predictions is not None:
-        pred_vol = read_vg1(args.predictions)
-        if pred_vol.shape[:2] != sagittal.values.shape:
-            raise GeometryError(
-                f"prediction raster {pred_vol.shape[:2]} does not match the "
-                f"sagittal image {sagittal.values.shape}")
-        anchors = pipeline.image_anchors(sagittal, cfg)
-        objectness, offsets, _ = pipeline.unpack_prediction_planes(
-            pred_vol.values, anchors.n_types)
+        objectness, offsets = _read_predictions(
+            args.predictions, sagittal, pipeline.image_anchors(sagittal, cfg).n_types)
         results = pipeline.score_stage(sagittal, cfg, objectness_map=objectness,
                                        offsets_map=offsets)
     else:
@@ -227,14 +232,11 @@ def cmd_targets(args) -> int:
     cfg = resolve_config(args)
     sagittal, _ = _read_sagittal_and_transform(args.sagittal, args.transform)
     annotations = read_va1(args.annotations)
-    pred_vol = None
-    if args.loss:
-        if args.predictions is None:
-            raise FormatError("--loss needs --predictions")
-        pred_vol = read_vg1(args.predictions)
-        if pred_vol.shape[:2] != sagittal.values.shape:
-            raise GeometryError("prediction raster does not match the sagittal image")
+    if args.loss and args.predictions is None:
+        raise FormatError("--loss needs --predictions")
     anchors, targets = pipeline.targets_stage(sagittal, annotations, cfg)
+    if args.loss:
+        objectness, offsets = _read_predictions(args.predictions, sagittal, anchors.n_types)
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
     packed = pipeline.pack_prediction_planes(targets.objectness, targets.offsets,
@@ -247,11 +249,9 @@ def cmd_targets(args) -> int:
         "n_positive": targets.n_positive,
         "files": ["targets.vg1"],
     }
-    if pred_vol is not None:
+    if args.loss:
         from .detection import detection_loss_grad, detection_loss_terms
 
-        objectness, offsets, _ = pipeline.unpack_prediction_planes(
-            pred_vol.values, anchors.n_types)
         bce, reg = detection_loss_terms(objectness, offsets, targets)
         grad_o, grad_e = detection_loss_grad(objectness, offsets, targets)
         write_vg1(out / "loss_grad.vg1",

@@ -57,15 +57,21 @@ class AnchorGrid:
         return Box2D(float(ix), float(iy),
                      float(self.widths_px[t]), float(self.heights_px[t]))
 
+    def centers_and_sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nx, ny, A, 2) anchor centers (ix, iy) and sides (w, h), in pixels.
+
+        Both are read-only broadcast views, so no per-anchor copy is made.
+        """
+        nx, ny = self.image_shape
+        shape = (nx, ny, self.n_types, 2)
+        cxy = np.stack(np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float),
+                                   indexing="ij"), axis=-1)
+        wh = np.stack([self.widths_px, self.heights_px], axis=1)
+        return np.broadcast_to(cxy[:, :, None, :], shape), np.broadcast_to(wh, shape)
+
     def boxes_flat(self) -> np.ndarray:
         """(N, 4) array of (cx, cy, w, h) rows in C order over (ix, iy, t)."""
-        nx, ny = self.image_shape
-        a = self.n_types
-        cx = np.repeat(np.arange(nx, dtype=float), ny * a)
-        cy = np.tile(np.repeat(np.arange(ny, dtype=float), a), nx)
-        w = np.tile(self.widths_px, nx * ny)
-        h = np.tile(self.heights_px, nx * ny)
-        return np.column_stack([cx, cy, w, h])
+        return np.concatenate(self.centers_and_sides(), axis=-1).reshape(-1, 4)
 
 
 def generate_anchors(image_shape, pixel_spacing: float,
@@ -124,8 +130,11 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     pairs.  An anchor is positive when its IoU with a ground-truth box
     exceeds ``iou_threshold`` (matched to the highest-IoU vertebra); in
     addition the best anchor of every vertebra is forced positive even below
-    the threshold, so no vertebra is left without a trainable anchor.  An
-    empty ground-truth list yields all-negative targets.
+    the threshold, so no vertebra is left without a trainable anchor.  The
+    vertebra with the highest best IoU claims first, each claims its
+    highest-IoU unclaimed anchor (lowest flat index among ties), and with
+    more vertebrae than anchors the last ones claim none.  An empty
+    ground-truth list yields all-negative targets.
     """
     nx, ny = anchors.image_shape
     a = anchors.n_types
@@ -149,27 +158,22 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     best_iou = overlaps[np.arange(len(overlaps)), best_gt]
     match_flat = np.where(best_iou > iou_threshold, best_gt, -1)
 
-    # Force the best remaining anchor of every vertebra positive, most
+    # Force the best unclaimed anchor of every vertebra positive, most
     # confident vertebra first, so two vertebrae never claim one anchor.
-    # Stable sorts keep ties at the lowest flat anchor index (determinism).
-    claimed = set()
+    # Claimed rows drop to -1 below every IoU; argmax keeps ties at the
+    # lowest flat anchor index (determinism).
     for m in np.argsort(-overlaps.max(axis=0), kind="stable"):
-        ranked = np.argsort(-overlaps[:, m], kind="stable")
-        for flat in ranked:
-            if flat not in claimed:
-                claimed.add(int(flat))
-                match_flat[flat] = m
-                break
+        flat = overlaps[:, m].argmax()
+        if overlaps[flat, m] < 0:
+            continue  # every anchor is claimed already
+        overlaps[flat] = -1.0
+        match_flat[flat] = m
 
     match_flat = match_flat.reshape(shape)
     pos = match_flat >= 0
     objectness[pos] = 1.0
     matched[:] = match_flat
-    anchor_wh = np.stack([np.tile(anchors.widths_px, nx * ny),
-                          np.tile(anchors.heights_px, nx * ny)], axis=1).reshape(shape + (2,))
-    anchor_cxy = np.stack(np.meshgrid(np.arange(nx, dtype=float),
-                                      np.arange(ny, dtype=float),
-                                      np.zeros(a), indexing="ij"), axis=-1)[..., :2]
+    anchor_cxy, anchor_wh = anchors.centers_and_sides()
     for m, (kps, g) in enumerate(gt):
         sel = match_flat == m
         if not np.any(sel):

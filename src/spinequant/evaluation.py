@@ -9,11 +9,11 @@ index, on patient level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import Box2D, UndefinedMetricError, bbox_from_keypoints, iou_matrix
+from .core import UndefinedMetricError, iou_matrix
 from .genant import (DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT, VertebraKeypoints)
 
 
@@ -29,15 +29,6 @@ def localization_error(pred_centers, annotations: list[VertebraKeypoints]) -> np
     gt = np.stack([kps.center() for kps in annotations])
     d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
     return d.min(axis=1)
-
-
-def _as_box_array(entry) -> np.ndarray:
-    if isinstance(entry, Box2D):
-        return entry.as_array()
-    entry = np.asarray(entry, dtype=float)
-    if entry.shape == (4,):
-        return entry
-    return bbox_from_keypoints(entry).as_array()
 
 
 @dataclass(frozen=True)
@@ -74,25 +65,18 @@ class MatchResult:
 def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> MatchResult:
     """Greedily match detections to ground truth by descending score.
 
-    ``detections`` are Detection objects (or (box, score) pairs); each claims
-    the unclaimed ground-truth box with the highest IoU above the threshold.
-    Ordering ties are broken by box geometry, so the assignment does not
-    depend on input order.
+    ``detections`` are (box, score) pairs and ``ground_truth`` box rows, with
+    boxes as (cx, cy, w, h).  Each detection claims the unclaimed
+    ground-truth box with the highest IoU above the threshold.  Ordering ties
+    are broken by box geometry, so the assignment does not depend on input
+    order.
     """
-    det_boxes, scores = [], []
-    for d in detections:
-        if hasattr(d, "box"):
-            det_boxes.append(d.box.as_array())
-            scores.append(float(d.score))
-        else:
-            box, score = d
-            det_boxes.append(_as_box_array(box))
-            scores.append(float(score))
-    gt_boxes = np.array([_as_box_array(g) for g in ground_truth], dtype=float)
+    scores = [float(score) for _, score in detections]
+    det_boxes = np.array([box for box, _ in detections], dtype=float).reshape(len(scores), 4)
+    gt_boxes = np.array(ground_truth, dtype=float).reshape(len(ground_truth), 4)
 
-    if not det_boxes:
+    if not scores:
         return MatchResult([], [], list(range(len(gt_boxes))))
-    det_boxes = np.asarray(det_boxes)
     order = sorted(range(len(scores)),
                    key=lambda i: (-scores[i], *det_boxes[i].tolist()))
     if len(gt_boxes) == 0:
@@ -153,8 +137,6 @@ def _tied_ranks(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    threshold: float
-    level: str
     roc_auc: float
     sensitivity: float | None
     specificity: float | None
@@ -162,32 +144,18 @@ class ClassificationReport:
     n_negative: int
 
 
-def classification_report(pred_genant, gt_genant, threshold: float,
-                          level: str = "vertebra",
-                          patient_ids=None) -> ClassificationReport:
+def classification_report(pred_genant, gt_genant, threshold: float) -> ClassificationReport:
     """Binary fracture classification metrics at one Genant threshold.
 
     Ground truth is positive when its index is <= threshold; the ranking
     score is one minus the predicted index.  Sensitivity and specificity are
-    reported at the operating point "predicted index <= threshold".  At
-    patient level both sides are first reduced to the per-patient minimum
-    index, which requires ``patient_ids``.
+    reported at the operating point "predicted index <= threshold".  For
+    patient level, pass each patient's minimum index on both sides.
     """
     pred = np.asarray(pred_genant, dtype=float)
     gt = np.asarray(gt_genant, dtype=float)
     if pred.shape != gt.shape or pred.ndim != 1 or len(pred) == 0:
         raise ValueError("need matched 1D prediction/ground-truth pairs")
-    if level == "patient":
-        if patient_ids is None:
-            raise ValueError("patient level needs patient_ids")
-        ids = np.asarray(patient_ids)
-        if ids.shape != pred.shape:
-            raise ValueError("patient_ids must align with the pairs")
-        uniq = sorted(set(ids.tolist()))
-        pred = np.array([pred[ids == p].min() for p in uniq])
-        gt = np.array([gt[ids == p].min() for p in uniq])
-    elif level != "vertebra":
-        raise ValueError(f"unknown level {level!r}")
 
     labels = gt <= threshold
     auc = roc_auc(1 - pred, labels)
@@ -197,7 +165,7 @@ def classification_report(pred_genant, gt_genant, threshold: float,
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     return ClassificationReport(
-        threshold=threshold, level=level, roc_auc=auc,
+        roc_auc=auc,
         sensitivity=tp / n_pos if n_pos else None,
         specificity=tn / n_neg if n_neg else None,
         n_positive=n_pos, n_negative=n_neg)
@@ -267,18 +235,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _report_entry(rep: ClassificationReport | None):
-    if rep is None:
-        return None
-    return {
-        "roc_auc": rep.roc_auc,
-        "sensitivity": rep.sensitivity,
-        "specificity": rep.specificity,
-        "n_positive": rep.n_positive,
-        "n_negative": rep.n_negative,
-    }
-
-
 def evaluate_study_set(studies, iou_threshold: float = 0.5,
                        mild_cut: float = DEFAULT_MILD_CUT,
                        moderate_cut: float = DEFAULT_MODERATE_CUT) -> tuple[EvalReport, list[str]]:
@@ -340,22 +296,14 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
     if n_gt_fractured:
         report.recall_fractured = tp_fractured / n_gt_fractured
 
-    thresholds = {"mild": mild_cut, "moderate": moderate_cut}
-    for name, cut in thresholds.items():
-        report.classification[name] = {}
-        try:
-            rep = classification_report(pred_g, gt_g, cut, level="vertebra")
-        except (UndefinedMetricError, ValueError) as exc:
-            rep = None
-            problems.append(f"{name}/vertebra: {exc}")
-        report.classification[name]["vertebra"] = _report_entry(rep)
-        patient_rep = None
-        if len(patient_pred) >= 2 and len(patient_pred) == len(patient_gt):
+    levels = {"vertebra": (pred_g, gt_g)}
+    if len(patient_pred) >= 2 and len(patient_pred) == len(patient_gt):
+        levels["patient"] = (patient_pred, patient_gt)
+    for name, cut in (("mild", mild_cut), ("moderate", moderate_cut)):
+        report.classification[name] = {"vertebra": None, "patient": None}
+        for level, (pred, gt) in levels.items():
             try:
-                patient_rep = classification_report(
-                    patient_pred, patient_gt, cut, level="patient",
-                    patient_ids=list(range(len(patient_pred))))
+                report.classification[name][level] = asdict(classification_report(pred, gt, cut))
             except (UndefinedMetricError, ValueError) as exc:
-                problems.append(f"{name}/patient: {exc}")
-        report.classification[name]["patient"] = _report_entry(patient_rep)
+                problems.append(f"{name}/{level}: {exc}")
     return report, problems

@@ -65,7 +65,7 @@ def write_vg1(path, vol: Volume3D) -> Path:
 
 
 def read_vg1(path) -> Volume3D:
-    """Read a VG1 volume; validates the header and the blob size."""
+    """Read a VG1 volume; validates the header, the blob size and finiteness."""
     path = Path(path)
     header = read_json(path)
     for key in ("shape", "spacing", "origin", "dtype", "data"):
@@ -83,6 +83,8 @@ def read_vg1(path) -> Volume3D:
     if raw.size != int(np.prod(shape)):
         raise FormatError(
             f"{path}: data size {raw.size} does not match shape {shape}")
+    if not np.isfinite(raw).all():
+        raise FormatError(f"{path}: data holds NaN or infinite values")
     values = raw.reshape(shape, order="F")
     try:
         return Volume3D(values, tuple(header["spacing"]), tuple(header["origin"]))

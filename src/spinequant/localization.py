@@ -69,11 +69,13 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected a 2D map, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("map has NaN or infinite entries")
     if mode == "probabilities":
         if np.any(values < 0):
             raise ValueError("probability map has negative entries")
         total = values.sum()
-        if total <= 0:
+        if not total > 0:
             raise GeometryError("probability map has no mass")
         w = values / total
     elif mode == "logits":

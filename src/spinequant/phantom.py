@@ -12,14 +12,13 @@ prediction maps (``pipeline.run_phantom_chain``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import Volume3D
 from .genant import VertebraKeypoints, genant_index
 from .localization import centerline_target
-from .straighten import StraightenTransform
 
 BODY_INTENSITY = 400.0
 BACKGROUND_INTENSITY = -1000.0
@@ -98,22 +97,7 @@ class PhantomConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        doc = {
-            "n_vertebrae": self.n_vertebrae,
-            "shape": list(self.shape),
-            "spacing": list(self.spacing),
-            "origin": list(self.origin),
-            "scoliosis_amplitude_mm": self.scoliosis_amplitude_mm,
-            "scoliosis_wavelength_mm": self.scoliosis_wavelength_mm,
-            "pitch_mm": self.pitch_mm,
-            "body_width_mm": self.body_width_mm,
-            "body_depth_mm": self.body_depth_mm,
-            "heights_mm": None if self.heights_mm is None
-            else [list(t) for t in self.heights_mm],
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-        return doc
+        return asdict(self)
 
 
 def _centerline_xy(cfg: PhantomConfig, z_world: np.ndarray,
@@ -248,8 +232,3 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
                      (vol.origin[0], vol.origin[1], vol.origin[2] + k0 * vol.spacing[2]))
     return stack, valid
 
-
-def project_annotations(annotations: list[VertebraKeypoints],
-                        transform: StraightenTransform) -> list[np.ndarray]:
-    """World keypoints projected onto the straightened image, (6, 2) pixels each."""
-    return [transform.world_to_pixel(kps.as_array()) for kps in annotations]

@@ -8,7 +8,8 @@ document for reproducibility.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .core import (DEFAULT_FILL, GeometryError, Volume3D, bbox_from_keypoints,
 from .detection import AnchorGrid, Detection, DetectionTargets
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
-from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps, project_annotations
+from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
 from .straighten import SpineCurve, StraightenedImage, StraightenTransform
 
 N_COORDS = 2 * detection.N_KEYPOINTS  # encoded coordinates per anchor
@@ -51,28 +52,39 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("working_spacing_mm", "delta_mm"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        def require(ok, name, rule):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        def finite(values):
+            return all(isinstance(v, numbers.Real) and np.isfinite(v) for v in values)
+
+        for f in fields(self):
+            if f.type == "float":
+                require(finite([getattr(self, f.name)]), f.name, "a finite number")
+        for name in ("working_spacing_mm", "delta_mm", "softargmax_temperature"):
+            require(getattr(self, name) > 0, name, "positive")
+        for name in ("smoothing_lambda", "curve_pad_mm"):
+            require(getattr(self, name) >= 0, name, "non-negative")
+        extent = self.half_extent_mm
+        require(len(extent) == 2 and finite(extent) and min(extent) >= 0,
+                "half_extent_mm", "a pair of finite values >= 0")
+        for name in ("anchor_scales_mm", "anchor_ratios"):
+            values = getattr(self, name)
+            require(len(values) > 0 and finite(values) and min(values) > 0,
+                    name, "non-empty, finite and positive")
         for name in ("nms_iou", "assign_iou", "match_iou"):
-            value = getattr(self, name)
-            if not 0 < value <= 1:
-                raise ValueError(f"{name} must be in (0, 1], got {value!r}")
-        if not 0 <= self.objectness_threshold <= 1:
-            raise ValueError("objectness_threshold must be in [0, 1], "
-                             f"got {self.objectness_threshold!r}")
+            require(0 < getattr(self, name) <= 1, name, "in (0, 1]")
+        require(0 <= self.objectness_threshold <= 1, "objectness_threshold", "in [0, 1]")
+        require(self.softargmax_mode in ("probabilities", "logits"),
+                "softargmax_mode", "'probabilities' or 'logits'")
         if not self.severe_cut < self.moderate_cut < self.mild_cut:
             raise ValueError(
                 "grade cuts must be ordered severe_cut < moderate_cut < mild_cut, "
                 f"got {self.severe_cut!r}, {self.moderate_cut!r}, {self.mild_cut!r}")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["half_extent_mm"] = list(self.half_extent_mm)
-        doc["anchor_scales_mm"] = list(self.anchor_scales_mm)
-        doc["anchor_ratios"] = list(self.anchor_ratios)
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -208,11 +220,18 @@ def score_stage(sagittal: StraightenedImage, cfg: PipelineConfig,
         return out
     if objectness_map is None or offsets_map is None:
         raise ValueError("need prediction maps or annotations")
-    anchors = image_anchors(sagittal, cfg)
+    return detect_and_score(objectness_map, offsets_map, image_anchors(sagittal, cfg),
+                            sagittal.transform, cfg)[1]
+
+
+def detect_and_score(objectness_map, offsets_map, anchors: AnchorGrid,
+                     transform: StraightenTransform, cfg: PipelineConfig
+                     ) -> tuple[list[Detection], list[VertebraResult]]:
+    """Decode prediction maps into detections (NMS included) and grade them."""
     dets = detection.detect(objectness_map, offsets_map, anchors,
                             score_threshold=cfg.objectness_threshold,
                             iou_threshold=cfg.nms_iou)
-    return score_detections(dets, sagittal.transform, cfg)
+    return dets, score_detections(dets, transform, cfg)
 
 
 def patient_summary(results: list[VertebraResult], cfg: PipelineConfig) -> dict | None:
@@ -342,17 +361,12 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
     working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
     heatmaps, _ = oracle_heatmaps(annotations, working)
     result = straighten_stage(volume, cfg, heatmaps=heatmaps)
-
-    anchors = image_anchors(result.sagittal, cfg)
-    kps_px = project_annotations(annotations, result.transform)
-    targets = detection.assign_targets(anchors, list(zip(kps_px, planted)),
-                                       iou_threshold=cfg.assign_iou)
+    anchors, targets = targets_stage(result.sagittal, annotations, cfg)
     chain = ChainResult(volume, annotations, planted, heatmaps, result,
                         anchors, targets, [], [])
     dets, results = rescore_chain(chain, cfg, keypoint_noise_mm=keypoint_noise_mm,
                                   noise_seed=noise_seed)
-    return ChainResult(volume, annotations, planted, heatmaps, result,
-                       anchors, targets, dets, results)
+    return replace(chain, detections=dets, results=results)
 
 
 def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
@@ -374,12 +388,6 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
         sigma_px = keypoint_noise_mm / chain.straighten.sagittal.delta
         noise = rng.normal(0.0, sigma_px,
                            size=(int(pos.sum()), detection.N_KEYPOINTS, 2))
-        n_cells = anchors.image_shape[0] * anchors.image_shape[1]
-        wh = np.stack([np.tile(anchors.widths_px, n_cells),
-                       np.tile(anchors.heights_px, n_cells)],
-                      axis=1).reshape(targets.objectness.shape + (2,))
+        wh = anchors.centers_and_sides()[1]
         offsets[pos] += noise / wh[pos][:, None, :]
-    dets = detection.detect(objectness, offsets, anchors,
-                            score_threshold=cfg.objectness_threshold,
-                            iou_threshold=cfg.nms_iou)
-    return dets, score_detections(dets, chain.straighten.transform, cfg)
+    return detect_and_score(objectness, offsets, anchors, chain.straighten.transform, cfg)

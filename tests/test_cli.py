@@ -182,6 +182,62 @@ def test_out_of_range_config_exits_2(workspace, tmp_path, capsys, flag, value, f
     assert not (tmp_path / "o").exists()
 
 
+SMALL_PHANTOM = {"n_vertebrae": 4, "shape": [64, 64, 128], "scoliosis_amplitude_mm": 5.0,
+                 "seed": 2}
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """64 x 64 x 128 phantom, straightened from its oracle heatmaps."""
+    root = tmp_path_factory.mktemp("small")
+    write_json(root / "phantom.json", SMALL_PHANTOM)
+    assert run("phantom", root / "phantom.json", "--output", root / "ph") == 0
+    assert run("straighten", root / "ph" / "volume.vg1",
+               "--heatmaps", root / "ph" / "heatmaps.vg1", "--output", root / "st") == 0
+    return root
+
+
+@pytest.mark.parametrize("command, config", [
+    ("straighten", '{"half_extent_mm": [60, -5]}'),
+    ("straighten", '{"half_extent_mm": [60]}'),
+    ("targets", '{"anchor_scales_mm": []}'),
+    ("straighten", '{"softargmax_temperature": NaN}'),
+    ("straighten", '{"softargmax_mode": "bogus"}'),
+    ("straighten", '{"smoothing_lambda": -1}'),
+])
+def test_unusable_config_exits_2(small, tmp_path, capsys, command, config):
+    (tmp_path / "cfg.json").write_text(config)
+    field = next(iter(json.loads(config)))
+    if command == "straighten":
+        inputs = [small / "ph" / "volume.vg1", "--heatmaps", small / "ph" / "heatmaps.vg1"]
+    else:
+        inputs = [small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+                  small / "ph" / "gt.va1"]
+    code = run(command, *inputs, "--output", tmp_path / "o", "--config", tmp_path / "cfg.json")
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("target", ["volume", "heatmaps"])
+def test_non_finite_input_volume_exits_2(small, tmp_path, capsys, target):
+    from spinequant.core import Volume3D
+
+    vols = {name: read_vg1(small / "ph" / f"{name}.vg1") for name in ("volume", "heatmaps")}
+    values = vols[target].values.copy()
+    if target == "volume":
+        values[32, 32, 64] = np.nan
+    else:
+        values[:, :, values.shape[2] // 2] = np.nan  # one whole slice
+    vols[target] = Volume3D(values, vols[target].spacing, vols[target].origin)
+    for name, vol in vols.items():
+        write_vg1(tmp_path / f"{name}.vg1", vol)
+    code = run("straighten", tmp_path / "volume.vg1", "--heatmaps", tmp_path / "heatmaps.vg1",
+               "--output", tmp_path / "o")
+    assert code == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(tmp_path):
     assert run("straighten", tmp_path / "nope.vg1", "--annotations",
                tmp_path / "nope.va1", "--output", tmp_path / "o") == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinequant.core import Box2D, bbox_from_keypoints, iou
+from spinequant.core import Box2D, bbox_from_keypoints, iou, iou_matrix
 from spinequant.detection import (Detection, assign_targets, decode_keypoints,
                                   detect, detection_loss, detection_loss_grad,
                                   detection_loss_terms, encode_keypoints,
@@ -38,13 +38,18 @@ def test_anchor_count():
 def test_anchor_boxes_flat_matches_indexing():
     grid = generate_anchors((4, 3), 1.0, scales_mm=(10.0, 14.0), ratios=(1.0, 2.0))
     flat = grid.boxes_flat()
+    centers, sides = grid.centers_and_sides()
     a = grid.n_types
+    assert centers.shape == sides.shape == (4, 3, a, 2)
+    assert not centers.flags.writeable and not sides.flags.writeable
     for ix in range(4):
         for iy in range(3):
             for t in range(a):
                 row = flat[(ix * 3 + iy) * a + t]
                 box = grid.box(ix, iy, t)
                 assert tuple(row) == (box.cx, box.cy, box.w, box.h)
+                assert tuple(centers[ix, iy, t]) == (box.cx, box.cy)
+                assert tuple(sides[ix, iy, t]) == (box.w, box.h)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +182,58 @@ def test_assign_every_gt_gets_an_anchor_and_no_double_claims():
     assert np.all(targets.matched[pos] >= 0)
     assert np.all(targets.matched[~pos] == -1)
     assert np.all(targets.genant_weights[pos] > 0)
+
+
+def reference_matches(grid, gt, iou_threshold=0.5):
+    """Anchor matches by the full stable-argsort claim loop (the oracle)."""
+    boxes = np.array([bbox_from_keypoints(kps).as_array() for kps, _ in gt])
+    overlaps = iou_matrix(grid.boxes_flat(), boxes)
+    best_gt = overlaps.argmax(axis=1)
+    best_iou = overlaps[np.arange(len(overlaps)), best_gt]
+    match = np.where(best_iou > iou_threshold, best_gt, -1)
+    claimed = set()
+    for m in np.argsort(-overlaps.max(axis=0), kind="stable"):
+        for flat in np.argsort(-overlaps[:, m], kind="stable"):
+            if flat not in claimed:
+                claimed.add(int(flat))
+                match[flat] = m
+                break
+    return match.reshape(grid.image_shape + (grid.n_types,))
+
+
+def test_assign_forced_anchors_match_sorting_oracle():
+    # Small sub-threshold boxes, some coincident, so later vertebrae find
+    # their best anchor claimed and must take the next unclaimed one.
+    rng = np.random.default_rng(12)
+    contested = 0
+    for _ in range(60):
+        nx, ny = (int(n) for n in rng.integers(3, 9, size=2))
+        grid = generate_anchors((nx, ny), 1.0, scales_mm=(5.0, 7.0), ratios=(1.0, 2.0))
+        gt = []
+        for _ in range(int(rng.integers(2, 7))):
+            if gt and rng.random() < 0.4:
+                kps = gt[int(rng.integers(len(gt)))][0] + rng.choice([0.0, 0.25])
+            else:
+                kps = keypoints_for_box(*rng.uniform(0, [nx - 1, ny - 1]),
+                                        *rng.uniform(0.5, 2.5, size=2))
+            gt.append((kps, float(rng.uniform(0.5, 1.0))))
+        targets = assign_targets(grid, gt)
+        want = reference_matches(grid, gt)
+        np.testing.assert_array_equal(targets.matched, want)
+        boxes = np.array([bbox_from_keypoints(k).as_array() for k, _ in gt])
+        argmax = iou_matrix(grid.boxes_flat(), boxes).argmax(axis=0)
+        contested += len(set(argmax.tolist())) < len(gt)
+    assert contested >= 10
+
+
+def test_assign_more_vertebrae_than_anchors():
+    grid = generate_anchors((1, 2), 1.0, scales_mm=(4.0,), ratios=(1.0,))
+    gt = [(keypoints_for_box(0.2 * k, 0.5, 1.0, 1.0), 0.9) for k in range(4)]
+    targets = assign_targets(grid, gt)
+    np.testing.assert_array_equal(targets.matched, reference_matches(grid, gt))
+    # both anchors claimed once, by two different vertebrae; the rest get none
+    assert targets.n_positive == 2
+    assert len(set(targets.matched.ravel().tolist())) == 2
 
 
 # ---------------------------------------------------------------------------

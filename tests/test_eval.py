@@ -192,18 +192,6 @@ def test_classification_constant_prediction_is_chance():
     assert rep.roc_auc == 0.5
 
 
-def test_classification_patient_level_uses_minimum():
-    gt = np.array([1.0, 0.7, 0.9, 0.95, 0.6, 1.0])
-    pred = np.array([0.98, 0.72, 0.88, 0.9, 0.63, 0.97])
-    ids = np.array([0, 0, 1, 1, 2, 2])
-    rep = classification_report(pred, gt, 0.74, level="patient", patient_ids=ids)
-    # patients reduce to min: gt (0.7, 0.9, 0.6) -> labels (1, 0, 1)
-    assert (rep.n_positive, rep.n_negative) == (2, 1)
-    assert rep.roc_auc == 1.0
-    with pytest.raises(ValueError):
-        classification_report(pred, gt, 0.74, level="patient")
-
-
 def test_classification_single_class_raises():
     with pytest.raises(UndefinedMetricError):
         classification_report([1.0, 0.9], [1.0, 0.9], 0.74)

@@ -74,6 +74,15 @@ def test_vg1_errors(tmp_path):
         read_vg1(truncated)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vg1_rejects_non_finite_data(tmp_path, bad):
+    values = np.ones((3, 2, 2), dtype=np.float32)
+    values[1, 0, 1] = bad
+    write_vg1(tmp_path / "v.vg1", Volume3D(values, (1, 1, 1)))
+    with pytest.raises(FormatError, match="NaN or infinite"):
+        read_vg1(tmp_path / "v.vg1")
+
+
 def test_va1_round_trip(tmp_path):
     vertebrae = [make_keypoints(18, 20, 20, center=(1, 2, 30)),
                  make_keypoints(20, 20, 20, center=(1, 2, 54))]

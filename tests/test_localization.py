@@ -96,6 +96,13 @@ def test_slicewise_centerline_reports_slice_index():
         slicewise_centerline(stack)
 
 
+def test_slicewise_centerline_rejects_nan_map():
+    stack = np.ones((5, 5, 3))
+    stack[2, 3, 2] = np.nan
+    with pytest.raises(GeometryError, match="slice 2"):
+        slicewise_centerline(stack)
+
+
 def test_centerline_target_reproduces_linear_data():
     # middle keypoints on the line x = 0.5 z + 3, y = -2
     anns = []

@@ -6,8 +6,7 @@ from spinequant.detection import assign_targets, detect
 from spinequant.formats import write_vg1
 from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
-from spinequant.phantom import (DEFAULT_HEIGHTS, PhantomConfig, generate_phantom,
-                                oracle_heatmaps, project_annotations)
+from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom, oracle_heatmaps
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage
 
 
@@ -159,7 +158,7 @@ def chain_fixture(amplitude=10.0):
 def test_oracle_predictions_recover_all_vertebrae():
     cfg, vol, anns, gs, result = chain_fixture()
     anchors = image_anchors(result.sagittal, cfg)
-    kps_px = project_annotations(anns, result.transform)
+    kps_px = [result.transform.world_to_pixel(kps.as_array()) for kps in anns]
     targets = assign_targets(anchors, list(zip(kps_px, gs)))
     dets = detect(targets.objectness, targets.offsets, anchors,
                   score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
@@ -179,7 +178,7 @@ def test_oracle_predictions_empty_annotations():
 def test_oracle_predictions_perturbation_moves_decoded_linearly():
     cfg, vol, anns, gs, result = chain_fixture()
     anchors = image_anchors(result.sagittal, cfg)
-    kps_px = project_annotations(anns, result.transform)
+    kps_px = [result.transform.world_to_pixel(kps.as_array()) for kps in anns]
     targets = assign_targets(anchors, list(zip(kps_px, gs)))
     offsets = targets.offsets
     pos = np.argwhere(targets.objectness == 1)[0]

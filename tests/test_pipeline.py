@@ -5,8 +5,8 @@ from spinequant.core import GeometryError
 from spinequant.evaluation import evaluate_study_set
 from spinequant.phantom import PhantomConfig, generate_phantom
 from spinequant.pipeline import (PipelineConfig, pack_prediction_planes,
-                                 run_phantom_chain, straighten_stage,
-                                 unpack_prediction_planes)
+                                 rescore_chain, run_phantom_chain, score_stage,
+                                 straighten_stage, unpack_prediction_planes)
 from spinequant.straighten import mid_sagittal_slice, straighten_volume
 
 
@@ -57,9 +57,17 @@ def test_chain_evaluates_clean(chain):
     assert report.classification["mild"]["vertebra"]["roc_auc"] == 1.0
 
 
-def test_chain_with_regression_noise_still_detects(chain):
-    from spinequant.pipeline import rescore_chain
+def test_rescore_chain_equals_score_stage_on_target_maps(chain):
+    cfg = PipelineConfig()
+    _, got = rescore_chain(chain, cfg)
+    want = score_stage(chain.straighten.sagittal, cfg,
+                       objectness_map=chain.targets.objectness,
+                       offsets_map=chain.targets.offsets)
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in chain.results]
 
+
+def test_chain_with_regression_noise_still_detects(chain):
     dets, results = rescore_chain(chain, PipelineConfig(),
                                   keypoint_noise_mm=0.5, noise_seed=7)
     assert len(results) == len(chain.annotations)
@@ -100,6 +108,12 @@ def test_config_round_trips_through_dict():
     ("delta_mm", -1.0), ("nms_iou", 0.0), ("nms_iou", 1.5), ("assign_iou", 0.0),
     ("match_iou", 2.0), ("objectness_threshold", -0.1),
     ("objectness_threshold", 1.1), ("severe_cut", 0.74), ("mild_cut", 0.7),
+    ("half_extent_mm", (60.0, -5.0)), ("half_extent_mm", (60.0,)),
+    ("half_extent_mm", (60.0, float("inf"))), ("smoothing_lambda", -1.0),
+    ("curve_pad_mm", -0.5), ("anchor_scales_mm", ()), ("anchor_scales_mm", (17.0, 0.0)),
+    ("anchor_ratios", (1.0, float("nan"))), ("softargmax_mode", "bogus"),
+    ("softargmax_temperature", 0.0), ("softargmax_temperature", float("nan")),
+    ("fill", float("nan")), ("delta_mm", float("inf")),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -110,6 +124,8 @@ def test_config_accepts_range_bounds():
     PipelineConfig(nms_iou=1.0, assign_iou=1.0, match_iou=1.0,
                    objectness_threshold=0.0)
     PipelineConfig(objectness_threshold=1.0)
+    PipelineConfig(half_extent_mm=(0.0, 0.0), smoothing_lambda=0.0, curve_pad_mm=0.0,
+                   softargmax_mode="logits", fill=0)
 
 
 def test_straighten_stage_plane_matches_full_volume_plane():
