@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box2D, bbox_from_keypoints, iou_matrix
+from .core import Box2D, boxes_from_keypoints, iou_matrix
 
 DEFAULT_SCALES_MM = (17.0, 23.0, 28.0, 35.0)
 DEFAULT_RATIOS = (0.8, 1.1, 1.3, 2.0)
@@ -135,6 +135,13 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     highest-IoU unclaimed anchor (lowest flat index among ties), and with
     more vertebrae than anchors the last ones claim none.  An empty
     ground-truth list yields all-negative targets.
+
+    IoU is computed only for anchors near a vertebra: an anchor of side
+    (w, h) at pixel (ix, iy) can overlap a box of side (bw, bh) centered at
+    (bx, by) only if |ix - bx| < (w + bw) / 2 and |iy - by| < (h + bh) / 2,
+    taken here with 1 px of slack.  Every other anchor has IoU exactly 0
+    with every vertebra, so the result equals that of the full
+    anchor-by-vertebra IoU matrix.
     """
     nx, ny = anchors.image_shape
     a = anchors.n_types
@@ -142,46 +149,63 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     objectness = np.zeros(shape)
     offsets = np.zeros(shape + (N_KEYPOINTS, 2))
     weights = np.zeros(shape)
-    matched = np.full(shape, -1, dtype=int)
     gt = list(ground_truth)
     if not gt:
-        return DetectionTargets(objectness, offsets, weights, matched)
+        return DetectionTargets(objectness, offsets, weights, np.full(shape, -1, dtype=int))
 
-    gt_boxes = []
-    for kps, g in gt:
+    gt_weights = np.array([g for _, g in gt], dtype=float)
+    for g in gt_weights:
         if not 0 < g <= 1:
             raise ValueError(f"Genant weight must be in (0, 1], got {g}")
-        gt_boxes.append(bbox_from_keypoints(kps).as_array())
-    overlaps = iou_matrix(anchors.boxes_flat(), np.asarray(gt_boxes))  # (N, M)
+    gt_kps = np.asarray([kps for kps, _ in gt], dtype=float)
+    gt_boxes = boxes_from_keypoints(gt_kps)  # (M, 4)
 
-    best_gt = overlaps.argmax(axis=1)
-    best_iou = overlaps[np.arange(len(overlaps)), best_gt]
-    match_flat = np.where(best_iou > iou_threshold, best_gt, -1)
+    anchor_cxy, anchor_wh = anchors.centers_and_sides()
+    # anchor_wh[0, 0] holds the (w, h) of each anchor type
+    reach = (gt_boxes[:, None, 2:] + anchor_wh[0, 0]) / 2 + 1  # (M, A, 2)
+    near_x = np.abs(np.arange(nx)[:, None] - gt_boxes[:, None, None, 0]) < reach[:, None, :, 0]
+    near_y = np.abs(np.arange(ny)[:, None] - gt_boxes[:, None, None, 1]) < reach[:, None, :, 1]
+    window = np.any(near_x[:, :, None] & near_y[:, None], axis=0)  # (nx, ny, A)
+    # Window anchors in ascending flat order, so ties among them break as
+    # the flat index does.
+    flat = np.flatnonzero(window)
+    overlaps = iou_matrix(gt_boxes, np.concatenate([anchor_cxy[window], anchor_wh[window]],
+                                                   axis=1))  # (M, K)
+
+    # An anchor outside the window has IoU 0 with every vertebra, which
+    # argmax matches to vertebra 0 exactly when 0 exceeds the threshold.
+    match_flat = np.full(anchors.n_anchors, 0 if iou_threshold < 0 else -1)
+    best_gt = overlaps.argmax(axis=0)
+    match_flat[flat] = np.where(overlaps.max(axis=0) > iou_threshold, best_gt, -1)
 
     # Force the best unclaimed anchor of every vertebra positive, most
     # confident vertebra first, so two vertebrae never claim one anchor.
-    # Claimed rows drop to -1 below every IoU; argmax keeps ties at the
-    # lowest flat anchor index (determinism).
-    for m in np.argsort(-overlaps.max(axis=0), kind="stable"):
-        flat = overlaps[:, m].argmax()
-        if overlaps[flat, m] < 0:
-            continue  # every anchor is claimed already
-        overlaps[flat] = -1.0
-        match_flat[flat] = m
+    # Claimed columns drop to -1 below every IoU; argmax keeps ties at the
+    # lowest flat anchor index (determinism).  When no unclaimed window
+    # anchor overlaps the vertebra, every unclaimed anchor ties at IoU 0 and
+    # the lowest unclaimed flat index wins.
+    claimed: set[int] = set()
+    for m in np.argsort(-overlaps.max(axis=1, initial=0.0), kind="stable"):
+        if overlaps[m].max(initial=0.0) > 0:
+            col = int(overlaps[m].argmax())
+            pick = int(flat[col])
+        else:
+            pick = min(set(range(len(claimed) + 1)) - claimed)
+            if pick >= anchors.n_anchors:
+                continue  # every anchor is claimed already
+            col = int(np.searchsorted(flat, pick))
+        claimed.add(pick)
+        match_flat[pick] = m
+        if col < len(flat) and flat[col] == pick:
+            overlaps[:, col] = -1.0
 
-    match_flat = match_flat.reshape(shape)
-    pos = match_flat >= 0
+    matched = match_flat.reshape(shape)
+    pos = np.nonzero(matched >= 0)
+    m_pos = matched[pos]
     objectness[pos] = 1.0
-    matched[:] = match_flat
-    anchor_cxy, anchor_wh = anchors.centers_and_sides()
-    for m, (kps, g) in enumerate(gt):
-        sel = match_flat == m
-        if not np.any(sel):
-            continue
-        kps = np.asarray(kps, dtype=float)
-        rel = kps[None, :, :] - anchor_cxy[sel][:, None, :]
-        offsets[sel] = rel / anchor_wh[sel][:, None, :]
-        weights[sel] = g
+    rel = gt_kps[m_pos] - anchor_cxy[pos][:, None, :]
+    offsets[pos] = rel / anchor_wh[pos][:, None, :]
+    weights[pos] = gt_weights[m_pos]
     return DetectionTargets(objectness, offsets, weights, matched)
 
 
@@ -276,16 +300,23 @@ def nms(candidates: list[Detection], iou_threshold: float = DEFAULT_NMS_IOU) -> 
     """Greedy non-maximum suppression, highest score first.
 
     Ties are broken deterministically by keeping the earlier candidate
-    (stable sort on descending score).
+    (stable sort on descending score).  Each candidate after the first is
+    tested with one ``iou_matrix`` call against the boxes kept so far, which
+    are held in a preallocated array.
     """
     if not candidates:
         return []
     order = sorted(range(len(candidates)), key=lambda i: -candidates[i].score)
     boxes = np.array([candidates[i].box.as_array() for i in order])
+    kept_boxes = np.empty_like(boxes)
     keep: list[int] = []
-    for row, i in enumerate(order):
-        if keep and np.any(iou_matrix(boxes[row:row + 1], boxes[keep])[0] > iou_threshold):
+    for row in range(len(boxes)):
+        n_kept = len(keep)
+        # The row is short, so a plain-Python test beats a numpy reduction.
+        if n_kept and any(v > iou_threshold for v in
+                          iou_matrix(boxes[row:row + 1], kept_boxes[:n_kept])[0].tolist()):
             continue
+        kept_boxes[n_kept] = boxes[row]
         keep.append(row)
     return [candidates[order[row]] for row in keep]
 
@@ -295,10 +326,12 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
            iou_threshold: float = DEFAULT_NMS_IOU) -> list[Detection]:
     """Decode prediction maps into non-overlapping vertebra detections.
 
-    Anchors scoring above ``score_threshold`` are decoded (keypoints from the
-    offset planes, box as the tight box of the keypoints) and reduced with
-    greedy NMS.  Candidate order, and therefore tie-breaking, is the flat
-    anchor order.
+    Anchors scoring above ``score_threshold`` are decoded in one array pass
+    (keypoints = offsets * anchor side + anchor center, as in
+    ``decode_keypoints``; box = the tight box of the keypoints) and reduced
+    with greedy NMS.  Candidate order, and therefore tie-breaking, is the
+    flat anchor order.  Non-finite keypoints raise ValueError and a
+    candidate with zero extent raises GeometryError.
     """
     obj = np.asarray(objectness_map, dtype=float)
     nx, ny = anchors.image_shape
@@ -311,9 +344,10 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
     if off.shape != (nx, ny, a, N_KEYPOINTS, 2):
         raise ValueError(f"offsets shape {off.shape} incompatible with {(nx, ny, a)}")
 
-    candidates = []
-    for ix, iy, t in zip(*np.nonzero(obj > score_threshold)):
-        anchor = anchors.box(int(ix), int(iy), int(t))
-        kps = decode_keypoints(off[ix, iy, t], anchor)
-        candidates.append(Detection(float(obj[ix, iy, t]), bbox_from_keypoints(kps), kps))
+    idx = np.nonzero(obj > score_threshold)
+    anchor_cxy, anchor_wh = anchors.centers_and_sides()
+    kps = off[idx] * anchor_wh[idx][:, None, :] + anchor_cxy[idx][:, None, :]
+    boxes = boxes_from_keypoints(kps)
+    candidates = [Detection(score, Box2D(*box), k)
+                  for score, box, k in zip(obj[idx].tolist(), boxes.tolist(), kps)]
     return nms(candidates, iou_threshold)

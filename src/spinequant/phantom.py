@@ -12,6 +12,8 @@ prediction maps (``pipeline.run_phantom_chain``).
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,6 +43,9 @@ DEFAULT_HEIGHTS = (
     (10.0, 20.0, 20.0),   # G = 0.50
 )
 
+_FLOAT_FIELDS = ("scoliosis_amplitude_mm", "scoliosis_wavelength_mm", "pitch_mm",
+                 "body_width_mm", "body_depth_mm", "noise_sigma")
+
 
 @dataclass(frozen=True)
 class PhantomConfig:
@@ -66,6 +71,20 @@ class PhantomConfig:
         return [base[k % len(base)] for k in range(self.n_vertebrae)]
 
     def validate(self) -> None:
+        for name in ("shape", "spacing", "origin"):
+            if len(getattr(self, name)) != 3:
+                raise ValueError(f"{name} must have three entries, got {getattr(self, name)}")
+        ints = {"n_vertebrae": (self.n_vertebrae,), "seed": (self.seed,), "shape": self.shape}
+        for name, values in ints.items():
+            if not all(isinstance(v, numbers.Integral) for v in values):
+                raise ValueError(f"{name} must hold integers, got {values}")
+        floats = {"spacing": self.spacing, "origin": self.origin,
+                  **{name: (getattr(self, name),) for name in _FLOAT_FIELDS}}
+        for name, values in floats.items():
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {values}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.n_vertebrae < 2:
             raise ValueError("need at least two vertebrae")
         if any(n < 8 for n in self.shape):
@@ -78,7 +97,7 @@ class PhantomConfig:
             raise ValueError("wavelength must be positive")
         heights = self.resolved_heights()
         for trip in heights:
-            if len(trip) != 3 or any(h <= 0 for h in trip):
+            if len(trip) != 3 or not all(0 < h < math.inf for h in trip):
                 raise ValueError(f"heights must be positive triples, got {trip}")
         tallest = [max(trip) for trip in heights]
         for a, b in zip(tallest[:-1], tallest[1:]):

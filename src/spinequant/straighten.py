@@ -9,6 +9,8 @@ mid-sagittal image can be mapped back to 3D world coordinates.
 """
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,42 @@ from .core import DEFAULT_FILL, GeometryError, Volume3D, _run_chunked, _sample_v
 from .localization import CenterlinePolyline
 
 _FRAME_TOL = 1e-9
+
+
+def _set_checked_rows(obj, names: tuple[str, ...]) -> None:
+    """Store ``obj.s`` and the named per-sample fields as read-only float arrays.
+
+    ``s`` must be strictly increasing with at least two samples and each
+    named array finite with shape (len(s), 3).  Checks are written so that
+    NaN fails them.
+    """
+    s = np.asarray(obj.s, dtype=float)
+    if s.ndim != 1 or len(s) < 2:
+        raise GeometryError("curve needs at least two samples")
+    if not np.all(np.diff(s) > 0):
+        raise GeometryError("arc length must be strictly increasing")
+    s.flags.writeable = False
+    object.__setattr__(obj, "s", s)
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        if arr.shape != (len(s), 3):
+            raise ValueError(f"{name} must have shape ({len(s)}, 3)")
+        if not np.all(np.isfinite(arr)):
+            raise GeometryError(f"{name} must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
+def _check_frames(obj, names: tuple[str, ...]) -> None:
+    """Raise GeometryError unless the named axis rows are unit length and
+    pairwise orthogonal, both within ``_FRAME_TOL`` (NaN fails)."""
+    for name in names:
+        if not np.max(np.abs(np.linalg.norm(getattr(obj, name), axis=1) - 1)) <= _FRAME_TOL:
+            raise GeometryError(f"{name} axes are not unit length")
+    for a, b in itertools.combinations(names, 2):
+        dots = np.einsum("ij,ij->i", getattr(obj, a), getattr(obj, b))
+        if not np.max(np.abs(dots)) <= _FRAME_TOL:
+            raise GeometryError(f"{a} and {b} axes are not orthogonal")
 
 
 @dataclass(frozen=True)
@@ -36,39 +74,16 @@ class SpineCurve:
     v: np.ndarray        # (n, 3)
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        arrays = {"centers": self.centers, "t": self.t, "u": self.u, "v": self.v}
-        if s.ndim != 1 or len(s) < 2:
-            raise GeometryError("curve needs at least two samples")
-        if not np.all(np.diff(s) > 0):
-            raise GeometryError("arc length must be strictly increasing")
-        cast = {}
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (len(s), 3):
-                raise ValueError(f"{name} must have shape ({len(s)}, 3)")
-            cast[name] = arr
-        for name in ("t", "u", "v"):
-            norms = np.linalg.norm(cast[name], axis=1)
-            if np.max(np.abs(norms - 1)) > _FRAME_TOL:
-                raise GeometryError(f"{name} axes are not unit length")
-        for a, b in (("t", "u"), ("t", "v"), ("u", "v")):
-            dots = np.einsum("ij,ij->i", cast[a], cast[b])
-            if np.max(np.abs(dots)) > _FRAME_TOL:
-                raise GeometryError(f"{a} and {b} axes are not orthogonal")
-        handed = np.einsum("ij,ij->i", np.cross(cast["t"], cast["u"]), cast["v"])
-        if np.min(handed) < 1 - 1e-6:
+        _set_checked_rows(self, ("centers", "t", "u", "v"))
+        _check_frames(self, ("t", "u", "v"))
+        handed = np.einsum("ij,ij->i", np.cross(self.t, self.u), self.v)
+        if not np.min(handed) >= 1 - 1e-6:
             raise GeometryError("frames are not right-handed")
         # Chord length between consecutive samples can not exceed the arc step
         # (up to the discretization error of the arc-length table).
-        chords = np.linalg.norm(np.diff(cast["centers"], axis=0), axis=1)
-        if np.any(chords > np.diff(s) + 1e-3):
+        chords = np.linalg.norm(np.diff(self.centers, axis=0), axis=1)
+        if not np.all(chords <= np.diff(self.s) + 1e-3):
             raise GeometryError("sample chords exceed their arc-length step")
-        s.flags.writeable = False
-        object.__setattr__(self, "s", s)
-        for name, arr in cast.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.s)
@@ -194,6 +209,9 @@ class StraightenTransform:
     Row b of the straightened grid lies on the plane through ``centers[b]``
     spanned by u (left-right) and v (anterior-posterior); in-plane pixels are
     ``delta`` mm apart with (i_half, j_half) pixels on each side of the curve.
+    Construction raises ValueError unless the rows are finite with strictly
+    increasing ``s``, u and v are unit length and orthogonal, ``delta`` is
+    finite and positive and the halves are integers >= 0.
     """
 
     s: np.ndarray
@@ -203,6 +221,18 @@ class StraightenTransform:
     delta: float
     i_half: int
     j_half: int
+
+    def __post_init__(self):
+        _set_checked_rows(self, ("centers", "u", "v"))
+        _check_frames(self, ("u", "v"))
+        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < np.inf):
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        object.__setattr__(self, "delta", float(self.delta))
+        for name in ("i_half", "j_half"):
+            half = getattr(self, name)
+            if not isinstance(half, numbers.Integral) or half < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {half!r}")
+            object.__setattr__(self, name, int(half))
 
     @property
     def n_rows(self) -> int:
@@ -288,9 +318,9 @@ class StraightenTransform:
             centers=np.array([r["c"] for r in rows], dtype=float),
             u=np.array([r["u"] for r in rows], dtype=float),
             v=np.array([r["v"] for r in rows], dtype=float),
-            delta=float(doc["delta"]),
-            i_half=int(doc["i_half"]),
-            j_half=int(doc["j_half"]),
+            delta=doc["delta"],
+            i_half=doc["i_half"],
+            j_half=doc["j_half"],
         )
 
 

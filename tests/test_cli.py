@@ -238,6 +238,52 @@ def test_non_finite_input_volume_exits_2(small, tmp_path, capsys, target):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", float("nan")),
+    ("body_width_mm", float("nan")),
+    ("n_vertebrae", 4.5),
+    ("shape", [64, 64, 128.5]),
+])
+def test_non_finite_or_non_integer_phantom_field_exits_2(tmp_path, capsys, field, value):
+    (tmp_path / "ph.json").write_text(json.dumps({**SMALL_PHANTOM, field: value}))
+    assert run("phantom", tmp_path / "ph.json", "--output", tmp_path / "o") == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _nan_center(doc):
+    doc["rows"][5]["c"][0] = float("nan")
+
+
+def _zero_delta(doc):
+    doc["delta"] = 0
+
+
+def _zero_v_row(doc):
+    doc["rows"][5]["v"] = [0.0, 0.0, 0.0]
+
+
+def _repeated_s(doc):
+    doc["rows"][5]["s"] = doc["rows"][4]["s"]
+
+
+@pytest.mark.parametrize("command", ["targets", "score"])
+@pytest.mark.parametrize("corrupt", [_nan_center, _zero_delta, _zero_v_row, _repeated_s])
+def test_corrupt_transform_exits_2(small, tmp_path, capsys, command, corrupt):
+    doc = json.loads((small / "st" / "transform.json").read_text())
+    corrupt(doc)
+    (tmp_path / "transform.json").write_text(json.dumps(doc))
+    if command == "targets":
+        extra = [small / "ph" / "gt.va1"]
+    else:
+        extra = ["--annotations", small / "ph" / "gt.va1"]
+    code = run(command, small / "st" / "sagittal.vg1", tmp_path / "transform.json", *extra,
+               "--output", tmp_path / "o")
+    assert code == 2
+    assert "bad transform" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     assert run("straighten", tmp_path / "nope.vg1", "--annotations",
                tmp_path / "nope.va1", "--output", tmp_path / "o") == 2

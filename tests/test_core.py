@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinequant.core import (DEFAULT_FILL, Box2D, GeometryError, Volume3D,
-                             bbox_from_keypoints, iou, iou_matrix,
+                             bbox_from_keypoints, boxes_from_keypoints, iou, iou_matrix,
                              resample_volume, trilinear_sample)
 
 
@@ -51,6 +53,58 @@ def test_iou_matrix_agrees_with_scalar():
             assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
 
 
+def iou_matrix_reference(a, b):
+    """The per-coordinate IoU formula, one numpy call per corner (the oracle)."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    ax0 = a[:, 0] - a[:, 2] / 2
+    ax1 = a[:, 0] + a[:, 2] / 2
+    ay0 = a[:, 1] - a[:, 3] / 2
+    ay1 = a[:, 1] + a[:, 3] / 2
+    bx0 = b[:, 0] - b[:, 2] / 2
+    bx1 = b[:, 0] + b[:, 2] / 2
+    by0 = b[:, 1] - b[:, 3] / 2
+    by1 = b[:, 1] + b[:, 3] / 2
+    iw = np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
+    ih = np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
+    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
+    union = (a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter
+    return inter / union
+
+
+def test_iou_matrix_bitwise_equals_reference_formula():
+    rng = np.random.default_rng(4)
+    for n, m in ((1, 1), (1, 3), (1, 12), (7, 1), (9, 5), (300, 12)):
+        # Integer-valued boxes make touching and identical pairs common.
+        a = np.column_stack([rng.integers(-6, 6, (n, 2)), rng.integers(1, 6, (n, 2))])
+        b = np.column_stack([rng.uniform(-6, 6, (m, 2)), rng.uniform(0.5, 6, (m, 2))])
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            got = iou_matrix(x, y)
+            assert got.shape == (len(x), len(y))
+            assert got.tobytes() == iou_matrix_reference(x, y).tobytes()
+    row = np.array([1.0, 2.0, 3.0, 4.0])
+    assert iou_matrix(row, b).tobytes() == iou_matrix_reference(row, b).tobytes()
+
+
+box_rows = st.lists(
+    st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.5, 40), st.floats(0.5, 40)),
+    min_size=1, max_size=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(box_rows, box_rows)
+def test_iou_matrix_properties(rows_a, rows_b):
+    a, b = np.array(rows_a), np.array(rows_b)
+    mat = iou_matrix(a, b)
+    assert np.array_equal(mat, iou_matrix(b, a).T)
+    # Corners are rounded, so two identical boxes can overlap by a few ulps
+    # of the center more than their area: IoU may exceed 1 by ~1e-13 here.
+    assert np.all((mat >= 0.0) & (mat <= 1.0 + 1e-12))
+    for i, ra in enumerate(rows_a):
+        for j, rb in enumerate(rows_b):
+            assert mat[i, j] == iou(Box2D(*ra), Box2D(*rb))
+
+
 def test_bbox_from_keypoints_extrema():
     pts = np.array([[10, 5], [30, 5], [10, 25], [30, 25], [20, 15], [12, 20]], float)
     box = bbox_from_keypoints(pts)
@@ -60,6 +114,30 @@ def test_bbox_from_keypoints_extrema():
 def test_bbox_degenerate_points_error():
     with pytest.raises(GeometryError):
         bbox_from_keypoints(np.tile([[4.0, 4.0]], (6, 1)))
+
+
+def test_boxes_from_keypoints_matches_single_box():
+    rng = np.random.default_rng(6)
+    kps = rng.uniform(-20, 20, (25, 6, 2))
+    boxes = boxes_from_keypoints(kps)
+    assert boxes.shape == (25, 4)
+    for row, pts in zip(boxes, kps):
+        (x0, x1), (y0, y1) = ((min(c), max(c)) for c in pts.T.tolist())
+        assert tuple(row) == ((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)
+        assert tuple(row) == tuple(bbox_from_keypoints(pts).as_array())
+    assert boxes_from_keypoints(np.zeros((0, 6, 2))).shape == (0, 4)
+    flat = kps.copy()
+    flat[7, :, 1] = 3.0
+    with pytest.raises(GeometryError):
+        boxes_from_keypoints(flat)
+    bad = kps.copy()
+    bad[3, 2, 0] = np.nan
+    with pytest.raises(ValueError):
+        boxes_from_keypoints(bad)
+    with pytest.raises(ValueError):
+        bbox_from_keypoints(np.array([np.inf, 1.0, 2.0, 3.0]).reshape(2, 2))
+    with pytest.raises(ValueError):
+        bbox_from_keypoints(np.zeros(2))
 
 
 def test_bbox_rotated_rectangle_corners():

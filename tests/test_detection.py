@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinequant.core import Box2D, bbox_from_keypoints, iou, iou_matrix
+from spinequant.core import Box2D, GeometryError, bbox_from_keypoints, iou, iou_matrix
 from spinequant.detection import (Detection, assign_targets, decode_keypoints,
                                   detect, detection_loss, detection_loss_grad,
                                   detection_loss_terms, encode_keypoints,
@@ -225,6 +227,74 @@ def test_assign_forced_anchors_match_sorting_oracle():
         contested += len(set(argmax.tolist())) < len(gt)
     assert contested >= 10
 
+    # Grids larger than the anchors, so IoU is computed on partial windows;
+    # boxes reach up to 15 px past the image edges or lie wholly outside it.
+    rng = np.random.default_rng(13)
+    off_image = 0
+    for _ in range(40):
+        nx, ny = (int(n) for n in rng.integers(10, 41, size=2))
+        grid = generate_anchors((nx, ny), 1.0, scales_mm=(5.0, 7.0), ratios=(1.0, 2.0))
+        gt = []
+        for _ in range(int(rng.integers(1, 7))):
+            if gt and rng.random() < 0.3:
+                kps = gt[int(rng.integers(len(gt)))][0] + rng.choice([0.0, 0.25])
+            else:
+                kps = keypoints_for_box(*rng.uniform(-15, [nx + 14, ny + 14]),
+                                        *rng.uniform(0.5, 12.0, size=2))
+            gt.append((kps, float(rng.uniform(0.5, 1.0))))
+        targets = assign_targets(grid, gt)
+        np.testing.assert_array_equal(targets.matched, reference_matches(grid, gt))
+        assert_targets_encode_matches(grid, gt, targets)
+        for kps, _ in gt:
+            x0, y0, x1, y1 = bbox_from_keypoints(kps).corners
+            off_image += x1 < 0 or y1 < 0 or x0 > nx - 1 or y0 > ny - 1
+    assert off_image >= 5
+
+
+def assert_targets_encode_matches(grid, gt, targets):
+    """Positive anchors carry exactly encode_keypoints of their vertebra."""
+    pos = np.argwhere(targets.objectness == 1)
+    assert np.array_equal(pos, np.argwhere(targets.matched >= 0))
+    assert np.all(targets.offsets[targets.objectness == 0] == 0)
+    for ix, iy, t in pos:
+        kps, g = gt[targets.matched[ix, iy, t]]
+        want = encode_keypoints(kps, grid.box(int(ix), int(iy), int(t)))
+        assert np.array_equal(targets.offsets[ix, iy, t], want)
+        assert targets.genant_weights[ix, iy, t] == g
+
+
+@pytest.mark.parametrize("centers", [
+    [(-30.0, -30.0)],                          # no anchor near any vertebra
+    [(10.0, 10.0), (-30.0, 5.0), (0.0, -40.0)],  # two vertebrae far off the image
+])
+def test_assign_off_image_vertebra_takes_lowest_unclaimed_anchor(centers):
+    grid = generate_anchors((20, 20), 1.0, scales_mm=(4.0,), ratios=(1.0, 2.0))
+    gt = [(keypoints_for_box(cx, cy, 4.0, 3.0), 0.9) for cx, cy in centers]
+    targets = assign_targets(grid, gt)
+    want = reference_matches(grid, gt)
+    np.testing.assert_array_equal(targets.matched, want)
+    assert_targets_encode_matches(grid, gt, targets)
+    off = [m for m, (cx, cy) in enumerate(centers) if cx < 0 or cy < 0]
+    # all-zero IoU columns: the lowest flat indices go to them, in claim order
+    assert sorted(want.ravel()[:len(off)].tolist()) == off
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(1, 30), st.integers(1, 30),
+       st.lists(st.tuples(st.floats(-15, 45), st.floats(-15, 45),
+                          st.floats(0.5, 12), st.floats(0.5, 12)), min_size=1, max_size=6),
+       st.lists(st.integers(0, 5), max_size=3),
+       st.sampled_from([-0.1, 0.3, 0.5, 0.7]))
+def test_assign_targets_equals_reference_property(nx, ny, boxes, repeats, threshold):
+    grid = generate_anchors((nx, ny), 1.0, scales_mm=(5.0, 7.0), ratios=(1.0, 2.0))
+    # repeated boxes make vertebrae contest the same best anchor
+    boxes = boxes + [boxes[i % len(boxes)] for i in repeats]
+    gt = [(keypoints_for_box(*box), 0.8) for box in boxes]
+    targets = assign_targets(grid, gt, iou_threshold=threshold)
+    np.testing.assert_array_equal(targets.matched,
+                                  reference_matches(grid, gt, iou_threshold=threshold))
+    assert_targets_encode_matches(grid, gt, targets)
+
 
 def test_assign_more_vertebrae_than_anchors():
     grid = generate_anchors((1, 2), 1.0, scales_mm=(4.0,), ratios=(1.0,))
@@ -437,6 +507,52 @@ def test_detect_oracle_round_trip():
     dets = sorted(dets, key=lambda d: d.box.cy)
     for d, (kps, _) in zip(dets, gt):
         assert np.max(np.abs(d.keypoints - kps)) < 1e-6
+
+
+def detect_reference(obj, off, grid, iou_threshold):
+    """Per-candidate decode -> bbox_from_keypoints -> greedy NMS (the oracle)."""
+    cands = []
+    for ix, iy, t in zip(*np.nonzero(obj > 0.5)):
+        kps = decode_keypoints(off[ix, iy, t], grid.box(int(ix), int(iy), int(t)))
+        cands.append(Detection(float(obj[ix, iy, t]), bbox_from_keypoints(kps), kps))
+    return nms_oracle(cands, iou_threshold)
+
+
+def test_detect_matches_per_candidate_oracle():
+    rng = np.random.default_rng(15)
+    for k in range(30):
+        nx, ny = (int(n) for n in rng.integers(6, 30, size=2))
+        grid = generate_anchors((nx, ny), 1.0, scales_mm=(5.0, 8.0), ratios=(1.0, 1.5))
+        # few distinct scores, so tied candidates are common
+        obj = rng.choice([0.1, 0.6, 0.7, 0.9], size=(nx, ny, grid.n_types),
+                         p=[0.7, 0.1, 0.1, 0.1])
+        off = rng.normal(0.0, 0.4, size=(nx, ny, grid.n_types, 6, 2))
+        thr = (0.2, 0.45, 0.7)[k % 3]
+        planes = off.reshape(nx, ny, grid.n_types, 12) if k % 2 else off
+        got = detect(obj, planes, grid, iou_threshold=thr)
+        want = detect_reference(obj, off, grid, thr)
+        assert len(got) == len(want) > 0
+        for d, w in zip(got, want):
+            assert d.score == w.score
+            assert d.box.as_array().tobytes() == w.box.as_array().tobytes()
+            assert d.keypoints.tobytes() == w.keypoints.tobytes()
+
+
+def test_detect_bad_keypoints_raise():
+    grid = generate_anchors((6, 6), 1.0, scales_mm=(5.0,), ratios=(1.0,))
+    obj = np.zeros((6, 6, 1))
+    obj[2, 3, 0] = 0.9
+    off = np.random.default_rng(16).normal(0.0, 0.4, size=(6, 6, 1, 6, 2))
+    flat = off.copy()
+    flat[2, 3, 0, :, 0] = 0.1  # zero extent along x
+    with pytest.raises(GeometryError):
+        detect(obj, flat, grid)
+    # a non-finite offset on an anchor below the threshold is never decoded
+    off[0, 0, 0, 0, 0] = np.inf
+    assert len(detect(obj, off, grid)) == 1
+    off[2, 3, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        detect(obj, off, grid)
 
 
 def test_detect_all_zero_objectness():

@@ -3,7 +3,7 @@ import pytest
 
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
-from spinequant.straighten import (StraightenTransform, build_spine_curve,
+from spinequant.straighten import (SpineCurve, StraightenTransform, build_spine_curve,
                                    mid_sagittal_slice, straighten_volume)
 
 
@@ -96,6 +96,15 @@ def test_build_spine_curve_validation():
     with pytest.raises(ValueError):
         build_spine_curve(
             CenterlinePolyline(np.zeros((5, 2)), np.arange(5.0), "voxel"))
+
+
+@pytest.mark.parametrize("field", ["centers", "t", "u", "v"])
+def test_spine_curve_rejects_nan_row(field):
+    curve = build_spine_curve(line_polyline(dx=0.2), step=1.0)
+    arrays = {name: getattr(curve, name).copy() for name in ("s", "centers", "t", "u", "v")}
+    arrays[field][7] = np.nan
+    with pytest.raises(GeometryError):
+        SpineCurve(**arrays)
 
 
 def test_curve_padding_extends_linearly():
