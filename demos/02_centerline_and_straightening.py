@@ -20,7 +20,7 @@ volume, annotations, _ = generate_phantom(phantom_cfg)
 
 # the localization network works at a coarse isotropic resolution
 working = resample_volume(volume, (cfg.working_spacing_mm,) * 3)
-heatmaps, _ = oracle_heatmaps(annotations, working)
+heatmaps = oracle_heatmaps(annotations, working)
 print(f"working grid {working.shape} at {cfg.working_spacing_mm} mm")
 
 coarse = slicewise_centerline(heatmaps).to_world(heatmaps)

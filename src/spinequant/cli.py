@@ -16,6 +16,7 @@ written).  All outputs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -128,7 +129,7 @@ def cmd_phantom(args) -> int:
         doc = doc.get("phantom", doc)
         try:
             phantom_cfg = PhantomConfig.from_dict(doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"{args.phantom_config}: bad phantom config ({exc})") from exc
     if args.seed is not None:
         phantom_cfg = PhantomConfig.from_dict({**phantom_cfg.to_dict(), "seed": args.seed})
@@ -142,7 +143,7 @@ def cmd_phantom(args) -> int:
     write_vg1(out / "volume.vg1", volume)
     write_va1(out / "gt.va1", annotations)
     working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
-    heatmaps, _ = oracle_heatmaps(annotations, working)
+    heatmaps = oracle_heatmaps(annotations, working)
     write_vg1(out / "heatmaps.vg1", heatmaps)
     write_json(out / "phantom_manifest.json", {
         "config": cfg.to_dict(),
@@ -264,20 +265,27 @@ def cmd_targets(args) -> int:
     return EXIT_OK
 
 
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _study_from_files(det_path: Path, gt_path: Path, cfg: PipelineConfig) -> dict:
     doc = read_json(det_path)
-    if "vertebrae" not in doc:
-        raise FormatError(f"{det_path}: missing 'vertebrae'")
+    if not isinstance(doc.get("vertebrae"), list):
+        raise FormatError(f"{det_path}: missing 'vertebrae' list")
     dets = []
     for i, entry in enumerate(doc["vertebrae"]):
         try:
             kps = np.asarray(entry["keypoints_world"], dtype=float)
-            g = float(entry["genant"])
+            g, score = entry["genant"], entry.get("score")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{det_path}: vertebra {i}: {exc}") from exc
-        if kps.shape != (6, 3):
+        if kps.shape != (6, 3) or not np.all(np.isfinite(kps)):
             raise FormatError(f"{det_path}: vertebra {i}: bad keypoints_world")
-        dets.append((kps, g, entry.get("score")))
+        if not _finite_number(g) or not (score is None or _finite_number(score)):
+            raise FormatError(f"{det_path}: vertebra {i}: genant must be a finite number "
+                              f"and score a finite number or null, got {g!r}, {score!r}")
+        dets.append((kps, g, score))
     gts = [(kps.as_array(), genant.measure(kps, **cfg.grade_cuts()).genant)
            for kps in read_va1(gt_path)]
     return pipeline.evaluation_study(dets, gts)

@@ -95,7 +95,7 @@ class Box2D:
 
 
 def iou(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
+    """Intersection-over-union of two boxes, in [0, 1] (rounding capped at 1)."""
     ax0, ay0, ax1, ay1 = a.corners
     bx0, by0, bx1, by1 = b.corners
     iw = min(ax1, bx1) - max(ax0, bx0)
@@ -104,7 +104,7 @@ def iou(a: Box2D, b: Box2D) -> float:
         return 0.0
     inter = iw * ih
     union = a.w * a.h + b.w * b.h - inter
-    return float(inter / union)
+    return float(min(inter / union, 1.0))
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,7 +113,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Boxes are rows (cx, cy, w, h); returns an (N, M) matrix.  The x and y
     overlaps of every pair are formed together in one (2, N, M) side array,
     so a call costs the same few numpy operations whatever N and M are; a
-    pair that does not overlap gets exactly 0.
+    pair that does not overlap gets exactly 0, and identical boxes, whose
+    rounded corners can give a ratio just above 1, get exactly 1.
     """
     # Coordinate-major (4, N) copies, so the (2, N, M) broadcasts run along
     # contiguous memory (an (N, M, 2) layout is about twice as slow at large N).
@@ -130,6 +131,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = (a[2] * a[3])[:, None] + (b[2] * b[3])[None, :]
     union -= inter
     inter /= union
+    np.minimum(inter, 1.0, out=inter)
     return inter
 
 

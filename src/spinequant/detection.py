@@ -80,6 +80,8 @@ def generate_anchors(image_shape, pixel_spacing: float,
     """Anchor grid over every pixel center of a ``(nx, ny)`` image."""
     if pixel_spacing <= 0:
         raise ValueError("pixel spacing must be positive")
+    if min(image_shape[:2]) <= 0:
+        raise ValueError(f"image shape must have positive sides, got {tuple(image_shape)}")
     scales_mm = tuple(float(s) for s in scales_mm)
     ratios = tuple(float(r) for r in ratios)
     if any(s <= 0 for s in scales_mm) or any(r <= 0 for r in ratios):
@@ -167,7 +169,10 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     near_y = np.abs(np.arange(ny)[:, None] - gt_boxes[:, None, None, 1]) < reach[:, None, :, 1]
     window = np.any(near_x[:, :, None] & near_y[:, None], axis=0)  # (nx, ny, A)
     # Window anchors in ascending flat order, so ties among them break as
-    # the flat index does.
+    # the flat index does.  The first len(gt) anchors always join the window:
+    # a vertebra that overlaps no unclaimed anchor takes the lowest unclaimed
+    # flat index, which is below the number of claims made so far.
+    window.flat[:len(gt)] = True
     flat = np.flatnonzero(window)
     overlaps = iou_matrix(gt_boxes, np.concatenate([anchor_cxy[window], anchor_wh[window]],
                                                    axis=1))  # (M, K)
@@ -181,23 +186,13 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     # Force the best unclaimed anchor of every vertebra positive, most
     # confident vertebra first, so two vertebrae never claim one anchor.
     # Claimed columns drop to -1 below every IoU; argmax keeps ties at the
-    # lowest flat anchor index (determinism).  When no unclaimed window
-    # anchor overlaps the vertebra, every unclaimed anchor ties at IoU 0 and
-    # the lowest unclaimed flat index wins.
-    claimed: set[int] = set()
-    for m in np.argsort(-overlaps.max(axis=1, initial=0.0), kind="stable"):
-        if overlaps[m].max(initial=0.0) > 0:
-            col = int(overlaps[m].argmax())
-            pick = int(flat[col])
-        else:
-            pick = min(set(range(len(claimed) + 1)) - claimed)
-            if pick >= anchors.n_anchors:
-                continue  # every anchor is claimed already
-            col = int(np.searchsorted(flat, pick))
-        claimed.add(pick)
-        match_flat[pick] = m
-        if col < len(flat) and flat[col] == pick:
-            overlaps[:, col] = -1.0
+    # lowest flat anchor index (determinism).
+    for m in np.argsort(-overlaps.max(axis=1), kind="stable"):
+        col = int(overlaps[m].argmax())
+        if overlaps[m, col] < 0:
+            continue  # every anchor is claimed already
+        match_flat[flat[col]] = m
+        overlaps[:, col] = -1.0
 
     matched = match_flat.reshape(shape)
     pos = np.nonzero(matched >= 0)
@@ -215,8 +210,6 @@ def _check_prediction_shapes(pred_objectness, pred_offsets, targets: DetectionTa
     shape = targets.objectness.shape
     if pred_objectness.shape != shape:
         raise ValueError(f"objectness shape {pred_objectness.shape} != {shape}")
-    if pred_offsets.shape == shape + (2 * N_KEYPOINTS,):
-        pred_offsets = pred_offsets.reshape(shape + (N_KEYPOINTS, 2))
     if pred_offsets.shape != shape + (N_KEYPOINTS, 2):
         raise ValueError(f"offsets shape {pred_offsets.shape} incompatible with {shape}")
     return pred_objectness, pred_offsets
@@ -296,18 +289,20 @@ class Detection:
         object.__setattr__(self, "score", float(self.score))
 
 
-def nms(candidates: list[Detection], iou_threshold: float = DEFAULT_NMS_IOU) -> list[Detection]:
+def nms(boxes: np.ndarray, scores: np.ndarray,
+        iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
     """Greedy non-maximum suppression, highest score first.
 
-    Ties are broken deterministically by keeping the earlier candidate
-    (stable sort on descending score).  Each candidate after the first is
-    tested with one ``iou_matrix`` call against the boxes kept so far, which
-    are held in a preallocated array.
+    ``boxes`` holds (K, 4) rows (cx, cy, w, h) and ``scores`` their (K,)
+    scores.  Returns the indices of the kept boxes in descending-score
+    order; ties keep the earlier box (stable sort).  A box is suppressed
+    when its IoU with a kept box exceeds ``iou_threshold``, so a threshold
+    of 1 suppresses nothing.  Each box after the first is tested with one
+    ``iou_matrix`` call against the boxes kept so far, which are held in a
+    preallocated array.
     """
-    if not candidates:
-        return []
-    order = sorted(range(len(candidates)), key=lambda i: -candidates[i].score)
-    boxes = np.array([candidates[i].box.as_array() for i in order])
+    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
+    boxes = np.asarray(boxes, dtype=float)[order]
     kept_boxes = np.empty_like(boxes)
     keep: list[int] = []
     for row in range(len(boxes)):
@@ -318,7 +313,7 @@ def nms(candidates: list[Detection], iou_threshold: float = DEFAULT_NMS_IOU) -> 
             continue
         kept_boxes[n_kept] = boxes[row]
         keep.append(row)
-    return [candidates[order[row]] for row in keep]
+    return order[keep]
 
 
 def detect(objectness_map, offsets_map, anchors: AnchorGrid,
@@ -326,12 +321,13 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
            iou_threshold: float = DEFAULT_NMS_IOU) -> list[Detection]:
     """Decode prediction maps into non-overlapping vertebra detections.
 
-    Anchors scoring above ``score_threshold`` are decoded in one array pass
-    (keypoints = offsets * anchor side + anchor center, as in
-    ``decode_keypoints``; box = the tight box of the keypoints) and reduced
-    with greedy NMS.  Candidate order, and therefore tie-breaking, is the
-    flat anchor order.  Non-finite keypoints raise ValueError and a
-    candidate with zero extent raises GeometryError.
+    ``offsets_map`` has shape (nx, ny, A, 6, 2).  Anchors scoring above
+    ``score_threshold`` are decoded in one array pass (keypoints = offsets *
+    anchor side + anchor center, as in ``decode_keypoints``; box = the tight
+    box of the keypoints) and reduced with greedy NMS; a ``Detection`` is
+    built for each survivor only.  Candidate order, and therefore
+    tie-breaking, is the flat anchor order.  Non-finite keypoints raise
+    ValueError and a candidate with zero extent raises GeometryError.
     """
     obj = np.asarray(objectness_map, dtype=float)
     nx, ny = anchors.image_shape
@@ -339,8 +335,6 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
     if obj.shape != (nx, ny, a):
         raise ValueError(f"objectness shape {obj.shape} != {(nx, ny, a)}")
     off = np.asarray(offsets_map, dtype=float)
-    if off.shape == (nx, ny, a, 2 * N_KEYPOINTS):
-        off = off.reshape(nx, ny, a, N_KEYPOINTS, 2)
     if off.shape != (nx, ny, a, N_KEYPOINTS, 2):
         raise ValueError(f"offsets shape {off.shape} incompatible with {(nx, ny, a)}")
 
@@ -348,6 +342,6 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
     anchor_cxy, anchor_wh = anchors.centers_and_sides()
     kps = off[idx] * anchor_wh[idx][:, None, :] + anchor_cxy[idx][:, None, :]
     boxes = boxes_from_keypoints(kps)
-    candidates = [Detection(score, Box2D(*box), k)
-                  for score, box, k in zip(obj[idx].tolist(), boxes.tolist(), kps)]
-    return nms(candidates, iou_threshold)
+    scores = obj[idx]
+    return [Detection(scores[k], Box2D(*boxes[k].tolist()), kps[k])
+            for k in nms(boxes, scores, iou_threshold)]

@@ -30,14 +30,17 @@ class FormatError(ValueError):
 
 
 def read_json(path: Path) -> dict:
-    """Load a JSON document; a missing file or invalid JSON raises FormatError."""
+    """Load a JSON object; a missing file, invalid JSON or a non-object raises FormatError."""
     if not path.exists():
         raise FormatError(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def write_json(path, obj) -> None:
@@ -73,11 +76,15 @@ def read_vg1(path) -> Volume3D:
             raise FormatError(f"{path}: missing '{key}'")
     if header["dtype"] != "f32":
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    shape = tuple(int(n) for n in header["shape"])
-    if len(shape) != 3 or any(n <= 0 for n in shape):
-        raise FormatError(f"{path}: bad shape {shape}")
+    shape = header["shape"]
+    if not isinstance(shape, list) or len(shape) != 3 or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape):
+        raise FormatError(f"{path}: bad shape {shape!r}")
+    shape = tuple(shape)
+    if not isinstance(header["data"], str):
+        raise FormatError(f"{path}: 'data' must be a file name, got {header['data']!r}")
     data_path = path.parent / header["data"]
-    if not data_path.exists():
+    if not data_path.is_file():
         raise FormatError(f"{path}: data file not found: {data_path}")
     raw = np.fromfile(data_path, dtype="<f4")
     if raw.size != int(np.prod(shape)):
@@ -92,11 +99,10 @@ def read_vg1(path) -> Volume3D:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def write_va1(path, vertebrae: list[VertebraKeypoints], extra: dict | None = None) -> Path:
-    """Write annotations as VA1; ``extra`` top-level keys are merged in."""
+def write_va1(path, vertebrae: list[VertebraKeypoints]) -> Path:
+    """Write annotations as VA1."""
     path = Path(path)
-    doc = dict(extra or {})
-    doc["vertebrae"] = [
+    doc = {"vertebrae": [
         {
             "label": kps.label,
             "keypoints_mm": {
@@ -105,7 +111,7 @@ def write_va1(path, vertebrae: list[VertebraKeypoints], extra: dict | None = Non
             },
         }
         for kps in vertebrae
-    ]
+    ]}
     write_json(path, doc)
     return path
 
@@ -118,13 +124,15 @@ def read_va1(path) -> list[VertebraKeypoints]:
         raise FormatError(f"{path}: missing 'vertebrae' list")
     out = []
     for i, entry in enumerate(doc["vertebrae"]):
-        kp = entry.get("keypoints_mm")
+        kp = entry.get("keypoints_mm") if isinstance(entry, dict) else None
         if not isinstance(kp, dict):
             raise FormatError(f"{path}: vertebra {i} lacks 'keypoints_mm'")
         try:
             pts = np.array([kp[key] for key in KEYPOINT_KEYS], dtype=float)
         except KeyError as exc:
             raise FormatError(f"{path}: vertebra {i} lacks keypoint {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: vertebra {i} has malformed keypoints ({exc})") from exc
         if pts.shape != (6, 3) or not np.all(np.isfinite(pts)):
             raise FormatError(f"{path}: vertebra {i} has malformed keypoints")
         out.append(VertebraKeypoints.from_array(pts, label=entry.get("label")))

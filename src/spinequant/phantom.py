@@ -211,43 +211,19 @@ def _fill_body(values, cfg: PhantomConfig, center, axis_lr, axis_ap, axis_up,
 
 
 def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
-                    sigma_vox: float = 2.0,
-                    z_range: tuple[int, int] | None = None
-                    ) -> tuple[Volume3D, np.ndarray]:
+                    sigma_vox: float = 2.0) -> Volume3D:
     """Per-slice Gaussian heatmaps centered on the centerline target.
 
-    The returned stack covers the annotated span of ``vol`` (or the explicit
-    slice range), each valid slice holding an isotropic Gaussian normalized
-    to unit mass.  Slices outside the annotated span are uniform maps and
-    flagged invalid in the returned boolean mask.
+    The returned stack covers the slices of ``vol`` inside the annotated
+    span, each holding an isotropic Gaussian normalized to unit mass.
     """
     target = centerline_target(annotations, vol.slice_z_world())
-    z_world = vol.slice_z_world()
-    k_inside = np.nonzero((z_world >= target.z[0] - 1e-9)
-                          & (z_world <= target.z[-1] + 1e-9))[0]
-    if z_range is None:
-        k0, k1 = int(k_inside[0]), int(k_inside[-1]) + 1
-    else:
-        k0, k1 = int(z_range[0]), int(z_range[1])
-        if not 0 <= k0 < k1 <= vol.shape[2]:
-            raise ValueError(f"slice range {z_range} outside the volume")
     nx, ny = vol.shape[:2]
-    maps = np.empty((nx, ny, k1 - k0), dtype=np.float32)
-    valid = np.zeros(k1 - k0, dtype=bool)
+    maps = np.empty((nx, ny, len(target)), dtype=np.float32)
     gx = np.arange(nx)[:, None]
     gy = np.arange(ny)[None, :]
-    target_by_k = {int(k): i for i, k in enumerate(
-        np.searchsorted(z_world, target.z))}
-    centers_vox = vol.world_to_voxel(target.points())
-    for i, k in enumerate(range(k0, k1)):
-        if k in target_by_k:
-            cx, cy = centers_vox[target_by_k[k], :2]
-            m = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * sigma_vox ** 2))
-            maps[:, :, i] = m / m.sum()
-            valid[i] = True
-        else:
-            maps[:, :, i] = 1.0 / (nx * ny)
-    stack = Volume3D(maps, vol.spacing,
-                     (vol.origin[0], vol.origin[1], vol.origin[2] + k0 * vol.spacing[2]))
-    return stack, valid
-
+    for i, (cx, cy, _) in enumerate(vol.world_to_voxel(target.points())):
+        m = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * sigma_vox ** 2))
+        maps[:, :, i] = m / m.sum()
+    # target.z holds the span's slice positions of vol, first one first.
+    return Volume3D(maps, vol.spacing, (vol.origin[0], vol.origin[1], float(target.z[0])))

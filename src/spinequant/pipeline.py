@@ -359,7 +359,7 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
     """
     volume, annotations, planted = generate_phantom(phantom_cfg)
     working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
-    heatmaps, _ = oracle_heatmaps(annotations, working)
+    heatmaps = oracle_heatmaps(annotations, working)
     result = straighten_stage(volume, cfg, heatmaps=heatmaps)
     anchors, targets = targets_stage(result.sagittal, annotations, cfg)
     chain = ChainResult(volume, annotations, planted, heatmaps, result,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +285,123 @@ def test_corrupt_transform_exits_2(small, tmp_path, capsys, command, corrupt):
     assert code == 2
     assert "bad transform" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _volume_header(edit):
+    """straighten on a copy of the phantom's volume.vg1 header after edit(header, tmp)."""
+    def case(small, tmp):
+        header = json.loads((small / "ph" / "volume.vg1").read_text())
+        header["data"] = str(small / "ph" / "volume.vg1.raw")
+        edit(header, tmp)
+        (tmp / "v.vg1").write_text(json.dumps(header))
+        return ["straighten", tmp / "v.vg1", "--annotations", small / "ph" / "gt.va1"]
+    return case
+
+
+def _truncate_blob(header, tmp):
+    raw = Path(header["data"]).read_bytes()
+    (tmp / "v.raw").write_bytes(raw[:len(raw) // 2])
+    header["data"] = str(tmp / "v.raw")
+
+
+def _binary_header(small, tmp):
+    (tmp / "v.vg1").write_bytes(bytes(range(128, 256)))
+    return ["straighten", tmp / "v.vg1", "--annotations", small / "ph" / "gt.va1"]
+
+
+def _file(name, text, argv):
+    """Write text (a str, or a callable of the small workspace) to tmp/name, then run
+    argv, where name is that file and "dir/file" entries are files of the workspace."""
+    def case(small, tmp):
+        (tmp / name).write_text(text(small) if callable(text) else text)
+        return [tmp / a if a == name else small / a if "/" in a else a for a in argv]
+    return case
+
+
+def _annotations(edit):
+    """straighten along a copy of the phantom's gt.va1 after edit(doc)."""
+    def text(small):
+        doc = json.loads((small / "ph" / "gt.va1").read_text())
+        edit(doc)
+        return json.dumps(doc)
+    return _file("a.va1", text, ["straighten", "ph/volume.vg1", "--annotations", "a.va1"])
+
+
+def _detections(edit):
+    """evaluate a detections.json of one gt vertebra after edit(entry)."""
+    def text(small):
+        doc = json.loads((small / "ph" / "gt.va1").read_text())
+        kps = doc["vertebrae"][0]["keypoints_mm"]
+        entry = {"score": 1.0, "genant": 1.0,
+                 "keypoints_world": [kps[k] for k in ("as", "ai", "ms", "mi", "ps", "pi")]}
+        edit(entry)
+        return json.dumps({"vertebrae": [entry]})
+    return _file("d.json", text, ["evaluate", "d.json", "ph/gt.va1"])
+
+
+# (case, f(small, tmp) -> argv, exit code): malformed input ends in 2 or 3, never a traceback
+MALFORMED_INPUTS = [
+    ("vg1 shape of strings", _volume_header(lambda h, t: h.update(shape=["a", 2, 3])), 2),
+    ("vg1 shape not a list", _volume_header(lambda h, t: h.update(shape=5)), 2),
+    ("vg1 data not a string", _volume_header(lambda h, t: h.update(data=5)), 2),
+    ("va1 vertebra not an object", _annotations(lambda doc: doc.update(vertebrae=[5])), 2),
+    ("va1 keypoint a string",
+     _annotations(lambda doc: doc["vertebrae"][0]["keypoints_mm"].update({"as": "abc"})), 2),
+    ("detections a number", _file("d.json", "5", ["evaluate", "d.json", "ph/gt.va1"]), 2),
+    ("detections score a string", _detections(lambda e: e.update(score="high")), 2),
+    ("config a list", _file("c.json", "[]", ["straighten", "ph/volume.vg1", "--annotations",
+                                             "ph/gt.va1", "--config", "c.json"]), 2),
+    ("phantom config a list", _file("p.json", "[1, 2]", ["phantom", "p.json"]), 2),
+    ("detections genant NaN", _detections(lambda e: e.update(genant=float("nan"))), 2),
+    ("detections genant a string", _detections(lambda e: e.update(genant="0.9")), 2),
+    ("detections null keypoint",
+     _detections(lambda e: e["keypoints_world"][0].__setitem__(0, None)), 2),
+    ("vg1 blob truncated", _volume_header(_truncate_blob), 2),
+    ("vg1 header not JSON", _file("v.vg1", '{"shape": [64, ', ["straighten", "v.vg1",
+                                                                "--annotations", "ph/gt.va1"]), 2),
+    ("vg1 header without data", _volume_header(lambda h, t: h.pop("data")), 2),
+    ("vg1 negative shape", _volume_header(lambda h, t: h.update(shape=[-64, 64, 128])), 2),
+    ("vg1 zero spacing", _volume_header(lambda h, t: h.update(spacing=[0.0, 1.25, 1.25])), 2),
+    ("vg1 header not UTF-8", _binary_header, 2),
+    ("vg1 data a directory", _volume_header(lambda h, t: h.update(data=str(t))), 2),
+    ("detections a list",
+     _file("d.json", '[{"vertebrae": []}]', ["evaluate", "d.json", "ph/gt.va1"]), 2),
+    ("detections without vertebrae", _file("d.json", "{}", ["evaluate", "d.json", "ph/gt.va1"]),
+     2),
+    ("va1 truncated",
+     _file("a.va1", lambda small: (small / "ph" / "gt.va1").read_text()[:200],
+           ["straighten", "ph/volume.vg1", "--annotations", "a.va1"]), 2),
+    ("transform and sagittal swapped",
+     lambda small, tmp: ["score", small / "st" / "transform.json", small / "st" / "sagittal.vg1",
+                         "--annotations", small / "ph" / "gt.va1"], 2),
+    ("predictions off the image",
+     lambda small, tmp: ["score", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+                         "--predictions", small / "ph" / "heatmaps.vg1"], 3),
+    ("heatmaps off the working grid",
+     lambda small, tmp: ["straighten", small / "ph" / "volume.vg1",
+                         "--heatmaps", small / "ph" / "volume.vg1"], 3),
+]
+
+
+@pytest.mark.parametrize("build, code", [row[1:] for row in MALFORMED_INPUTS],
+                         ids=[row[0] for row in MALFORMED_INPUTS])
+def test_malformed_input_exits_without_traceback(small, tmp_path, capsys, build, code):
+    # In-process, a traceback is an exception escaping main.
+    assert run(*build(small, tmp_path), "--output", tmp_path / "o") == code
+    err = capsys.readouterr().err
+    assert err.startswith(("input error: ", "geometry error: ")) and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_malformed_input_exit_code_in_a_fresh_process(tmp_path):
+    (tmp_path / "c.json").write_text("[]")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinequant.cli", "evaluate", "d.json", "gt.va1",
+         "--config", "c.json", "--output", "o"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "expected a JSON object" in proc.stderr
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -19,6 +19,15 @@ def test_iou_disjoint_boxes():
     assert iou(a, b) == 0.0
 
 
+def test_iou_of_identical_boxes_is_capped_at_one():
+    # Rounded corners overlap by a few ulps more than the area: the ratio was
+    # 1.0000000000000004 before the cap.
+    a = Box2D(4.0, 0.0, 1.979651844293655, 1.0)
+    assert iou(a, a) == 1.0
+    row = a.as_array()[None]
+    assert iou_matrix(row, row)[0, 0] == 1.0
+
+
 def test_iou_half_offset_unit_squares():
     # overlap 0.5, union 1.5
     a = Box2D(0.0, 0.0, 1.0, 1.0)
@@ -69,7 +78,7 @@ def iou_matrix_reference(a, b):
     ih = np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
     inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
     union = (a[:, 2] * a[:, 3])[:, None] + (b[:, 2] * b[:, 3])[None, :] - inter
-    return inter / union
+    return np.minimum(inter / union, 1.0)
 
 
 def test_iou_matrix_bitwise_equals_reference_formula():
@@ -97,9 +106,7 @@ def test_iou_matrix_properties(rows_a, rows_b):
     a, b = np.array(rows_a), np.array(rows_b)
     mat = iou_matrix(a, b)
     assert np.array_equal(mat, iou_matrix(b, a).T)
-    # Corners are rounded, so two identical boxes can overlap by a few ulps
-    # of the center more than their area: IoU may exceed 1 by ~1e-13 here.
-    assert np.all((mat >= 0.0) & (mat <= 1.0 + 1e-12))
+    assert np.all((mat >= 0.0) & (mat <= 1.0))
     for i, ra in enumerate(rows_a):
         for j, rb in enumerate(rows_b):
             assert mat[i, j] == iou(Box2D(*ra), Box2D(*rb))

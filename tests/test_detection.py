@@ -37,6 +37,12 @@ def test_anchor_count():
     assert grid.boxes_flat().shape == (1600, 4)
 
 
+def test_anchor_grid_rejects_zero_side():
+    for shape in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError):
+            generate_anchors(shape, 1.0)
+
+
 def test_anchor_boxes_flat_matches_indexing():
     grid = generate_anchors((4, 3), 1.0, scales_mm=(10.0, 14.0), ratios=(1.0, 2.0))
     flat = grid.boxes_flat()
@@ -87,6 +93,23 @@ def test_encode_decode_round_trip_random():
         back = decode_keypoints(encode_keypoints(kps, anchor), anchor)
         worst = max(worst, float(np.max(np.abs(back - kps))))
     assert worst < 1e-9
+
+
+coords = st.floats(-500, 500)
+sides = st.floats(0.5, 100)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.tuples(coords, coords, sides, sides),
+       st.lists(st.tuples(coords, coords), min_size=6, max_size=6),
+       st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)), min_size=6, max_size=6))
+def test_encode_decode_round_trip_property(anchor, kps, offsets):
+    anchor = Box2D(*anchor)
+    kps, offsets = np.array(kps), np.array(offsets)
+    np.testing.assert_allclose(decode_keypoints(encode_keypoints(kps, anchor), anchor), kps,
+                               rtol=0, atol=1e-9)
+    np.testing.assert_allclose(encode_keypoints(decode_keypoints(offsets, anchor), anchor),
+                               offsets, rtol=0, atol=1e-9)
 
 
 def test_encode_shift_invariance_exact():
@@ -471,20 +494,41 @@ def nms_oracle(cands, thr):
     return [cands[i] for i in kept]
 
 
+def nms_arrays(cands):
+    return np.array([d.box.as_array() for d in cands]), np.array([d.score for d in cands])
+
+
+def test_nms_empty_input():
+    assert len(nms(np.empty((0, 4)), np.empty(0), 0.45)) == 0
+
+
 def test_nms_single_candidate():
-    d = det(0.7, 5, 5)
-    assert nms([d], 0.45) == [d]
+    assert nms(*nms_arrays([det(0.7, 5, 5)]), 0.45).tolist() == [0]
 
 
 def test_nms_identical_boxes_keep_higher_score():
-    a, b = det(0.9, 5, 5), det(0.8, 5, 5)
-    assert nms([b, a], 0.45) == [a]
+    assert nms(*nms_arrays([det(0.8, 5, 5), det(0.9, 5, 5)]), 0.45).tolist() == [1]
+
+
+def test_nms_returns_kept_indices_by_descending_score():
+    boxes = np.array([[0.0, 0.0, 2, 2], [10, 0, 2, 2], [20, 0, 2, 2], [0.5, 0, 2, 2]])
+    scores = np.array([0.5, 0.9, 0.5, 0.7])
+    # ties (0.5) keep input order; box 0 is suppressed by box 3
+    assert nms(boxes, scores, 0.3).tolist() == [1, 3, 2]
+
+
+def test_nms_threshold_one_never_suppresses():
+    # identical boxes whose rounded corners made IoU 1.0000000000000004
+    box = [4.0, 0.0, 1.979651844293655, 1.0]
+    boxes = np.array([box, box])
+    assert nms(boxes, np.array([0.9, 0.8]), 1.0).tolist() == [0, 1]
+    assert nms(boxes, np.array([0.9, 0.8]), 0.99).tolist() == [0]
 
 
 def test_nms_chain_matches_bruteforce():
     # overlapping chain a-b-c where only b overlaps both neighbours
     chain = [det(0.9, 5.0, 5.0), det(0.85, 7.5, 5.0), det(0.95, 10.0, 5.0)]
-    got = nms(chain, 0.3)
+    got = [chain[i] for i in nms(*nms_arrays(chain), 0.3)]
     want = nms_oracle(chain, 0.3)
     assert [d.score for d in got] == [d.score for d in want]
     rng = np.random.default_rng(14)
@@ -492,7 +536,7 @@ def test_nms_chain_matches_bruteforce():
         cands = [det(float(rng.uniform(0, 1)), float(rng.uniform(0, 20)),
                      float(rng.uniform(0, 20)), float(rng.uniform(2, 8)),
                      float(rng.uniform(2, 8))) for _ in range(12)]
-        got = nms(cands, 0.4)
+        got = [cands[i] for i in nms(*nms_arrays(cands), 0.4)]
         want = nms_oracle(cands, 0.4)
         assert [id(d) for d in got] == [id(d) for d in want]
 
@@ -528,8 +572,7 @@ def test_detect_matches_per_candidate_oracle():
                          p=[0.7, 0.1, 0.1, 0.1])
         off = rng.normal(0.0, 0.4, size=(nx, ny, grid.n_types, 6, 2))
         thr = (0.2, 0.45, 0.7)[k % 3]
-        planes = off.reshape(nx, ny, grid.n_types, 12) if k % 2 else off
-        got = detect(obj, planes, grid, iou_threshold=thr)
+        got = detect(obj, off, grid, iou_threshold=thr)
         want = detect_reference(obj, off, grid, thr)
         assert len(got) == len(want) > 0
         for d, w in zip(got, want):
@@ -580,3 +623,9 @@ def test_detect_shape_mismatch():
         detect(np.zeros((9, 10, 1)), np.zeros((10, 10, 1, 6, 2)), grid)
     with pytest.raises(ValueError):
         detect(np.zeros((10, 10, 1)), np.zeros((10, 10, 2, 6, 2)), grid)
+    # the offsets come in one shape, (nx, ny, A, 6, 2), never as flat planes
+    with pytest.raises(ValueError):
+        detect(np.zeros((10, 10, 1)), np.zeros((10, 10, 1, 12)), grid)
+    targets = assign_targets(grid, [])
+    with pytest.raises(ValueError):
+        detection_loss(np.zeros((10, 10, 1)), np.zeros((10, 10, 1, 12)), targets)

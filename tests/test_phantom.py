@@ -82,14 +82,15 @@ def test_oracle_heatmaps_decode_close_to_centerline():
     cfg = small_config(scoliosis_amplitude_mm=6.0, n_vertebrae=4)
     vol, anns, _ = generate_phantom(cfg)
     working = resample_volume(vol, (3.0, 3.0, 3.0))
-    stack, valid = oracle_heatmaps(anns, working)
-    assert valid.all()
+    stack = oracle_heatmaps(anns, working)
     poly = slicewise_centerline(stack).to_world(stack)
     # compare against the interpolated annotation target on the same slices
     from spinequant.localization import centerline_target
 
     target = centerline_target(anns, working.slice_z_world())
     assert len(poly) == len(target)
+    assert stack.slice_z_world().tobytes() == target.z.tobytes()
+    np.testing.assert_allclose(stack.values.sum(axis=(0, 1)), 1.0, atol=1e-5)
     err_vox = np.abs(poly.xy - target.xy) / 3.0
     assert np.max(err_vox) < 0.25  # truncated-Gaussian centroid bound
 
@@ -98,7 +99,7 @@ def test_oracle_heatmaps_small_sigma_peaks_at_centerline():
     cfg = small_config()
     vol, anns, _ = generate_phantom(cfg)
     working = resample_volume(vol, (3.0, 3.0, 3.0))
-    stack, _ = oracle_heatmaps(anns, working, sigma_vox=0.2)
+    stack = oracle_heatmaps(anns, working, sigma_vox=0.2)
     k = stack.shape[2] // 2
     m = stack.values[:, :, k]
     peak = np.unravel_index(np.argmax(m), m.shape)
@@ -112,20 +113,10 @@ def test_oracle_heatmaps_small_sigma_peaks_at_centerline():
 def test_oracle_heatmaps_straight_spine_maxima_align():
     vol, anns, _ = generate_phantom(small_config())
     working = resample_volume(vol, (3.0, 3.0, 3.0))
-    stack, _ = oracle_heatmaps(anns, working)
+    stack = oracle_heatmaps(anns, working)
     peaks = [np.unravel_index(np.argmax(stack.values[:, :, k]), stack.shape[:2])
              for k in range(stack.shape[2])]
     assert len(set(peaks)) == 1
-
-
-def test_oracle_heatmaps_out_of_span_flagged():
-    vol, anns, _ = generate_phantom(small_config())
-    stack, valid = oracle_heatmaps(anns, vol, z_range=(0, vol.shape[2]))
-    assert not valid.all()
-    invalid = stack.values[:, :, ~valid]
-    np.testing.assert_allclose(invalid, 1.0 / (vol.shape[0] * vol.shape[1]), atol=1e-9)
-    np.testing.assert_allclose(stack.values[:, :, valid].sum(axis=(0, 1)), 1.0,
-                               atol=1e-5)
 
 
 def test_annotation_target_tracks_planted_sinusoid():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
-from spinequant.straighten import (SpineCurve, StraightenTransform, build_spine_curve,
-                                   mid_sagittal_slice, straighten_volume)
+from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenTransform,
+                                   build_spine_curve, mid_sagittal_slice, straighten_volume)
 
 
 def line_polyline(z0=0.0, z1=50.0, n=51, dx=0.0, dy=0.0, x0=10.0, y0=20.0):
@@ -236,3 +238,40 @@ def test_transform_round_trips_through_dict():
     np.testing.assert_allclose(back.v, transform.v)
     assert back.delta == transform.delta
     assert back.j_half == transform.j_half
+
+
+def sinusoid_curve(lr_amplitude, lr_wavelength, phase, ap_amplitude, ap_slope):
+    """Default-config curve through a spine that bends left-right (scoliosis) with
+    period lr_wavelength and anterior-posterior with period 300 mm."""
+    z = np.linspace(0.0, 280.0, 94)
+    xy = np.column_stack([80 + lr_amplitude * np.sin(2 * np.pi * z / lr_wavelength + phase),
+                          80 + ap_amplitude * np.sin(2 * np.pi * z / 300) + ap_slope * z])
+    return build_spine_curve(CenterlinePolyline(xy, z, "world"), step=1.0,
+                             smoothing=10.0, pad_mm=15.0)
+
+
+scoliosis = (st.floats(0, 60), st.floats(150, 400), st.floats(0, 2 * np.pi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(*scoliosis, st.floats(0, 20), st.floats(-0.2, 0.2))
+def test_spine_curve_frames_orthonormal_right_handed_property(amplitude, wavelength, phase,
+                                                              ap_amplitude, ap_slope):
+    curve = sinusoid_curve(amplitude, wavelength, phase, ap_amplitude, ap_slope)
+    assert_frames_orthonormal(curve, tol=_FRAME_TOL)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(*scoliosis, st.floats(-0.2, 0.2), st.sampled_from([0.5, 1.0, 1.5]),
+       st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40))
+def test_pixel_world_pixel_round_trip_property(amplitude, wavelength, phase, ap_slope, delta,
+                                               fractions):
+    # The curve bends left-right only: with anterior-posterior bending,
+    # world_to_pixel keeps the segment its first projection picked and misses
+    # off-center pixels (ROADMAP.md, open item on world_to_pixel).
+    curve = sinusoid_curve(amplitude, wavelength, phase, 0.0, ap_slope)
+    transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v, delta, 0,
+                                    int(60 / delta))
+    px = np.array(fractions) * [transform.n_ap - 1, transform.n_rows - 1]
+    back = transform.world_to_pixel(transform.pixel_to_world(px))
+    np.testing.assert_allclose(back, px, rtol=0, atol=1e-9)
