@@ -10,6 +10,8 @@ Coordinate conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,10 @@ class Volume3D:
     """Immutable voxel raster with anisotropic spacing and a world origin.
 
     ``values`` has shape (nx, ny, nz); ``origin`` is the world position of the
-    center of voxel (0, 0, 0).
+    center of voxel (0, 0, 0).  The raster keeps the memory order it is given
+    (a VG1 file reads as an x-fastest, Fortran-ordered array).  A writeable
+    array is copied, so later writes to it do not leak in; an array that is
+    already read-only down to the buffer that owns its memory is adopted.
     """
 
     values: np.ndarray
@@ -41,11 +46,16 @@ class Volume3D:
         values = np.asarray(self.values, dtype=np.float32)
         if values.ndim != 3:
             raise ValueError(f"expected a 3D array, got shape {values.shape}")
-        spacing = tuple(float(s) for s in self.spacing)
-        origin = tuple(float(o) for o in self.origin)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be three positive values, got {spacing}")
-        values = values.copy() if values is self.values else values
+        spacing = _finite_triple(self.spacing, "spacing")
+        origin = _finite_triple(self.origin, "origin")
+        if min(spacing) <= 0:
+            raise ValueError(f"spacing must be three positive numbers, got {spacing}")
+        if not all(math.isfinite(o + (n - 1) * s)
+                   for o, n, s in zip(origin, values.shape, spacing)):
+            raise ValueError(f"spacing {spacing} and origin {origin} put the far "
+                             f"voxel of a {values.shape} grid at infinity")
+        if values is self.values and not _read_only(values):
+            values = values.copy(order="K")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spacing", spacing)
@@ -69,6 +79,28 @@ class Volume3D:
         """World z coordinate of each axial slice center."""
         nz = self.shape[2]
         return self.origin[2] + self.spacing[2] * np.arange(nz)
+
+
+def _finite_triple(values, name: str) -> tuple[float, float, float]:
+    """Three finite real numbers (bools excluded) as floats, else ValueError naming the field."""
+    try:
+        out = tuple(float(v) for v in values
+                    if isinstance(v, numbers.Real) and not isinstance(v, bool))
+        ok = len(out) == len(values) == 3 and all(map(math.isfinite, out))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be three finite numbers, got {values!r}")
+    return out
+
+
+def _read_only(values: np.ndarray) -> bool:
+    """Whether no array in the view chain down to the owner of the memory is writeable."""
+    while values is not None:
+        if not isinstance(values, np.ndarray) or values.flags.writeable:
+            return False
+        values = values.base
+    return True
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,11 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
 
 
 def _check_prediction_shapes(pred_objectness, pred_offsets, targets: DetectionTargets):
-    pred_objectness = np.asarray(pred_objectness, dtype=float)
-    pred_offsets = np.asarray(pred_offsets, dtype=float)
+    # C order: numpy's pairwise sums group terms by memory layout, so this keeps
+    # the loss bitwise independent of the layout of the predictions (VG1 rasters
+    # read as Fortran-ordered views).
+    pred_objectness = np.asarray(pred_objectness, dtype=float, order="C")
+    pred_offsets = np.asarray(pred_offsets, dtype=float, order="C")
     shape = targets.objectness.shape
     if pred_objectness.shape != shape:
         raise ValueError(f"objectness shape {pred_objectness.shape} != {shape}")
@@ -326,21 +329,25 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
     anchor side + anchor center, as in ``decode_keypoints``; box = the tight
     box of the keypoints) and reduced with greedy NMS; a ``Detection`` is
     built for each survivor only.  Candidate order, and therefore
-    tie-breaking, is the flat anchor order.  Non-finite keypoints raise
-    ValueError and a candidate with zero extent raises GeometryError.
+    tie-breaking, is the flat anchor order.  Only the candidates' offsets
+    are converted to float64, so float32 maps of any memory layout (views
+    of a VG1 raster) decode to the same bits as float64 copies of them.
+    Non-finite keypoints raise ValueError and a candidate with zero extent
+    raises GeometryError.
     """
     obj = np.asarray(objectness_map, dtype=float)
     nx, ny = anchors.image_shape
     a = anchors.n_types
     if obj.shape != (nx, ny, a):
         raise ValueError(f"objectness shape {obj.shape} != {(nx, ny, a)}")
-    off = np.asarray(offsets_map, dtype=float)
+    off = np.asarray(offsets_map)
     if off.shape != (nx, ny, a, N_KEYPOINTS, 2):
         raise ValueError(f"offsets shape {off.shape} incompatible with {(nx, ny, a)}")
 
     idx = np.nonzero(obj > score_threshold)
     anchor_cxy, anchor_wh = anchors.centers_and_sides()
-    kps = off[idx] * anchor_wh[idx][:, None, :] + anchor_cxy[idx][:, None, :]
+    kps = (np.asarray(off[idx], dtype=float) * anchor_wh[idx][:, None, :]
+           + anchor_cxy[idx][:, None, :])
     boxes = boxes_from_keypoints(kps)
     scores = obj[idx]
     return [Detection(scores[k], Box2D(*boxes[k].tolist()), kps[k])

@@ -2,7 +2,9 @@
 
 VG1 is a JSON header next to a raw little-endian float32 blob in x-fastest
 (Fortran) order: byte ``4*k`` holds voxel ``(k % nx, (k // nx) % ny,
-k // (nx*ny))``.  The header is::
+k // (nx*ny))``.  Rasters keep that order in memory: ``read_vg1`` returns
+a read-only Fortran-ordered view of the blob it read, and ``write_vg1``
+writes a Fortran-ordered float32 raster without copying it.  The header is::
 
     {"shape": [nx, ny, nz], "spacing": [sx, sy, sz],
      "origin": [ox, oy, oz], "dtype": "f32", "data": "<relative path>"}
@@ -17,6 +19,7 @@ with all coordinates in world mm.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +64,9 @@ def write_vg1(path, vol: Volume3D) -> Path:
         "dtype": "f32",
         "data": data_name,
     }
+    # values.T in C order is the x-fastest blob: no copy for Fortran-ordered float32.
     with open(path.with_name(data_name), "wb") as fh:
-        fh.write(np.ascontiguousarray(vol.values, dtype="<f4").tobytes(order="F"))
+        fh.write(np.ascontiguousarray(vol.values.T, dtype="<f4").data)
     write_json(path, header)
     return path
 
@@ -87,15 +91,16 @@ def read_vg1(path) -> Volume3D:
     if not data_path.is_file():
         raise FormatError(f"{path}: data file not found: {data_path}")
     raw = np.fromfile(data_path, dtype="<f4")
-    if raw.size != int(np.prod(shape)):
+    if raw.size != math.prod(shape):
         raise FormatError(
             f"{path}: data size {raw.size} does not match shape {shape}")
     if not np.isfinite(raw).all():
         raise FormatError(f"{path}: data holds NaN or infinite values")
+    raw.flags.writeable = False  # so Volume3D adopts the blob instead of copying it
     values = raw.reshape(shape, order="F")
     try:
-        return Volume3D(values, tuple(header["spacing"]), tuple(header["origin"]))
-    except (TypeError, ValueError) as exc:
+        return Volume3D(values, header["spacing"], header["origin"])
+    except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -66,7 +66,9 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
     is normalized into weights; in "logits" mode weights are a softmax of
     ``temperature * values``.  Returns continuous (x, y) grid coordinates.
     """
-    values = np.asarray(values, dtype=float)
+    # C order keeps the pairwise sums, and so the result, bitwise independent
+    # of the map's memory layout (a slice of a VG1 raster is Fortran-ordered).
+    values = np.asarray(values, dtype=float, order="C")
     if values.ndim != 2:
         raise ValueError(f"expected a 2D map, got shape {values.shape}")
     if not np.isfinite(values).all():

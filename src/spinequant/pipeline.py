@@ -259,36 +259,41 @@ def targets_stage(sagittal: StraightenedImage, annotations: list[VertebraKeypoin
 
 def pack_prediction_planes(objectness: np.ndarray, offsets: np.ndarray,
                            genant_weights: np.ndarray | None = None) -> np.ndarray:
-    """Stack detection maps into the (nx, ny, planes) raster layout.
+    """Stack detection maps into the (nx, ny, planes) float32 raster layout.
 
     Plane order for A anchor types: planes [0, A) hold objectness per type;
     planes [A, 13A) hold the 12 offset coordinates per type (keypoint-major:
     coordinate c = 2 * keypoint + axis); optional planes [13A, 14A) hold the
-    per-anchor Genant weights of targets.
+    per-anchor Genant weights of targets.  The result is read-only and
+    Fortran-ordered (plane-major, x fastest) like a VG1 blob, so ``Volume3D``
+    and ``write_vg1`` take it without a copy.
     """
     nx, ny, a = objectness.shape
-    offsets = np.asarray(offsets).reshape(nx, ny, a * N_COORDS)
-    out = np.concatenate([objectness, offsets], axis=2)
+    groups = [objectness, np.asarray(offsets).reshape(nx, ny, a * N_COORDS)]
     if genant_weights is not None:
-        out = np.concatenate([out, genant_weights], axis=2)
-    return np.ascontiguousarray(out, dtype=np.float32)
+        groups.append(genant_weights)
+    out = np.empty((nx, ny, sum(g.shape[2] for g in groups)), dtype=np.float32, order="F")
+    np.concatenate(groups, axis=2, out=out)
+    out.flags.writeable = False
+    return out
 
 
 def unpack_prediction_planes(values: np.ndarray, n_types: int
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Inverse of pack_prediction_planes; accepts 13A or 14A planes."""
+    """Inverse of pack_prediction_planes; accepts 13A or 14A planes.
+
+    Returns views of ``values`` (float32 when it is a VG1 raster), not copies:
+    objectness (nx, ny, A), offsets (nx, ny, A, 6, 2) and the Genant weights
+    (nx, ny, A) or None.
+    """
     nx, ny, planes = values.shape
     a = n_types
     if planes not in (13 * a, 14 * a):
         raise GeometryError(
             f"prediction raster has {planes} planes, expected {13 * a} or {14 * a}")
-    objectness = np.asarray(values[:, :, :a], dtype=float)
-    offsets = np.asarray(values[:, :, a:13 * a], dtype=float).reshape(
-        nx, ny, a, detection.N_KEYPOINTS, 2)
-    weights = None
-    if planes == 14 * a:
-        weights = np.asarray(values[:, :, 13 * a:], dtype=float)
-    return objectness, offsets, weights
+    offsets = values[:, :, a:13 * a].reshape(nx, ny, a, detection.N_KEYPOINTS, 2)
+    weights = values[:, :, 13 * a:] if planes == 14 * a else None
+    return values[:, :, :a], offsets, weights
 
 
 # ---------------------------------------------------------------------------

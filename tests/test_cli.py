@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinequant.cli import main
-from spinequant.formats import read_vg1, write_json, write_va1, write_vg1
+from spinequant.formats import FormatError, read_vg1, write_json, write_va1, write_vg1
 
 from test_genant import make_keypoints
 
@@ -362,6 +367,17 @@ MALFORMED_INPUTS = [
     ("vg1 header without data", _volume_header(lambda h, t: h.pop("data")), 2),
     ("vg1 negative shape", _volume_header(lambda h, t: h.update(shape=[-64, 64, 128])), 2),
     ("vg1 zero spacing", _volume_header(lambda h, t: h.update(spacing=[0.0, 1.25, 1.25])), 2),
+    ("vg1 NaN spacing",
+     _volume_header(lambda h, t: h.update(spacing=[float("nan"), 1.25, 1.25])), 2),
+    ("vg1 infinite spacing",
+     _volume_header(lambda h, t: h.update(spacing=[1.25, float("inf"), 1.25])), 2),
+    ("vg1 spacing 1e308", _volume_header(lambda h, t: h.update(spacing=[1.25, 1.25, 1e308])), 2),
+    ("vg1 bool spacing", _volume_header(lambda h, t: h.update(spacing=[True, 1.25, 1.25])), 2),
+    ("vg1 origin of two entries", _volume_header(lambda h, t: h.update(origin=[0.0, 0.0])), 2),
+    ("vg1 NaN origin",
+     _volume_header(lambda h, t: h.update(origin=[0.0, float("nan"), 0.0])), 2),
+    ("vg1 infinite origin",
+     _volume_header(lambda h, t: h.update(origin=[0.0, 0.0, float("-inf")])), 2),
     ("vg1 header not UTF-8", _binary_header, 2),
     ("vg1 data a directory", _volume_header(lambda h, t: h.update(data=str(t))), 2),
     ("detections a list",
@@ -391,6 +407,93 @@ def test_malformed_input_exits_without_traceback(small, tmp_path, capsys, build,
     err = capsys.readouterr().err
     assert err.startswith(("input error: ", "geometry error: ")) and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# Arbitrary JSON, plus values near the valid ones, for each field of a VG1 header.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+_TRIPLES = st.lists(st.floats() | st.integers() | st.booleans() | st.just(10 ** 400),
+                    min_size=2, max_size=4)
+_MISSING = object()
+_HEADER_FIELDS = {
+    "shape": st.permutations([1, 4, 6]) | st.sampled_from([[2, 3, 4], [24, 1, 1]])
+    | st.lists(st.sampled_from([-2, 0, 1, 2, 3, 4, 2.0, True]), min_size=2, max_size=4),
+    "spacing": _TRIPLES,
+    "origin": _TRIPLES,
+    "dtype": st.sampled_from(["f64", "<f4", "F32"]),
+    "data": st.sampled_from(["missing.raw", "v.json", ".", ""]),
+}
+_VALID_HEADER = {"shape": [2, 3, 4], "spacing": [1.0, 1.0, 1.0], "origin": [0.0, 0.0, 0.0],
+                 "dtype": "f32", "data": "v.raw"}
+
+
+@st.composite
+def _vg1_headers(draw):
+    """A valid header for a 24-float blob with one or two fields replaced or dropped."""
+    header = dict(_VALID_HEADER)
+    for key in draw(st.sets(st.sampled_from(sorted(header)), min_size=1, max_size=2)):
+        value = draw(_HEADER_FIELDS[key] | _JSON | st.just(_MISSING))
+        if value is _MISSING:
+            del header[key]
+        else:
+            header[key] = value
+    return header
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_vg1_headers())
+def test_fuzzed_vg1_header_exits_2_or_3(small, tmp_path_factory, header):
+    # A 2 x 3 x 4 raster as predictions for the small sagittal image: read_vg1
+    # raises only FormatError (exit 2), and a raster it accepts is off the image
+    # (exit 3), so no header makes the CLI compute on it.
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "v.raw").write_bytes(np.arange(24, dtype="<f4").tobytes())
+    (tmp / "v.json").write_text(json.dumps(header))
+    try:
+        read_vg1(tmp / "v.json")
+        want = 3
+    except FormatError:
+        want = 2
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run("score", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+                   "--predictions", tmp / "v.json", "--output", tmp / "o")
+    assert code == want, err.getvalue()
+    assert err.getvalue().startswith(("input error: ", "geometry error: "))
+    assert not (tmp / "o").exists()
+
+
+# The phantom and config of acceptance criterion 9.
+CRITERION_9_PHANTOM = {"n_vertebrae": 5, "shape": [80, 80, 144], "spacing": [1.25, 1.25, 1.25],
+                       "scoliosis_amplitude_mm": 9.0, "seed": 13,
+                       "heights_mm": [[20.0, 20.0, 20.0], [16.4, 20.0, 20.0],
+                                      [14.4, 20.0, 20.0], [19.0, 20.0, 20.0],
+                                      [11.0, 20.0, 20.0]]}
+
+
+def test_score_predictions_peak_memory_stays_near_the_raster(tmp_path):
+    write_json(tmp_path / "phantom.json", CRITERION_9_PHANTOM)
+    write_json(tmp_path / "config.json", {"half_extent_mm": [35.0, 35.0]})
+    cfg = ["--config", tmp_path / "config.json"]
+    assert run("phantom", tmp_path / "phantom.json", "--output", tmp_path / "ph", *cfg) == 0
+    assert run("straighten", tmp_path / "ph" / "volume.vg1",
+               "--heatmaps", tmp_path / "ph" / "heatmaps.vg1",
+               "--output", tmp_path / "st", *cfg) == 0
+    sagittal = [tmp_path / "st" / "sagittal.vg1", tmp_path / "st" / "transform.json"]
+    assert run("targets", *sagittal, tmp_path / "ph" / "gt.va1",
+               "--output", tmp_path / "tg", *cfg) == 0
+    tracemalloc.start()
+    try:
+        code = run("score", *sagittal, "--predictions", tmp_path / "tg" / "targets.vg1",
+                   "--output", tmp_path / "sc", *cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # The raster is read once and decoded in place: no float64 or reordered copy.
+    assert peak <= 1.5 * (tmp_path / "tg" / "targets.vg1.raw").stat().st_size
 
 
 def test_malformed_input_exit_code_in_a_fresh_process(tmp_path):

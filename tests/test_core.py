@@ -269,3 +269,54 @@ def test_volume_validation():
         Volume3D(np.zeros((3, 3, 3)), (1, 0, 1))
     with pytest.raises(GeometryError):
         Box2D(0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("spacing, origin, field", [
+    ((np.nan, 1, 1), (0, 0, 0), "spacing"),
+    ((np.inf, 1, 1), (0, 0, 0), "spacing"),
+    ((1e308, 1, 1), (0, 0, 0), "spacing"),
+    ((10 ** 400, 1, 1), (0, 0, 0), "spacing"),
+    ((True, 1, 1), (0, 0, 0), "spacing"),
+    (("1", 1, 1), (0, 0, 0), "spacing"),
+    ((1, 1), (0, 0, 0), "spacing"),
+    ((1, 1, 1), (0, 0), "origin"),
+    ((1, 1, 1), (0, 0, 0, 0), "origin"),
+    ((1, 1, 1), (0, np.nan, 0), "origin"),
+    ((1, 1, 1), (0, 0, -np.inf), "origin"),
+    ((1, 1, 1), (0, False, 0), "origin"),
+])
+def test_volume_rejects_bad_geometry_naming_the_field(spacing, origin, field):
+    with pytest.raises(ValueError, match=field):
+        Volume3D(np.zeros((3, 3, 3)), spacing, origin)
+
+
+def test_volume_accepts_numpy_numbers_as_geometry():
+    vol = Volume3D(np.zeros((2, 2, 2)), np.array([0.5, 1.0, 2.0]), (np.int64(1), 2.5, -3))
+    assert vol.spacing == (0.5, 1.0, 2.0) and vol.origin == (1.0, 2.5, -3.0)
+    assert all(type(v) is float for v in vol.spacing + vol.origin)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_volume_copies_writeable_input_in_its_memory_order(order):
+    src = np.asarray(np.arange(60, dtype=np.float32).reshape(3, 4, 5), order=order)
+    vol = Volume3D(src, (1, 1, 1))
+    src[0, 0, 0] = 99.0
+    assert vol.values[0, 0, 0] == 0.0
+    assert not np.shares_memory(vol.values, src)
+    assert vol.values.flags.c_contiguous == (order == "C")
+    assert vol.values.flags.f_contiguous == (order == "F")
+    assert not vol.values.flags.writeable
+
+
+def test_volume_adopts_read_only_input_only():
+    owner = np.arange(60, dtype=np.float32)
+    owner.flags.writeable = False
+    fortran = owner.reshape((3, 4, 5), order="F")
+    assert Volume3D(fortran, (1, 1, 1)).values is fortran
+    # A read-only view of writeable memory is still copied.
+    writeable = np.arange(60, dtype=np.float32)
+    view = writeable.reshape(3, 4, 5)
+    view.flags.writeable = False
+    vol = Volume3D(view, (1, 1, 1))
+    writeable[0] = 99.0
+    assert vol.values[0, 0, 0] == 0.0

@@ -581,6 +581,41 @@ def test_detect_matches_per_candidate_oracle():
             assert d.keypoints.tobytes() == w.keypoints.tobytes()
 
 
+def test_detect_on_float32_fortran_views_equals_float64_c_arrays():
+    # Prediction maps read from a VG1 raster are float32 views of one
+    # Fortran-ordered (nx, ny, 13A) array.
+    rng = np.random.default_rng(21)
+    nx, ny = 25, 19
+    grid = generate_anchors((nx, ny), 1.0, scales_mm=(5.0, 8.0), ratios=(1.0, 1.5))
+    a = grid.n_types
+    obj = rng.choice([0.1, 0.3, 0.6, 0.9], size=(nx, ny, a)).astype(np.float32)
+    off = rng.normal(0.0, 0.4, size=(nx, ny, a, 6, 2)).astype(np.float32)
+    raster = np.asfortranarray(np.concatenate([obj, off.reshape(nx, ny, 12 * a)], axis=2))
+    obj_view = raster[:, :, :a]
+    off_view = raster[:, :, a:].reshape(nx, ny, a, 6, 2)
+    assert np.shares_memory(off_view, raster)
+    for thr in (0.3, 0.45):
+        for score_threshold in (0.3, 0.5):
+            got = detect(obj_view, off_view, grid, score_threshold, thr)
+            want = detect(obj.astype(float), off.astype(float), grid, score_threshold, thr)
+            assert len(got) == len(want) > 0
+            for d, w in zip(got, want):
+                assert d.score == w.score
+                assert d.box == w.box
+                assert d.keypoints.tobytes() == w.keypoints.tobytes()
+
+
+def test_loss_does_not_depend_on_memory_layout():
+    # At this size a sum in Fortran order rounds differently from one in C order.
+    _, targets, pred_o, pred_e = random_fixture(np.random.default_rng(0), nx=121, ny=316,
+                                                n_gt=3)
+    for dtype in (np.float64, np.float32):
+        o, e = pred_o.astype(dtype), pred_e.astype(dtype)
+        want = detection_loss_terms(o, e, targets)
+        assert detection_loss_terms(np.asfortranarray(o), np.asfortranarray(e),
+                                    targets) == want
+
+
 def test_detect_bad_keypoints_raise():
     grid = generate_anchors((6, 6), 1.0, scales_mm=(5.0,), ratios=(1.0,))
     obj = np.zeros((6, 6, 1))

@@ -41,6 +41,30 @@ def test_vg1_byte_layout_is_x_fastest(tmp_path):
     assert header["shape"] == [nx, ny, nz]
 
 
+def test_vg1_blob_does_not_depend_on_memory_layout(tmp_path):
+    values = np.random.default_rng(1).normal(size=(5, 4, 3)).astype(np.float32)
+    padded = np.zeros((5, 4, 6), dtype=np.float32)
+    padded[:, :, ::2] = values
+    frozen = padded.copy()
+    frozen.flags.writeable = False
+    layouts = {"C": values, "Fortran": np.asfortranarray(values),
+               "strided": padded[:, :, ::2], "read-only strided": frozen[:, :, ::2],
+               "float64": values.astype(np.float64),
+               "float64 Fortran": np.asfortranarray(values, dtype=np.float64)}
+    want = values.tobytes(order="F")
+    for name, array in layouts.items():
+        write_vg1(tmp_path / "v.vg1", Volume3D(array, (1, 1, 1)))
+        assert (tmp_path / "v.vg1.raw").read_bytes() == want, name
+
+
+def test_vg1_reads_as_a_read_only_fortran_view_of_the_blob(tmp_path):
+    values = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    back = read_vg1(write_vg1(tmp_path / "v.vg1", Volume3D(values, (1, 1, 1))))
+    assert np.array_equal(back.values, values)
+    assert back.values.flags.f_contiguous and not back.values.flags.writeable
+    assert back.values.base is not None  # adopted, not copied, by Volume3D
+
+
 def test_vg1_write_is_deterministic(tmp_path):
     vol = Volume3D(np.arange(24, dtype=np.float32).reshape(2, 3, 4), (1, 2, 3))
     write_vg1(tmp_path / "a.vg1", vol)
@@ -72,6 +96,27 @@ def test_vg1_errors(tmp_path):
     truncated.write_text(json.dumps(header))
     with pytest.raises(FormatError):
         read_vg1(truncated)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spacing", [float("nan"), 1.0, 1.0]),
+    ("spacing", [1.0, float("inf"), 1.0]),
+    ("spacing", [1.0, 1.0, 1e308]),
+    ("spacing", [True, 1.0, 1.0]),
+    ("spacing", 5),
+    ("spacing", "abc"),
+    ("origin", [0.0, 0.0]),
+    ("origin", [0.0, float("nan"), 0.0]),
+    ("origin", [float("-inf"), 0.0, 0.0]),
+    ("origin", [0.0, 0.0, None]),
+])
+def test_vg1_rejects_bad_geometry_naming_the_field(tmp_path, field, value):
+    path = write_vg1(tmp_path / "v.vg1", Volume3D(np.ones((3, 3, 3)), (1, 1, 1)))
+    header = json.loads(path.read_text())
+    header[field] = value  # 1e308 is finite, but two such steps are not
+    path.write_text(json.dumps(header))
+    with pytest.raises(FormatError, match=field):
+        read_vg1(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

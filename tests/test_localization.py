@@ -72,6 +72,25 @@ def test_soft_argmax_logits_mode():
     assert y == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["probabilities", "logits"])
+def test_soft_argmax_does_not_depend_on_memory_layout(mode):
+    rng = np.random.default_rng(3)
+    for shape in ((40, 40), (37, 53)):
+        m = rng.random(shape).astype(np.float32)
+        want = soft_argmax_2d(m, mode=mode)
+        for other in (np.asfortranarray(m), m.astype(np.float64),
+                      np.asfortranarray(m, dtype=np.float64)):
+            assert soft_argmax_2d(other, mode=mode) == want
+
+
+def test_slicewise_centerline_does_not_depend_on_memory_layout():
+    maps = np.random.default_rng(4).random((40, 40, 12)).astype(np.float32)
+    want = slicewise_centerline(Volume3D(maps, (3, 3, 3))).xy.tobytes()
+    for other in (np.asfortranarray(maps), maps.astype(np.float64)):
+        assert slicewise_centerline(Volume3D(other, (3, 3, 3))).xy.tobytes() == want
+        assert slicewise_centerline(other).xy.tobytes() == want
+
+
 def test_slicewise_centerline_diagonal():
     stack = np.zeros((16, 16, 10))
     for k in range(10):

@@ -97,6 +97,29 @@ def test_pack_unpack_round_trip(chain):
         unpack_prediction_planes(packed[:, :, :5], a)
 
 
+def concatenated_planes(objectness, offsets, genant_weights=None):
+    """The float64 concatenate-then-cast formula of the raster layout (the oracle)."""
+    nx, ny, a = objectness.shape
+    out = np.concatenate([objectness, np.asarray(offsets).reshape(nx, ny, 12 * a)], axis=2)
+    if genant_weights is not None:
+        out = np.concatenate([out, genant_weights], axis=2)
+    return np.ascontiguousarray(out, dtype=np.float32)
+
+
+def test_pack_matches_concatenation_and_unpacks_to_views(chain):
+    targets = chain.targets
+    a = chain.anchors.n_types
+    for weights in (targets.genant_weights, None):
+        packed = pack_prediction_planes(targets.objectness, targets.offsets, weights)
+        want = concatenated_planes(targets.objectness, targets.offsets, weights)
+        assert packed.dtype == np.float32 and packed.shape == want.shape
+        assert packed.tobytes(order="F") == want.tobytes(order="F")
+        assert packed.flags.f_contiguous and not packed.flags.writeable
+        unpacked = unpack_prediction_planes(packed, a)
+        for part in unpacked[:2] + ((unpacked[2],) if weights is not None else ()):
+            assert part.dtype == np.float32 and np.shares_memory(part, packed)
+
+
 def test_config_round_trips_through_dict():
     cfg = PipelineConfig(delta_mm=2.0, nms_iou=0.3, anchor_ratios=(1.0, 2.0))
     back = PipelineConfig.from_dict(cfg.to_dict())
