@@ -138,12 +138,12 @@ def cmd_phantom(args) -> int:
     except ValueError as exc:
         raise FormatError(f"invalid phantom config: {exc}") from exc
 
+    working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
+    heatmaps = oracle_heatmaps(annotations, working)
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
     write_vg1(out / "volume.vg1", volume)
     write_va1(out / "gt.va1", annotations)
-    working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
-    heatmaps = oracle_heatmaps(annotations, working)
     write_vg1(out / "heatmaps.vg1", heatmaps)
     write_json(out / "phantom_manifest.json", {
         "config": cfg.to_dict(),

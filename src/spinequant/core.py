@@ -139,32 +139,41 @@ def iou(a: Box2D, b: Box2D) -> float:
     return float(min(inter / union, 1.0))
 
 
+IOU_BLOCK = 4096  # columns of b per block of iou_matrix, so its side arrays stay in cache
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between box arrays of shape (N, 4) and (M, 4).
 
-    Boxes are rows (cx, cy, w, h); returns an (N, M) matrix.  The x and y
-    overlaps of every pair are formed together in one (2, N, M) side array,
-    so a call costs the same few numpy operations whatever N and M are; a
+    Boxes are rows (cx, cy, w, h); returns an (N, M) matrix.  The columns of
+    ``b`` are taken in blocks of ``IOU_BLOCK``; within a block the x and y
+    overlaps of every pair are formed together in one (2, N, block) side
+    array and the ratios are written into the preallocated result, so the
+    temporaries stay small and a short call costs a few numpy operations.  A
     pair that does not overlap gets exactly 0, and identical boxes, whose
     rounded corners can give a ratio just above 1, get exactly 1.
     """
-    # Coordinate-major (4, N) copies, so the (2, N, M) broadcasts run along
-    # contiguous memory (an (N, M, 2) layout is about twice as slow at large N).
-    a = np.ascontiguousarray(np.array(a, dtype=float, ndmin=2).T)
-    b = np.ascontiguousarray(np.array(b, dtype=float, ndmin=2).T)
+    # (4, M) blocks of b are made contiguous, so the (2, N, block) broadcasts
+    # run along contiguous memory (an (N, M, 2) layout is about twice as slow
+    # at large M); a is only broadcast, so its (4, N) view is not copied.
+    a = np.array(a, dtype=float, ndmin=2, copy=None).T
+    b = np.array(b, dtype=float, ndmin=2, copy=None)
     a_half = a[2:] / 2
-    b_half = b[2:] / 2
-    a_lo, a_hi = a[:2] - a_half, a[:2] + a_half
-    b_lo, b_hi = b[:2] - b_half, b[:2] + b_half
-    side = np.minimum(a_hi[:, :, None], b_hi[:, None])
-    side -= np.maximum(a_lo[:, :, None], b_lo[:, None])
-    np.maximum(side, 0.0, out=side)
-    inter = side[0] * side[1]
-    union = (a[2] * a[3])[:, None] + (b[2] * b[3])[None, :]
-    union -= inter
-    inter /= union
-    np.minimum(inter, 1.0, out=inter)
-    return inter
+    a_lo, a_hi = (a[:2] - a_half)[:, :, None], (a[:2] + a_half)[:, :, None]
+    a_area = (a[2] * a[3])[:, None]
+    out = np.empty((a.shape[1], len(b)))
+    for j0 in range(0, len(b), IOU_BLOCK):
+        bb = np.ascontiguousarray(b[j0:j0 + IOU_BLOCK].T)
+        b_half = bb[2:] / 2
+        side = np.minimum(a_hi, (bb[:2] + b_half)[:, None])
+        side -= np.maximum(a_lo, (bb[:2] - b_half)[:, None])
+        np.maximum(side, 0.0, out=side)
+        inter = np.multiply(side[0], side[1], out[:, j0:j0 + IOU_BLOCK])
+        union = a_area + bb[2] * bb[3]
+        union -= inter
+        inter /= union
+        np.minimum(inter, 1.0, out=inter)
+    return out
 
 
 def boxes_from_keypoints(kps: np.ndarray) -> np.ndarray:
@@ -211,78 +220,120 @@ def trilinear_sample(vol: Volume3D, pts, fill: float = DEFAULT_FILL) -> np.ndarr
 _HULL_TOL = 1e-6  # voxel units; absorbs float noise at the exact hull boundary
 
 
+def _axis_taps(c: np.ndarray, n: int):
+    """Interpolation taps of continuous coordinates along one axis of n voxels.
+
+    Returns the base index i0, the next index i1, the fraction f and the hull
+    mask.  The base is clipped so that i0 + 1 stays addressable; the fraction
+    is taken against the clipped base, which is exact on the far face.
+    """
+    inside = (c >= -_HULL_TOL) & (c <= n - 1 + _HULL_TOL)
+    i0 = np.clip(np.floor(c).astype(np.intp), 0, max(n - 2, 0))
+    f = np.clip(c - i0, 0.0, 1.0)
+    return i0, np.minimum(i0 + 1, n - 1), f, inside
+
+
+def _lerp(lo, hi, f):
+    return lo * (1 - f) + hi * f
+
+
 def _sample_voxel_coords(values: np.ndarray, idx: np.ndarray, fill: float) -> np.ndarray:
     """Trilinear interpolation at continuous voxel coordinates (N, 3)."""
-    nx, ny, nz = values.shape
-    x, y, z = idx[:, 0], idx[:, 1], idx[:, 2]
-    inside = ((x >= -_HULL_TOL) & (x <= nx - 1 + _HULL_TOL) &
-              (y >= -_HULL_TOL) & (y <= ny - 1 + _HULL_TOL) &
-              (z >= -_HULL_TOL) & (z <= nz - 1 + _HULL_TOL))
+    (x0, x1, fx, in_x), (y0, y1, fy, in_y), (z0, z1, fz, in_z) = (
+        _axis_taps(idx[:, k], n) for k, n in enumerate(values.shape))
+    c00 = _lerp(values[x0, y0, z0], values[x1, y0, z0], fx)
+    c10 = _lerp(values[x0, y1, z0], values[x1, y1, z0], fx)
+    c01 = _lerp(values[x0, y0, z1], values[x1, y0, z1], fx)
+    c11 = _lerp(values[x0, y1, z1], values[x1, y1, z1], fx)
+    out = _lerp(_lerp(c00, c10, fy), _lerp(c01, c11, fy), fz)
+    return np.where(in_x & in_y & in_z, out, fill)
 
-    # Base corner clipped so that i0+1 stays addressable; fractional parts
-    # are computed against the clipped base, which is exact on the far face.
-    x0 = np.clip(np.floor(x).astype(np.intp), 0, max(nx - 2, 0))
-    y0 = np.clip(np.floor(y).astype(np.intp), 0, max(ny - 2, 0))
-    z0 = np.clip(np.floor(z).astype(np.intp), 0, max(nz - 2, 0))
-    fx = np.clip(x - x0, 0.0, 1.0)
-    fy = np.clip(y - y0, 0.0, 1.0)
-    fz = np.clip(z - z0, 0.0, 1.0)
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
 
-    c000 = values[x0, y0, z0]
-    c100 = values[x1, y0, z0]
-    c010 = values[x0, y1, z0]
-    c110 = values[x1, y1, z0]
-    c001 = values[x0, y0, z1]
-    c101 = values[x1, y0, z1]
-    c011 = values[x0, y1, z1]
-    c111 = values[x1, y1, z1]
-
-    c00 = c000 * (1 - fx) + c100 * fx
-    c10 = c010 * (1 - fx) + c110 * fx
-    c01 = c001 * (1 - fx) + c101 * fx
-    c11 = c011 * (1 - fx) + c111 * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    out = c0 * (1 - fz) + c1 * fz
-    return np.where(inside, out, fill)
+MAX_GRID_VOXELS = 2 ** 28  # largest grid resample_volume builds (1 GiB of float32)
+_RESAMPLE_CHUNK = 2 ** 18  # input elements per slab of output planes
 
 
 def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL) -> Volume3D:
     """Trilinear resample onto a grid with the given spacing.
 
     The origin is preserved and the new grid covers at least the original
-    world extent; samples that land beyond the voxel hull take ``fill``.
+    world extent; samples that land beyond the voxel hull take ``fill``.  A
+    grid of more than ``MAX_GRID_VOXELS`` voxels raises GeometryError before
+    any array is made.
+
+    Trilinear interpolation is separable: the corner planes each axis needs
+    are selected in the input's memory order, slowest axis first (pure
+    copies), and the axes are interpolated in the order x, y, z, each as soon
+    as its planes are selected and the axes before it are done.  Every output
+    value goes through the arithmetic of the 8-corner formula of
+    ``trilinear_sample`` in the same order, so the result is bitwise equal to
+    it.  The work runs in slabs of output planes
+    along the slowest axis, which bounds the temporaries, and the result
+    keeps the input's memory order.
     """
     new_spacing = tuple(float(s) for s in new_spacing)
     if any(s <= 0 for s in new_spacing):
         raise ValueError(f"new spacing must be positive, got {new_spacing}")
-    old_extent = [(n - 1) * s for n, s in zip(vol.shape, vol.spacing)]
-    new_shape = tuple(int(np.ceil(round(e / s, 9))) + 1
-                      for e, s in zip(old_extent, new_spacing))
-    out = np.empty(new_shape, dtype=np.float32)
-    xs = vol.origin[0] + new_spacing[0] * np.arange(new_shape[0])
-    ys = vol.origin[1] + new_spacing[1] * np.arange(new_shape[1])
-    zs = vol.origin[2] + new_spacing[2] * np.arange(new_shape[2])
+    steps = [float(np.ceil(round((n - 1) * s / s_new, 9)))
+             for n, s, s_new in zip(vol.shape, vol.spacing, new_spacing)]
+    if not math.prod(k + 1 for k in steps) <= MAX_GRID_VOXELS:
+        raise GeometryError(
+            f"spacing {new_spacing} mm asks for a "
+            f"({', '.join(f'{k + 1:.6g}' for k in steps)}) grid over the {vol.shape} "
+            f"volume at {vol.spacing} mm, more than {MAX_GRID_VOXELS} voxels")
+    new_shape = tuple(int(k) + 1 for k in steps)
+    # The coordinates world_to_voxel gives the grid points, one axis at a time.
+    taps = [_axis_taps((o + s_new * np.arange(n_new) - o) / s, n)
+            for o, s, s_new, n, n_new in zip(vol.origin, vol.spacing, new_spacing,
+                                              vol.shape, new_shape)]
 
-    def fill_chunk(k0: int, k1: int):
-        gx, gy, gz = np.meshgrid(xs, ys, zs[k0:k1], indexing="ij")
-        pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-        idx = vol.world_to_voxel(pts)
-        out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
-            new_shape[0], new_shape[1], k1 - k0)
-
-    _run_chunked(fill_chunk, new_shape[2])
+    order = sorted(range(3), key=lambda ax: -abs(vol.values.strides[ax]))
+    values = vol.values.transpose(order)  # slowest axis first
+    taps = [taps[ax] for ax in order]
+    lerp_axes = [order.index(ax) for ax in range(3)]
+    out = np.empty([new_shape[ax] for ax in order], dtype=np.float32)
+    slab = max(1, _RESAMPLE_CHUNK // (values.shape[1] * values.shape[2]))
+    i0, i1, f, _ = taps[0]
+    for k0 in range(0, out.shape[0], slab):
+        k1 = k0 + slab
+        out[k0:k1] = _interpolate_separable(
+            values, [(i0[k0:k1], i1[k0:k1], f[k0:k1])] + [t[:3] for t in taps[1:]], lerp_axes)
+    for axis, (_, _, _, inside) in enumerate(taps):
+        out[(slice(None),) * axis + (~inside,)] = fill
+    out = out.transpose(np.argsort(order))
+    out.flags.writeable = False
     return Volume3D(out, new_spacing, vol.origin)
+
+
+def _interpolate_separable(values: np.ndarray, taps, lerp_axes) -> np.ndarray:
+    """Trilinear interpolation on the grid of per-axis taps (i0, i1, f).
+
+    Axes are selected in array order; ``lerp_axes`` is the array axis of x, y
+    and z, the order in which they are interpolated.  ``parts`` maps the
+    corner bits of the selected, not yet interpolated axes to their arrays.
+    """
+    parts = {(): values}
+    pending: list[int] = []
+    lerp_axes = list(lerp_axes)
+    for axis, (i0, i1, _) in enumerate(taps):
+        parts = {key + (bit,): np.take(part, idx, axis=axis)
+                 for key, part in parts.items() for bit, idx in enumerate((i0, i1))}
+        pending.append(axis)
+        while lerp_axes and lerp_axes[0] in pending:
+            ax = lerp_axes.pop(0)
+            j = pending.index(ax)
+            pending.pop(j)
+            f = taps[ax][2].reshape([-1 if a == ax else 1 for a in range(3)])
+            parts = {key[:j] + key[j + 1:]: _lerp(part, parts[key[:j] + (1,) + key[j + 1:]], f)
+                     for key, part in parts.items() if key[j] == 0}
+    return parts[()]
 
 
 def _run_chunked(fn, n: int):
     """Run fn(k0, k1) over [0, n) in contiguous chunks of at most 32 slices.
 
     Chunking bounds the temporary point arrays one fill call builds, and so
-    the peak memory of full-volume resampling.
+    the peak memory of plane sampling (``straighten_volume``).
     """
     for k0 in range(0, n, 32):
         fn(k0, min(k0 + 32, n))

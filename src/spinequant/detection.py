@@ -143,7 +143,10 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     (bx, by) only if |ix - bx| < (w + bw) / 2 and |iy - by| < (h + bh) / 2,
     taken here with 1 px of slack.  Every other anchor has IoU exactly 0
     with every vertebra, so the result equals that of the full
-    anchor-by-vertebra IoU matrix.
+    anchor-by-vertebra IoU matrix.  The window is the OR over vertebrae of
+    each one's (ix, iy, type) rectangle; its anchors' boxes come from the
+    flat index (ix, iy, type) by integer arithmetic, and one ``iou_matrix``
+    call scores them.
     """
     nx, ny = anchors.image_shape
     a = anchors.n_types
@@ -162,26 +165,40 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     gt_kps = np.asarray([kps for kps, _ in gt], dtype=float)
     gt_boxes = boxes_from_keypoints(gt_kps)  # (M, 4)
 
-    anchor_cxy, anchor_wh = anchors.centers_and_sides()
-    # anchor_wh[0, 0] holds the (w, h) of each anchor type
-    reach = (gt_boxes[:, None, 2:] + anchor_wh[0, 0]) / 2 + 1  # (M, A, 2)
+    wh = np.stack([anchors.widths_px, anchors.heights_px], axis=1)  # (A, 2)
+    reach = (gt_boxes[:, None, 2:] + wh) / 2 + 1  # (M, A, 2)
     near_x = np.abs(np.arange(nx)[:, None] - gt_boxes[:, None, None, 0]) < reach[:, None, :, 0]
     near_y = np.abs(np.arange(ny)[:, None] - gt_boxes[:, None, None, 1]) < reach[:, None, :, 1]
-    window = np.any(near_x[:, :, None] & near_y[:, None], axis=0)  # (nx, ny, A)
+    window = np.zeros(shape, dtype=bool)
+    for m in range(len(gt)):
+        sx, sy = _span(near_x[m].any(axis=1)), _span(near_y[m].any(axis=1))
+        window[sx, sy] |= near_x[m][sx, None] & near_y[m][None, sy]
     # Window anchors in ascending flat order, so ties among them break as
     # the flat index does.  The first len(gt) anchors always join the window:
     # a vertebra that overlaps no unclaimed anchor takes the lowest unclaimed
     # flat index, which is below the number of claims made so far.
     window.flat[:len(gt)] = True
     flat = np.flatnonzero(window)
-    overlaps = iou_matrix(gt_boxes, np.concatenate([anchor_cxy[window], anchor_wh[window]],
-                                                   axis=1))  # (M, K)
+    pixel, t = np.divmod(flat, a)
+    rows = np.empty((4, len(flat)))  # (cx, cy, w, h) rows, coordinate-major
+    np.divmod(pixel, ny, out=(rows[0], rows[1]))
+    rows[2] = anchors.widths_px[t]
+    rows[3] = anchors.heights_px[t]
+    overlaps = iou_matrix(gt_boxes, rows.T)  # (M, K)
 
-    # An anchor outside the window has IoU 0 with every vertebra, which
-    # argmax matches to vertebra 0 exactly when 0 exceeds the threshold.
+    # Best vertebra of each window anchor: a strict > keeps the first
+    # maximum, as argmax does.  An anchor outside the window has IoU 0 with
+    # every vertebra, which argmax matches to vertebra 0 exactly when 0
+    # exceeds the threshold.
+    best = overlaps[0].copy()
+    best_gt = np.zeros(len(flat), dtype=int)
+    better = np.empty(len(flat), dtype=bool)
+    for m in range(1, len(gt)):
+        np.greater(overlaps[m], best, out=better)
+        np.copyto(best, overlaps[m], where=better)
+        best_gt[better] = m
     match_flat = np.full(anchors.n_anchors, 0 if iou_threshold < 0 else -1)
-    best_gt = overlaps.argmax(axis=0)
-    match_flat[flat] = np.where(overlaps.max(axis=0) > iou_threshold, best_gt, -1)
+    match_flat[flat] = np.where(best > iou_threshold, best_gt, -1)
 
     # Force the best unclaimed anchor of every vertebra positive, most
     # confident vertebra first, so two vertebrae never claim one anchor.
@@ -198,10 +215,16 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     pos = np.nonzero(matched >= 0)
     m_pos = matched[pos]
     objectness[pos] = 1.0
-    rel = gt_kps[m_pos] - anchor_cxy[pos][:, None, :]
-    offsets[pos] = rel / anchor_wh[pos][:, None, :]
+    rel = gt_kps[m_pos] - np.stack(pos[:2], axis=1)[:, None, :]
+    offsets[pos] = rel / wh[pos[2]][:, None, :]
     weights[pos] = gt_weights[m_pos]
     return DetectionTargets(objectness, offsets, weights, matched)
+
+
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True entry of a 1D mask (empty if none)."""
+    idx = np.flatnonzero(mask)
+    return slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0)
 
 
 def _check_prediction_shapes(pred_objectness, pred_offsets, targets: DetectionTargets):

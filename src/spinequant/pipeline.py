@@ -381,12 +381,14 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
 
     Keypoint noise (mm std per regressed coordinate) is injected into the
     offsets of the positive anchors, scaled by the anchor side so decoded
-    pixel positions carry exactly that magnitude.
+    pixel positions carry exactly that magnitude.  The targets' arrays are
+    read, never copied: without noise they go to ``detect`` as they are, and
+    with noise only the positive anchors' offsets are written into a zeroed
+    array, which equals a noised copy because targets are zero elsewhere.
     """
     targets = chain.targets
     anchors = chain.anchors
-    objectness = np.asarray(targets.objectness, dtype=float)
-    offsets = np.array(targets.offsets, dtype=float)
+    offsets = targets.offsets
     if keypoint_noise_mm > 0:
         rng = np.random.default_rng(noise_seed)
         pos = targets.objectness == 1
@@ -394,5 +396,7 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
         noise = rng.normal(0.0, sigma_px,
                            size=(int(pos.sum()), detection.N_KEYPOINTS, 2))
         wh = anchors.centers_and_sides()[1]
-        offsets[pos] += noise / wh[pos][:, None, :]
-    return detect_and_score(objectness, offsets, anchors, chain.straighten.transform, cfg)
+        offsets = np.zeros(targets.offsets.shape)
+        offsets[pos] = targets.offsets[pos] + noise / wh[pos][:, None, :]
+    return detect_and_score(targets.objectness, offsets, anchors,
+                            chain.straighten.transform, cfg)

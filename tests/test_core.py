@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinequant.core import (DEFAULT_FILL, Box2D, GeometryError, Volume3D,
+from spinequant import core
+from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, Box2D, GeometryError,
+                             Volume3D, _run_chunked, _sample_voxel_coords,
                              bbox_from_keypoints, boxes_from_keypoints, iou, iou_matrix,
                              resample_volume, trilinear_sample)
 
@@ -93,6 +95,15 @@ def test_iou_matrix_bitwise_equals_reference_formula():
             assert got.tobytes() == iou_matrix_reference(x, y).tobytes()
     row = np.array([1.0, 2.0, 3.0, 4.0])
     assert iou_matrix(row, b).tobytes() == iou_matrix_reference(row, b).tobytes()
+    # Column counts on both sides of the block edges of b, and empty inputs.
+    for n in (0, 1, 12):
+        for m in (0, IOU_BLOCK - 1, IOU_BLOCK, IOU_BLOCK + 1, 3 * IOU_BLOCK + 5):
+            a = np.column_stack([rng.integers(-20, 20, (n, 2)), rng.integers(1, 12, (n, 2))])
+            b = np.column_stack([rng.uniform(-20, 20, (m, 2)), rng.uniform(0.5, 12, (m, 2))])
+            for x, y in ((a, b), (b, a)):
+                got = iou_matrix(x, y)
+                assert got.shape == (len(x), len(y))
+                assert got.tobytes() == iou_matrix_reference(x, y).tobytes()
 
 
 box_rows = st.lists(
@@ -222,6 +233,69 @@ def test_world_voxel_round_trip():
     pts = rng.uniform(-20, 20, size=(100, 3))
     back_w = vol.voxel_to_world(vol.world_to_voxel(pts))
     assert np.max(np.abs(back_w - pts)) < 1e-9
+
+
+def resample_reference(vol, new_spacing, fill=DEFAULT_FILL):
+    """The 8-corner formula at every grid point, chunked along z (the oracle)."""
+    new_spacing = tuple(float(s) for s in new_spacing)
+    old_extent = [(n - 1) * s for n, s in zip(vol.shape, vol.spacing)]
+    new_shape = tuple(int(np.ceil(round(e / s, 9))) + 1
+                      for e, s in zip(old_extent, new_spacing))
+    out = np.empty(new_shape, dtype=np.float32)
+    xs = vol.origin[0] + new_spacing[0] * np.arange(new_shape[0])
+    ys = vol.origin[1] + new_spacing[1] * np.arange(new_shape[1])
+    zs = vol.origin[2] + new_spacing[2] * np.arange(new_shape[2])
+
+    def fill_chunk(k0, k1):
+        gx, gy, gz = np.meshgrid(xs, ys, zs[k0:k1], indexing="ij")
+        pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+        idx = vol.world_to_voxel(pts)
+        out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
+            new_shape[0], new_shape[1], k1 - k0)
+
+    _run_chunked(fill_chunk, new_shape[2])
+    return out
+
+
+_AXIS = st.integers(1, 12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(shape=st.tuples(_AXIS, _AXIS, _AXIS),
+       spacing=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+       new_spacing=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+       origin=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+       fill=st.sampled_from([DEFAULT_FILL, 0.0, 7.25]),
+       layout=st.sampled_from(["C", "F", "transposed"]),
+       seed=st.integers(0, 2 ** 16))
+def test_resample_bitwise_equals_8_corner_reference(shape, spacing, new_spacing, origin, fill,
+                                                    layout, seed):
+    values = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "transposed":
+        # A view whose memory order is neither C nor F: y slowest, then x, then z.
+        values = np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
+    vol = Volume3D(values, spacing, origin)
+    got = resample_volume(vol, new_spacing, fill=fill)
+    want = resample_reference(vol, new_spacing, fill=fill)
+    assert got.shape == want.shape
+    assert got.spacing == tuple(new_spacing) and got.origin == vol.origin
+    assert np.ascontiguousarray(got.values).tobytes() == want.tobytes()
+
+
+def test_resample_refuses_a_grid_over_the_voxel_budget(monkeypatch):
+    vol = Volume3D(np.zeros((2, 2, 2), dtype=np.float32), (3.0, 3.0, 3.0))
+    monkeypatch.setattr(core, "MAX_GRID_VOXELS", 4 * 4 * 4)
+    assert resample_volume(vol, (1.0, 1.0, 1.0)).shape == (4, 4, 4)
+    monkeypatch.setattr(core, "MAX_GRID_VOXELS", 4 * 4 * 4 - 1)
+    with pytest.raises(GeometryError, match=r"spacing \(1.0, 1.0, 1.0\) mm .* \(4, 4, 4\) grid"):
+        resample_volume(vol, (1.0, 1.0, 1.0))
+    monkeypatch.undo()
+    # A step count that overflows to infinity is refused, not converted.
+    huge = Volume3D(np.zeros((4, 4, 4), dtype=np.float32), (1e300,) * 3)
+    with pytest.raises(GeometryError, match="inf"):
+        resample_volume(huge, (1e-300,) * 3)
 
 
 def test_resample_identity_spacing():
