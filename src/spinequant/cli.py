@@ -2,7 +2,7 @@
 
 Subcommands mirror the pipeline stages::
 
-    spinequant phantom    config.json --output DIR
+    spinequant phantom    [config.json] [--seed N] --output DIR
     spinequant straighten volume.vg1 (--heatmaps H.vg1 | --annotations A.va1) --output DIR
     spinequant targets    sagittal.vg1 transform.json gt.va1 --output DIR [--loss ...]
     spinequant score      sagittal.vg1 transform.json
@@ -16,14 +16,14 @@ written).  All outputs are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation, genant, pipeline
-from .core import GeometryError, UndefinedMetricError, Volume3D, resample_volume
+from .core import (GeometryError, UndefinedMetricError, Volume3D, finite_numbers,
+                   resample_volume)
 from .formats import (FormatError, read_json, read_va1, read_vg1, write_json, write_va1,
                       write_vg1)
 from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", type=Path, default=None,
                        help="JSON pipeline config (a previously echoed one works)")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--spacing", type=float, default=None,
                        help="working resolution for centerline extraction, mm")
         p.add_argument("--delta", type=float, default=None,
@@ -59,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", help="generate a synthetic spine with oracle files")
     p.add_argument("phantom_config", type=Path, nargs="?", default=None,
                    help="JSON phantom description (defaults used when omitted)")
+    p.add_argument("--seed", type=int, default=None, help="the phantom's seed")
     add_common(p)
 
     p = sub.add_parser("straighten", help="centerline extraction and straightening")
@@ -106,7 +106,6 @@ def resolve_config(args) -> PipelineConfig:
         doc.pop("phantom", None)
         cfg = _config_from_dict(doc, args.config)
     overrides = {
-        "seed": args.seed,
         "working_spacing_mm": args.spacing,
         "delta_mm": args.delta,
         "objectness_threshold": args.objectness_thresh,
@@ -265,10 +264,6 @@ def cmd_targets(args) -> int:
     return EXIT_OK
 
 
-def _finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def _study_from_files(det_path: Path, gt_path: Path, cfg: PipelineConfig) -> dict:
     doc = read_json(det_path)
     if not isinstance(doc.get("vertebrae"), list):
@@ -276,16 +271,12 @@ def _study_from_files(det_path: Path, gt_path: Path, cfg: PipelineConfig) -> dic
     dets = []
     for i, entry in enumerate(doc["vertebrae"]):
         try:
-            kps = np.asarray(entry["keypoints_world"], dtype=float)
-            g, score = entry["genant"], entry.get("score")
+            kps = finite_numbers(entry["keypoints_world"], "keypoints_world", (6, 3))
+            g = finite_numbers(entry["genant"], "genant")
+            score = entry.get("score")
+            dets.append((kps, g, None if score is None else finite_numbers(score, "score")))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{det_path}: vertebra {i}: {exc}") from exc
-        if kps.shape != (6, 3) or not np.all(np.isfinite(kps)):
-            raise FormatError(f"{det_path}: vertebra {i}: bad keypoints_world")
-        if not _finite_number(g) or not (score is None or _finite_number(score)):
-            raise FormatError(f"{det_path}: vertebra {i}: genant must be a finite number "
-                              f"and score a finite number or null, got {g!r}, {score!r}")
-        dets.append((kps, g, score))
     gts = [(kps.as_array(), genant.measure(kps, **cfg.grade_cuts()).genant)
            for kps in read_va1(gt_path)]
     return pipeline.evaluation_study(dets, gts)

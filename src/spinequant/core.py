@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,20 +47,17 @@ class Volume3D:
         values = np.asarray(self.values, dtype=np.float32)
         if values.ndim != 3:
             raise ValueError(f"expected a 3D array, got shape {values.shape}")
-        spacing = _finite_triple(self.spacing, "spacing")
-        origin = _finite_triple(self.origin, "origin")
-        if min(spacing) <= 0:
-            raise ValueError(f"spacing must be three positive numbers, got {spacing}")
+        check_number_fields(self)
+        if min(self.spacing) <= 0:
+            raise ValueError(f"spacing must be three positive numbers, got {self.spacing}")
         if not all(math.isfinite(o + (n - 1) * s)
-                   for o, n, s in zip(origin, values.shape, spacing)):
-            raise ValueError(f"spacing {spacing} and origin {origin} put the far "
+                   for o, n, s in zip(self.origin, values.shape, self.spacing)):
+            raise ValueError(f"spacing {self.spacing} and origin {self.origin} put the far "
                              f"voxel of a {values.shape} grid at infinity")
         if values is self.values and not _read_only(values):
             values = values.copy(order="K")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -81,17 +79,54 @@ class Volume3D:
         return self.origin[2] + self.spacing[2] * np.arange(nz)
 
 
-def _finite_triple(values, name: str) -> tuple[float, float, float]:
-    """Three finite real numbers (bools excluded) as floats, else ValueError naming the field."""
+def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
+    """The one rule for numbers read from JSON: finite reals nested as ``shape`` says.
+
+    ``shape`` () is one number, (3,) a list or tuple of three, (None, 3) any
+    count of triples.  Each leaf must be a real number, finite as a float,
+    and an integer if ``integer``; bools, strings and None are not numbers.
+    Returns tuples of floats (or ints), else raises ValueError naming ``name``.
+    Ranges are the caller's to check.
+    """
+    number = numbers.Integral if integer else numbers.Real
+
+    def walk(v, dims):
+        if not dims:
+            if isinstance(v, bool) or not isinstance(v, number) or not math.isfinite(v):
+                raise ValueError
+            return int(v) if integer else float(v)
+        if not isinstance(v, (list, tuple, np.ndarray)) or dims[0] not in (None, len(v)):
+            raise ValueError
+        return tuple(walk(x, dims[1:]) for x in v)
+
     try:
-        out = tuple(float(v) for v in values
-                    if isinstance(v, numbers.Real) and not isinstance(v, bool))
-        ok = len(out) == len(values) == 3 and all(map(math.isfinite, out))
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be three finite numbers, got {values!r}")
-    return out
+        return walk(value, shape)
+    except (ValueError, TypeError, OverflowError):
+        kind = "finite integer" if integer else "finite number"
+        what = f"{kind}s of shape {shape}".replace("None", "n") if shape else f"a {kind}"
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}") from None
+
+
+# finite_numbers arguments for each numeric annotation of a checked dataclass field.
+_ANNOTATION_RULES = {
+    "int": ((), True), "float": ((), False), "tuple[int, int, int]": ((3,), True),
+    "tuple[float, float]": ((2,), False), "tuple[float, float, float]": ((3,), False),
+    "tuple[float, ...]": ((None,), False),
+    "tuple[tuple[float, float, float], ...] | None": ((None, 3), False),
+}
+
+
+def check_number_fields(obj) -> None:
+    """Pass each numeric field of a frozen dataclass through ``finite_numbers``.
+
+    The rule comes from the field's annotation, a string under ``from
+    __future__ import annotations``; None stays where the annotation allows.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _ANNOTATION_RULES and not (value is None and f.type.endswith("| None")):
+            object.__setattr__(obj, f.name,
+                               finite_numbers(value, f.name, *_ANNOTATION_RULES[f.type]))
 
 
 def _read_only(values: np.ndarray) -> bool:

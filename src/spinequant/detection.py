@@ -130,7 +130,8 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
 
     ``ground_truth`` is a sequence of (keypoints_px (6, 2), genant_index)
     pairs.  An anchor is positive when its IoU with a ground-truth box
-    exceeds ``iou_threshold`` (matched to the highest-IoU vertebra); in
+    exceeds ``iou_threshold``, which must lie in (0, 1] (else ValueError),
+    matched to the highest-IoU vertebra; in
     addition the best anchor of every vertebra is forced positive even below
     the threshold, so no vertebra is left without a trainable anchor.  The
     vertebra with the highest best IoU claims first, each claims its
@@ -148,6 +149,8 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     flat index (ix, iy, type) by integer arithmetic, and one ``iou_matrix``
     call scores them.
     """
+    if not 0 < iou_threshold <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     nx, ny = anchors.image_shape
     a = anchors.n_types
     shape = (nx, ny, a)
@@ -187,9 +190,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     overlaps = iou_matrix(gt_boxes, rows.T)  # (M, K)
 
     # Best vertebra of each window anchor: a strict > keeps the first
-    # maximum, as argmax does.  An anchor outside the window has IoU 0 with
-    # every vertebra, which argmax matches to vertebra 0 exactly when 0
-    # exceeds the threshold.
+    # maximum, as argmax does.
     best = overlaps[0].copy()
     best_gt = np.zeros(len(flat), dtype=int)
     better = np.empty(len(flat), dtype=bool)
@@ -197,7 +198,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
         np.greater(overlaps[m], best, out=better)
         np.copyto(best, overlaps[m], where=better)
         best_gt[better] = m
-    match_flat = np.full(anchors.n_anchors, 0 if iou_threshold < 0 else -1)
+    match_flat = np.full(anchors.n_anchors, -1)
     match_flat[flat] = np.where(best > iou_threshold, best_gt, -1)
 
     # Force the best unclaimed anchor of every vertebra positive, most

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Volume3D
+from .core import Volume3D, finite_numbers
 from .genant import KEYPOINT_KEYS, VertebraKeypoints
 
 
@@ -47,10 +47,14 @@ def read_json(path: Path) -> dict:
 
 
 def write_json(path, obj) -> None:
-    """Deterministic JSON writer used for every emitted artifact."""
+    """Deterministic JSON writer used for every emitted artifact.
+
+    The text is built before the file opens, so a value JSON cannot hold
+    (NaN, infinity, an unknown type) raises without leaving a truncated file.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_vg1(path, vol: Volume3D) -> Path:
@@ -80,11 +84,12 @@ def read_vg1(path) -> Volume3D:
             raise FormatError(f"{path}: missing '{key}'")
     if header["dtype"] != "f32":
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    shape = header["shape"]
-    if not isinstance(shape, list) or len(shape) != 3 or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape):
-        raise FormatError(f"{path}: bad shape {shape!r}")
-    shape = tuple(shape)
+    try:
+        shape = finite_numbers(header["shape"], "shape", (3,), integer=True)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if min(shape) <= 0:
+        raise FormatError(f"{path}: shape must be positive, got {shape}")
     if not isinstance(header["data"], str):
         raise FormatError(f"{path}: 'data' must be a file name, got {header['data']!r}")
     data_path = path.parent / header["data"]
@@ -133,12 +138,11 @@ def read_va1(path) -> list[VertebraKeypoints]:
         if not isinstance(kp, dict):
             raise FormatError(f"{path}: vertebra {i} lacks 'keypoints_mm'")
         try:
-            pts = np.array([kp[key] for key in KEYPOINT_KEYS], dtype=float)
+            pts = np.array([finite_numbers(kp[key], f"keypoint {key!r}", (3,))
+                            for key in KEYPOINT_KEYS])
         except KeyError as exc:
             raise FormatError(f"{path}: vertebra {i} lacks keypoint {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: vertebra {i} has malformed keypoints ({exc})") from exc
-        if pts.shape != (6, 3) or not np.all(np.isfinite(pts)):
-            raise FormatError(f"{path}: vertebra {i} has malformed keypoints")
+        except ValueError as exc:
+            raise FormatError(f"{path}: vertebra {i}: {exc}") from exc
         out.append(VertebraKeypoints.from_array(pts, label=entry.get("label")))
     return out

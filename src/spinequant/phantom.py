@@ -12,13 +12,11 @@ prediction maps (``pipeline.run_phantom_chain``).
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Volume3D
+from .core import Volume3D, check_number_fields
 from .genant import VertebraKeypoints, genant_index
 from .localization import centerline_target
 
@@ -43,9 +41,6 @@ DEFAULT_HEIGHTS = (
     (10.0, 20.0, 20.0),   # G = 0.50
 )
 
-_FLOAT_FIELDS = ("scoliosis_amplitude_mm", "scoliosis_wavelength_mm", "pitch_mm",
-                 "body_width_mm", "body_depth_mm", "noise_sigma")
-
 
 @dataclass(frozen=True)
 class PhantomConfig:
@@ -64,25 +59,17 @@ class PhantomConfig:
     noise_sigma: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        check_number_fields(self)
+
     def resolved_heights(self) -> list[tuple[float, float, float]]:
         """Per-vertebra height triples, cycling the default pattern if unset."""
         base = self.heights_mm if self.heights_mm is not None else DEFAULT_HEIGHTS
-        base = [tuple(float(h) for h in trip) for trip in base]
         return [base[k % len(base)] for k in range(self.n_vertebrae)]
 
     def validate(self) -> None:
-        for name in ("shape", "spacing", "origin"):
-            if len(getattr(self, name)) != 3:
-                raise ValueError(f"{name} must have three entries, got {getattr(self, name)}")
-        ints = {"n_vertebrae": (self.n_vertebrae,), "seed": (self.seed,), "shape": self.shape}
-        for name, values in ints.items():
-            if not all(isinstance(v, numbers.Integral) for v in values):
-                raise ValueError(f"{name} must hold integers, got {values}")
-        floats = {"spacing": self.spacing, "origin": self.origin,
-                  **{name: (getattr(self, name),) for name in _FLOAT_FIELDS}}
-        for name, values in floats.items():
-            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be finite, got {values}")
+        if self.heights_mm == ():
+            raise ValueError("heights_mm must hold at least one triple")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.n_vertebrae < 2:
@@ -97,7 +84,7 @@ class PhantomConfig:
             raise ValueError("wavelength must be positive")
         heights = self.resolved_heights()
         for trip in heights:
-            if len(trip) != 3 or not all(0 < h < math.inf for h in trip):
+            if not min(trip) > 0:
                 raise ValueError(f"heights must be positive triples, got {trip}")
         tallest = [max(trip) for trip in heights]
         for a, b in zip(tallest[:-1], tallest[1:]):
@@ -107,13 +94,7 @@ class PhantomConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PhantomConfig":
-        kwargs = dict(doc)
-        for key in ("shape", "spacing", "origin"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if kwargs.get("heights_mm") is not None:
-            kwargs["heights_mm"] = tuple(tuple(t) for t in kwargs["heights_mm"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     def to_dict(self) -> dict:
         return asdict(self)

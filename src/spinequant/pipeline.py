@@ -8,14 +8,13 @@ document for reproducibility.
 """
 from __future__ import annotations
 
-import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import detection, genant, localization, straighten
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, bbox_from_keypoints,
-                   resample_volume)
+                   check_number_fields, resample_volume)
 from .detection import AnchorGrid, Detection, DetectionTargets
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
@@ -49,30 +48,21 @@ class PipelineConfig:
     softargmax_mode: str = "probabilities"
     softargmax_temperature: float = 1.0
     fill: float = DEFAULT_FILL
-    seed: int = 0
 
     def __post_init__(self):
         def require(ok, name, rule):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
-        def finite(values):
-            return all(isinstance(v, numbers.Real) and np.isfinite(v) for v in values)
-
-        for f in fields(self):
-            if f.type == "float":
-                require(finite([getattr(self, f.name)]), f.name, "a finite number")
+        check_number_fields(self)
         for name in ("working_spacing_mm", "delta_mm", "softargmax_temperature"):
             require(getattr(self, name) > 0, name, "positive")
         for name in ("smoothing_lambda", "curve_pad_mm"):
             require(getattr(self, name) >= 0, name, "non-negative")
-        extent = self.half_extent_mm
-        require(len(extent) == 2 and finite(extent) and min(extent) >= 0,
-                "half_extent_mm", "a pair of finite values >= 0")
+        require(min(self.half_extent_mm) >= 0, "half_extent_mm", "a pair of values >= 0")
         for name in ("anchor_scales_mm", "anchor_ratios"):
             values = getattr(self, name)
-            require(len(values) > 0 and finite(values) and min(values) > 0,
-                    name, "non-empty, finite and positive")
+            require(len(values) > 0 and min(values) > 0, name, "non-empty and positive")
         for name in ("nms_iou", "assign_iou", "match_iou"):
             require(0 < getattr(self, name) <= 1, name, "in (0, 1]")
         require(0 <= self.objectness_threshold <= 1, "objectness_threshold", "in [0, 1]")
@@ -88,10 +78,6 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        doc = dict(doc)
-        for key in ("half_extent_mm", "anchor_scales_mm", "anchor_ratios"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
         return cls(**doc)
 
     def grade_cuts(self) -> dict:

@@ -10,13 +10,13 @@ mid-sagittal image can be mapped back to 3D world coordinates.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, make_smoothing_spline
 
-from .core import DEFAULT_FILL, GeometryError, Volume3D, _run_chunked, _sample_voxel_coords
+from .core import (DEFAULT_FILL, GeometryError, Volume3D, _run_chunked, _sample_voxel_coords,
+                   check_number_fields, finite_numbers)
 from .localization import CenterlinePolyline
 
 _FRAME_TOL = 1e-9
@@ -225,14 +225,11 @@ class StraightenTransform:
     def __post_init__(self):
         _set_checked_rows(self, ("centers", "u", "v"))
         _check_frames(self, ("u", "v"))
-        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < np.inf):
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
-        object.__setattr__(self, "delta", float(self.delta))
-        for name in ("i_half", "j_half"):
-            half = getattr(self, name)
-            if not isinstance(half, numbers.Integral) or half < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {half!r}")
-            object.__setattr__(self, name, int(half))
+        check_number_fields(self)
+        if not self.delta > 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
+        if min(self.i_half, self.j_half) < 0:
+            raise ValueError(f"i_half and j_half must be >= 0, got {self.i_half}, {self.j_half}")
 
     @property
     def n_rows(self) -> int:
@@ -313,11 +310,15 @@ class StraightenTransform:
     @classmethod
     def from_dict(cls, doc: dict) -> "StraightenTransform":
         rows = doc["rows"]
+
+        def column(key, shape):
+            return np.array(finite_numbers([r[key] for r in rows], f"{key!r} of each row", shape))
+
         return cls(
-            s=np.array([r["s"] for r in rows], dtype=float),
-            centers=np.array([r["c"] for r in rows], dtype=float),
-            u=np.array([r["u"] for r in rows], dtype=float),
-            v=np.array([r["v"] for r in rows], dtype=float),
+            s=column("s", (None,)),
+            centers=column("c", (None, 3)),
+            u=column("u", (None, 3)),
+            v=column("v", (None, 3)),
             delta=doc["delta"],
             i_half=doc["i_half"],
             j_half=doc["j_half"],

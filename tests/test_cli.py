@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from spinequant.cli import main
 from spinequant.formats import FormatError, read_vg1, write_json, write_va1, write_vg1
+from spinequant.pipeline import PipelineConfig
 
 from test_genant import make_keypoints
 
@@ -212,6 +213,11 @@ def small(tmp_path_factory):
     ("straighten", '{"softargmax_temperature": NaN}'),
     ("straighten", '{"softargmax_mode": "bogus"}'),
     ("straighten", '{"smoothing_lambda": -1}'),
+    # PipelineConfig has no seed: an echoed config that still carries one names it.
+    ("straighten", '{"seed": NaN}'),
+    ("straighten", '{"seed": 1e999}'),
+    ("straighten", '{"seed": "x"}'),
+    ("straighten", '{"delta_mm": true}'),
 ])
 def test_unusable_config_exits_2(small, tmp_path, capsys, command, config):
     (tmp_path / "cfg.json").write_text(config)
@@ -251,6 +257,10 @@ def test_non_finite_input_volume_exits_2(small, tmp_path, capsys, target):
     ("body_width_mm", float("nan")),
     ("n_vertebrae", 4.5),
     ("shape", [64, 64, 128.5]),
+    ("noise_sigma", True),
+    ("seed", True),
+    ("heights_mm", []),
+    ("heights_mm", [[True, 20.0, 20.0]]),
 ])
 def test_non_finite_or_non_integer_phantom_field_exits_2(tmp_path, capsys, field, value):
     (tmp_path / "ph.json").write_text(json.dumps({**SMALL_PHANTOM, field: value}))
@@ -275,8 +285,17 @@ def _repeated_s(doc):
     doc["rows"][5]["s"] = doc["rows"][4]["s"]
 
 
+def _bool_delta(doc):
+    doc["delta"] = True
+
+
+def _string_s(doc):
+    doc["rows"][5]["s"] = str(doc["rows"][5]["s"])
+
+
 @pytest.mark.parametrize("command", ["targets", "score"])
-@pytest.mark.parametrize("corrupt", [_nan_center, _zero_delta, _zero_v_row, _repeated_s])
+@pytest.mark.parametrize("corrupt", [_nan_center, _zero_delta, _zero_v_row, _repeated_s,
+                                     _bool_delta, _string_s])
 def test_corrupt_transform_exits_2(small, tmp_path, capsys, command, corrupt):
     doc = json.loads((small / "st" / "transform.json").read_text())
     corrupt(doc)
@@ -362,6 +381,11 @@ MALFORMED_INPUTS = [
     ("va1 vertebra not an object", _annotations(lambda doc: doc.update(vertebrae=[5])), 2),
     ("va1 keypoint a string",
      _annotations(lambda doc: doc["vertebrae"][0]["keypoints_mm"].update({"as": "abc"})), 2),
+    ("va1 coordinate true",
+     _annotations(lambda doc: doc["vertebrae"][0]["keypoints_mm"]["as"].__setitem__(0, True)), 2),
+    ("va1 keypoint of strings",
+     _annotations(lambda doc: doc["vertebrae"][0]["keypoints_mm"].update(
+         {"as": [str(c) for c in doc["vertebrae"][0]["keypoints_mm"]["as"]]})), 2),
     ("detections a number", _file("d.json", "5", ["evaluate", "d.json", "ph/gt.va1"]), 2),
     ("detections score a string", _detections(lambda e: e.update(score="high")), 2),
     ("config a list", _file("c.json", "[]", ["straighten", "ph/volume.vg1", "--annotations",
@@ -371,6 +395,8 @@ MALFORMED_INPUTS = [
     ("detections genant a string", _detections(lambda e: e.update(genant="0.9")), 2),
     ("detections null keypoint",
      _detections(lambda e: e["keypoints_world"][0].__setitem__(0, None)), 2),
+    ("detections keypoint a numeric string",
+     _detections(lambda e: e["keypoints_world"][0].__setitem__(0, "12.5")), 2),
     ("vg1 blob truncated", _volume_header(_truncate_blob), 2),
     ("vg1 header not JSON", _file("v.vg1", '{"shape": [64, ', ["straighten", "v.vg1",
                                                                 "--annotations", "ph/gt.va1"]), 2),
@@ -412,6 +438,9 @@ MALFORMED_INPUTS = [
     ("phantom spacing 400 mm",
      _file("p.json", '{"shape": [16, 16, 16], "spacing": [400.0, 400.0, 400.0]}',
            ["phantom", "p.json"]), 3),
+    # The default phantom at 80 mm scoliosis: "spine does not fit" in the cross-section.
+    ("phantom scoliosis 80 mm",
+     _file("p.json", '{"scoliosis_amplitude_mm": 80.0}', ["phantom", "p.json"]), 2),
 ]
 
 
@@ -479,6 +508,58 @@ def test_fuzzed_vg1_header_exits_2_or_3(small, tmp_path_factory, header):
     assert code == want, err.getvalue()
     assert err.getvalue().startswith(("input error: ", "geometry error: "))
     assert not (tmp / "o").exists()
+
+
+def _run_quietly(*argv):
+    """(exit code, stderr) of a CLI run."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(PipelineConfig().to_dict())),
+       _JSON | _TRIPLES | st.floats(-2, 2) | st.lists(st.floats(0, 80), max_size=3)
+       | st.just(10 ** 400))
+def test_fuzzed_pipeline_config_exits_cleanly(workspace, tmp_path_factory, field, value):
+    # evaluate reads the whole config but computes little, so each example is
+    # cheap.  A config PipelineConfig refuses exits 2 before any output; one it
+    # accepts runs, and exits 4 (with its partial report) when the cuts leave
+    # the workspace's vertebrae in one class.
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "c.json").write_text(json.dumps({**PipelineConfig().to_dict(), field: value}))
+    try:
+        PipelineConfig.from_dict(json.loads((tmp / "c.json").read_text()))
+        want = (0, 4)
+    except (TypeError, ValueError):
+        want = (2,)
+    code, err = _run_quietly("evaluate", workspace / "sc" / "detections.json",
+                             workspace / "ph" / "gt.va1", "--config", tmp / "c.json",
+                             "--output", tmp / "o")
+    assert code in want, err
+    assert code == 0 or err.startswith(("input error: ", "undefined metric: ")), err
+    assert (tmp / "o").exists() == (code != 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(["delta", "i_half", "j_half", "rows", "s", "c", "u", "v"]),
+       st.integers(0, 2 ** 16), _JSON | _TRIPLES | st.floats(-300, 300) | st.integers(-2, 80)
+       | st.lists(st.floats(-100, 100), min_size=3, max_size=3))
+def test_fuzzed_transform_exits_0_2_or_3(small, tmp_path_factory, key, row, value):
+    # score --annotations on the small image after one transform.json field,
+    # or one entry of one row (s, c, u, v), is replaced.
+    tmp = tmp_path_factory.mktemp("fuzz")
+    doc = json.loads((small / "st" / "transform.json").read_text())
+    if key in doc:
+        doc[key] = value
+    else:
+        doc["rows"][row % len(doc["rows"])][key] = value
+    (tmp / "t.json").write_text(json.dumps(doc))
+    code, err = _run_quietly("score", small / "st" / "sagittal.vg1", tmp / "t.json",
+                             "--annotations", small / "ph" / "gt.va1", "--output", tmp / "o")
+    assert code in (0, 2, 3), err
+    assert code == 0 or err.startswith(("input error: ", "geometry error: ")), err
+    assert (tmp / "o").exists() == (code == 0)
 
 
 # The phantom and config of acceptance criterion 9.

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from spinequant import core
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, Box2D, GeometryError,
                              Volume3D, _run_chunked, _sample_voxel_coords,
-                             bbox_from_keypoints, boxes_from_keypoints, iou, iou_matrix,
-                             resample_volume, trilinear_sample)
+                             bbox_from_keypoints, boxes_from_keypoints, finite_numbers, iou,
+                             iou_matrix, resample_volume, trilinear_sample)
 
 
 def test_iou_identical_boxes():
@@ -358,10 +358,34 @@ def test_volume_validation():
     ((1, 1, 1), (0, np.nan, 0), "origin"),
     ((1, 1, 1), (0, 0, -np.inf), "origin"),
     ((1, 1, 1), (0, False, 0), "origin"),
+    ((1, 1, 1), None, "origin"),
 ])
 def test_volume_rejects_bad_geometry_naming_the_field(spacing, origin, field):
     with pytest.raises(ValueError, match=field):
         Volume3D(np.zeros((3, 3, 3)), spacing, origin)
+
+
+@pytest.mark.parametrize("value, shape, integer", [
+    (True, (), False), (np.True_, (), False), ("1.5", (), False), (None, (), False),
+    (float("nan"), (), False), (float("-inf"), (), False), (10 ** 400, (), False),
+    (10 ** 400, (), True), (2.0, (), True), (np.float64(3.0), (), True), ([1.0], (), False),
+    (1.0, (1,), False), ([1.0, 2.0], (3,), False), ({"a": 1.0}, (None,), False),
+    ([[1.0, 2.0, 3.0], [1.0, 2.0]], (None, 3), False), ("abc", (None,), False),
+    ([1, True, 3], (3,), True), (np.array(1.0), (None,), False),
+])
+def test_finite_numbers_refuses_all_but_finite_reals_in_shape(value, shape, integer):
+    with pytest.raises(ValueError, match="^field must be"):
+        finite_numbers(value, "field", shape, integer)
+
+
+def test_finite_numbers_returns_tuples_of_python_numbers():
+    got = finite_numbers(np.array([[1, 2, 3], [4.5, 5, 6]]), "x", (None, 3))
+    assert got == ((1.0, 2.0, 3.0), (4.5, 5.0, 6.0))
+    assert all(type(v) is float for row in got for v in row)
+    assert finite_numbers([np.int64(2), 3, 4], "x", (3,), integer=True) == (2, 3, 4)
+    assert type(finite_numbers(np.int64(2), "x", integer=True)) is int
+    assert finite_numbers([], "x", (None, 3)) == ()
+    assert finite_numbers(7, "x") == 7.0 and type(finite_numbers(7, "x")) is float
 
 
 def test_volume_accepts_numpy_numbers_as_geometry():

@@ -170,6 +170,10 @@ def test_assign_empty_ground_truth():
     targets = assign_targets(grid, [])
     assert targets.n_positive == 0
     assert np.all(targets.matched == -1)
+    # thresholds outside (0, 1] are refused, as PipelineConfig refuses assign_iou
+    for bad in (-0.1, 0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            assign_targets(grid, [], iou_threshold=bad)
 
 
 def test_assign_forced_best_anchor_below_threshold():
@@ -307,7 +311,7 @@ def test_assign_off_image_vertebra_takes_lowest_unclaimed_anchor(centers):
        st.lists(st.tuples(st.floats(-15, 45), st.floats(-15, 45),
                           st.floats(0.5, 12), st.floats(0.5, 12)), min_size=1, max_size=6),
        st.lists(st.integers(0, 5), max_size=3),
-       st.sampled_from([-0.1, 0.3, 0.5, 0.7]))
+       st.sampled_from([0.3, 0.5, 0.7]))
 def test_assign_targets_equals_reference_property(nx, ny, boxes, repeats, threshold):
     grid = generate_anchors((nx, ny), 1.0, scales_mm=(5.0, 7.0), ratios=(1.0, 2.0))
     # repeated boxes make vertebrae contest the same best anchor

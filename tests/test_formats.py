@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinequant.core import Volume3D
-from spinequant.formats import (FormatError, read_va1, read_vg1, write_va1,
+from spinequant.formats import (FormatError, read_va1, read_vg1, write_json, write_va1,
                                 write_vg1)
 
 from test_genant import make_keypoints
@@ -126,6 +126,13 @@ def test_vg1_rejects_non_finite_data(tmp_path, bad):
     write_vg1(tmp_path / "v.vg1", Volume3D(values, (1, 1, 1)))
     with pytest.raises(FormatError, match="NaN or infinite"):
         read_vg1(tmp_path / "v.vg1")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), object()])
+def test_write_json_leaves_no_file_for_a_value_json_cannot_hold(tmp_path, bad):
+    with pytest.raises((ValueError, TypeError)):
+        write_json(tmp_path / "x.json", {"a": 1.0, "x": bad})
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_va1_round_trip(tmp_path):

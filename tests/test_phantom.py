@@ -68,6 +68,8 @@ def test_overlapping_bodies_rejected():
 def test_phantom_too_small_volume_rejected():
     with pytest.raises(ValueError):
         generate_phantom(small_config(n_vertebrae=12))  # z span exceeds volume
+    with pytest.raises(ValueError, match="spine does not fit"):
+        generate_phantom(PhantomConfig(scoliosis_amplitude_mm=80.0))
 
 
 def test_default_heights_cover_all_grades():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from spinequant.core import GeometryError
-from spinequant.evaluation import evaluate_study_set
+from spinequant.evaluation import evaluate_study_set, match_detections
 from spinequant.phantom import PhantomConfig, generate_phantom
 from spinequant.pipeline import (PipelineConfig, pack_prediction_planes,
-                                 rescore_chain, run_phantom_chain, score_stage,
-                                 straighten_stage, unpack_prediction_planes)
+                                 rescore_chain, run_phantom_chain, sagittal_plane_box,
+                                 score_stage, straighten_stage, unpack_prediction_planes)
 from spinequant.straighten import mid_sagittal_slice, straighten_volume
 
 
@@ -164,3 +164,32 @@ def test_straighten_stage_plane_matches_full_volume_plane():
     assert result.sagittal.values.tobytes() == want.tobytes()
     assert result.transform.i_half == 0
     assert result.transform.j_half == transform.j_half == 30
+
+
+# The paper's "no exclusion criteria": severe scoliosis, short and strong
+# curves, thick slices, Genant 0.4 wedge, biconcave and crush bodies, noise.
+STRESS_PHANTOMS = {
+    **{f"scoliosis {a:g} mm": {"scoliosis_amplitude_mm": a} for a in (30.0, 45.0, 60.0)},
+    **{f"wavelength {w:g} mm amplitude {a:g} mm":
+       {"scoliosis_wavelength_mm": w, "scoliosis_amplitude_mm": a}
+       for w, a in ((150.0, 20.0), (200.0, 30.0), (250.0, 45.0))},
+    "slices 3 mm": {"spacing": (1.25, 1.25, 3.0), "shape": (128, 128, 108)},
+    "slices 5 mm": {"spacing": (1.25, 1.25, 5.0), "shape": (128, 128, 66)},
+    "wedge G 0.4": {"heights_mm": ((8.0, 16.0, 20.0),)},
+    "biconcave G 0.4": {"heights_mm": ((20.0, 8.0, 20.0),)},
+    "crush G 0.4": {"heights_mm": ((8.0, 8.0, 20.0),)},
+    "noise 0.05": {"noise_sigma": 0.05},
+}
+
+
+@pytest.mark.parametrize("changes", list(STRESS_PHANTOMS.values()), ids=list(STRESS_PHANTOMS))
+def test_stress_phantom_recovers_every_vertebra_and_grade(changes):
+    cfg = PipelineConfig()
+    chain = run_phantom_chain(PhantomConfig(**changes), cfg)
+    match = match_detections([(sagittal_plane_box(r.keypoints_mm), 1.0) for r in chain.results],
+                             [sagittal_plane_box(a.as_array()) for a in chain.annotations],
+                             iou_threshold=cfg.match_iou)
+    assert (match.tp, match.fp, match.fn) == (12, 0, 0)
+    errors = [abs(chain.results[i].measurement.genant - chain.planted_genant[m])
+              for i, m in match.pairs]
+    assert max(errors) <= 0.01
