@@ -9,6 +9,11 @@ Subcommands mirror the pipeline stages::
                           (--predictions P.vg1 | --annotations A.va1) --output DIR
     spinequant evaluate   detections.json gt.va1 [det2.json gt2.va1 ...] --output DIR
 
+Every subcommand also takes ``--config CONFIG.json``, the only way in for
+pipeline settings: a JSON object holding any subset of the
+``PipelineConfig`` fields (an echoed ``config`` block works as-is).  The
+phantom's own description, and ``--seed``, go into one ``PhantomConfig``.
+
 Exit codes: 0 ok, 2 bad input file or configuration, 3 geometry/shape
 failure, 4 a requested metric is undefined (a partial report is still
 written).  All outputs are deterministic for a fixed config and seed.
@@ -28,6 +33,7 @@ from .formats import (FormatError, read_json, read_va1, read_vg1, write_json, wr
                       write_vg1)
 from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
 from .pipeline import PipelineConfig
+from .straighten import StraightenedImage, StraightenTransform
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -43,16 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", type=Path, default=None,
-                       help="JSON pipeline config (a previously echoed one works)")
-        p.add_argument("--spacing", type=float, default=None,
-                       help="working resolution for centerline extraction, mm")
-        p.add_argument("--delta", type=float, default=None,
-                       help="straightened-image pixel size, mm")
-        p.add_argument("--objectness-thresh", type=float, default=None)
-        p.add_argument("--nms-iou", type=float, default=None)
-        p.add_argument("--mild-cut", type=float, default=None)
-        p.add_argument("--moderate-cut", type=float, default=None)
-        p.add_argument("--severe-cut", type=float, default=None)
+                       help="JSON pipeline config: any subset of its fields "
+                            "(a previously echoed one works)")
         p.add_argument("--output", type=Path, required=True)
 
     p = sub.add_parser("phantom", help="generate a synthetic spine with oracle files")
@@ -90,53 +88,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_dict(doc: dict, source) -> PipelineConfig:
+def resolve_config(args) -> PipelineConfig:
+    """The ``--config`` file (or its echoed ``config`` block) over the defaults."""
+    if args.config is None:
+        return PipelineConfig()
+    doc = read_json(args.config)
+    if isinstance(doc.get("config"), dict):
+        doc = doc["config"]
     try:
         return PipelineConfig.from_dict(doc)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"{source}: bad pipeline config ({exc})") from exc
-
-
-def resolve_config(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if args.config is not None:
-        doc = read_json(args.config)
-        if "config" in doc and isinstance(doc["config"], dict):
-            doc = doc["config"]
-        doc.pop("phantom", None)
-        cfg = _config_from_dict(doc, args.config)
-    overrides = {
-        "working_spacing_mm": args.spacing,
-        "delta_mm": args.delta,
-        "objectness_threshold": args.objectness_thresh,
-        "nms_iou": args.nms_iou,
-        "mild_cut": args.mild_cut,
-        "moderate_cut": args.moderate_cut,
-        "severe_cut": args.severe_cut,
-    }
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    if updates:
-        cfg = _config_from_dict({**cfg.to_dict(), **updates}, "command line")
-    return cfg
+        raise FormatError(f"{args.config}: bad pipeline config ({exc})") from exc
 
 
 def cmd_phantom(args) -> int:
     cfg = resolve_config(args)
-    phantom_cfg = PhantomConfig()
-    if args.phantom_config is not None:
-        doc = read_json(args.phantom_config)
-        doc = doc.get("phantom", doc)
-        try:
-            phantom_cfg = PhantomConfig.from_dict(doc)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{args.phantom_config}: bad phantom config ({exc})") from exc
-    if args.seed is not None:
-        phantom_cfg = PhantomConfig.from_dict({**phantom_cfg.to_dict(), "seed": args.seed})
+    doc = {} if args.phantom_config is None else read_json(args.phantom_config)
+    seed = {} if args.seed is None else {"seed": args.seed}
     try:
-        volume, annotations, planted = generate_phantom(phantom_cfg)
-    except ValueError as exc:
-        raise FormatError(f"invalid phantom config: {exc}") from exc
-
+        phantom_cfg = PhantomConfig.from_dict({**doc.get("phantom", doc), **seed})
+    except (TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{args.phantom_config or '--seed'}: bad phantom config ({exc})") from exc
+    volume, annotations, planted = generate_phantom(phantom_cfg)
     working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
     heatmaps = oracle_heatmaps(annotations, working)
     out = args.output
@@ -175,9 +149,8 @@ def cmd_straighten(args) -> int:
     return EXIT_OK
 
 
-def _read_sagittal_and_transform(sagittal_path: Path, transform_path: Path):
-    from .straighten import StraightenedImage, StraightenTransform
-
+def _read_sagittal_and_transform(sagittal_path: Path,
+                                 transform_path: Path) -> StraightenedImage:
     sagittal_vol = read_vg1(sagittal_path)
     if sagittal_vol.shape[0] != 1:
         raise GeometryError(f"{sagittal_path}: expected a single sagittal plane")
@@ -191,7 +164,7 @@ def _read_sagittal_and_transform(sagittal_path: Path, transform_path: Path):
         raise GeometryError(
             f"sagittal image {values.shape} does not match the transform "
             f"({transform.n_ap}, {transform.n_rows})")
-    return StraightenedImage(values, transform), doc.get("config")
+    return StraightenedImage(values, transform)
 
 
 def _read_predictions(path: Path, sagittal, n_types: int):
@@ -209,7 +182,7 @@ def cmd_score(args) -> int:
     cfg = resolve_config(args)
     if (args.predictions is None) == (args.annotations is None):
         raise FormatError("provide exactly one of --predictions or --annotations")
-    sagittal, _ = _read_sagittal_and_transform(args.sagittal, args.transform)
+    sagittal = _read_sagittal_and_transform(args.sagittal, args.transform)
     if args.predictions is not None:
         objectness, offsets = _read_predictions(
             args.predictions, sagittal, pipeline.image_anchors(sagittal, cfg).n_types)
@@ -230,7 +203,7 @@ def cmd_score(args) -> int:
 
 def cmd_targets(args) -> int:
     cfg = resolve_config(args)
-    sagittal, _ = _read_sagittal_and_transform(args.sagittal, args.transform)
+    sagittal = _read_sagittal_and_transform(args.sagittal, args.transform)
     annotations = read_va1(args.annotations)
     if args.loss and args.predictions is None:
         raise FormatError("--loss needs --predictions")

@@ -48,12 +48,7 @@ class Volume3D:
         if values.ndim != 3:
             raise ValueError(f"expected a 3D array, got shape {values.shape}")
         check_number_fields(self)
-        if min(self.spacing) <= 0:
-            raise ValueError(f"spacing must be three positive numbers, got {self.spacing}")
-        if not all(math.isfinite(o + (n - 1) * s)
-                   for o, n, s in zip(self.origin, values.shape, self.spacing)):
-            raise ValueError(f"spacing {self.spacing} and origin {self.origin} put the far "
-                             f"voxel of a {values.shape} grid at infinity")
+        check_grid(values.shape, self.spacing, self.origin)
         if values is self.values and not _read_only(values):
             values = values.copy(order="K")
         values.flags.writeable = False
@@ -127,6 +122,22 @@ def check_number_fields(obj) -> None:
         if f.type in _ANNOTATION_RULES and not (value is None and f.type.endswith("| None")):
             object.__setattr__(obj, f.name,
                                finite_numbers(value, f.name, *_ANNOTATION_RULES[f.type]))
+
+
+def require(obj, ok: bool, name: str, rule: str) -> None:
+    """Raise ValueError naming field ``name`` of ``obj`` and its value unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {getattr(obj, name)!r}")
+
+
+def check_grid(shape, spacing, origin) -> None:
+    """Raise ValueError unless ``spacing`` is positive and the far voxel
+    ``origin + (shape - 1) * spacing`` of the grid is finite."""
+    if min(spacing) <= 0:
+        raise ValueError(f"spacing must be three positive numbers, got {spacing}")
+    if not all(math.isfinite(o + (n - 1) * s) for o, n, s in zip(origin, shape, spacing)):
+        raise ValueError(f"spacing {spacing} and origin {origin} put the far "
+                         f"voxel of a {shape} grid at infinity")
 
 
 def _read_only(values: np.ndarray) -> bool:

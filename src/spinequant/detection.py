@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box2D, boxes_from_keypoints, iou_matrix
+from .core import Box2D, GeometryError, boxes_from_keypoints, iou_matrix
 
 DEFAULT_SCALES_MM = (17.0, 23.0, 28.0, 35.0)
 DEFAULT_RATIOS = (0.8, 1.1, 1.3, 2.0)
@@ -88,6 +88,8 @@ def generate_anchors(image_shape, pixel_spacing: float,
         raise ValueError("scales and ratios must be positive")
     w = np.array([s / np.sqrt(r) for s in scales_mm for r in ratios]) / pixel_spacing
     h = np.array([s * np.sqrt(r) for s in scales_mm for r in ratios]) / pixel_spacing
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(h))):
+        raise GeometryError(f"anchors of {max(scales_mm)} mm overflow pixels of {pixel_spacing} mm")
     w.flags.writeable = False
     h.flags.writeable = False
     return AnchorGrid((int(image_shape[0]), int(image_shape[1])),

@@ -12,11 +12,12 @@ prediction maps (``pipeline.run_phantom_chain``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Volume3D, check_number_fields
+from .core import MAX_GRID_VOXELS, Volume3D, check_grid, check_number_fields, require
 from .genant import VertebraKeypoints, genant_index
 from .localization import centerline_target
 
@@ -60,37 +61,46 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Refuse any description ``generate_phantom`` cannot render, size bounds first."""
         check_number_fields(self)
+        require(self, min(self.shape) >= 8, "shape", "at least 8 voxels along each axis")
+        require(self, math.prod(self.shape) <= MAX_GRID_VOXELS, "shape",
+                f"at most {MAX_GRID_VOXELS} voxels")
+        check_grid(self.shape, self.spacing, self.origin)
+        require(self, 2 <= self.n_vertebrae <= self.shape[2], "n_vertebrae",
+                "at least 2 and at most one per slice (shape[2])")
+        for name in ("pitch_mm", "body_width_mm", "body_depth_mm", "scoliosis_wavelength_mm"):
+            require(self, getattr(self, name) > 0, name, "positive")
+        # Ten sigma of noise must stay inside the float32 range the voxels are stored in.
+        require(self, 0 <= self.noise_sigma <= np.finfo(np.float32).max / 10, "noise_sigma",
+                "in [0, 3.4e37]")
+        require(self, self.seed >= 0, "seed", "a non-negative integer")  # numpy's rule
+        extent = [(n - 1) * s for n, s in zip(self.shape, self.spacing)]
+        span = (self.n_vertebrae - 1) * self.pitch_mm
+        require(self, self.heights_mm != (), "heights_mm", "non-empty")
+        heights = self.resolved_heights()  # n_vertebrae is bounded by now
+        require(self, min(map(min, heights)) > 0, "heights_mm", "positive triples")
+        tallest = [max(trip) for trip in heights]
+        for a, b in zip(tallest[:-1], tallest[1:]):
+            if (a + b) / 2 >= self.pitch_mm:
+                raise ValueError(
+                    f"bodies overlap: heights_mm {a} and {b} exceed pitch_mm {self.pitch_mm}")
+        if (extent[2] - span) / 2 < max(tallest) / 2 + 2:
+            raise ValueError(f"volume too short for the spine: n_vertebrae {self.n_vertebrae} "
+                             f"at pitch_mm {self.pitch_mm} span {span:g} mm of the "
+                             f"{extent[2]:g} mm z extent, with no room for the end bodies")
+        if abs(self.scoliosis_amplitude_mm) + self.body_width_mm / 2 > extent[0] / 2 - 2 or \
+                self.body_depth_mm / 2 > extent[1] / 2 - 2:
+            raise ValueError("spine does not fit inside the volume cross-section: "
+                             "scoliosis_amplitude_mm, body_width_mm or body_depth_mm too large")
+        require(self, math.isfinite(2 * math.pi * max(span, abs(self.scoliosis_amplitude_mm))
+                                    / self.scoliosis_wavelength_mm),
+                "scoliosis_wavelength_mm", "large enough for a finite centerline phase")
 
     def resolved_heights(self) -> list[tuple[float, float, float]]:
         """Per-vertebra height triples, cycling the default pattern if unset."""
         base = self.heights_mm if self.heights_mm is not None else DEFAULT_HEIGHTS
         return [base[k % len(base)] for k in range(self.n_vertebrae)]
-
-    def validate(self) -> None:
-        if self.heights_mm == ():
-            raise ValueError("heights_mm must hold at least one triple")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.n_vertebrae < 2:
-            raise ValueError("need at least two vertebrae")
-        if any(n < 8 for n in self.shape):
-            raise ValueError(f"volume too small: {self.shape}")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError("spacing must be positive")
-        if self.pitch_mm <= 0 or self.body_width_mm <= 0 or self.body_depth_mm <= 0:
-            raise ValueError("phantom dimensions must be positive")
-        if self.scoliosis_wavelength_mm <= 0:
-            raise ValueError("wavelength must be positive")
-        heights = self.resolved_heights()
-        for trip in heights:
-            if not min(trip) > 0:
-                raise ValueError(f"heights must be positive triples, got {trip}")
-        tallest = [max(trip) for trip in heights]
-        for a, b in zip(tallest[:-1], tallest[1:]):
-            if (a + b) / 2 >= self.pitch_mm:
-                raise ValueError(
-                    f"bodies overlap: heights {a} and {b} exceed pitch {self.pitch_mm}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PhantomConfig":
@@ -108,20 +118,16 @@ def _centerline_xy(cfg: PhantomConfig, z_world: np.ndarray,
 
 
 def generate_phantom(cfg: PhantomConfig) -> tuple[Volume3D, list[VertebraKeypoints], list[float]]:
-    """Render the phantom volume with its exact annotations and Genant indices."""
-    cfg.validate()
+    """Render the phantom volume with its exact annotations and Genant indices.
+
+    ``cfg`` checked itself when it was built, so rendering raises nothing.
+    """
     heights = cfg.resolved_heights()
     extent = [(n - 1) * s for n, s in zip(cfg.shape, cfg.spacing)]
     span = (cfg.n_vertebrae - 1) * cfg.pitch_mm
-    margin_z = (extent[2] - span) / 2
-    if margin_z < max(max(t) for t in heights) / 2 + 2:
-        raise ValueError("volume too short for the configured spine")
     x0 = cfg.origin[0] + extent[0] / 2
     y0 = cfg.origin[1] + extent[1] / 2
-    z_first = cfg.origin[2] + margin_z
-    if (cfg.scoliosis_amplitude_mm + cfg.body_width_mm / 2) > extent[0] / 2 - 2 or \
-            cfg.body_depth_mm / 2 > extent[1] / 2 - 2:
-        raise ValueError("spine does not fit inside the volume cross-section")
+    z_first = cfg.origin[2] + (extent[2] - span) / 2
 
     values = np.full(cfg.shape, BACKGROUND_INTENSITY, dtype=np.float32)
     annotations: list[VertebraKeypoints] = []

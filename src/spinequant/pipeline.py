@@ -14,7 +14,7 @@ import numpy as np
 
 from . import detection, genant, localization, straighten
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, bbox_from_keypoints,
-                   check_number_fields, resample_volume)
+                   check_number_fields, require, resample_volume)
 from .detection import AnchorGrid, Detection, DetectionTargets
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
@@ -50,23 +50,19 @@ class PipelineConfig:
     fill: float = DEFAULT_FILL
 
     def __post_init__(self):
-        def require(ok, name, rule):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
         check_number_fields(self)
         for name in ("working_spacing_mm", "delta_mm", "softargmax_temperature"):
-            require(getattr(self, name) > 0, name, "positive")
+            require(self, getattr(self, name) > 0, name, "positive")
         for name in ("smoothing_lambda", "curve_pad_mm"):
-            require(getattr(self, name) >= 0, name, "non-negative")
-        require(min(self.half_extent_mm) >= 0, "half_extent_mm", "a pair of values >= 0")
+            require(self, getattr(self, name) >= 0, name, "non-negative")
+        require(self, min(self.half_extent_mm) >= 0, "half_extent_mm", "a pair of values >= 0")
         for name in ("anchor_scales_mm", "anchor_ratios"):
             values = getattr(self, name)
-            require(len(values) > 0 and min(values) > 0, name, "non-empty and positive")
+            require(self, len(values) > 0 and min(values) > 0, name, "non-empty and positive")
         for name in ("nms_iou", "assign_iou", "match_iou"):
-            require(0 < getattr(self, name) <= 1, name, "in (0, 1]")
-        require(0 <= self.objectness_threshold <= 1, "objectness_threshold", "in [0, 1]")
-        require(self.softargmax_mode in ("probabilities", "logits"),
+            require(self, 0 < getattr(self, name) <= 1, name, "in (0, 1]")
+        require(self, 0 <= self.objectness_threshold <= 1, "objectness_threshold", "in [0, 1]")
+        require(self, self.softargmax_mode in ("probabilities", "logits"),
                 "softargmax_mode", "'probabilities' or 'logits'")
         if not self.severe_cut < self.moderate_cut < self.mild_cut:
             raise ValueError(

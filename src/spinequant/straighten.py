@@ -10,13 +10,14 @@ mid-sagittal image can be mapped back to 3D world coordinates.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, make_smoothing_spline
 
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, _run_chunked, _sample_voxel_coords,
-                   check_number_fields, finite_numbers)
+                   check_number_fields, finite_numbers, require)
 from .localization import CenterlinePolyline
 
 _FRAME_TOL = 1e-9
@@ -211,7 +212,7 @@ class StraightenTransform:
     ``delta`` mm apart with (i_half, j_half) pixels on each side of the curve.
     Construction raises ValueError unless the rows are finite with strictly
     increasing ``s``, u and v are unit length and orthogonal, ``delta`` is
-    finite and positive and the halves are integers >= 0.
+    a positive normal float and the halves are integers >= 0.
     """
 
     s: np.ndarray
@@ -226,8 +227,8 @@ class StraightenTransform:
         _set_checked_rows(self, ("centers", "u", "v"))
         _check_frames(self, ("u", "v"))
         check_number_fields(self)
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        # A subnormal delta has an infinite reciprocal or too few digits to scale by.
+        require(self, self.delta >= sys.float_info.min, "delta", "a positive normal float")
         if min(self.i_half, self.j_half) < 0:
             raise ValueError(f"i_half and j_half must be >= 0, got {self.i_half}, {self.j_half}")
 
@@ -263,7 +264,8 @@ class StraightenTransform:
         """Project world points onto the mid-sagittal image (inverse map).
 
         The left-right offset is dropped: the result is the (x, y) image
-        position whose plane contains the point's projection.
+        position whose plane contains the point's projection.  A point whose
+        pixel position overflows a float raises GeometryError.
         """
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
@@ -288,6 +290,8 @@ class StraightenTransform:
             vv = (1 - tk) * self.v[k] + tk * self.v[k + 1]
             off = ((p - c) @ vv) / (vv @ vv)
             out[idx] = (self.j_half + off / self.delta, k + tk)
+        if not np.all(np.isfinite(out)):
+            raise GeometryError(f"points lie too far off the curve for pixels of {self.delta} mm")
         return out[0] if single else out
 
     def to_dict(self) -> dict:

@@ -176,21 +176,6 @@ def test_straighten_writes_only_the_plane_and_transform(workspace):
     assert sagittal.shape == (1, 2 * transform["j_half"] + 1, len(transform["rows"]))
 
 
-@pytest.mark.parametrize("flag, value, field", [
-    ("--spacing", "0", "working_spacing_mm"),
-    ("--delta", "0", "delta_mm"),
-    ("--nms-iou", "2", "nms_iou"),
-])
-def test_out_of_range_config_exits_2(workspace, tmp_path, capsys, flag, value, field):
-    code = run("straighten", workspace / "ph" / "volume.vg1",
-               "--heatmaps", workspace / "ph" / "heatmaps.vg1",
-               "--output", tmp_path / "o", "--config", workspace / "config.json",
-               flag, value)
-    assert code == 2
-    assert field in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 SMALL_PHANTOM = {"n_vertebrae": 4, "shape": [64, 64, 128], "scoliosis_amplitude_mm": 5.0,
                  "seed": 2}
 
@@ -207,6 +192,9 @@ def small(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, config", [
+    ("straighten", '{"working_spacing_mm": 0}'),
+    ("straighten", '{"delta_mm": 0}'),
+    ("straighten", '{"nms_iou": 2}'),
     ("straighten", '{"half_extent_mm": [60, -5]}'),
     ("straighten", '{"half_extent_mm": [60]}'),
     ("targets", '{"anchor_scales_mm": []}'),
@@ -230,6 +218,18 @@ def test_unusable_config_exits_2(small, tmp_path, capsys, command, config):
     code = run(command, *inputs, "--output", tmp_path / "o", "--config", tmp_path / "cfg.json")
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--spacing", "--delta", "--objectness-thresh", "--nms-iou",
+                                  "--mild-cut", "--moderate-cut", "--severe-cut"])
+def test_removed_config_flag_is_refused(small, tmp_path, capsys, flag):
+    # Pipeline settings come only from --config; argparse refuses the old flags.
+    with pytest.raises(SystemExit) as exc:
+        run("straighten", small / "ph" / "volume.vg1", "--heatmaps", small / "ph" / "heatmaps.vg1",
+            "--output", tmp_path / "o", flag, "0.5")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -293,9 +293,13 @@ def _string_s(doc):
     doc["rows"][5]["s"] = str(doc["rows"][5]["s"])
 
 
+def _subnormal_delta(doc):
+    doc["delta"] = 1e-308  # positive, but too small for pixel positions to stay finite
+
+
 @pytest.mark.parametrize("command", ["targets", "score"])
 @pytest.mark.parametrize("corrupt", [_nan_center, _zero_delta, _zero_v_row, _repeated_s,
-                                     _bool_delta, _string_s])
+                                     _bool_delta, _string_s, _subnormal_delta])
 def test_corrupt_transform_exits_2(small, tmp_path, capsys, command, corrupt):
     doc = json.loads((small / "st" / "transform.json").read_text())
     corrupt(doc)
@@ -373,7 +377,18 @@ def _detections(edit):
     return _file("d.json", text, ["evaluate", "d.json", "ph/gt.va1"])
 
 
-# (case, f(small, tmp) -> argv, exit code): malformed input ends in 2 or 3, never a traceback
+def _tiny_delta(argv):
+    """argv on the small workspace with t.json, its transform.json at a delta of 3e-308:
+    a normal float, but the annotations' offsets over it overflow."""
+    def text(small):
+        doc = json.loads((small / "st" / "transform.json").read_text())
+        doc["delta"] = 3e-308
+        return json.dumps(doc)
+    return _file("t.json", text, argv)
+
+
+# (case, f(small, tmp) -> argv, exit code[, text the message holds]): malformed input
+# ends in 2 or 3, never a traceback
 MALFORMED_INPUTS = [
     ("vg1 shape of strings", _volume_header(lambda h, t: h.update(shape=["a", 2, 3])), 2),
     ("vg1 shape not a list", _volume_header(lambda h, t: h.update(shape=5)), 2),
@@ -440,17 +455,28 @@ MALFORMED_INPUTS = [
            ["phantom", "p.json"]), 3),
     # The default phantom at 80 mm scoliosis: "spine does not fit" in the cross-section.
     ("phantom scoliosis 80 mm",
-     _file("p.json", '{"scoliosis_amplitude_mm": 80.0}', ["phantom", "p.json"]), 2),
+     _file("p.json", '{"scoliosis_amplitude_mm": 80.0}', ["phantom", "p.json"]), 2,
+     "scoliosis_amplitude_mm"),
+    ("phantom seed 10**400", lambda small, tmp: ["phantom", "--seed", str(10 ** 400)], 2,
+     "--seed: bad phantom config (seed"),
+    ("phantom seed -1, noisy",
+     _file("p.json", '{"noise_sigma": 1.0}', ["phantom", "p.json", "--seed", "-1"]), 2,
+     "p.json: bad phantom config (seed"),
+    ("transform delta 3e-308, score",
+     _tiny_delta(["score", "st/sagittal.vg1", "t.json", "--annotations", "ph/gt.va1"]), 3),
+    ("transform delta 3e-308, targets",
+     _tiny_delta(["targets", "st/sagittal.vg1", "t.json", "ph/gt.va1"]), 3),
 ]
 
 
-@pytest.mark.parametrize("build, code", [row[1:] for row in MALFORMED_INPUTS],
+@pytest.mark.parametrize("build, code, text", [(*row[1:], "")[:3] for row in MALFORMED_INPUTS],
                          ids=[row[0] for row in MALFORMED_INPUTS])
-def test_malformed_input_exits_without_traceback(small, tmp_path, capsys, build, code):
+def test_malformed_input_exits_without_traceback(small, tmp_path, capsys, build, code, text):
     # In-process, a traceback is an exception escaping main.
     assert run(*build(small, tmp_path), "--output", tmp_path / "o") == code
     err = capsys.readouterr().err
     assert err.startswith(("input error: ", "geometry error: ")) and "Traceback" not in err
+    assert text in err
     assert not (tmp_path / "o").exists()
 
 
@@ -544,7 +570,8 @@ def test_fuzzed_pipeline_config_exits_cleanly(workspace, tmp_path_factory, field
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.sampled_from(["delta", "i_half", "j_half", "rows", "s", "c", "u", "v"]),
        st.integers(0, 2 ** 16), _JSON | _TRIPLES | st.floats(-300, 300) | st.integers(-2, 80)
-       | st.lists(st.floats(-100, 100), min_size=3, max_size=3))
+       | st.lists(st.floats(-100, 100), min_size=3, max_size=3)
+       | st.floats(0, 1e-300))
 def test_fuzzed_transform_exits_0_2_or_3(small, tmp_path_factory, key, row, value):
     # score --annotations on the small image after one transform.json field,
     # or one entry of one row (s, c, u, v), is replaced.

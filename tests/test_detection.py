@@ -43,6 +43,12 @@ def test_anchor_grid_rejects_zero_side():
             generate_anchors(shape, 1.0)
 
 
+def test_anchor_grid_rejects_sides_that_overflow():
+    # 80 mm over pixels of 3e-308 mm is beyond float range.
+    with pytest.raises(GeometryError, match="overflow"):
+        generate_anchors((5, 5), 3e-308)
+
+
 def test_anchor_boxes_flat_matches_indexing():
     grid = generate_anchors((4, 3), 1.0, scales_mm=(10.0, 14.0), ratios=(1.0, 2.0))
     flat = grid.boxes_flat()

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinequant.core import resample_volume
 from spinequant.detection import assign_targets, detect
@@ -61,15 +65,69 @@ def test_phantom_noise_changes_with_seed():
 
 def test_overlapping_bodies_rejected():
     with pytest.raises(ValueError, match="overlap"):
-        generate_phantom(small_config(pitch_mm=18.0,
-                                      heights_mm=((20.0, 20.0, 20.0),)))
+        small_config(pitch_mm=18.0, heights_mm=((20.0, 20.0, 20.0),))
 
 
 def test_phantom_too_small_volume_rejected():
-    with pytest.raises(ValueError):
-        generate_phantom(small_config(n_vertebrae=12))  # z span exceeds volume
+    with pytest.raises(ValueError, match="n_vertebrae"):
+        small_config(n_vertebrae=12)  # z span exceeds volume
     with pytest.raises(ValueError, match="spine does not fit"):
-        generate_phantom(PhantomConfig(scoliosis_amplitude_mm=80.0))
+        PhantomConfig(scoliosis_amplitude_mm=80.0)
+
+
+# A description generate_phantom cannot render fails when it is built.
+@pytest.mark.parametrize("changes, match", [
+    ({"n_vertebrae": 8}, "volume too short"),  # the span fits, the end bodies do not
+    ({"n_vertebrae": 1}, "n_vertebrae"),
+    ({"heights_mm": ()}, "heights_mm"),
+    ({"heights_mm": ((18.0, 0.0, 20.0),)}, "heights_mm"),
+    ({"pitch_mm": 0.0}, "pitch_mm"),
+    ({"noise_sigma": -1.0}, "noise_sigma"),
+    ({"noise_sigma": 1e39}, "noise_sigma"),  # would fill the float32 volume with infinities
+    ({"seed": -1, "noise_sigma": 1.0}, "seed"),  # numpy's generator refuses it
+    ({"shape": (64, 7, 128)}, "shape"),
+    ({"spacing": (1.5, 1.5, 1e308)}, "spacing"),
+    ({"scoliosis_amplitude_mm": 5.0, "scoliosis_wavelength_mm": 5e-324},
+     "scoliosis_wavelength_mm"),
+    ({"pitch_mm": 1e-3, "n_vertebrae": 129, "heights_mm": ((1e-4, 1e-4, 1e-4),)},
+     "n_vertebrae"),  # more vertebrae than slices
+])
+def test_unrenderable_phantom_rejected_at_construction(changes, match):
+    with pytest.raises(ValueError, match=match):
+        small_config(**changes)
+
+
+def test_phantom_size_bounded_before_any_work():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_vertebrae"):
+            PhantomConfig(n_vertebrae=10 ** 7)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ValueError, match="shape"):
+        PhantomConfig(shape=(4096, 4096, 4096))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(2, 4), shape=st.tuples(*[st.integers(24, 48)] * 3),
+       spacing=st.floats(1.0, 3.0), amplitude=st.floats(-10, 10),
+       wavelength=st.floats(1e-300, 500) | st.floats(0, 1e-300, exclude_min=True),
+       pitch=st.floats(5, 30), width=st.floats(2, 20),
+       heights=st.lists(st.tuples(*[st.floats(1, 10)] * 3), min_size=1, max_size=3),
+       noise=st.just(0.0) | st.floats(0.5, 50), seed=st.integers(-3, 3) | st.integers(2 ** 64))
+def test_phantom_that_builds_renders(n, shape, spacing, amplitude, wavelength, pitch, width,
+                                     heights, noise, seed):
+    try:
+        cfg = PhantomConfig(n_vertebrae=n, shape=shape, spacing=(spacing,) * 3,
+                            scoliosis_amplitude_mm=amplitude,
+                            scoliosis_wavelength_mm=wavelength, pitch_mm=pitch,
+                            body_width_mm=width, body_depth_mm=width, heights_mm=heights,
+                            noise_sigma=noise, seed=seed)
+    except ValueError:
+        return
+    vol, anns, planted = generate_phantom(cfg)
+    assert vol.shape == shape and len(anns) == len(planted) == n
 
 
 def test_default_heights_cover_all_grades():
