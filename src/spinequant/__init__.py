@@ -9,7 +9,7 @@ evaluation metrics.  A synthetic phantom plus oracle predictions allow the
 whole chain to be exercised without trained networks.
 """
 from .core import (Box2D, GeometryError, UndefinedMetricError, Volume3D,
-                   bbox_from_keypoints, iou, resample_volume, trilinear_sample)
+                   resample_volume, trilinear_sample)
 from .detection import (AnchorGrid, Detection, DetectionTargets, assign_targets,
                         decode_keypoints, detect, detection_loss,
                         detection_loss_grad, encode_keypoints, generate_anchors, nms)
@@ -32,11 +32,11 @@ __all__ = [
     "EvalReport", "FormatError", "GenantMeasurement", "GeometryError",
     "PhantomConfig", "PipelineConfig", "SpineCurve", "StraightenTransform",
     "StraightenedImage", "UndefinedMetricError", "VertebraKeypoints", "Volume3D",
-    "assign_targets", "bbox_from_keypoints", "build_spine_curve",
+    "assign_targets", "build_spine_curve",
     "centerline_mae", "centerline_target", "classification_report",
     "decode_keypoints", "detect", "detection_loss", "detection_loss_grad",
     "encode_keypoints", "generate_anchors", "generate_phantom", "genant_index",
-    "grade", "heights", "iou", "localization_error", "match_detections",
+    "grade", "heights", "localization_error", "match_detections",
     "mid_sagittal_slice", "nms", "oracle_heatmaps", "patient_score",
     "read_va1", "read_vg1", "resample_volume", "roc_auc", "run_phantom_chain",
     "slicewise_centerline", "soft_argmax_2d", "straighten_volume",

@@ -172,19 +172,6 @@ class Box2D:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=float)
 
 
-def iou(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two boxes, in [0, 1] (rounding capped at 1)."""
-    ax0, ay0, ax1, ay1 = a.corners
-    bx0, by0, bx1, by1 = b.corners
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return float(min(inter / union, 1.0))
-
-
 IOU_BLOCK = 4096  # columns of b per block of iou_matrix, so its side arrays stay in cache
 
 
@@ -237,14 +224,6 @@ def boxes_from_keypoints(kps: np.ndarray) -> np.ndarray:
     if np.any(hi <= lo):
         raise GeometryError("keypoints have zero extent along an axis")
     return np.concatenate([(lo + hi) / 2, hi - lo], axis=1)
-
-
-def bbox_from_keypoints(kps: np.ndarray) -> Box2D:
-    """Tight axis-aligned box of one set of 2D points, shape (N, 2) (no margin).
-
-    The checks and errors are those of ``boxes_from_keypoints``.
-    """
-    return Box2D(*boxes_from_keypoints(np.asarray(kps, dtype=float)[None])[0])
 
 
 def trilinear_sample(vol: Volume3D, pts, fill: float = DEFAULT_FILL) -> np.ndarray | float:
@@ -373,13 +352,3 @@ def _interpolate_separable(values: np.ndarray, taps, lerp_axes) -> np.ndarray:
             parts = {key[:j] + key[j + 1:]: _lerp(part, parts[key[:j] + (1,) + key[j + 1:]], f)
                      for key, part in parts.items() if key[j] == 0}
     return parts[()]
-
-
-def _run_chunked(fn, n: int):
-    """Run fn(k0, k1) over [0, n) in contiguous chunks of at most 32 slices.
-
-    Chunking bounds the temporary point arrays one fill call builds, and so
-    the peak memory of plane sampling (``straighten_volume``).
-    """
-    for k0 in range(0, n, 32):
-        fn(k0, min(k0 + 32, n))

@@ -33,45 +33,27 @@ class AnchorGrid:
     """One anchor per (pixel, scale, ratio) on the detection image.
 
     ``ratio`` is height/width and ``scale`` the box side in mm at ratio one,
-    so width = scale / sqrt(ratio) and height = scale * sqrt(ratio); both are
-    stored in pixels.  Anchor type index t runs scale-major:
-    t = scale_index * len(ratios) + ratio_index.
+    so width = scale / sqrt(ratio) and height = scale * sqrt(ratio).
+    ``sides_px`` is the read-only (A, 2) table of anchor sides in pixels:
+    row t holds the (width, height) of anchor type t, and t runs
+    scale-major, t = scale_index * len(ratios) + ratio_index.  Anchor
+    (ix, iy, t) is centered on pixel (ix, iy); its flat index is
+    (ix * ny + iy) * A + t, the C order of an (nx, ny, A) array.
     """
 
     image_shape: tuple[int, int]
     pixel_spacing: float
     scales_mm: tuple[float, ...]
     ratios: tuple[float, ...]
-    widths_px: np.ndarray   # (A,)
-    heights_px: np.ndarray  # (A,)
+    sides_px: np.ndarray  # (A, 2)
 
     @property
     def n_types(self) -> int:
-        return len(self.widths_px)
+        return len(self.sides_px)
 
     @property
     def n_anchors(self) -> int:
         return self.image_shape[0] * self.image_shape[1] * self.n_types
-
-    def box(self, ix: int, iy: int, t: int) -> Box2D:
-        return Box2D(float(ix), float(iy),
-                     float(self.widths_px[t]), float(self.heights_px[t]))
-
-    def centers_and_sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nx, ny, A, 2) anchor centers (ix, iy) and sides (w, h), in pixels.
-
-        Both are read-only broadcast views, so no per-anchor copy is made.
-        """
-        nx, ny = self.image_shape
-        shape = (nx, ny, self.n_types, 2)
-        cxy = np.stack(np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float),
-                                   indexing="ij"), axis=-1)
-        wh = np.stack([self.widths_px, self.heights_px], axis=1)
-        return np.broadcast_to(cxy[:, :, None, :], shape), np.broadcast_to(wh, shape)
-
-    def boxes_flat(self) -> np.ndarray:
-        """(N, 4) array of (cx, cy, w, h) rows in C order over (ix, iy, t)."""
-        return np.concatenate(self.centers_and_sides(), axis=-1).reshape(-1, 4)
 
 
 def generate_anchors(image_shape, pixel_spacing: float,
@@ -86,14 +68,13 @@ def generate_anchors(image_shape, pixel_spacing: float,
     ratios = tuple(float(r) for r in ratios)
     if any(s <= 0 for s in scales_mm) or any(r <= 0 for r in ratios):
         raise ValueError("scales and ratios must be positive")
-    w = np.array([s / np.sqrt(r) for s in scales_mm for r in ratios]) / pixel_spacing
-    h = np.array([s * np.sqrt(r) for s in scales_mm for r in ratios]) / pixel_spacing
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(h))):
+    sides = np.array([[s / np.sqrt(r), s * np.sqrt(r)] for s in scales_mm for r in ratios],
+                     dtype=float).reshape(-1, 2) / pixel_spacing
+    if not np.all(np.isfinite(sides)):
         raise GeometryError(f"anchors of {max(scales_mm)} mm overflow pixels of {pixel_spacing} mm")
-    w.flags.writeable = False
-    h.flags.writeable = False
+    sides.flags.writeable = False
     return AnchorGrid((int(image_shape[0]), int(image_shape[1])),
-                      float(pixel_spacing), scales_mm, ratios, w, h)
+                      float(pixel_spacing), scales_mm, ratios, sides)
 
 
 def encode_keypoints(keypoints: np.ndarray, anchor: Box2D) -> np.ndarray:
@@ -170,7 +151,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     gt_kps = np.asarray([kps for kps, _ in gt], dtype=float)
     gt_boxes = boxes_from_keypoints(gt_kps)  # (M, 4)
 
-    wh = np.stack([anchors.widths_px, anchors.heights_px], axis=1)  # (A, 2)
+    wh = anchors.sides_px
     reach = (gt_boxes[:, None, 2:] + wh) / 2 + 1  # (M, A, 2)
     near_x = np.abs(np.arange(nx)[:, None] - gt_boxes[:, None, None, 0]) < reach[:, None, :, 0]
     near_y = np.abs(np.arange(ny)[:, None] - gt_boxes[:, None, None, 1]) < reach[:, None, :, 1]
@@ -187,8 +168,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     pixel, t = np.divmod(flat, a)
     rows = np.empty((4, len(flat)))  # (cx, cy, w, h) rows, coordinate-major
     np.divmod(pixel, ny, out=(rows[0], rows[1]))
-    rows[2] = anchors.widths_px[t]
-    rows[3] = anchors.heights_px[t]
+    rows[2:] = wh[t].T
     overlaps = iou_matrix(gt_boxes, rows.T)  # (M, K)
 
     # Best vertebra of each window anchor: a strict > keeps the first
@@ -371,9 +351,8 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
         raise ValueError(f"offsets shape {off.shape} incompatible with {(nx, ny, a)}")
 
     idx = np.nonzero(obj > score_threshold)
-    anchor_cxy, anchor_wh = anchors.centers_and_sides()
-    kps = (np.asarray(off[idx], dtype=float) * anchor_wh[idx][:, None, :]
-           + anchor_cxy[idx][:, None, :])
+    kps = (np.asarray(off[idx], dtype=float) * anchors.sides_px[idx[2]][:, None, :]
+           + np.stack(idx[:2], axis=1)[:, None, :])
     boxes = boxes_from_keypoints(kps)
     scores = obj[idx]
     return [Detection(scores[k], Box2D(*boxes[k].tolist()), kps[k])

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import GeometryError
+
 # Canonical keypoint order used for (6, k) arrays everywhere in the package.
 KEYPOINT_KEYS = ("as", "ai", "ms", "mi", "ps", "pi")
 
@@ -71,12 +73,13 @@ def heights(kps: VertebraKeypoints) -> tuple[float, float, float]:
     """Anterior, middle and posterior body heights in mm.
 
     Each height is the Euclidean distance between the superior and inferior
-    keypoint of its pair.  A zero distance signals a degenerate annotation.
+    keypoint of its pair.  A zero distance signals a degenerate annotation
+    and raises GeometryError.
     """
     pts = kps.as_array()
     h = np.linalg.norm(pts[0::2] - pts[1::2], axis=1)
     if np.any(h <= 0):
-        raise ValueError(f"degenerate annotation: zero height in {tuple(h)}")
+        raise GeometryError(f"degenerate annotation: zero height in {tuple(h.tolist())}")
     return float(h[0]), float(h[1]), float(h[2])
 
 

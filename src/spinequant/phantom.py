@@ -157,6 +157,7 @@ def generate_phantom(cfg: PhantomConfig) -> tuple[Volume3D, list[VertebraKeypoin
         rng = np.random.default_rng(cfg.seed)
         values += rng.normal(0.0, cfg.noise_sigma, size=values.shape).astype(np.float32)
 
+    values.flags.writeable = False  # so Volume3D adopts the raster rather than copying it
     return Volume3D(values, cfg.spacing, cfg.origin), annotations, indices
 
 

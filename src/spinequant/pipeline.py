@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import detection, genant, localization, straighten
-from .core import (DEFAULT_FILL, GeometryError, Volume3D, bbox_from_keypoints,
+from .core import (DEFAULT_FILL, GeometryError, Volume3D, boxes_from_keypoints,
                    check_number_fields, require, resample_volume)
 from .detection import AnchorGrid, Detection, DetectionTargets
 from .genant import VertebraKeypoints
@@ -331,8 +331,7 @@ def sagittal_plane_box(kps_mm: np.ndarray) -> list[float]:
     Used when matching detections against ground truth from world-space
     keypoints alone, without access to the straightening transform.
     """
-    box = bbox_from_keypoints(np.asarray(kps_mm)[:, 1:])
-    return [box.cx, box.cy, box.w, box.h]
+    return boxes_from_keypoints(np.asarray(kps_mm)[None, :, 1:])[0].tolist()
 
 
 def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
@@ -373,12 +372,11 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     offsets = targets.offsets
     if keypoint_noise_mm > 0:
         rng = np.random.default_rng(noise_seed)
-        pos = targets.objectness == 1
+        pos = np.nonzero(targets.objectness == 1)
         sigma_px = keypoint_noise_mm / chain.straighten.sagittal.delta
         noise = rng.normal(0.0, sigma_px,
-                           size=(int(pos.sum()), detection.N_KEYPOINTS, 2))
-        wh = anchors.centers_and_sides()[1]
+                           size=(len(pos[0]), detection.N_KEYPOINTS, 2))
         offsets = np.zeros(targets.offsets.shape)
-        offsets[pos] = targets.offsets[pos] + noise / wh[pos][:, None, :]
+        offsets[pos] = targets.offsets[pos] + noise / anchors.sides_px[pos[2]][:, None, :]
     return detect_and_score(targets.objectness, offsets, anchors,
                             chain.straighten.transform, cfg)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, make_smoothing_spline
 
-from .core import (DEFAULT_FILL, GeometryError, Volume3D, _run_chunked, _sample_voxel_coords,
+from .core import (DEFAULT_FILL, GeometryError, Volume3D, _sample_voxel_coords,
                    check_number_fields, finite_numbers, require)
 from .localization import CenterlinePolyline
 
@@ -363,15 +363,16 @@ def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
     spacing = np.asarray(vol.spacing)
     origin = np.asarray(vol.origin)
 
-    def fill_chunk(k0: int, k1: int):
+    # Chunks of at most 32 rows bound the temporary point arrays, and so
+    # the peak memory of plane sampling.
+    for k0 in range(0, nk, 32):
+        k1 = min(k0 + 32, nk)
         pts = (curve.centers[None, None, k0:k1, :]
                + oi[:, None, None, None] * curve.u[None, None, k0:k1, :]
                + oj[None, :, None, None] * curve.v[None, None, k0:k1, :])
         idx = (pts.reshape(-1, 3) - origin) / spacing
         out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
             ni, nj, k1 - k0)
-
-    _run_chunked(fill_chunk, nk)
     transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v,
                                     float(delta), i_half, j_half)
     straight = Volume3D(out, (delta, delta, curve.step),

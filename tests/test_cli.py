@@ -387,6 +387,22 @@ def _tiny_delta(argv):
     return _file("t.json", text, argv)
 
 
+def _zero_height(command):
+    """command on a.va1, the phantom's gt.va1 with the first vertebra's "ai" set to its
+    "as" (a zero anterior height); evaluate pairs it with a detections.json of none."""
+    def case(small, tmp):
+        doc = json.loads((small / "ph" / "gt.va1").read_text())
+        kps = doc["vertebrae"][0]["keypoints_mm"]
+        kps["ai"] = kps["as"]
+        write_json(tmp / "a.va1", doc)
+        write_json(tmp / "d.json", {"vertebrae": []})
+        sagittal, transform = small / "st" / "sagittal.vg1", small / "st" / "transform.json"
+        return {"score": ["score", sagittal, transform, "--annotations", tmp / "a.va1"],
+                "targets": ["targets", sagittal, transform, tmp / "a.va1"],
+                "evaluate": ["evaluate", tmp / "d.json", tmp / "a.va1"]}[command]
+    return case
+
+
 # (case, f(small, tmp) -> argv, exit code[, text the message holds]): malformed input
 # ends in 2 or 3, never a traceback
 MALFORMED_INPUTS = [
@@ -466,6 +482,9 @@ MALFORMED_INPUTS = [
      _tiny_delta(["score", "st/sagittal.vg1", "t.json", "--annotations", "ph/gt.va1"]), 3),
     ("transform delta 3e-308, targets",
      _tiny_delta(["targets", "st/sagittal.vg1", "t.json", "ph/gt.va1"]), 3),
+    ("va1 zero height, score", _zero_height("score"), 3, "zero height"),
+    ("va1 zero height, targets", _zero_height("targets"), 3, "zero height"),
+    ("va1 zero height, evaluate", _zero_height("evaluate"), 3, "zero height"),
 ]
 
 

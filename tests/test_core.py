@@ -5,9 +5,26 @@ from hypothesis import strategies as st
 
 from spinequant import core
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, Box2D, GeometryError,
-                             Volume3D, _run_chunked, _sample_voxel_coords,
-                             bbox_from_keypoints, boxes_from_keypoints, finite_numbers, iou,
-                             iou_matrix, resample_volume, trilinear_sample)
+                             Volume3D, _sample_voxel_coords, boxes_from_keypoints,
+                             finite_numbers, iou_matrix, resample_volume, trilinear_sample)
+
+
+def iou(a: Box2D, b: Box2D) -> float:
+    """Intersection-over-union of two boxes from their corners (the scalar oracle)."""
+    ax0, ay0, ax1, ay1 = a.corners
+    bx0, by0, bx1, by1 = b.corners
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    return float(min(inter / union, 1.0))
+
+
+def bbox_from_keypoints(kps) -> Box2D:
+    """Tight box of one (N, 2) point set, through ``boxes_from_keypoints``."""
+    return Box2D(*boxes_from_keypoints(np.asarray(kps, dtype=float)[None])[0])
 
 
 def test_iou_identical_boxes():
@@ -246,14 +263,13 @@ def resample_reference(vol, new_spacing, fill=DEFAULT_FILL):
     ys = vol.origin[1] + new_spacing[1] * np.arange(new_shape[1])
     zs = vol.origin[2] + new_spacing[2] * np.arange(new_shape[2])
 
-    def fill_chunk(k0, k1):
+    for k0 in range(0, new_shape[2], 32):
+        k1 = min(k0 + 32, new_shape[2])
         gx, gy, gz = np.meshgrid(xs, ys, zs[k0:k1], indexing="ij")
         pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
         idx = vol.world_to_voxel(pts)
         out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
             new_shape[0], new_shape[1], k1 - k0)
-
-    _run_chunked(fill_chunk, new_shape[2])
     return out
 
 

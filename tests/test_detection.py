@@ -5,36 +5,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinequant.core import Box2D, GeometryError, bbox_from_keypoints, iou, iou_matrix
+from spinequant.core import Box2D, GeometryError, iou_matrix
 from spinequant.detection import (Detection, assign_targets, decode_keypoints,
                                   detect, detection_loss, detection_loss_grad,
                                   detection_loss_terms, encode_keypoints,
                                   generate_anchors, nms)
+from test_core import bbox_from_keypoints, iou
 
 
 # ---------------------------------------------------------------------------
 # anchors
 # ---------------------------------------------------------------------------
 
+def anchor_box(grid, ix, iy, t) -> Box2D:
+    """Anchor (ix, iy, t): centered on pixel (ix, iy), sides of type t (the oracle)."""
+    w, h = grid.sides_px[t].tolist()
+    return Box2D(float(ix), float(iy), w, h)
+
+
+def anchor_boxes_flat(grid) -> np.ndarray:
+    """(N, 4) rows (cx, cy, w, h) of every anchor in flat order (the oracle).
+
+    Row (ix * ny + iy) * A + t is anchor (ix, iy, t): the C order of an
+    (nx, ny, A) array.
+    """
+    nx, ny = grid.image_shape
+    ix, iy, t = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny),
+                                                 np.arange(grid.n_types), indexing="ij"))
+    return np.column_stack([ix, iy, grid.sides_px[t]]).astype(float)
+
+
 def test_anchor_unit_ratio_square():
     grid = generate_anchors((10, 10), pixel_spacing=2.0, scales_mm=(20.0,), ratios=(1.0,))
-    assert grid.widths_px[0] == pytest.approx(10.0)   # 20 mm at 2 mm/px
-    assert grid.heights_px[0] == pytest.approx(10.0)
+    assert grid.sides_px[0] == pytest.approx([10.0, 10.0])   # 20 mm at 2 mm/px
 
 
 def test_anchor_ratio_four_splits_sides():
     # ratio = h/w and scale = sqrt(w*h): w = 20/sqrt(4) = 10 mm, h = 20*2 = 40 mm
     grid = generate_anchors((6, 6), pixel_spacing=1.0, scales_mm=(20.0,), ratios=(4.0,))
-    assert grid.widths_px[0] == pytest.approx(10.0)
-    assert grid.heights_px[0] == pytest.approx(40.0)
-    assert grid.widths_px[0] * grid.heights_px[0] == pytest.approx(400.0)
+    assert grid.sides_px[0] == pytest.approx([10.0, 40.0])
+    assert grid.sides_px[0].prod() == pytest.approx(400.0)
 
 
 def test_anchor_count():
     grid = generate_anchors((10, 10), 1.0)
     assert grid.n_types == 16
     assert grid.n_anchors == 1600
-    assert grid.boxes_flat().shape == (1600, 4)
+    assert anchor_boxes_flat(grid).shape == (1600, 4)
 
 
 def test_anchor_grid_rejects_zero_side():
@@ -49,21 +66,36 @@ def test_anchor_grid_rejects_sides_that_overflow():
         generate_anchors((5, 5), 3e-308)
 
 
-def test_anchor_boxes_flat_matches_indexing():
-    grid = generate_anchors((4, 3), 1.0, scales_mm=(10.0, 14.0), ratios=(1.0, 2.0))
-    flat = grid.boxes_flat()
-    centers, sides = grid.centers_and_sides()
+def test_anchor_sides_table_and_flat_order():
+    scales, ratios = (10.0, 14.0), (1.0, 2.0)
+    grid = generate_anchors((4, 3), 1.0, scales_mm=scales, ratios=ratios)
     a = grid.n_types
-    assert centers.shape == sides.shape == (4, 3, a, 2)
-    assert not centers.flags.writeable and not sides.flags.writeable
+    assert grid.sides_px.shape == (a, 2) == (4, 2)
+    assert not grid.sides_px.flags.writeable
+    with pytest.raises(ValueError):
+        grid.sides_px[0, 0] = 1.0
+    # rows run scale-major: t = scale_index * len(ratios) + ratio_index
+    for si, s in enumerate(scales):
+        for ri, r in enumerate(ratios):
+            assert grid.sides_px[si * len(ratios) + ri].tolist() == [s / math.sqrt(r),
+                                                                     s * math.sqrt(r)]
+    flat = anchor_boxes_flat(grid)
+    assert flat.shape == (grid.n_anchors, 4)
     for ix in range(4):
         for iy in range(3):
             for t in range(a):
-                row = flat[(ix * 3 + iy) * a + t]
-                box = grid.box(ix, iy, t)
-                assert tuple(row) == (box.cx, box.cy, box.w, box.h)
-                assert tuple(centers[ix, iy, t]) == (box.cx, box.cy)
-                assert tuple(sides[ix, iy, t]) == (box.w, box.h)
+                k = (ix * 3 + iy) * a + t
+                assert tuple(flat[k]) == (ix, iy, *grid.sides_px[t])
+                assert tuple(flat[k]) == tuple(anchor_box(grid, ix, iy, t).as_array())
+                # assign_targets and detect read anchor k in the same place
+                kps = keypoints_for_box(*flat[k])
+                targets = assign_targets(grid, [(kps, 1.0)], iou_threshold=1.0)
+                assert targets.matched.ravel().tolist() == [0 if j == k else -1
+                                                            for j in range(grid.n_anchors)]
+                obj = np.zeros((4, 3, a))
+                obj.flat[k] = 1.0
+                (d,) = detect(obj, targets.offsets, grid)
+                np.testing.assert_allclose(d.box.as_array(), flat[k], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +197,7 @@ def test_assign_anchor_identical_to_gt():
     assert targets.objectness[5, 5, 0] == 1.0
     assert targets.genant_weights[5, 5, 0] == 0.9
     np.testing.assert_allclose(targets.offsets[5, 5, 0],
-                               encode_keypoints(kps, grid.box(5, 5, 0)))
+                               encode_keypoints(kps, anchor_box(grid, 5, 5, 0)))
     # anchors far away stay negative
     assert targets.objectness[0, 0, 0] == 0.0
     assert targets.matched[0, 0, 0] == -1
@@ -191,7 +223,7 @@ def test_assign_forced_best_anchor_below_threshold():
     # brute-force max-IoU set over the whole grid; the forced anchor is the
     # first of the tied maxima in flat anchor order
     gt_box = bbox_from_keypoints(kps)
-    ious = np.array([[iou(grid.box(ix, iy, 0), gt_box) for iy in range(15)]
+    ious = np.array([[iou(anchor_box(grid, ix, iy, 0), gt_box) for iy in range(15)]
                      for ix in range(15)])
     best_iou = ious.max()
     assert best_iou < 0.5
@@ -222,7 +254,7 @@ def test_assign_every_gt_gets_an_anchor_and_no_double_claims():
 def reference_matches(grid, gt, iou_threshold=0.5):
     """Anchor matches by the full stable-argsort claim loop (the oracle)."""
     boxes = np.array([bbox_from_keypoints(kps).as_array() for kps, _ in gt])
-    overlaps = iou_matrix(grid.boxes_flat(), boxes)
+    overlaps = iou_matrix(anchor_boxes_flat(grid), boxes)
     best_gt = overlaps.argmax(axis=1)
     best_iou = overlaps[np.arange(len(overlaps)), best_gt]
     match = np.where(best_iou > iou_threshold, best_gt, -1)
@@ -256,7 +288,7 @@ def test_assign_forced_anchors_match_sorting_oracle():
         want = reference_matches(grid, gt)
         np.testing.assert_array_equal(targets.matched, want)
         boxes = np.array([bbox_from_keypoints(k).as_array() for k, _ in gt])
-        argmax = iou_matrix(grid.boxes_flat(), boxes).argmax(axis=0)
+        argmax = iou_matrix(anchor_boxes_flat(grid), boxes).argmax(axis=0)
         contested += len(set(argmax.tolist())) < len(gt)
     assert contested >= 10
 
@@ -291,7 +323,7 @@ def assert_targets_encode_matches(grid, gt, targets):
     assert np.all(targets.offsets[targets.objectness == 0] == 0)
     for ix, iy, t in pos:
         kps, g = gt[targets.matched[ix, iy, t]]
-        want = encode_keypoints(kps, grid.box(int(ix), int(iy), int(t)))
+        want = encode_keypoints(kps, anchor_box(grid, int(ix), int(iy), int(t)))
         assert np.array_equal(targets.offsets[ix, iy, t], want)
         assert targets.genant_weights[ix, iy, t] == g
 
@@ -567,7 +599,7 @@ def detect_reference(obj, off, grid, iou_threshold):
     """Per-candidate decode -> bbox_from_keypoints -> greedy NMS (the oracle)."""
     cands = []
     for ix, iy, t in zip(*np.nonzero(obj > 0.5)):
-        kps = decode_keypoints(off[ix, iy, t], grid.box(int(ix), int(iy), int(t)))
+        kps = decode_keypoints(off[ix, iy, t], anchor_box(grid, int(ix), int(iy), int(t)))
         cands.append(Detection(float(obj[ix, iy, t]), bbox_from_keypoints(kps), kps))
     return nms_oracle(cands, iou_threshold)
 
@@ -656,7 +688,7 @@ def test_detect_duplicate_anchors_collapse():
     off = np.zeros((20, 20, 1, 6, 2))
     for pos in ((10, 10), (10, 11), (11, 10)):
         obj[pos[0], pos[1], 0] = 0.9
-        off[pos[0], pos[1], 0] = encode_keypoints(kps, grid.box(pos[0], pos[1], 0))
+        off[pos[0], pos[1], 0] = encode_keypoints(kps, anchor_box(grid, pos[0], pos[1], 0))
     dets = detect(obj, off, grid)
     assert len(dets) == 1
     assert np.max(np.abs(dets[0].keypoints - kps)) < 1e-9

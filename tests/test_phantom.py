@@ -12,6 +12,7 @@ from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
 from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom, oracle_heatmaps
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage
+from test_detection import anchor_box
 
 
 def small_config(**kw):
@@ -55,6 +56,19 @@ def test_phantom_determinism_bytes(tmp_path):
     write_vg1(tmp_path / "a.vg1", vol1)
     write_vg1(tmp_path / "b.vg1", vol2)
     assert (tmp_path / "a.vg1.raw").read_bytes() == (tmp_path / "b.vg1.raw").read_bytes()
+
+
+def test_phantom_raster_is_adopted_not_copied():
+    # Volume3D adopts the read-only raster generate_phantom rendered: on the
+    # default phantom a second copy would put the peak at two rasters.
+    tracemalloc.start()
+    try:
+        vol, _, _ = generate_phantom(PhantomConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not vol.values.flags.writeable
+    assert peak < 1.5 * vol.values.nbytes
 
 
 def test_phantom_noise_changes_with_seed():
@@ -234,7 +248,7 @@ def test_oracle_predictions_perturbation_moves_decoded_linearly():
     offsets = targets.offsets
     pos = np.argwhere(targets.objectness == 1)[0]
     ix, iy, t = (int(v) for v in pos)
-    anchor = anchors.box(ix, iy, t)
+    anchor = anchor_box(anchors, ix, iy, t)
     delta = 0.125
     from spinequant.detection import decode_keypoints
 

@@ -193,3 +193,13 @@ def test_stress_phantom_recovers_every_vertebra_and_grade(changes):
     errors = [abs(chain.results[i].measurement.genant - chain.planted_genant[m])
               for i, m in match.pairs]
     assert max(errors) <= 0.01
+
+
+def test_public_names_resolve():
+    import spinequant
+
+    assert len(set(spinequant.__all__)) == len(spinequant.__all__)
+    assert [name for name in spinequant.__all__ if not hasattr(spinequant, name)] == []
+    namespace = {}
+    exec("from spinequant import *", namespace)
+    assert set(spinequant.__all__) <= namespace.keys()
