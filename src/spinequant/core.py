@@ -278,13 +278,21 @@ MAX_GRID_VOXELS = 2 ** 28  # largest grid resample_volume builds (1 GiB of float
 _RESAMPLE_CHUNK = 2 ** 18  # input elements per slab of output planes
 
 
+def check_size(dims, what: str) -> None:
+    """Before a grid of shape ``dims`` (floats, maybe infinite, may bound sizes not
+    yet known) is made: GeometryError naming ``what`` unless it fits MAX_GRID_VOXELS."""
+    if not math.prod(dims) <= MAX_GRID_VOXELS:
+        raise GeometryError(f"{what} would need a ({', '.join(f'{n:.6g}' for n in dims)}) "
+                            f"grid, more than {MAX_GRID_VOXELS} elements")
+
+
 def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL) -> Volume3D:
     """Trilinear resample onto a grid with the given spacing.
 
     The origin is preserved and the new grid covers at least the original
     world extent; samples that land beyond the voxel hull take ``fill``.  A
     grid of more than ``MAX_GRID_VOXELS`` voxels raises GeometryError before
-    any array is made.
+    any array is made (``check_size``).
 
     Trilinear interpolation is separable: the corner planes each axis needs
     are selected in the input's memory order, slowest axis first (pure
@@ -301,11 +309,8 @@ def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL) -> V
         raise ValueError(f"new spacing must be positive, got {new_spacing}")
     steps = [float(np.ceil(round((n - 1) * s / s_new, 9)))
              for n, s, s_new in zip(vol.shape, vol.spacing, new_spacing)]
-    if not math.prod(k + 1 for k in steps) <= MAX_GRID_VOXELS:
-        raise GeometryError(
-            f"spacing {new_spacing} mm asks for a "
-            f"({', '.join(f'{k + 1:.6g}' for k in steps)}) grid over the {vol.shape} "
-            f"volume at {vol.spacing} mm, more than {MAX_GRID_VOXELS} voxels")
+    check_size([k + 1 for k in steps],
+               f"spacing {new_spacing} mm over the {vol.shape} volume at {vol.spacing} mm")
     new_shape = tuple(int(k) + 1 for k in steps)
     # The coordinates world_to_voxel gives the grid points, one axis at a time.
     taps = [_axis_taps((o + s_new * np.arange(n_new) - o) / s, n)

@@ -68,8 +68,9 @@ def generate_anchors(image_shape, pixel_spacing: float,
     ratios = tuple(float(r) for r in ratios)
     if any(s <= 0 for s in scales_mm) or any(r <= 0 for r in ratios):
         raise ValueError("scales and ratios must be positive")
-    sides = np.array([[s / np.sqrt(r), s * np.sqrt(r)] for s in scales_mm for r in ratios],
-                     dtype=float).reshape(-1, 2) / pixel_spacing
+    with np.errstate(over="ignore"):  # an overflow is refused right below
+        sides = np.array([[s / np.sqrt(r), s * np.sqrt(r)] for s in scales_mm for r in ratios],
+                         dtype=float).reshape(-1, 2) / pixel_spacing
     if not np.all(np.isfinite(sides)):
         raise GeometryError(f"anchors of {max(scales_mm)} mm overflow pixels of {pixel_spacing} mm")
     sides.flags.writeable = False

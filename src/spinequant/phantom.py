@@ -72,8 +72,8 @@ class PhantomConfig:
         for name in ("pitch_mm", "body_width_mm", "body_depth_mm", "scoliosis_wavelength_mm"):
             require(self, getattr(self, name) > 0, name, "positive")
         # Ten sigma of noise must stay inside the float32 range the voxels are stored in.
-        require(self, 0 <= self.noise_sigma <= np.finfo(np.float32).max / 10, "noise_sigma",
-                "in [0, 3.4e37]")
+        require(self, 0 <= self.noise_sigma <= float(np.finfo(np.float32).max) / 10,
+                "noise_sigma", "in [0, 3.4e37]")
         require(self, self.seed >= 0, "seed", "a non-negative integer")  # numpy's rule
         extent = [(n - 1) * s for n, s in zip(self.shape, self.spacing)]
         span = (self.n_vertebrae - 1) * self.pitch_mm
@@ -93,9 +93,11 @@ class PhantomConfig:
                 self.body_depth_mm / 2 > extent[1] / 2 - 2:
             raise ValueError("spine does not fit inside the volume cross-section: "
                              "scoliosis_amplitude_mm, body_width_mm or body_depth_mm too large")
-        require(self, math.isfinite(2 * math.pi * max(span, abs(self.scoliosis_amplitude_mm))
-                                    / self.scoliosis_wavelength_mm),
-                "scoliosis_wavelength_mm", "large enough for a finite centerline phase")
+        # The centerline phase, and the square of the slope that frames each body.
+        phase, slope = (2 * math.pi * x / self.scoliosis_wavelength_mm
+                        for x in (span, abs(self.scoliosis_amplitude_mm)))
+        require(self, math.isfinite(phase + slope * slope), "scoliosis_wavelength_mm",
+                "large enough for a finite centerline phase and slope")
 
     def resolved_heights(self) -> list[tuple[float, float, float]]:
         """Per-vertebra height triples, cycling the default pattern if unset."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import detection, genant, localization, straighten
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, boxes_from_keypoints,
-                   check_number_fields, require, resample_volume)
+                   check_number_fields, check_size, require, resample_volume)
 from .detection import AnchorGrid, Detection, DetectionTargets
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
@@ -132,6 +132,10 @@ def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
     0 and no other plane of the straightened volume is computed.
     """
     polyline = extract_centerline(vol, cfg, heatmaps=heatmaps, annotations=annotations)
+    rows = float(polyline.z[-1] - polyline.z[0] + 2 * cfg.curve_pad_mm) / cfg.delta_mm  # at least
+    check_size((rows, 2 * np.floor(cfg.half_extent_mm[1] / cfg.delta_mm + 1e-9) + 1),
+               f"delta_mm {cfg.delta_mm}, half_extent_mm {cfg.half_extent_mm} and curve_pad_mm "
+               f"{cfg.curve_pad_mm}: the straightened plane")
     curve = straighten.build_spine_curve(polyline, step=cfg.delta_mm,
                                          smoothing=cfg.smoothing_lambda,
                                          pad_mm=cfg.curve_pad_mm)
@@ -143,6 +147,8 @@ def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
 
 
 def image_anchors(image: StraightenedImage, cfg: PipelineConfig) -> AnchorGrid:
+    check_size((*image.values.shape, len(cfg.anchor_scales_mm), len(cfg.anchor_ratios), N_COORDS),
+               "anchor_scales_mm x anchor_ratios: the anchor offsets")
     return detection.generate_anchors(image.values.shape, image.delta,
                                       scales_mm=cfg.anchor_scales_mm,
                                       ratios=cfg.anchor_ratios)
@@ -176,14 +182,12 @@ class VertebraResult:
 
 def score_detections(detections_2d: list[Detection], transform: StraightenTransform,
                      cfg: PipelineConfig) -> list[VertebraResult]:
-    """Map detections back to 3D and grade them."""
-    out = []
-    for det in detections_2d:
-        kps_mm = transform.pixel_to_world(det.keypoints)
-        kps = VertebraKeypoints.from_array(kps_mm)
-        out.append(VertebraResult(det.score, det.keypoints, kps_mm,
-                                  genant.measure(kps, **cfg.grade_cuts())))
-    return out
+    """Map detections back to 3D, all keypoints in one call, and grade them."""
+    px = np.reshape([det.keypoints for det in detections_2d], (-1, 2))
+    kps_mm = transform.pixel_to_world(px).reshape(-1, detection.N_KEYPOINTS, 3)
+    return [VertebraResult(det.score, det.keypoints, mm,
+                           genant.measure(VertebraKeypoints.from_array(mm), **cfg.grade_cuts()))
+            for det, mm in zip(detections_2d, kps_mm)]
 
 
 def score_stage(sagittal: StraightenedImage, cfg: PipelineConfig,
@@ -193,13 +197,9 @@ def score_stage(sagittal: StraightenedImage, cfg: PipelineConfig,
                 ) -> list[VertebraResult]:
     """Score either prediction maps (detect, then grade) or raw annotations."""
     if annotations is not None:
-        out = []
-        for kps in annotations:
-            px = sagittal.transform.world_to_pixel(kps.as_array())
-            out.append(VertebraResult(None, px, kps.as_array(),
-                                      genant.measure(kps, **cfg.grade_cuts()),
-                                      label=kps.label))
-        return out
+        return [VertebraResult(None, px, kps.as_array(), genant.measure(kps, **cfg.grade_cuts()),
+                               label=kps.label)
+                for kps, px in zip(annotations, _annotation_pixels(sagittal, annotations))]
     if objectness_map is None or offsets_map is None:
         raise ValueError("need prediction maps or annotations")
     return detect_and_score(objectness_map, offsets_map, image_anchors(sagittal, cfg),
@@ -228,11 +228,15 @@ def targets_stage(sagittal: StraightenedImage, annotations: list[VertebraKeypoin
                   cfg: PipelineConfig) -> tuple[AnchorGrid, DetectionTargets]:
     """Project annotations onto the image and assign detection targets."""
     anchors = image_anchors(sagittal, cfg)
-    gt = []
-    for kps in annotations:
-        g = genant.measure(kps, **cfg.grade_cuts()).genant
-        gt.append((sagittal.transform.world_to_pixel(kps.as_array()), g))
+    gt = [(px, genant.measure(kps, **cfg.grade_cuts()).genant)
+          for kps, px in zip(annotations, _annotation_pixels(sagittal, annotations))]
     return anchors, detection.assign_targets(anchors, gt, iou_threshold=cfg.assign_iou)
+
+
+def _annotation_pixels(sagittal: StraightenedImage, annotations) -> np.ndarray:
+    """(V, 6, 2) image keypoints of V annotated vertebrae, from one world_to_pixel call."""
+    pts = np.reshape([kps.as_array() for kps in annotations], (-1, 3))
+    return sagittal.transform.world_to_pixel(pts).reshape(-1, detection.N_KEYPOINTS, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, make_smoothing_spline
 
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, _sample_voxel_coords,
-                   check_number_fields, finite_numbers, require)
+                   check_number_fields, check_size, finite_numbers, require)
 from .localization import CenterlinePolyline
 
 _FRAME_TOL = 1e-9
@@ -45,6 +45,11 @@ def _set_checked_rows(obj, names: tuple[str, ...]) -> None:
             raise GeometryError(f"{name} must be finite")
         arr.flags.writeable = False
         object.__setattr__(obj, name, arr)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of (..., 3) arrays, elementwise so no result depends on the batch."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _check_frames(obj, names: tuple[str, ...]) -> None:
@@ -123,6 +128,7 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
         fy = CubicSpline(z, polyline.xy[:, 1])
 
     # Arc-length table on a dense chord approximation of the smoothed curve.
+    check_size((span / (step / 4), 3), f"step {step} mm: the arc-length table of {span:g} mm")
     n_dense = max(64, int(np.ceil(span / (step / 4))) + 1)
     z_dense = np.linspace(z[0], z[-1], n_dense)
     dense = np.column_stack([fx(z_dense), fy(z_dense), z_dense])
@@ -247,9 +253,7 @@ class StraightenTransform:
         Points outside the image bounds raise GeometryError.
         """
         xy = np.asarray(xy, dtype=float)
-        single = xy.ndim == 1
-        xy = np.atleast_2d(xy)
-        a, b = xy[:, 0], xy[:, 1]
+        a, b = xy.reshape(-1, 2).T
         if np.any((a < -1e-9) | (a > self.n_ap - 1 + 1e-9) |
                   (b < -1e-9) | (b > self.n_rows - 1 + 1e-9)):
             raise GeometryError("pixel outside the straightened image")
@@ -258,41 +262,54 @@ class StraightenTransform:
         c = (1 - frac) * self.centers[k] + frac * self.centers[k + 1]
         v = (1 - frac) * self.v[k] + frac * self.v[k + 1]
         world = c + ((a - self.j_half) * self.delta)[:, None] * v
-        return world[0] if single else world
+        return world.reshape(xy.shape[:-1] + (3,))
 
     def world_to_pixel(self, pts) -> np.ndarray:
-        """Project world points onto the mid-sagittal image (inverse map).
+        """Project world points, shape (3,) or (P, 3), onto the image: the inverse map.
 
-        The left-right offset is dropped: the result is the (x, y) image
-        position whose plane contains the point's projection.  A point whose
-        pixel position overflows a float raises GeometryError.
+        Row b = k + f is where p lies in the row's plane, (p - c(b)) . (u(b) x v(b)) = 0,
+        c, u, v interpolated as ``pixel_to_world`` does.  Sign changes over the rows and
+        the end rows p lies past are candidates; the one nearest the curve wins, and on
+        its segment Newton steps solve the condition, a cubic in f.  x is p's v coordinate
+        in the row's (u, v) basis, so the left-right offset is dropped.  Exact where the
+        image is one-to-one, i.e. within the curve's radius of curvature.  A pixel that
+        overflows raises GeometryError.
         """
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        d = np.diff(self.centers, axis=0)               # (n-1, 3)
-        dd = np.einsum("ij,ij->i", d, d)
-        out = np.empty((len(pts), 2))
-        for idx, p in enumerate(pts):
-            rel = p - self.centers[:-1]
-            tau = np.clip(np.einsum("ij,ij->i", rel, d) / dd, 0.0, 1.0)
-            proj = self.centers[:-1] + tau[:, None] * d
-            k = int(np.argmin(np.einsum("ij,ij->i", p - proj, p - proj)))
-            tk = tau[k]
-            # One refinement: remove the in-plane offset before re-projecting
-            # onto the chord, since v is not exactly orthogonal to it.
-            for _ in range(2):
-                c = self.centers[k] + tk * d[k]
-                vv = (1 - tk) * self.v[k] + tk * self.v[k + 1]
-                off = ((p - c) @ vv) / (vv @ vv)
-                tk = float(np.clip(((p - off * vv - self.centers[k]) @ d[k]) / dd[k], 0.0, 1.0))
-            c = self.centers[k] + tk * d[k]
-            vv = (1 - tk) * self.v[k] + tk * self.v[k + 1]
-            off = ((p - c) @ vv) / (vv @ vv)
-            out[idx] = (self.j_half + off / self.delta, k + tk)
+        p = pts.reshape(-1, 3)
+        c, u, v = self.centers, self.u, self.v
+        d, du, dv = np.diff(c, axis=0), np.diff(u, axis=0), np.diff(v, axis=0)
+        normal = np.cross(u, v)
+        # Every point is ahead of a plane before row 0 and behind one after the last.
+        ends = (np.sign(d[0] @ normal[0]), -np.sign(d[-1] @ normal[-1]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rel = p[:, None] - c
+            side = np.pad(np.sign(_dot(rel, normal)), ((0, 0), (1, 1)), constant_values=ends)
+            dist = np.pad(_dot(rel, rel), ((0, 0), (1, 1)), mode="edge")
+            bracket = side[:, :-1] * side[:, 1:] <= 0
+            # Row j - 1 to row j; j = 0 and j = n_rows are the end rows themselves.
+            j = np.where(bracket, np.minimum(dist[:, :-1], dist[:, 1:]), np.inf).argmin(axis=1)
+            k = np.clip(j - 1, 0, self.n_rows - 2)
+            # (p - c(k + f)) . (u x v)(k + f) = a0 + a1 f + a2 f^2 + a3 f^3.
+            n1 = np.cross(u[k], dv[k]) + np.cross(du[k], v[k])
+            n2 = np.cross(du[k], dv[k])
+            r = p - c[k]
+            a0, a1 = _dot(r, normal[k]), _dot(r, n1) - _dot(d[k], normal[k])
+            a2, a3 = _dot(r, n2) - _dot(d[k], n1), -_dot(d[k], n2)
+            # Newton steps from the secant root, kept on the segment.
+            f = np.nan_to_num(np.clip(-a0 / (a1 + a2 + a3), 0.0, 1.0), nan=0.5)
+            for _ in range(4):
+                g = ((a3 * f + a2) * f + a1) * f + a0
+                f = np.clip(f - g / ((3 * a3 * f + 2 * a2) * f + a1), 0.0, 1.0)
+            f = np.where(j == 0, 0.0, np.where(j == self.n_rows, 1.0, f))
+            cb, ub, vb = ((1 - f[:, None]) * a[k] + f[:, None] * a[k + 1] for a in (c, u, v))
+            r = p - cb
+            uu, uv, vv = _dot(ub, ub), _dot(ub, vb), _dot(vb, vb)
+            off = (uu * _dot(r, vb) - uv * _dot(r, ub)) / (uu * vv - uv * uv)
+            out = np.column_stack([self.j_half + off / self.delta, k + f])
         if not np.all(np.isfinite(out)):
             raise GeometryError(f"points lie too far off the curve for pixels of {self.delta} mm")
-        return out[0] if single else out
+        return out.reshape(pts.shape[:-1] + (2,))
 
     def to_dict(self) -> dict:
         """JSON-ready description: per-row s, c, u, v plus pixel geometry."""
@@ -318,15 +335,8 @@ class StraightenTransform:
         def column(key, shape):
             return np.array(finite_numbers([r[key] for r in rows], f"{key!r} of each row", shape))
 
-        return cls(
-            s=column("s", (None,)),
-            centers=column("c", (None, 3)),
-            u=column("u", (None, 3)),
-            v=column("v", (None, 3)),
-            delta=doc["delta"],
-            i_half=doc["i_half"],
-            j_half=doc["j_half"],
-        )
+        return cls(column("s", (None,)), *(column(key, (None, 3)) for key in "cuv"),
+                   doc["delta"], doc["i_half"], doc["j_half"])
 
 
 @dataclass(frozen=True)

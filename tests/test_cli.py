@@ -403,6 +403,13 @@ def _zero_height(command):
     return case
 
 
+def _config(text, command):
+    """command on the small workspace with c.json, holding text, as --config."""
+    inputs = {"straighten": ["ph/volume.vg1", "--annotations", "ph/gt.va1"],
+              "targets": ["st/sagittal.vg1", "st/transform.json", "ph/gt.va1"]}[command]
+    return _file("c.json", text, [command, *inputs, "--config", "c.json"])
+
+
 # (case, f(small, tmp) -> argv, exit code[, text the message holds]): malformed input
 # ends in 2 or 3, never a traceback
 MALFORMED_INPUTS = [
@@ -485,6 +492,13 @@ MALFORMED_INPUTS = [
     ("va1 zero height, score", _zero_height("score"), 3, "zero height"),
     ("va1 zero height, targets", _zero_height("targets"), 3, "zero height"),
     ("va1 zero height, evaluate", _zero_height("evaluate"), 3, "zero height"),
+    # Planes of 10^10 pixels and 10^11 anchor offsets: refused before any array exists.
+    ("config delta 0.001 mm", _config('{"delta_mm": 0.001}', "straighten"), 3, "delta_mm"),
+    ("config half extent 1e9 mm", _config('{"half_extent_mm": [60, 1e9]}', "straighten"), 3,
+     "half_extent_mm"),
+    ("config 200000 anchor scales",
+     _config(json.dumps({"anchor_scales_mm": [17.0] * 200000}), "targets"), 3,
+     "anchor_scales_mm"),
 ]
 
 
@@ -668,15 +682,34 @@ def test_straighten_peak_memory_stays_near_the_volume(criterion_9_peaks):
     assert peaks["straighten"] <= 3.6 * (root / "ph" / "volume.vg1.raw").stat().st_size
 
 
-def test_malformed_input_exit_code_in_a_fresh_process(tmp_path):
+def test_targets_without_vertebrae_are_all_negative(small, tmp_path):
+    write_json(tmp_path / "a.va1", {"vertebrae": []})
+    assert run("targets", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+               tmp_path / "a.va1", "--output", tmp_path / "o") == 0
+    manifest = json.loads((tmp_path / "o" / "targets_manifest.json").read_text())
+    assert manifest["n_positive"] == 0 and manifest["n_anchors"] > 0
+    assert not np.any(read_vg1(tmp_path / "o" / "targets.vg1").values)
+
+
+def _run_fresh(*argv, cwd):
+    """The CLI in a fresh interpreter, whose warnings reach stderr."""
+    return subprocess.run([sys.executable, "-m", "spinequant.cli", *map(str, argv)],
+                          cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+def test_malformed_input_exit_code_in_a_fresh_process(small, tmp_path):
     (tmp_path / "c.json").write_text("[]")
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinequant.cli", "evaluate", "d.json", "gt.va1",
-         "--config", "c.json", "--output", "o"],
-        cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    proc = _run_fresh("evaluate", "d.json", "gt.va1", "--config", "c.json", "--output", "o",
+                      cwd=tmp_path)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "expected a JSON object" in proc.stderr
+    # Overflowing pixel positions: no numpy warning comes before the message.
+    for command in (["score", "st/sagittal.vg1", "t.json", "--annotations", "ph/gt.va1"],
+                    ["targets", "st/sagittal.vg1", "t.json", "ph/gt.va1"]):
+        proc = _run_fresh(*_tiny_delta(command)(small, tmp_path), "--output", "o", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("geometry error: ") and "\n" not in proc.stderr[:-1]
 
 
 def test_missing_input_exits_2(tmp_path):

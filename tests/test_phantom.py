@@ -105,6 +105,9 @@ def test_phantom_too_small_volume_rejected():
      "scoliosis_wavelength_mm"),
     ({"pitch_mm": 1e-3, "n_vertebrae": 129, "heights_mm": ((1e-4, 1e-4, 1e-4),)},
      "n_vertebrae"),  # more vertebrae than slices
+    # A finite phase, but the slope's square overflows: bodies of zero height.
+    ({"scoliosis_amplitude_mm": 5.0, "scoliosis_wavelength_mm": 1e-300},
+     "scoliosis_wavelength_mm"),
 ])
 def test_unrenderable_phantom_rejected_at_construction(changes, match):
     with pytest.raises(ValueError, match=match):

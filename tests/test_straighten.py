@@ -261,17 +261,89 @@ def test_spine_curve_frames_orthonormal_right_handed_property(amplitude, wavelen
     assert_frames_orthonormal(curve, tol=_FRAME_TOL)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(*scoliosis, st.floats(-0.2, 0.2), st.sampled_from([0.5, 1.0, 1.5]),
-       st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40))
-def test_pixel_world_pixel_round_trip_property(amplitude, wavelength, phase, ap_slope, delta,
-                                               fractions):
-    # The curve bends left-right only: with anterior-posterior bending,
-    # world_to_pixel keeps the segment its first projection picked and misses
-    # off-center pixels (ROADMAP.md, open item on world_to_pixel).
-    curve = sinusoid_curve(amplitude, wavelength, phase, 0.0, ap_slope)
+def transform_and_reach(curve, delta):
+    """Transform of the curve's 60 mm mid-sagittal plane at pixels of ``delta`` mm,
+    and the largest AP offset (mm) at which the image is sure to be one-to-one:
+    half the smallest radius of curvature, step / max |t_{k+1} - t_k| with t = u x v."""
     transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v, delta, 0,
                                     int(60 / delta))
-    px = np.array(fractions) * [transform.n_ap - 1, transform.n_rows - 1]
+    kink = np.max(np.linalg.norm(np.diff(np.cross(transform.u, transform.v), axis=0), axis=1))
+    return transform, min(transform.j_half * delta, curve.step / max(2 * kink, 1e-9))
+
+
+def row_axes(transform, b):
+    """c, u and v at the fractional rows b, interpolated as pixel_to_world does."""
+    k = np.clip(np.floor(b).astype(int), 0, transform.n_rows - 2)
+    f = (b - k)[:, None]
+    return [(1 - f) * rows[k] + f * rows[k + 1]
+            for rows in (transform.centers, transform.u, transform.v)]
+
+
+curves = (*scoliosis, st.floats(0, 20), st.floats(-0.2, 0.2), st.sampled_from([0.5, 1.0, 1.5]))
+fractions = st.lists(st.tuples(st.floats(-1, 1), st.floats(0, 1), st.floats(-1, 1)),
+                     min_size=1, max_size=40)
+
+
+def near_pixels(transform, reach, fractions):
+    """Pixels at AP offsets within ``reach`` mm, and LR offsets (mm) within it."""
+    x, y, lr = np.array(fractions).T
+    px = np.column_stack([transform.j_half + x * reach / transform.delta,
+                          y * (transform.n_rows - 1)])
+    return px, lr * reach
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(*curves, fractions)
+def test_pixel_world_pixel_round_trip_property(amplitude, wavelength, phase, ap_amplitude,
+                                               ap_slope, delta, fractions):
+    curve = sinusoid_curve(amplitude, wavelength, phase, ap_amplitude, ap_slope)
+    transform, reach = transform_and_reach(curve, delta)
+    px, _ = near_pixels(transform, reach, fractions)
     back = transform.world_to_pixel(transform.pixel_to_world(px))
     np.testing.assert_allclose(back, px, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(*curves, fractions)
+def test_left_right_offset_does_not_move_the_pixel_property(amplitude, wavelength, phase,
+                                                            ap_amplitude, ap_slope, delta,
+                                                            fractions):
+    curve = sinusoid_curve(amplitude, wavelength, phase, ap_amplitude, ap_slope)
+    transform, reach = transform_and_reach(curve, delta)
+    px, lr = near_pixels(transform, reach, fractions)
+    _, u, _ = row_axes(transform, px[:, 1])
+    back = transform.world_to_pixel(transform.pixel_to_world(px) + lr[:, None] * u)
+    np.testing.assert_allclose(back, px, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(*curves, st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40))
+def test_returned_row_plane_contains_the_point_property(amplitude, wavelength, phase,
+                                                        ap_amplitude, ap_slope, delta,
+                                                        fractions):
+    # Anywhere in the image, also where the row planes fold beyond the radius
+    # of curvature and the image is not one-to-one.
+    curve = sinusoid_curve(amplitude, wavelength, phase, ap_amplitude, ap_slope)
+    transform, _ = transform_and_reach(curve, delta)
+    pts = transform.pixel_to_world(
+        np.array(fractions) * [transform.n_ap - 1, transform.n_rows - 1])
+    px = transform.world_to_pixel(pts)
+    _, u, v = row_axes(transform, px[:, 1])
+    normal = np.cross(u, v)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    residual = transform.pixel_to_world(px) - pts
+    assert np.max(np.abs(np.einsum("ij,ij->i", residual, normal))) < 1e-9
+
+
+def test_world_to_pixel_batch_equals_single_points():
+    curve = sinusoid_curve(40.0, 200.0, 0.3, 10.0, 0.1)
+    transform, _ = transform_and_reach(curve, 1.0)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([
+        transform.pixel_to_world(rng.uniform(0, 1, (50, 2)) * [transform.n_ap - 1,
+                                                             transform.n_rows - 1]),
+        rng.uniform(-50, 350, (50, 3))])  # off the image, and past the curve's ends
+    batch = transform.world_to_pixel(pts)
+    assert batch.shape == (100, 2)
+    assert np.array_equal(batch, [transform.world_to_pixel(p) for p in pts])
+    assert transform.world_to_pixel(np.empty((0, 3))).shape == (0, 2)
