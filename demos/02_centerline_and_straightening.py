@@ -23,16 +23,16 @@ working = resample_volume(volume, (cfg.working_spacing_mm,) * 3)
 heatmaps = oracle_heatmaps(annotations, working)
 print(f"working grid {working.shape} at {cfg.working_spacing_mm} mm")
 
-coarse = slicewise_centerline(heatmaps).to_world(heatmaps)
+coarse = slicewise_centerline(heatmaps)
 print(f"decoded centerline: {len(coarse)} slices, "
       f"lateral range {np.ptp(coarse.xy[:, 0]):.1f} mm")
 
-result = straighten_stage(volume, cfg, heatmaps=heatmaps)
-print(f"mid-sagittal image {result.sagittal.values.shape} "
+sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
+print(f"mid-sagittal image {sagittal.values.shape} "
       f"(anterior-posterior x arc-length rows, {cfg.delta_mm} mm pixels)")
 
 # the planted body centers should sit on the central column of the image
-transform = result.transform
+transform = sagittal.transform
 px = transform.world_to_pixel(np.stack([a.center() for a in annotations]))
 offsets = (px[:, 0] - transform.j_half) * cfg.delta_mm
 print(f"body-center offset from the straight column: "
@@ -48,7 +48,7 @@ try:
     naive = volume.values[volume.shape[0] // 2].T
     axes[0].imshow(naive, origin="lower", cmap="gray")
     axes[0].set_title("naive sagittal plane (bodies drift out)")
-    axes[1].imshow(result.sagittal.values.T, origin="lower", cmap="gray")
+    axes[1].imshow(sagittal.values.T, origin="lower", cmap="gray")
     axes[1].set_title("straightened mid-sagittal image")
     fig.tight_layout()
     fig.savefig("straightening.png", dpi=110)

@@ -16,9 +16,9 @@ from spinequant.pipeline import PipelineConfig, straighten_stage, targets_stage
 
 cfg = PipelineConfig()
 volume, annotations, planted = generate_phantom(PhantomConfig(seed=1))
-result = straighten_stage(volume, cfg, annotations=annotations)
+sagittal = straighten_stage(volume, cfg, annotations=annotations)
 
-anchors, targets = targets_stage(result.sagittal, annotations, cfg)
+anchors, targets = targets_stage(sagittal, annotations, cfg)
 print(f"anchor grid: {anchors.image_shape} pixels x {anchors.n_types} types "
       f"= {anchors.n_anchors} anchors")
 print(f"positive anchors: {targets.n_positive} "

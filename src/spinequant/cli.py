@@ -134,14 +134,14 @@ def cmd_straighten(args) -> int:
     volume = read_vg1(args.volume)
     heatmaps = read_vg1(args.heatmaps) if args.heatmaps else None
     annotations = read_va1(args.annotations) if args.annotations else None
-    result = pipeline.straighten_stage(volume, cfg, heatmaps=heatmaps,
-                                       annotations=annotations)
+    sagittal = pipeline.straighten_stage(volume, cfg, heatmaps=heatmaps,
+                                         annotations=annotations)
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
-    t = result.transform
+    t = sagittal.transform
     write_vg1(out / "sagittal.vg1",
-              Volume3D(result.sagittal.values[None, :, :],
-                       (t.delta, t.delta, result.curve.step),
+              Volume3D(sagittal.values[None, :, :],
+                       (t.delta, t.delta, float(t.s[1] - t.s[0])),
                        (0.0, -t.j_half * t.delta, float(t.s[0]))))
     doc = t.to_dict()
     doc["config"] = cfg.to_dict()
@@ -252,7 +252,7 @@ def _study_from_files(det_path: Path, gt_path: Path, cfg: PipelineConfig) -> dic
             raise FormatError(f"{det_path}: vertebra {i}: {exc}") from exc
     gts = [(kps.as_array(), genant.measure(kps, **cfg.grade_cuts()).genant)
            for kps in read_va1(gt_path)]
-    return pipeline.evaluation_study(dets, gts)
+    return {"detections": dets, "ground_truth": gts}
 
 
 def cmd_evaluate(args) -> int:

@@ -13,22 +13,34 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import UndefinedMetricError, iou_matrix
-from .genant import (DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT, VertebraKeypoints)
+from .core import UndefinedMetricError, boxes_from_keypoints, iou_matrix
+from .detection import N_KEYPOINTS
+from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
 
 
-def localization_error(pred_centers, annotations: list[VertebraKeypoints]) -> np.ndarray:
-    """Distance (mm) from each predicted center to the nearest annotated one.
+def localization_error(pred_centers, gt_centers) -> np.ndarray:
+    """Distance (mm) from each predicted center to the nearest ground-truth one.
 
-    Ground-truth centers are the midpoints of the middle superior/inferior
-    keypoints.
+    Both arguments are world-mm center rows, shape (3,) or (n, 3).
     """
-    if not annotations:
-        raise ValueError("localization error needs at least one annotated vertebra")
     pred = np.atleast_2d(np.asarray(pred_centers, dtype=float))
-    gt = np.stack([kps.center() for kps in annotations])
+    gt = np.atleast_2d(np.asarray(gt_centers, dtype=float))
+    if gt.size == 0:
+        raise ValueError("localization error needs at least one ground-truth center")
     d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
     return d.min(axis=1)
+
+
+def sagittal_plane_box(kps_mm) -> np.ndarray:
+    """Tight box (cx, cy, w, h) of world keypoints in the (anterior-posterior,
+    cranio-caudal) plane: (6, 3) keypoints give one (4,) row, (K, 6, 3) give (K, 4).
+
+    Used when matching detections against ground truth from world-space
+    keypoints alone, without access to the straightening transform.
+    """
+    kps = np.asarray(kps_mm, dtype=float)
+    boxes = boxes_from_keypoints(kps.reshape(-1, N_KEYPOINTS, 3)[:, :, 1:])
+    return boxes.reshape(kps.shape[:-2] + (4,))
 
 
 @dataclass(frozen=True)
@@ -71,34 +83,25 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
     are broken by box geometry, so the assignment does not depend on input
     order.
     """
-    scores = [float(score) for _, score in detections]
+    scores = np.array([float(score) for _, score in detections])
     det_boxes = np.array([box for box, _ in detections], dtype=float).reshape(len(scores), 4)
     gt_boxes = np.array(ground_truth, dtype=float).reshape(len(ground_truth), 4)
+    if len(det_boxes) == 0 or len(gt_boxes) == 0:
+        return MatchResult([], list(range(len(det_boxes))), list(range(len(gt_boxes))))
 
-    if not scores:
-        return MatchResult([], [], list(range(len(gt_boxes))))
-    order = sorted(range(len(scores)),
-                   key=lambda i: (-scores[i], *det_boxes[i].tolist()))
-    if len(gt_boxes) == 0:
-        return MatchResult([], sorted(range(len(scores))), [])
-
-    overlaps = iou_matrix(det_boxes, gt_boxes)
-    claimed: set[int] = set()
+    # Columns in geometric order, so argmax breaks IoU ties as the boxes sort.
+    gt_rank = np.lexsort(gt_boxes.T[::-1])
+    overlaps = iou_matrix(det_boxes, gt_boxes[gt_rank])
     pairs = []
     fps = []
-    gt_rank = np.lexsort(gt_boxes.T[::-1])  # geometric tie-break for equal IoU
-    for i in order:
-        best, best_iou = -1, iou_threshold
-        for m in gt_rank:
-            if m in claimed:
-                continue
-            if overlaps[i, m] > best_iou:
-                best, best_iou = int(m), overlaps[i, m]
-        if best >= 0:
-            claimed.add(best)
-            pairs.append((i, best))
+    for i in np.lexsort((*det_boxes.T[::-1], -scores)):
+        col = int(np.argmax(overlaps[i]))
+        if overlaps[i, col] > iou_threshold:
+            overlaps[:, col] = -np.inf  # claimed
+            pairs.append((int(i), int(gt_rank[col])))
         else:
-            fps.append(i)
+            fps.append(int(i))
+    claimed = {m for _, m in pairs}
     fns = [m for m in range(len(gt_boxes)) if m not in claimed]
     return MatchResult(sorted(pairs), sorted(fps), fns)
 
@@ -240,11 +243,14 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
                        moderate_cut: float = DEFAULT_MODERATE_CUT) -> tuple[EvalReport, list[str]]:
     """Full report over one or more studies (one patient each).
 
-    Each study is a dict with keys ``detections`` (list of dicts carrying
-    ``box`` (cx, cy, w, h), ``score``, ``center_mm``, ``genant``) and
-    ``ground_truth`` (list of dicts with ``box``, ``center_mm``, ``genant``).
-    Returns the report plus a list of undefined-metric messages (empty when
-    every metric was computable).
+    Each study is a dict with keys ``detections``, a list of
+    (keypoints_mm, genant, score) triples, and ``ground_truth``, a list of
+    (keypoints_mm, genant) pairs; keypoints are (6, 3) world mm in canonical
+    order, and a score of None (graded annotations) counts as 1.0.  Vertebrae
+    are matched on their ``sagittal_plane_box`` and localized by their
+    centers, the midpoints of the middle keypoints.  Returns the report plus
+    a list of undefined-metric messages (empty when every metric was
+    computable).
     """
     problems: list[str] = []
     report = EvalReport()
@@ -256,33 +262,31 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
     n_gt_fractured = tp_fractured = 0
 
     for study in studies:
-        dets = study["detections"]
-        gts = study["ground_truth"]
-        match = match_detections(
-            [(np.asarray(d["box"], dtype=float), d["score"]) for d in dets],
-            [np.asarray(g["box"], dtype=float) for g in gts],
-            iou_threshold=iou_threshold)
+        det_kps = np.reshape([kps for kps, _, _ in study["detections"]], (-1, N_KEYPOINTS, 3))
+        gt_kps = np.reshape([kps for kps, _ in study["ground_truth"]], (-1, N_KEYPOINTS, 3))
+        det_gs = [g for _, g, _ in study["detections"]]
+        gt_gs = [g for _, g in study["ground_truth"]]
+        scores = [1.0 if score is None else score for _, _, score in study["detections"]]
+        match = match_detections(list(zip(sagittal_plane_box(det_kps), scores)),
+                                 sagittal_plane_box(gt_kps), iou_threshold=iou_threshold)
         tp += match.tp
         fp += match.fp
         fn += match.fn
-        if dets and gts:
-            centers = np.stack([np.asarray(g["center_mm"], dtype=float) for g in gts])
-            pred = np.stack([np.asarray(d["center_mm"], dtype=float) for d in dets])
-            errs = np.linalg.norm(pred[:, None] - centers[None], axis=2).min(axis=1)
+        if det_gs and gt_gs:
+            errs = localization_error((det_kps[:, 2] + det_kps[:, 3]) / 2,
+                                      (gt_kps[:, 2] + gt_kps[:, 3]) / 2)
             all_loc.extend(errs.tolist())
-            for i, m in match.pairs:
-                if gts[m]["genant"] <= moderate_cut:
-                    frac_loc.append(float(errs[i]))
+            frac_loc.extend(float(errs[i]) for i, m in match.pairs if gt_gs[m] <= moderate_cut)
         for i, m in match.pairs:
-            pred_g.append(dets[i]["genant"])
-            gt_g.append(gts[m]["genant"])
-            if gts[m]["genant"] <= moderate_cut:
+            pred_g.append(det_gs[i])
+            gt_g.append(gt_gs[m])
+            if gt_gs[m] <= moderate_cut:
                 tp_fractured += 1
-        n_gt_fractured += sum(1 for g in gts if g["genant"] <= moderate_cut)
-        if dets:
-            patient_pred.append(min(d["genant"] for d in dets))
-        if gts:
-            patient_gt.append(min(g["genant"] for g in gts))
+        n_gt_fractured += sum(1 for g in gt_gs if g <= moderate_cut)
+        if det_gs:
+            patient_pred.append(min(det_gs))
+        if gt_gs:
+            patient_gt.append(min(gt_gs))
 
     if all_loc:
         report.localization_mean_mm = float(np.mean(all_loc))

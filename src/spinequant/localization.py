@@ -19,23 +19,22 @@ from .genant import VertebraKeypoints
 
 @dataclass(frozen=True)
 class CenterlinePolyline:
-    """One (x, y) point per axial slice, ordered by strictly increasing z.
+    """One world-mm (x, y) point per axial slice, ordered by strictly increasing z.
 
-    ``frame`` is "voxel" (xy in continuous voxel indices, z in slice indices)
-    or "world" (everything in mm).
+    ``frame`` must be "world"; the field stays so positional callers keep working.
     """
 
     xy: np.ndarray   # (n, 2)
     z: np.ndarray    # (n,)
-    frame: str = "voxel"
+    frame: str = "world"
 
     def __post_init__(self):
         xy = np.asarray(self.xy, dtype=float)
         z = np.asarray(self.z, dtype=float)
         if xy.ndim != 2 or xy.shape[1] != 2 or z.shape != (xy.shape[0],):
             raise ValueError(f"inconsistent polyline arrays: {xy.shape} vs {z.shape}")
-        if self.frame not in ("voxel", "world"):
-            raise ValueError(f"unknown frame {self.frame!r}")
+        if self.frame != "world":
+            raise ValueError(f"unknown frame {self.frame!r}, only 'world' is supported")
         if len(z) > 1 and not np.all(np.diff(z) > 0):
             raise ValueError("slice positions must be strictly increasing")
         xy.flags.writeable = False
@@ -49,13 +48,6 @@ class CenterlinePolyline:
     def points(self) -> np.ndarray:
         """(n, 3) array of (x, y, z) rows."""
         return np.column_stack([self.xy, self.z])
-
-    def to_world(self, vol: Volume3D) -> "CenterlinePolyline":
-        """Convert a voxel-frame polyline to world mm using the volume geometry."""
-        if self.frame == "world":
-            return self
-        pts = vol.voxel_to_world(self.points())
-        return CenterlinePolyline(pts[:, :2], pts[:, 2], frame="world")
 
 
 def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
@@ -91,24 +83,23 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
     return float(w.sum(axis=1) @ xs), float(w.sum(axis=0) @ ys)
 
 
-def slicewise_centerline(maps, mode: str = "probabilities",
+def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
                          temperature: float = 1.0) -> CenterlinePolyline:
-    """Decode one point per axial slice and assemble the voxel-frame polyline.
+    """Decode one point per axial slice of ``maps`` into the world-mm polyline.
 
-    ``maps`` is a Volume3D whose slices hold probability maps, or an
-    (nx, ny, nz) array.  Per-slice failures are re-raised with the slice
-    index attached.
+    The slices of the volume hold probability maps (or logits); each decoded
+    voxel position goes through the volume's ``voxel_to_world``.  Per-slice
+    failures are re-raised with the slice index attached.
     """
-    values = maps.values if isinstance(maps, Volume3D) else np.asarray(maps, dtype=float)
-    if values.ndim != 3:
-        raise ValueError(f"expected a slice stack, got shape {values.shape}")
+    values = maps.values
     pts = np.empty((values.shape[2], 2))
     for k in range(values.shape[2]):
         try:
             pts[k] = soft_argmax_2d(values[:, :, k], mode=mode, temperature=temperature)
         except (GeometryError, ValueError) as exc:
             raise GeometryError(f"slice {k}: {exc}") from exc
-    return CenterlinePolyline(pts, np.arange(values.shape[2], dtype=float), frame="voxel")
+    world = maps.voxel_to_world(np.column_stack([pts, np.arange(values.shape[2], dtype=float)]))
+    return CenterlinePolyline(world[:, :2], world[:, 2])
 
 
 def centerline_target(annotations: list[VertebraKeypoints],
@@ -145,31 +136,25 @@ def centerline_target(annotations: list[VertebraKeypoints],
     z_eval = z_slices[inside]
     if len(z_eval) < 2:
         raise GeometryError("fewer than two slices fall inside the annotated span")
-    return CenterlinePolyline(np.column_stack([fx(z_eval), fy(z_eval)]),
-                              z_eval, frame="world")
+    return CenterlinePolyline(np.column_stack([fx(z_eval), fy(z_eval)]), z_eval)
 
 
 def centerline_mae(pred: CenterlinePolyline, target: CenterlinePolyline) -> float:
     """Mean absolute per-coordinate deviation between two polylines.
 
-    Both polylines must share frame and slice grid; with world-frame input
-    the result is in mm.
+    Both polylines must share their slice grid; the result is in mm.
     """
-    if pred.frame != target.frame:
-        raise ValueError(f"frame mismatch: {pred.frame} vs {target.frame}")
     if len(pred) != len(target) or not np.allclose(pred.z, target.z, atol=1e-9):
         raise ValueError("polylines cover different slice ranges")
     return float(np.mean(np.abs(pred.xy - target.xy)))
 
 
 def upsample_curve(curve: CenterlinePolyline, z_fine: np.ndarray) -> CenterlinePolyline:
-    """Linearly interpolate a world-frame polyline onto a finer slice grid.
+    """Linearly interpolate a polyline onto a finer slice grid.
 
     Positions beyond the coarse range are extended linearly along the end
     segments, so a straight centerline stays straight after upsampling.
     """
-    if curve.frame != "world":
-        raise ValueError("upsampling expects a world-frame polyline")
     if len(curve) < 2:
         raise GeometryError("need at least two coarse samples")
     z_fine = np.sort(np.asarray(z_fine, dtype=float))
@@ -177,7 +162,7 @@ def upsample_curve(curve: CenterlinePolyline, z_fine: np.ndarray) -> CenterlineP
         _interp_extrap(z_fine, curve.z, curve.xy[:, 0]),
         _interp_extrap(z_fine, curve.z, curve.xy[:, 1]),
     ])
-    return CenterlinePolyline(xy, z_fine, frame="world")
+    return CenterlinePolyline(xy, z_fine)
 
 
 def _interp_extrap(x, xp, fp):

@@ -13,13 +13,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import detection, genant, localization, straighten
-from .core import (DEFAULT_FILL, GeometryError, Volume3D, boxes_from_keypoints,
-                   check_number_fields, check_size, require, resample_volume)
+from .core import (DEFAULT_FILL, GeometryError, Volume3D, check_number_fields, check_size,
+                   require, resample_volume)
 from .detection import AnchorGrid, Detection, DetectionTargets
+from .evaluation import sagittal_plane_box  # noqa: F401  (callers import it from here)
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
 from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
-from .straighten import SpineCurve, StraightenedImage, StraightenTransform
+from .straighten import StraightenedImage, StraightenTransform
 
 N_COORDS = 2 * detection.N_KEYPOINTS  # encoded coordinates per anchor
 
@@ -81,13 +82,6 @@ class PipelineConfig:
                 "severe_cut": self.severe_cut}
 
 
-@dataclass(frozen=True)
-class StraightenResult:
-    curve: SpineCurve
-    transform: StraightenTransform
-    sagittal: StraightenedImage
-
-
 def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
                        heatmaps: Volume3D | None = None,
                        annotations: list[VertebraKeypoints] | None = None
@@ -111,8 +105,7 @@ def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
                 not np.allclose(heatmaps.origin[:2], working.origin[:2], atol=1e-6):
             raise GeometryError("heatmap volume is not on the working grid")
         coarse = localization.slicewise_centerline(
-            heatmaps, mode=cfg.softargmax_mode,
-            temperature=cfg.softargmax_temperature).to_world(heatmaps)
+            heatmaps, mode=cfg.softargmax_mode, temperature=cfg.softargmax_temperature)
     else:
         coarse = localization.centerline_target(annotations, working.slice_z_world())
     z_fine = vol.slice_z_world()
@@ -125,11 +118,12 @@ def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
 def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
                      heatmaps: Volume3D | None = None,
                      annotations: list[VertebraKeypoints] | None = None
-                     ) -> StraightenResult:
-    """Sample the mid-sagittal plane of the volume straightened along its centerline.
+                     ) -> StraightenedImage:
+    """The mid-sagittal image of the volume straightened along its centerline.
 
-    Every later stage reads only this plane, so the left-right half-extent is
-    0 and no other plane of the straightened volume is computed.
+    Every later stage reads only this plane and its transform, so the
+    left-right half-extent is 0 and no other plane of the straightened
+    volume is computed.
     """
     polyline = extract_centerline(vol, cfg, heatmaps=heatmaps, annotations=annotations)
     rows = float(polyline.z[-1] - polyline.z[0] + 2 * cfg.curve_pad_mm) / cfg.delta_mm  # at least
@@ -142,8 +136,7 @@ def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
     plane, transform = straighten.straighten_volume(
         vol, curve, delta=cfg.delta_mm, half_extent=(0.0, cfg.half_extent_mm[1]),
         fill=cfg.fill)
-    sagittal = straighten.mid_sagittal_slice(plane, transform)
-    return StraightenResult(curve, transform, sagittal)
+    return straighten.mid_sagittal_slice(plane, transform)
 
 
 def image_anchors(image: StraightenedImage, cfg: PipelineConfig) -> AnchorGrid:
@@ -294,7 +287,7 @@ class ChainResult:
     annotations: list[VertebraKeypoints]
     planted_genant: list[float]
     heatmaps: Volume3D
-    straighten: StraightenResult
+    straighten: StraightenedImage
     anchors: AnchorGrid
     targets: DetectionTargets
     detections: list[Detection]
@@ -302,40 +295,14 @@ class ChainResult:
 
     def study_for_evaluation(self, cfg: PipelineConfig,
                              results: list | None = None) -> dict:
-        """Pred/gt entries in the form evaluate_study_set consumes."""
-        return evaluation_study(
-            [(r.keypoints_mm, r.measurement.genant, r.score)
-             for r in (self.results if results is None else results)],
-            [(kps.as_array(), g) for kps, g in zip(self.annotations, self.planted_genant)])
-
-
-def evaluation_study(detections, ground_truth) -> dict:
-    """One study in the form evaluate_study_set consumes, from world keypoints.
-
-    ``detections`` holds (keypoints_mm, genant, score) triples, where a score
-    of None (graded annotations) counts as 1.0; ``ground_truth`` holds
-    (keypoints_mm, genant) pairs.
-    """
-    def entry(kps_mm, g):
-        kps_mm = np.asarray(kps_mm, dtype=float)
-        return {"box": sagittal_plane_box(kps_mm),
-                "center_mm": ((kps_mm[2] + kps_mm[3]) / 2).tolist(),
-                "genant": g}
-
-    return {
-        "detections": [{**entry(kps, g), "score": 1.0 if score is None else float(score)}
-                       for kps, g, score in detections],
-        "ground_truth": [entry(kps, g) for kps, g in ground_truth],
-    }
-
-
-def sagittal_plane_box(kps_mm: np.ndarray) -> list[float]:
-    """Tight box of world keypoints in the (anterior-posterior, cranio-caudal) plane.
-
-    Used when matching detections against ground truth from world-space
-    keypoints alone, without access to the straightening transform.
-    """
-    return boxes_from_keypoints(np.asarray(kps_mm)[None, :, 1:])[0].tolist()
+        """World keypoints of the graded detections and the planted vertebrae,
+        in the form evaluate_study_set consumes (``cfg`` is not read)."""
+        return {
+            "detections": [(r.keypoints_mm, r.measurement.genant, r.score)
+                           for r in (self.results if results is None else results)],
+            "ground_truth": [(kps.as_array(), g)
+                             for kps, g in zip(self.annotations, self.planted_genant)],
+        }
 
 
 def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
@@ -350,9 +317,9 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
     volume, annotations, planted = generate_phantom(phantom_cfg)
     working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
     heatmaps = oracle_heatmaps(annotations, working)
-    result = straighten_stage(volume, cfg, heatmaps=heatmaps)
-    anchors, targets = targets_stage(result.sagittal, annotations, cfg)
-    chain = ChainResult(volume, annotations, planted, heatmaps, result,
+    sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
+    anchors, targets = targets_stage(sagittal, annotations, cfg)
+    chain = ChainResult(volume, annotations, planted, heatmaps, sagittal,
                         anchors, targets, [], [])
     dets, results = rescore_chain(chain, cfg, keypoint_noise_mm=keypoint_noise_mm,
                                   noise_seed=noise_seed)
@@ -377,7 +344,7 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     if keypoint_noise_mm > 0:
         rng = np.random.default_rng(noise_seed)
         pos = np.nonzero(targets.objectness == 1)
-        sigma_px = keypoint_noise_mm / chain.straighten.sagittal.delta
+        sigma_px = keypoint_noise_mm / chain.straighten.delta
         noise = rng.normal(0.0, sigma_px,
                            size=(len(pos[0]), detection.N_KEYPOINTS, 2))
         offsets = np.zeros(targets.offsets.shape)

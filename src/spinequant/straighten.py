@@ -101,7 +101,7 @@ class SpineCurve:
 
 def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
                       smoothing: float = 10.0, pad_mm: float = 0.0) -> SpineCurve:
-    """Smooth, arc-length resample and frame a world-frame centerline.
+    """Smooth, arc-length resample and frame a centerline.
 
     x(z) and y(z) are fit with a cubic smoothing spline (penalty ``smoothing``
     on curvature, so straight lines pass through unchanged; polylines with
@@ -111,8 +111,6 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
     rotation-minimizing method seeded with the patient left-right axis.
     ``pad_mm`` extends the curve straight beyond both ends.
     """
-    if polyline.frame != "world":
-        raise ValueError("centerline must be in world mm before framing")
     if len(polyline) < 4:
         raise GeometryError("need at least four centerline points")
     z = polyline.z
@@ -127,12 +125,22 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
         fx = CubicSpline(z, polyline.xy[:, 0])
         fy = CubicSpline(z, polyline.xy[:, 1])
 
-    # Arc-length table on a dense chord approximation of the smoothed curve.
-    check_size((span / (step / 4), 3), f"step {step} mm: the arc-length table of {span:g} mm")
+    # Arc-length table on a dense chord approximation of the smoothed curve,
+    # uniform in z.  A curve that runs steeply sideways needs more points than
+    # span / (step / 4) before no chord spans more than a quarter step of arc.
+    def chords(n):
+        z_dense = np.linspace(z[0], z[-1], n)
+        dense = np.column_stack([fx(z_dense), fy(z_dense), z_dense])
+        return z_dense, np.linalg.norm(np.diff(dense, axis=0), axis=1)
+
+    what = f"step {step} mm: the arc-length table of {span:g} mm"
+    check_size((span / (step / 4), 3), what)
     n_dense = max(64, int(np.ceil(span / (step / 4))) + 1)
-    z_dense = np.linspace(z[0], z[-1], n_dense)
-    dense = np.column_stack([fx(z_dense), fy(z_dense), z_dense])
-    seg = np.linalg.norm(np.diff(dense, axis=0), axis=1)
+    z_dense, seg = chords(n_dense)
+    n_fine = np.ceil(n_dense * max(1.0, seg.max() / (step / 4)))
+    if n_fine > n_dense:
+        check_size((n_fine, 3), what)
+        z_dense, seg = chords(int(n_fine))
     s_dense = np.concatenate([[0.0], np.cumsum(seg)])
     total = float(s_dense[-1])
     if total <= 0:

@@ -176,6 +176,17 @@ def test_straighten_writes_only_the_plane_and_transform(workspace):
     assert sagittal.shape == (1, 2 * transform["j_half"] + 1, len(transform["rows"]))
 
 
+def test_steep_scoliosis_straightens_from_both_inputs(tmp_path):
+    # A centerline slope of 2 pi 40 / 80 ~ 3: a z-uniform arc-length table
+    # alone places samples more than one step apart here.
+    write_json(tmp_path / "phantom.json",
+               {"scoliosis_amplitude_mm": 40.0, "scoliosis_wavelength_mm": 80.0})
+    assert run("phantom", tmp_path / "phantom.json", "--output", tmp_path / "ph") == 0
+    for flag, name in (("--heatmaps", "heatmaps.vg1"), ("--annotations", "gt.va1")):
+        assert run("straighten", tmp_path / "ph" / "volume.vg1", flag, tmp_path / "ph" / name,
+                   "--output", tmp_path / flag.strip("-")) == 0
+
+
 SMALL_PHANTOM = {"n_vertebrae": 4, "shape": [64, 64, 128], "scoliosis_amplitude_mm": 5.0,
                  "seed": 2}
 

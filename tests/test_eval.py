@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinequant.core import UndefinedMetricError
+from spinequant.core import UndefinedMetricError, iou_matrix
 from spinequant.evaluation import (classification_report, evaluate_study_set,
                                    localization_error, match_detections, roc_auc)
 
@@ -13,32 +13,32 @@ from test_genant import make_keypoints
 # ---------------------------------------------------------------------------
 
 def test_localization_zero_for_exact_centers():
-    anns = [make_keypoints(center=(0, 0, 20.0 * k)) for k in range(4)]
-    centers = [a.center() for a in anns]
-    np.testing.assert_allclose(localization_error(centers, anns), 0.0, atol=1e-12)
+    centers = [make_keypoints(center=(0, 0, 20.0 * k)).center() for k in range(4)]
+    np.testing.assert_allclose(localization_error(centers, centers), 0.0, atol=1e-12)
 
 
 def test_localization_single_pred():
-    anns = [make_keypoints(center=(0, 0, 0)), make_keypoints(center=(0, 0, 30))]
-    err = localization_error([[0.0, 3.0, 0.0]], anns)
+    gt = [make_keypoints(center=(0, 0, 0)).center(), make_keypoints(center=(0, 0, 30)).center()]
+    err = localization_error([[0.0, 3.0, 0.0]], gt)
     assert err[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_localization_matches_bruteforce_and_gt_permutation():
     rng = np.random.default_rng(0)
-    anns = [make_keypoints(center=tuple(c)) for c in rng.uniform(0, 100, (7, 3))]
+    gt = rng.uniform(0, 100, (7, 3))
     preds = rng.uniform(0, 100, (11, 3))
-    got = localization_error(preds, anns)
+    got = localization_error(preds, gt)
     for i, p in enumerate(preds):
-        want = min(np.linalg.norm(p - a.center()) for a in anns)
+        want = min(np.linalg.norm(p - c) for c in gt)
         assert got[i] == pytest.approx(want, abs=1e-12)
-    shuffled = [anns[k] for k in rng.permutation(len(anns))]
-    np.testing.assert_allclose(localization_error(preds, shuffled), got)
+    np.testing.assert_allclose(localization_error(preds, gt[rng.permutation(len(gt))]), got)
 
 
 def test_localization_empty_gt_error():
     with pytest.raises(ValueError):
         localization_error([[0, 0, 0]], [])
+    with pytest.raises(ValueError):
+        localization_error([[0, 0, 0]], np.empty((0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,53 @@ def test_match_is_shuffle_invariant():
         assert back == base.pairs
         assert sorted(int(perm[i]) for i in res.false_positives) == base.false_positives
         assert res.false_negatives == base.false_negatives
+
+
+def match_reference(detections, ground_truth, iou_threshold=0.5):
+    """Plain greedy loop: by (-score, box), each detection claims the unclaimed
+    ground truth of highest IoU above the threshold, the first in box order on ties."""
+    scores = [float(score) for _, score in detections]
+    det_boxes = np.array([box for box, _ in detections], dtype=float).reshape(len(scores), 4)
+    gt_boxes = np.array(ground_truth, dtype=float).reshape(len(ground_truth), 4)
+    if not scores:
+        return [], [], list(range(len(gt_boxes)))
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], *det_boxes[i].tolist()))
+    if len(gt_boxes) == 0:
+        return [], sorted(range(len(scores))), []
+    overlaps = iou_matrix(det_boxes, gt_boxes)
+    claimed: set[int] = set()
+    pairs, fps = [], []
+    gt_rank = np.lexsort(gt_boxes.T[::-1])
+    for i in order:
+        best, best_iou = -1, iou_threshold
+        for m in gt_rank:
+            if m in claimed:
+                continue
+            if overlaps[i, m] > best_iou:
+                best, best_iou = int(m), overlaps[i, m]
+        if best >= 0:
+            claimed.add(best)
+            pairs.append((i, best))
+        else:
+            fps.append(i)
+    return sorted(pairs), sorted(fps), [m for m in range(len(gt_boxes)) if m not in claimed]
+
+
+def test_match_equals_reference_on_tie_heavy_inputs():
+    rng = np.random.default_rng(41)
+
+    def grid_boxes(n):  # integer grid: many identical boxes and equal IoUs
+        return np.column_stack([rng.integers(0, 4, (n, 2)),
+                                rng.integers(1, 4, (n, 2))]).astype(float)
+
+    for trial in range(400):
+        threshold = (0.0, 0.1, 0.5, 1.0)[trial % 4]
+        n_det, n_gt = (int(n) for n in rng.integers(0, 9, 2))
+        dets = list(zip(grid_boxes(n_det), rng.integers(0, 2 + trial % 3, n_det) / 2))
+        gts = list(grid_boxes(n_gt))
+        got = match_detections(dets, gts, iou_threshold=threshold)
+        want = match_reference(dets, gts, iou_threshold=threshold)
+        assert (got.pairs, got.false_positives, got.false_negatives) == want
 
 
 def test_match_prefers_higher_score():
@@ -202,16 +249,15 @@ def test_classification_single_class_raises():
 # ---------------------------------------------------------------------------
 
 def study_fixture(gs, noise=0.0, seed=0):
+    """One study of vertebrae stacked along z with planted indices ``gs``; the
+    detections are the ground truth keypoints moved by ``noise`` mm."""
     rng = np.random.default_rng(seed)
     gts, dets = [], []
     for k, g in enumerate(gs):
-        box = [0.0, 10.0 + 24.0 * k, 25.0, 20.0]
-        center = [0.0, 0.0, 10.0 + 24.0 * k]
-        gts.append({"box": box, "center_mm": center, "genant": g})
-        dets.append({"box": list(np.asarray(box) + rng.normal(0, noise, 4)),
-                     "score": 1.0,
-                     "center_mm": list(np.asarray(center) + rng.normal(0, noise, 3)),
-                     "genant": float(np.clip(g + rng.normal(0, noise / 50), 0.05, 1.0))})
+        kps = make_keypoints(center=(0.0, 0.0, 10.0 + 24.0 * k)).as_array()
+        gts.append((kps, g))
+        dets.append((kps + rng.normal(0, noise, kps.shape),
+                     float(np.clip(g + rng.normal(0, noise / 50), 0.05, 1.0)), 1.0))
     return {"detections": dets, "ground_truth": gts}
 
 
@@ -251,8 +297,8 @@ def test_evaluate_study_set_single_class_flags_problem():
 def test_report_counts_consistent_with_ratios():
     gs = [1.0, 0.8, 0.7]
     study = study_fixture(gs)
-    study["detections"].append({"box": [80.0, 10.0, 20.0, 20.0], "score": 0.6,
-                                "center_mm": [0.0, 80.0, 10.0], "genant": 0.5})
+    study["detections"].append(
+        (make_keypoints(center=(0.0, 80.0, 10.0)).as_array(), 0.5, 0.6))
     report, _ = evaluate_study_set([study])
     assert report.precision == pytest.approx(report.tp / (report.tp + report.fp))
     assert report.recall == pytest.approx(report.tp / (report.tp + report.fn))
@@ -263,3 +309,23 @@ def test_report_text_renders():
     report, _ = evaluate_study_set([study_fixture([1.0, 0.7])])
     text = report.to_text()
     assert "precision" in text and "roc_auc" in text
+
+
+def test_unscored_detection_counts_as_score_one():
+    study = study_fixture([1.0, 0.7, 0.9])
+    kps, g, _ = study["detections"][1]
+    # a rival for the same vertebra scored just below 1: it loses the match
+    study["detections"].append((kps + [0.0, 0.5, 0.0], 0.95, 0.99))
+    want = evaluate_study_set([study])
+    study["detections"][1] = (kps, g, None)
+    assert evaluate_study_set([study]) == want
+    assert want[0].fp == 1 and want[0].classification["moderate"]["vertebra"]["sensitivity"] == 1
+
+
+def test_evaluate_study_set_localizes_by_middle_keypoints():
+    study = study_fixture([1.0, 0.7])
+    kps, g, score = study["detections"][0]
+    study["detections"][0] = (kps + [0.0, 0.0, 1.5], g, score)
+    report, _ = evaluate_study_set([study])
+    assert report.localization_mean_mm == pytest.approx(0.75, abs=1e-12)
+    assert report.tp == 2

@@ -88,23 +88,22 @@ def test_slicewise_centerline_does_not_depend_on_memory_layout():
     want = slicewise_centerline(Volume3D(maps, (3, 3, 3))).xy.tobytes()
     for other in (np.asfortranarray(maps), maps.astype(np.float64)):
         assert slicewise_centerline(Volume3D(other, (3, 3, 3))).xy.tobytes() == want
-        assert slicewise_centerline(other).xy.tobytes() == want
 
 
 def test_slicewise_centerline_diagonal():
     stack = np.zeros((16, 16, 10))
     for k in range(10):
         stack[k + 2, k, k] = 1.0
-    poly = slicewise_centerline(stack)
+    poly = slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
     np.testing.assert_allclose(poly.xy[:, 0], np.arange(10) + 2)
     np.testing.assert_allclose(poly.xy[:, 1], np.arange(10))
     np.testing.assert_allclose(poly.z, np.arange(10))
-    assert poly.frame == "voxel"
+    assert poly.frame == "world"
 
 
 def test_slicewise_centerline_uniform_maps():
     stack = np.ones((9, 9, 4))
-    poly = slicewise_centerline(stack)
+    poly = slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
     np.testing.assert_allclose(poly.xy, np.full((4, 2), 4.0))
 
 
@@ -112,14 +111,14 @@ def test_slicewise_centerline_reports_slice_index():
     stack = np.ones((5, 5, 3))
     stack[:, :, 1] = 0.0
     with pytest.raises(GeometryError, match="slice 1"):
-        slicewise_centerline(stack)
+        slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
 
 
 def test_slicewise_centerline_rejects_nan_map():
     stack = np.ones((5, 5, 3))
     stack[2, 3, 2] = np.nan
     with pytest.raises(GeometryError, match="slice 2"):
-        slicewise_centerline(stack)
+        slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
 
 
 def test_centerline_target_reproduces_linear_data():
@@ -238,10 +237,15 @@ def test_upsample_zigzag_recovers_vertices():
         np.testing.assert_allclose(fine.xy[k], want, atol=1e-12)
 
 
-def test_polyline_world_conversion():
-    vol = Volume3D(np.zeros((8, 8, 8)), (2.0, 3.0, 4.0), (10.0, 20.0, 30.0))
-    poly = CenterlinePolyline(np.array([[1.0, 2.0], [3.0, 1.0]]),
-                              np.array([0.0, 1.0]), frame="voxel")
-    world = poly.to_world(vol)
-    np.testing.assert_allclose(world.xy, [[12.0, 26.0], [16.0, 23.0]])
-    np.testing.assert_allclose(world.z, [30.0, 34.0])
+def test_slicewise_centerline_returns_world_coordinates():
+    stack = np.zeros((8, 8, 2))
+    stack[1, 2, 0] = stack[3, 1, 1] = 1.0
+    poly = slicewise_centerline(Volume3D(stack, (2.0, 3.0, 4.0), (10.0, 20.0, 30.0)))
+    assert poly.frame == "world"
+    np.testing.assert_allclose(poly.xy, [[12.0, 26.0], [16.0, 23.0]])
+    np.testing.assert_allclose(poly.z, [30.0, 34.0])
+
+
+def test_polyline_rejects_voxel_frame():
+    with pytest.raises(ValueError, match="frame"):
+        CenterlinePolyline(np.zeros((2, 2)), np.array([0.0, 1.0]), frame="voxel")

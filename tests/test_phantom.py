@@ -160,7 +160,7 @@ def test_oracle_heatmaps_decode_close_to_centerline():
     vol, anns, _ = generate_phantom(cfg)
     working = resample_volume(vol, (3.0, 3.0, 3.0))
     stack = oracle_heatmaps(anns, working)
-    poly = slicewise_centerline(stack).to_world(stack)
+    poly = slicewise_centerline(stack)
     # compare against the interpolated annotation target on the same slices
     from spinequant.localization import centerline_target
 
@@ -219,14 +219,14 @@ def chain_fixture(amplitude=10.0):
     phantom_cfg = PhantomConfig(scoliosis_amplitude_mm=amplitude, seed=3)
     cfg = PipelineConfig()
     vol, anns, gs = generate_phantom(phantom_cfg)
-    result = straighten_stage(vol, cfg, annotations=anns)
-    return cfg, vol, anns, gs, result
+    sagittal = straighten_stage(vol, cfg, annotations=anns)
+    return cfg, vol, anns, gs, sagittal
 
 
 def test_oracle_predictions_recover_all_vertebrae():
-    cfg, vol, anns, gs, result = chain_fixture()
-    anchors = image_anchors(result.sagittal, cfg)
-    kps_px = [result.transform.world_to_pixel(kps.as_array()) for kps in anns]
+    cfg, vol, anns, gs, sagittal = chain_fixture()
+    anchors = image_anchors(sagittal, cfg)
+    kps_px = [sagittal.transform.world_to_pixel(kps.as_array()) for kps in anns]
     targets = assign_targets(anchors, list(zip(kps_px, gs)))
     dets = detect(targets.objectness, targets.offsets, anchors,
                   score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
@@ -237,16 +237,16 @@ def test_oracle_predictions_recover_all_vertebrae():
 
 
 def test_oracle_predictions_empty_annotations():
-    cfg, vol, anns, gs, result = chain_fixture()
-    anchors = image_anchors(result.sagittal, cfg)
+    cfg, vol, anns, gs, sagittal = chain_fixture()
+    anchors = image_anchors(sagittal, cfg)
     targets = assign_targets(anchors, [])
     assert detect(targets.objectness, targets.offsets, anchors) == []
 
 
 def test_oracle_predictions_perturbation_moves_decoded_linearly():
-    cfg, vol, anns, gs, result = chain_fixture()
-    anchors = image_anchors(result.sagittal, cfg)
-    kps_px = [result.transform.world_to_pixel(kps.as_array()) for kps in anns]
+    cfg, vol, anns, gs, sagittal = chain_fixture()
+    anchors = image_anchors(sagittal, cfg)
+    kps_px = [sagittal.transform.world_to_pixel(kps.as_array()) for kps in anns]
     targets = assign_targets(anchors, list(zip(kps_px, gs)))
     offsets = targets.offsets
     pos = np.argwhere(targets.objectness == 1)[0]

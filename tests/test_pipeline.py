@@ -4,10 +4,10 @@ import pytest
 from spinequant.core import GeometryError
 from spinequant.evaluation import evaluate_study_set, match_detections
 from spinequant.phantom import PhantomConfig, generate_phantom
-from spinequant.pipeline import (PipelineConfig, pack_prediction_planes,
+from spinequant.pipeline import (PipelineConfig, extract_centerline, pack_prediction_planes,
                                  rescore_chain, run_phantom_chain, sagittal_plane_box,
                                  score_stage, straighten_stage, unpack_prediction_planes)
-from spinequant.straighten import mid_sagittal_slice, straighten_volume
+from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def test_chain_keypoints_land_near_annotations(chain):
 
 def test_chain_centers_land_on_the_straight_column(chain):
     transform = chain.straighten.transform
-    delta = chain.straighten.sagittal.delta
+    delta = chain.straighten.delta
     for ann in chain.annotations:
         center = ann.center()
         px = transform.world_to_pixel(center)
@@ -60,7 +60,7 @@ def test_chain_evaluates_clean(chain):
 def test_rescore_chain_equals_score_stage_on_target_maps(chain):
     cfg = PipelineConfig()
     _, got = rescore_chain(chain, cfg)
-    want = score_stage(chain.straighten.sagittal, cfg,
+    want = score_stage(chain.straighten, cfg,
                        objectness_map=chain.targets.objectness,
                        offsets_map=chain.targets.offsets)
     assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
@@ -156,14 +156,17 @@ def test_straighten_stage_plane_matches_full_volume_plane():
     vol, anns, _ = generate_phantom(PhantomConfig(
         n_vertebrae=4, shape=(80, 80, 144), spacing=(1.25, 1.25, 1.25),
         scoliosis_amplitude_mm=10.0, seed=5))
-    result = straighten_stage(vol, cfg, annotations=anns)
-    full, transform = straighten_volume(vol, result.curve, delta=cfg.delta_mm,
+    sagittal = straighten_stage(vol, cfg, annotations=anns)
+    curve = build_spine_curve(extract_centerline(vol, cfg, annotations=anns), step=cfg.delta_mm,
+                              smoothing=cfg.smoothing_lambda, pad_mm=cfg.curve_pad_mm)
+    full, transform = straighten_volume(vol, curve, delta=cfg.delta_mm,
                                         half_extent=cfg.half_extent_mm, fill=cfg.fill)
     want = mid_sagittal_slice(full, transform).values
-    assert result.sagittal.values.dtype == want.dtype
-    assert result.sagittal.values.tobytes() == want.tobytes()
-    assert result.transform.i_half == 0
-    assert result.transform.j_half == transform.j_half == 30
+    assert sagittal.values.dtype == want.dtype
+    assert sagittal.values.tobytes() == want.tobytes()
+    assert sagittal.transform.centers.tobytes() == transform.centers.tobytes()
+    assert sagittal.transform.i_half == 0
+    assert sagittal.transform.j_half == transform.j_half == 30
 
 
 # The paper's "no exclusion criteria": severe scoliosis, short and strong
