@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import GeometryError, Volume3D
 from .genant import VertebraKeypoints
+from .splines import pchip
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,9 @@ def centerline_target(annotations: list[VertebraKeypoints],
     """Regression target: middle keypoints interpolated over the slice grid.
 
     All middle superior/inferior keypoints are sorted by world z and x(z),
-    y(z) are interpolated with a monotone piecewise-cubic scheme, which
-    passes through the keypoints without overshooting between vertebrae.
+    y(z) are interpolated with Fritsch-Carlson monotone piecewise cubics
+    (``splines.pchip``, PCHIP), which pass through the keypoints without
+    overshooting between vertebrae.
     The curve is evaluated at every entry of ``z_slices`` (world mm) lying
     between the extreme keypoints.
     """
@@ -129,14 +130,13 @@ def centerline_target(annotations: list[VertebraKeypoints],
     np.add.at(xy, inverse, pts[:, :2])
     xy /= np.bincount(inverse)[:, None]
 
-    fx = PchipInterpolator(z_unique, xy[:, 0])
-    fy = PchipInterpolator(z_unique, xy[:, 1])
+    fit = pchip(z_unique, xy)
     z_slices = np.asarray(z_slices, dtype=float)
     inside = (z_slices >= z_unique[0]) & (z_slices <= z_unique[-1])
     z_eval = z_slices[inside]
     if len(z_eval) < 2:
         raise GeometryError("fewer than two slices fall inside the annotated span")
-    return CenterlinePolyline(np.column_stack([fx(z_eval), fy(z_eval)]), z_eval)
+    return CenterlinePolyline(fit(z_eval), z_eval)
 
 
 def centerline_mae(pred: CenterlinePolyline, target: CenterlinePolyline) -> float:

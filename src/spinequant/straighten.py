@@ -14,11 +14,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_smoothing_spline
 
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, _sample_voxel_coords,
                    check_number_fields, check_size, finite_numbers, require)
 from .localization import CenterlinePolyline
+from .splines import not_a_knot_spline, smoothing_spline
 
 _FRAME_TOL = 1e-9
 
@@ -103,9 +103,12 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
                       smoothing: float = 10.0, pad_mm: float = 0.0) -> SpineCurve:
     """Smooth, arc-length resample and frame a centerline.
 
-    x(z) and y(z) are fit with a cubic smoothing spline (penalty ``smoothing``
-    on curvature, so straight lines pass through unchanged; polylines with
-    fewer than five points are interpolated without smoothing).  The curve is
+    x(z) and y(z) are fit with the natural cubic smoothing spline in Reinsch
+    form (``splines.smoothing_spline``: penalty ``smoothing`` on the
+    integrated squared curvature, so straight lines pass through unchanged
+    and a huge penalty gives the least-squares line).  Polylines with fewer
+    than five points, or ``smoothing`` 0, are interpolated by the not-a-knot
+    cubic spline (``splines.not_a_knot_spline``).  The curve is
     resampled at uniform arc-length ``step``, tangents come from central
     differences, and frames are propagated with the double-reflection
     rotation-minimizing method seeded with the patient left-right axis.
@@ -118,19 +121,17 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
     if span <= 0 or step <= 0:
         raise GeometryError("degenerate centerline or step")
     if len(polyline) >= 5 and smoothing > 0:
-        fx = make_smoothing_spline(z, polyline.xy[:, 0], lam=smoothing)
-        fy = make_smoothing_spline(z, polyline.xy[:, 1], lam=smoothing)
+        fit = smoothing_spline(z, polyline.xy, smoothing)
     else:
         # Interpolation (not-a-knot ends): exact pass-through, no boundary bias.
-        fx = CubicSpline(z, polyline.xy[:, 0])
-        fy = CubicSpline(z, polyline.xy[:, 1])
+        fit = not_a_knot_spline(z, polyline.xy)
 
     # Arc-length table on a dense chord approximation of the smoothed curve,
     # uniform in z.  A curve that runs steeply sideways needs more points than
     # span / (step / 4) before no chord spans more than a quarter step of arc.
     def chords(n):
         z_dense = np.linspace(z[0], z[-1], n)
-        dense = np.column_stack([fx(z_dense), fy(z_dense), z_dense])
+        dense = np.column_stack([fit(z_dense), z_dense])
         return z_dense, np.linalg.norm(np.diff(dense, axis=0), axis=1)
 
     what = f"step {step} mm: the arc-length table of {span:g} mm"
@@ -151,7 +152,7 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
         raise GeometryError(f"centerline shorter than one step ({total:.3f} mm)")
     s = step * np.arange(n_samples)
     z_s = np.interp(s, s_dense, z_dense)
-    centers = np.column_stack([fx(z_s), fy(z_s), z_s])
+    centers = np.column_stack([fit(z_s), z_s])
 
     # Central differences inside, second-order one-sided at the ends.
     t = np.empty_like(centers)

@@ -232,6 +232,19 @@ def test_unusable_config_exits_2(small, tmp_path, capsys, command, config):
     assert not (tmp_path / "o").exists()
 
 
+def test_straighten_accepts_the_largest_finite_smoothing_lambda(small, tmp_path):
+    # Any finite smoothing_lambda is usable; this one smooths the centerline
+    # to its least-squares line, so every row center lies on one line.
+    (tmp_path / "cfg.json").write_text('{"smoothing_lambda": 1.7e308}')
+    assert run("straighten", small / "ph" / "volume.vg1",
+               "--heatmaps", small / "ph" / "heatmaps.vg1",
+               "--output", tmp_path / "o", "--config", tmp_path / "cfg.json") == 0
+    rows = json.loads((tmp_path / "o" / "transform.json").read_text())["rows"]
+    c = np.array([row["c"] for row in rows])
+    fit = np.polynomial.polynomial.polyfit(c[:, 2], c[:, :2], 1)
+    assert np.max(np.abs(c[:, :2] - fit[0] - np.outer(c[:, 2], fit[1]))) < 1e-6
+
+
 @pytest.mark.parametrize("flag", ["--spacing", "--delta", "--objectness-thresh", "--nms-iou",
                                   "--mild-cut", "--moderate-cut", "--severe-cut"])
 def test_removed_config_flag_is_refused(small, tmp_path, capsys, flag):
@@ -721,6 +734,28 @@ def test_malformed_input_exit_code_in_a_fresh_process(small, tmp_path):
         proc = _run_fresh(*_tiny_delta(command)(small, tmp_path), "--output", "o", cwd=tmp_path)
         assert proc.returncode == 3
         assert proc.stderr.startswith("geometry error: ") and "\n" not in proc.stderr[:-1]
+
+
+README_ORACLE_RUN = """
+import sys
+from spinequant.cli import main
+for argv in ("phantom --output ph",
+             "straighten ph/volume.vg1 --heatmaps ph/heatmaps.vg1 --output st",
+             "targets st/sagittal.vg1 st/transform.json ph/gt.va1 --output tg",
+             "score st/sagittal.vg1 st/transform.json --predictions tg/targets.vg1 --output sc",
+             "evaluate sc/detections.json ph/gt.va1 --output ev"):
+    assert main(argv.split()) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_readme_oracle_run_imports_no_scipy(tmp_path):
+    # The runtime is numpy only; scipy is a test oracle.
+    proc = subprocess.run([sys.executable, "-c", README_ORACLE_RUN], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import (CenterlinePolyline, centerline_mae,
                                      centerline_target, slicewise_centerline,
                                      soft_argmax_2d, upsample_curve)
+from spinequant.splines import pchip
 
 from test_genant import make_keypoints
 
@@ -160,6 +163,57 @@ def test_centerline_target_passes_through_keypoints():
             k = np.argmin(np.abs(poly.z - pt[2]))
             assert abs(poly.z[k] - pt[2]) < 1e-9
             assert np.max(np.abs(poly.xy[k] - pt[:2])) < 1e-6
+
+
+@st.composite
+def spline_data(draw, min_n=2, monotone=False):
+    """Strictly increasing, unevenly spaced knots and one or two value columns."""
+    n = draw(st.integers(min_n, 40))
+    gaps = draw(st.lists(st.floats(0.2, 5.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-300, 300)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    # Values on a 1e-4 grid: secants may be 0, never subnormal.
+    y = np.array(draw(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+                               min_size=1, max_size=2))).T / 1e4
+    if monotone:
+        y = np.cumsum(np.abs(y), axis=0) * draw(st.sampled_from([1, -1]))
+    return x, y[:, 0] if draw(st.booleans()) else y
+
+
+def spline_examples(*sizes):
+    """Explicit uneven-knot cases of the given sizes, so each is always tried."""
+    def wrap(test):
+        for n in sizes:
+            x = np.cumsum(np.linspace(0.3, 4.0, n) ** 1.5)
+            test = example((x, np.column_stack([np.sin(x), x ** 2 / 7])))(test)
+        return test
+    return wrap
+
+
+def assert_fit_matches(ours, theirs, x, y, rtol):
+    """Equal at the knots and on a dense grid, within rtol of the data range."""
+    xq = np.concatenate([x, np.linspace(x[0], x[-1], 301)])
+    scale = max(float(np.ptp(y)), 1.0)
+    assert np.max(np.abs(ours(xq) - theirs(xq))) <= rtol * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spline_data())
+@spline_examples(2, 3, 4, 5)
+def test_pchip_matches_scipy_property(data):
+    from scipy.interpolate import PchipInterpolator
+    x, y = data
+    assert_fit_matches(pchip(x, y), PchipInterpolator(x, y), x, y, 1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(spline_data(monotone=True))
+def test_pchip_does_not_overshoot_monotone_data_property(data):
+    x, y = data
+    fit = pchip(x, y)(np.linspace(x[0], x[-1], 2001))
+    tol = 1e-12 * max(float(np.ptp(y)), 1.0)
+    steps = np.diff(fit, axis=0) * np.sign(y[-1] - y[0])
+    assert np.all(steps >= -tol)
+    assert np.all(fit >= y.min(axis=0) - tol) and np.all(fit <= y.max(axis=0) + tol)
 
 
 def test_centerline_target_needs_two_distinct_z():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
+from spinequant.splines import not_a_knot_spline, smoothing_spline
 from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenTransform,
                                    build_spine_curve, mid_sagittal_slice, straighten_volume)
+
+from test_localization import assert_fit_matches, spline_data, spline_examples
 
 
 def line_polyline(z0=0.0, z1=50.0, n=51, dx=0.0, dy=0.0, x0=10.0, y0=20.0):
@@ -98,6 +101,38 @@ def test_build_spine_curve_validation():
     with pytest.raises(ValueError):
         build_spine_curve(
             CenterlinePolyline(np.zeros((5, 2)), np.arange(5.0), "voxel"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spline_data(min_n=4))
+@spline_examples(4, 5, 6)
+def test_not_a_knot_spline_matches_scipy_property(data):
+    from scipy.interpolate import CubicSpline
+    x, y = data
+    assert_fit_matches(not_a_knot_spline(x, y), CubicSpline(x, y), x, y, 1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spline_data(min_n=5), st.floats(-2, 3))
+@example((np.cumsum(np.linspace(0.3, 4.0, 5) ** 1.5),
+          np.array([3.0, -1.0, 4.0, 1.0, -5.0])), 1.0)
+@example((np.cumsum(np.linspace(0.3, 4.0, 9) ** 1.5), np.sin(np.arange(9.0))), -320.0)
+def test_smoothing_spline_matches_scipy_property(data, log_lam):
+    from scipy.interpolate import make_smoothing_spline
+    x, y = data
+    lam = 10.0 ** log_lam
+    assert_fit_matches(smoothing_spline(x, y, lam), make_smoothing_spline(x, y, lam=lam),
+                       x, y, 1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e20, 1.7e308])
+def test_huge_smoothing_gives_the_least_squares_line(lam):
+    z = np.linspace(0.0, 100.0, 101)
+    xy = np.column_stack([10 * np.sin(z / 15), 5 + 3 * np.cos(z / 9)])
+    curve = build_spine_curve(CenterlinePolyline(xy, z), step=1.0, smoothing=lam)
+    line = np.polynomial.polynomial.polyfit(z, xy, 1)
+    expected = line[0] + np.outer(curve.centers[:, 2], line[1])
+    assert np.max(np.abs(curve.centers[:, :2] - expected)) <= 1e-6
 
 
 @pytest.mark.parametrize("field", ["centers", "t", "u", "v"])
