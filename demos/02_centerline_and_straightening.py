@@ -9,9 +9,8 @@ once, scoliosis or not.
 """
 import numpy as np
 
-from spinequant import (PhantomConfig, generate_phantom, oracle_heatmaps,
-                        resample_volume, slicewise_centerline)
-from spinequant.pipeline import PipelineConfig, straighten_stage
+from spinequant import PhantomConfig, generate_phantom, oracle_heatmaps, slicewise_centerline
+from spinequant.pipeline import PipelineConfig, straighten_stage, working_grid
 
 phantom_cfg = PhantomConfig(scoliosis_amplitude_mm=25.0, seed=3)
 cfg = PipelineConfig()
@@ -19,7 +18,7 @@ cfg = PipelineConfig()
 volume, annotations, _ = generate_phantom(phantom_cfg)
 
 # the localization network works at a coarse isotropic resolution
-working = resample_volume(volume, (cfg.working_spacing_mm,) * 3)
+working = working_grid(volume, cfg)
 heatmaps = oracle_heatmaps(annotations, working)
 print(f"working grid {working.shape} at {cfg.working_spacing_mm} mm")
 

@@ -10,9 +10,9 @@ whole chain to be exercised without trained networks.
 """
 from .core import (Box2D, GeometryError, UndefinedMetricError, Volume3D,
                    resample_volume, trilinear_sample)
-from .detection import (AnchorGrid, Detection, DetectionTargets, assign_targets,
-                        decode_keypoints, detect, detection_loss,
-                        detection_loss_grad, encode_keypoints, generate_anchors, nms)
+from .detection import (AnchorGrid, DetectionTargets, assign_targets, decode_keypoints, detect,
+                        detection_loss, detection_loss_grad, encode_keypoints, generate_anchors,
+                        nms)
 from .evaluation import (EvalReport, classification_report, localization_error,
                          match_detections, roc_auc)
 from .formats import FormatError, read_va1, read_vg1, write_va1, write_vg1
@@ -28,7 +28,7 @@ from .straighten import (SpineCurve, StraightenedImage, StraightenTransform,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorGrid", "Box2D", "CenterlinePolyline", "Detection", "DetectionTargets",
+    "AnchorGrid", "Box2D", "CenterlinePolyline", "DetectionTargets",
     "EvalReport", "FormatError", "GenantMeasurement", "GeometryError",
     "PhantomConfig", "PipelineConfig", "SpineCurve", "StraightenTransform",
     "StraightenedImage", "UndefinedMetricError", "VertebraKeypoints", "Volume3D",

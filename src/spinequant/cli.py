@@ -27,11 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, genant, pipeline
-from .core import (GeometryError, UndefinedMetricError, Volume3D, finite_numbers,
-                   resample_volume)
+from .core import GeometryError, UndefinedMetricError, Volume3D, finite_numbers
 from .formats import (FormatError, read_json, read_va1, read_vg1, write_json, write_va1,
                       write_vg1)
-from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
+from .phantom import PhantomConfig
 from .pipeline import PipelineConfig
 from .straighten import StraightenedImage, StraightenTransform
 
@@ -110,9 +109,7 @@ def cmd_phantom(args) -> int:
     except (TypeError, ValueError) as exc:
         raise FormatError(
             f"{args.phantom_config or '--seed'}: bad phantom config ({exc})") from exc
-    volume, annotations, planted = generate_phantom(phantom_cfg)
-    working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
-    heatmaps = oracle_heatmaps(annotations, working)
+    volume, annotations, planted, heatmaps = pipeline.oracle_phantom(phantom_cfg, cfg)
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
     write_vg1(out / "volume.vg1", volume)
@@ -205,8 +202,9 @@ def cmd_targets(args) -> int:
     cfg = resolve_config(args)
     sagittal = _read_sagittal_and_transform(args.sagittal, args.transform)
     annotations = read_va1(args.annotations)
-    if args.loss and args.predictions is None:
-        raise FormatError("--loss needs --predictions")
+    if args.loss != (args.predictions is not None):
+        raise FormatError("--loss needs --predictions" if args.loss
+                          else "--predictions needs --loss")
     anchors, targets = pipeline.targets_stage(sagittal, annotations, cfg)
     if args.loss:
         objectness, offsets = _read_predictions(args.predictions, sagittal, anchors.n_types)

@@ -42,9 +42,6 @@ class AnchorGrid:
     """
 
     image_shape: tuple[int, int]
-    pixel_spacing: float
-    scales_mm: tuple[float, ...]
-    ratios: tuple[float, ...]
     sides_px: np.ndarray  # (A, 2)
 
     @property
@@ -74,8 +71,7 @@ def generate_anchors(image_shape, pixel_spacing: float,
     if not np.all(np.isfinite(sides)):
         raise GeometryError(f"anchors of {max(scales_mm)} mm overflow pixels of {pixel_spacing} mm")
     sides.flags.writeable = False
-    return AnchorGrid((int(image_shape[0]), int(image_shape[1])),
-                      float(pixel_spacing), scales_mm, ratios, sides)
+    return AnchorGrid((int(image_shape[0]), int(image_shape[1])), sides)
 
 
 def encode_keypoints(keypoints: np.ndarray, anchor: Box2D) -> np.ndarray:
@@ -282,23 +278,6 @@ def detection_loss_grad(pred_objectness, pred_offsets,
     return grad_o, grad_e
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One decoded vertebra candidate on the straightened image (pixels)."""
-
-    score: float
-    box: Box2D
-    keypoints: np.ndarray  # (6, 2)
-
-    def __post_init__(self):
-        kps = np.asarray(self.keypoints, dtype=float)
-        if kps.shape != (N_KEYPOINTS, 2):
-            raise ValueError(f"keypoints must be (6, 2), got {kps.shape}")
-        kps.flags.writeable = False
-        object.__setattr__(self, "keypoints", kps)
-        object.__setattr__(self, "score", float(self.score))
-
-
 def nms(boxes: np.ndarray, scores: np.ndarray,
         iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
     """Greedy non-maximum suppression, highest score first.
@@ -328,19 +307,19 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
 
 def detect(objectness_map, offsets_map, anchors: AnchorGrid,
            score_threshold: float = DEFAULT_OBJECTNESS_THRESHOLD,
-           iou_threshold: float = DEFAULT_NMS_IOU) -> list[Detection]:
+           iou_threshold: float = DEFAULT_NMS_IOU) -> tuple[np.ndarray, np.ndarray]:
     """Decode prediction maps into non-overlapping vertebra detections.
 
     ``offsets_map`` has shape (nx, ny, A, 6, 2).  Anchors scoring above
     ``score_threshold`` are decoded in one array pass (keypoints = offsets *
     anchor side + anchor center, as in ``decode_keypoints``; box = the tight
-    box of the keypoints) and reduced with greedy NMS; a ``Detection`` is
-    built for each survivor only.  Candidate order, and therefore
-    tie-breaking, is the flat anchor order.  Only the candidates' offsets
-    are converted to float64, so float32 maps of any memory layout (views
-    of a VG1 raster) decode to the same bits as float64 copies of them.
-    Non-finite keypoints raise ValueError and a candidate with zero extent
-    raises GeometryError.
+    box of the keypoints) and reduced with greedy NMS.  Returns the
+    survivors' (K, 6, 2) image keypoints and (K,) scores in keep order.
+    Candidate order, and therefore tie-breaking, is the flat anchor order.
+    Only the candidates' offsets are converted to float64, so float32 maps
+    of any memory layout (views of a VG1 raster) decode to the same bits as
+    float64 copies of them.  Non-finite keypoints raise ValueError and a
+    candidate with zero extent raises GeometryError.
     """
     obj = np.asarray(objectness_map, dtype=float)
     nx, ny = anchors.image_shape
@@ -354,7 +333,6 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
     idx = np.nonzero(obj > score_threshold)
     kps = (np.asarray(off[idx], dtype=float) * anchors.sides_px[idx[2]][:, None, :]
            + np.stack(idx[:2], axis=1)[:, None, :])
-    boxes = boxes_from_keypoints(kps)
     scores = obj[idx]
-    return [Detection(scores[k], Box2D(*boxes[k].tolist()), kps[k])
-            for k in nms(boxes, scores, iou_threshold)]
+    keep = nms(boxes_from_keypoints(kps), scores, iou_threshold)
+    return kps[keep], scores[keep]

@@ -15,7 +15,7 @@ import numpy as np
 from . import detection, genant, localization, straighten
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, check_number_fields, check_size,
                    require, resample_volume)
-from .detection import AnchorGrid, Detection, DetectionTargets
+from .detection import AnchorGrid, DetectionTargets
 from .evaluation import sagittal_plane_box  # noqa: F401  (callers import it from here)
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
@@ -82,6 +82,19 @@ class PipelineConfig:
                 "severe_cut": self.severe_cut}
 
 
+def working_grid(vol: Volume3D, cfg: PipelineConfig) -> Volume3D:
+    """``vol`` resampled onto the isotropic grid the centerline heatmaps live on."""
+    return resample_volume(vol, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
+
+
+def oracle_phantom(phantom_cfg: PhantomConfig, cfg: PipelineConfig
+                   ) -> tuple[Volume3D, list[VertebraKeypoints], list[float], Volume3D]:
+    """The phantom volume, its annotations and planted Genant indices, and its
+    oracle heatmaps on the working grid."""
+    volume, annotations, planted = generate_phantom(phantom_cfg)
+    return volume, annotations, planted, oracle_heatmaps(annotations, working_grid(volume, cfg))
+
+
 def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
                        heatmaps: Volume3D | None = None,
                        annotations: list[VertebraKeypoints] | None = None
@@ -95,7 +108,7 @@ def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
     """
     if (heatmaps is None) == (annotations is None):
         raise ValueError("provide exactly one of heatmaps or annotations")
-    working = resample_volume(vol, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
+    working = working_grid(vol, cfg)
     if heatmaps is not None:
         if heatmaps.shape[:2] != working.shape[:2]:
             raise GeometryError(
@@ -152,7 +165,7 @@ class VertebraResult:
     """One scored vertebra with image- and world-space keypoints."""
 
     score: float | None
-    keypoints_px: np.ndarray | None   # (6, 2)
+    keypoints_px: np.ndarray          # (6, 2)
     keypoints_mm: np.ndarray          # (6, 3)
     measurement: genant.GenantMeasurement
     label: str | None = None
@@ -162,8 +175,7 @@ class VertebraResult:
         return {
             "score": self.score,
             "label": self.label,
-            "keypoints": None if self.keypoints_px is None
-            else [[float(c) for c in row] for row in self.keypoints_px],
+            "keypoints": [[float(c) for c in row] for row in self.keypoints_px],
             "keypoints_world": [[float(c) for c in row] for row in self.keypoints_mm],
             "heights_mm": [m.h_a, m.h_m, m.h_p],
             "genant": m.genant,
@@ -173,14 +185,15 @@ class VertebraResult:
         }
 
 
-def score_detections(detections_2d: list[Detection], transform: StraightenTransform,
-                     cfg: PipelineConfig) -> list[VertebraResult]:
-    """Map detections back to 3D, all keypoints in one call, and grade them."""
-    px = np.reshape([det.keypoints for det in detections_2d], (-1, 2))
-    kps_mm = transform.pixel_to_world(px).reshape(-1, detection.N_KEYPOINTS, 3)
-    return [VertebraResult(det.score, det.keypoints, mm,
+def score_detections(keypoints_px: np.ndarray, scores: np.ndarray,
+                     transform: StraightenTransform, cfg: PipelineConfig
+                     ) -> list[VertebraResult]:
+    """Map (K, 6, 2) detected keypoints back to 3D in one call and grade them."""
+    kps_mm = transform.pixel_to_world(keypoints_px.reshape(-1, 2)).reshape(
+        -1, detection.N_KEYPOINTS, 3)
+    return [VertebraResult(score, px, mm,
                            genant.measure(VertebraKeypoints.from_array(mm), **cfg.grade_cuts()))
-            for det, mm in zip(detections_2d, kps_mm)]
+            for score, px, mm in zip(scores.tolist(), keypoints_px, kps_mm)]
 
 
 def score_stage(sagittal: StraightenedImage, cfg: PipelineConfig,
@@ -201,12 +214,12 @@ def score_stage(sagittal: StraightenedImage, cfg: PipelineConfig,
 
 def detect_and_score(objectness_map, offsets_map, anchors: AnchorGrid,
                      transform: StraightenTransform, cfg: PipelineConfig
-                     ) -> tuple[list[Detection], list[VertebraResult]]:
-    """Decode prediction maps into detections (NMS included) and grade them."""
+                     ) -> tuple[tuple[np.ndarray, np.ndarray], list[VertebraResult]]:
+    """``detect``'s (keypoints_px, scores) for the prediction maps, and their grades."""
     dets = detection.detect(objectness_map, offsets_map, anchors,
                             score_threshold=cfg.objectness_threshold,
                             iou_threshold=cfg.nms_iou)
-    return dets, score_detections(dets, transform, cfg)
+    return dets, score_detections(*dets, transform, cfg)
 
 
 def patient_summary(results: list[VertebraResult], cfg: PipelineConfig) -> dict | None:
@@ -286,11 +299,9 @@ class ChainResult:
     volume: Volume3D
     annotations: list[VertebraKeypoints]
     planted_genant: list[float]
-    heatmaps: Volume3D
     straighten: StraightenedImage
     anchors: AnchorGrid
     targets: DetectionTargets
-    detections: list[Detection]
     results: list[VertebraResult]
 
     def study_for_evaluation(self, cfg: PipelineConfig,
@@ -314,21 +325,18 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
     regressed keypoint coordinate of the positive anchors, emulating an
     imperfect regression head.
     """
-    volume, annotations, planted = generate_phantom(phantom_cfg)
-    working = resample_volume(volume, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
-    heatmaps = oracle_heatmaps(annotations, working)
+    volume, annotations, planted, heatmaps = oracle_phantom(phantom_cfg, cfg)
     sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
     anchors, targets = targets_stage(sagittal, annotations, cfg)
-    chain = ChainResult(volume, annotations, planted, heatmaps, sagittal,
-                        anchors, targets, [], [])
-    dets, results = rescore_chain(chain, cfg, keypoint_noise_mm=keypoint_noise_mm,
-                                  noise_seed=noise_seed)
-    return replace(chain, detections=dets, results=results)
+    chain = ChainResult(volume, annotations, planted, sagittal, anchors, targets, [])
+    _, results = rescore_chain(chain, cfg, keypoint_noise_mm=keypoint_noise_mm,
+                               noise_seed=noise_seed)
+    return replace(chain, results=results)
 
 
 def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
                   keypoint_noise_mm: float = 0.0, noise_seed: int = 0
-                  ) -> tuple[list[Detection], list[VertebraResult]]:
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], list[VertebraResult]]:
     """Detect and grade from a chain's oracle maps, optionally noised.
 
     Keypoint noise (mm std per regressed coordinate) is injected into the

@@ -523,6 +523,11 @@ MALFORMED_INPUTS = [
     ("config 200000 anchor scales",
      _config(json.dumps({"anchor_scales_mm": [17.0] * 200000}), "targets"), 3,
      "anchor_scales_mm"),
+    # A predictions file is only read for the loss: without --loss it is refused unopened.
+    ("targets predictions without loss",
+     lambda small, tmp: ["targets", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+                         small / "ph" / "gt.va1", "--predictions", tmp / "missing.vg1"], 2,
+     "--predictions needs --loss"),
 ]
 
 
@@ -704,6 +709,22 @@ def test_straighten_peak_memory_stays_near_the_volume(criterion_9_peaks):
     root, peaks = criterion_9_peaks
     # The volume is read once; the working-grid resample runs in slabs.
     assert peaks["straighten"] <= 3.6 * (root / "ph" / "volume.vg1.raw").stat().st_size
+
+
+def test_working_spacing_reaches_phantom_and_straighten(tmp_path):
+    # Both subcommands resample onto the one working grid that --config sets;
+    # heatmaps made on another grid are refused before any output exists.
+    write_json(tmp_path / "phantom.json", CRITERION_9_PHANTOM)
+    write_json(tmp_path / "c.json", {"working_spacing_mm": 2.5})
+    cfg = ["--config", tmp_path / "c.json"]
+    assert run("phantom", tmp_path / "phantom.json", "--output", tmp_path / "ph3") == 0
+    assert run("phantom", tmp_path / "phantom.json", "--output", tmp_path / "ph", *cfg) == 0
+    assert run("straighten", tmp_path / "ph" / "volume.vg1", "--heatmaps",
+               tmp_path / "ph" / "heatmaps.vg1", "--output", tmp_path / "st", *cfg) == 0
+    code, err = _run_quietly("straighten", tmp_path / "ph3" / "volume.vg1", "--heatmaps",
+                             tmp_path / "ph3" / "heatmaps.vg1", "--output", tmp_path / "o", *cfg)
+    assert code == 3 and "does not match the working grid" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_targets_without_vertebrae_are_all_negative(small, tmp_path):

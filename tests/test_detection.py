@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinequant.core import Box2D, GeometryError, iou_matrix
-from spinequant.detection import (Detection, assign_targets, decode_keypoints,
+from spinequant.detection import (assign_targets, decode_keypoints,
                                   detect, detection_loss, detection_loss_grad,
                                   detection_loss_terms, encode_keypoints,
                                   generate_anchors, nms)
@@ -94,8 +94,9 @@ def test_anchor_sides_table_and_flat_order():
                                                             for j in range(grid.n_anchors)]
                 obj = np.zeros((4, 3, a))
                 obj.flat[k] = 1.0
-                (d,) = detect(obj, targets.offsets, grid)
-                np.testing.assert_allclose(d.box.as_array(), flat[k], rtol=0, atol=1e-12)
+                (kps,), _ = detect(obj, targets.offsets, grid)
+                np.testing.assert_allclose(bbox_from_keypoints(kps).as_array(), flat[k],
+                                           rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -522,22 +523,21 @@ def test_gradient_zero_in_clipped_region():
 # NMS and decoding
 # ---------------------------------------------------------------------------
 
-def det(score, cx, cy, w=4.0, h=4.0):
-    kps = keypoints_for_box(cx, cy, w, h)
-    return Detection(score, bbox_from_keypoints(kps), kps)
+def nms_arrays(*cands):
+    """(K, 4) boxes and (K,) scores of (score, cx, cy[, w, h]) candidates, each box
+    the tight box of keypoints_for_box (w and h default to 4)."""
+    boxes = [bbox_from_keypoints(keypoints_for_box(cx, cy, *wh or (4.0, 4.0))).as_array()
+             for _, cx, cy, *wh in cands]
+    return np.array(boxes).reshape(-1, 4), np.array([c[0] for c in cands], dtype=float)
 
 
-def nms_oracle(cands, thr):
-    order = sorted(range(len(cands)), key=lambda i: -cands[i].score)
+def nms_oracle(boxes, scores, thr):
+    """Kept indices of greedy NMS, highest score first, by the scalar IoU (the oracle)."""
     kept = []
-    for i in order:
-        if all(iou(cands[i].box, cands[j].box) <= thr for j in kept):
+    for i in sorted(range(len(scores)), key=lambda i: -scores[i]):
+        if all(iou(Box2D(*boxes[i]), Box2D(*boxes[j])) <= thr for j in kept):
             kept.append(i)
-    return [cands[i] for i in kept]
-
-
-def nms_arrays(cands):
-    return np.array([d.box.as_array() for d in cands]), np.array([d.score for d in cands])
+    return kept
 
 
 def test_nms_empty_input():
@@ -545,11 +545,11 @@ def test_nms_empty_input():
 
 
 def test_nms_single_candidate():
-    assert nms(*nms_arrays([det(0.7, 5, 5)]), 0.45).tolist() == [0]
+    assert nms(*nms_arrays((0.7, 5, 5)), 0.45).tolist() == [0]
 
 
 def test_nms_identical_boxes_keep_higher_score():
-    assert nms(*nms_arrays([det(0.8, 5, 5), det(0.9, 5, 5)]), 0.45).tolist() == [1]
+    assert nms(*nms_arrays((0.8, 5, 5), (0.9, 5, 5)), 0.45).tolist() == [1]
 
 
 def test_nms_returns_kept_indices_by_descending_score():
@@ -569,18 +569,14 @@ def test_nms_threshold_one_never_suppresses():
 
 def test_nms_chain_matches_bruteforce():
     # overlapping chain a-b-c where only b overlaps both neighbours
-    chain = [det(0.9, 5.0, 5.0), det(0.85, 7.5, 5.0), det(0.95, 10.0, 5.0)]
-    got = [chain[i] for i in nms(*nms_arrays(chain), 0.3)]
-    want = nms_oracle(chain, 0.3)
-    assert [d.score for d in got] == [d.score for d in want]
+    chain = nms_arrays((0.9, 5.0, 5.0), (0.85, 7.5, 5.0), (0.95, 10.0, 5.0))
+    assert nms(*chain, 0.3).tolist() == nms_oracle(*chain, 0.3)
     rng = np.random.default_rng(14)
     for _ in range(50):
-        cands = [det(float(rng.uniform(0, 1)), float(rng.uniform(0, 20)),
-                     float(rng.uniform(0, 20)), float(rng.uniform(2, 8)),
-                     float(rng.uniform(2, 8))) for _ in range(12)]
-        got = [cands[i] for i in nms(*nms_arrays(cands), 0.4)]
-        want = nms_oracle(cands, 0.4)
-        assert [id(d) for d in got] == [id(d) for d in want]
+        cands = nms_arrays(*[(float(rng.uniform(0, 1)), float(rng.uniform(0, 20)),
+                              float(rng.uniform(0, 20)), float(rng.uniform(2, 8)),
+                              float(rng.uniform(2, 8))) for _ in range(12)])
+        assert nms(*cands, 0.4).tolist() == nms_oracle(*cands, 0.4)
 
 
 def test_detect_oracle_round_trip():
@@ -588,20 +584,21 @@ def test_detect_oracle_round_trip():
     gt = [(keypoints_for_box(14.0, 8.0, 8.0, 7.0), 0.9),
           (keypoints_for_box(15.0, 24.0, 9.0, 8.0), 0.7)]
     targets = assign_targets(grid, gt)
-    dets = detect(targets.objectness, targets.offsets, grid)
-    assert len(dets) == 2
-    dets = sorted(dets, key=lambda d: d.box.cy)
-    for d, (kps, _) in zip(dets, gt):
-        assert np.max(np.abs(d.keypoints - kps)) < 1e-6
+    got, _ = detect(targets.objectness, targets.offsets, grid)
+    assert len(got) == 2
+    for d, (kps, _) in zip(sorted(got, key=lambda k: bbox_from_keypoints(k).cy), gt):
+        assert np.max(np.abs(d - kps)) < 1e-6
 
 
 def detect_reference(obj, off, grid, iou_threshold):
-    """Per-candidate decode -> bbox_from_keypoints -> greedy NMS (the oracle)."""
-    cands = []
-    for ix, iy, t in zip(*np.nonzero(obj > 0.5)):
-        kps = decode_keypoints(off[ix, iy, t], anchor_box(grid, int(ix), int(iy), int(t)))
-        cands.append(Detection(float(obj[ix, iy, t]), bbox_from_keypoints(kps), kps))
-    return nms_oracle(cands, iou_threshold)
+    """Per-candidate decode -> bbox_from_keypoints -> greedy NMS (the oracle):
+    the kept (K, 6, 2) keypoints and (K,) scores in keep order."""
+    kps = np.array([decode_keypoints(off[ix, iy, t], anchor_box(grid, ix, iy, t))
+                    for ix, iy, t in np.argwhere(obj > 0.5).tolist()]).reshape(-1, 6, 2)
+    scores = obj[obj > 0.5]
+    boxes = np.array([bbox_from_keypoints(k).as_array() for k in kps]).reshape(-1, 4)
+    keep = nms_oracle(boxes, scores.tolist(), iou_threshold)
+    return kps[keep], scores[keep]
 
 
 def test_detect_matches_per_candidate_oracle():
@@ -614,13 +611,11 @@ def test_detect_matches_per_candidate_oracle():
                          p=[0.7, 0.1, 0.1, 0.1])
         off = rng.normal(0.0, 0.4, size=(nx, ny, grid.n_types, 6, 2))
         thr = (0.2, 0.45, 0.7)[k % 3]
-        got = detect(obj, off, grid, iou_threshold=thr)
-        want = detect_reference(obj, off, grid, thr)
-        assert len(got) == len(want) > 0
-        for d, w in zip(got, want):
-            assert d.score == w.score
-            assert d.box.as_array().tobytes() == w.box.as_array().tobytes()
-            assert d.keypoints.tobytes() == w.keypoints.tobytes()
+        (got_kps, got_scores), (want_kps, want_scores) = (
+            detect(obj, off, grid, iou_threshold=thr), detect_reference(obj, off, grid, thr))
+        assert len(got_scores) == len(want_scores) > 0
+        assert got_scores.tobytes() == want_scores.tobytes()
+        assert got_kps.tobytes() == want_kps.tobytes()
 
 
 def test_detect_on_float32_fortran_views_equals_float64_c_arrays():
@@ -638,13 +633,12 @@ def test_detect_on_float32_fortran_views_equals_float64_c_arrays():
     assert np.shares_memory(off_view, raster)
     for thr in (0.3, 0.45):
         for score_threshold in (0.3, 0.5):
-            got = detect(obj_view, off_view, grid, score_threshold, thr)
-            want = detect(obj.astype(float), off.astype(float), grid, score_threshold, thr)
-            assert len(got) == len(want) > 0
-            for d, w in zip(got, want):
-                assert d.score == w.score
-                assert d.box == w.box
-                assert d.keypoints.tobytes() == w.keypoints.tobytes()
+            got_kps, got_scores = detect(obj_view, off_view, grid, score_threshold, thr)
+            want_kps, want_scores = detect(obj.astype(float), off.astype(float), grid,
+                                           score_threshold, thr)
+            assert len(got_scores) == len(want_scores) > 0
+            assert got_scores.tobytes() == want_scores.tobytes()
+            assert got_kps.tobytes() == want_kps.tobytes()
 
 
 def test_loss_does_not_depend_on_memory_layout():
@@ -669,7 +663,7 @@ def test_detect_bad_keypoints_raise():
         detect(obj, flat, grid)
     # a non-finite offset on an anchor below the threshold is never decoded
     off[0, 0, 0, 0, 0] = np.inf
-    assert len(detect(obj, off, grid)) == 1
+    assert len(detect(obj, off, grid)[1]) == 1
     off[2, 3, 0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         detect(obj, off, grid)
@@ -677,8 +671,8 @@ def test_detect_bad_keypoints_raise():
 
 def test_detect_all_zero_objectness():
     grid = generate_anchors((10, 10), 1.0, scales_mm=(5.0,), ratios=(1.0,))
-    dets = detect(np.zeros((10, 10, 1)), np.zeros((10, 10, 1, 6, 2)), grid)
-    assert dets == []
+    kps, scores = detect(np.zeros((10, 10, 1)), np.zeros((10, 10, 1, 6, 2)), grid)
+    assert kps.shape == (0, 6, 2) and scores.shape == (0,)
 
 
 def test_detect_duplicate_anchors_collapse():
@@ -689,9 +683,9 @@ def test_detect_duplicate_anchors_collapse():
     for pos in ((10, 10), (10, 11), (11, 10)):
         obj[pos[0], pos[1], 0] = 0.9
         off[pos[0], pos[1], 0] = encode_keypoints(kps, anchor_box(grid, pos[0], pos[1], 0))
-    dets = detect(obj, off, grid)
-    assert len(dets) == 1
-    assert np.max(np.abs(dets[0].keypoints - kps)) < 1e-9
+    got, _ = detect(obj, off, grid)
+    assert len(got) == 1
+    assert np.max(np.abs(got[0] - kps)) < 1e-9
 
 
 def test_detect_shape_mismatch():

@@ -12,6 +12,7 @@ from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
 from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom, oracle_heatmaps
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage
+from test_core import bbox_from_keypoints
 from test_detection import anchor_box
 
 
@@ -228,19 +229,20 @@ def test_oracle_predictions_recover_all_vertebrae():
     anchors = image_anchors(sagittal, cfg)
     kps_px = [sagittal.transform.world_to_pixel(kps.as_array()) for kps in anns]
     targets = assign_targets(anchors, list(zip(kps_px, gs)))
-    dets = detect(targets.objectness, targets.offsets, anchors,
-                  score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
-    assert len(dets) == len(anns)
-    dets = sorted(dets, key=lambda d: d.box.cy)
-    for det_, want in zip(dets, kps_px):
-        assert np.max(np.abs(det_.keypoints - want)) < 1e-6
+    got, _ = detect(targets.objectness, targets.offsets, anchors,
+                    score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
+    assert len(got) == len(anns)
+    got = sorted(got, key=lambda k: bbox_from_keypoints(k).cy)
+    for kps, want in zip(got, kps_px):
+        assert np.max(np.abs(kps - want)) < 1e-6
 
 
 def test_oracle_predictions_empty_annotations():
     cfg, vol, anns, gs, sagittal = chain_fixture()
     anchors = image_anchors(sagittal, cfg)
     targets = assign_targets(anchors, [])
-    assert detect(targets.objectness, targets.offsets, anchors) == []
+    kps, scores = detect(targets.objectness, targets.offsets, anchors)
+    assert kps.shape == (0, 6, 2) and scores.shape == (0,)
 
 
 def test_oracle_predictions_perturbation_moves_decoded_linearly():
