@@ -34,9 +34,8 @@ class Volume3D:
 
     ``values`` has shape (nx, ny, nz); ``origin`` is the world position of the
     center of voxel (0, 0, 0).  The raster keeps the memory order it is given
-    (a VG1 file reads as an x-fastest, Fortran-ordered array).  A writeable
-    array is copied, so later writes to it do not leak in; an array that is
-    already read-only down to the buffer that owns its memory is adopted.
+    (a VG1 file reads as an x-fastest, Fortran-ordered array); ``owned_array``
+    decides whether it is adopted or copied.
     """
 
     values: np.ndarray
@@ -44,14 +43,11 @@ class Volume3D:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float32)
+        values = owned_array(self.values, np.float32)
         if values.ndim != 3:
             raise ValueError(f"expected a 3D array, got shape {values.shape}")
         check_number_fields(self)
         check_grid(values.shape, self.spacing, self.origin)
-        if values is self.values and not _read_only(values):
-            values = values.copy(order="K")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -138,6 +134,23 @@ def check_grid(shape, spacing, origin) -> None:
     if not all(math.isfinite(o + (n - 1) * s) for o, n, s in zip(origin, shape, spacing)):
         raise ValueError(f"spacing {spacing} and origin {origin} put the far "
                          f"voxel of a {shape} grid at infinity")
+
+
+def owned_array(values, dtype) -> np.ndarray:
+    """The one rule by which a frozen record takes an array it is handed.
+
+    An array of ``dtype`` that is read-only down to the buffer that owns its
+    memory is adopted as it is; any other input is copied, an array in its own
+    memory order, and the copy is frozen.  So no later write by the caller
+    reaches the record, and the caller's array stays writeable.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    if _read_only(arr):
+        return arr
+    if arr is values or not arr.flags.owndata:
+        arr = arr.copy(order="K")
+    arr.flags.writeable = False
+    return arr
 
 
 def _read_only(values: np.ndarray) -> bool:

@@ -144,5 +144,5 @@ def read_va1(path) -> list[VertebraKeypoints]:
             raise FormatError(f"{path}: vertebra {i} lacks keypoint {exc}") from exc
         except ValueError as exc:
             raise FormatError(f"{path}: vertebra {i}: {exc}") from exc
-        out.append(VertebraKeypoints.from_array(pts, label=entry.get("label")))
+        out.append(VertebraKeypoints(pts, label=entry.get("label")))
     return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError
+from .core import GeometryError, owned_array
 
 # Canonical keypoint order used for (6, k) arrays everywhere in the package.
 KEYPOINT_KEYS = ("as", "ai", "ms", "mi", "ps", "pi")
@@ -29,44 +29,27 @@ DEFAULT_SEVERE_CUT = 0.6
 class VertebraKeypoints:
     """Six labeled keypoints of one vertebra, world mm.
 
-    Field names follow the anatomical pairs: anterior/middle/posterior
-    (a/m/p) crossed with superior/inferior (s/i).
+    ``points`` is a read-only (6, 3) array in ``KEYPOINT_KEYS`` order: the
+    anatomical pairs anterior/middle/posterior (a/m/p) crossed with
+    superior/inferior (s/i).
     """
 
-    anterior_superior: np.ndarray
-    anterior_inferior: np.ndarray
-    middle_superior: np.ndarray
-    middle_inferior: np.ndarray
-    posterior_superior: np.ndarray
-    posterior_inferior: np.ndarray
+    points: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
-        for name in ("anterior_superior", "anterior_inferior", "middle_superior",
-                     "middle_inferior", "posterior_superior", "posterior_inferior"):
-            p = np.asarray(getattr(self, name), dtype=float)
-            if p.shape != (3,) or not np.all(np.isfinite(p)):
-                raise ValueError(f"{name} must be a finite 3D point, got {p!r}")
-            p.flags.writeable = False
-            object.__setattr__(self, name, p)
-
-    @classmethod
-    def from_array(cls, pts, label: str | None = None) -> "VertebraKeypoints":
-        """Build from a (6, 3) array in canonical (as, ai, ms, mi, ps, pi) order."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.shape != (6, 3):
-            raise ValueError(f"expected shape (6, 3), got {pts.shape}")
-        return cls(*pts, label=label)
+        points = owned_array(self.points, float)
+        if points.shape != (6, 3) or not np.all(np.isfinite(points)):
+            raise ValueError(f"keypoints must be a finite (6, 3) array, got {points!r}")
+        object.__setattr__(self, "points", points)
 
     def as_array(self) -> np.ndarray:
         """(6, 3) array in canonical keypoint order."""
-        return np.stack([self.anterior_superior, self.anterior_inferior,
-                         self.middle_superior, self.middle_inferior,
-                         self.posterior_superior, self.posterior_inferior])
+        return self.points
 
     def center(self) -> np.ndarray:
         """Vertebral body center: midpoint of the middle height endpoints."""
-        return (self.middle_superior + self.middle_inferior) / 2
+        return (self.points[2] + self.points[3]) / 2
 
 
 def heights(kps: VertebraKeypoints) -> tuple[float, float, float]:

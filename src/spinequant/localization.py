@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, Volume3D
+from .core import GeometryError, Volume3D, owned_array
 from .genant import VertebraKeypoints
 from .splines import pchip
+
+
+SPAN_SLACK_MM = 1e-9  # how far a slice may pass a centerline's end and still lie on it
 
 
 @dataclass(frozen=True)
@@ -29,16 +32,14 @@ class CenterlinePolyline:
     frame: str = "world"
 
     def __post_init__(self):
-        xy = np.asarray(self.xy, dtype=float)
-        z = np.asarray(self.z, dtype=float)
+        xy = owned_array(self.xy, float)
+        z = owned_array(self.z, float)
         if xy.ndim != 2 or xy.shape[1] != 2 or z.shape != (xy.shape[0],):
             raise ValueError(f"inconsistent polyline arrays: {xy.shape} vs {z.shape}")
         if self.frame != "world":
             raise ValueError(f"unknown frame {self.frame!r}, only 'world' is supported")
         if len(z) > 1 and not np.all(np.diff(z) > 0):
             raise ValueError("slice positions must be strictly increasing")
-        xy.flags.writeable = False
-        z.flags.writeable = False
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "z", z)
 
@@ -113,13 +114,9 @@ def centerline_target(annotations: list[VertebraKeypoints],
     The curve is evaluated at every entry of ``z_slices`` (world mm) lying
     between the extreme keypoints.
     """
-    pts = []
-    for kps in annotations:
-        pts.append(kps.middle_superior)
-        pts.append(kps.middle_inferior)
-    if not pts:
+    if not annotations:
         raise GeometryError("no annotations")
-    pts = np.asarray(pts, dtype=float)
+    pts = np.concatenate([kps.as_array()[2:4] for kps in annotations])
     order = np.argsort(pts[:, 2])
     pts = pts[order]
     # Collapse duplicate z values (shared endplate annotations) by averaging.
@@ -150,30 +147,16 @@ def centerline_mae(pred: CenterlinePolyline, target: CenterlinePolyline) -> floa
 
 
 def upsample_curve(curve: CenterlinePolyline, z_fine: np.ndarray) -> CenterlinePolyline:
-    """Linearly interpolate a polyline onto a finer slice grid.
+    """Linearly interpolate a polyline onto a finer slice grid within its span.
 
-    Positions beyond the coarse range are extended linearly along the end
-    segments, so a straight centerline stays straight after upsampling.
+    A position more than ``SPAN_SLACK_MM`` outside the coarse range raises
+    GeometryError; one within the slack takes the end point.
     """
     if len(curve) < 2:
         raise GeometryError("need at least two coarse samples")
     z_fine = np.sort(np.asarray(z_fine, dtype=float))
-    xy = np.column_stack([
-        _interp_extrap(z_fine, curve.z, curve.xy[:, 0]),
-        _interp_extrap(z_fine, curve.z, curve.xy[:, 1]),
-    ])
+    if np.any(z_fine < curve.z[0] - SPAN_SLACK_MM) or np.any(z_fine > curve.z[-1] + SPAN_SLACK_MM):
+        raise GeometryError(f"slices outside the centerline's span "
+                            f"[{curve.z[0]:g}, {curve.z[-1]:g}] mm")
+    xy = np.column_stack([np.interp(z_fine, curve.z, curve.xy[:, k]) for k in range(2)])
     return CenterlinePolyline(xy, z_fine)
-
-
-def _interp_extrap(x, xp, fp):
-    """np.interp with linear extrapolation from the end segments."""
-    y = np.interp(x, xp, fp)
-    lo = x < xp[0]
-    hi = x > xp[-1]
-    if np.any(lo):
-        slope = (fp[1] - fp[0]) / (xp[1] - xp[0])
-        y[lo] = fp[0] + slope * (x[lo] - xp[0])
-    if np.any(hi):
-        slope = (fp[-1] - fp[-2]) / (xp[-1] - xp[-2])
-        y[hi] = fp[-1] + slope * (x[hi] - xp[-1])
-    return y

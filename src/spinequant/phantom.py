@@ -171,7 +171,7 @@ def _keypoints_for_body(center, axis_ap, axis_up, depth, h_a, h_m, h_p,
         base = center + offset * axis_ap
         pts.append(base + (h / 2) * axis_up)
         pts.append(base - (h / 2) * axis_up)
-    return VertebraKeypoints.from_array(np.asarray(pts), label=label)
+    return VertebraKeypoints(pts, label=label)
 
 
 def _fill_body(values, cfg: PhantomConfig, center, axis_lr, axis_ap, axis_up,

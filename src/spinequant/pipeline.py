@@ -23,6 +23,10 @@ from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
 from .straighten import StraightenedImage, StraightenTransform
 
 N_COORDS = 2 * detection.N_KEYPOINTS  # encoded coordinates per anchor
+# Size-budget elements each curve row costs beyond its plane pixels: its frame,
+# its transform.json row and the Python objects of to_dict (about 3.7 KB of
+# memory per row, measured at 65,000 rows).
+ROW_COST = 1024
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,8 @@ def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
     else:
         coarse = localization.centerline_target(annotations, working.slice_z_world())
     z_fine = vol.slice_z_world()
-    z_fine = z_fine[(z_fine >= coarse.z[0] - 1e-9) & (z_fine <= coarse.z[-1] + 1e-9)]
+    slack = localization.SPAN_SLACK_MM
+    z_fine = z_fine[(z_fine >= coarse.z[0] - slack) & (z_fine <= coarse.z[-1] + slack)]
     if len(z_fine) < 4:
         raise GeometryError("centerline spans fewer than four output slices")
     return localization.upsample_curve(coarse, z_fine)
@@ -136,13 +141,14 @@ def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
 
     Every later stage reads only this plane and its transform, so the
     left-right half-extent is 0 and no other plane of the straightened
-    volume is computed.
+    volume is computed.  Before the curve is built, the size budget counts
+    each row's plane pixels plus its ``ROW_COST``.
     """
     polyline = extract_centerline(vol, cfg, heatmaps=heatmaps, annotations=annotations)
     rows = float(polyline.z[-1] - polyline.z[0] + 2 * cfg.curve_pad_mm) / cfg.delta_mm  # at least
-    check_size((rows, 2 * np.floor(cfg.half_extent_mm[1] / cfg.delta_mm + 1e-9) + 1),
+    check_size((rows, 2 * np.floor(cfg.half_extent_mm[1] / cfg.delta_mm + 1e-9) + 1 + ROW_COST),
                f"delta_mm {cfg.delta_mm}, half_extent_mm {cfg.half_extent_mm} and curve_pad_mm "
-               f"{cfg.curve_pad_mm}: the straightened plane")
+               f"{cfg.curve_pad_mm}: the straightened plane, {ROW_COST} more per curve row,")
     curve = straighten.build_spine_curve(polyline, step=cfg.delta_mm,
                                          smoothing=cfg.smoothing_lambda,
                                          pad_mm=cfg.curve_pad_mm)
@@ -192,7 +198,7 @@ def score_detections(keypoints_px: np.ndarray, scores: np.ndarray,
     kps_mm = transform.pixel_to_world(keypoints_px.reshape(-1, 2)).reshape(
         -1, detection.N_KEYPOINTS, 3)
     return [VertebraResult(score, px, mm,
-                           genant.measure(VertebraKeypoints.from_array(mm), **cfg.grade_cuts()))
+                           genant.measure(VertebraKeypoints(mm), **cfg.grade_cuts()))
             for score, px, mm in zip(scores.tolist(), keypoints_px, kps_mm)]
 
 

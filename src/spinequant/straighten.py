@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, _sample_voxel_coords,
-                   check_number_fields, check_size, finite_numbers, require)
+                   check_number_fields, check_size, finite_numbers, owned_array, require)
 from .localization import CenterlinePolyline
 from .splines import not_a_knot_spline, smoothing_spline
 
@@ -30,20 +30,18 @@ def _set_checked_rows(obj, names: tuple[str, ...]) -> None:
     named array finite with shape (len(s), 3).  Checks are written so that
     NaN fails them.
     """
-    s = np.asarray(obj.s, dtype=float)
+    s = owned_array(obj.s, float)
     if s.ndim != 1 or len(s) < 2:
         raise GeometryError("curve needs at least two samples")
     if not np.all(np.diff(s) > 0):
         raise GeometryError("arc length must be strictly increasing")
-    s.flags.writeable = False
     object.__setattr__(obj, "s", s)
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr = owned_array(getattr(obj, name), float)
         if arr.shape != (len(s), 3):
             raise ValueError(f"{name} must have shape ({len(s)}, 3)")
         if not np.all(np.isfinite(arr)):
             raise GeometryError(f"{name} must be finite")
-        arr.flags.writeable = False
         object.__setattr__(obj, name, arr)
 
 

@@ -651,6 +651,27 @@ def test_fuzzed_transform_exits_0_2_or_3(small, tmp_path_factory, key, row, valu
     assert (tmp / "o").exists() == (code == 0)
 
 
+_EXTREMES = st.sampled_from([-1.0, 0.0, 1e300, float("inf"), float("nan")])
+
+
+# Deltas of 0.25 mm and up give the small phantom at most about 500 curve rows and a
+# plane of 500 x 500 pixels; deltas under 1e-4 mm are all refused by the size budget.
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.floats(0.25, 50) | st.floats(0, 1e-4) | _EXTREMES,
+       st.tuples(st.floats(0, 60) | _EXTREMES, st.floats(0, 60) | _EXTREMES))
+def test_fuzzed_straighten_grid_exits_0_2_or_3(small, tmp_path_factory, delta_mm,
+                                               half_extent_mm):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "c.json").write_text(json.dumps({"delta_mm": delta_mm,
+                                            "half_extent_mm": half_extent_mm}))
+    code, err = _run_quietly("straighten", small / "ph" / "volume.vg1",
+                             "--annotations", small / "ph" / "gt.va1",
+                             "--config", tmp / "c.json", "--output", tmp / "o")
+    assert code in (0, 2, 3), err
+    assert code == 0 or err.startswith(("input error: ", "geometry error: ")), err
+    assert (tmp / "o").exists() == (code == 0)
+
+
 # The phantom and config of acceptance criterion 9.
 CRITERION_9_PHANTOM = {"n_vertebrae": 5, "shape": [80, 80, 144], "spacing": [1.25, 1.25, 1.25],
                        "scoliosis_amplitude_mm": 9.0, "seed": 13,

@@ -7,6 +7,9 @@ from spinequant import core
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, Box2D, GeometryError,
                              Volume3D, _sample_voxel_coords, boxes_from_keypoints,
                              finite_numbers, iou_matrix, resample_volume, trilinear_sample)
+from spinequant.genant import VertebraKeypoints
+from spinequant.localization import CenterlinePolyline
+from spinequant.straighten import SpineCurve, StraightenTransform
 
 
 def iou(a: Box2D, b: Box2D) -> float:
@@ -434,3 +437,63 @@ def test_volume_adopts_read_only_input_only():
     vol = Volume3D(view, (1, 1, 1))
     writeable[0] = 99.0
     assert vol.values[0, 0, 0] == 0.0
+
+
+def _curve_rows(n=4):
+    """s, centers, t, u, v of a straight curve along z, with u = x and v = y."""
+    s = np.arange(float(n))
+    t, u, v = (np.tile(axis, (n, 1)) for axis in np.eye(3)[[2, 0, 1]])
+    return [s, np.outer(s, [0.0, 0.0, 1.0]), t, u, v]
+
+
+# The frozen records besides Volume3D, whose own tests are above: (the arrays it is
+# handed, the record built from them, the arrays it holds).  All take them by owned_array.
+RECORDS = {
+    "CenterlinePolyline": (lambda: [np.arange(8.0).reshape(4, 2), np.arange(4.0)],
+                           lambda a: CenterlinePolyline(*a), lambda r: [r.xy, r.z]),
+    "SpineCurve": (_curve_rows, lambda a: SpineCurve(*a),
+                   lambda r: [r.s, r.centers, r.t, r.u, r.v]),
+    "StraightenTransform": (lambda: [a for k, a in enumerate(_curve_rows()) if k != 2],
+                            lambda a: StraightenTransform(*a, 1.0, 0, 2),
+                            lambda r: [r.s, r.centers, r.u, r.v]),
+    "VertebraKeypoints": (lambda: [np.arange(18.0).reshape(6, 3)],
+                          lambda a: VertebraKeypoints(a[0]), lambda r: [r.points]),
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_record_copies_writeable_input(record, order):
+    arrays, build, held = RECORDS[record]
+    # Each array is handed as a view into a writeable owner of twice its size.
+    owners = [np.zeros((2, *a.shape), order=order) for a in arrays()]
+    views = [owner[0] for owner in owners]
+    for view, a in zip(views, arrays()):
+        view[...] = a
+    rec = build(views)
+    for owner in owners:
+        owner[...] = 99.0
+    for got, want in zip(held(rec), arrays(), strict=True):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+        assert not any(np.shares_memory(got, owner) for owner in owners)
+    assert all(a.flags.writeable for a in views + owners)
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_record_adopts_read_only_input_only(record):
+    arrays, build, held = RECORDS[record]
+    frozen = [np.array(a) for a in arrays()]
+    for a in frozen:
+        a.flags.writeable = False
+    assert all(got is a for got, a in zip(held(build(frozen)), frozen, strict=True))
+    # A read-only view of writeable memory is still copied.
+    owners = [np.array(a) for a in arrays()]
+    views = [owner.view() for owner in owners]
+    for view in views:
+        view.flags.writeable = False
+    rec = build(views)
+    for owner in owners:
+        owner[...] = 99.0
+    for got, want in zip(held(rec), arrays(), strict=True):
+        np.testing.assert_array_equal(got, want)

@@ -11,7 +11,7 @@ def make_keypoints(h_a=10.0, h_m=10.0, h_p=10.0, center=(0.0, 0.0, 0.0), depth=2
     for off, h in ((-depth / 2, h_a), (0.0, h_m), (depth / 2, h_p)):
         pts.append([cx, cy + off, cz + h / 2])
         pts.append([cx, cy + off, cz - h / 2])
-    return VertebraKeypoints.from_array(np.array(pts))
+    return VertebraKeypoints(np.array(pts))
 
 
 def test_heights_vertical_pairs():
@@ -21,7 +21,7 @@ def test_heights_vertical_pairs():
 def test_heights_3_4_5_triangle():
     kps = make_keypoints().as_array().copy()
     kps[0] = kps[1] + np.array([3.0, 4.0, 0.0])
-    got = heights(VertebraKeypoints.from_array(kps))
+    got = heights(VertebraKeypoints(kps))
     assert got[0] == pytest.approx(5.0, abs=1e-12)
 
 
@@ -29,7 +29,7 @@ def test_heights_zero_distance_error():
     kps = make_keypoints().as_array().copy()
     kps[0] = kps[1]
     with pytest.raises(ValueError):
-        heights(VertebraKeypoints.from_array(kps))
+        heights(VertebraKeypoints(kps))
 
 
 def test_genant_index_examples():
@@ -105,6 +105,6 @@ def test_measure_combines_fields():
 
 def test_keypoints_validation():
     with pytest.raises(ValueError):
-        VertebraKeypoints.from_array(np.zeros((5, 3)))
+        VertebraKeypoints(np.zeros((5, 3)))
     with pytest.raises(ValueError):
-        VertebraKeypoints.from_array(np.full((6, 3), np.nan))
+        VertebraKeypoints(np.full((6, 3), np.nan))

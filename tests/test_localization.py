@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, Volume3D
+from spinequant.genant import VertebraKeypoints
 from spinequant.localization import (CenterlinePolyline, centerline_mae,
                                      centerline_target, slicewise_centerline,
                                      soft_argmax_2d, upsample_curve)
@@ -131,7 +132,7 @@ def test_centerline_target_reproduces_linear_data():
         kps = make_keypoints(18, 18, 18, center=(0.5 * zc + 3, -2.0, zc)).as_array().copy()
         kps[2, 0] = 0.5 * kps[2, 2] + 3  # middle superior exactly on the line
         kps[3, 0] = 0.5 * kps[3, 2] + 3
-        anns.append(make_keypoints().from_array(kps))
+        anns.append(VertebraKeypoints(kps))
     z = np.arange(8.0, 104.0, 1.0)
     poly = centerline_target(anns, z)
     assert poly.frame == "world"
@@ -155,11 +156,10 @@ def test_centerline_target_passes_through_keypoints():
     for zc in np.arange(30.0, 200.0, 26.0):
         x = 40 + 10 * np.sin(zc / 50)
         anns.append(make_keypoints(16, 16, 16, center=(x + rng.uniform(-1, 1), 20.0, zc)))
-    kp_z = np.sort(np.concatenate([[a.middle_superior[2], a.middle_inferior[2]]
-                                   for a in anns], axis=None))
+    kp_z = np.sort(np.concatenate([a.as_array()[2:4, 2] for a in anns]))
     poly = centerline_target(anns, kp_z)
     for ann in anns:
-        for pt in (ann.middle_superior, ann.middle_inferior):
+        for pt in ann.as_array()[2:4]:
             k = np.argmin(np.abs(poly.z - pt[2]))
             assert abs(poly.z[k] - pt[2]) < 1e-9
             assert np.max(np.abs(poly.xy[k] - pt[:2])) < 1e-6
@@ -220,7 +220,7 @@ def test_centerline_target_needs_two_distinct_z():
     ann = make_keypoints(10, 10, 10)
     pts = ann.as_array().copy()
     pts[3] = pts[2]  # middle inferior collapses onto superior
-    broken = ann.from_array(pts)
+    broken = VertebraKeypoints(pts)
     with pytest.raises(GeometryError):
         centerline_target([broken], np.arange(-10.0, 10.0))
 
@@ -266,10 +266,13 @@ def test_upsample_linear_curve_stays_linear():
     z = np.array([0.0, 10.0, 20.0, 30.0])
     xy = np.column_stack([2 * z + 1, -0.5 * z])
     coarse = CenterlinePolyline(xy, z, frame="world")
-    fine_z = np.linspace(-2.0, 33.0, 71)  # extends past both ends
+    fine_z = np.linspace(-1e-9, 30.0 + 1e-9, 61)  # the ends within the slack
     fine = upsample_curve(coarse, fine_z)
     np.testing.assert_allclose(fine.xy[:, 0], 2 * fine_z + 1, atol=1e-9)
     np.testing.assert_allclose(fine.xy[:, 1], -0.5 * fine_z, atol=1e-9)
+    for outside in (-2e-9, 30.0 + 2e-9, 33.0):
+        with pytest.raises(GeometryError, match="span"):
+            upsample_curve(coarse, [5.0, outside])
 
 
 def test_upsample_single_interval_keeps_endpoints():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from spinequant.core import GeometryError
+from spinequant import straighten
+from spinequant.core import MAX_GRID_VOXELS, GeometryError
 from spinequant.evaluation import evaluate_study_set, match_detections
 from spinequant.phantom import PhantomConfig, generate_phantom
-from spinequant.pipeline import (PipelineConfig, extract_centerline, pack_prediction_planes,
+from spinequant.pipeline import (ROW_COST, PipelineConfig, extract_centerline,
+                                 pack_prediction_planes,
                                  rescore_chain, run_phantom_chain, sagittal_plane_box,
                                  score_stage, straighten_stage, unpack_prediction_planes)
 from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
@@ -167,6 +169,33 @@ def test_straighten_stage_plane_matches_full_volume_plane():
     assert sagittal.transform.centers.tobytes() == transform.centers.tobytes()
     assert sagittal.transform.i_half == 0
     assert sagittal.transform.j_half == transform.j_half == 30
+
+
+class CurveBuilt(Exception):
+    pass
+
+
+def test_straighten_stage_counts_row_cost_before_the_curve(monkeypatch):
+    # A one-column plane (AP half-extent 0) has one pixel per row; each row's frame and
+    # transform.json entry still cost ROW_COST, so a fine delta_mm is refused before
+    # build_spine_curve, which here raises instead of running the oversized case.
+    def build_spine_curve(*args, **kwargs):
+        raise CurveBuilt
+    monkeypatch.setattr(straighten, "build_spine_curve", build_spine_curve)
+    vol, anns, _ = generate_phantom(PhantomConfig())
+    with pytest.raises(GeometryError, match="delta_mm 2e-05"):
+        straighten_stage(vol, PipelineConfig(delta_mm=2e-5, half_extent_mm=(60.0, 0.0)),
+                         annotations=anns)
+    # The budget's edge: rows x (1 + ROW_COST) just over and just under 2^28.
+    polyline = extract_centerline(vol, PipelineConfig(), annotations=anns)
+    length = polyline.z[-1] - polyline.z[0] + 2 * PipelineConfig().curve_pad_mm
+    edge = length * (1 + ROW_COST) / MAX_GRID_VOXELS
+    with pytest.raises(GeometryError, match="per curve row"):
+        straighten_stage(vol, PipelineConfig(delta_mm=edge * 0.99, half_extent_mm=(60.0, 0.0)),
+                         annotations=anns)
+    with pytest.raises(CurveBuilt):
+        straighten_stage(vol, PipelineConfig(delta_mm=edge * 1.01, half_extent_mm=(60.0, 0.0)),
+                         annotations=anns)
 
 
 # The paper's "no exclusion criteria": severe scoliosis, short and strong
