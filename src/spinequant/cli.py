@@ -14,7 +14,7 @@ pipeline settings: a JSON object holding any subset of the
 ``PipelineConfig`` fields (an echoed ``config`` block works as-is).  The
 phantom's own description, and ``--seed``, go into one ``PhantomConfig``.
 
-Exit codes: 0 ok, 2 bad input file or configuration, 3 geometry/shape
+Exit codes: 0 ok, 2 bad input file, configuration or output path, 3 geometry/shape
 failure, 4 a requested metric is undefined (a partial report is still
 written).  All outputs are deterministic for a fixed config and seed.
 """
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeometryError as exc:

@@ -33,13 +33,13 @@ class FormatError(ValueError):
 
 
 def read_json(path: Path) -> dict:
-    """Load a JSON object; a missing file, invalid JSON or a non-object raises FormatError."""
-    if not path.exists():
-        raise FormatError(f"no such file: {path}")
+    """Load a JSON object; an unreadable path, invalid JSON or a non-object raises FormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -144,5 +144,7 @@ def read_va1(path) -> list[VertebraKeypoints]:
             raise FormatError(f"{path}: vertebra {i} lacks keypoint {exc}") from exc
         except ValueError as exc:
             raise FormatError(f"{path}: vertebra {i}: {exc}") from exc
-        out.append(VertebraKeypoints(pts, label=entry.get("label")))
+        if not isinstance(label := entry.get("label"), (str, type(None))):
+            raise FormatError(f"{path}: vertebra {i}: 'label' must be a string or null")
+        out.append(VertebraKeypoints(pts, label=label))
     return out

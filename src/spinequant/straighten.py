@@ -2,7 +2,7 @@
 
 The centerline polyline is smoothed and resampled by arc length, each sample
 gets an orthonormal frame {t, u, v} (tangent, left-right, anterior-posterior)
-transported with the double-reflection rotation-minimizing scheme, and the
+by double-reflection rotation-minimizing transport, in closed form, and the
 volume is resampled so the curve becomes the straight vertical line of the
 output grid.  The sampling map is kept so 2D points found on the straightened
 mid-sagittal image can be mapped back to 3D world coordinates.
@@ -108,8 +108,8 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
     than five points, or ``smoothing`` 0, are interpolated by the not-a-knot
     cubic spline (``splines.not_a_knot_spline``).  The curve is
     resampled at uniform arc-length ``step``, tangents come from central
-    differences, and frames are propagated with the double-reflection
-    rotation-minimizing method seeded with the patient left-right axis.
+    differences, and the rotation-minimizing frames start from the patient
+    left-right axis (``_rotation_minimizing_frames``).
     ``pad_mm`` extends the curve straight beyond both ends.
     """
     if len(polyline) < 4:
@@ -163,7 +163,7 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
         t[-1] = centers[-1] - centers[-2]
     t /= np.linalg.norm(t, axis=1, keepdims=True)
 
-    u, v = _double_reflection_frames(centers, t, seed=np.array([1.0, 0.0, 0.0]))
+    u, v = _rotation_minimizing_frames(centers, t)
 
     if pad_mm > 0:
         n_pad = int(np.ceil(pad_mm / step - 1e-9))
@@ -178,42 +178,36 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
     return SpineCurve(s, centers, t, u, v)
 
 
-def _double_reflection_frames(centers: np.ndarray, t: np.ndarray,
-                              seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation-minimizing frames along sampled points (double reflection).
+def _rotation_minimizing_frames(centers: np.ndarray,
+                                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation-minimizing (u, v) axes along sampled points, in closed form.
 
-    Each step reflects the previous frame across the chord bisector plane and
-    across the new tangent's bisector, which transports the in-plane axis with
-    no twist about the tangent.
+    Double reflection (Wang et al., ACM TOG 2008) is parallel transport, so with
+    r_k the left-right axis projected off t_k and w_k = t_k x r_k, u_k is
+    cos(phi_k) r_k + sin(phi_k) w_k and phi is the cumulative sum of the angles
+    of each step's reflected r_k in the next (r, w) basis; v = t x u.
     """
-    n = len(centers)
-    u = np.empty_like(t)
-    u0 = seed - (seed @ t[0]) * t[0]
-    norm = np.linalg.norm(u0)
-    if norm < 1e-9:
+    r = np.array([1.0, 0.0, 0.0]) - t[:, :1] * t
+    norm = np.linalg.norm(r, axis=1, keepdims=True)
+    if not np.min(norm) >= 1e-9:
         raise GeometryError("curve tangent is parallel to the left-right axis")
-    u[0] = u0 / norm
-    for k in range(n - 1):
-        chord = centers[k + 1] - centers[k]
-        c1 = chord @ chord
-        if c1 <= 0:
-            raise GeometryError("repeated curve samples")
-        u_ref = u[k] - (2 / c1) * (chord @ u[k]) * chord
-        t_ref = t[k] - (2 / c1) * (chord @ t[k]) * chord
-        bisect = t[k + 1] - t_ref
-        c2 = bisect @ bisect
-        if c2 <= 1e-300:
-            u_next = u_ref
-        else:
-            u_next = u_ref - (2 / c2) * (bisect @ u_ref) * bisect
-        u_next -= (u_next @ t[k + 1]) * t[k + 1]
-        u[k + 1] = u_next / np.linalg.norm(u_next)
-    v = np.cross(t, u)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    # Re-orthogonalize u so the frame closes to well below the tolerance.
-    u = np.cross(v, t)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return u, v
+    r /= norm
+    w = np.cross(t, r)
+    chord = np.diff(centers, axis=0)
+    c1 = _dot(chord, chord)
+    if not np.all(c1 > 0):
+        raise GeometryError("repeated curve samples")
+    r_ref = r[:-1] - ((2 / c1) * _dot(chord, r[:-1]))[:, None] * chord
+    t_ref = t[:-1] - ((2 / c1) * _dot(chord, t[:-1]))[:, None] * chord
+    bisect = t[1:] - t_ref
+    c2 = _dot(bisect, bisect)
+    # A tangent the first reflection already carried over needs no second one.
+    c2 = np.where(c2 > 1e-300, c2, np.inf)
+    r_ref -= ((2 / c2) * _dot(bisect, r_ref))[:, None] * bisect
+    phi = np.concatenate([[0.0], np.cumsum(np.arctan2(_dot(r_ref, w[1:]),
+                                                      _dot(r_ref, r[1:])))])
+    cos, sin = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    return cos * r + sin * w, cos * w - sin * r
 
 
 @dataclass(frozen=True)

@@ -380,13 +380,16 @@ def _file(name, text, argv):
     return case
 
 
-def _annotations(edit):
-    """straighten along a copy of the phantom's gt.va1 after edit(doc)."""
+def _annotations(edit, argv=("straighten", "ph/volume.vg1", "--annotations", "a.va1")):
+    """argv, by default straighten, on a.va1, a copy of the phantom's gt.va1 after edit(doc)."""
     def text(small):
         doc = json.loads((small / "ph" / "gt.va1").read_text())
         edit(doc)
         return json.dumps(doc)
-    return _file("a.va1", text, ["straighten", "ph/volume.vg1", "--annotations", "a.va1"])
+    return _file("a.va1", text, list(argv))
+
+
+_SCORE_A_VA1 = ("score", "st/sagittal.vg1", "st/transform.json", "--annotations", "a.va1")
 
 
 def _detections(edit):
@@ -523,6 +526,24 @@ MALFORMED_INPUTS = [
     ("config 200000 anchor scales",
      _config(json.dumps({"anchor_scales_mm": [17.0] * 200000}), "targets"), 3,
      "anchor_scales_mm"),
+    # Paths that are directories, and JSON nested deeper than the parser recurses.
+    ("detections a directory", lambda small, tmp: ["evaluate", tmp, small / "ph" / "gt.va1"], 2,
+     "Is a directory"),
+    ("transform a directory",
+     lambda small, tmp: ["score", small / "st" / "sagittal.vg1", tmp,
+                         "--annotations", small / "ph" / "gt.va1"], 2, "Is a directory"),
+    ("heatmaps a directory",
+     lambda small, tmp: ["straighten", small / "ph" / "volume.vg1", "--heatmaps", tmp], 2,
+     "Is a directory"),
+    ("detections nested 100,000 deep",
+     _file("d.json", "[" * 100_000 + "]" * 100_000, ["evaluate", "d.json", "ph/gt.va1"]), 2,
+     "maximum recursion depth"),
+    ("va1 label NaN, score",
+     _annotations(lambda doc: doc["vertebrae"][0].update(label=float("nan")), _SCORE_A_VA1), 2,
+     "vertebra 0: 'label' must be a string or null"),
+    ("va1 label a list, score",
+     _annotations(lambda doc: doc["vertebrae"][0].update(label=["V1"]), _SCORE_A_VA1), 2,
+     "vertebra 0: 'label' must be a string or null"),
     # A predictions file is only read for the loss: without --loss it is refused unopened.
     ("targets predictions without loss",
      lambda small, tmp: ["targets", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
@@ -803,6 +824,18 @@ def test_readme_oracle_run_imports_no_scipy(tmp_path):
 def test_missing_input_exits_2(tmp_path):
     assert run("straighten", tmp_path / "nope.vg1", "--annotations",
                tmp_path / "nope.va1", "--output", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("output", ["a file", "below a file"])
+def test_unusable_output_path_exits_2(small, tmp_path, capsys, output):
+    (tmp_path / "f").write_text("")
+    out = tmp_path / "f" if output == "a file" else tmp_path / "f" / "sub"
+    assert run("straighten", small / "ph" / "volume.vg1", "--annotations",
+               small / "ph" / "gt.va1", "--output", out) == 2
+    assert run("phantom", small / "phantom.json", "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error: ") == 2 and "Traceback" not in err
+    assert (tmp_path / "f").read_text() == ""
 
 
 def test_malformed_volume_exits_2(tmp_path):

@@ -7,7 +7,8 @@ from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
 from spinequant.splines import not_a_knot_spline, smoothing_spline
 from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenTransform,
-                                   build_spine_curve, mid_sagittal_slice, straighten_volume)
+                                   _rotation_minimizing_frames, build_spine_curve,
+                                   mid_sagittal_slice, straighten_volume)
 
 from test_localization import assert_fit_matches, spline_data, spline_examples
 
@@ -294,6 +295,74 @@ def test_spine_curve_frames_orthonormal_right_handed_property(amplitude, wavelen
                                                               ap_amplitude, ap_slope):
     curve = sinusoid_curve(amplitude, wavelength, phase, ap_amplitude, ap_slope)
     assert_frames_orthonormal(curve, tol=_FRAME_TOL)
+
+
+def double_reflection_oracle(centers, t):
+    """The per-sample double-reflection loop (Wang et al. 2008), seeded with the
+    left-right axis, then re-orthogonalized: the oracle for the closed form."""
+    u = np.empty_like(t)
+    u0 = np.array([1.0, 0.0, 0.0]) - t[0, 0] * t[0]
+    u[0] = u0 / np.linalg.norm(u0)
+    for k in range(len(centers) - 1):
+        chord = centers[k + 1] - centers[k]
+        c1 = chord @ chord
+        u_ref = u[k] - (2 / c1) * (chord @ u[k]) * chord
+        t_ref = t[k] - (2 / c1) * (chord @ t[k]) * chord
+        bisect = t[k + 1] - t_ref
+        c2 = bisect @ bisect
+        u_next = u_ref if c2 <= 1e-300 else u_ref - (2 / c2) * (bisect @ u_ref) * bisect
+        u_next -= (u_next @ t[k + 1]) * t[k + 1]
+        u[k + 1] = u_next / np.linalg.norm(u_next)
+    v = np.cross(t, u)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    u = np.cross(v, t)
+    return u / np.linalg.norm(u, axis=1, keepdims=True), v
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(*scoliosis, st.floats(0, 60), st.floats(150, 400), st.floats(0.25, 2.0),
+       st.sampled_from([0.0, 0.1, 10.0]))
+def test_frames_equal_the_double_reflection_loop_property(amplitude, wavelength, phase,
+                                                          ap_amplitude, ap_wavelength, step,
+                                                          lam):
+    z = np.linspace(0.0, 280.0, 94)
+    xy = np.column_stack([80 + amplitude * np.sin(2 * np.pi * z / wavelength + phase),
+                          80 + ap_amplitude * np.sin(2 * np.pi * z / ap_wavelength)])
+    curve = build_spine_curve(CenterlinePolyline(xy, z, "world"), step=step, smoothing=lam)
+    u, v = double_reflection_oracle(curve.centers, curve.t)
+    assert np.max(np.abs(curve.u - u)) <= 1e-13
+    assert np.max(np.abs(curve.v - v)) <= 1e-13
+
+
+def test_frames_refuse_a_left_right_tangent_and_repeated_samples():
+    t = np.tile([0.0, 0.0, 1.0], (4, 1))
+    centers = np.outer(np.arange(4.0), [0.0, 0.0, 1.0])
+    _rotation_minimizing_frames(centers, t)
+    sideways = t.copy()
+    sideways[2] = [1.0, 0.0, 0.0]
+    with pytest.raises(GeometryError, match="parallel to the left-right axis"):
+        _rotation_minimizing_frames(centers, sideways)
+    centers[2] = centers[1]
+    with pytest.raises(GeometryError, match="repeated curve samples"):
+        _rotation_minimizing_frames(centers, t)
+
+
+def test_build_spine_curve_memory_is_bounded_by_its_output():
+    # About 25,000 rows: a 180 mm centerline at a step of 180 / 21,500 mm, 15 mm pad.
+    import tracemalloc
+
+    z = np.linspace(0.0, 180.0, 60)
+    xy = np.column_stack([80 + 15 * np.sin(2 * np.pi * z / 200), 80 + 0.1 * z])
+    polyline = CenterlinePolyline(xy, z, "world")
+    tracemalloc.start()
+    try:
+        curve = build_spine_curve(polyline, step=180 / 21500, pad_mm=15.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) > 24000
+    returned = sum(getattr(curve, name).nbytes for name in ("s", "centers", "t", "u", "v"))
+    assert peak < 5 * returned, (peak, returned)
 
 
 def transform_and_reach(curve, delta):
