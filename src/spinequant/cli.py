@@ -208,10 +208,9 @@ def cmd_targets(args) -> int:
     anchors, targets = pipeline.targets_stage(sagittal, annotations, cfg)
     if args.loss:
         objectness, offsets = _read_predictions(args.predictions, sagittal, anchors.n_types)
+    packed = pipeline.pack_targets(targets)
     out = args.output
     out.mkdir(parents=True, exist_ok=True)
-    packed = pipeline.pack_prediction_planes(targets.objectness, targets.offsets,
-                                             targets.genant_weights)
     write_vg1(out / "targets.vg1",
               Volume3D(packed, (sagittal.delta, sagittal.delta, 1.0)))
     manifest = {

@@ -186,6 +186,8 @@ class Box2D:
 
 
 IOU_BLOCK = 4096  # columns of b per block of iou_matrix, so its side arrays stay in cache
+# Largest box area iou_matrix takes: the sum of two such areas, its union, stays finite.
+MAX_AREA = float(np.finfo(float).max) / 2
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,7 +228,8 @@ def boxes_from_keypoints(kps: np.ndarray) -> np.ndarray:
     """Tight axis-aligned boxes of K point sets, (K, N, 2) -> (K, 4) rows (cx, cy, w, h).
 
     Raises ValueError unless every point is finite, and GeometryError when
-    any set is collinear along an axis, which signals a corrupt annotation.
+    any set is collinear along an axis, which signals a corrupt annotation,
+    or when a box's center, sides or area leave the float range (``MAX_AREA``).
     """
     kps = np.asarray(kps, dtype=float)
     if kps.ndim != 3 or kps.shape[1] == 0 or kps.shape[2] != 2 \
@@ -236,7 +239,12 @@ def boxes_from_keypoints(kps: np.ndarray) -> np.ndarray:
     hi = kps.max(axis=1)
     if np.any(hi <= lo):
         raise GeometryError("keypoints have zero extent along an axis")
-    return np.concatenate([(lo + hi) / 2, hi - lo], axis=1)
+    with np.errstate(over="ignore"):  # refused right below
+        boxes = np.concatenate([(lo + hi) / 2, hi - lo], axis=1)
+        area = boxes[:, 2] * boxes[:, 3]
+    if not (np.all(np.isfinite(boxes)) and np.all(area <= MAX_AREA)):
+        raise GeometryError("keypoints lie too far apart: their box leaves the float range")
+    return boxes
 
 
 def trilinear_sample(vol: Volume3D, pts, fill: float = DEFAULT_FILL) -> np.ndarray | float:

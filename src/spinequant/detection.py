@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box2D, GeometryError, boxes_from_keypoints, iou_matrix
+from .core import MAX_AREA, Box2D, GeometryError, boxes_from_keypoints, iou_matrix
 
 DEFAULT_SCALES_MM = (17.0, 23.0, 28.0, 35.0)
 DEFAULT_RATIOS = (0.8, 1.1, 1.3, 2.0)
@@ -68,8 +68,11 @@ def generate_anchors(image_shape, pixel_spacing: float,
     with np.errstate(over="ignore"):  # an overflow is refused right below
         sides = np.array([[s / np.sqrt(r), s * np.sqrt(r)] for s in scales_mm for r in ratios],
                          dtype=float).reshape(-1, 2) / pixel_spacing
-    if not np.all(np.isfinite(sides)):
-        raise GeometryError(f"anchors of {max(scales_mm)} mm overflow pixels of {pixel_spacing} mm")
+        area = sides[:, 0] * sides[:, 1]
+    if not (np.all(sides > 0) and np.all(area <= MAX_AREA)):
+        raise GeometryError(f"anchor_scales_mm {min(scales_mm):g}-{max(scales_mm):g} and "
+                            f"anchor_ratios {min(ratios):g}-{max(ratios):g} give anchor sides "
+                            f"or areas that overflow or underflow pixels of {pixel_spacing} mm")
     sides.flags.writeable = False
     return AnchorGrid((int(image_shape[0]), int(image_shape[1])), sides)
 
@@ -196,7 +199,8 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     m_pos = matched[pos]
     objectness[pos] = 1.0
     rel = gt_kps[m_pos] - np.stack(pos[:2], axis=1)[:, None, :]
-    offsets[pos] = rel / wh[pos[2]][:, None, :]
+    with np.errstate(over="ignore"):  # past the float range is inf, which pack_targets refuses
+        offsets[pos] = rel / wh[pos[2]][:, None, :]
     weights[pos] = gt_weights[m_pos]
     return DetectionTargets(objectness, offsets, weights, matched)
 

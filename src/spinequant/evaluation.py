@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import UndefinedMetricError, boxes_from_keypoints, iou_matrix
+from .core import GeometryError, UndefinedMetricError, boxes_from_keypoints, iou_matrix
 from .detection import N_KEYPOINTS
 from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
 
@@ -21,14 +21,26 @@ from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
 def localization_error(pred_centers, gt_centers) -> np.ndarray:
     """Distance (mm) from each predicted center to the nearest ground-truth one.
 
-    Both arguments are world-mm center rows, shape (3,) or (n, 3).
+    Both arguments are world-mm center rows, shape (3,) or (n, 3).  A distance
+    past the float range is inf.
     """
     pred = np.atleast_2d(np.asarray(pred_centers, dtype=float))
     gt = np.atleast_2d(np.asarray(gt_centers, dtype=float))
     if gt.size == 0:
         raise ValueError("localization error needs at least one ground-truth center")
-    d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
+    with np.errstate(over="ignore"):
+        d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
     return d.min(axis=1)
+
+
+def _mean_std(errors) -> tuple[float, float]:
+    """Mean and standard deviation of localization errors, which must stay finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(np.mean(errors)), float(np.std(errors))
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise GeometryError("detections lie too far from the ground truth: their "
+                            "localization errors leave the float range")
+    return mean, std
 
 
 def sagittal_plane_box(kps_mm) -> np.ndarray:
@@ -289,11 +301,10 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
             patient_gt.append(min(gt_gs))
 
     if all_loc:
-        report.localization_mean_mm = float(np.mean(all_loc))
-        report.localization_std_mm = float(np.std(all_loc))
+        report.localization_mean_mm, report.localization_std_mm = _mean_std(all_loc)
     if frac_loc:
-        report.localization_fractured_mean_mm = float(np.mean(frac_loc))
-        report.localization_fractured_std_mm = float(np.std(frac_loc))
+        (report.localization_fractured_mean_mm,
+         report.localization_fractured_std_mm) = _mean_std(frac_loc)
     report.tp, report.fp, report.fn = tp, fp, fn
     report.precision = tp / (tp + fp) if (tp + fp) else None
     report.recall = tp / (tp + fn) if (tp + fn) else None

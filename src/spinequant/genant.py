@@ -56,13 +56,17 @@ def heights(kps: VertebraKeypoints) -> tuple[float, float, float]:
     """Anterior, middle and posterior body heights in mm.
 
     Each height is the Euclidean distance between the superior and inferior
-    keypoint of its pair.  A zero distance signals a degenerate annotation
-    and raises GeometryError.
+    keypoint of its pair.  A zero distance signals a degenerate annotation,
+    and one past the float range keypoints too far apart; both raise
+    GeometryError.
     """
     pts = kps.as_array()
-    h = np.linalg.norm(pts[0::2] - pts[1::2], axis=1)
+    with np.errstate(over="ignore"):  # refused right below
+        h = np.linalg.norm(pts[0::2] - pts[1::2], axis=1)
     if np.any(h <= 0):
         raise GeometryError(f"degenerate annotation: zero height in {tuple(h.tolist())}")
+    if not np.all(np.isfinite(h)):
+        raise GeometryError(f"keypoints lie too far apart: heights {tuple(h.tolist())} overflow")
     return float(h[0]), float(h[1]), float(h[2])
 
 

@@ -276,6 +276,37 @@ def pack_prediction_planes(objectness: np.ndarray, offsets: np.ndarray,
     return out
 
 
+F32 = np.finfo(np.float32)
+
+
+def pack_targets(targets: DetectionTargets) -> np.ndarray:
+    """``pack_prediction_planes`` of the targets' three maps, written from the
+    positive anchors only.
+
+    Negative anchors are zero in every map, so the raster comes from
+    ``np.zeros``, whose pages stay untouched, and only the positive anchors'
+    objectness, 12 keypoint-major offsets and Genant weight are scattered in:
+    the same bytes as the dense packing.  A nonzero offset outside the normal
+    float32 range, which the cast would turn into inf or flush toward 0, raises
+    GeometryError before any value is cast.
+    """
+    nx, ny, a = targets.objectness.shape
+    ix, iy, t = np.nonzero(targets.matched >= 0)
+    offsets = targets.offsets[ix, iy, t].reshape(-1, N_COORDS)
+    size = np.abs(offsets)
+    if not np.all((size <= F32.max) & ((size >= F32.tiny) | (size == 0))):
+        raise GeometryError(
+            f"target offsets of {np.min(size, initial=np.inf, where=size > 0):.6g} to "
+            f"{size.max():.6g} anchor sides leave the float32 range of the raster: "
+            "anchor_scales_mm and anchor_ratios set the anchor sides")
+    out = np.zeros((nx, ny, 14 * a), dtype=np.float32, order="F")
+    out[ix, iy, t] = targets.objectness[ix, iy, t]
+    out[ix[:, None], iy[:, None], a + N_COORDS * t[:, None] + np.arange(N_COORDS)] = offsets
+    out[ix, iy, 13 * a + t] = targets.genant_weights[ix, iy, t]
+    out.flags.writeable = False
+    return out
+
+
 def unpack_prediction_planes(values: np.ndarray, n_types: int
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Inverse of pack_prediction_planes; accepts 13A or 14A planes.

@@ -404,23 +404,36 @@ def _detections(edit):
     return _file("d.json", text, ["evaluate", "d.json", "ph/gt.va1"])
 
 
-def _tiny_delta(argv):
-    """argv on the small workspace with t.json, its transform.json at a delta of 3e-308:
-    a normal float, but the annotations' offsets over it overflow."""
+def _tiny_delta(argv, delta=3e-308):
+    """argv on the small workspace with t.json, its transform.json at a tiny delta; at
+    3e-308, a normal float, the annotations' offsets over it overflow."""
     def text(small):
         doc = json.loads((small / "st" / "transform.json").read_text())
-        doc["delta"] = 3e-308
+        doc["delta"] = delta
         return json.dumps(doc)
     return _file("t.json", text, argv)
 
 
-def _zero_height(command):
-    """command on a.va1, the phantom's gt.va1 with the first vertebra's "ai" set to its
-    "as" (a zero anterior height); evaluate pairs it with a detections.json of none."""
+def _zero_height(vertebrae):
+    """The first vertebra's "ai" set to its "as": a zero anterior height."""
+    kps = vertebrae[0]["keypoints_mm"]
+    kps["ai"] = kps["as"]
+
+
+def _scaled_by(factor):
+    """Every keypoint coordinate of every vertebra times factor."""
+    def edit(vertebrae):
+        for v in vertebrae:
+            v["keypoints_mm"] = {k: [c * factor for c in p] for k, p in v["keypoints_mm"].items()}
+    return edit
+
+
+def _edited_gt(edit, command):
+    """command on a.va1, the phantom's gt.va1 after edit(its vertebrae); evaluate pairs it
+    with a detections.json of none."""
     def case(small, tmp):
         doc = json.loads((small / "ph" / "gt.va1").read_text())
-        kps = doc["vertebrae"][0]["keypoints_mm"]
-        kps["ai"] = kps["as"]
+        edit(doc["vertebrae"])
         write_json(tmp / "a.va1", doc)
         write_json(tmp / "d.json", {"vertebrae": []})
         sagittal, transform = small / "st" / "sagittal.vg1", small / "st" / "transform.json"
@@ -516,15 +529,38 @@ MALFORMED_INPUTS = [
      _tiny_delta(["score", "st/sagittal.vg1", "t.json", "--annotations", "ph/gt.va1"]), 3),
     ("transform delta 3e-308, targets",
      _tiny_delta(["targets", "st/sagittal.vg1", "t.json", "ph/gt.va1"]), 3),
-    ("va1 zero height, score", _zero_height("score"), 3, "zero height"),
-    ("va1 zero height, targets", _zero_height("targets"), 3, "zero height"),
-    ("va1 zero height, evaluate", _zero_height("evaluate"), 3, "zero height"),
+    ("va1 zero height, score", _edited_gt(_zero_height, "score"), 3, "zero height"),
+    ("va1 zero height, targets", _edited_gt(_zero_height, "targets"), 3, "zero height"),
+    ("va1 zero height, evaluate", _edited_gt(_zero_height, "evaluate"), 3, "zero height"),
+    # Heights whose squares overflow, and detection boxes whose areas do.
+    ("va1 keypoints x 1e154, score", _edited_gt(_scaled_by(1e154), "score"), 3, "heights"),
+    ("va1 keypoints x 1e154, targets", _edited_gt(_scaled_by(1e154), "targets"), 3, "heights"),
+    ("va1 keypoints x 1e154, evaluate", _edited_gt(_scaled_by(1e154), "evaluate"), 3,
+     "heights"),
+    ("detections keypoints x 1e160",
+     _detections(lambda e: e.update(keypoints_world=[[c * 1e160 for c in p]
+                                                     for p in e["keypoints_world"]])), 3,
+     "float range"),
+    # Its sagittal box matches, but its distance to the ground truth overflows.
+    ("detections keypoints 1e200 mm to the left",
+     _detections(lambda e: e.update(keypoints_world=[[p[0] + 1e200, *p[1:]]
+                                                     for p in e["keypoints_world"]])), 3,
+     "localization errors"),
     # Planes of 10^10 pixels and 10^11 anchor offsets: refused before any array exists.
     ("config delta 0.001 mm", _config('{"delta_mm": 0.001}', "straighten"), 3, "delta_mm"),
     ("config half extent 1e9 mm", _config('{"half_extent_mm": [60, 1e9]}', "straighten"), 3,
      "half_extent_mm"),
     ("config 200000 anchor scales",
      _config(json.dumps({"anchor_scales_mm": [17.0] * 200000}), "targets"), 3,
+     "anchor_scales_mm"),
+    # Anchor offsets past the float32 range of targets.vg1: refused before the cast.
+    ("config anchor ratio 1e300", _config('{"anchor_ratios": [1e300]}', "targets"), 3,
+     "anchor_ratios"),
+    ("config anchor ratio 1e-300", _config('{"anchor_ratios": [1e-300]}', "targets"), 3,
+     "anchor_ratios"),
+    ("config anchor scale 1e-300", _config('{"anchor_scales_mm": [1e-300]}', "targets"), 3,
+     "anchor_scales_mm"),
+    ("config anchor scale 5e-324", _config('{"anchor_scales_mm": [5e-324]}', "targets"), 3,
      "anchor_scales_mm"),
     # Paths that are directories, and JSON nested deeper than the parser recurses.
     ("detections a directory", lambda small, tmp: ["evaluate", tmp, small / "ph" / "gt.va1"], 2,
@@ -648,6 +684,30 @@ def test_fuzzed_pipeline_config_exits_cleanly(workspace, tmp_path_factory, field
     assert code in want, err
     assert code == 0 or err.startswith(("input error: ", "undefined metric: ")), err
     assert (tmp / "o").exists() == (code != 2)
+
+
+_ANCHOR_SIZES = st.lists(st.floats(1e-6, 1e6) | st.sampled_from(
+    [5e-324, 1e-300, 1e-150, 1e-40, 1e-36, 1e30, 1e150, 1e300, 1.7e308]), min_size=1, max_size=2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_ANCHOR_SIZES, _ANCHOR_SIZES)
+def test_fuzzed_anchor_sizes_write_only_targets_score_reads(small, tmp_path_factory, scales,
+                                                            ratios):
+    # targets either refuses the anchors before any output exists (exit 3) or writes a
+    # raster that score --predictions decodes under the same config.
+    tmp = tmp_path_factory.mktemp("fuzz")
+    write_json(tmp / "c.json", {"anchor_scales_mm": scales, "anchor_ratios": ratios})
+    sagittal = [small / "st" / "sagittal.vg1", small / "st" / "transform.json"]
+    code, err = _run_quietly("targets", *sagittal, small / "ph" / "gt.va1",
+                             "--config", tmp / "c.json", "--output", tmp / "tg")
+    assert code in (0, 3), err
+    assert code == 0 or err.startswith("geometry error: "), err
+    assert (tmp / "tg").exists() == (code == 0)
+    if code == 0:
+        code, err = _run_quietly("score", *sagittal, "--predictions", tmp / "tg" / "targets.vg1",
+                                 "--config", tmp / "c.json", "--output", tmp / "sc")
+        assert code == 0, err
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -791,10 +851,17 @@ def test_malformed_input_exit_code_in_a_fresh_process(small, tmp_path):
                       cwd=tmp_path)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "expected a JSON object" in proc.stderr
-    # Overflowing pixel positions: no numpy warning comes before the message.
-    for command in (["score", "st/sagittal.vg1", "t.json", "--annotations", "ph/gt.va1"],
-                    ["targets", "st/sagittal.vg1", "t.json", "ph/gt.va1"]):
-        proc = _run_fresh(*_tiny_delta(command)(small, tmp_path), "--output", "o", cwd=tmp_path)
+    # Overflowing pixel positions and anchor areas: no numpy warning comes before the
+    # message.
+    assert run("targets", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+               small / "ph" / "gt.va1", "--output", tmp_path / "tg") == 0
+    predictions = str(tmp_path / "tg" / "targets.vg1")  # absolute, so _file keeps it
+    for command, delta in (
+            (["score", "st/sagittal.vg1", "t.json", "--annotations", "ph/gt.va1"], 3e-308),
+            (["targets", "st/sagittal.vg1", "t.json", "ph/gt.va1"], 3e-308),
+            (["score", "st/sagittal.vg1", "t.json", "--predictions", predictions], 1e-300)):
+        proc = _run_fresh(*_tiny_delta(command, delta)(small, tmp_path), "--output", "o",
+                          cwd=tmp_path)
         assert proc.returncode == 3
         assert proc.stderr.startswith("geometry error: ") and "\n" not in proc.stderr[:-1]
 

@@ -176,6 +176,12 @@ def test_boxes_from_keypoints_matches_single_box():
         bbox_from_keypoints(np.array([np.inf, 1.0, 2.0, 3.0]).reshape(2, 2))
     with pytest.raises(ValueError):
         bbox_from_keypoints(np.zeros(2))
+    # Areas past MAX_AREA, whose sum in iou_matrix's union overflows, and a center
+    # that overflows.
+    for far in ([[0.0, 0.0], [1e155, 1e154]], [[1e308, 0.0], [1.7e308, 1.0]]):
+        with pytest.raises(GeometryError, match="float range"):
+            boxes_from_keypoints(np.array([far]))
+    assert boxes_from_keypoints(np.array([[[0.0, 0.0], [9e153, 9e153]]]))[0, 2] == 9e153
 
 
 def test_bbox_rotated_rectangle_corners():

@@ -66,6 +66,15 @@ def test_anchor_grid_rejects_sides_that_overflow():
         generate_anchors((5, 5), 3e-308)
 
 
+def test_anchor_grid_rejects_areas_that_overflow_and_sides_that_underflow():
+    # Finite sides of 1.7e301 px, but their product overflows.
+    with pytest.raises(GeometryError, match="overflow"):
+        generate_anchors((5, 5), 1e-300)
+    # A height of 1e-300 mm x sqrt(1e-300) underflows to 0.
+    with pytest.raises(GeometryError, match="anchor_ratios"):
+        generate_anchors((5, 5), 1.0, scales_mm=(1e-300,), ratios=(1e-300,))
+
+
 def test_anchor_sides_table_and_flat_order():
     scales, ratios = (10.0, 14.0), (1.0, 2.0)
     grid = generate_anchors((4, 3), 1.0, scales_mm=scales, ratios=ratios)

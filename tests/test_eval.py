@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinequant.core import UndefinedMetricError, iou_matrix
+from spinequant.core import GeometryError, UndefinedMetricError, iou_matrix
 from spinequant.evaluation import (classification_report, evaluate_study_set,
                                    localization_error, match_detections, roc_auc)
 
@@ -320,6 +320,17 @@ def test_unscored_detection_counts_as_score_one():
     study["detections"][1] = (kps, g, None)
     assert evaluate_study_set([study]) == want
     assert want[0].fp == 1 and want[0].classification["moderate"]["vertebra"]["sensitivity"] == 1
+
+
+def test_evaluate_study_set_refuses_localization_errors_past_the_float_range():
+    # Shifted left-right only, the sagittal boxes still match, but the squared distance
+    # to the ground truth overflows.
+    study = study_fixture([1.0, 0.7])
+    kps, g, score = study["detections"][0]
+    study["detections"][0] = (kps + [1e200, 0.0, 0.0], g, score)
+    assert localization_error(kps[2] + [1e200, 0.0, 0.0], [kps[2]])[0] == np.inf
+    with pytest.raises(GeometryError, match="float range"):
+        evaluate_study_set([study])
 
 
 def test_evaluate_study_set_localizes_by_middle_keypoints():

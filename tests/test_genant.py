@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinequant.core import GeometryError
 from spinequant.genant import (VertebraKeypoints, genant_index, grade, heights,
                                measure, patient_score)
 
@@ -29,6 +30,12 @@ def test_heights_zero_distance_error():
     kps = make_keypoints().as_array().copy()
     kps[0] = kps[1]
     with pytest.raises(ValueError):
+        heights(VertebraKeypoints(kps))
+
+
+def test_heights_past_the_float_range_error():
+    kps = make_keypoints().as_array() * 1e154  # heights of 1e155: their squares overflow
+    with pytest.raises(GeometryError, match="overflow"):
         heights(VertebraKeypoints(kps))
 
 

@@ -5,10 +5,11 @@ from spinequant import straighten
 from spinequant.core import MAX_GRID_VOXELS, GeometryError
 from spinequant.evaluation import evaluate_study_set, match_detections
 from spinequant.phantom import PhantomConfig, generate_phantom
-from spinequant.pipeline import (ROW_COST, PipelineConfig, extract_centerline,
-                                 pack_prediction_planes,
+from spinequant.pipeline import (ROW_COST, PipelineConfig, extract_centerline, oracle_phantom,
+                                 pack_prediction_planes, pack_targets,
                                  rescore_chain, run_phantom_chain, sagittal_plane_box,
-                                 score_stage, straighten_stage, unpack_prediction_planes)
+                                 score_stage, straighten_stage, targets_stage,
+                                 unpack_prediction_planes)
 from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
 
 
@@ -120,6 +121,23 @@ def test_pack_matches_concatenation_and_unpacks_to_views(chain):
         unpacked = unpack_prediction_planes(packed, a)
         for part in unpacked[:2] + ((unpacked[2],) if weights is not None else ()):
             assert part.dtype == np.float32 and np.shares_memory(part, packed)
+
+
+@pytest.mark.parametrize("amplitude, vertebrae", [(0.0, True), (30.0, True), (30.0, False)],
+                         ids=["0 mm", "30 mm", "no vertebrae"])
+def test_pack_targets_equals_the_dense_packing(amplitude, vertebrae):
+    # Scattering the positive anchors into zeros gives the bytes of packing every map.
+    cfg = PipelineConfig(half_extent_mm=(35.0, 35.0))
+    volume, annotations, _, heatmaps = oracle_phantom(PhantomConfig(
+        n_vertebrae=5, shape=(80, 80, 144), scoliosis_amplitude_mm=amplitude, seed=13), cfg)
+    sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
+    _, targets = targets_stage(sagittal, annotations if vertebrae else [], cfg)
+    assert (targets.n_positive > 0) == vertebrae
+    packed = pack_targets(targets)
+    want = pack_prediction_planes(targets.objectness, targets.offsets, targets.genant_weights)
+    assert packed.dtype == want.dtype and packed.shape == want.shape
+    assert packed.tobytes(order="A") == want.tobytes(order="A")
+    assert packed.flags.f_contiguous and not packed.flags.writeable
 
 
 def test_config_round_trips_through_dict():
