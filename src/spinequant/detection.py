@@ -193,6 +193,12 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
             continue  # every anchor is claimed already
         match_flat[flat[col]] = m
         overlaps[:, col] = -1.0
+    # The window goes in one place, before the positives are written. A large
+    # free raises glibc's mmap threshold, so later np.zeros arrays come from
+    # the heap and are written in full, and where the frees go moves the peak:
+    # freeing rows, window, pixel and t right after iou_matrix raised the
+    # cli_oracle benchmark's peak RSS from 108 to 124 MB.
+    del overlaps, rows, flat, pixel, t, window, best, best_gt, better
 
     matched = match_flat.reshape(shape)
     pos = np.nonzero(matched >= 0)

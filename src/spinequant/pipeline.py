@@ -331,9 +331,14 @@ def unpack_prediction_planes(values: np.ndarray, n_types: int
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Everything the full oracle-driven pipeline produces for one phantom."""
+    """What the oracle-driven pipeline produces for one phantom and a later
+    stage reads: the annotations, the planted Genant indices, the straightened
+    mid-sagittal image, the anchors, the targets and the graded results.
 
-    volume: Volume3D
+    The CT volume and its heatmaps are not kept: no later stage reads them,
+    so a finished chain pins no volume.
+    """
+
     annotations: list[VertebraKeypoints]
     planted_genant: list[float]
     straighten: StraightenedImage
@@ -353,6 +358,12 @@ class ChainResult:
         }
 
 
+def _check_keypoint_noise(keypoint_noise_mm: float) -> None:
+    if not (np.isfinite(keypoint_noise_mm) and keypoint_noise_mm >= 0):
+        raise ValueError(
+            f"keypoint_noise_mm must be finite and >= 0, got {keypoint_noise_mm!r}")
+
+
 def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
                       keypoint_noise_mm: float = 0.0,
                       noise_seed: int = 0) -> ChainResult:
@@ -360,12 +371,15 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
 
     ``keypoint_noise_mm`` adds Gaussian noise of that magnitude to every
     regressed keypoint coordinate of the positive anchors, emulating an
-    imperfect regression head.
+    imperfect regression head.  The volume and heatmaps are dropped once the
+    plane is straightened, so neither is alive during target assignment.
     """
+    _check_keypoint_noise(keypoint_noise_mm)
     volume, annotations, planted, heatmaps = oracle_phantom(phantom_cfg, cfg)
     sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
+    del volume, heatmaps
     anchors, targets = targets_stage(sagittal, annotations, cfg)
-    chain = ChainResult(volume, annotations, planted, sagittal, anchors, targets, [])
+    chain = ChainResult(annotations, planted, sagittal, anchors, targets, [])
     _, results = rescore_chain(chain, cfg, keypoint_noise_mm=keypoint_noise_mm,
                                noise_seed=noise_seed)
     return replace(chain, results=results)
@@ -383,6 +397,7 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     with noise only the positive anchors' offsets are written into a zeroed
     array, which equals a noised copy because targets are zero elsewhere.
     """
+    _check_keypoint_noise(keypoint_noise_mm)
     targets = chain.targets
     anchors = chain.anchors
     offsets = targets.offsets

@@ -255,11 +255,13 @@ def test_criterion_8_performance():
     assert t_straighten < 8.0
     del vol, straight
 
+    # The timed chain is the default-size phantom; test_phantom_that_builds_renders
+    # covers generate_phantom's shape rule, and a ChainResult keeps no volume.
+    phantom_cfg = PhantomConfig(scoliosis_amplitude_mm=15.0, seed=0)
+    assert phantom_cfg.shape == (128, 128, 256)
     t0 = time.perf_counter()
-    chain = run_phantom_chain(PhantomConfig(scoliosis_amplitude_mm=15.0, seed=0),
-                              PipelineConfig())
+    chain = run_phantom_chain(phantom_cfg, PipelineConfig())
     t_chain = time.perf_counter() - t0
-    assert chain.volume.shape == (128, 128, 256)
     assert len(chain.results) == 12
     assert t_chain < 5.0
 

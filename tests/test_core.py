@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spinequant import core
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, Box2D, GeometryError,
-                             Volume3D, _sample_voxel_coords, boxes_from_keypoints,
+                             Volume3D, _corners, _sample_voxel_coords, boxes_from_keypoints,
                              finite_numbers, iou_matrix, resample_volume, trilinear_sample)
 from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
@@ -182,6 +182,19 @@ def test_boxes_from_keypoints_matches_single_box():
         with pytest.raises(GeometryError, match="float range"):
             boxes_from_keypoints(np.array([far]))
     assert boxes_from_keypoints(np.array([[[0.0, 0.0], [9e153, 9e153]]]))[0, 2] == 9e153
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(k=st.integers(0, 40), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_corners_equal_the_reductions_bitwise(k, n, seed):
+    # Small integers give ties; signed zeros and negative coordinates are included.
+    rng = np.random.default_rng(seed)
+    kps = rng.integers(-3, 4, (k, n, 2)).astype(float)
+    kps[rng.random(kps.shape) < 0.2] = -0.0
+    kps[rng.random(kps.shape) < 0.2] *= rng.uniform(-1e3, 1e3)
+    lo, hi = _corners(kps)
+    assert lo.tobytes() == kps.min(axis=1).tobytes()
+    assert hi.tobytes() == kps.max(axis=1).tobytes()
 
 
 def test_bbox_rotated_rectangle_corners():

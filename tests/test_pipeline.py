@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from spinequant import straighten
+from spinequant import pipeline, straighten
 from spinequant.core import MAX_GRID_VOXELS, GeometryError
 from spinequant.evaluation import evaluate_study_set, match_detections
 from spinequant.phantom import PhantomConfig, generate_phantom
@@ -80,6 +83,37 @@ def test_chain_with_regression_noise_still_detects(chain):
     assert np.max(np.abs(got - want)) < 0.2
     assert np.median(np.abs(got - want)) < 0.05
     assert not np.allclose(got, sorted(r.measurement.genant for r in chain.results))
+
+
+@pytest.mark.parametrize("noise", [float("nan"), -0.5, float("inf")])
+def test_bad_keypoint_noise_is_refused(chain, noise, monkeypatch):
+    with pytest.raises(ValueError, match="keypoint_noise_mm"):
+        rescore_chain(chain, PipelineConfig(), keypoint_noise_mm=noise)
+
+    # run_phantom_chain refuses it before it builds anything.
+    def oracle_phantom(*args):
+        raise AssertionError("the phantom was built")
+
+    monkeypatch.setattr(pipeline, "oracle_phantom", oracle_phantom)
+    with pytest.raises(ValueError, match="keypoint_noise_mm"):
+        run_phantom_chain(PhantomConfig(), PipelineConfig(), keypoint_noise_mm=noise)
+
+
+def test_finished_chain_releases_its_volume(monkeypatch):
+    refs = []
+    real = pipeline.oracle_phantom
+
+    def oracle_phantom(*args):
+        volume, annotations, planted, heatmaps = real(*args)
+        refs.extend(weakref.ref(v.values) for v in (volume, heatmaps))
+        return volume, annotations, planted, heatmaps
+
+    monkeypatch.setattr(pipeline, "oracle_phantom", oracle_phantom)
+    chain = run_phantom_chain(PhantomConfig(n_vertebrae=5, shape=(80, 80, 144), seed=13),
+                              PipelineConfig(half_extent_mm=(35.0, 35.0)))
+    gc.collect()
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
+    assert len(chain.results) == 5
 
 
 def test_pack_unpack_round_trip(chain):
