@@ -23,18 +23,20 @@ print(f"anchor grid: {anchors.image_shape} pixels x {anchors.n_types} types "
       f"= {anchors.n_anchors} anchors")
 print(f"positive anchors: {targets.n_positive} "
       f"({targets.n_positive / anchors.n_anchors:.2%})")
-per_vertebra = [(targets.matched == m).sum() for m in range(len(annotations))]
+per_vertebra = np.bincount(targets.matched, minlength=len(annotations))
 print(f"positives per vertebra: min {min(per_vertebra)}, max {max(per_vertebra)}")
 
+# the targets hold the positive anchors only; dense() spreads them over the grid
+objectness, offsets, _, _ = targets.dense()
+
 # perfect predictions sit at the numerical floor of the clipped cross-entropy
-bce, reg = detection_loss_terms(targets.objectness, targets.offsets, targets)
+bce, reg = detection_loss_terms(objectness, offsets, targets)
 print(f"\nloss at the oracle point: bce={bce:.2e}, regression={reg:.2e}")
 
 # perturbed predictions: loss rises, gradient matches finite differences
 rng = np.random.default_rng(0)
-pred_o = np.clip(targets.objectness + rng.normal(0, 0.1, targets.objectness.shape),
-                 0.01, 0.99)
-pred_e = targets.offsets + rng.normal(0, 0.05, targets.offsets.shape)
+pred_o = np.clip(objectness + rng.normal(0, 0.1, objectness.shape), 0.01, 0.99)
+pred_e = offsets + rng.normal(0, 0.05, offsets.shape)
 loss = detection_loss(pred_o, pred_e, targets)
 grad_o, grad_e = detection_loss_grad(pred_o, pred_e, targets)
 print(f"perturbed loss: {loss:.4f}")

@@ -12,11 +12,13 @@ matched vertebra, so strongly compressed vertebrae weigh more.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_AREA, Box2D, GeometryError, boxes_from_keypoints, iou_matrix
+from .core import (MAX_AREA, Box2D, GeometryError, boxes_from_keypoints, check_number_fields,
+                   iou_matrix, owned_array)
 
 DEFAULT_SCALES_MM = (17.0, 23.0, 28.0, 35.0)
 DEFAULT_RATIOS = (0.8, 1.1, 1.3, 2.0)
@@ -91,20 +93,63 @@ def decode_keypoints(offsets: np.ndarray, anchor: Box2D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectionTargets:
-    """Per-anchor training targets on an (nx, ny, A) anchor grid.
+    """Training targets of the positive anchors of an (nx, ny, A) anchor grid.
 
-    Positive anchors carry the encoded keypoints, the Genant weight of the
-    matched vertebra and its index; negative anchors have matched == -1.
+    ``index`` holds the positive anchors' flat indices (see ``AnchorGrid``)
+    in ascending order, and row p of the other arrays belongs to anchor
+    ``index[p]``: the index of its matched vertebra, its encoded keypoints
+    and that vertebra's Genant index.  Every other anchor is negative: its
+    objectness, offsets and weight are 0 and it matches no vertebra.
+    ``dense`` rebuilds the maps over every anchor.  The arrays are read-only
+    (``owned_array``).
     """
 
-    objectness: np.ndarray      # (nx, ny, A) float, 0 or 1
-    offsets: np.ndarray         # (nx, ny, A, 6, 2)
-    genant_weights: np.ndarray  # (nx, ny, A), defined where objectness == 1
-    matched: np.ndarray         # (nx, ny, A) int, ground-truth index or -1
+    shape: tuple[int, int, int]
+    index: np.ndarray           # (P,) int, ascending flat anchor indices
+    matched: np.ndarray         # (P,) int, ground-truth index
+    offsets: np.ndarray         # (P, 6, 2)
+    genant_weights: np.ndarray  # (P,)
+
+    def __post_init__(self):
+        check_number_fields(self)
+        index = owned_array(self.index, np.int64)
+        n_anchors = math.prod(self.shape)
+        if min(self.shape) <= 0 or index.ndim != 1 or np.any(np.diff(index) <= 0) or (
+                len(index) and not 0 <= index[0] <= index[-1] < n_anchors):
+            raise ValueError(f"index must hold ascending, distinct anchor indices in "
+                             f"[0, {n_anchors}) of a grid of shape {self.shape}")
+        object.__setattr__(self, "index", index)
+        p = len(index)
+        for name, dtype, shape in (("matched", np.int64, (p,)),
+                                   ("offsets", float, (p, N_KEYPOINTS, 2)),
+                                   ("genant_weights", float, (p,))):
+            values = owned_array(getattr(self, name), dtype)
+            if values.shape != shape:
+                raise ValueError(f"{name} has shape {values.shape}, expected {shape} "
+                                 f"for {p} positive anchors")
+            object.__setattr__(self, name, values)
+        if np.any(self.matched < 0):
+            raise ValueError("matched vertebra indices must be >= 0")
 
     @property
     def n_positive(self) -> int:
-        return int(self.objectness.sum())
+        return len(self.index)
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(objectness, offsets, genant_weights, matched) over every anchor.
+
+        Shapes (nx, ny, A), (nx, ny, A, 6, 2), (nx, ny, A) and (nx, ny, A);
+        negative anchors hold 0 and, in ``matched``, -1.  New writeable arrays.
+        """
+        objectness = np.zeros(self.shape)
+        objectness.flat[self.index] = 1.0
+        offsets = np.zeros(self.shape + (N_KEYPOINTS, 2))
+        offsets.reshape(-1, N_KEYPOINTS, 2)[self.index] = self.offsets
+        weights = np.zeros(self.shape)
+        weights.flat[self.index] = self.genant_weights
+        matched = np.full(self.shape, -1)
+        matched.flat[self.index] = self.matched
+        return objectness, offsets, weights, matched
 
 
 def assign_targets(anchors: AnchorGrid, ground_truth,
@@ -137,12 +182,9 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     nx, ny = anchors.image_shape
     a = anchors.n_types
     shape = (nx, ny, a)
-    objectness = np.zeros(shape)
-    offsets = np.zeros(shape + (N_KEYPOINTS, 2))
-    weights = np.zeros(shape)
     gt = list(ground_truth)
     if not gt:
-        return DetectionTargets(objectness, offsets, weights, np.full(shape, -1, dtype=int))
+        return DetectionTargets(shape, [], [], np.empty((0, N_KEYPOINTS, 2)), [])
 
     gt_weights = np.array([g for _, g in gt], dtype=float)
     for g in gt_weights:
@@ -170,6 +212,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     np.divmod(pixel, ny, out=(rows[0], rows[1]))
     rows[2:] = wh[t].T
     overlaps = iou_matrix(gt_boxes, rows.T)  # (M, K)
+    del rows  # iou_matrix is its only reader
 
     # Best vertebra of each window anchor: a strict > keeps the first
     # maximum, as argmax does.
@@ -180,8 +223,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
         np.greater(overlaps[m], best, out=better)
         np.copyto(best, overlaps[m], where=better)
         best_gt[better] = m
-    match_flat = np.full(anchors.n_anchors, -1)
-    match_flat[flat] = np.where(best > iou_threshold, best_gt, -1)
+    match = np.where(best > iou_threshold, best_gt, -1)
 
     # Force the best unclaimed anchor of every vertebra positive, most
     # confident vertebra first, so two vertebrae never claim one anchor.
@@ -191,24 +233,21 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
         col = int(overlaps[m].argmax())
         if overlaps[m, col] < 0:
             continue  # every anchor is claimed already
-        match_flat[flat[col]] = m
+        match[col] = m
         overlaps[:, col] = -1.0
-    # The window goes in one place, before the positives are written. A large
-    # free raises glibc's mmap threshold, so later np.zeros arrays come from
-    # the heap and are written in full, and where the frees go moves the peak:
-    # freeing rows, window, pixel and t right after iou_matrix raised the
-    # cli_oracle benchmark's peak RSS from 108 to 124 MB.
-    del overlaps, rows, flat, pixel, t, window, best, best_gt, better
+    positive = match >= 0
+    index, matched = flat[positive], match[positive]
+    # Where the window is freed moves the peak RSS (glibc's mmap threshold
+    # rises after a large free). Measured on the benchmark: with no del at
+    # all, rescore_eval peaked at 104 MB instead of 92; freeing rows as soon
+    # as iou_matrix returns took chain_default from 95.6 to 90.8 MB.
+    del overlaps, flat, pixel, t, window, best, best_gt, better, match, positive
 
-    matched = match_flat.reshape(shape)
-    pos = np.nonzero(matched >= 0)
-    m_pos = matched[pos]
-    objectness[pos] = 1.0
-    rel = gt_kps[m_pos] - np.stack(pos[:2], axis=1)[:, None, :]
+    ix, iy, t = np.unravel_index(index, shape)
+    rel = gt_kps[matched] - np.stack([ix, iy], axis=1)[:, None, :]
     with np.errstate(over="ignore"):  # past the float range is inf, which pack_targets refuses
-        offsets[pos] = rel / wh[pos[2]][:, None, :]
-    weights[pos] = gt_weights[m_pos]
-    return DetectionTargets(objectness, offsets, weights, matched)
+        offsets = rel / wh[t][:, None, :]
+    return DetectionTargets(shape, index, matched, offsets, gt_weights[matched])
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -223,7 +262,7 @@ def _check_prediction_shapes(pred_objectness, pred_offsets, targets: DetectionTa
     # read as Fortran-ordered views).
     pred_objectness = np.asarray(pred_objectness, dtype=float, order="C")
     pred_offsets = np.asarray(pred_offsets, dtype=float, order="C")
-    shape = targets.objectness.shape
+    shape = targets.shape
     if pred_objectness.shape != shape:
         raise ValueError(f"objectness shape {pred_objectness.shape} != {shape}")
     if pred_offsets.shape != shape + (N_KEYPOINTS, 2):
@@ -243,16 +282,18 @@ def detection_loss_terms(pred_objectness, pred_offsets,
     is no positive anchor.
     """
     pred_o, pred_e = _check_prediction_shapes(pred_objectness, pred_offsets, targets)
-    o = targets.objectness
+    pos = targets.index
     p = np.clip(pred_o, eps, 1 - eps)
-    bce = float(-np.mean(o * np.log(p) + (1 - o) * np.log1p(-p)))
+    # Each anchor's log-likelihood: log(1 - p) for a negative, log(p) for a positive.
+    log_lik = np.log1p(-p)
+    log_lik.flat[pos] = np.log(p.flat[pos])
+    bce = float(-np.mean(log_lik))
 
-    pos = o == 1
-    n_pos = int(pos.sum())
+    n_pos = targets.n_positive
     if n_pos == 0:
         return bce, 0.0
-    err = np.abs(pred_e[pos] - targets.offsets[pos]).mean(axis=(1, 2))
-    reg = float(np.sum(err / targets.genant_weights[pos]) / n_pos)
+    err = np.abs(pred_e.reshape(-1, N_KEYPOINTS, 2)[pos] - targets.offsets).mean(axis=(1, 2))
+    reg = float(np.sum(err / targets.genant_weights) / n_pos)
     return bce, reg
 
 
@@ -273,18 +314,21 @@ def detection_loss_grad(pred_objectness, pred_offsets,
     the (non-differentiable) exact match.
     """
     pred_o, pred_e = _check_prediction_shapes(pred_objectness, pred_offsets, targets)
-    o = targets.objectness
-    n = o.size
+    pos = targets.index
     inside = (pred_o > eps) & (pred_o < 1 - eps)
     p = np.clip(pred_o, eps, 1 - eps)
-    grad_o = np.where(inside, (-o / p + (1 - o) / (1 - p)) / n, 0.0)
+    # d(-log-likelihood)/dp: 1 / (1 - p) for a negative, -1 / p for a positive.
+    grad = 1 / (1 - p)
+    grad.flat[pos] = -1 / p.flat[pos]
+    grad_o = np.where(inside, grad / pred_o.size, 0.0)
 
     grad_e = np.zeros_like(pred_e)
-    pos = o == 1
-    n_pos = int(pos.sum())
+    n_pos = targets.n_positive
     if n_pos:
-        scale = 1.0 / (targets.genant_weights[pos] * n_pos * 2 * N_KEYPOINTS)
-        grad_e[pos] = np.sign(pred_e[pos] - targets.offsets[pos]) * scale[:, None, None]
+        scale = 1.0 / (targets.genant_weights * n_pos * 2 * N_KEYPOINTS)
+        grad_e.reshape(-1, N_KEYPOINTS, 2)[pos] = (
+            np.sign(pred_e.reshape(-1, N_KEYPOINTS, 2)[pos] - targets.offsets)
+            * scale[:, None, None])
     return grad_o, grad_e
 
 

@@ -280,7 +280,7 @@ F32 = np.finfo(np.float32)
 
 
 def pack_targets(targets: DetectionTargets) -> np.ndarray:
-    """``pack_prediction_planes`` of the targets' three maps, written from the
+    """``pack_prediction_planes`` of the targets' dense maps, written from the
     positive anchors only.
 
     Negative anchors are zero in every map, so the raster comes from
@@ -290,9 +290,9 @@ def pack_targets(targets: DetectionTargets) -> np.ndarray:
     float32 range, which the cast would turn into inf or flush toward 0, raises
     GeometryError before any value is cast.
     """
-    nx, ny, a = targets.objectness.shape
-    ix, iy, t = np.nonzero(targets.matched >= 0)
-    offsets = targets.offsets[ix, iy, t].reshape(-1, N_COORDS)
+    nx, ny, a = targets.shape
+    ix, iy, t = np.unravel_index(targets.index, targets.shape)
+    offsets = targets.offsets.reshape(-1, N_COORDS)
     size = np.abs(offsets)
     if not np.all((size <= F32.max) & ((size >= F32.tiny) | (size == 0))):
         raise GeometryError(
@@ -300,9 +300,9 @@ def pack_targets(targets: DetectionTargets) -> np.ndarray:
             f"{size.max():.6g} anchor sides leave the float32 range of the raster: "
             "anchor_scales_mm and anchor_ratios set the anchor sides")
     out = np.zeros((nx, ny, 14 * a), dtype=np.float32, order="F")
-    out[ix, iy, t] = targets.objectness[ix, iy, t]
+    out[ix, iy, t] = 1.0
     out[ix[:, None], iy[:, None], a + N_COORDS * t[:, None] + np.arange(N_COORDS)] = offsets
-    out[ix, iy, 13 * a + t] = targets.genant_weights[ix, iy, t]
+    out[ix, iy, 13 * a + t] = targets.genant_weights
     out.flags.writeable = False
     return out
 
@@ -391,11 +391,10 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     """Detect and grade from a chain's oracle maps, optionally noised.
 
     Keypoint noise (mm std per regressed coordinate) is injected into the
-    offsets of the positive anchors, scaled by the anchor side so decoded
-    pixel positions carry exactly that magnitude.  The targets' arrays are
-    read, never copied: without noise they go to ``detect`` as they are, and
-    with noise only the positive anchors' offsets are written into a zeroed
-    array, which equals a noised copy because targets are zero elsewhere.
+    offsets of the positive anchors, drawn in ascending flat anchor order
+    and scaled by the anchor side so decoded pixel positions carry exactly
+    that magnitude.  The two maps ``detect`` reads start as zeros, and only
+    the positive anchors are written into them.
     """
     _check_keypoint_noise(keypoint_noise_mm)
     targets = chain.targets
@@ -403,11 +402,13 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     offsets = targets.offsets
     if keypoint_noise_mm > 0:
         rng = np.random.default_rng(noise_seed)
-        pos = np.nonzero(targets.objectness == 1)
         sigma_px = keypoint_noise_mm / chain.straighten.delta
-        noise = rng.normal(0.0, sigma_px,
-                           size=(len(pos[0]), detection.N_KEYPOINTS, 2))
-        offsets = np.zeros(targets.offsets.shape)
-        offsets[pos] = targets.offsets[pos] + noise / anchors.sides_px[pos[2]][:, None, :]
-    return detect_and_score(targets.objectness, offsets, anchors,
+        noise = rng.normal(0.0, sigma_px, size=offsets.shape)
+        t = targets.index % anchors.n_types
+        offsets = offsets + noise / anchors.sides_px[t][:, None, :]
+    objectness_map = np.zeros(targets.shape)
+    objectness_map.flat[targets.index] = 1.0
+    offsets_map = np.zeros(targets.shape + (detection.N_KEYPOINTS, 2))
+    offsets_map.reshape(-1, detection.N_KEYPOINTS, 2)[targets.index] = offsets
+    return detect_and_score(objectness_map, offsets_map, anchors,
                             chain.straighten.transform, cfg)

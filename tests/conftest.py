@@ -1,6 +1,17 @@
+import tracemalloc
+
 import pytest
 
 ACCEPTANCE_RESULTS: dict[str, str] = {}
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the tracemalloc peak (bytes) of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.hookimpl(hookwrapper=True)

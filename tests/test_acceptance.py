@@ -84,8 +84,8 @@ def test_criterion_2_loss():
               - detection_loss(pred_o, lo, targets)) / (2 * h)
         assert grad_e[idx] == pytest.approx(fd, rel=1e-5, abs=1e-12)
     # halving every Genant weight doubles the regression term exactly
-    halved = DetectionTargets(targets.objectness, targets.offsets,
-                              targets.genant_weights / 2, targets.matched)
+    halved = DetectionTargets(targets.shape, targets.index, targets.matched,
+                              targets.offsets, targets.genant_weights / 2)
     bce1, reg1 = detection_loss_terms(pred_o, pred_e, targets)
     bce2, reg2 = detection_loss_terms(pred_o, pred_e, halved)
     assert bce2 == bce1 and reg2 == 2.0 * reg1

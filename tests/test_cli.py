@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ from spinequant.cli import main
 from spinequant.formats import FormatError, read_vg1, write_json, write_va1, write_vg1
 from spinequant.pipeline import PipelineConfig
 
+from conftest import traced_peak
 from test_genant import make_keypoints
 
 PHANTOM = {
@@ -761,16 +761,6 @@ CRITERION_9_PHANTOM = {"n_vertebrae": 5, "shape": [80, 80, 144], "spacing": [1.2
                                       [11.0, 20.0, 20.0]]}
 
 
-def _traced_peak(*argv):
-    """Exit code and tracemalloc peak (bytes) of one CLI run."""
-    tracemalloc.start()
-    try:
-        code = run(*argv)
-        return code, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def criterion_9_peaks(tmp_path_factory):
     """Criterion 9's oracle run through the CLI, with the peak of each step."""
@@ -789,7 +779,7 @@ def criterion_9_peaks(tmp_path_factory):
     }
     peaks = {}
     for name, argv in steps.items():
-        code, peaks[name] = _traced_peak(*argv, *cfg)
+        code, peaks[name] = traced_peak(run, *argv, *cfg)
         assert code == 0, name
     return root, peaks
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinequant.core import Box2D, GeometryError, iou_matrix
-from spinequant.detection import (assign_targets, decode_keypoints,
+from spinequant.detection import (DetectionTargets, assign_targets, decode_keypoints,
                                   detect, detection_loss, detection_loss_grad,
                                   detection_loss_terms, encode_keypoints,
                                   generate_anchors, nms)
@@ -98,12 +98,13 @@ def test_anchor_sides_table_and_flat_order():
                 assert tuple(flat[k]) == tuple(anchor_box(grid, ix, iy, t).as_array())
                 # assign_targets and detect read anchor k in the same place
                 kps = keypoints_for_box(*flat[k])
-                targets = assign_targets(grid, [(kps, 1.0)], iou_threshold=1.0)
-                assert targets.matched.ravel().tolist() == [0 if j == k else -1
-                                                            for j in range(grid.n_anchors)]
+                _, offsets, _, matched = assign_targets(grid, [(kps, 1.0)],
+                                                        iou_threshold=1.0).dense()
+                assert matched.ravel().tolist() == [0 if j == k else -1
+                                                    for j in range(grid.n_anchors)]
                 obj = np.zeros((4, 3, a))
                 obj.flat[k] = 1.0
-                (kps,), _ = detect(obj, targets.offsets, grid)
+                (kps,), _ = detect(obj, offsets, grid)
                 np.testing.assert_allclose(bbox_from_keypoints(kps).as_array(), flat[k],
                                            rtol=0, atol=1e-12)
 
@@ -203,21 +204,21 @@ def keypoints_for_box(cx, cy, w, h):
 def test_assign_anchor_identical_to_gt():
     grid = generate_anchors((11, 11), 1.0, scales_mm=(4.0,), ratios=(1.0,))
     kps = keypoints_for_box(5.0, 5.0, 4.0, 4.0)
-    targets = assign_targets(grid, [(kps, 0.9)])
-    assert targets.objectness[5, 5, 0] == 1.0
-    assert targets.genant_weights[5, 5, 0] == 0.9
-    np.testing.assert_allclose(targets.offsets[5, 5, 0],
+    objectness, offsets, weights, matched = assign_targets(grid, [(kps, 0.9)]).dense()
+    assert objectness[5, 5, 0] == 1.0
+    assert weights[5, 5, 0] == 0.9
+    np.testing.assert_allclose(offsets[5, 5, 0],
                                encode_keypoints(kps, anchor_box(grid, 5, 5, 0)))
     # anchors far away stay negative
-    assert targets.objectness[0, 0, 0] == 0.0
-    assert targets.matched[0, 0, 0] == -1
+    assert objectness[0, 0, 0] == 0.0
+    assert matched[0, 0, 0] == -1
 
 
 def test_assign_empty_ground_truth():
     grid = generate_anchors((8, 8), 1.0, scales_mm=(4.0,), ratios=(1.0,))
     targets = assign_targets(grid, [])
     assert targets.n_positive == 0
-    assert np.all(targets.matched == -1)
+    assert np.all(targets.dense()[3] == -1)
     # thresholds outside (0, 1] are refused, as PipelineConfig refuses assign_iou
     for bad in (-0.1, 0.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match="iou_threshold"):
@@ -238,10 +239,11 @@ def test_assign_forced_best_anchor_below_threshold():
     best_iou = ious.max()
     assert best_iou < 0.5
     ties = np.argwhere(ious == best_iou)
-    chosen = np.argwhere(targets.objectness[:, :, 0] == 1.0)
+    objectness, _, _, matched = targets.dense()
+    chosen = np.argwhere(objectness[:, :, 0] == 1.0)
     assert len(chosen) == 1
     assert tuple(chosen[0]) == tuple(ties[0])
-    assert targets.matched[chosen[0][0], chosen[0][1], 0] == 0
+    assert matched[chosen[0][0], chosen[0][1], 0] == 0
 
 
 def test_assign_every_gt_gets_an_anchor_and_no_double_claims():
@@ -252,13 +254,56 @@ def test_assign_every_gt_gets_an_anchor_and_no_double_claims():
         cx, cy = rng.uniform(6, 34), 8.0 + 9.0 * k
         gt.append((keypoints_for_box(cx, cy, rng.uniform(5, 12), rng.uniform(5, 9)),
                    float(rng.uniform(0.5, 1.0))))
-    targets = assign_targets(grid, gt)
+    objectness, _, weights, matched = assign_targets(grid, gt).dense()
     for m in range(len(gt)):
-        assert np.any(targets.matched == m), f"vertebra {m} unmatched"
-    pos = targets.objectness == 1
-    assert np.all(targets.matched[pos] >= 0)
-    assert np.all(targets.matched[~pos] == -1)
-    assert np.all(targets.genant_weights[pos] > 0)
+        assert np.any(matched == m), f"vertebra {m} unmatched"
+    pos = objectness == 1
+    assert np.all(matched[pos] >= 0)
+    assert np.all(matched[~pos] == -1)
+    assert np.all(weights[pos] > 0)
+
+
+def positive_targets(index=(1, 4), shape=(2, 2, 2), **changes):
+    """A DetectionTargets of the given positives, vertebra 0, offsets 0.5, weight 0.8."""
+    n = len(index)
+    fields = {"index": np.array(index), "matched": np.zeros(n, dtype=int),
+              "offsets": np.full((n, 6, 2), 0.5), "genant_weights": np.full(n, 0.8)}
+    return DetectionTargets(shape, **(fields | changes))
+
+
+def test_targets_record_is_read_only_and_owns_its_arrays():
+    index, weights = np.array([1, 4]), np.full(2, 0.8)
+    targets = positive_targets(index=index, genant_weights=weights)
+    for name in ("index", "matched", "offsets", "genant_weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(targets, name)[...] = 0
+    # the caller's arrays stay writeable, and writing them does not reach the record
+    index[0], weights[0] = 0, 0.1
+    assert targets.index.tolist() == [1, 4] and targets.genant_weights.tolist() == [0.8, 0.8]
+    objectness, offsets, dense_weights, matched = targets.dense()
+    assert objectness.ravel().tolist() == [0, 1, 0, 0, 1, 0, 0, 0]
+    assert matched.ravel().tolist() == [-1, 0, -1, -1, 0, -1, -1, -1]
+    assert dense_weights.ravel().tolist() == [0, 0.8, 0, 0, 0.8, 0, 0, 0]
+    assert np.all(offsets.reshape(8, 12)[[1, 4]] == 0.5) and offsets.sum() == 12.0
+    # offsets past the float range are kept: pack_targets refuses them
+    assert np.isinf(positive_targets(offsets=np.full((2, 6, 2), np.inf)).offsets).all()
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"index": [4, 1]}, "ascending"),
+    ({"index": [1, 1]}, "distinct"),
+    ({"index": [1, 8]}, r"\[0, 8\)"),
+    ({"index": [-1, 4]}, r"\[0, 8\)"),
+    ({"index": [[1, 4]]}, "ascending"),
+    ({"shape": (2, 0, 2)}, "grid of shape"),
+    ({"matched": [0]}, "matched has shape"),
+    ({"offsets": np.zeros((2, 6, 1))}, "offsets has shape"),
+    ({"genant_weights": np.ones(3)}, "genant_weights has shape"),
+    ({"matched": [0, -1]}, ">= 0"),
+])
+def test_targets_record_refuses_inconsistent_arrays(changes, match):
+    with pytest.raises(ValueError, match=match):
+        positive_targets(**changes)
 
 
 def reference_matches(grid, gt, iou_threshold=0.5):
@@ -296,7 +341,7 @@ def test_assign_forced_anchors_match_sorting_oracle():
             gt.append((kps, float(rng.uniform(0.5, 1.0))))
         targets = assign_targets(grid, gt)
         want = reference_matches(grid, gt)
-        np.testing.assert_array_equal(targets.matched, want)
+        np.testing.assert_array_equal(targets.dense()[3], want)
         boxes = np.array([bbox_from_keypoints(k).as_array() for k, _ in gt])
         argmax = iou_matrix(anchor_boxes_flat(grid), boxes).argmax(axis=0)
         contested += len(set(argmax.tolist())) < len(gt)
@@ -318,7 +363,7 @@ def test_assign_forced_anchors_match_sorting_oracle():
                                         *rng.uniform(0.5, 12.0, size=2))
             gt.append((kps, float(rng.uniform(0.5, 1.0))))
         targets = assign_targets(grid, gt)
-        np.testing.assert_array_equal(targets.matched, reference_matches(grid, gt))
+        np.testing.assert_array_equal(targets.dense()[3], reference_matches(grid, gt))
         assert_targets_encode_matches(grid, gt, targets)
         for kps, _ in gt:
             x0, y0, x1, y1 = bbox_from_keypoints(kps).corners
@@ -328,14 +373,15 @@ def test_assign_forced_anchors_match_sorting_oracle():
 
 def assert_targets_encode_matches(grid, gt, targets):
     """Positive anchors carry exactly encode_keypoints of their vertebra."""
-    pos = np.argwhere(targets.objectness == 1)
-    assert np.array_equal(pos, np.argwhere(targets.matched >= 0))
-    assert np.all(targets.offsets[targets.objectness == 0] == 0)
+    objectness, offsets, weights, matched = targets.dense()
+    pos = np.argwhere(objectness == 1)
+    assert np.array_equal(pos, np.argwhere(matched >= 0))
+    assert np.all(offsets[objectness == 0] == 0)
     for ix, iy, t in pos:
-        kps, g = gt[targets.matched[ix, iy, t]]
+        kps, g = gt[matched[ix, iy, t]]
         want = encode_keypoints(kps, anchor_box(grid, int(ix), int(iy), int(t)))
-        assert np.array_equal(targets.offsets[ix, iy, t], want)
-        assert targets.genant_weights[ix, iy, t] == g
+        assert np.array_equal(offsets[ix, iy, t], want)
+        assert weights[ix, iy, t] == g
 
 
 @pytest.mark.parametrize("centers", [
@@ -347,7 +393,7 @@ def test_assign_off_image_vertebra_takes_lowest_unclaimed_anchor(centers):
     gt = [(keypoints_for_box(cx, cy, 4.0, 3.0), 0.9) for cx, cy in centers]
     targets = assign_targets(grid, gt)
     want = reference_matches(grid, gt)
-    np.testing.assert_array_equal(targets.matched, want)
+    np.testing.assert_array_equal(targets.dense()[3], want)
     assert_targets_encode_matches(grid, gt, targets)
     off = [m for m, (cx, cy) in enumerate(centers) if cx < 0 or cy < 0]
     # all-zero IoU columns: the lowest flat indices go to them, in claim order
@@ -366,7 +412,7 @@ def test_assign_targets_equals_reference_property(nx, ny, boxes, repeats, thresh
     boxes = boxes + [boxes[i % len(boxes)] for i in repeats]
     gt = [(keypoints_for_box(*box), 0.8) for box in boxes]
     targets = assign_targets(grid, gt, iou_threshold=threshold)
-    np.testing.assert_array_equal(targets.matched,
+    np.testing.assert_array_equal(targets.dense()[3],
                                   reference_matches(grid, gt, iou_threshold=threshold))
     assert_targets_encode_matches(grid, gt, targets)
 
@@ -375,10 +421,11 @@ def test_assign_more_vertebrae_than_anchors():
     grid = generate_anchors((1, 2), 1.0, scales_mm=(4.0,), ratios=(1.0,))
     gt = [(keypoints_for_box(0.2 * k, 0.5, 1.0, 1.0), 0.9) for k in range(4)]
     targets = assign_targets(grid, gt)
-    np.testing.assert_array_equal(targets.matched, reference_matches(grid, gt))
+    matched = targets.dense()[3]
+    np.testing.assert_array_equal(matched, reference_matches(grid, gt))
     # both anchors claimed once, by two different vertebrae; the rest get none
     assert targets.n_positive == 2
-    assert len(set(targets.matched.ravel().tolist())) == 2
+    assert len(set(matched.ravel().tolist())) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +434,14 @@ def test_assign_more_vertebrae_than_anchors():
 
 def loss_oracle(pred_o, pred_e, targets, eps=1e-7):
     """Plain-python re-summation of the loss definition."""
-    nx, ny, a = targets.objectness.shape
+    objectness, offsets, weights, _ = targets.dense()
+    nx, ny, a = targets.shape
     bce_sum, n = 0.0, 0
     reg_sum, n_pos = 0.0, 0
     for ix in range(nx):
         for iy in range(ny):
             for t in range(a):
-                o = targets.objectness[ix, iy, t]
+                o = objectness[ix, iy, t]
                 p = min(max(pred_o[ix, iy, t], eps), 1 - eps)
                 bce_sum += -(o * math.log(p) + (1 - o) * math.log(1 - p))
                 n += 1
@@ -402,9 +450,8 @@ def loss_oracle(pred_o, pred_e, targets, eps=1e-7):
                     mae = 0.0
                     for k in range(6):
                         for c in range(2):
-                            mae += abs(pred_e[ix, iy, t, k, c]
-                                       - targets.offsets[ix, iy, t, k, c])
-                    reg_sum += (mae / 12.0) / targets.genant_weights[ix, iy, t]
+                            mae += abs(pred_e[ix, iy, t, k, c] - offsets[ix, iy, t, k, c])
+                    reg_sum += (mae / 12.0) / weights[ix, iy, t]
     reg = reg_sum / n_pos if n_pos else 0.0
     return bce_sum / n, reg
 
@@ -417,9 +464,10 @@ def random_fixture(rng, nx=6, ny=7, n_gt=2, scales=(5.0,), ratios=(1.0, 2.0)):
         gt.append((keypoints_for_box(cx, cy, rng.uniform(2, 5), rng.uniform(2, 5)),
                    float(rng.uniform(0.3, 1.0))))
     targets = assign_targets(grid, gt)
-    pred_o = rng.uniform(0.02, 0.98, targets.objectness.shape)
-    pred_e = targets.offsets + rng.uniform(0.01, 0.6, targets.offsets.shape) \
-        * rng.choice([-1.0, 1.0], targets.offsets.shape)
+    _, offsets, _, _ = targets.dense()
+    pred_o = rng.uniform(0.02, 0.98, targets.shape)
+    pred_e = offsets + rng.uniform(0.01, 0.6, offsets.shape) \
+        * rng.choice([-1.0, 1.0], offsets.shape)
     return grid, targets, pred_o, pred_e
 
 
@@ -435,9 +483,10 @@ def test_loss_matches_bruteforce_oracle():
 def test_perfect_predictions_hit_clipping_floor():
     rng = np.random.default_rng(8)
     _, targets, _, _ = random_fixture(rng)
-    loss = detection_loss(targets.objectness, targets.offsets, targets)
+    objectness, offsets, _, _ = targets.dense()
+    loss = detection_loss(objectness, offsets, targets)
     assert loss == pytest.approx(0.0, abs=1e-5)
-    bce, reg = detection_loss_terms(targets.objectness, targets.offsets, targets)
+    bce, reg = detection_loss_terms(objectness, offsets, targets)
     assert reg == 0.0
     assert 0 < bce < 1e-5
 
@@ -445,10 +494,8 @@ def test_perfect_predictions_hit_clipping_floor():
 def test_halving_weights_doubles_regression_exactly():
     rng = np.random.default_rng(9)
     _, targets, pred_o, pred_e = random_fixture(rng)
-    from spinequant.detection import DetectionTargets
-
-    halved = DetectionTargets(targets.objectness, targets.offsets,
-                              targets.genant_weights / 2, targets.matched)
+    halved = DetectionTargets(targets.shape, targets.index, targets.matched,
+                              targets.offsets, targets.genant_weights / 2)
     bce1, reg1 = detection_loss_terms(pred_o, pred_e, targets)
     bce2, reg2 = detection_loss_terms(pred_o, pred_e, halved)
     assert bce2 == bce1
@@ -459,8 +506,9 @@ def test_no_positive_anchors_zero_regression():
     grid = generate_anchors((5, 5), 1.0, scales_mm=(4.0,), ratios=(1.0,))
     targets = assign_targets(grid, [])
     rng = np.random.default_rng(10)
-    pred_o = rng.uniform(0.1, 0.9, targets.objectness.shape)
-    bce, reg = detection_loss_terms(pred_o, rng.normal(size=targets.offsets.shape), targets)
+    objectness, offsets, _, _ = targets.dense()
+    pred_o = rng.uniform(0.1, 0.9, objectness.shape)
+    bce, reg = detection_loss_terms(pred_o, rng.normal(size=offsets.shape), targets)
     assert reg == 0.0
     assert bce > 0
 
@@ -499,12 +547,13 @@ def test_gradient_structure():
     rng = np.random.default_rng(12)
     _, targets, pred_o, pred_e = random_fixture(rng)
     grad_o, grad_e = detection_loss_grad(pred_o, pred_e, targets)
-    n = targets.objectness.size
+    objectness, offsets, weights, _ = targets.dense()
+    n = objectness.size
     n_pos = targets.n_positive
-    pos = targets.objectness == 1
+    pos = objectness == 1
     # regression gradient is the signed unit weight 1/(12 * N+ * G_i)
-    scale = 1.0 / (12 * n_pos * targets.genant_weights[pos])
-    signs = np.sign(pred_e[pos] - targets.offsets[pos])
+    scale = 1.0 / (12 * n_pos * weights[pos])
+    signs = np.sign(pred_e[pos] - offsets[pos])
     np.testing.assert_allclose(grad_e[pos], signs * scale[:, None, None], atol=1e-15)
     assert np.all(grad_e[~pos] == 0.0)
     # objectness gradient of a negative anchor at 0.5 is 2/N: the derivative
@@ -516,7 +565,7 @@ def test_gradient_structure():
     g, _ = detection_loss_grad(pred_half, pred_e, targets)
     assert g[neg_idx] == pytest.approx(2.0 / n, rel=1e-12)
     # exact-match offsets sit on the subgradient choice 0
-    g_o, g_e = detection_loss_grad(pred_o, targets.offsets, targets)
+    g_o, g_e = detection_loss_grad(pred_o, offsets, targets)
     assert np.all(g_e == 0.0)
 
 
@@ -592,8 +641,8 @@ def test_detect_oracle_round_trip():
     grid = generate_anchors((30, 40), 1.0, scales_mm=(8.0, 10.0), ratios=(1.0,))
     gt = [(keypoints_for_box(14.0, 8.0, 8.0, 7.0), 0.9),
           (keypoints_for_box(15.0, 24.0, 9.0, 8.0), 0.7)]
-    targets = assign_targets(grid, gt)
-    got, _ = detect(targets.objectness, targets.offsets, grid)
+    objectness, offsets, _, _ = assign_targets(grid, gt).dense()
+    got, _ = detect(objectness, offsets, grid)
     assert len(got) == 2
     for d, (kps, _) in zip(sorted(got, key=lambda k: bbox_from_keypoints(k).cy), gt):
         assert np.max(np.abs(d - kps)) < 1e-6

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
 from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom, oracle_heatmaps
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage
+from conftest import traced_peak
 from test_core import bbox_from_keypoints
 from test_detection import anchor_box
 
@@ -62,12 +61,7 @@ def test_phantom_determinism_bytes(tmp_path):
 def test_phantom_raster_is_adopted_not_copied():
     # Volume3D adopts the read-only raster generate_phantom rendered: on the
     # default phantom a second copy would put the peak at two rasters.
-    tracemalloc.start()
-    try:
-        vol, _, _ = generate_phantom(PhantomConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (vol, _, _), peak = traced_peak(generate_phantom, PhantomConfig())
     assert not vol.values.flags.writeable
     assert peak < 1.5 * vol.values.nbytes
 
@@ -116,13 +110,11 @@ def test_unrenderable_phantom_rejected_at_construction(changes, match):
 
 
 def test_phantom_size_bounded_before_any_work():
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match="n_vertebrae"):
             PhantomConfig(n_vertebrae=10 ** 7)
-        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
-    finally:
-        tracemalloc.stop()
+
+    assert traced_peak(refused)[1] < 2 ** 20
     with pytest.raises(ValueError, match="shape"):
         PhantomConfig(shape=(4096, 4096, 4096))
 
@@ -228,8 +220,8 @@ def test_oracle_predictions_recover_all_vertebrae():
     cfg, vol, anns, gs, sagittal = chain_fixture()
     anchors = image_anchors(sagittal, cfg)
     kps_px = [sagittal.transform.world_to_pixel(kps.as_array()) for kps in anns]
-    targets = assign_targets(anchors, list(zip(kps_px, gs)))
-    got, _ = detect(targets.objectness, targets.offsets, anchors,
+    objectness, offsets, _, _ = assign_targets(anchors, list(zip(kps_px, gs))).dense()
+    got, _ = detect(objectness, offsets, anchors,
                     score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
     assert len(got) == len(anns)
     got = sorted(got, key=lambda k: bbox_from_keypoints(k).cy)
@@ -240,8 +232,8 @@ def test_oracle_predictions_recover_all_vertebrae():
 def test_oracle_predictions_empty_annotations():
     cfg, vol, anns, gs, sagittal = chain_fixture()
     anchors = image_anchors(sagittal, cfg)
-    targets = assign_targets(anchors, [])
-    kps, scores = detect(targets.objectness, targets.offsets, anchors)
+    objectness, offsets, _, _ = assign_targets(anchors, []).dense()
+    kps, scores = detect(objectness, offsets, anchors)
     assert kps.shape == (0, 6, 2) and scores.shape == (0,)
 
 
@@ -249,9 +241,8 @@ def test_oracle_predictions_perturbation_moves_decoded_linearly():
     cfg, vol, anns, gs, sagittal = chain_fixture()
     anchors = image_anchors(sagittal, cfg)
     kps_px = [sagittal.transform.world_to_pixel(kps.as_array()) for kps in anns]
-    targets = assign_targets(anchors, list(zip(kps_px, gs)))
-    offsets = targets.offsets
-    pos = np.argwhere(targets.objectness == 1)[0]
+    objectness, offsets, _, _ = assign_targets(anchors, list(zip(kps_px, gs))).dense()
+    pos = np.argwhere(objectness == 1)[0]
     ix, iy, t = (int(v) for v in pos)
     anchor = anchor_box(anchors, ix, iy, t)
     delta = 0.125

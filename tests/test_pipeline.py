@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from spinequant import pipeline, straighten
+from spinequant import detection, pipeline, straighten
 from spinequant.core import MAX_GRID_VOXELS, GeometryError
 from spinequant.evaluation import evaluate_study_set, match_detections
 from spinequant.phantom import PhantomConfig, generate_phantom
@@ -14,6 +14,16 @@ from spinequant.pipeline import (ROW_COST, PipelineConfig, extract_centerline, o
                                  score_stage, straighten_stage, targets_stage,
                                  unpack_prediction_planes)
 from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
+
+from conftest import traced_peak
+
+SMALL_CONFIG = PipelineConfig(half_extent_mm=(35.0, 35.0))
+
+
+def small_phantom(amplitude):
+    """Acceptance criterion 9's 80 x 80 x 144 phantom, at a scoliosis amplitude (mm)."""
+    return PhantomConfig(n_vertebrae=5, shape=(80, 80, 144), scoliosis_amplitude_mm=amplitude,
+                         seed=13)
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +76,8 @@ def test_chain_evaluates_clean(chain):
 def test_rescore_chain_equals_score_stage_on_target_maps(chain):
     cfg = PipelineConfig()
     _, got = rescore_chain(chain, cfg)
-    want = score_stage(chain.straighten, cfg,
-                       objectness_map=chain.targets.objectness,
-                       offsets_map=chain.targets.offsets)
+    objectness, offsets, _, _ = chain.targets.dense()
+    want = score_stage(chain.straighten, cfg, objectness_map=objectness, offsets_map=offsets)
     assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
     assert [r.to_dict() for r in got] == [r.to_dict() for r in chain.results]
 
@@ -116,20 +125,87 @@ def test_finished_chain_releases_its_volume(monkeypatch):
     assert len(chain.results) == 5
 
 
+@pytest.fixture(scope="module")
+def small_chains():
+    return {a: run_phantom_chain(small_phantom(a), SMALL_CONFIG) for a in (0.0, 30.0)}
+
+
+def dense_rescore(chain, cfg, keypoint_noise_mm, noise_seed):
+    """``detect`` on dense maps, noised as at first: the positives of
+    ``np.nonzero(objectness == 1)`` get the draws, written into a zeroed offsets map."""
+    objectness, offsets, _, _ = chain.targets.dense()
+    rng = np.random.default_rng(noise_seed)
+    pos = np.nonzero(objectness == 1)
+    sigma_px = keypoint_noise_mm / chain.straighten.delta
+    noise = rng.normal(0.0, sigma_px, size=(len(pos[0]), 6, 2))
+    noised = np.zeros(offsets.shape)
+    noised[pos] = offsets[pos] + noise / chain.anchors.sides_px[pos[2]][:, None, :]
+    return detection.detect(objectness, noised, chain.anchors,
+                            score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
+
+
+@pytest.mark.parametrize("noise_mm", [0.5, 3.0])
+@pytest.mark.parametrize("amplitude", [0.0, 30.0])
+def test_rescore_noise_draws_equal_the_dense_path(small_chains, amplitude, noise_mm):
+    chain = small_chains[amplitude]
+    for seed in (0, 7):
+        (kps, scores), _ = rescore_chain(chain, SMALL_CONFIG, keypoint_noise_mm=noise_mm,
+                                         noise_seed=seed)
+        want_kps, want_scores = dense_rescore(chain, SMALL_CONFIG, noise_mm, seed)
+        assert len(kps) > 0
+        assert kps.tobytes() == want_kps.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+
+
+def test_finished_chain_keeps_only_its_positive_anchors(small_chains):
+    for chain in small_chains.values():
+        targets = chain.targets
+        # flat index, matched vertebra and Genant weight (8 B each) and 12 offsets (96 B)
+        kept = sum(getattr(targets, name).nbytes
+                   for name in ("index", "matched", "offsets", "genant_weights"))
+        assert 0 < targets.n_positive and kept == 120 * targets.n_positive
+        # its arrays cannot be written, so no later rescore sees a changed target
+        with pytest.raises(ValueError, match="read-only"):
+            targets.offsets[...] = 0
+        (kps, _), _ = rescore_chain(chain, SMALL_CONFIG)
+        assert len(kps) == len(chain.annotations)
+
+
+def test_targets_stage_peak_is_its_iou_window_and_the_record(monkeypatch):
+    # The peak is the window's (M, K) IoU matrix plus twelve more K-long rows
+    # (the four box rows, flat, pixel and type indices, best IoU, best
+    # vertebra and match, with slack) and the record.  Dense maps over every
+    # anchor, 120 B each (19.5 MB on this phantom), would break the bound.
+    volume, annotations, _, heatmaps = oracle_phantom(small_phantom(0.0), SMALL_CONFIG)
+    sagittal = straighten_stage(volume, SMALL_CONFIG, heatmaps=heatmaps)
+    del volume, heatmaps
+    shapes = []
+    iou_matrix = detection.iou_matrix
+
+    def spy(a, b):
+        shapes.append((len(a), len(b)))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(detection, "iou_matrix", spy)
+    (_, targets), peak = traced_peak(targets_stage, sagittal, annotations, SMALL_CONFIG)
+    (m, k), = shapes
+    record = 120 * targets.n_positive
+    assert peak < 8 * k * (m + 12) + record, (peak, m, k, record)
+
+
 def test_pack_unpack_round_trip(chain):
-    targets = chain.targets
-    packed = pack_prediction_planes(targets.objectness, targets.offsets,
-                                    targets.genant_weights)
+    objectness, offsets, genant_weights, _ = chain.targets.dense()
+    packed = pack_prediction_planes(objectness, offsets, genant_weights)
     a = chain.anchors.n_types
     assert packed.shape[2] == 14 * a
     obj, off, weights = unpack_prediction_planes(packed, a)
-    np.testing.assert_allclose(obj, targets.objectness, atol=1e-6)
-    np.testing.assert_allclose(off, targets.offsets, atol=1e-6)
-    np.testing.assert_allclose(weights, targets.genant_weights, atol=1e-6)
+    np.testing.assert_allclose(obj, objectness, atol=1e-6)
+    np.testing.assert_allclose(off, offsets, atol=1e-6)
+    np.testing.assert_allclose(weights, genant_weights, atol=1e-6)
     # 13A rasters (predictions without weights) unpack too
     obj2, off2, weights2 = unpack_prediction_planes(packed[:, :, :13 * a], a)
     assert weights2 is None
-    np.testing.assert_allclose(obj2, targets.objectness, atol=1e-6)
+    np.testing.assert_allclose(obj2, objectness, atol=1e-6)
     with pytest.raises(GeometryError):
         unpack_prediction_planes(packed[:, :, :5], a)
 
@@ -144,11 +220,11 @@ def concatenated_planes(objectness, offsets, genant_weights=None):
 
 
 def test_pack_matches_concatenation_and_unpacks_to_views(chain):
-    targets = chain.targets
+    objectness, offsets, genant_weights, _ = chain.targets.dense()
     a = chain.anchors.n_types
-    for weights in (targets.genant_weights, None):
-        packed = pack_prediction_planes(targets.objectness, targets.offsets, weights)
-        want = concatenated_planes(targets.objectness, targets.offsets, weights)
+    for weights in (genant_weights, None):
+        packed = pack_prediction_planes(objectness, offsets, weights)
+        want = concatenated_planes(objectness, offsets, weights)
         assert packed.dtype == np.float32 and packed.shape == want.shape
         assert packed.tobytes(order="F") == want.tobytes(order="F")
         assert packed.flags.f_contiguous and not packed.flags.writeable
@@ -168,7 +244,7 @@ def test_pack_targets_equals_the_dense_packing(amplitude, vertebrae):
     _, targets = targets_stage(sagittal, annotations if vertebrae else [], cfg)
     assert (targets.n_positive > 0) == vertebrae
     packed = pack_targets(targets)
-    want = pack_prediction_planes(targets.objectness, targets.offsets, targets.genant_weights)
+    want = pack_prediction_planes(*targets.dense()[:3])
     assert packed.dtype == want.dtype and packed.shape == want.shape
     assert packed.tobytes(order="A") == want.tobytes(order="A")
     assert packed.flags.f_contiguous and not packed.flags.writeable

@@ -10,6 +10,7 @@ from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenTransform,
                                    _rotation_minimizing_frames, build_spine_curve,
                                    mid_sagittal_slice, straighten_volume)
 
+from conftest import traced_peak
 from test_localization import assert_fit_matches, spline_data, spline_examples
 
 
@@ -349,17 +350,10 @@ def test_frames_refuse_a_left_right_tangent_and_repeated_samples():
 
 def test_build_spine_curve_memory_is_bounded_by_its_output():
     # About 25,000 rows: a 180 mm centerline at a step of 180 / 21,500 mm, 15 mm pad.
-    import tracemalloc
-
     z = np.linspace(0.0, 180.0, 60)
     xy = np.column_stack([80 + 15 * np.sin(2 * np.pi * z / 200), 80 + 0.1 * z])
     polyline = CenterlinePolyline(xy, z, "world")
-    tracemalloc.start()
-    try:
-        curve = build_spine_curve(polyline, step=180 / 21500, pad_mm=15.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    curve, peak = traced_peak(build_spine_curve, polyline, step=180 / 21500, pad_mm=15.0)
     assert len(curve) > 24000
     returned = sum(getattr(curve, name).nbytes for name in ("s", "centers", "t", "u", "v"))
     assert peak < 5 * returned, (peak, returned)
