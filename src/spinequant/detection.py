@@ -337,26 +337,35 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     """Greedy non-maximum suppression, highest score first.
 
     ``boxes`` holds (K, 4) rows (cx, cy, w, h) and ``scores`` their (K,)
-    scores.  Returns the indices of the kept boxes in descending-score
-    order; ties keep the earlier box (stable sort).  A box is suppressed
-    when its IoU with a kept box exceeds ``iou_threshold``, so a threshold
-    of 1 suppresses nothing.  Each box after the first is tested with one
-    ``iou_matrix`` call against the boxes kept so far, which are held in a
-    preallocated array.
+    scores; any other shape raises ValueError.  Returns the indices of the
+    kept boxes in descending-score order; ties keep the earlier box (stable
+    sort).  A box is suppressed when its IoU with a kept box exceeds
+    ``iou_threshold``, so a threshold of 1 suppresses nothing.
+
+    Suppression goes one kept box at a time: the first box still alive is
+    kept, one ``iou_matrix`` call gives its IoU with every box alive after
+    it, and those above the threshold are dropped at once.  That is
+    O(kept x K) work in one call per kept box, not one call per candidate.
+    The pairs tested are the (kept, later) pairs of the textbook loop that
+    tests each candidate against the boxes kept before it, and ``iou_matrix``
+    is symmetric to the bit, so the kept indices are that loop's.
     """
-    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-    boxes = np.asarray(boxes, dtype=float)[order]
-    kept_boxes = np.empty_like(boxes)
+    boxes = np.asarray(boxes, dtype=float)
+    scores = np.asarray(scores, dtype=float)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"boxes must have shape (K, 4), got {boxes.shape}")
+    if scores.shape != (len(boxes),):
+        raise ValueError(f"scores must have shape ({len(boxes)},) to match boxes, "
+                         f"got {scores.shape}")
+    alive = np.argsort(-scores, kind="stable")
+    alive_boxes = boxes[alive]
     keep: list[int] = []
-    for row in range(len(boxes)):
-        n_kept = len(keep)
-        # The row is short, so a plain-Python test beats a numpy reduction.
-        if n_kept and any(v > iou_threshold for v in
-                          iou_matrix(boxes[row:row + 1], kept_boxes[:n_kept])[0].tolist()):
-            continue
-        kept_boxes[n_kept] = boxes[row]
-        keep.append(row)
-    return order[keep]
+    while len(alive):
+        keep.append(alive[0])
+        # Not ``<=``: a NaN IoU suppresses nothing.
+        survive = ~(iou_matrix(alive_boxes[:1], alive_boxes[1:])[0] > iou_threshold)
+        alive, alive_boxes = alive[1:][survive], alive_boxes[1:][survive]
+    return np.array(keep, dtype=np.intp)
 
 
 def detect(objectness_map, offsets_map, anchors: AnchorGrid,

@@ -637,6 +637,55 @@ def test_nms_chain_matches_bruteforce():
         assert nms(*cands, 0.4).tolist() == nms_oracle(*cands, 0.4)
 
 
+# Integer centers and sides on a small grid and three score levels, so equal
+# scores, identical boxes and IoU exactly at a threshold are common.
+grid_boxes = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                 st.integers(1, 5), st.integers(1, 5)), max_size=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(grid_boxes, st.data(), st.sampled_from((0.1, 0.45, 0.5, 0.9, 1.0)))
+def test_nms_equals_oracle_on_tie_heavy_boxes(rows, data, thr):
+    boxes = np.array(rows, dtype=float).reshape(-1, 4)
+    scores = np.array(data.draw(st.lists(st.sampled_from((0.2, 0.5, 0.9)),
+                                         min_size=len(rows), max_size=len(rows))), dtype=float)
+    assert nms(boxes, scores, thr).tolist() == nms_oracle(boxes, scores.tolist(), thr)
+
+
+def test_nms_keeps_every_disjoint_box():
+    boxes = np.array([[3.0 * i, 0.0, 2.0, 2.0] for i in range(500)])
+    scores = np.random.default_rng(17).uniform(size=500)
+    assert nms(boxes, scores, 0.45).tolist() == np.argsort(-scores, kind="stable").tolist()
+
+
+def test_nms_identical_boxes():
+    boxes = np.tile([5.0, 5.0, 4.0, 3.0], (200, 1))
+    scores = np.full(200, 0.5)
+    assert nms(boxes, scores, 0.45).tolist() == [0]
+    assert nms(boxes, scores, 1.0).tolist() == list(range(200))
+
+
+def test_nms_iou_equal_to_threshold_does_not_suppress():
+    boxes = np.array([[0.0, 0.0, 2.0, 2.0], [0.0, 0.0, 2.0, 1.0]])  # IoU 2 / 4
+    assert iou_matrix(boxes[:1], boxes[1:])[0, 0] == 0.5
+    assert nms(boxes, np.array([0.9, 0.8]), 0.5).tolist() == [0, 1]
+    assert nms(boxes, np.array([0.9, 0.8]), 0.45).tolist() == [0]
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (3, 5), (3, 4, 1), ()])
+def test_nms_refuses_boxes_not_k_by_4(shape):
+    with pytest.raises(ValueError, match="boxes"):
+        nms(np.ones(shape), np.ones(3), 0.45)
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (0,), (3, 1), ()])
+def test_nms_refuses_scores_that_do_not_match_boxes(shape):
+    # Two scores for three boxes once kept [0] and never tested box 2.
+    boxes, _ = nms_arrays((0.9, 0, 0), (0.8, 10, 0), (0.7, 20, 0))
+    with pytest.raises(ValueError, match="scores"):
+        nms(boxes, np.ones(shape), 0.45)
+
+
 def test_detect_oracle_round_trip():
     grid = generate_anchors((30, 40), 1.0, scales_mm=(8.0, 10.0), ratios=(1.0,))
     gt = [(keypoints_for_box(14.0, 8.0, 8.0, 7.0), 0.9),
