@@ -1,10 +1,10 @@
 """From prediction maps to graded vertebrae in world coordinates.
 
-Oracle prediction maps (the assigned targets echoed back, optionally with
-regression noise) are decoded anchor by anchor, reduced with non-maximum
-suppression, mapped back to 3D through the straightening transform, and
-measured: three heights, the Genant index, and a severity grade per
-vertebra, plus the patient-level minimum.
+Oracle predictions (the assigned targets echoed back, optionally with
+regression noise) are decoded in one array pass over the positive anchors,
+reduced with non-maximum suppression, mapped back to 3D through the
+straightening transform, and measured: three heights, the Genant index,
+and a severity grade per vertebra, plus the patient-level minimum.
 """
 import numpy as np
 

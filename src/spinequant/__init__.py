@@ -8,11 +8,10 @@ encoding, loss, decoding) and Genant severity grading with the matching
 evaluation metrics.  A synthetic phantom plus oracle predictions allow the
 whole chain to be exercised without trained networks.
 """
-from .core import (Box2D, GeometryError, UndefinedMetricError, Volume3D,
-                   resample_volume, trilinear_sample)
+from .core import GeometryError, UndefinedMetricError, Volume3D, resample_volume
 from .detection import (AnchorGrid, DetectionTargets, assign_targets, decode_keypoints, detect,
-                        detection_loss, detection_loss_grad, encode_keypoints, generate_anchors,
-                        nms)
+                        detect_candidates, detection_loss, detection_loss_grad, encode_keypoints,
+                        generate_anchors, nms)
 from .evaluation import (EvalReport, classification_report, localization_error,
                          match_detections, roc_auc)
 from .formats import FormatError, read_va1, read_vg1, write_va1, write_vg1
@@ -28,17 +27,17 @@ from .straighten import (SpineCurve, StraightenedImage, StraightenTransform,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorGrid", "Box2D", "CenterlinePolyline", "DetectionTargets",
+    "AnchorGrid", "CenterlinePolyline", "DetectionTargets",
     "EvalReport", "FormatError", "GenantMeasurement", "GeometryError",
     "PhantomConfig", "PipelineConfig", "SpineCurve", "StraightenTransform",
     "StraightenedImage", "UndefinedMetricError", "VertebraKeypoints", "Volume3D",
     "assign_targets", "build_spine_curve",
     "centerline_mae", "centerline_target", "classification_report",
-    "decode_keypoints", "detect", "detection_loss", "detection_loss_grad",
+    "decode_keypoints", "detect", "detect_candidates", "detection_loss", "detection_loss_grad",
     "encode_keypoints", "generate_anchors", "generate_phantom", "genant_index",
     "grade", "heights", "localization_error", "match_detections",
     "mid_sagittal_slice", "nms", "oracle_heatmaps", "patient_score",
     "read_va1", "read_vg1", "resample_volume", "roc_auc", "run_phantom_chain",
     "slicewise_centerline", "soft_argmax_2d", "straighten_volume",
-    "trilinear_sample", "upsample_curve", "write_va1", "write_vg1",
+    "upsample_curve", "write_va1", "write_vg1",
 ]

@@ -1,4 +1,4 @@
-"""Shared geometry primitives: volume raster, 2D boxes, trilinear interpolation.
+"""Shared geometry primitives: volume raster, box IoU, trilinear interpolation.
 
 Coordinate conventions used throughout the package:
 
@@ -162,29 +162,6 @@ def _read_only(values: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Box2D:
-    """Axis-aligned 2D box given by center and positive width/height."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.w > 0 and self.h > 0):
-            raise GeometryError(f"box sides must be positive, got w={self.w}, h={self.h}")
-
-    @property
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) of the box."""
-        return (self.cx - self.w / 2, self.cy - self.h / 2,
-                self.cx + self.w / 2, self.cy + self.h / 2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=float)
-
-
 IOU_BLOCK = 4096  # columns of b per block of iou_matrix, so its side arrays stay in cache
 # Largest box area iou_matrix takes: the sum of two such areas, its union, stays finite.
 MAX_AREA = float(np.finfo(float).max) / 2
@@ -260,22 +237,6 @@ def boxes_from_keypoints(kps: np.ndarray) -> np.ndarray:
     return boxes
 
 
-def trilinear_sample(vol: Volume3D, pts, fill: float = DEFAULT_FILL) -> np.ndarray | float:
-    """Trilinear interpolation of the volume at world-mm points.
-
-    ``pts`` is a single point of shape (3,) or an array (..., 3).  Points
-    outside the voxel-center hull return ``fill``.  Scalar input yields a
-    scalar.
-    """
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    idx = vol.world_to_voxel(pts.reshape(-1, 3))
-    out = _sample_voxel_coords(vol.values, idx, float(fill))
-    if single:
-        return float(out[0])
-    return out.reshape(pts.shape[:-1])
-
-
 _HULL_TOL = 1e-6  # voxel units; absorbs float noise at the exact hull boundary
 
 
@@ -333,8 +294,8 @@ def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL) -> V
     copies), and the axes are interpolated in the order x, y, z, each as soon
     as its planes are selected and the axes before it are done.  Every output
     value goes through the arithmetic of the 8-corner formula of
-    ``trilinear_sample`` in the same order, so the result is bitwise equal to
-    it.  The work runs in slabs of output planes
+    ``_sample_voxel_coords`` in the same order, so the result is bitwise
+    equal to it.  The work runs in slabs of output planes
     along the slowest axis, which bounds the temporaries, and the result
     keeps the input's memory order.
     """

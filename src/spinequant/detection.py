@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_AREA, Box2D, GeometryError, boxes_from_keypoints, check_number_fields,
+from .core import (MAX_AREA, GeometryError, boxes_from_keypoints, check_number_fields,
                    iou_matrix, owned_array)
 
 DEFAULT_SCALES_MM = (17.0, 23.0, 28.0, 35.0)
@@ -54,6 +54,13 @@ class AnchorGrid:
     def n_anchors(self) -> int:
         return self.image_shape[0] * self.image_shape[1] * self.n_types
 
+    def locate(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """(P, 2) float centers (ix, iy) and (P, 2) sides of the flat anchor indices ``index``."""
+        pixel, t = np.divmod(index, self.n_types)
+        centers = np.empty((len(pixel), 2))
+        np.divmod(pixel, self.image_shape[1], out=(centers[:, 0], centers[:, 1]))
+        return centers, self.sides_px.take(t, axis=0)  # a fancy index is ~10x slower
+
 
 def generate_anchors(image_shape, pixel_spacing: float,
                      scales_mm=DEFAULT_SCALES_MM,
@@ -79,16 +86,17 @@ def generate_anchors(image_shape, pixel_spacing: float,
     return AnchorGrid((int(image_shape[0]), int(image_shape[1])), sides)
 
 
-def encode_keypoints(keypoints: np.ndarray, anchor: Box2D) -> np.ndarray:
-    """Anchor-relative offsets of keypoints: (k - center) / side, shape (6, 2)."""
-    keypoints = np.asarray(keypoints, dtype=float)
-    return (keypoints - [anchor.cx, anchor.cy]) / [anchor.w, anchor.h]
+def encode_keypoints(keypoints, centers, sides) -> np.ndarray:
+    """Offsets (k - center) / side of (P, 6, 2) keypoints from P anchors'
+    (P, 2) centers and sides (``AnchorGrid.locate``)."""
+    return ((np.asarray(keypoints, dtype=float) - np.asarray(centers)[:, None, :])
+            / np.asarray(sides)[:, None, :])
 
 
-def decode_keypoints(offsets: np.ndarray, anchor: Box2D) -> np.ndarray:
-    """Inverse of encode_keypoints: offsets * side + center."""
-    offsets = np.asarray(offsets, dtype=float)
-    return offsets * [anchor.w, anchor.h] + [anchor.cx, anchor.cy]
+def decode_keypoints(offsets, centers, sides) -> np.ndarray:
+    """Inverse of encode_keypoints: offsets * side + center, (P, 6, 2)."""
+    centers, sides = np.asarray(centers)[:, None, :], np.asarray(sides)[:, None, :]
+    return np.asarray(offsets, dtype=float) * sides + centers
 
 
 @dataclass(frozen=True)
@@ -173,15 +181,12 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     taken here with 1 px of slack.  Every other anchor has IoU exactly 0
     with every vertebra, so the result equals that of the full
     anchor-by-vertebra IoU matrix.  The window is the OR over vertebrae of
-    each one's (ix, iy, type) rectangle; its anchors' boxes come from the
-    flat index (ix, iy, type) by integer arithmetic, and one ``iou_matrix``
-    call scores them.
+    each one's (ix, iy, type) rectangle; ``AnchorGrid.locate`` gives its
+    anchors' boxes, and one ``iou_matrix`` call scores them.
     """
-    if not 0 < iou_threshold <= 1:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
     nx, ny = anchors.image_shape
-    a = anchors.n_types
-    shape = (nx, ny, a)
+    shape = (nx, ny, anchors.n_types)
     gt = list(ground_truth)
     if not gt:
         return DetectionTargets(shape, [], [], np.empty((0, N_KEYPOINTS, 2)), [])
@@ -193,8 +198,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     gt_kps = np.asarray([kps for kps, _ in gt], dtype=float)
     gt_boxes = boxes_from_keypoints(gt_kps)  # (M, 4)
 
-    wh = anchors.sides_px
-    reach = (gt_boxes[:, None, 2:] + wh) / 2 + 1  # (M, A, 2)
+    reach = (gt_boxes[:, None, 2:] + anchors.sides_px) / 2 + 1  # (M, A, 2)
     near_x = np.abs(np.arange(nx)[:, None] - gt_boxes[:, None, None, 0]) < reach[:, None, :, 0]
     near_y = np.abs(np.arange(ny)[:, None] - gt_boxes[:, None, None, 1]) < reach[:, None, :, 1]
     window = np.zeros(shape, dtype=bool)
@@ -207,12 +211,9 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     # flat index, which is below the number of claims made so far.
     window.flat[:len(gt)] = True
     flat = np.flatnonzero(window)
-    pixel, t = np.divmod(flat, a)
-    rows = np.empty((4, len(flat)))  # (cx, cy, w, h) rows, coordinate-major
-    np.divmod(pixel, ny, out=(rows[0], rows[1]))
-    rows[2:] = wh[t].T
-    overlaps = iou_matrix(gt_boxes, rows.T)  # (M, K)
-    del rows  # iou_matrix is its only reader
+    # (K, 4) rows (cx, cy, w, h); the centers and sides they join are freed
+    # before iou_matrix runs.
+    overlaps = iou_matrix(gt_boxes, np.concatenate(anchors.locate(flat), axis=1))  # (M, K)
 
     # Best vertebra of each window anchor: a strict > keeps the first
     # maximum, as argmax does.
@@ -239,15 +240,18 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     index, matched = flat[positive], match[positive]
     # Where the window is freed moves the peak RSS (glibc's mmap threshold
     # rises after a large free). Measured on the benchmark: with no del at
-    # all, rescore_eval peaked at 104 MB instead of 92; freeing rows as soon
-    # as iou_matrix returns took chain_default from 95.6 to 90.8 MB.
-    del overlaps, flat, pixel, t, window, best, best_gt, better, match, positive
+    # all, rescore_eval peaked at 104 MB instead of 92.
+    del overlaps, flat, window, best, best_gt, better, match, positive
 
-    ix, iy, t = np.unravel_index(index, shape)
-    rel = gt_kps[matched] - np.stack([ix, iy], axis=1)[:, None, :]
     with np.errstate(over="ignore"):  # past the float range is inf, which pack_targets refuses
-        offsets = rel / wh[t][:, None, :]
+        offsets = encode_keypoints(gt_kps[matched], *anchors.locate(index))
     return DetectionTargets(shape, index, matched, offsets, gt_weights[matched])
+
+
+def _check_unit_interval(name: str, value: float, closed: bool) -> None:
+    """ValueError naming ``name`` unless ``value`` is in [0, 1] (``closed``) or in (0, 1]."""
+    if not (0 <= value <= 1 if closed else 0 < value <= 1):
+        raise ValueError(f"{name} must be in {'[' if closed else '('}0, 1], got {value}")
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -337,10 +341,11 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     """Greedy non-maximum suppression, highest score first.
 
     ``boxes`` holds (K, 4) rows (cx, cy, w, h) and ``scores`` their (K,)
-    scores; any other shape raises ValueError.  Returns the indices of the
-    kept boxes in descending-score order; ties keep the earlier box (stable
-    sort).  A box is suppressed when its IoU with a kept box exceeds
-    ``iou_threshold``, so a threshold of 1 suppresses nothing.
+    scores; any other shape raises ValueError, as does an ``iou_threshold``
+    outside (0, 1].  Returns the indices of the kept boxes in
+    descending-score order; ties keep the earlier box (stable sort).  A box
+    is suppressed when its IoU with a kept box exceeds ``iou_threshold``, so
+    a threshold of 1 suppresses nothing.
 
     Suppression goes one kept box at a time: the first box still alive is
     kept, one ``iou_matrix`` call gives its IoU with every box alive after
@@ -350,6 +355,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     tests each candidate against the boxes kept before it, and ``iou_matrix``
     is symmetric to the bit, so the kept indices are that loop's.
     """
+    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
     boxes = np.asarray(boxes, dtype=float)
     scores = np.asarray(scores, dtype=float)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
@@ -368,34 +374,47 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     return np.array(keep, dtype=np.intp)
 
 
+def detect_candidates(index, scores, offsets, anchors: AnchorGrid,
+                      score_threshold: float = DEFAULT_OBJECTNESS_THRESHOLD,
+                      iou_threshold: float = DEFAULT_NMS_IOU) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping vertebra detections from candidate anchors.
+
+    ``index`` holds flat anchor indices (see ``AnchorGrid``), ``scores``
+    their (P,) objectness and ``offsets`` their (P, 6, 2) encoded keypoints.
+    Candidates scoring strictly above ``score_threshold`` (in [0, 1]) are
+    decoded in one pass and their tight boxes reduced by ``nms`` at
+    ``iou_threshold`` (in (0, 1]); a threshold out of range raises
+    ValueError.  Returns the survivors' (K, 6, 2) image keypoints and (K,)
+    scores in keep order; ties break by the order of ``index``.  Non-finite
+    keypoints raise ValueError, and zero extent GeometryError.
+    """
+    _check_unit_interval("score_threshold", score_threshold, closed=True)
+    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    scores = np.asarray(scores, dtype=float)
+    passed = scores > score_threshold
+    kps = decode_keypoints(np.asarray(offsets)[passed], *anchors.locate(np.asarray(index)[passed]))
+    scores = scores[passed]
+    keep = nms(boxes_from_keypoints(kps), scores, iou_threshold)
+    return kps[keep], scores[keep]
+
+
 def detect(objectness_map, offsets_map, anchors: AnchorGrid,
            score_threshold: float = DEFAULT_OBJECTNESS_THRESHOLD,
            iou_threshold: float = DEFAULT_NMS_IOU) -> tuple[np.ndarray, np.ndarray]:
-    """Decode prediction maps into non-overlapping vertebra detections.
-
-    ``offsets_map`` has shape (nx, ny, A, 6, 2).  Anchors scoring above
-    ``score_threshold`` are decoded in one array pass (keypoints = offsets *
-    anchor side + anchor center, as in ``decode_keypoints``; box = the tight
-    box of the keypoints) and reduced with greedy NMS.  Returns the
-    survivors' (K, 6, 2) image keypoints and (K,) scores in keep order.
-    Candidate order, and therefore tie-breaking, is the flat anchor order.
-    Only the candidates' offsets are converted to float64, so float32 maps
-    of any memory layout (views of a VG1 raster) decode to the same bits as
-    float64 copies of them.  Non-finite keypoints raise ValueError and a
-    candidate with zero extent raises GeometryError.
+    """``detect_candidates`` on the anchors of the (nx, ny, A) ``objectness_map``
+    above ``score_threshold``, in flat order, and their (nx, ny, A, 6, 2)
+    ``offsets_map`` rows.  Only the candidates' offsets are gathered, so
+    float32 maps of any memory layout (views of a VG1 raster) decode to the
+    same bits as float64 copies of them.
     """
     obj = np.asarray(objectness_map, dtype=float)
-    nx, ny = anchors.image_shape
-    a = anchors.n_types
-    if obj.shape != (nx, ny, a):
-        raise ValueError(f"objectness shape {obj.shape} != {(nx, ny, a)}")
+    shape = anchors.image_shape + (anchors.n_types,)
+    if obj.shape != shape:
+        raise ValueError(f"objectness shape {obj.shape} != {shape}")
     off = np.asarray(offsets_map)
-    if off.shape != (nx, ny, a, N_KEYPOINTS, 2):
-        raise ValueError(f"offsets shape {off.shape} incompatible with {(nx, ny, a)}")
-
-    idx = np.nonzero(obj > score_threshold)
-    kps = (np.asarray(off[idx], dtype=float) * anchors.sides_px[idx[2]][:, None, :]
-           + np.stack(idx[:2], axis=1)[:, None, :])
-    scores = obj[idx]
-    keep = nms(boxes_from_keypoints(kps), scores, iou_threshold)
-    return kps[keep], scores[keep]
+    if off.shape != shape + (N_KEYPOINTS, 2):
+        raise ValueError(f"offsets shape {off.shape} incompatible with {shape}")
+    _check_unit_interval("score_threshold", score_threshold, closed=True)  # before any gather
+    index = np.flatnonzero(obj > score_threshold)
+    cand = np.unravel_index(index, shape)
+    return detect_candidates(index, obj[cand], off[cand], anchors, score_threshold, iou_threshold)

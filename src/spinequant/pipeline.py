@@ -214,18 +214,9 @@ def score_stage(sagittal: StraightenedImage, cfg: PipelineConfig,
                 for kps, px in zip(annotations, _annotation_pixels(sagittal, annotations))]
     if objectness_map is None or offsets_map is None:
         raise ValueError("need prediction maps or annotations")
-    return detect_and_score(objectness_map, offsets_map, image_anchors(sagittal, cfg),
-                            sagittal.transform, cfg)[1]
-
-
-def detect_and_score(objectness_map, offsets_map, anchors: AnchorGrid,
-                     transform: StraightenTransform, cfg: PipelineConfig
-                     ) -> tuple[tuple[np.ndarray, np.ndarray], list[VertebraResult]]:
-    """``detect``'s (keypoints_px, scores) for the prediction maps, and their grades."""
-    dets = detection.detect(objectness_map, offsets_map, anchors,
-                            score_threshold=cfg.objectness_threshold,
-                            iou_threshold=cfg.nms_iou)
-    return dets, score_detections(*dets, transform, cfg)
+    dets = detection.detect(objectness_map, offsets_map, image_anchors(sagittal, cfg),
+                            score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
+    return score_detections(*dets, sagittal.transform, cfg)
 
 
 def patient_summary(results: list[VertebraResult], cfg: PipelineConfig) -> dict | None:
@@ -388,27 +379,25 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
 def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
                   keypoint_noise_mm: float = 0.0, noise_seed: int = 0
                   ) -> tuple[tuple[np.ndarray, np.ndarray], list[VertebraResult]]:
-    """Detect and grade from a chain's oracle maps, optionally noised.
+    """Detect and grade from a chain's oracle targets, optionally noised.
 
     Keypoint noise (mm std per regressed coordinate) is injected into the
     offsets of the positive anchors, drawn in ascending flat anchor order
-    and scaled by the anchor side so decoded pixel positions carry exactly
-    that magnitude.  The two maps ``detect`` reads start as zeros, and only
-    the positive anchors are written into them.
+    and encoded against the anchor sides, so decoded pixel positions carry
+    exactly that magnitude.  The positive anchors go to
+    ``detect_candidates`` with score 1; no map over all anchors is built.
     """
     _check_keypoint_noise(keypoint_noise_mm)
     targets = chain.targets
-    anchors = chain.anchors
     offsets = targets.offsets
     if keypoint_noise_mm > 0:
         rng = np.random.default_rng(noise_seed)
         sigma_px = keypoint_noise_mm / chain.straighten.delta
         noise = rng.normal(0.0, sigma_px, size=offsets.shape)
-        t = targets.index % anchors.n_types
-        offsets = offsets + noise / anchors.sides_px[t][:, None, :]
-    objectness_map = np.zeros(targets.shape)
-    objectness_map.flat[targets.index] = 1.0
-    offsets_map = np.zeros(targets.shape + (detection.N_KEYPOINTS, 2))
-    offsets_map.reshape(-1, detection.N_KEYPOINTS, 2)[targets.index] = offsets
-    return detect_and_score(objectness_map, offsets_map, anchors,
-                            chain.straighten.transform, cfg)
+        centers, sides = chain.anchors.locate(targets.index)
+        # Noise is a shift in pixels: its offsets are those from a center at 0.
+        offsets = offsets + detection.encode_keypoints(noise, np.zeros_like(centers), sides)
+    dets = detection.detect_candidates(targets.index, np.ones(targets.n_positive), offsets,
+                                       chain.anchors, score_threshold=cfg.objectness_threshold,
+                                       iou_threshold=cfg.nms_iou)
+    return dets, score_detections(*dets, chain.straighten.transform, cfg)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from spinequant.core import Box2D, Volume3D
+from spinequant.core import Volume3D
 from spinequant.detection import (DetectionTargets, decode_keypoints,
                                   detection_loss, detection_loss_grad,
                                   detection_loss_terms, encode_keypoints)
@@ -33,26 +33,30 @@ def criterion(label):
 @criterion("1 keypoint encoding round trip + invariances")
 def test_criterion_1_encoding():
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(10_000):
-        anchor = Box2D(*rng.uniform(-200, 200, 2), *rng.uniform(0.25, 80, 2))
-        kps = rng.uniform(-300, 300, (6, 2))
-        back = decode_keypoints(encode_keypoints(kps, anchor), anchor)
-        worst = max(worst, float(np.max(np.abs(back - kps))))
-    assert worst < 1e-9
+    # The random anchors and keypoints, drawn one anchor at a time, go
+    # through the array codec as one (10000, 6, 2) batch.
+    centers, sides, kps = np.empty((10_000, 2)), np.empty((10_000, 2)), np.empty((10_000, 6, 2))
+    for p in range(10_000):
+        centers[p], sides[p] = rng.uniform(-200, 200, 2), rng.uniform(0.25, 80, 2)
+        kps[p] = rng.uniform(-300, 300, (6, 2))
+    back = decode_keypoints(encode_keypoints(kps, centers, sides), centers, sides)
+    assert float(np.max(np.abs(back - kps))) < 1e-9
     # invariances are exact identities; exactly-representable shifts and
     # power-of-two scales keep them exact in floating point as well
-    for _ in range(2_000):
-        anchor = Box2D(float(rng.integers(-50, 50)), float(rng.integers(-50, 50)),
-                       float(rng.integers(1, 40)), float(rng.integers(1, 40)))
-        kps = rng.integers(-100, 100, (6, 2)).astype(float)
-        base = encode_keypoints(kps, anchor)
-        shift = rng.integers(-500, 500, 2).astype(float)
-        shifted = Box2D(anchor.cx + shift[0], anchor.cy + shift[1], anchor.w, anchor.h)
-        assert np.array_equal(encode_keypoints(kps + shift, shifted), base)
-        lam = float(2.0 ** rng.integers(-5, 6))
-        scaled = Box2D(lam * anchor.cx, lam * anchor.cy, lam * anchor.w, lam * anchor.h)
-        assert np.array_equal(encode_keypoints(lam * kps, scaled), base)
+    n = 2_000
+    centers, sides, kps = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 6, 2))
+    shifts, lams = np.empty((n, 2)), np.empty((n, 1, 1))
+    for p in range(n):
+        centers[p] = rng.integers(-50, 50), rng.integers(-50, 50)
+        sides[p] = rng.integers(1, 40), rng.integers(1, 40)
+        kps[p] = rng.integers(-100, 100, (6, 2))
+        shifts[p] = rng.integers(-500, 500, 2)
+        lams[p] = 2.0 ** rng.integers(-5, 6)
+    base = encode_keypoints(kps, centers, sides)
+    shifted = encode_keypoints(kps + shifts[:, None, :], centers + shifts, sides)
+    assert np.array_equal(shifted, base)
+    scaled = encode_keypoints(lams * kps, lams[:, 0] * centers, lams[:, 0] * sides)
+    assert np.array_equal(scaled, base)
 
 
 @criterion("2 detection loss oracle + gradient finite differences")

@@ -4,81 +4,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinequant import core
-from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, Box2D, GeometryError,
+from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, GeometryError,
                              Volume3D, _corners, _sample_voxel_coords, boxes_from_keypoints,
-                             finite_numbers, iou_matrix, resample_volume, trilinear_sample)
+                             finite_numbers, iou_matrix, resample_volume)
 from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
 from spinequant.straighten import SpineCurve, StraightenTransform
 
-
-def iou(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two boxes from their corners (the scalar oracle)."""
-    ax0, ay0, ax1, ay1 = a.corners
-    bx0, by0, bx1, by1 = b.corners
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return float(min(inter / union, 1.0))
+from oracles import iou, trilinear_sample
 
 
-def bbox_from_keypoints(kps) -> Box2D:
-    """Tight box of one (N, 2) point set, through ``boxes_from_keypoints``."""
-    return Box2D(*boxes_from_keypoints(np.asarray(kps, dtype=float)[None])[0])
+def bbox_from_keypoints(kps) -> np.ndarray:
+    """Tight (cx, cy, w, h) box of one (N, 2) point set, through ``boxes_from_keypoints``."""
+    return boxes_from_keypoints(np.asarray(kps, dtype=float)[None])[0]
 
 
 def test_iou_identical_boxes():
-    a = Box2D(3.0, -2.0, 7.0, 5.0)
+    a = (3.0, -2.0, 7.0, 5.0)
     assert iou(a, a) == 1.0
 
 
 def test_iou_disjoint_boxes():
-    a = Box2D(0.0, 0.0, 10.0, 10.0)
-    b = Box2D(100.0, 0.0, 10.0, 10.0)
+    a = (0.0, 0.0, 10.0, 10.0)
+    b = (100.0, 0.0, 10.0, 10.0)
     assert iou(a, b) == 0.0
 
 
 def test_iou_of_identical_boxes_is_capped_at_one():
     # Rounded corners overlap by a few ulps more than the area: the ratio was
     # 1.0000000000000004 before the cap.
-    a = Box2D(4.0, 0.0, 1.979651844293655, 1.0)
+    a = (4.0, 0.0, 1.979651844293655, 1.0)
     assert iou(a, a) == 1.0
-    row = a.as_array()[None]
+    row = np.array([a])
     assert iou_matrix(row, row)[0, 0] == 1.0
 
 
 def test_iou_half_offset_unit_squares():
     # overlap 0.5, union 1.5
-    a = Box2D(0.0, 0.0, 1.0, 1.0)
-    b = Box2D(0.5, 0.0, 1.0, 1.0)
+    a = (0.0, 0.0, 1.0, 1.0)
+    b = (0.5, 0.0, 1.0, 1.0)
     assert iou(a, b) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_iou_symmetry_random_pairs():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        a = Box2D(*rng.uniform(-10, 10, 2), *rng.uniform(0.5, 20, 2))
-        b = Box2D(*rng.uniform(-10, 10, 2), *rng.uniform(0.5, 20, 2))
+        a = (*rng.uniform(-10, 10, 2), *rng.uniform(0.5, 20, 2))
+        b = (*rng.uniform(-10, 10, 2), *rng.uniform(0.5, 20, 2))
         assert iou(a, b) == iou(b, a)
         assert 0.0 <= iou(a, b) <= 1.0
 
 
 def test_iou_monotone_in_center_offset():
-    base = Box2D(0.0, 0.0, 8.0, 8.0)
-    values = [iou(base, Box2D(dx, 0.0, 8.0, 8.0)) for dx in np.linspace(0, 10, 21)]
+    base = (0.0, 0.0, 8.0, 8.0)
+    values = [iou(base, (dx, 0.0, 8.0, 8.0)) for dx in np.linspace(0, 10, 21)]
     assert values[0] == 1.0
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_iou_matrix_agrees_with_scalar():
     rng = np.random.default_rng(3)
-    boxes_a = [Box2D(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 9, 2)) for _ in range(11)]
-    boxes_b = [Box2D(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 9, 2)) for _ in range(7)]
-    mat = iou_matrix(np.array([b.as_array() for b in boxes_a]),
-                     np.array([b.as_array() for b in boxes_b]))
+    boxes_a = [(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 9, 2)) for _ in range(11)]
+    boxes_b = [(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 9, 2)) for _ in range(7)]
+    mat = iou_matrix(np.array(boxes_a), np.array(boxes_b))
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             assert mat[i, j] == pytest.approx(iou(a, b), abs=1e-12)
@@ -140,13 +128,13 @@ def test_iou_matrix_properties(rows_a, rows_b):
     assert np.all((mat >= 0.0) & (mat <= 1.0))
     for i, ra in enumerate(rows_a):
         for j, rb in enumerate(rows_b):
-            assert mat[i, j] == iou(Box2D(*ra), Box2D(*rb))
+            assert mat[i, j] == iou(ra, rb)
 
 
 def test_bbox_from_keypoints_extrema():
     pts = np.array([[10, 5], [30, 5], [10, 25], [30, 25], [20, 15], [12, 20]], float)
     box = bbox_from_keypoints(pts)
-    assert (box.cx, box.cy, box.w, box.h) == (20, 15, 20, 20)
+    assert tuple(box) == (20, 15, 20, 20)
 
 
 def test_bbox_degenerate_points_error():
@@ -162,7 +150,7 @@ def test_boxes_from_keypoints_matches_single_box():
     for row, pts in zip(boxes, kps):
         (x0, x1), (y0, y1) = ((min(c), max(c)) for c in pts.T.tolist())
         assert tuple(row) == ((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)
-        assert tuple(row) == tuple(bbox_from_keypoints(pts).as_array())
+        assert tuple(row) == tuple(bbox_from_keypoints(pts))
     assert boxes_from_keypoints(np.zeros((0, 6, 2))).shape == (0, 4)
     flat = kps.copy()
     flat[7, :, 1] = 3.0
@@ -205,9 +193,9 @@ def test_bbox_rotated_rectangle_corners():
     box = bbox_from_keypoints(corners)
     x_ext = corners[:, 0].max() - corners[:, 0].min()
     y_ext = corners[:, 1].max() - corners[:, 1].min()
-    assert box.w == pytest.approx(x_ext, abs=1e-12)
-    assert box.h == pytest.approx(y_ext, abs=1e-12)
-    assert box.cx == pytest.approx(0.0, abs=1e-12)
+    assert box[2] == pytest.approx(x_ext, abs=1e-12)
+    assert box[3] == pytest.approx(y_ext, abs=1e-12)
+    assert box[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def _ramp_volume():
@@ -379,8 +367,6 @@ def test_volume_validation():
         Volume3D(np.zeros((3, 3)), (1, 1, 1))
     with pytest.raises(ValueError):
         Volume3D(np.zeros((3, 3, 3)), (1, 0, 1))
-    with pytest.raises(GeometryError):
-        Box2D(0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("spacing, origin, field", [

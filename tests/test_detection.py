@@ -1,26 +1,32 @@
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinequant.core import Box2D, GeometryError, iou_matrix
-from spinequant.detection import (DetectionTargets, assign_targets, decode_keypoints,
-                                  detect, detection_loss, detection_loss_grad,
-                                  detection_loss_terms, encode_keypoints,
+from spinequant import detection
+from spinequant.core import GeometryError, iou_matrix
+from spinequant.detection import (AnchorGrid, DetectionTargets, assign_targets, decode_keypoints,
+                                  detect, detect_candidates, detection_loss,
+                                  detection_loss_grad, detection_loss_terms, encode_keypoints,
                                   generate_anchors, nms)
-from test_core import bbox_from_keypoints, iou
+from conftest import traced_peak
+from oracles import corners, decode_one, encode_one, iou
+from test_core import bbox_from_keypoints
 
 
 # ---------------------------------------------------------------------------
 # anchors
 # ---------------------------------------------------------------------------
 
-def anchor_box(grid, ix, iy, t) -> Box2D:
-    """Anchor (ix, iy, t): centered on pixel (ix, iy), sides of type t (the oracle)."""
-    w, h = grid.sides_px[t].tolist()
-    return Box2D(float(ix), float(iy), w, h)
+def anchor_box(grid, ix, iy, t) -> np.ndarray:
+    """Anchor (ix, iy, t) as a (cx, cy, w, h) row: centered on pixel (ix, iy),
+    sides of type t (the oracle)."""
+    return np.array([ix, iy, *grid.sides_px[t]], dtype=float)
 
 
 def anchor_boxes_flat(grid) -> np.ndarray:
@@ -90,12 +96,13 @@ def test_anchor_sides_table_and_flat_order():
                                                                      s * math.sqrt(r)]
     flat = anchor_boxes_flat(grid)
     assert flat.shape == (grid.n_anchors, 4)
+    assert np.array_equal(np.column_stack(grid.locate(np.arange(grid.n_anchors))), flat)
     for ix in range(4):
         for iy in range(3):
             for t in range(a):
                 k = (ix * 3 + iy) * a + t
                 assert tuple(flat[k]) == (ix, iy, *grid.sides_px[t])
-                assert tuple(flat[k]) == tuple(anchor_box(grid, ix, iy, t).as_array())
+                assert tuple(flat[k]) == tuple(anchor_box(grid, ix, iy, t))
                 # assign_targets and detect read anchor k in the same place
                 kps = keypoints_for_box(*flat[k])
                 _, offsets, _, matched = assign_targets(grid, [(kps, 1.0)],
@@ -105,7 +112,7 @@ def test_anchor_sides_table_and_flat_order():
                 obj = np.zeros((4, 3, a))
                 obj.flat[k] = 1.0
                 (kps,), _ = detect(obj, offsets, grid)
-                np.testing.assert_allclose(bbox_from_keypoints(kps).as_array(), flat[k],
+                np.testing.assert_allclose(bbox_from_keypoints(kps), flat[k],
                                            rtol=0, atol=1e-12)
 
 
@@ -113,35 +120,38 @@ def test_anchor_sides_table_and_flat_order():
 # keypoint encoding (the shift/scale invariant offsets)
 # ---------------------------------------------------------------------------
 
+def one_anchor(cx, cy, w, h):
+    """(1, 2) center and (1, 2) sides of one anchor, as the array codec takes them."""
+    return np.array([[cx, cy]]), np.array([[w, h]])
+
+
 def test_encode_at_anchor_center_is_zero():
-    anchor = Box2D(10.0, 20.0, 4.0, 8.0)
-    kps = np.tile([10.0, 20.0], (6, 1))
-    assert np.all(encode_keypoints(kps, anchor) == 0.0)
+    kps = np.tile([10.0, 20.0], (1, 6, 1))
+    assert np.all(encode_keypoints(kps, *one_anchor(10.0, 20.0, 4.0, 8.0)) == 0.0)
 
 
 def test_encode_hand_example():
-    anchor = Box2D(10.0, 20.0, 4.0, 8.0)
-    kps = np.tile([12.0, 24.0], (6, 1))
-    np.testing.assert_allclose(encode_keypoints(kps, anchor), np.tile([0.5, 0.5], (6, 1)))
+    kps = np.tile([12.0, 24.0], (1, 6, 1))
+    np.testing.assert_allclose(encode_keypoints(kps, *one_anchor(10.0, 20.0, 4.0, 8.0)),
+                               np.tile([0.5, 0.5], (1, 6, 1)))
 
 
 def test_decode_hand_example_and_zero():
-    anchor = Box2D(10.0, 20.0, 4.0, 8.0)
-    np.testing.assert_allclose(decode_keypoints(np.tile([0.5, 0.5], (6, 1)), anchor),
-                               np.tile([12.0, 24.0], (6, 1)))
-    np.testing.assert_allclose(decode_keypoints(np.zeros((6, 2)), anchor),
-                               np.tile([10.0, 20.0], (6, 1)))
+    anchor = one_anchor(10.0, 20.0, 4.0, 8.0)
+    np.testing.assert_allclose(decode_keypoints(np.tile([0.5, 0.5], (1, 6, 1)), *anchor),
+                               np.tile([12.0, 24.0], (1, 6, 1)))
+    np.testing.assert_allclose(decode_keypoints(np.zeros((1, 6, 2)), *anchor),
+                               np.tile([10.0, 20.0], (1, 6, 1)))
 
 
 def test_encode_decode_round_trip_random():
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(10_000):
-        anchor = Box2D(*rng.uniform(-50, 50, 2), *rng.uniform(0.5, 60, 2))
-        kps = rng.uniform(-100, 100, (6, 2))
-        back = decode_keypoints(encode_keypoints(kps, anchor), anchor)
-        worst = max(worst, float(np.max(np.abs(back - kps))))
-    assert worst < 1e-9
+    centers, sides, kps = np.empty((10_000, 2)), np.empty((10_000, 2)), np.empty((10_000, 6, 2))
+    for p in range(10_000):
+        centers[p], sides[p] = rng.uniform(-50, 50, 2), rng.uniform(0.5, 60, 2)
+        kps[p] = rng.uniform(-100, 100, (6, 2))
+    back = decode_keypoints(encode_keypoints(kps, centers, sides), centers, sides)
+    assert np.max(np.abs(back - kps)) < 1e-9
 
 
 coords = st.floats(-500, 500)
@@ -153,36 +163,34 @@ sides = st.floats(0.5, 100)
        st.lists(st.tuples(coords, coords), min_size=6, max_size=6),
        st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)), min_size=6, max_size=6))
 def test_encode_decode_round_trip_property(anchor, kps, offsets):
-    anchor = Box2D(*anchor)
-    kps, offsets = np.array(kps), np.array(offsets)
-    np.testing.assert_allclose(decode_keypoints(encode_keypoints(kps, anchor), anchor), kps,
+    anchor = one_anchor(*anchor)
+    kps, offsets = np.array([kps]), np.array([offsets])
+    np.testing.assert_allclose(decode_keypoints(encode_keypoints(kps, *anchor), *anchor), kps,
                                rtol=0, atol=1e-9)
-    np.testing.assert_allclose(encode_keypoints(decode_keypoints(offsets, anchor), anchor),
+    np.testing.assert_allclose(encode_keypoints(decode_keypoints(offsets, *anchor), *anchor),
                                offsets, rtol=0, atol=1e-9)
 
 
 def test_encode_shift_invariance_exact():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        anchor = Box2D(*rng.integers(-40, 40, 2).astype(float),
-                       *rng.integers(1, 30, 2).astype(float))
-        kps = rng.integers(-64, 64, (6, 2)).astype(float)
-        base = encode_keypoints(kps, anchor)
+        center = rng.integers(-40, 40, (1, 2)).astype(float)
+        side = rng.integers(1, 30, (1, 2)).astype(float)
+        kps = rng.integers(-64, 64, (1, 6, 2)).astype(float)
+        base = encode_keypoints(kps, center, side)
         # integer-valued shifts keep the identity exact in floating point
         shift = rng.integers(-1000, 1000, 2).astype(float)
-        moved = Box2D(anchor.cx + shift[0], anchor.cy + shift[1], anchor.w, anchor.h)
-        assert np.array_equal(encode_keypoints(kps + shift, moved), base)
+        assert np.array_equal(encode_keypoints(kps + shift, center + shift, side), base)
 
 
 def test_encode_joint_scale_invariance_exact():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        anchor = Box2D(*rng.uniform(-40, 40, 2), *rng.uniform(0.5, 30, 2))
-        kps = rng.uniform(-64, 64, (6, 2))
-        base = encode_keypoints(kps, anchor)
+        center, side = rng.uniform(-40, 40, (1, 2)), rng.uniform(0.5, 30, (1, 2))
+        kps = rng.uniform(-64, 64, (1, 6, 2))
+        base = encode_keypoints(kps, center, side)
         lam = float(2.0 ** rng.integers(-6, 7))  # powers of two scale exactly
-        scaled = Box2D(lam * anchor.cx, lam * anchor.cy, lam * anchor.w, lam * anchor.h)
-        assert np.array_equal(encode_keypoints(lam * kps, scaled), base)
+        assert np.array_equal(encode_keypoints(lam * kps, lam * center, lam * side), base)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +216,7 @@ def test_assign_anchor_identical_to_gt():
     assert objectness[5, 5, 0] == 1.0
     assert weights[5, 5, 0] == 0.9
     np.testing.assert_allclose(offsets[5, 5, 0],
-                               encode_keypoints(kps, anchor_box(grid, 5, 5, 0)))
+                               encode_one(kps, anchor_box(grid, 5, 5, 0)))
     # anchors far away stay negative
     assert objectness[0, 0, 0] == 0.0
     assert matched[0, 0, 0] == -1
@@ -308,7 +316,7 @@ def test_targets_record_refuses_inconsistent_arrays(changes, match):
 
 def reference_matches(grid, gt, iou_threshold=0.5):
     """Anchor matches by the full stable-argsort claim loop (the oracle)."""
-    boxes = np.array([bbox_from_keypoints(kps).as_array() for kps, _ in gt])
+    boxes = np.array([bbox_from_keypoints(kps) for kps, _ in gt])
     overlaps = iou_matrix(anchor_boxes_flat(grid), boxes)
     best_gt = overlaps.argmax(axis=1)
     best_iou = overlaps[np.arange(len(overlaps)), best_gt]
@@ -342,7 +350,7 @@ def test_assign_forced_anchors_match_sorting_oracle():
         targets = assign_targets(grid, gt)
         want = reference_matches(grid, gt)
         np.testing.assert_array_equal(targets.dense()[3], want)
-        boxes = np.array([bbox_from_keypoints(k).as_array() for k, _ in gt])
+        boxes = np.array([bbox_from_keypoints(k) for k, _ in gt])
         argmax = iou_matrix(anchor_boxes_flat(grid), boxes).argmax(axis=0)
         contested += len(set(argmax.tolist())) < len(gt)
     assert contested >= 10
@@ -366,20 +374,20 @@ def test_assign_forced_anchors_match_sorting_oracle():
         np.testing.assert_array_equal(targets.dense()[3], reference_matches(grid, gt))
         assert_targets_encode_matches(grid, gt, targets)
         for kps, _ in gt:
-            x0, y0, x1, y1 = bbox_from_keypoints(kps).corners
+            x0, y0, x1, y1 = corners(bbox_from_keypoints(kps))
             off_image += x1 < 0 or y1 < 0 or x0 > nx - 1 or y0 > ny - 1
     assert off_image >= 5
 
 
 def assert_targets_encode_matches(grid, gt, targets):
-    """Positive anchors carry exactly encode_keypoints of their vertebra."""
+    """Positive anchors carry exactly the offsets of their vertebra from the anchor."""
     objectness, offsets, weights, matched = targets.dense()
     pos = np.argwhere(objectness == 1)
     assert np.array_equal(pos, np.argwhere(matched >= 0))
     assert np.all(offsets[objectness == 0] == 0)
     for ix, iy, t in pos:
         kps, g = gt[matched[ix, iy, t]]
-        want = encode_keypoints(kps, anchor_box(grid, int(ix), int(iy), int(t)))
+        want = encode_one(kps, anchor_box(grid, ix, iy, t))
         assert np.array_equal(offsets[ix, iy, t], want)
         assert weights[ix, iy, t] == g
 
@@ -584,7 +592,7 @@ def test_gradient_zero_in_clipped_region():
 def nms_arrays(*cands):
     """(K, 4) boxes and (K,) scores of (score, cx, cy[, w, h]) candidates, each box
     the tight box of keypoints_for_box (w and h default to 4)."""
-    boxes = [bbox_from_keypoints(keypoints_for_box(cx, cy, *wh or (4.0, 4.0))).as_array()
+    boxes = [bbox_from_keypoints(keypoints_for_box(cx, cy, *wh or (4.0, 4.0)))
              for _, cx, cy, *wh in cands]
     return np.array(boxes).reshape(-1, 4), np.array([c[0] for c in cands], dtype=float)
 
@@ -593,7 +601,7 @@ def nms_oracle(boxes, scores, thr):
     """Kept indices of greedy NMS, highest score first, by the scalar IoU (the oracle)."""
     kept = []
     for i in sorted(range(len(scores)), key=lambda i: -scores[i]):
-        if all(iou(Box2D(*boxes[i]), Box2D(*boxes[j])) <= thr for j in kept):
+        if all(iou(boxes[i], boxes[j]) <= thr for j in kept):
             kept.append(i)
     return kept
 
@@ -686,6 +694,36 @@ def test_nms_refuses_scores_that_do_not_match_boxes(shape):
         nms(boxes, np.ones(shape), 0.45)
 
 
+# The ranges PipelineConfig enforces on objectness_threshold and nms_iou.
+BAD_IOU_THRESHOLDS = (float("nan"), -0.5, 0.0, 1.5)
+BAD_SCORE_THRESHOLDS = (float("nan"), -1.0, 1.5)
+
+
+@pytest.mark.parametrize("value", BAD_IOU_THRESHOLDS)
+def test_nms_refuses_iou_threshold_out_of_range(value):
+    # NaN once kept every box and -0.5 suppressed disjoint ones.
+    boxes, scores = nms_arrays((0.9, 0, 0), (0.8, 10, 0), (0.7, 20, 0))
+    with pytest.raises(ValueError, match="iou_threshold"):
+        nms(boxes, scores, value)
+
+
+@pytest.mark.parametrize("name, value", [("iou_threshold", v) for v in BAD_IOU_THRESHOLDS]
+                         + [("score_threshold", v) for v in BAD_SCORE_THRESHOLDS])
+def test_detect_refuses_thresholds_out_of_range(name, value):
+    # A NaN score_threshold once returned no detection and -1.0 decoded every
+    # anchor, ending in "keypoints have zero extent".
+    grid = generate_anchors((30, 10), 1.0, scales_mm=(4.0,), ratios=(1.0,))
+    gt = [(keypoints_for_box(cx, 5.0, 4.0, 4.0), 0.9) for cx in (5.0, 15.0, 25.0)]
+    targets = assign_targets(grid, gt)
+    obj, off, _, _ = targets.dense()
+    thresholds = {"score_threshold": 0.5, "iou_threshold": 0.45, name: value}
+    with pytest.raises(ValueError, match=name):
+        detect(obj, off, grid, **thresholds)
+    with pytest.raises(ValueError, match=name):
+        detect_candidates(targets.index, np.ones(targets.n_positive), targets.offsets, grid,
+                          **thresholds)
+
+
 def test_detect_oracle_round_trip():
     grid = generate_anchors((30, 40), 1.0, scales_mm=(8.0, 10.0), ratios=(1.0,))
     gt = [(keypoints_for_box(14.0, 8.0, 8.0, 7.0), 0.9),
@@ -693,17 +731,17 @@ def test_detect_oracle_round_trip():
     objectness, offsets, _, _ = assign_targets(grid, gt).dense()
     got, _ = detect(objectness, offsets, grid)
     assert len(got) == 2
-    for d, (kps, _) in zip(sorted(got, key=lambda k: bbox_from_keypoints(k).cy), gt):
+    for d, (kps, _) in zip(sorted(got, key=lambda k: bbox_from_keypoints(k)[1]), gt):
         assert np.max(np.abs(d - kps)) < 1e-6
 
 
 def detect_reference(obj, off, grid, iou_threshold):
     """Per-candidate decode -> bbox_from_keypoints -> greedy NMS (the oracle):
     the kept (K, 6, 2) keypoints and (K,) scores in keep order."""
-    kps = np.array([decode_keypoints(off[ix, iy, t], anchor_box(grid, ix, iy, t))
+    kps = np.array([decode_one(off[ix, iy, t], anchor_box(grid, ix, iy, t))
                     for ix, iy, t in np.argwhere(obj > 0.5).tolist()]).reshape(-1, 6, 2)
     scores = obj[obj > 0.5]
-    boxes = np.array([bbox_from_keypoints(k).as_array() for k in kps]).reshape(-1, 4)
+    boxes = np.array([bbox_from_keypoints(k) for k in kps]).reshape(-1, 4)
     keep = nms_oracle(boxes, scores.tolist(), iou_threshold)
     return kps[keep], scores[keep]
 
@@ -748,6 +786,62 @@ def test_detect_on_float32_fortran_views_equals_float64_c_arrays():
             assert got_kps.tobytes() == want_kps.tobytes()
 
 
+def test_detect_refuses_a_negative_score_threshold_before_gathering():
+    # -1.0 selects every anchor: gathering their float32 offsets would take
+    # 7.7 MB here and 29 MB on the default phantom before the refusal.
+    grid = generate_anchors((100, 100), 1.0)
+    obj = np.zeros((100, 100, grid.n_types), dtype=np.float32)
+    off = np.zeros(obj.shape + (6, 2), dtype=np.float32)
+
+    def refuse():
+        with pytest.raises(ValueError, match="score_threshold"):
+            detect(obj, off, grid, score_threshold=-1.0)
+
+    _, peak = traced_peak(refuse)
+    assert peak < 3e6  # the float64 objectness map is 1.3 MB
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data(), st.sampled_from((0.0, 0.5, 1.0)), st.sampled_from((0.3, 0.45, 1.0)),
+       st.booleans())
+def test_detect_candidates_equals_detect_on_maps(data, score_threshold, iou_threshold, vg1):
+    # Sparse maps with tied scores: the anchors a record holds, given to
+    # detect_candidates, and the same anchors written into zeroed maps for
+    # detect.  With vg1, both are float32 and the maps are views of one
+    # Fortran-ordered raster.
+    grid = generate_anchors((9, 7), 1.0, scales_mm=(4.0, 6.0), ratios=(1.0, 1.5))
+    shape, a = (9, 7, grid.n_types), grid.n_types
+    index = np.array(sorted(data.draw(st.sets(st.integers(0, grid.n_anchors - 1),
+                                              max_size=40))), dtype=np.int64)
+    scores = np.array(data.draw(st.lists(st.sampled_from((0.2, 0.5, 0.9, 1.0)),
+                                         min_size=len(index), max_size=len(index))))
+    offsets = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(
+        0.0, 0.4, (len(index), 6, 2))
+    dtype = np.float32 if vg1 else np.float64
+    scores, offsets = scores.astype(dtype), offsets.astype(dtype)
+    obj = np.zeros(shape, dtype)
+    obj.flat[index] = scores
+    off = np.zeros(shape + (6, 2), dtype)
+    off.reshape(-1, 6, 2)[index] = offsets
+    if vg1:
+        raster = np.asfortranarray(np.concatenate([obj, off.reshape(9, 7, 12 * a)], axis=2))
+        obj, off = raster[:, :, :a], raster[:, :, a:].reshape(shape + (6, 2))
+    got_kps, got_scores = detect_candidates(index, scores, offsets, grid,
+                                            score_threshold, iou_threshold)
+    want_kps, want_scores = detect(obj, off, grid, score_threshold, iou_threshold)
+    assert got_scores.tobytes() == want_scores.tobytes()
+    assert got_kps.tobytes() == want_kps.tobytes()
+    assert got_kps.shape == (len(got_scores), 6, 2)
+
+
+def test_only_anchor_grid_locate_indexes_sides_by_type():
+    # One codec: every (ix, iy, type) -> (center, sides) lookup goes through locate.
+    gather = re.compile(r"sides_px(\[|\.take\()")
+    package = Path(detection.__file__).parent
+    hits = sum(len(gather.findall(path.read_text())) for path in package.glob("*.py"))
+    assert hits == len(gather.findall(inspect.getsource(AnchorGrid.locate))) == 1
+
+
 def test_loss_does_not_depend_on_memory_layout():
     # At this size a sum in Fortran order rounds differently from one in C order.
     _, targets, pred_o, pred_e = random_fixture(np.random.default_rng(0), nx=121, ny=316,
@@ -789,7 +883,7 @@ def test_detect_duplicate_anchors_collapse():
     off = np.zeros((20, 20, 1, 6, 2))
     for pos in ((10, 10), (10, 11), (11, 10)):
         obj[pos[0], pos[1], 0] = 0.9
-        off[pos[0], pos[1], 0] = encode_keypoints(kps, anchor_box(grid, pos[0], pos[1], 0))
+        off[pos[0], pos[1], 0] = encode_one(kps, anchor_box(grid, pos[0], pos[1], 0))
     got, _ = detect(obj, off, grid)
     assert len(got) == 1
     assert np.max(np.abs(got[0] - kps)) < 1e-9

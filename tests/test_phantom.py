@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinequant.core import resample_volume
-from spinequant.detection import assign_targets, detect
+from spinequant.detection import assign_targets, decode_keypoints, detect
 from spinequant.formats import write_vg1
 from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
@@ -12,7 +12,6 @@ from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom,
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage
 from conftest import traced_peak
 from test_core import bbox_from_keypoints
-from test_detection import anchor_box
 
 
 def small_config(**kw):
@@ -224,7 +223,7 @@ def test_oracle_predictions_recover_all_vertebrae():
     got, _ = detect(objectness, offsets, anchors,
                     score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
     assert len(got) == len(anns)
-    got = sorted(got, key=lambda k: bbox_from_keypoints(k).cy)
+    got = sorted(got, key=lambda k: bbox_from_keypoints(k)[1])
     for kps, want in zip(got, kps_px):
         assert np.max(np.abs(kps - want)) < 1e-6
 
@@ -244,15 +243,18 @@ def test_oracle_predictions_perturbation_moves_decoded_linearly():
     objectness, offsets, _, _ = assign_targets(anchors, list(zip(kps_px, gs))).dense()
     pos = np.argwhere(objectness == 1)[0]
     ix, iy, t = (int(v) for v in pos)
-    anchor = anchor_box(anchors, ix, iy, t)
+    centers, sides = anchors.locate([np.ravel_multi_index(pos, objectness.shape)])
+    (w, h), = sides
     delta = 0.125
-    from spinequant.detection import decode_keypoints
 
-    base = decode_keypoints(offsets[ix, iy, t], anchor)
+    def decode(off):
+        return decode_keypoints(off[None], centers, sides)[0]
+
+    base = decode(offsets[ix, iy, t])
     bumped = offsets[ix, iy, t].copy()
     bumped[:, 0] += delta
-    moved = decode_keypoints(bumped, anchor)
-    np.testing.assert_allclose(moved[:, 0] - base[:, 0], delta * anchor.w, atol=1e-12)
+    moved = decode(bumped)
+    np.testing.assert_allclose(moved[:, 0] - base[:, 0], delta * w, atol=1e-12)
     bumped[:, 1] += delta
-    moved = decode_keypoints(bumped, anchor)
-    np.testing.assert_allclose(moved[:, 1] - base[:, 1], delta * anchor.h, atol=1e-12)
+    moved = decode(bumped)
+    np.testing.assert_allclose(moved[:, 1] - base[:, 1], delta * h, atol=1e-12)

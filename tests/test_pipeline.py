@@ -158,7 +158,7 @@ def dense_rescore(chain, cfg, keypoint_noise_mm, noise_seed):
                             score_threshold=cfg.objectness_threshold, iou_threshold=cfg.nms_iou)
 
 
-@pytest.mark.parametrize("noise_mm", [0.5, 3.0])
+@pytest.mark.parametrize("noise_mm", [0.5, 2.0, 3.0])
 @pytest.mark.parametrize("amplitude", [0.0, 30.0])
 def test_rescore_noise_draws_equal_the_dense_path(small_chains, amplitude, noise_mm):
     chain = small_chains[amplitude]
@@ -169,6 +169,29 @@ def test_rescore_noise_draws_equal_the_dense_path(small_chains, amplitude, noise
         assert len(kps) > 0
         assert kps.tobytes() == want_kps.tobytes()
         assert scores.tobytes() == want_scores.tobytes()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_rescore_at_the_threshold_ends_equals_the_dense_path(small_chains, threshold):
+    # detect's filter is a strict >, so at 1.0 no target anchor passes.
+    cfg = PipelineConfig(half_extent_mm=(35.0, 35.0), objectness_threshold=threshold)
+    chain = small_chains[30.0]
+    for noise_mm in (0.0, 2.0):
+        (kps, scores), _ = rescore_chain(chain, cfg, keypoint_noise_mm=noise_mm, noise_seed=7)
+        want_kps, want_scores = dense_rescore(chain, cfg, noise_mm, 7)
+        assert (len(kps) == 0) == (threshold == 1.0)
+        assert kps.tobytes() == want_kps.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+
+
+@pytest.mark.parametrize("noise_mm", [0.0, 2.0])
+def test_rescore_builds_no_map_over_all_anchors(chain, noise_mm):
+    # One float64 objectness map over the 611,776 anchors is 4.9 MB and an
+    # offsets map 59 MB; rescoring from the targets record peaks near 3.6 MB
+    # without noise and 6.6 MB with it.
+    _, peak = traced_peak(rescore_chain, chain, PipelineConfig(), keypoint_noise_mm=noise_mm)
+    assert chain.anchors.n_anchors == 611_776
+    assert peak < 10e6
 
 
 def test_finished_chain_keeps_only_its_positive_anchors(small_chains):

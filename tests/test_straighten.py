@@ -11,6 +11,7 @@ from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenTransform,
                                    mid_sagittal_slice, straighten_volume)
 
 from conftest import traced_peak
+from oracles import trilinear_sample
 from test_localization import assert_fit_matches, spline_data, spline_examples
 
 
@@ -198,8 +199,6 @@ def test_to_world_hits_curve_samples_exactly():
 
 
 def test_central_column_traces_centerline_intensities():
-    from spinequant.core import trilinear_sample
-
     z = np.linspace(0, 60, 61)
     polyline = CenterlinePolyline(
         np.column_stack([14 + 4 * np.sin(z / 11), np.full_like(z, 9.0)]), z, "world")
