@@ -8,7 +8,7 @@ encoding, loss, decoding) and Genant severity grading with the matching
 evaluation metrics.  A synthetic phantom plus oracle predictions allow the
 whole chain to be exercised without trained networks.
 """
-from .core import GeometryError, UndefinedMetricError, Volume3D, resample_volume
+from .core import GeometryError, UndefinedMetricError, Volume3D
 from .detection import (AnchorGrid, DetectionTargets, assign_targets, decode_keypoints, detect,
                         detect_candidates, detection_loss, detection_loss_grad, encode_keypoints,
                         generate_anchors, nms)
@@ -37,7 +37,7 @@ __all__ = [
     "encode_keypoints", "generate_anchors", "generate_phantom", "genant_index",
     "grade", "heights", "localization_error", "match_detections",
     "mid_sagittal_slice", "nms", "oracle_heatmaps", "patient_score",
-    "read_va1", "read_vg1", "resample_volume", "roc_auc", "run_phantom_chain",
+    "read_va1", "read_vg1", "roc_auc", "run_phantom_chain",
     "slicewise_centerline", "soft_argmax_2d", "straighten_volume",
     "upsample_curve", "write_va1", "write_vg1",
 ]

@@ -35,7 +35,8 @@ class Volume3D:
     ``values`` has shape (nx, ny, nz); ``origin`` is the world position of the
     center of voxel (0, 0, 0).  The raster keeps the memory order it is given
     (a VG1 file reads as an x-fastest, Fortran-ordered array); ``owned_array``
-    decides whether it is adopted or copied.
+    decides whether it is adopted or copied, so the read-only broadcast zero of
+    a geometry-only grid (``pipeline.working_grid``) stays one element.
     """
 
     values: np.ndarray
@@ -269,8 +270,9 @@ def _sample_voxel_coords(values: np.ndarray, idx: np.ndarray, fill: float) -> np
     return np.where(in_x & in_y & in_z, out, fill)
 
 
-MAX_GRID_VOXELS = 2 ** 28  # largest grid resample_volume builds (1 GiB of float32)
-_RESAMPLE_CHUNK = 2 ** 18  # input elements per slab of output planes
+# Largest array an input or a configuration sizes (1 GiB of float32): a phantom,
+# the working grid the heatmaps live on, the straightened plane, the anchor offsets.
+MAX_GRID_VOXELS = 2 ** 28
 
 
 def check_size(dims, what: str) -> None:
@@ -279,76 +281,3 @@ def check_size(dims, what: str) -> None:
     if not math.prod(dims) <= MAX_GRID_VOXELS:
         raise GeometryError(f"{what} would need a ({', '.join(f'{n:.6g}' for n in dims)}) "
                             f"grid, more than {MAX_GRID_VOXELS} elements")
-
-
-def resample_volume(vol: Volume3D, new_spacing, fill: float = DEFAULT_FILL) -> Volume3D:
-    """Trilinear resample onto a grid with the given spacing.
-
-    The origin is preserved and the new grid covers at least the original
-    world extent; samples that land beyond the voxel hull take ``fill``.  A
-    grid of more than ``MAX_GRID_VOXELS`` voxels raises GeometryError before
-    any array is made (``check_size``).
-
-    Trilinear interpolation is separable: the corner planes each axis needs
-    are selected in the input's memory order, slowest axis first (pure
-    copies), and the axes are interpolated in the order x, y, z, each as soon
-    as its planes are selected and the axes before it are done.  Every output
-    value goes through the arithmetic of the 8-corner formula of
-    ``_sample_voxel_coords`` in the same order, so the result is bitwise
-    equal to it.  The work runs in slabs of output planes
-    along the slowest axis, which bounds the temporaries, and the result
-    keeps the input's memory order.
-    """
-    new_spacing = tuple(float(s) for s in new_spacing)
-    if any(s <= 0 for s in new_spacing):
-        raise ValueError(f"new spacing must be positive, got {new_spacing}")
-    steps = [float(np.ceil(round((n - 1) * s / s_new, 9)))
-             for n, s, s_new in zip(vol.shape, vol.spacing, new_spacing)]
-    check_size([k + 1 for k in steps],
-               f"spacing {new_spacing} mm over the {vol.shape} volume at {vol.spacing} mm")
-    new_shape = tuple(int(k) + 1 for k in steps)
-    # The coordinates world_to_voxel gives the grid points, one axis at a time.
-    taps = [_axis_taps((o + s_new * np.arange(n_new) - o) / s, n)
-            for o, s, s_new, n, n_new in zip(vol.origin, vol.spacing, new_spacing,
-                                              vol.shape, new_shape)]
-
-    order = sorted(range(3), key=lambda ax: -abs(vol.values.strides[ax]))
-    values = vol.values.transpose(order)  # slowest axis first
-    taps = [taps[ax] for ax in order]
-    lerp_axes = [order.index(ax) for ax in range(3)]
-    out = np.empty([new_shape[ax] for ax in order], dtype=np.float32)
-    slab = max(1, _RESAMPLE_CHUNK // (values.shape[1] * values.shape[2]))
-    i0, i1, f, _ = taps[0]
-    for k0 in range(0, out.shape[0], slab):
-        k1 = k0 + slab
-        out[k0:k1] = _interpolate_separable(
-            values, [(i0[k0:k1], i1[k0:k1], f[k0:k1])] + [t[:3] for t in taps[1:]], lerp_axes)
-    for axis, (_, _, _, inside) in enumerate(taps):
-        out[(slice(None),) * axis + (~inside,)] = fill
-    out = out.transpose(np.argsort(order))
-    out.flags.writeable = False
-    return Volume3D(out, new_spacing, vol.origin)
-
-
-def _interpolate_separable(values: np.ndarray, taps, lerp_axes) -> np.ndarray:
-    """Trilinear interpolation on the grid of per-axis taps (i0, i1, f).
-
-    Axes are selected in array order; ``lerp_axes`` is the array axis of x, y
-    and z, the order in which they are interpolated.  ``parts`` maps the
-    corner bits of the selected, not yet interpolated axes to their arrays.
-    """
-    parts = {(): values}
-    pending: list[int] = []
-    lerp_axes = list(lerp_axes)
-    for axis, (i0, i1, _) in enumerate(taps):
-        parts = {key + (bit,): np.take(part, idx, axis=axis)
-                 for key, part in parts.items() for bit, idx in enumerate((i0, i1))}
-        pending.append(axis)
-        while lerp_axes and lerp_axes[0] in pending:
-            ax = lerp_axes.pop(0)
-            j = pending.index(ax)
-            pending.pop(j)
-            f = taps[ax][2].reshape([-1 if a == ax else 1 for a in range(3)])
-            parts = {key[:j] + key[j + 1:]: _lerp(part, parts[key[:j] + (1,) + key[j + 1:]], f)
-                     for key, part in parts.items() if key[j] == 0}
-    return parts[()]

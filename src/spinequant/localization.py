@@ -22,22 +22,16 @@ SPAN_SLACK_MM = 1e-9  # how far a slice may pass a centerline's end and still li
 
 @dataclass(frozen=True)
 class CenterlinePolyline:
-    """One world-mm (x, y) point per axial slice, ordered by strictly increasing z.
-
-    ``frame`` must be "world"; the field stays so positional callers keep working.
-    """
+    """One world-mm (x, y) point per axial slice, ordered by strictly increasing z."""
 
     xy: np.ndarray   # (n, 2)
     z: np.ndarray    # (n,)
-    frame: str = "world"
 
     def __post_init__(self):
         xy = owned_array(self.xy, float)
         z = owned_array(self.z, float)
         if xy.ndim != 2 or xy.shape[1] != 2 or z.shape != (xy.shape[0],):
             raise ValueError(f"inconsistent polyline arrays: {xy.shape} vs {z.shape}")
-        if self.frame != "world":
-            raise ValueError(f"unknown frame {self.frame!r}, only 'world' is supported")
         if len(z) > 1 and not np.all(np.diff(z) > 0):
             raise ValueError("slice positions must be strictly increasing")
         object.__setattr__(self, "xy", xy)
@@ -89,17 +83,25 @@ def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
     """Decode one point per axial slice of ``maps`` into the world-mm polyline.
 
     The slices of the volume hold probability maps (or logits); each decoded
-    voxel position goes through the volume's ``voxel_to_world``.  Per-slice
-    failures are re-raised with the slice index attached.
+    voxel position goes through the volume's ``voxel_to_world``.  In
+    "probabilities" mode an all-zero map, as a network may emit off the spine,
+    holds no position: its slice is skipped, at an end or in the middle, and
+    ``upsample_curve`` spans the gap; fewer than two slices left raise
+    GeometryError.  Other per-slice failures are re-raised with the slice index.
     """
     values = maps.values
-    pts = np.empty((values.shape[2], 2))
+    pts = []
     for k in range(values.shape[2]):
+        if mode == "probabilities" and not values[:, :, k].any():
+            continue
         try:
-            pts[k] = soft_argmax_2d(values[:, :, k], mode=mode, temperature=temperature)
+            pts.append((*soft_argmax_2d(values[:, :, k], mode=mode, temperature=temperature), k))
         except (GeometryError, ValueError) as exc:
             raise GeometryError(f"slice {k}: {exc}") from exc
-    world = maps.voxel_to_world(np.column_stack([pts, np.arange(values.shape[2], dtype=float)]))
+    if len(pts) < min(2, values.shape[2]):
+        raise GeometryError(f"only {len(pts)} of {values.shape[2]} slices have probability "
+                            "mass; a centerline needs two")
+    world = maps.voxel_to_world(np.array(pts, dtype=float).reshape(-1, 3))
     return CenterlinePolyline(world[:, :2], world[:, 2])
 
 

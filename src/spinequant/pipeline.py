@@ -13,10 +13,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import detection, genant, localization, straighten
-from .core import (DEFAULT_FILL, GeometryError, Volume3D, check_number_fields, check_size,
-                   require, resample_volume)
+from .core import DEFAULT_FILL, GeometryError, Volume3D, check_number_fields, check_size, require
 from .detection import AnchorGrid, DetectionTargets
-from .evaluation import sagittal_plane_box  # noqa: F401  (callers import it from here)
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
 from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
@@ -86,9 +84,19 @@ class PipelineConfig:
                 "severe_cut": self.severe_cut}
 
 
+_ZERO = np.zeros((1, 1, 1), dtype=np.float32)
+_ZERO.flags.writeable = False  # so Volume3D adopts its broadcast without a copy
+
+
 def working_grid(vol: Volume3D, cfg: PipelineConfig) -> Volume3D:
-    """``vol`` resampled onto the isotropic grid the centerline heatmaps live on."""
-    return resample_volume(vol, (cfg.working_spacing_mm,) * 3, fill=cfg.fill)
+    """The isotropic grid at ``working_spacing_mm`` over ``vol``'s extent from its origin,
+    which the centerline heatmaps live on.  Only its geometry (shape, spacing, origin) is
+    ever read, so its values are one read-only zero broadcast over its shape."""
+    s = cfg.working_spacing_mm
+    steps = [float(np.ceil(round((n - 1) * t / s, 9))) for n, t in zip(vol.shape, vol.spacing)]
+    check_size([k + 1 for k in steps],
+               f"spacing {(s,) * 3} mm over the {vol.shape} volume at {vol.spacing} mm")
+    return Volume3D(np.broadcast_to(_ZERO, [int(k) + 1 for k in steps]), (s,) * 3, vol.origin)
 
 
 def oracle_phantom(phantom_cfg: PhantomConfig, cfg: PipelineConfig

@@ -141,8 +141,7 @@ def test_criterion_5_straightening():
     rng = np.random.default_rng(505)
     vol = Volume3D(rng.uniform(-800, 800, (40, 40, 60)).astype(np.float32),
                    (1.0, 1.0, 1.0))
-    polyline = CenterlinePolyline(np.tile([20.0, 20.0], (60, 1)),
-                                  np.arange(60.0), "world")
+    polyline = CenterlinePolyline(np.tile([20.0, 20.0], (60, 1)), np.arange(60.0))
     curve = build_spine_curve(polyline, step=1.0)
     straight, transform = straighten_volume(vol, curve, delta=1.0,
                                             half_extent=(10.0, 10.0))
@@ -153,7 +152,7 @@ def test_criterion_5_straightening():
     z = np.linspace(10.0, 90.0, 81)
     zm = 50.0
     arc_x = radius - np.sqrt(radius ** 2 - (z - zm) ** 2)
-    arc = CenterlinePolyline(np.column_stack([arc_x, np.full_like(z, 5.0)]), z, "world")
+    arc = CenterlinePolyline(np.column_stack([arc_x, np.full_like(z, 5.0)]), z)
     curve = build_spine_curve(arc, step=1.0, smoothing=0.0)
     dz = curve.centers[:, 2] - zm
     want = np.column_stack([dz / np.sqrt(radius ** 2 - dz ** 2),
@@ -186,8 +185,7 @@ def test_criterion_6_end_to_end():
         order = np.argsort(gt_centers[:, 2])
 
         # match by box IoU in the sagittal world plane, greedy by score
-        from spinequant.evaluation import match_detections
-        from spinequant.pipeline import sagittal_plane_box
+        from spinequant.evaluation import match_detections, sagittal_plane_box
 
         det_boxes = [(sagittal_plane_box(r.keypoints_mm), 1.0) for r in chain.results]
         gt_boxes = [sagittal_plane_box(a.as_array()) for a in chain.annotations]
@@ -250,8 +248,7 @@ def test_criterion_8_performance():
     vol = Volume3D(i + j + k, (1.0, 1.0, 1.0))
     z = np.arange(300.0)
     polyline = CenterlinePolyline(
-        np.column_stack([256 + 20 * np.sin(z / 60), np.full_like(z, 256.0)]),
-        z, "world")
+        np.column_stack([256 + 20 * np.sin(z / 60), np.full_like(z, 256.0)]), z)
     curve = build_spine_curve(polyline, step=1.0)
     t0 = time.perf_counter()
     straight, _ = straighten_volume(vol, curve, delta=1.0)

@@ -799,12 +799,12 @@ def test_targets_peak_memory_stays_near_the_raster(criterion_9_peaks):
 
 def test_straighten_peak_memory_stays_near_the_volume(criterion_9_peaks):
     root, peaks = criterion_9_peaks
-    # The volume is read once; the working-grid resample runs in slabs.
+    # The volume is read once; the working grid holds geometry only, no voxel values.
     assert peaks["straighten"] <= 3.6 * (root / "ph" / "volume.vg1.raw").stat().st_size
 
 
 def test_working_spacing_reaches_phantom_and_straighten(tmp_path):
-    # Both subcommands resample onto the one working grid that --config sets;
+    # Both subcommands use the one working grid that --config sets;
     # heatmaps made on another grid are refused before any output exists.
     write_json(tmp_path / "phantom.json", CRITERION_9_PHANTOM)
     write_json(tmp_path / "c.json", {"working_spacing_mm": 2.5})

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinequant import core
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, GeometryError,
-                             Volume3D, _corners, _sample_voxel_coords, boxes_from_keypoints,
-                             finite_numbers, iou_matrix, resample_volume)
+                             Volume3D, _corners, boxes_from_keypoints,
+                             finite_numbers, iou_matrix)
 from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
 from spinequant.straighten import SpineCurve, StraightenTransform
@@ -260,106 +259,6 @@ def test_world_voxel_round_trip():
     pts = rng.uniform(-20, 20, size=(100, 3))
     back_w = vol.voxel_to_world(vol.world_to_voxel(pts))
     assert np.max(np.abs(back_w - pts)) < 1e-9
-
-
-def resample_reference(vol, new_spacing, fill=DEFAULT_FILL):
-    """The 8-corner formula at every grid point, chunked along z (the oracle)."""
-    new_spacing = tuple(float(s) for s in new_spacing)
-    old_extent = [(n - 1) * s for n, s in zip(vol.shape, vol.spacing)]
-    new_shape = tuple(int(np.ceil(round(e / s, 9))) + 1
-                      for e, s in zip(old_extent, new_spacing))
-    out = np.empty(new_shape, dtype=np.float32)
-    xs = vol.origin[0] + new_spacing[0] * np.arange(new_shape[0])
-    ys = vol.origin[1] + new_spacing[1] * np.arange(new_shape[1])
-    zs = vol.origin[2] + new_spacing[2] * np.arange(new_shape[2])
-
-    for k0 in range(0, new_shape[2], 32):
-        k1 = min(k0 + 32, new_shape[2])
-        gx, gy, gz = np.meshgrid(xs, ys, zs[k0:k1], indexing="ij")
-        pts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-        idx = vol.world_to_voxel(pts)
-        out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
-            new_shape[0], new_shape[1], k1 - k0)
-    return out
-
-
-_AXIS = st.integers(1, 12)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(shape=st.tuples(_AXIS, _AXIS, _AXIS),
-       spacing=st.tuples(*[st.floats(0.3, 3.0)] * 3),
-       new_spacing=st.tuples(*[st.floats(0.3, 3.0)] * 3),
-       origin=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
-       fill=st.sampled_from([DEFAULT_FILL, 0.0, 7.25]),
-       layout=st.sampled_from(["C", "F", "transposed"]),
-       seed=st.integers(0, 2 ** 16))
-def test_resample_bitwise_equals_8_corner_reference(shape, spacing, new_spacing, origin, fill,
-                                                    layout, seed):
-    values = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
-    if layout == "F":
-        values = np.asfortranarray(values)
-    elif layout == "transposed":
-        # A view whose memory order is neither C nor F: y slowest, then x, then z.
-        values = np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
-    vol = Volume3D(values, spacing, origin)
-    got = resample_volume(vol, new_spacing, fill=fill)
-    want = resample_reference(vol, new_spacing, fill=fill)
-    assert got.shape == want.shape
-    assert got.spacing == tuple(new_spacing) and got.origin == vol.origin
-    assert np.ascontiguousarray(got.values).tobytes() == want.tobytes()
-
-
-def test_resample_refuses_a_grid_over_the_voxel_budget(monkeypatch):
-    vol = Volume3D(np.zeros((2, 2, 2), dtype=np.float32), (3.0, 3.0, 3.0))
-    monkeypatch.setattr(core, "MAX_GRID_VOXELS", 4 * 4 * 4)
-    assert resample_volume(vol, (1.0, 1.0, 1.0)).shape == (4, 4, 4)
-    monkeypatch.setattr(core, "MAX_GRID_VOXELS", 4 * 4 * 4 - 1)
-    with pytest.raises(GeometryError, match=r"spacing \(1.0, 1.0, 1.0\) mm .* \(4, 4, 4\) grid"):
-        resample_volume(vol, (1.0, 1.0, 1.0))
-    monkeypatch.undo()
-    # A step count that overflows to infinity is refused, not converted.
-    huge = Volume3D(np.zeros((4, 4, 4), dtype=np.float32), (1e300,) * 3)
-    with pytest.raises(GeometryError, match="inf"):
-        resample_volume(huge, (1e-300,) * 3)
-
-
-def test_resample_identity_spacing():
-    vol, _ = _ramp_volume()
-    out = resample_volume(vol, vol.spacing)
-    assert out.shape == vol.shape
-    np.testing.assert_allclose(out.values, vol.values, atol=1e-5)
-    assert out.origin == vol.origin
-
-
-def test_resample_constant_volume():
-    vol = Volume3D(np.full((8, 8, 8), 3.25), (1.0, 1.0, 1.0))
-    out = resample_volume(vol, (1.7, 0.9, 2.3))
-    inside = out.values[np.isfinite(out.values)]
-    # Grid covers the extent; samples beyond the hull take the fill value.
-    assert set(np.unique(out.values)).issubset({np.float32(3.25), np.float32(DEFAULT_FILL)})
-    assert np.float32(3.25) in inside
-
-
-def test_resample_ramp_downsample_matches_analytic():
-    # f(x) = x sampled on a unit grid, downsampled 2x: new centers keep f(x) = x.
-    nx, ny, nz = 9, 5, 5
-    i = np.arange(nx, dtype=float)
-    values = np.broadcast_to(i[:, None, None], (nx, ny, nz)).copy()
-    vol = Volume3D(values, (1.0, 1.0, 1.0))
-    out = resample_volume(vol, (2.0, 2.0, 2.0))
-    assert out.shape == (5, 3, 3)
-    want = np.broadcast_to(2.0 * np.arange(5)[:, None, None], (5, 3, 3))
-    np.testing.assert_allclose(out.values, want, atol=1e-5)
-
-
-def test_resample_marks_out_of_hull_with_fill():
-    vol = Volume3D(np.ones((9, 4, 4)), (1.0, 1.0, 1.0))
-    out = resample_volume(vol, (2.0, 2.0, 2.0))
-    # y/z extent is 3 mm; the grid covering it reaches 4 mm, outside the hull.
-    assert out.shape == (5, 3, 3)
-    assert np.all(out.values[:, 2, :] == DEFAULT_FILL)
-    assert np.all(out.values[:, :2, :2] == 1.0)
 
 
 def test_volume_validation():

@@ -102,7 +102,6 @@ def test_slicewise_centerline_diagonal():
     np.testing.assert_allclose(poly.xy[:, 0], np.arange(10) + 2)
     np.testing.assert_allclose(poly.xy[:, 1], np.arange(10))
     np.testing.assert_allclose(poly.z, np.arange(10))
-    assert poly.frame == "world"
 
 
 def test_slicewise_centerline_uniform_maps():
@@ -113,9 +112,31 @@ def test_slicewise_centerline_uniform_maps():
 
 def test_slicewise_centerline_reports_slice_index():
     stack = np.ones((5, 5, 3))
-    stack[:, :, 1] = 0.0
-    with pytest.raises(GeometryError, match="slice 1"):
+    stack[3, 1, 1] = -0.5
+    with pytest.raises(GeometryError, match="slice 1: .*negative"):
         slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
+
+
+def test_slicewise_centerline_skips_empty_slices():
+    # All-zero maps at both ends and in the middle carry no position: the
+    # polyline holds the other slices, at their own world z.
+    stack = np.zeros((8, 8, 7))
+    for k in (1, 2, 4, 5):
+        stack[k, 3, k] = 1.0
+    poly = slicewise_centerline(Volume3D(stack, (2.0, 2.0, 3.0), (1.0, 1.0, 10.0)))
+    np.testing.assert_array_equal(poly.z, 10.0 + 3.0 * np.array([1, 2, 4, 5]))
+    np.testing.assert_array_equal(poly.xy, [[3.0, 7.0], [5.0, 7.0], [9.0, 7.0], [11.0, 7.0]])
+
+
+def test_slicewise_centerline_needs_two_slices_with_mass():
+    stack = np.zeros((5, 5, 4))
+    stack[2, 2, 3] = 1.0
+    with pytest.raises(GeometryError, match="only 1 of 4 slices have probability mass"):
+        slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
+    # Logits decode every slice, an all-zero one as a uniform map.
+    poly = slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)), mode="logits")
+    assert len(poly) == 4
+    np.testing.assert_allclose(poly.xy[0], [2.0, 2.0])
 
 
 def test_slicewise_centerline_rejects_nan_map():
@@ -135,7 +156,6 @@ def test_centerline_target_reproduces_linear_data():
         anns.append(VertebraKeypoints(kps))
     z = np.arange(8.0, 104.0, 1.0)
     poly = centerline_target(anns, z)
-    assert poly.frame == "world"
     np.testing.assert_allclose(poly.xy[:, 0], 0.5 * poly.z + 3, atol=1e-9)
     np.testing.assert_allclose(poly.xy[:, 1], -2.0, atol=1e-9)
     assert poly.z[0] >= 20.0 - 9.0 - 1e-9 and poly.z[-1] <= 92.0 + 9.0 + 1e-9
@@ -228,17 +248,17 @@ def test_centerline_target_needs_two_distinct_z():
 def test_centerline_mae_examples():
     z = np.arange(12, dtype=float)
     xy = np.column_stack([np.linspace(0, 5, 12), np.linspace(-2, 2, 12)])
-    a = CenterlinePolyline(xy, z, frame="world")
+    a = CenterlinePolyline(xy, z)
     assert centerline_mae(a, a) == 0.0
-    b = CenterlinePolyline(xy + [1.0, 0.0], z, frame="world")
+    b = CenterlinePolyline(xy + [1.0, 0.0], z)
     assert centerline_mae(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_centerline_mae_matches_bruteforce():
     rng = np.random.default_rng(4)
     z = np.arange(30, dtype=float)
-    a = CenterlinePolyline(rng.normal(size=(30, 2)), z, frame="world")
-    b = CenterlinePolyline(rng.normal(size=(30, 2)), z, frame="world")
+    a = CenterlinePolyline(rng.normal(size=(30, 2)), z)
+    b = CenterlinePolyline(rng.normal(size=(30, 2)), z)
     total = 0.0
     for k in range(30):
         total += abs(a.xy[k, 0] - b.xy[k, 0]) + abs(a.xy[k, 1] - b.xy[k, 1])
@@ -248,7 +268,7 @@ def test_centerline_mae_matches_bruteforce():
 def test_centerline_mae_metric_properties():
     rng = np.random.default_rng(5)
     z = np.arange(15, dtype=float)
-    polys = [CenterlinePolyline(rng.normal(size=(15, 2)), z, frame="world")
+    polys = [CenterlinePolyline(rng.normal(size=(15, 2)), z)
              for _ in range(3)]
     a, b, c = polys
     assert centerline_mae(a, b) == centerline_mae(b, a)
@@ -256,8 +276,8 @@ def test_centerline_mae_metric_properties():
 
 
 def test_centerline_mae_range_mismatch():
-    a = CenterlinePolyline(np.zeros((5, 2)), np.arange(5.0), frame="world")
-    b = CenterlinePolyline(np.zeros((4, 2)), np.arange(4.0), frame="world")
+    a = CenterlinePolyline(np.zeros((5, 2)), np.arange(5.0))
+    b = CenterlinePolyline(np.zeros((4, 2)), np.arange(4.0))
     with pytest.raises(ValueError):
         centerline_mae(a, b)
 
@@ -265,7 +285,7 @@ def test_centerline_mae_range_mismatch():
 def test_upsample_linear_curve_stays_linear():
     z = np.array([0.0, 10.0, 20.0, 30.0])
     xy = np.column_stack([2 * z + 1, -0.5 * z])
-    coarse = CenterlinePolyline(xy, z, frame="world")
+    coarse = CenterlinePolyline(xy, z)
     fine_z = np.linspace(-1e-9, 30.0 + 1e-9, 61)  # the ends within the slack
     fine = upsample_curve(coarse, fine_z)
     np.testing.assert_allclose(fine.xy[:, 0], 2 * fine_z + 1, atol=1e-9)
@@ -277,7 +297,7 @@ def test_upsample_linear_curve_stays_linear():
 
 def test_upsample_single_interval_keeps_endpoints():
     coarse = CenterlinePolyline(np.array([[1.0, 2.0], [3.0, -1.0]]),
-                                np.array([5.0, 9.0]), frame="world")
+                                np.array([5.0, 9.0]))
     fine = upsample_curve(coarse, np.array([5.0, 7.0, 9.0]))
     np.testing.assert_allclose(fine.xy[0], [1.0, 2.0])
     np.testing.assert_allclose(fine.xy[-1], [3.0, -1.0])
@@ -287,7 +307,7 @@ def test_upsample_single_interval_keeps_endpoints():
 def test_upsample_zigzag_recovers_vertices():
     z = np.array([0.0, 4.0, 8.0, 12.0])
     xy = np.array([[0.0, 0.0], [2.0, -1.0], [0.0, 3.0], [4.0, 1.0]])
-    coarse = CenterlinePolyline(xy, z, frame="world")
+    coarse = CenterlinePolyline(xy, z)
     fine = upsample_curve(coarse, np.arange(0.0, 12.5, 0.5))
     for zc, want in zip(z, xy):
         k = int(np.argwhere(fine.z == zc)[0, 0])
@@ -298,11 +318,5 @@ def test_slicewise_centerline_returns_world_coordinates():
     stack = np.zeros((8, 8, 2))
     stack[1, 2, 0] = stack[3, 1, 1] = 1.0
     poly = slicewise_centerline(Volume3D(stack, (2.0, 3.0, 4.0), (10.0, 20.0, 30.0)))
-    assert poly.frame == "world"
     np.testing.assert_allclose(poly.xy, [[12.0, 26.0], [16.0, 23.0]])
     np.testing.assert_allclose(poly.z, [30.0, 34.0])
-
-
-def test_polyline_rejects_voxel_frame():
-    with pytest.raises(ValueError, match="frame"):
-        CenterlinePolyline(np.zeros((2, 2)), np.array([0.0, 1.0]), frame="voxel")

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinequant.core import resample_volume
 from spinequant.detection import assign_targets, decode_keypoints, detect
 from spinequant.formats import write_vg1
 from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
 from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom, oracle_heatmaps
-from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage
+from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage, working_grid
 from conftest import traced_peak
 from test_core import bbox_from_keypoints
 
@@ -150,7 +149,7 @@ def test_default_heights_cover_all_grades():
 def test_oracle_heatmaps_decode_close_to_centerline():
     cfg = small_config(scoliosis_amplitude_mm=6.0, n_vertebrae=4)
     vol, anns, _ = generate_phantom(cfg)
-    working = resample_volume(vol, (3.0, 3.0, 3.0))
+    working = working_grid(vol, PipelineConfig(working_spacing_mm=3.0))
     stack = oracle_heatmaps(anns, working)
     poly = slicewise_centerline(stack)
     # compare against the interpolated annotation target on the same slices
@@ -167,7 +166,7 @@ def test_oracle_heatmaps_decode_close_to_centerline():
 def test_oracle_heatmaps_small_sigma_peaks_at_centerline():
     cfg = small_config()
     vol, anns, _ = generate_phantom(cfg)
-    working = resample_volume(vol, (3.0, 3.0, 3.0))
+    working = working_grid(vol, PipelineConfig(working_spacing_mm=3.0))
     stack = oracle_heatmaps(anns, working, sigma_vox=0.2)
     k = stack.shape[2] // 2
     m = stack.values[:, :, k]
@@ -181,7 +180,7 @@ def test_oracle_heatmaps_small_sigma_peaks_at_centerline():
 
 def test_oracle_heatmaps_straight_spine_maxima_align():
     vol, anns, _ = generate_phantom(small_config())
-    working = resample_volume(vol, (3.0, 3.0, 3.0))
+    working = working_grid(vol, PipelineConfig(working_spacing_mm=3.0))
     stack = oracle_heatmaps(anns, working)
     peaks = [np.unravel_index(np.argmax(stack.values[:, :, k]), stack.shape[:2])
              for k in range(stack.shape[2])]

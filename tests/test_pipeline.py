@@ -5,15 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
-from spinequant import detection, pipeline, straighten
-from spinequant.core import MAX_GRID_VOXELS, GeometryError
-from spinequant.evaluation import evaluate_study_set, match_detections
+from spinequant import core, detection, pipeline, straighten
+from spinequant.core import MAX_GRID_VOXELS, GeometryError, Volume3D
+from spinequant.evaluation import evaluate_study_set, match_detections, sagittal_plane_box
 from spinequant.phantom import PhantomConfig, generate_phantom
 from spinequant.pipeline import (ROW_COST, PipelineConfig, extract_centerline, oracle_phantom,
                                  pack_prediction_planes, pack_targets,
-                                 rescore_chain, run_phantom_chain, sagittal_plane_box,
-                                 score_stage, straighten_stage, targets_stage,
-                                 unpack_prediction_planes)
+                                 rescore_chain, run_phantom_chain, score_stage, straighten_stage,
+                                 targets_stage, unpack_prediction_planes, working_grid)
 from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
 
 from conftest import traced_peak
@@ -318,6 +317,43 @@ def test_config_accepts_range_bounds():
                    softargmax_mode="logits", fill=0)
 
 
+@pytest.mark.parametrize("shape, spacing, working_mm, want", [
+    ((128, 128, 256), 1.25, 3.0, (54, 54, 108)),   # the default phantom
+    ((9, 4, 4), 1.0, 2.0, (5, 3, 3)),              # extents 8 and 3 mm at 2 mm steps
+    ((7, 6, 5), 2.5, 2.5, (7, 6, 5)),              # identity spacing
+    # 3 * 0.1 / 0.1 and 6 * 0.1 / 0.1 land a hair above 3 and 6: round(..., 9) keeps them.
+    ((4, 7, 2), 0.1, 0.1, (4, 7, 2)),
+], ids=["default-phantom", "9x4x4-to-2mm", "identity", "round-decides"])
+def test_working_grid_shape(shape, spacing, working_mm, want):
+    vol = Volume3D(np.zeros(shape, dtype=np.float32), (spacing,) * 3, (-4.0, 2.5, 10.0))
+    grid = working_grid(vol, PipelineConfig(working_spacing_mm=working_mm))
+    assert grid.shape == want
+    assert grid.spacing == (working_mm,) * 3 and grid.origin == vol.origin
+
+
+def test_working_grid_holds_no_per_voxel_array():
+    vol = Volume3D(np.zeros((128, 128, 256), dtype=np.float32), (1.25,) * 3)
+    grid, peak = traced_peak(working_grid, vol, PipelineConfig())
+    assert grid.values.strides == (0, 0, 0) and not grid.values.flags.writeable
+    assert not np.any(grid.values)
+    assert peak < 8192  # the (54, 54, 108) grid as float32 would be 1.26 MB
+
+
+def test_working_grid_refuses_a_grid_over_the_voxel_budget(monkeypatch):
+    vol = Volume3D(np.zeros((2, 2, 2), dtype=np.float32), (3.0, 3.0, 3.0))
+    cfg = PipelineConfig(working_spacing_mm=1.0)
+    monkeypatch.setattr(core, "MAX_GRID_VOXELS", 4 * 4 * 4)
+    assert working_grid(vol, cfg).shape == (4, 4, 4)
+    monkeypatch.setattr(core, "MAX_GRID_VOXELS", 4 * 4 * 4 - 1)
+    with pytest.raises(GeometryError, match=r"spacing \(1.0, 1.0, 1.0\) mm .* \(4, 4, 4\) grid"):
+        working_grid(vol, cfg)
+    monkeypatch.undo()
+    # A step count that overflows to infinity is refused, not converted.
+    huge = Volume3D(np.zeros((4, 4, 4), dtype=np.float32), (1e300,) * 3)
+    with pytest.raises(GeometryError, match="inf"):
+        working_grid(huge, PipelineConfig(working_spacing_mm=1e-300))
+
+
 def test_straighten_stage_plane_matches_full_volume_plane():
     cfg = PipelineConfig(half_extent_mm=(25.0, 30.0))
     vol, anns, _ = generate_phantom(PhantomConfig(
@@ -379,10 +415,8 @@ STRESS_PHANTOMS = {
 }
 
 
-@pytest.mark.parametrize("changes", list(STRESS_PHANTOMS.values()), ids=list(STRESS_PHANTOMS))
-def test_stress_phantom_recovers_every_vertebra_and_grade(changes):
-    cfg = PipelineConfig()
-    chain = run_phantom_chain(PhantomConfig(**changes), cfg)
+def assert_every_vertebra_graded(chain, cfg):
+    """All 12 planted vertebrae matched one to one, each graded within 0.01 of its G."""
     match = match_detections([(sagittal_plane_box(r.keypoints_mm), 1.0) for r in chain.results],
                              [sagittal_plane_box(a.as_array()) for a in chain.annotations],
                              iou_threshold=cfg.match_iou)
@@ -390,6 +424,30 @@ def test_stress_phantom_recovers_every_vertebra_and_grade(changes):
     errors = [abs(chain.results[i].measurement.genant - chain.planted_genant[m])
               for i, m in match.pairs]
     assert max(errors) <= 0.01
+
+
+@pytest.mark.parametrize("changes", list(STRESS_PHANTOMS.values()), ids=list(STRESS_PHANTOMS))
+def test_stress_phantom_recovers_every_vertebra_and_grade(changes):
+    cfg = PipelineConfig()
+    assert_every_vertebra_graded(run_phantom_chain(PhantomConfig(**changes), cfg), cfg)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 15.0, 30.0])
+def test_chain_survives_empty_heatmap_slices(amplitude, monkeypatch):
+    # A localization network's maps may be all zero on some slices: the first,
+    # the middle and the last oracle map are zeroed, and the centerline spans them.
+    real = pipeline.oracle_phantom
+
+    def oracle_phantom(*args):
+        volume, annotations, planted, heatmaps = real(*args)
+        maps = heatmaps.values.copy()
+        maps[:, :, [0, maps.shape[2] // 2, -1]] = 0.0
+        return volume, annotations, planted, Volume3D(maps, heatmaps.spacing, heatmaps.origin)
+
+    monkeypatch.setattr(pipeline, "oracle_phantom", oracle_phantom)
+    cfg = PipelineConfig()
+    assert_every_vertebra_graded(
+        run_phantom_chain(PhantomConfig(scoliosis_amplitude_mm=amplitude), cfg), cfg)
 
 
 def test_public_names_resolve():

@@ -18,7 +18,7 @@ from test_localization import assert_fit_matches, spline_data, spline_examples
 def line_polyline(z0=0.0, z1=50.0, n=51, dx=0.0, dy=0.0, x0=10.0, y0=20.0):
     z = np.linspace(z0, z1, n)
     xy = np.column_stack([x0 + dx * (z - z0), y0 + dy * (z - z0)])
-    return CenterlinePolyline(xy, z, frame="world")
+    return CenterlinePolyline(xy, z)
 
 
 def assert_frames_orthonormal(curve, tol=1e-9):
@@ -64,8 +64,7 @@ def circle_polyline(radius=100.0, z0=10.0, z1=90.0, n=81):
     z = np.linspace(z0, z1, n)
     zm = (z0 + z1) / 2
     x = radius - np.sqrt(radius ** 2 - (z - zm) ** 2)
-    return CenterlinePolyline(np.column_stack([x, np.full_like(z, 5.0)]), z,
-                              frame="world"), zm
+    return CenterlinePolyline(np.column_stack([x, np.full_like(z, 5.0)]), z), zm
 
 
 def test_circular_arc_tangents_match_closed_form():
@@ -90,7 +89,7 @@ def test_planar_curve_frames_are_torsion_free():
     # y-z planar curve: the normal is x, carried by u.
     z = np.linspace(0, 80, 81)
     wiggle = CenterlinePolyline(
-        np.column_stack([np.full_like(z, 3.0), 10 * np.sin(z / 15)]), z, frame="world")
+        np.column_stack([np.full_like(z, 3.0), 10 * np.sin(z / 15)]), z)
     curve2 = build_spine_curve(wiggle, step=1.0, smoothing=0.0)
     assert np.max(np.linalg.norm(curve2.u - [1.0, 0.0, 0.0], axis=1)) < 1e-6 * len(curve2)
 
@@ -98,12 +97,9 @@ def test_planar_curve_frames_are_torsion_free():
 def test_build_spine_curve_validation():
     with pytest.raises(GeometryError):
         build_spine_curve(line_polyline(n=3))
-    squished = CenterlinePolyline(np.zeros((5, 2)), np.linspace(0, 1e-12, 5), "world")
+    squished = CenterlinePolyline(np.zeros((5, 2)), np.linspace(0, 1e-12, 5))
     with pytest.raises(GeometryError):
         build_spine_curve(squished, step=1.0)
-    with pytest.raises(ValueError):
-        build_spine_curve(
-            CenterlinePolyline(np.zeros((5, 2)), np.arange(5.0), "voxel"))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -163,7 +159,7 @@ def _random_volume(shape=(24, 22, 40), spacing=(1.0, 1.0, 1.0), seed=0):
 def test_identity_straightening_reproduces_window():
     vol = _random_volume()
     cx, cy = 12.0, 11.0
-    polyline = CenterlinePolyline(np.tile([cx, cy], (40, 1)), np.arange(40.0), "world")
+    polyline = CenterlinePolyline(np.tile([cx, cy], (40, 1)), np.arange(40.0))
     curve = build_spine_curve(polyline, step=1.0)
     straight, transform = straighten_volume(vol, curve, delta=1.0,
                                             half_extent=(6.0, 5.0))
@@ -179,7 +175,7 @@ def test_straighten_constant_volume():
     vol = Volume3D(np.full((16, 16, 30), 2.5), (1.0, 1.0, 1.0))
     z = np.arange(30.0)
     polyline = CenterlinePolyline(
-        np.column_stack([8 + 2 * np.sin(z / 7), np.full_like(z, 8.0)]), z, "world")
+        np.column_stack([8 + 2 * np.sin(z / 7), np.full_like(z, 8.0)]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     straight, _ = straighten_volume(vol, curve, delta=1.0, half_extent=(4.0, 4.0))
     ok = np.isclose(straight.values, 2.5, atol=1e-6) | (straight.values == -1024.0)
@@ -201,7 +197,7 @@ def test_to_world_hits_curve_samples_exactly():
 def test_central_column_traces_centerline_intensities():
     z = np.linspace(0, 60, 61)
     polyline = CenterlinePolyline(
-        np.column_stack([14 + 4 * np.sin(z / 11), np.full_like(z, 9.0)]), z, "world")
+        np.column_stack([14 + 4 * np.sin(z / 11), np.full_like(z, 9.0)]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     vol = _random_volume(shape=(30, 20, 70), seed=5)
     straight, transform = straighten_volume(vol, curve, delta=1.0,
@@ -224,7 +220,7 @@ def test_to_world_out_of_bounds():
 def test_world_pixel_round_trip_within_pixel():
     z = np.linspace(0, 80, 81)
     polyline = CenterlinePolyline(
-        np.column_stack([20 + 12 * np.sin(z / 25), 15 + 0.05 * z]), z, "world")
+        np.column_stack([20 + 12 * np.sin(z / 25), 15 + 0.05 * z]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     vol = _random_volume(shape=(48, 36, 90))
     _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(10.0, 10.0))
@@ -246,7 +242,7 @@ def test_world_pixel_round_trip_within_pixel():
 def test_arc_distance_bounds_straightened_distance():
     z = np.linspace(0, 60, 61)
     polyline = CenterlinePolyline(
-        np.column_stack([10 + 6 * np.sin(z / 10), np.full_like(z, 9.0)]), z, "world")
+        np.column_stack([10 + 6 * np.sin(z / 10), np.full_like(z, 9.0)]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     vol = _random_volume(shape=(32, 20, 70))
     _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(6.0, 6.0))
@@ -282,7 +278,7 @@ def sinusoid_curve(lr_amplitude, lr_wavelength, phase, ap_amplitude, ap_slope):
     z = np.linspace(0.0, 280.0, 94)
     xy = np.column_stack([80 + lr_amplitude * np.sin(2 * np.pi * z / lr_wavelength + phase),
                           80 + ap_amplitude * np.sin(2 * np.pi * z / 300) + ap_slope * z])
-    return build_spine_curve(CenterlinePolyline(xy, z, "world"), step=1.0,
+    return build_spine_curve(CenterlinePolyline(xy, z), step=1.0,
                              smoothing=10.0, pad_mm=15.0)
 
 
@@ -328,7 +324,7 @@ def test_frames_equal_the_double_reflection_loop_property(amplitude, wavelength,
     z = np.linspace(0.0, 280.0, 94)
     xy = np.column_stack([80 + amplitude * np.sin(2 * np.pi * z / wavelength + phase),
                           80 + ap_amplitude * np.sin(2 * np.pi * z / ap_wavelength)])
-    curve = build_spine_curve(CenterlinePolyline(xy, z, "world"), step=step, smoothing=lam)
+    curve = build_spine_curve(CenterlinePolyline(xy, z), step=step, smoothing=lam)
     u, v = double_reflection_oracle(curve.centers, curve.t)
     assert np.max(np.abs(curve.u - u)) <= 1e-13
     assert np.max(np.abs(curve.v - v)) <= 1e-13
@@ -351,7 +347,7 @@ def test_build_spine_curve_memory_is_bounded_by_its_output():
     # About 25,000 rows: a 180 mm centerline at a step of 180 / 21,500 mm, 15 mm pad.
     z = np.linspace(0.0, 180.0, 60)
     xy = np.column_stack([80 + 15 * np.sin(2 * np.pi * z / 200), 80 + 0.1 * z])
-    polyline = CenterlinePolyline(xy, z, "world")
+    polyline = CenterlinePolyline(xy, z)
     curve, peak = traced_peak(build_spine_curve, polyline, step=180 / 21500, pad_mm=15.0)
     assert len(curve) > 24000
     returned = sum(getattr(curve, name).nbytes for name in ("s", "centers", "t", "u", "v"))
