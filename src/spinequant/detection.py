@@ -167,7 +167,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     ``ground_truth`` is a sequence of (keypoints_px (6, 2), genant_index)
     pairs.  An anchor is positive when its IoU with a ground-truth box
     exceeds ``iou_threshold``, which must lie in (0, 1] (else ValueError),
-    matched to the highest-IoU vertebra; in
+    matched to the highest-IoU vertebra (the lowest index on ties); in
     addition the best anchor of every vertebra is forced positive even below
     the threshold, so no vertebra is left without a trainable anchor.  The
     vertebra with the highest best IoU claims first, each claims its
@@ -175,14 +175,13 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     more vertebrae than anchors the last ones claim none.  An empty
     ground-truth list yields all-negative targets.
 
-    IoU is computed only for anchors near a vertebra: an anchor of side
-    (w, h) at pixel (ix, iy) can overlap a box of side (bw, bh) centered at
-    (bx, by) only if |ix - bx| < (w + bw) / 2 and |iy - by| < (h + bh) / 2,
-    taken here with 1 px of slack.  Every other anchor has IoU exactly 0
-    with every vertebra, so the result equals that of the full
-    anchor-by-vertebra IoU matrix.  The window is the OR over vertebrae of
-    each one's (ix, iy, type) rectangle; ``AnchorGrid.locate`` gives its
-    anchors' boxes, and one ``iou_matrix`` call scores them.
+    IoU is computed per vertebra, only on its own rectangle of anchors: the
+    pixel columns and rows whose anchors of some type overlap its box along
+    that axis.  Every other anchor has IoU exactly 0 with it.  The x and y
+    sides of the intersections are (n, A) tables per axis, so a rectangle's
+    intersections are one outer product, and each IoU is formed with the
+    operations of ``iou_matrix(gt_boxes, anchor_boxes)`` in the same order:
+    the same bits as the full anchor-by-vertebra matrix.
     """
     _check_unit_interval("iou_threshold", iou_threshold, closed=False)
     nx, ny = anchors.image_shape
@@ -198,66 +197,86 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     gt_kps = np.asarray([kps for kps, _ in gt], dtype=float)
     gt_boxes = boxes_from_keypoints(gt_kps)  # (M, 4)
 
-    reach = (gt_boxes[:, None, 2:] + anchors.sides_px) / 2 + 1  # (M, A, 2)
-    near_x = np.abs(np.arange(nx)[:, None] - gt_boxes[:, None, None, 0]) < reach[:, None, :, 0]
-    near_y = np.abs(np.arange(ny)[:, None] - gt_boxes[:, None, None, 1]) < reach[:, None, :, 1]
-    window = np.zeros(shape, dtype=bool)
-    for m in range(len(gt)):
-        sx, sy = _span(near_x[m].any(axis=1)), _span(near_y[m].any(axis=1))
-        window[sx, sy] |= near_x[m][sx, None] & near_y[m][None, sy]
-    # Window anchors in ascending flat order, so ties among them break as
-    # the flat index does.  The first len(gt) anchors always join the window:
-    # a vertebra that overlaps no unclaimed anchor takes the lowest unclaimed
-    # flat index, which is below the number of claims made so far.
-    window.flat[:len(gt)] = True
-    flat = np.flatnonzero(window)
-    # (K, 4) rows (cx, cy, w, h); the centers and sides they join are freed
-    # before iou_matrix runs.
-    overlaps = iou_matrix(gt_boxes, np.concatenate(anchors.locate(flat), axis=1))  # (M, K)
+    # sides[k][m, i, t]: the overlap along axis k of vertebra m and an anchor
+    # of type t centered on pixel i, (M, n, A).
+    g_half = gt_boxes[:, 2:] / 2
+    g_lo, g_hi = gt_boxes[:, :2] - g_half, gt_boxes[:, :2] + g_half
+    a_half = anchors.sides_px / 2
+    sides = []
+    for k, n in enumerate((nx, ny)):
+        pixel = np.arange(n, dtype=float)[:, None]
+        side = np.minimum(g_hi[:, k, None, None], pixel + a_half[:, k])
+        side -= np.maximum(g_lo[:, k, None, None], pixel - a_half[:, k])
+        sides.append(np.maximum(side, 0.0, out=side))
+    a_w, a_h = anchors.sides_px.T
+    areas = (gt_boxes[:, 2] * gt_boxes[:, 3])[:, None] + a_w * a_h  # (M, A), union + intersection
 
-    # Best vertebra of each window anchor: a strict > keeps the first
-    # maximum, as argmax does.
-    best = overlaps[0].copy()
-    best_gt = np.zeros(len(flat), dtype=int)
-    better = np.empty(len(flat), dtype=bool)
-    for m in range(1, len(gt)):
-        np.greater(overlaps[m], best, out=better)
-        np.copyto(best, overlaps[m], where=better)
-        best_gt[better] = m
-    match = np.where(best > iou_threshold, best_gt, -1)
+    # Each vertebra's IoU block over its rectangle: the pixels along x and
+    # along y with a nonzero overlap, by every type.  Its C order is ascending
+    # flat anchor order.
+    blocks, index, ious, matched = [], [], [], []
+    for m in range(len(gt)):
+        pixels = tuple(np.flatnonzero(side[m].any(axis=1)) for side in sides)
+        iou = sides[0][m, pixels[0]][:, None] * sides[1][m, pixels[1]]
+        iou /= areas[m] - iou
+        np.minimum(iou, 1.0, out=iou)
+        above = np.flatnonzero(iou > iou_threshold)
+        blocks.append((iou, pixels))
+        index.append(_block_anchors(above, iou.shape, pixels, shape))
+        ious.append(iou.ravel()[above])
+        matched.append(np.full(len(above), m))
 
     # Force the best unclaimed anchor of every vertebra positive, most
-    # confident vertebra first, so two vertebrae never claim one anchor.
-    # Claimed columns drop to -1 below every IoU; argmax keeps ties at the
-    # lowest flat anchor index (determinism).
-    for m in np.argsort(-overlaps.max(axis=1), kind="stable"):
-        col = int(overlaps[m].argmax())
-        if overlaps[m, col] < 0:
-            continue  # every anchor is claimed already
-        match[col] = m
-        overlaps[:, col] = -1.0
-    positive = match >= 0
-    index, matched = flat[positive], match[positive]
-    # Where the window is freed moves the peak RSS (glibc's mmap threshold
-    # rises after a large free). Measured on the benchmark: with no del at
-    # all, rescore_eval peaked at 104 MB instead of 92.
-    del overlaps, flat, window, best, best_gt, better, match, positive
+    # confident vertebra first, so two vertebrae never claim one anchor.  A
+    # claimed anchor that is a block's argmax drops to -1 and the argmax is
+    # taken again; argmax keeps ties at the lowest flat index (determinism).
+    # A vertebra whose unclaimed anchors all have IoU 0 takes the lowest
+    # unclaimed flat index.
+    claims: dict[int, int] = {}
+    for m in np.argsort([-iou.max(initial=0.0) for iou, _ in blocks], kind="stable"):
+        iou, pixels = blocks[m]
+        while iou.size and iou.max() > 0:
+            col = int(iou.argmax())
+            flat = int(_block_anchors(col, iou.shape, pixels, shape))
+            if flat not in claims:
+                break
+            iou.flat[col] = -1.0
+        else:
+            flat = min(set(range(len(claims) + 1)) - claims.keys())
+            if flat >= anchors.n_anchors:
+                continue  # every anchor is claimed already
+        claims[flat] = int(m)
+    # The blocks (6.8 MB on the default phantom) go before the offsets are
+    # encoded: the tracemalloc peak falls from 11.3 to 8.3 MB.
+    del blocks, sides
+
+    # One match per anchor: a forced claim (IoU +inf here) first, then the
+    # highest IoU and, on ties, the lowest vertebra (lexsort is stable).
+    index.append(np.fromiter(claims, int, len(claims)))
+    ious.append(np.full(len(claims), np.inf))
+    matched.append(np.fromiter(claims.values(), int, len(claims)))
+    index = np.concatenate(index)
+    order = np.lexsort((-np.concatenate(ious), index))
+    index, matched = index[order], np.concatenate(matched)[order]
+    first = np.diff(index, prepend=-1) != 0
+    index, matched = index[first], matched[first]
 
     with np.errstate(over="ignore"):  # past the float range is inf, which pack_targets refuses
         offsets = encode_keypoints(gt_kps[matched], *anchors.locate(index))
     return DetectionTargets(shape, index, matched, offsets, gt_weights[matched])
 
 
+def _block_anchors(j, block_shape, pixels, shape):
+    """Flat anchor indices of C-order positions ``j`` of an IoU block over the
+    pixels ``pixels[0]`` along x and ``pixels[1]`` along y of a ``shape`` grid."""
+    bx, by, t = np.unravel_index(j, block_shape)
+    return np.ravel_multi_index((pixels[0][bx], pixels[1][by], t), shape)
+
+
 def _check_unit_interval(name: str, value: float, closed: bool) -> None:
     """ValueError naming ``name`` unless ``value`` is in [0, 1] (``closed``) or in (0, 1]."""
     if not (0 <= value <= 1 if closed else 0 < value <= 1):
         raise ValueError(f"{name} must be in {'[' if closed else '('}0, 1], got {value}")
-
-
-def _span(mask: np.ndarray) -> slice:
-    """The slice from the first to the last True entry of a 1D mask (empty if none)."""
-    idx = np.flatnonzero(mask)
-    return slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0)
 
 
 def _check_prediction_shapes(pred_objectness, pred_offsets, targets: DetectionTargets):

@@ -15,7 +15,7 @@ from spinequant.detection import (AnchorGrid, DetectionTargets, assign_targets, 
                                   detection_loss_grad, detection_loss_terms, encode_keypoints,
                                   generate_anchors, nms)
 from conftest import traced_peak
-from oracles import corners, decode_one, encode_one, iou
+from oracles import anchor_boxes_flat, corners, decode_one, encode_one, iou
 from test_core import bbox_from_keypoints
 
 
@@ -27,18 +27,6 @@ def anchor_box(grid, ix, iy, t) -> np.ndarray:
     """Anchor (ix, iy, t) as a (cx, cy, w, h) row: centered on pixel (ix, iy),
     sides of type t (the oracle)."""
     return np.array([ix, iy, *grid.sides_px[t]], dtype=float)
-
-
-def anchor_boxes_flat(grid) -> np.ndarray:
-    """(N, 4) rows (cx, cy, w, h) of every anchor in flat order (the oracle).
-
-    Row (ix * ny + iy) * A + t is anchor (ix, iy, t): the C order of an
-    (nx, ny, A) array.
-    """
-    nx, ny = grid.image_shape
-    ix, iy, t = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny),
-                                                 np.arange(grid.n_types), indexing="ij"))
-    return np.column_stack([ix, iy, grid.sides_px[t]]).astype(float)
 
 
 def test_anchor_unit_ratio_square():
@@ -408,14 +396,19 @@ def test_assign_off_image_vertebra_takes_lowest_unclaimed_anchor(centers):
     assert sorted(want.ravel()[:len(off)].tolist()) == off
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.integers(1, 30), st.integers(1, 30),
        st.lists(st.tuples(st.floats(-15, 45), st.floats(-15, 45),
-                          st.floats(0.5, 12), st.floats(0.5, 12)), min_size=1, max_size=6),
-       st.lists(st.integers(0, 5), max_size=3),
-       st.sampled_from([0.3, 0.5, 0.7]))
-def test_assign_targets_equals_reference_property(nx, ny, boxes, repeats, threshold):
-    grid = generate_anchors((nx, ny), 1.0, scales_mm=(5.0, 7.0), ratios=(1.0, 2.0))
+                          st.floats(0.5, 40), st.floats(0.5, 40)), min_size=1, max_size=9),
+       st.lists(st.integers(0, 8), max_size=3),
+       st.sampled_from([0.3, 0.5, 0.7]),
+       st.sampled_from([(1.0, (5.0, 7.0), (1.0, 2.0)),
+                        (0.7, detection.DEFAULT_SCALES_MM, detection.DEFAULT_RATIOS)]))
+def test_assign_targets_equals_reference_property(nx, ny, boxes, repeats, threshold, anchor_set):
+    # Four small anchor types on 1 mm pixels, or the 16 default ones on
+    # 0.7 mm pixels; up to 12 vertebrae.
+    spacing, scales, ratios = anchor_set
+    grid = generate_anchors((nx, ny), spacing, scales_mm=scales, ratios=ratios)
     # repeated boxes make vertebrae contest the same best anchor
     boxes = boxes + [boxes[i % len(boxes)] for i in repeats]
     gt = [(keypoints_for_box(*box), 0.8) for box in boxes]
@@ -423,6 +416,20 @@ def test_assign_targets_equals_reference_property(nx, ny, boxes, repeats, thresh
     np.testing.assert_array_equal(targets.dense()[3],
                                   reference_matches(grid, gt, iou_threshold=threshold))
     assert_targets_encode_matches(grid, gt, targets)
+
+
+def test_assign_iou_at_the_threshold_stays_negative():
+    # A 4 x 2 box centered on a 4 x 4 anchor: intersection 8, union 16, IoU
+    # exactly 0.5.  The anchors one pixel above and below tie with it.
+    grid = generate_anchors((11, 11), 1.0, scales_mm=(4.0,), ratios=(1.0,))
+    kps = keypoints_for_box(5.0, 5.0, 4.0, 2.0)
+    for iy in (4, 5, 6):
+        assert iou(anchor_box(grid, 5, iy, 0), bbox_from_keypoints(kps)) == 0.5
+    # Strictly above 0.5 only: the one positive is the forced first tie, (5, 4).
+    targets = assign_targets(grid, [(kps, 0.9)], iou_threshold=0.5)
+    assert targets.index.tolist() == [5 * 11 + 4]
+    assert assign_targets(grid, [(kps, 0.9)], iou_threshold=0.4999).index.tolist() == [
+        5 * 11 + 4, 5 * 11 + 5, 5 * 11 + 6]
 
 
 def test_assign_more_vertebrae_than_anchors():

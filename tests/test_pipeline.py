@@ -16,6 +16,7 @@ from spinequant.pipeline import (ROW_COST, PipelineConfig, extract_centerline, o
 from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
 
 from conftest import traced_peak
+from oracles import anchor_ious, full_grid_targets
 
 SMALL_CONFIG = PipelineConfig(half_extent_mm=(35.0, 35.0))
 
@@ -207,26 +208,54 @@ def test_finished_chain_keeps_only_its_positive_anchors(small_chains):
         assert len(kps) == len(chain.annotations)
 
 
-def test_targets_stage_peak_is_its_iou_window_and_the_record(monkeypatch):
-    # The peak is the window's (M, K) IoU matrix plus twelve more K-long rows
-    # (the four box rows, flat, pixel and type indices, best IoU, best
-    # vertebra and match, with slack) and the record.  Dense maps over every
-    # anchor, 120 B each (19.5 MB on this phantom), would break the bound.
-    volume, annotations, _, heatmaps = oracle_phantom(small_phantom(0.0), SMALL_CONFIG)
+def small_targets_inputs(amplitude, monkeypatch):
+    """The straightened image and annotations of a SMALL phantom, and the
+    anchors, ground truth and targets of ``targets_stage``'s ``assign_targets`` call."""
+    volume, annotations, _, heatmaps = oracle_phantom(small_phantom(amplitude), SMALL_CONFIG)
     sagittal = straighten_stage(volume, SMALL_CONFIG, heatmaps=heatmaps)
-    del volume, heatmaps
-    shapes = []
-    iou_matrix = detection.iou_matrix
+    calls = []
+    assign_targets = detection.assign_targets
 
-    def spy(a, b):
-        shapes.append((len(a), len(b)))
-        return iou_matrix(a, b)
+    def spy(anchors, gt, iou_threshold):
+        gt = list(gt)
+        calls.append((anchors, gt, assign_targets(anchors, gt, iou_threshold)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(detection, "iou_matrix", spy)
+    with monkeypatch.context() as patch:
+        patch.setattr(detection, "assign_targets", spy)
+        targets_stage(sagittal, annotations, SMALL_CONFIG)
+    (anchors, gt, targets), = calls
+    return sagittal, annotations, anchors, gt, targets
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 15.0, 30.0])
+def test_targets_stage_equals_the_full_grid_oracle(amplitude, monkeypatch):
+    # One iou_matrix over every anchor and the claim rules, to the byte.
+    _, _, anchors, gt, targets = small_targets_inputs(amplitude, monkeypatch)
+    want = full_grid_targets(anchors, gt, SMALL_CONFIG.assign_iou)
+    got = (targets.index, targets.matched, targets.offsets, targets.genant_weights)
+    for name, g, w in zip(("index", "matched", "offsets", "genant_weights"), got, want):
+        assert g.tobytes() == w.tobytes(), name
+    assert len(set(targets.matched.tolist())) == len(gt) == 5
+
+
+def test_targets_stage_peak_is_its_iou_blocks_and_the_record(monkeypatch):
+    # No iou_matrix call.  The peak is each vertebra's IoU block over its
+    # rectangle (the pixels along x and along y where it overlaps some anchor,
+    # by every type), kept until the forced claims are made, two more blocks
+    # of temporaries while the largest is formed, and the record.  An (M, K)
+    # IoU matrix over every anchor near some vertebra (10.5 MB here) or dense
+    # maps over every anchor, 120 B each (19.5 MB), would break the bound.
+    sagittal, annotations, anchors, gt, _ = small_targets_inputs(0.0, monkeypatch)
+    near = anchor_ious(anchors, gt).reshape(len(gt), *anchors.image_shape, -1) > 0
+    blocks = [np.any(v, axis=(1, 2)).sum() * np.any(v, axis=(0, 2)).sum() * anchors.n_types
+              for v in near]
+    calls = []
+    monkeypatch.setattr(detection, "iou_matrix", lambda a, b: calls.append(1))
     (_, targets), peak = traced_peak(targets_stage, sagittal, annotations, SMALL_CONFIG)
-    (m, k), = shapes
+    assert not calls
     record = 120 * targets.n_positive
-    assert peak < 8 * k * (m + 12) + record, (peak, m, k, record)
+    assert peak < 8 * (sum(blocks) + 2 * max(blocks)) + record, (peak, blocks, record)
 
 
 def test_pack_unpack_round_trip(chain):
