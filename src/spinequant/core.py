@@ -169,33 +169,41 @@ MAX_AREA = float(np.finfo(float).max) / 2
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between box arrays of shape (N, 4) and (M, 4).
+    """Pairwise IoU between box arrays of shape (..., N, 4) and (..., M, 4).
 
-    Boxes are rows (cx, cy, w, h); returns an (N, M) matrix.  The columns of
-    ``b`` are taken in blocks of ``IOU_BLOCK``; within a block the x and y
-    overlaps of every pair are formed together in one (2, N, block) side
-    array and the ratios are written into the preallocated result, so the
-    temporaries stay small and a short call costs a few numpy operations.  A
-    pair that does not overlap gets exactly 0, and identical boxes, whose
-    rounded corners can give a ratio just above 1, get exactly 1.
+    Boxes are rows (cx, cy, w, h); returns an (..., N, M) array.  The leading
+    axes, if any, are a batch shared by both sides: (N, 4) and (M, 4) give
+    one (N, M) matrix, and (S, K, 4) and (S, G, 4) give S blocks of (K, G),
+    the IoUs within each of S box sets.
+
+    The columns of ``b`` are taken in blocks of ``IOU_BLOCK``; within a
+    block the x and y overlaps of every pair are formed together in one
+    (2, ..., N, block) side array and the ratios are written into the
+    preallocated result, so the temporaries stay small and a short call
+    costs a few numpy operations.  A pair that does not overlap gets exactly
+    0, and identical boxes, whose rounded corners can give a ratio just
+    above 1, get exactly 1.
     """
-    # (4, M) blocks of b are made contiguous, so the (2, N, block) broadcasts
-    # run along contiguous memory (an (N, M, 2) layout is about twice as slow
-    # at large M); a is only broadcast, so its (4, N) view is not copied.
-    a = np.array(a, dtype=float, ndmin=2, copy=None).T
+    # (4, ..., M) blocks of b are made contiguous, so the (2, ..., N, block)
+    # broadcasts run along contiguous memory (an (N, M, 2) layout is about
+    # twice as slow at large M); a is only broadcast, so its (4, ..., N) view
+    # is not copied.
+    a = np.array(a, dtype=float, ndmin=2, copy=None)
     b = np.array(b, dtype=float, ndmin=2, copy=None)
+    out = np.empty(a.shape[:-1] + b.shape[-2:-1])
+    a = a.transpose(-1, *range(a.ndim - 1))
     a_half = a[2:] / 2
-    a_lo, a_hi = (a[:2] - a_half)[:, :, None], (a[:2] + a_half)[:, :, None]
-    a_area = (a[2] * a[3])[:, None]
-    out = np.empty((a.shape[1], len(b)))
-    for j0 in range(0, len(b), IOU_BLOCK):
-        bb = np.ascontiguousarray(b[j0:j0 + IOU_BLOCK].T)
+    a_lo, a_hi = (a[:2] - a_half)[..., None], (a[:2] + a_half)[..., None]
+    a_area = (a[2] * a[3])[..., None]
+    for j0 in range(0, out.shape[-1], IOU_BLOCK):
+        bb = b[..., j0:j0 + IOU_BLOCK, :]
+        bb = np.ascontiguousarray(bb.transpose(-1, *range(bb.ndim - 1)))
         b_half = bb[2:] / 2
-        side = np.minimum(a_hi, (bb[:2] + b_half)[:, None])
-        side -= np.maximum(a_lo, (bb[:2] - b_half)[:, None])
+        side = np.minimum(a_hi, (bb[:2] + b_half)[..., None, :])
+        side -= np.maximum(a_lo, (bb[:2] - b_half)[..., None, :])
         np.maximum(side, 0.0, out=side)
-        inter = np.multiply(side[0], side[1], out[:, j0:j0 + IOU_BLOCK])
-        union = a_area + bb[2] * bb[3]
+        inter = np.multiply(side[0], side[1], out[..., j0:j0 + IOU_BLOCK])
+        union = a_area + (bb[2] * bb[3])[..., None, :]
         union -= inter
         inter /= union
         np.minimum(inter, 1.0, out=inter)

@@ -6,31 +6,49 @@ score with an IoU criterion, one to one.  Fracture classification is scored
 with a rank-statistic ROC AUC (ties count one half) at the mild and moderate
 Genant thresholds, on vertebra level and, with the per-patient minimum
 index, on patient level.
+
+A study set is evaluated in one array pass: the vertebrae of all studies
+are gathered into flat arrays, and the within-study IoUs and center
+distances are formed on padded (studies, detections, ground truth) blocks.
+The greedy matching rule then runs one score rank at a time for every study
+together; ``match_detections`` is the same matcher on one study.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .core import GeometryError, UndefinedMetricError, boxes_from_keypoints, iou_matrix
-from .detection import N_KEYPOINTS
+from .detection import N_KEYPOINTS, _check_unit_interval
 from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
 
 
 def localization_error(pred_centers, gt_centers) -> np.ndarray:
     """Distance (mm) from each predicted center to the nearest ground-truth one.
 
-    Both arguments are world-mm center rows, shape (3,) or (n, 3).  A distance
-    past the float range is inf.
+    Both arguments are world-mm center rows, shape (3,) or (n, 3); no
+    predicted center gives an empty array.  A distance past the float range
+    is inf.
     """
     pred = np.atleast_2d(np.asarray(pred_centers, dtype=float))
     gt = np.atleast_2d(np.asarray(gt_centers, dtype=float))
     if gt.size == 0:
         raise ValueError("localization error needs at least one ground-truth center")
+    if pred.size == 0:
+        return np.empty(0)
+    return np.sqrt(_squared_distances(pred, gt).min(axis=-1))
+
+
+def _squared_distances(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """(..., K, G) squared distances between (..., K, 3) and (..., G, 3) center rows.
+
+    The squares add x, y, z left to right, as in ``np.linalg.norm``; one past
+    the float range is inf.  The root of the least is the least distance.
+    """
     with np.errstate(over="ignore"):
-        d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
-    return d.min(axis=1)
+        return sum(np.square(pred[..., :, None, k] - gt[..., None, :, k]) for k in range(3))
 
 
 def _mean_std(errors) -> tuple[float, float]:
@@ -90,32 +108,91 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
     """Greedily match detections to ground truth by descending score.
 
     ``detections`` are (box, score) pairs and ``ground_truth`` box rows, with
-    boxes as (cx, cy, w, h).  Each detection claims the unclaimed
-    ground-truth box with the highest IoU above the threshold.  Ordering ties
-    are broken by box geometry, so the assignment does not depend on input
-    order.
+    boxes as finite (cx, cy, w, h) rows of positive sides.  Each detection
+    claims the unclaimed ground-truth box with the highest IoU above the
+    threshold, which must be in (0, 1].  Ordering ties are broken by box
+    geometry, so the assignment does not depend on input order.  This is
+    the one-study call of the matcher ``evaluate_study_set`` runs.
     """
+    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
     scores = np.array([float(score) for _, score in detections])
-    det_boxes = np.array([box for box, _ in detections], dtype=float).reshape(len(scores), 4)
-    gt_boxes = np.array(ground_truth, dtype=float).reshape(len(ground_truth), 4)
-    if len(det_boxes) == 0 or len(gt_boxes) == 0:
-        return MatchResult([], list(range(len(det_boxes))), list(range(len(gt_boxes))))
+    det_boxes = _box_rows([box for box, _ in detections], "detections")
+    gt_boxes = _box_rows(ground_truth, "ground_truth")
+    match = _match(det_boxes, scores, np.array([len(det_boxes)]),
+                   gt_boxes, np.array([len(gt_boxes)]), iou_threshold)
+    won = match >= 0
+    claimed = np.zeros(len(gt_boxes), dtype=bool)
+    claimed[match[won]] = True
+    return MatchResult(list(zip(np.flatnonzero(won).tolist(), match[won].tolist())),
+                       np.flatnonzero(~won).tolist(), np.flatnonzero(~claimed).tolist())
 
-    # Columns in geometric order, so argmax breaks IoU ties as the boxes sort.
-    gt_rank = np.lexsort(gt_boxes.T[::-1])
-    overlaps = iou_matrix(det_boxes, gt_boxes[gt_rank])
-    pairs = []
-    fps = []
-    for i in np.lexsort((*det_boxes.T[::-1], -scores)):
-        col = int(np.argmax(overlaps[i]))
-        if overlaps[i, col] > iou_threshold:
-            overlaps[:, col] = -np.inf  # claimed
-            pairs.append((int(i), int(gt_rank[col])))
-        else:
-            fps.append(int(i))
-    claimed = {m for _, m in pairs}
-    fns = [m for m in range(len(gt_boxes)) if m not in claimed]
-    return MatchResult(sorted(pairs), sorted(fps), fns)
+
+def _box_rows(rows, name: str) -> np.ndarray:
+    """(n, 4) box rows, else ValueError naming ``name``."""
+    boxes = np.array(rows, dtype=float).reshape(len(rows), 4)
+    if not (np.all(np.isfinite(boxes)) and np.all(boxes[:, 2:] > 0)):
+        raise ValueError(f"{name} must be finite (cx, cy, w, h) boxes with positive sides")
+    return boxes
+
+
+def _match(det_boxes, scores, det_counts, gt_boxes, gt_counts, iou_threshold) -> np.ndarray:
+    """Ground-truth row each detection claims, or -1, by the greedy rule within each study.
+
+    Detections (ground truth) are flat box rows, study by study, with
+    ``det_counts`` (``gt_counts``) rows per study.  Within a study the
+    detections claim in order of descending score, then box geometry
+    (cx, cy, w, h), then input order; the ground-truth columns sort by box
+    geometry, then input order, so a tie in IoU goes to the first box in
+    that order.  All studies are sorted by one ``np.lexsort`` each side and
+    laid out as padded (S, K_max, G_max) IoU blocks.
+    """
+    det_studies = np.repeat(np.arange(len(det_counts)), det_counts)
+    det_order = np.lexsort((*det_boxes.T[::-1], -scores, det_studies))
+    gt_order = np.lexsort((*gt_boxes.T[::-1], np.repeat(np.arange(len(gt_counts)), gt_counts)))
+    det_filled, gt_filled = _filled(det_counts), _filled(gt_counts)
+    overlaps = iou_matrix(_padded(det_boxes[det_order], det_filled, 1.0),
+                          _padded(gt_boxes[gt_order], gt_filled, 1.0))
+    overlaps[~(det_filled[:, :, None] & gt_filled[:, None, :])] = -np.inf
+    # Sorting keeps each study's rows together, so sorted row k is in study det_studies[k].
+    cols = _greedy_claims(overlaps, iou_threshold)[det_filled]
+    won = cols >= 0
+    match = np.full(len(det_boxes), -1)
+    match[det_order[won]] = _padded(gt_order, gt_filled, -1)[det_studies[won], cols[won]]
+    return match
+
+
+def _greedy_claims(overlaps: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """(S, K) column each row claims, or -1, in S (K, G) IoU blocks whose rows
+    are in claim order and whose padding holds -inf; ``overlaps`` is used up.
+
+    The greedy rule for all blocks together, one rank at a time: row r of
+    every block takes the first maximum of its IoUs over the columns its
+    block has not claimed yet, if that exceeds the threshold.
+    """
+    n_sets, n_rows, n_cols = overlaps.shape
+    claims = np.full((n_sets, n_rows), -1)
+    if n_cols == 0:
+        return claims
+    sets = np.arange(n_sets)
+    for r in range(n_rows):
+        cols = overlaps[:, r].argmax(axis=1)
+        won = np.flatnonzero(overlaps[sets, r, cols] > iou_threshold)
+        cols = cols[won]
+        overlaps[won, r + 1:, cols] = -np.inf  # claimed
+        claims[won, r] = cols
+    return claims
+
+
+def _filled(counts: np.ndarray) -> np.ndarray:
+    """(S, max count) mask of the slots each of S studies fills with its rows."""
+    return np.arange(counts.max(initial=0)) < counts[:, None]
+
+
+def _padded(rows: np.ndarray, filled: np.ndarray, fill) -> np.ndarray:
+    """Flat rows, study by study, laid out per study: ``out[filled]`` is ``rows``."""
+    out = np.full(filled.shape + rows.shape[1:], fill, dtype=rows.dtype)
+    out[filled] = rows
+    return out
 
 
 def roc_auc(scores, labels) -> float:
@@ -253,67 +330,85 @@ class EvalReport:
 def evaluate_study_set(studies, iou_threshold: float = 0.5,
                        mild_cut: float = DEFAULT_MILD_CUT,
                        moderate_cut: float = DEFAULT_MODERATE_CUT) -> tuple[EvalReport, list[str]]:
-    """Full report over one or more studies (one patient each).
+    """Full report over one or more studies (one patient each), in one array pass.
 
     Each study is a dict with keys ``detections``, a list of
     (keypoints_mm, genant, score) triples, and ``ground_truth``, a list of
     (keypoints_mm, genant) pairs; keypoints are (6, 3) world mm in canonical
-    order, and a score of None (graded annotations) counts as 1.0.  Vertebrae
-    are matched on their ``sagittal_plane_box`` and localized by their
-    centers, the midpoints of the middle keypoints.  Returns the report plus
-    a list of undefined-metric messages (empty when every metric was
+    order, genant and score are finite, and a score of None (graded
+    annotations) counts as 1.0.  Vertebrae are matched on their
+    ``sagittal_plane_box`` and localized by their centers, the midpoints of
+    the middle keypoints, each within its own study.
+
+    The vertebrae of all studies are gathered into flat arrays; the boxes
+    come from one ``sagittal_plane_box`` call a side, the IoUs from one
+    ``iou_matrix`` call on padded (studies, detections, ground truth) blocks,
+    and the greedy rule claims one score rank at a time for every study
+    together.  ``iou_threshold`` must be in (0, 1] and the cuts finite with
+    ``moderate_cut < mild_cut``, else ValueError; a bad study entry raises
+    ValueError naming the study, the entry and the field.  Returns the report
+    plus a list of undefined-metric messages (empty when every metric was
     computable).
     """
-    problems: list[str] = []
-    report = EvalReport()
+    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    for name, cut in (("mild_cut", mild_cut), ("moderate_cut", moderate_cut)):
+        if not np.isfinite(cut):
+            raise ValueError(f"{name} must be finite, got {cut!r}")
+    if not moderate_cut < mild_cut:
+        raise ValueError(f"moderate_cut must be < mild_cut, got {moderate_cut!r}, {mild_cut!r}")
 
-    all_loc, frac_loc = [], []
-    pred_g, gt_g = [], []
-    patient_pred, patient_gt = [], []
-    tp = fp = fn = 0
-    n_gt_fractured = tp_fractured = 0
-
+    det_rows, gt_rows, det_counts, gt_counts = [], [], [], []
     for study in studies:
-        det_kps = np.reshape([kps for kps, _, _ in study["detections"]], (-1, N_KEYPOINTS, 3))
-        gt_kps = np.reshape([kps for kps, _ in study["ground_truth"]], (-1, N_KEYPOINTS, 3))
-        det_gs = [g for _, g, _ in study["detections"]]
-        gt_gs = [g for _, g in study["ground_truth"]]
-        scores = [1.0 if score is None else score for _, _, score in study["detections"]]
-        match = match_detections(list(zip(sagittal_plane_box(det_kps), scores)),
-                                 sagittal_plane_box(gt_kps), iou_threshold=iou_threshold)
-        tp += match.tp
-        fp += match.fp
-        fn += match.fn
-        if det_gs and gt_gs:
-            errs = localization_error((det_kps[:, 2] + det_kps[:, 3]) / 2,
-                                      (gt_kps[:, 2] + gt_kps[:, 3]) / 2)
-            all_loc.extend(errs.tolist())
-            frac_loc.extend(float(errs[i]) for i, m in match.pairs if gt_gs[m] <= moderate_cut)
-        for i, m in match.pairs:
-            pred_g.append(det_gs[i])
-            gt_g.append(gt_gs[m])
-            if gt_gs[m] <= moderate_cut:
-                tp_fractured += 1
-        n_gt_fractured += sum(1 for g in gt_gs if g <= moderate_cut)
-        if det_gs:
-            patient_pred.append(min(det_gs))
-        if gt_gs:
-            patient_gt.append(min(gt_gs))
+        det_rows += study["detections"]
+        gt_rows += study["ground_truth"]
+        det_counts.append(len(study["detections"]))
+        gt_counts.append(len(study["ground_truth"]))
+    det_counts, gt_counts = np.array(det_counts, dtype=int), np.array(gt_counts, dtype=int)
+    kps_rule = f"keypoints must be finite numbers of shape ({N_KEYPOINTS}, 3)"
+    det_kps = _entries([kps for kps, _, _ in det_rows], (N_KEYPOINTS, 3), det_counts,
+                       "detections", kps_rule)
+    det_g = _entries([g for _, g, _ in det_rows], (), det_counts, "detections",
+                     "genant must be a finite number")
+    scores = _entries([1.0 if score is None else score for _, _, score in det_rows], (),
+                      det_counts, "detections", "score must be a finite number or None")
+    gt_kps = _entries([kps for kps, _ in gt_rows], (N_KEYPOINTS, 3), gt_counts,
+                      "ground_truth", kps_rule)
+    gt_g = _entries([g for _, g in gt_rows], (), gt_counts, "ground_truth",
+                    "genant must be a finite number")
 
-    if all_loc:
-        report.localization_mean_mm, report.localization_std_mm = _mean_std(all_loc)
-    if frac_loc:
-        (report.localization_fractured_mean_mm,
-         report.localization_fractured_std_mm) = _mean_std(frac_loc)
-    report.tp, report.fp, report.fn = tp, fp, fn
+    match = _match(sagittal_plane_box(det_kps), scores, det_counts,
+                   sagittal_plane_box(gt_kps), gt_counts, iou_threshold)
+    won = match >= 0
+    gt_fractured = gt_g <= moderate_cut
+    report = EvalReport()
+    report.tp = tp = int(won.sum())
+    report.fp = fp = len(det_g) - tp
+    report.fn = fn = len(gt_g) - tp
     report.precision = tp / (tp + fp) if (tp + fp) else None
     report.recall = tp / (tp + fn) if (tp + fn) else None
-    if n_gt_fractured:
-        report.recall_fractured = tp_fractured / n_gt_fractured
+    if gt_fractured.any():
+        report.recall_fractured = int(gt_fractured[match[won]].sum()) / int(gt_fractured.sum())
 
-    levels = {"vertebra": (pred_g, gt_g)}
+    # Detections of studies with ground truth are localized, in flat order.
+    localized = np.repeat(gt_counts > 0, det_counts)
+    if localized.any():
+        det_filled, gt_filled = _filled(det_counts), _filled(gt_counts)
+        dist = _squared_distances(_padded(_centers(det_kps), det_filled, 0.0),
+                                  _padded(_centers(gt_kps), gt_filled, 0.0))
+        dist[~np.broadcast_to(gt_filled[:, None, :], dist.shape)] = np.inf
+        errs = np.sqrt(dist.min(axis=2)[det_filled])
+        report.localization_mean_mm, report.localization_std_mm = _mean_std(errs[localized])
+        fractured_hit = np.zeros_like(won)
+        fractured_hit[won] = gt_fractured[match[won]]
+        if fractured_hit.any():
+            (report.localization_fractured_mean_mm,
+             report.localization_fractured_std_mm) = _mean_std(errs[fractured_hit])
+
+    levels = {"vertebra": (det_g[won], gt_g[match[won]])}
+    patient_pred, patient_gt = _study_minima(det_g, det_counts), _study_minima(gt_g, gt_counts)
     if len(patient_pred) >= 2 and len(patient_pred) == len(patient_gt):
         levels["patient"] = (patient_pred, patient_gt)
+    problems: list[str] = []
     for name, cut in (("mild", mild_cut), ("moderate", moderate_cut)):
         report.classification[name] = {"vertebra": None, "patient": None}
         for level, (pred, gt) in levels.items():
@@ -322,3 +417,40 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
             except (UndefinedMetricError, ValueError) as exc:
                 problems.append(f"{name}/{level}: {exc}")
     return report, problems
+
+
+def _centers(kps: np.ndarray) -> np.ndarray:
+    """Vertebral body centers of (n, 6, 3) keypoints: midpoints of the middle pair."""
+    return (kps[:, 2] + kps[:, 3]) / 2
+
+
+def _study_minima(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Minimum of each study's values, over the studies that have any."""
+    return np.minimum.reduceat(values, (np.cumsum(counts) - counts)[counts > 0])
+
+
+def _entries(values: list, shape: tuple, counts: np.ndarray, key: str, rule: str) -> np.ndarray:
+    """Flat study entries as one (n, *shape) finite float array.
+
+    Else ValueError naming the study, the entry of ``key`` and ``rule`` for
+    the first entry that is not finite numbers of ``shape``.
+    """
+    try:
+        arr = np.array(values, dtype=float)
+        if arr.shape == (len(values), *shape) and np.isfinite(arr).all():
+            return arr
+    except (TypeError, ValueError):  # ragged, or not numbers: named below
+        pass
+    if not values:
+        return np.empty((0, *shape))
+
+    def usable(v) -> bool:
+        try:
+            return np.shape(v) == shape and bool(np.isfinite(np.asarray(v, dtype=float)).all())
+        except (TypeError, ValueError):
+            return False
+
+    i = next(i for i, v in enumerate(values) if not usable(v))
+    study = int(np.searchsorted(np.cumsum(counts), i, side="right"))
+    raise ValueError(f"study {study}: {key}[{i - int(counts[:study].sum())}] {rule}, "
+                     f"got {reprlib.repr(values[i])}")

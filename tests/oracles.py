@@ -1,11 +1,18 @@
 """References the tests hold the array code to: scalar ones (one box, one
-anchor or one point set at a time) and whole-grid ones (every anchor at once).
+anchor or one point set at a time), whole-grid ones (every anchor at once)
+and per-study ones (one study of an evaluation set at a time).
 
 A box is a plain (cx, cy, w, h) row.
 """
+from dataclasses import asdict
+
 import numpy as np
 
-from spinequant.core import DEFAULT_FILL, _sample_voxel_coords, iou_matrix
+from spinequant.core import (DEFAULT_FILL, UndefinedMetricError, _sample_voxel_coords,
+                             iou_matrix)
+from spinequant.evaluation import (EvalReport, _mean_std, classification_report,
+                                   sagittal_plane_box)
+from spinequant.genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
 
 
 def corners(box) -> tuple:
@@ -93,3 +100,93 @@ def trilinear_sample(vol, pts, fill: float = DEFAULT_FILL) -> np.ndarray | float
     pts = np.asarray(pts, dtype=float)
     out = _sample_voxel_coords(vol.values, vol.world_to_voxel(pts.reshape(-1, 3)), float(fill))
     return float(out[0]) if pts.ndim == 1 else out.reshape(pts.shape[:-1])
+
+
+def greedy_match(det_boxes, scores, gt_boxes, iou_threshold):
+    """(pairs, false positives, false negatives) of one study, one detection at a time.
+
+    By (-score, box) each detection takes the first maximum of its IoU row
+    over the unclaimed ground truth in box order, if it exceeds the threshold.
+    """
+    det_boxes = np.asarray(det_boxes, dtype=float).reshape(-1, 4)
+    gt_boxes = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
+    scores = np.asarray(scores, dtype=float)
+    if len(det_boxes) == 0 or len(gt_boxes) == 0:
+        return [], list(range(len(det_boxes))), list(range(len(gt_boxes)))
+    gt_rank = np.lexsort(gt_boxes.T[::-1])
+    overlaps = iou_matrix(det_boxes, gt_boxes[gt_rank])
+    pairs, fps = [], []
+    for i in np.lexsort((*det_boxes.T[::-1], -scores)):
+        col = int(np.argmax(overlaps[i]))
+        if overlaps[i, col] > iou_threshold:
+            overlaps[:, col] = -np.inf  # claimed
+            pairs.append((int(i), int(gt_rank[col])))
+        else:
+            fps.append(int(i))
+    claimed = {m for _, m in pairs}
+    return sorted(pairs), sorted(fps), [m for m in range(len(gt_boxes)) if m not in claimed]
+
+
+def study_set_report(studies, iou_threshold=0.5, mild_cut=DEFAULT_MILD_CUT,
+                     moderate_cut=DEFAULT_MODERATE_CUT):
+    """``evaluate_study_set``'s (report, problems), one study at a time: each
+    study's boxes, greedy matches and nearest centers on their own."""
+    problems = []
+    report = EvalReport()
+    all_loc, frac_loc = [], []
+    pred_g, gt_g = [], []
+    patient_pred, patient_gt = [], []
+    tp = fp = fn = 0
+    n_gt_fractured = tp_fractured = 0
+
+    for study in studies:
+        det_kps = np.reshape([kps for kps, _, _ in study["detections"]], (-1, 6, 3))
+        gt_kps = np.reshape([kps for kps, _ in study["ground_truth"]], (-1, 6, 3))
+        det_gs = [g for _, g, _ in study["detections"]]
+        gt_gs = [g for _, g in study["ground_truth"]]
+        scores = [1.0 if score is None else score for _, _, score in study["detections"]]
+        pairs, fps, fns = greedy_match(sagittal_plane_box(det_kps), scores,
+                                       sagittal_plane_box(gt_kps), iou_threshold)
+        tp += len(pairs)
+        fp += len(fps)
+        fn += len(fns)
+        if det_gs and gt_gs:
+            pred_c = (det_kps[:, 2] + det_kps[:, 3]) / 2
+            gt_c = (gt_kps[:, 2] + gt_kps[:, 3]) / 2
+            with np.errstate(over="ignore"):
+                errs = np.linalg.norm(pred_c[:, None, :] - gt_c[None, :, :], axis=2).min(axis=1)
+            all_loc.extend(errs.tolist())
+            frac_loc.extend(float(errs[i]) for i, m in pairs if gt_gs[m] <= moderate_cut)
+        for i, m in pairs:
+            pred_g.append(det_gs[i])
+            gt_g.append(gt_gs[m])
+            if gt_gs[m] <= moderate_cut:
+                tp_fractured += 1
+        n_gt_fractured += sum(1 for g in gt_gs if g <= moderate_cut)
+        if det_gs:
+            patient_pred.append(min(det_gs))
+        if gt_gs:
+            patient_gt.append(min(gt_gs))
+
+    if all_loc:
+        report.localization_mean_mm, report.localization_std_mm = _mean_std(all_loc)
+    if frac_loc:
+        (report.localization_fractured_mean_mm,
+         report.localization_fractured_std_mm) = _mean_std(frac_loc)
+    report.tp, report.fp, report.fn = tp, fp, fn
+    report.precision = tp / (tp + fp) if (tp + fp) else None
+    report.recall = tp / (tp + fn) if (tp + fn) else None
+    if n_gt_fractured:
+        report.recall_fractured = tp_fractured / n_gt_fractured
+
+    levels = {"vertebra": (pred_g, gt_g)}
+    if len(patient_pred) >= 2 and len(patient_pred) == len(patient_gt):
+        levels["patient"] = (patient_pred, patient_gt)
+    for name, cut in (("mild", mild_cut), ("moderate", moderate_cut)):
+        report.classification[name] = {"vertebra": None, "patient": None}
+        for level, (pred, gt) in levels.items():
+            try:
+                report.classification[name][level] = asdict(classification_report(pred, gt, cut))
+            except (UndefinedMetricError, ValueError) as exc:
+                problems.append(f"{name}/{level}: {exc}")
+    return report, problems

@@ -113,6 +113,17 @@ def test_iou_matrix_bitwise_equals_reference_formula():
                 assert got.tobytes() == iou_matrix_reference(x, y).tobytes()
 
 
+def test_iou_matrix_batch_axis_equals_one_call_per_set():
+    rng = np.random.default_rng(5)
+    a = np.concatenate([rng.integers(-4, 4, (5, 7, 2)), rng.integers(1, 4, (5, 7, 2))], axis=2)
+    b = np.concatenate([rng.uniform(-4, 4, (5, 3, 2)), rng.uniform(0.5, 4, (5, 3, 2))], axis=2)
+    got = iou_matrix(a, b)
+    assert got.shape == (5, 7, 3)
+    assert got.tobytes() == np.stack([iou_matrix(x, y) for x, y in zip(a, b)]).tobytes()
+    assert iou_matrix(a[:, :0], b).shape == (5, 0, 3)
+    assert iou_matrix(a[:0], b[:0]).shape == (0, 7, 3)
+
+
 box_rows = st.lists(
     st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.5, 40), st.floats(0.5, 40)),
     min_size=1, max_size=8)

@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["01_phantom_volume", "02_centerline_and_straightening",
-                                  "03_targets_and_loss", "04_detection_to_grading"])
+                                  "03_targets_and_loss", "04_detection_to_grading",
+                                  "05_evaluation_study"])
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],

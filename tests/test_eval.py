@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, UndefinedMetricError, iou_matrix
 from spinequant.evaluation import (classification_report, evaluate_study_set,
                                    localization_error, match_detections, roc_auc)
 
+from oracles import study_set_report
 from test_genant import make_keypoints
 
 
@@ -39,6 +42,12 @@ def test_localization_empty_gt_error():
         localization_error([[0, 0, 0]], [])
     with pytest.raises(ValueError):
         localization_error([[0, 0, 0]], np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("pred", [[], np.empty((0, 3))])
+def test_localization_of_no_prediction_is_empty(pred):
+    got = localization_error(pred, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert got.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +132,31 @@ def test_match_equals_reference_on_tie_heavy_inputs():
                                 rng.integers(1, 4, (n, 2))]).astype(float)
 
     for trial in range(400):
-        threshold = (0.0, 0.1, 0.5, 1.0)[trial % 4]
+        # 5e-324, the least positive float, matches every overlapping pair.
+        threshold = (5e-324, 0.1, 0.5, 1.0)[trial % 4]
         n_det, n_gt = (int(n) for n in rng.integers(0, 9, 2))
         dets = list(zip(grid_boxes(n_det), rng.integers(0, 2 + trial % 3, n_det) / 2))
         gts = list(grid_boxes(n_gt))
         got = match_detections(dets, gts, iou_threshold=threshold)
         want = match_reference(dets, gts, iou_threshold=threshold)
         assert (got.pairs, got.false_positives, got.false_negatives) == want
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 1.5, float("inf"), 0.0, -1.0])
+def test_match_refuses_a_threshold_outside_the_unit_interval(threshold):
+    gts = boxes_along_column(2)
+    with pytest.raises(ValueError, match="iou_threshold"):
+        match_detections([(b, 1.0) for b in gts], gts, iou_threshold=threshold)
+
+
+@pytest.mark.parametrize("bad", [[float("nan"), 0.0, 2.0, 2.0], [0.0, float("inf"), 2.0, 2.0],
+                                 [0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 2.0, -1.0]])
+def test_match_refuses_non_finite_or_flat_boxes(bad):
+    good = boxes_along_column(2)
+    with pytest.raises(ValueError, match="detections"):
+        match_detections([(good[0], 1.0), (np.array(bad), 0.5)], good)
+    with pytest.raises(ValueError, match="ground_truth"):
+        match_detections([(good[0], 1.0)], [good[1], np.array(bad)])
 
 
 def test_match_prefers_higher_score():
@@ -340,3 +367,74 @@ def test_evaluate_study_set_localizes_by_middle_keypoints():
     report, _ = evaluate_study_set([study])
     assert report.localization_mean_mm == pytest.approx(0.75, abs=1e-12)
     assert report.tp == 2
+
+
+# ---------------------------------------------------------------------------
+# the study-set pass against the per-study oracle
+# ---------------------------------------------------------------------------
+
+GRADES = (0.5, 0.7, 0.74, 0.75, 0.8, 0.85, 1.0)   # on and around both cuts
+
+
+def grid_keypoints(y0, z0, w, h, x):
+    """(6, 3) keypoints on an integer grid whose sagittal box spans y0..y0+w and
+    z0..z0+h: small ranges make tied boxes, tied IoUs and tied distances common."""
+    return np.array([[x, y, z] for y in (y0, y0 + w / 2, y0 + w) for z in (z0 + h, z0)],
+                    dtype=float)
+
+
+grid_box = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3),
+                     st.integers(1, 3), st.integers(-1, 1))
+studies_strategy = st.lists(st.fixed_dictionaries({
+    "detections": st.lists(st.tuples(grid_box, st.sampled_from(GRADES),
+                                     st.sampled_from((None, 0.5, 0.9, 1.0))), max_size=6),
+    "ground_truth": st.lists(st.tuples(grid_box, st.sampled_from(GRADES)), max_size=6),
+}), max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(studies_strategy, st.sampled_from((0.1, 0.5, 0.9, 1.0)))
+def test_study_set_equals_the_per_study_oracle(drawn, threshold):
+    studies = [{"detections": [(grid_keypoints(*b), g, s) for b, g, s in d["detections"]],
+                "ground_truth": [(grid_keypoints(*b), g) for b, g in d["ground_truth"]]}
+               for d in drawn]
+    got = evaluate_study_set(studies, iou_threshold=threshold)
+    assert got == study_set_report(studies, iou_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 1.5, float("inf"), 0.0, -1.0])
+def test_study_set_refuses_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(ValueError, match="iou_threshold"):
+        evaluate_study_set([study_fixture([1.0, 0.7])], iou_threshold=threshold)
+
+
+@pytest.mark.parametrize("cuts, name", [((float("nan"), 0.74), "mild_cut"),
+                                        ((0.8, float("inf")), "moderate_cut"),
+                                        ((0.74, 0.8), "moderate_cut"),
+                                        ((0.8, 0.8), "moderate_cut")])
+def test_study_set_refuses_unusable_cuts(cuts, name):
+    mild, moderate = cuts
+    with pytest.raises(ValueError, match=name):
+        evaluate_study_set([study_fixture([1.0, 0.7])], mild_cut=mild, moderate_cut=moderate)
+
+
+def _spoil(study, key, index, part, value):
+    row = list(study[key][index])
+    row[part] = value
+    study[key][index] = tuple(row)
+
+
+@pytest.mark.parametrize("key, part, value, field", [
+    ("detections", 1, float("nan"), "genant"),
+    ("detections", 2, float("inf"), "score"),
+    ("detections", 0, np.zeros((5, 3)), "keypoints"),
+    ("detections", 0, [[0.0, 0.0, 0.0]] * 5 + [[0.0, 0.0]], "keypoints"),
+    ("detections", 0, np.full((6, 3), np.nan), "keypoints"),
+    ("ground_truth", 1, float("nan"), "genant"),
+    ("ground_truth", 0, np.zeros((6, 2)), "keypoints"),
+])
+def test_study_set_refuses_bad_entries_naming_study_and_field(key, part, value, field):
+    studies = [study_fixture([1.0, 0.7]), study_fixture([0.9, 0.8, 0.6])]
+    _spoil(studies[1], key, 2, part, value)
+    with pytest.raises(ValueError, match=rf"study 1: {key}\[2\] {field}"):
+        evaluate_study_set(studies)
