@@ -360,11 +360,11 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     """Greedy non-maximum suppression, highest score first.
 
     ``boxes`` holds (K, 4) rows (cx, cy, w, h) and ``scores`` their (K,)
-    scores; any other shape raises ValueError, as does an ``iou_threshold``
-    outside (0, 1].  Returns the indices of the kept boxes in
-    descending-score order; ties keep the earlier box (stable sort).  A box
-    is suppressed when its IoU with a kept box exceeds ``iou_threshold``, so
-    a threshold of 1 suppresses nothing.
+    finite scores; any other shape or a non-finite score raises ValueError,
+    as does an ``iou_threshold`` outside (0, 1].  Returns the indices of the
+    kept boxes in descending-score order; ties keep the earlier box (stable
+    sort).  A box is suppressed when its IoU with a kept box exceeds
+    ``iou_threshold``, so a threshold of 1 suppresses nothing.
 
     Suppression goes one kept box at a time: the first box still alive is
     kept, one ``iou_matrix`` call gives its IoU with every box alive after
@@ -379,9 +379,9 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     scores = np.asarray(scores, dtype=float)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"boxes must have shape (K, 4), got {boxes.shape}")
-    if scores.shape != (len(boxes),):
-        raise ValueError(f"scores must have shape ({len(boxes)},) to match boxes, "
-                         f"got {scores.shape}")
+    if scores.shape != (len(boxes),) or not np.isfinite(scores).all():
+        raise ValueError(f"scores must be ({len(boxes)},) finite numbers to match boxes, got "
+                         f"shape {scores.shape} with {np.sum(~np.isfinite(scores))} non-finite")
     alive = np.argsort(-scores, kind="stable")
     alive_boxes = boxes[alive]
     keep: list[int] = []

@@ -107,15 +107,17 @@ class MatchResult:
 def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> MatchResult:
     """Greedily match detections to ground truth by descending score.
 
-    ``detections`` are (box, score) pairs and ``ground_truth`` box rows, with
-    boxes as finite (cx, cy, w, h) rows of positive sides.  Each detection
-    claims the unclaimed ground-truth box with the highest IoU above the
-    threshold, which must be in (0, 1].  Ordering ties are broken by box
-    geometry, so the assignment does not depend on input order.  This is
-    the one-study call of the matcher ``evaluate_study_set`` runs.
+    ``detections`` are (box, finite score) pairs and ``ground_truth`` box
+    rows, with boxes as finite (cx, cy, w, h) rows of positive sides.  Each
+    detection claims the unclaimed ground-truth box with the highest IoU
+    above the threshold, which must be in (0, 1].  Ordering ties are broken
+    by box geometry, so the assignment does not depend on input order.  This
+    is the one-study call of the matcher ``evaluate_study_set`` runs.
     """
     _check_unit_interval("iou_threshold", iou_threshold, closed=False)
     scores = np.array([float(score) for _, score in detections])
+    if not np.isfinite(scores).all():
+        raise ValueError(f"detections need finite scores, got {reprlib.repr(scores.tolist())}")
     det_boxes = _box_rows([box for box, _ in detections], "detections")
     gt_boxes = _box_rows(ground_truth, "ground_truth")
     match = _match(det_boxes, scores, np.array([len(det_boxes)]),

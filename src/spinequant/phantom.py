@@ -8,7 +8,9 @@ middle, so the planted anterior/middle/posterior heights are realized
 exactly and the six keypoints are known in closed form.  Oracle outputs
 replace the two networks: per-slice Gaussian heatmaps centered on the
 centerline target here, and the assigned detection targets echoed back as
-prediction maps (``pipeline.run_phantom_chain``).
+prediction maps (``pipeline.run_phantom_chain``).  ``generate_phantom``
+and ``oracle_heatmaps`` render read-only, Fortran-ordered rasters: the
+layout ``read_vg1`` returns, which ``write_vg1`` writes without a copy.
 """
 from __future__ import annotations
 
@@ -112,13 +114,6 @@ class PhantomConfig:
         return asdict(self)
 
 
-def _centerline_xy(cfg: PhantomConfig, z_world: np.ndarray,
-                   x0: float, y0: float, z0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lateral (x) scoliosis offset and constant y of the planted centerline."""
-    phase = 2 * np.pi * (z_world - z0) / cfg.scoliosis_wavelength_mm
-    return x0 + cfg.scoliosis_amplitude_mm * np.sin(phase), np.full_like(z_world, y0)
-
-
 def generate_phantom(cfg: PhantomConfig) -> tuple[Volume3D, list[VertebraKeypoints], list[float]]:
     """Render the phantom volume with its exact annotations and Genant indices.
 
@@ -131,17 +126,16 @@ def generate_phantom(cfg: PhantomConfig) -> tuple[Volume3D, list[VertebraKeypoin
     y0 = cfg.origin[1] + extent[1] / 2
     z_first = cfg.origin[2] + (extent[2] - span) / 2
 
-    values = np.full(cfg.shape, BACKGROUND_INTENSITY, dtype=np.float32)
+    values = np.full(cfg.shape, BACKGROUND_INTENSITY, dtype=np.float32, order="F")
     annotations: list[VertebraKeypoints] = []
     indices: list[float] = []
 
     for k in range(cfg.n_vertebrae):
         zc = z_first + k * cfg.pitch_mm
-        cx, cy = _centerline_xy(cfg, np.array([zc]), x0, y0, z_first)
-        center = np.array([cx[0], cy[0], zc])
-        # Tangent of the sinusoidal centerline at the body center.
-        slope = cfg.scoliosis_amplitude_mm * 2 * np.pi / cfg.scoliosis_wavelength_mm \
-            * np.cos(2 * np.pi * (zc - z_first) / cfg.scoliosis_wavelength_mm)
+        # The sinusoidal centerline at the body center, and its slope there.
+        phase = 2 * np.pi * (zc - z_first) / cfg.scoliosis_wavelength_mm
+        center = np.array([x0 + cfg.scoliosis_amplitude_mm * np.sin(phase), y0, zc])
+        slope = cfg.scoliosis_amplitude_mm * 2 * np.pi / cfg.scoliosis_wavelength_mm * np.cos(phase)
         axis_up = np.array([slope, 0.0, 1.0])
         axis_up /= np.linalg.norm(axis_up)
         axis_ap = np.array([0.0, 1.0, 0.0])
@@ -186,11 +180,12 @@ def _fill_body(values, cfg: PhantomConfig, center, axis_lr, axis_ap, axis_up,
                     cfg.shape)
     if np.any(lo >= hi):
         return
-    grid = np.meshgrid(*(np.arange(a, b) for a, b in zip(lo, hi)), indexing="ij")
-    pts = origin + np.stack(grid, axis=-1) * spacing - center
-    local_lr = pts @ axis_lr
-    local_ap = pts @ axis_ap
-    local_up = pts @ axis_up
+    # Each local coordinate is a sum of per-axis terms in the subgrid's offsets from center.
+    x, y, z = (o + np.arange(a, b) * s - c
+               for o, a, b, s, c in zip(origin, lo, hi, spacing, center))
+    local_lr, local_ap, local_up = (
+        (x[:, None, None] * a[0] + y[None, :, None] * a[1]) + z[None, None, :] * a[2]
+        for a in (axis_lr, axis_ap, axis_up))
     # Height profile: piecewise linear anterior -> middle -> posterior.
     half_depth = depth / 2
     frac = np.clip(local_ap / half_depth, -1.0, 1.0)
@@ -209,11 +204,12 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
     """
     target = centerline_target(annotations, vol.slice_z_world())
     nx, ny = vol.shape[:2]
-    maps = np.empty((nx, ny, len(target)), dtype=np.float32)
+    maps = np.empty((nx, ny, len(target)), dtype=np.float32, order="F")
     gx = np.arange(nx)[:, None]
     gy = np.arange(ny)[None, :]
     for i, (cx, cy, _) in enumerate(vol.world_to_voxel(target.points())):
         m = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * sigma_vox ** 2))
         maps[:, :, i] = m / m.sum()
+    maps.flags.writeable = False  # so Volume3D adopts the stack rather than copying it
     # target.z holds the span's slice positions of vol, first one first.
     return Volume3D(maps, vol.spacing, (vol.origin[0], vol.origin[1], float(target.z[0])))

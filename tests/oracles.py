@@ -1,6 +1,7 @@
 """References the tests hold the array code to: scalar ones (one box, one
-anchor or one point set at a time), whole-grid ones (every anchor at once)
-and per-study ones (one study of an evaluation set at a time).
+anchor or one point set at a time), whole-grid ones (every anchor at once),
+per-study ones (one study of an evaluation set at a time) and a point-list
+phantom rasterizer.
 
 A box is a plain (cx, cy, w, h) row.
 """
@@ -13,6 +14,7 @@ from spinequant.core import (DEFAULT_FILL, UndefinedMetricError, _sample_voxel_c
 from spinequant.evaluation import (EvalReport, _mean_std, classification_report,
                                    sagittal_plane_box)
 from spinequant.genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
+from spinequant.phantom import BODY_INTENSITY
 
 
 def corners(box) -> tuple:
@@ -190,3 +192,28 @@ def study_set_report(studies, iou_threshold=0.5, mild_cut=DEFAULT_MILD_CUT,
             except (UndefinedMetricError, ValueError) as exc:
                 problems.append(f"{name}/{level}: {exc}")
     return report, problems
+
+
+def fill_body(values, cfg, center, axis_lr, axis_ap, axis_up, width, depth, heights_trip):
+    """``phantom._fill_body`` from a point list: every subgrid voxel as one (x, y, z)
+    world offset row, and each local coordinate one matmul with a body axis."""
+    h_a, h_m, h_p = heights_trip
+    radius = np.sqrt(width ** 2 + depth ** 2 + max(heights_trip) ** 2) / 2
+    spacing = np.asarray(cfg.spacing)
+    origin = np.asarray(cfg.origin)
+    lo = np.maximum(np.floor((center - radius - origin) / spacing).astype(int), 0)
+    hi = np.minimum(np.ceil((center + radius - origin) / spacing).astype(int) + 1,
+                    cfg.shape)
+    if np.any(lo >= hi):
+        return
+    grid = np.meshgrid(*(np.arange(a, b) for a, b in zip(lo, hi)), indexing="ij")
+    pts = origin + np.stack(grid, axis=-1) * spacing - center
+    local_lr = pts @ axis_lr
+    local_ap = pts @ axis_ap
+    local_up = pts @ axis_up
+    half_depth = depth / 2
+    frac = np.clip(local_ap / half_depth, -1.0, 1.0)
+    h = np.where(frac <= 0, h_a + (h_m - h_a) * (1 + frac), h_m + (h_p - h_m) * frac)
+    inside = (np.abs(local_lr) <= width / 2) & (np.abs(local_ap) <= half_depth) \
+        & (np.abs(local_up) <= h / 2)
+    values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]][inside] = BODY_INTENSITY

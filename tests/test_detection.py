@@ -701,6 +701,14 @@ def test_nms_refuses_scores_that_do_not_match_boxes(shape):
         nms(boxes, np.ones(shape), 0.45)
 
 
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+def test_nms_refuses_non_finite_scores(score):
+    # A NaN score once ranked last: nms kept [1, 2] and dropped box 0 without a word.
+    boxes = np.array([[0.0, 0.0, 2.0, 2.0], [0.0, 0.0, 2.0, 2.0], [10.0, 10.0, 2.0, 2.0]])
+    with pytest.raises(ValueError, match="scores"):
+        nms(boxes, np.array([score, 0.5, 0.4]), 0.45)
+
+
 # The ranges PipelineConfig enforces on objectness_threshold and nms_iou.
 BAD_IOU_THRESHOLDS = (float("nan"), -0.5, 0.0, 1.5)
 BAD_SCORE_THRESHOLDS = (float("nan"), -1.0, 1.5)

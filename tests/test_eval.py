@@ -159,6 +159,14 @@ def test_match_refuses_non_finite_or_flat_boxes(bad):
         match_detections([(good[0], 1.0)], [good[1], np.array(bad)])
 
 
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+def test_match_refuses_a_non_finite_score(score):
+    # A NaN score once ranked last: detection 1 took the box and 0 counted a false positive.
+    b = np.array([0.0, 0.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="detections"):
+        match_detections([(b, score), (b, 0.5)], [b])
+
+
 def test_match_prefers_higher_score():
     gts = [np.array([0.0, 10.0, 10.0, 10.0])]
     dets = [(np.array([0.0, 10.5, 10.0, 10.0]), 0.7),

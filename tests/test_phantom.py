@@ -1,8 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spinequant import phantom
 from spinequant.detection import assign_targets, decode_keypoints, detect
 from spinequant.formats import write_vg1
 from spinequant.genant import genant_index, heights
@@ -10,6 +14,7 @@ from spinequant.localization import slicewise_centerline
 from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom, oracle_heatmaps
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage, working_grid
 from conftest import traced_peak
+from oracles import fill_body
 from test_core import bbox_from_keypoints
 
 
@@ -62,6 +67,57 @@ def test_phantom_raster_is_adopted_not_copied():
     (vol, _, _), peak = traced_peak(generate_phantom, PhantomConfig())
     assert not vol.values.flags.writeable
     assert peak < 1.5 * vol.values.nbytes
+
+
+def test_phantom_and_heatmaps_are_fortran_ordered_and_written_without_a_copy(tmp_path):
+    vol, anns, _ = generate_phantom(PhantomConfig())
+    maps = oracle_heatmaps(anns, working_grid(vol, PipelineConfig()))
+    for raster in (vol, maps):
+        assert raster.values.flags.f_contiguous and not raster.values.flags.writeable
+        # A C-ordered raster once went out through a transposing copy of itself.
+        _, peak = traced_peak(write_vg1, tmp_path / "raster.vg1", raster)
+        assert peak < 0.1 * raster.values.nbytes
+
+
+# Whole and half millimetres put voxel centers exactly on body faces, where
+# ``<=`` and ``<`` differ; the other draws are off-grid.
+GRID_MM = st.sampled_from([0.5, 1.0, 1.25, 2.0])
+
+
+@st.composite
+def renderable_configs(draw):
+    """A PhantomConfig whose volume just holds its spine, so few draws are refused."""
+    spacing = tuple(draw(GRID_MM | st.floats(0.7, 2.0)) for _ in range(3))
+    origin = tuple(draw(st.just(0.0) | st.floats(-100, 100)) for _ in range(3))
+    n = draw(st.integers(2, 4))
+    heights = draw(st.lists(st.tuples(*[st.integers(2, 12).map(float) | st.floats(2, 12)] * 3),
+                            min_size=1, max_size=3))
+    pitch = draw(st.integers(13, 26).map(float) | st.floats(13, 26))
+    width, depth = (draw(st.integers(4, 24).map(float) | st.floats(4, 24)) for _ in range(2))
+    amplitude = draw(st.just(0.0) | st.floats(-40, 40))
+    wavelength = draw(st.sampled_from([20.0, 40.0, 80.0, 100.0, 400.0]) | st.floats(5, 500))
+    # The millimetres each axis must span to hold the spine with 2 mm margins.
+    needs = (2 * abs(amplitude) + width + 4, depth + 4, (n - 1) * pitch + 12 + 4)
+    shape = tuple(max(8, math.ceil(mm / s) + 2 + draw(st.integers(0, 6)))
+                  for mm, s in zip(needs, spacing))
+    try:
+        return PhantomConfig(n_vertebrae=n, shape=shape, spacing=spacing, origin=origin,
+                             scoliosis_amplitude_mm=amplitude,
+                             scoliosis_wavelength_mm=wavelength, pitch_mm=pitch,
+                             body_width_mm=width, body_depth_mm=depth, heights_mm=heights)
+    except ValueError:
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cfg=renderable_configs())
+@example(cfg=PhantomConfig(scoliosis_amplitude_mm=40.0, scoliosis_wavelength_mm=20.0))
+@example(cfg=small_config(spacing=(1.0, 1.0, 1.0), shape=(49, 49, 129), body_depth_mm=24.0))
+def test_phantom_equals_the_point_list_rasterizer(cfg):
+    vol = generate_phantom(cfg)[0]
+    with mock.patch.object(phantom, "_fill_body", fill_body):
+        want = generate_phantom(cfg)[0]
+    assert np.array_equal(vol.values, want.values)
 
 
 def test_phantom_noise_changes_with_seed():
