@@ -204,8 +204,8 @@ def roc_auc(scores, labels) -> float:
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise ValueError("scores and labels must be 1D and the same length")
+    if scores.shape != labels.shape or scores.ndim != 1 or not np.all(np.isfinite(scores)):
+        raise ValueError(f"scores must be finite, 1D, as long as labels: {reprlib.repr(scores)}")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -7,6 +7,7 @@ smallest height divided by the largest.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +83,18 @@ def grade(g: float, mild_cut: float = DEFAULT_MILD_CUT,
           moderate_cut: float = DEFAULT_MODERATE_CUT,
           severe_cut: float = DEFAULT_SEVERE_CUT) -> str:
     """Severity grade for a Genant index; boundaries are inclusive (<= cut)."""
-    if g <= severe_cut:
-        return "severe"
-    if g <= moderate_cut:
-        return "moderate"
-    if g <= mild_cut:
-        return "mild"
-    return "normal"
+    if not np.isfinite(g):
+        raise ValueError(f"g must be a finite Genant index, got {g}")
+    cuts = (severe_cut, moderate_cut, mild_cut)
+    return next((name for name, cut in zip(GRADES[::-1], cuts) if g <= cut), "normal")
 
 
 def patient_score(indices, **grade_cuts) -> tuple[float, str]:
     """Patient-level score: the minimum Genant index and its grade."""
-    indices = list(indices)
-    if not indices:
-        raise ValueError("patient score requires at least one vertebra")
-    g = min(float(v) for v in indices)
+    indices = [float(v) for v in indices]
+    if not indices or not np.all(np.isfinite(indices)):
+        raise ValueError(f"indices must be one or more finite values, got {reprlib.repr(indices)}")
+    g = min(indices)
     return g, grade(g, **grade_cuts)
 
 

@@ -1,16 +1,14 @@
 """Synthetic spine phantom and oracle predictions for end-to-end testing.
 
-The phantom stacks bright box-shaped vertebral bodies along a straight or
-sinusoidally curved centerline inside an air background.  Each body is
-oriented orthogonal to the local centerline tangent and its height profile
-runs piecewise-linearly from the anterior to the posterior edge through the
-middle, so the planted anterior/middle/posterior heights are realized
-exactly and the six keypoints are known in closed form.  Oracle outputs
-replace the two networks: per-slice Gaussian heatmaps centered on the
-centerline target here, and the assigned detection targets echoed back as
-prediction maps (``pipeline.run_phantom_chain``).  ``generate_phantom``
-and ``oracle_heatmaps`` render read-only, Fortran-ordered rasters: the
-layout ``read_vg1`` returns, which ``write_vg1`` writes without a copy.
+Bright box-shaped vertebral bodies stack along a straight or sinusoidal
+centerline in an air background.  Each body's up axis follows the centerline
+tangent in the coronal (x, z) plane and its height runs piecewise-linearly along
+y, anterior -> middle -> posterior, so the planted heights and six keypoints are
+exact.  A body renders as one (x, z) cross-section test against a 1D y height
+profile, exact since its AP axis is world y (see ``_fill_body``).  Oracle heatmaps
+and echoed targets replace the two networks (``pipeline.run_phantom_chain``).
+``generate_phantom`` and ``oracle_heatmaps`` render read-only, Fortran-ordered
+rasters: the layout ``read_vg1`` returns, which ``write_vg1`` writes as is.
 """
 from __future__ import annotations
 
@@ -170,7 +168,12 @@ def _keypoints_for_body(center, axis_ap, axis_up, depth, h_a, h_m, h_p,
 
 def _fill_body(values, cfg: PhantomConfig, center, axis_lr, axis_ap, axis_up,
                width, depth, heights_trip) -> None:
-    """Rasterize one body: inside test in its local frame on a bounding subgrid."""
+    """Rasterize one body on its bounding subgrid: an (x, z) cross-section against a y profile.
+
+    Exact: ``axis_ap`` is world y and the other axes have a y component of +-0, so dropping
+    the zero terms flips at most the sign of an exact zero, and every test reads ``abs()``
+    or ``<= 0``.  The mask is the one array over the 3D subgrid.
+    """
     h_a, h_m, h_p = heights_trip
     radius = np.sqrt(width ** 2 + depth ** 2 + max(heights_trip) ** 2) / 2
     spacing = np.asarray(cfg.spacing)
@@ -180,18 +183,16 @@ def _fill_body(values, cfg: PhantomConfig, center, axis_lr, axis_ap, axis_up,
                     cfg.shape)
     if np.any(lo >= hi):
         return
-    # Each local coordinate is a sum of per-axis terms in the subgrid's offsets from center.
     x, y, z = (o + np.arange(a, b) * s - c
                for o, a, b, s, c in zip(origin, lo, hi, spacing, center))
-    local_lr, local_ap, local_up = (
-        (x[:, None, None] * a[0] + y[None, :, None] * a[1]) + z[None, None, :] * a[2]
-        for a in (axis_lr, axis_ap, axis_up))
-    # Height profile: piecewise linear anterior -> middle -> posterior.
-    half_depth = depth / 2
-    frac = np.clip(local_ap / half_depth, -1.0, 1.0)
+    # Per y, the half-height of the piecewise linear anterior -> middle -> posterior
+    # profile, -inf outside the depth; per (x, z), |local_up|, +inf outside the width.
+    frac = np.clip(y / (depth / 2), -1.0, 1.0)
     h = np.where(frac <= 0, h_a + (h_m - h_a) * (1 + frac), h_m + (h_p - h_m) * frac)
-    inside = (np.abs(local_lr) <= width / 2) & (np.abs(local_ap) <= half_depth) \
-        & (np.abs(local_up) <= h / 2)
+    half_h = np.where(np.abs(y) <= depth / 2, h / 2, -np.inf)
+    lr, up = (x[:, None] * a[0] + z[None, :] * a[2] for a in (axis_lr, axis_up))
+    up = np.where(np.abs(lr) <= width / 2, np.abs(up), np.inf)
+    inside = up[:, None, :] <= half_h[None, :, None]
     values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]][inside] = BODY_INTENSITY
 
 

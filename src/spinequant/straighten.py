@@ -386,6 +386,7 @@ def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
             ni, nj, k1 - k0)
     transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v,
                                     float(delta), i_half, j_half)
+    out.flags.writeable = False  # so Volume3D adopts the raster rather than copying it
     straight = Volume3D(out, (delta, delta, curve.step),
                         (-i_half * delta, -j_half * delta, float(curve.s[0])))
     return straight, transform

@@ -223,6 +223,15 @@ def test_roc_auc_single_class_error():
         roc_auc([0.5, 0.6], [0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2])
+def test_roc_auc_refuses_non_finite_scores(bad, at):
+    scores = [0.9, 0.5, 0.2]
+    scores[at] = bad
+    with pytest.raises(ValueError, match="scores must be finite"):
+        roc_auc(scores, [True, False, True])
+
+
 def test_roc_auc_equals_pairwise_oracle_exactly():
     rng = np.random.default_rng(2)
     for trial in range(60):

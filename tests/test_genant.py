@@ -96,6 +96,19 @@ def test_patient_score_minimum():
         patient_score([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grade_refuses_non_finite_index(bad):
+    with pytest.raises(ValueError, match="g must be a finite"):
+        grade(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_patient_score_refuses_non_finite_index(bad):
+    for indices in ([bad, 0.5], [0.5, bad]):  # first or last: min() must not hide it
+        with pytest.raises(ValueError, match="indices must be one or more finite"):
+            patient_score(indices)
+
+
 def test_patient_score_monotone_under_growth():
     rng = np.random.default_rng(9)
     vals = list(rng.uniform(0.3, 1.0, 10))

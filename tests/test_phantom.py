@@ -69,6 +69,13 @@ def test_phantom_raster_is_adopted_not_copied():
     assert peak < 1.5 * vol.values.nbytes
 
 
+def test_phantom_renders_without_per_voxel_temporaries():
+    # Each body is an (x, z) cross-section test against a y profile: past the raster, only
+    # the per-body boolean mask and 1D/2D arrays are allocated.
+    (vol, _, _), peak = traced_peak(generate_phantom, PhantomConfig())
+    assert peak < 1.05 * vol.values.nbytes
+
+
 def test_phantom_and_heatmaps_are_fortran_ordered_and_written_without_a_copy(tmp_path):
     vol, anns, _ = generate_phantom(PhantomConfig())
     maps = oracle_heatmaps(anns, working_grid(vol, PipelineConfig()))

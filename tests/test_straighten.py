@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinequant import core
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
 from spinequant.splines import not_a_knot_spline, smoothing_spline
@@ -169,6 +170,18 @@ def test_identity_straightening_reproduces_window():
     # mid-sagittal slice is the original sagittal plane through the curve
     image = mid_sagittal_slice(straight, transform)
     np.testing.assert_allclose(image.values, vol.values[12, 6:17, :], atol=1e-5)
+
+
+def test_straightened_raster_is_adopted_not_copied(monkeypatch):
+    # Volume3D takes its values through core.owned_array; a copy would hold the raster twice.
+    polyline = CenterlinePolyline(np.tile([12.0, 11.0], (40, 1)), np.arange(40.0))
+    vol, curve = _random_volume(), build_spine_curve(polyline, step=1.0)
+    handed, owned_array = [], core.owned_array
+    monkeypatch.setattr(core, "owned_array",
+                        lambda values, dtype: handed.append(values) or owned_array(values, dtype))
+    straight, _ = straighten_volume(vol, curve, delta=1.0, half_extent=(6.0, 5.0))
+    assert straight.values is handed[-1]
+    assert not straight.values.flags.writeable
 
 
 def test_straighten_constant_volume():
