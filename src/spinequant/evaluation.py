@@ -244,12 +244,16 @@ def classification_report(pred_genant, gt_genant, threshold: float) -> Classific
     Ground truth is positive when its index is <= threshold; the ranking
     score is one minus the predicted index.  Sensitivity and specificity are
     reported at the operating point "predicted index <= threshold".  For
-    patient level, pass each patient's minimum index on both sides.
+    patient level, pass each patient's minimum index on both sides.  A NaN
+    or infinite value raises ValueError naming its argument.
     """
     pred = np.asarray(pred_genant, dtype=float)
     gt = np.asarray(gt_genant, dtype=float)
     if pred.shape != gt.shape or pred.ndim != 1 or len(pred) == 0:
         raise ValueError("need matched 1D prediction/ground-truth pairs")
+    for name, values in (("pred_genant", pred), ("gt_genant", gt), ("threshold", threshold)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {reprlib.repr(values)}")
 
     labels = gt <= threshold
     auc = roc_auc(1 - pred, labels)

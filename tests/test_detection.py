@@ -401,12 +401,13 @@ def test_assign_off_image_vertebra_takes_lowest_unclaimed_anchor(centers):
        st.lists(st.tuples(st.floats(-15, 45), st.floats(-15, 45),
                           st.floats(0.5, 40), st.floats(0.5, 40)), min_size=1, max_size=9),
        st.lists(st.integers(0, 8), max_size=3),
-       st.sampled_from([0.3, 0.5, 0.7]),
+       st.sampled_from([0.05, 0.3, 0.5, 0.7, 1.0]),
        st.sampled_from([(1.0, (5.0, 7.0), (1.0, 2.0)),
                         (0.7, detection.DEFAULT_SCALES_MM, detection.DEFAULT_RATIOS)]))
 def test_assign_targets_equals_reference_property(nx, ny, boxes, repeats, threshold, anchor_set):
     # Four small anchor types on 1 mm pixels, or the 16 default ones on
-    # 0.7 mm pixels; up to 12 vertebrae.
+    # 0.7 mm pixels; up to 12 vertebrae.  At threshold 1 no anchor passes,
+    # so every forced claim comes from a vertebra's full block.
     spacing, scales, ratios = anchor_set
     grid = generate_anchors((nx, ny), spacing, scales_mm=scales, ratios=ratios)
     # repeated boxes make vertebrae contest the same best anchor
@@ -430,6 +431,25 @@ def test_assign_iou_at_the_threshold_stays_negative():
     assert targets.index.tolist() == [5 * 11 + 4]
     assert assign_targets(grid, [(kps, 0.9)], iou_threshold=0.4999).index.tolist() == [
         5 * 11 + 4, 5 * 11 + 5, 5 * 11 + 6]
+
+
+def test_assign_forced_claims_below_the_threshold_search_the_full_block():
+    # Two vertebrae on the 4 x 2 box above: no IoU passes 0.5, so neither has
+    # a candidate anchor.  Vertebra 0 takes the first tie, (5, 4); vertebra 1
+    # finds it claimed and takes the next tie, (5, 5), from its full block.
+    grid = generate_anchors((11, 11), 1.0, scales_mm=(4.0,), ratios=(1.0,))
+    kps = keypoints_for_box(5.0, 5.0, 4.0, 2.0)
+    targets = assign_targets(grid, [(kps, 0.9), (kps, 0.8)], iou_threshold=0.5)
+    assert targets.index.tolist() == [5 * 11 + 4, 5 * 11 + 5]
+    assert targets.matched.tolist() == [0, 1]
+    # Just below 0.5 the three ties pass.  Four vertebrae claim them in
+    # order, and the fourth, finding all three claimed, takes the first
+    # anchor of its full block at IoU 6 / 18: (4, 4).
+    targets = assign_targets(grid, [(kps, 0.9)] * 4, iou_threshold=0.4999)
+    assert targets.index.tolist() == [4 * 11 + 4, 5 * 11 + 4, 5 * 11 + 5, 5 * 11 + 6]
+    assert targets.matched.tolist() == [3, 0, 1, 2]
+    np.testing.assert_array_equal(targets.dense()[3],
+                                  reference_matches(grid, [(kps, 0.9)] * 4, iou_threshold=0.4999))
 
 
 def test_assign_more_vertebrae_than_anchors():

@@ -288,6 +288,20 @@ def test_classification_single_class_raises():
         classification_report([1.0, 0.9], [1.0, 0.9], 0.74)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", ["pred_genant", "gt_genant", "threshold"])
+def test_classification_refuses_non_finite_values(name, bad):
+    # A NaN index once fell through ``gt <= threshold`` and counted as a
+    # negative: roc_auc 0.5 with 2 negatives.
+    args = {"pred_genant": [0.5, 0.7, 0.9], "gt_genant": [0.6, 0.5, 0.9], "threshold": 0.8}
+    if name == "threshold":
+        args[name] = bad
+    else:
+        args[name][0] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        classification_report(**args)
+
+
 # ---------------------------------------------------------------------------
 # study-set aggregation
 # ---------------------------------------------------------------------------

@@ -236,11 +236,11 @@ def test_finished_chain_keeps_only_its_positive_anchors(small_chains):
         assert len(kps) == len(chain.annotations)
 
 
-def small_targets_inputs(amplitude, monkeypatch):
-    """The straightened image and annotations of a SMALL phantom, and the
-    anchors, ground truth and targets of ``targets_stage``'s ``assign_targets`` call."""
-    volume, annotations, _, heatmaps = oracle_phantom(small_phantom(amplitude), SMALL_CONFIG)
-    sagittal = straighten_stage(volume, SMALL_CONFIG, heatmaps=heatmaps)
+def targets_inputs(phantom_cfg, cfg, monkeypatch):
+    """The straightened image and annotations of a phantom, and the anchors,
+    ground truth and targets of ``targets_stage``'s ``assign_targets`` call."""
+    volume, annotations, _, heatmaps = oracle_phantom(phantom_cfg, cfg)
+    sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
     calls = []
     assign_targets = detection.assign_targets
 
@@ -251,39 +251,53 @@ def small_targets_inputs(amplitude, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(detection, "assign_targets", spy)
-        targets_stage(sagittal, annotations, SMALL_CONFIG)
+        targets_stage(sagittal, annotations, cfg)
     (anchors, gt, targets), = calls
     return sagittal, annotations, anchors, gt, targets
 
 
-@pytest.mark.parametrize("amplitude", [0.0, 15.0, 30.0])
-def test_targets_stage_equals_the_full_grid_oracle(amplitude, monkeypatch):
+@pytest.mark.parametrize("phantom_cfg, cfg", [
+    *(pytest.param(small_phantom(a), SMALL_CONFIG, id=str(a)) for a in (0.0, 15.0, 30.0)),
+    # the benchmark's size: 12 vertebrae, about 612k anchors
+    pytest.param(PhantomConfig(scoliosis_amplitude_mm=15.0), PipelineConfig(), id="default-15.0"),
+])
+def test_targets_stage_equals_the_full_grid_oracle(phantom_cfg, cfg, monkeypatch):
     # One iou_matrix over every anchor and the claim rules, to the byte.
-    _, _, anchors, gt, targets = small_targets_inputs(amplitude, monkeypatch)
-    want = full_grid_targets(anchors, gt, SMALL_CONFIG.assign_iou)
+    _, _, anchors, gt, targets = targets_inputs(phantom_cfg, cfg, monkeypatch)
+    want = full_grid_targets(anchors, gt, cfg.assign_iou)
     got = (targets.index, targets.matched, targets.offsets, targets.genant_weights)
     for name, g, w in zip(("index", "matched", "offsets", "genant_weights"), got, want):
         assert g.tobytes() == w.tobytes(), name
-    assert len(set(targets.matched.tolist())) == len(gt) == 5
+    assert len(set(targets.matched.tolist())) == len(gt) == phantom_cfg.n_vertebrae
 
 
 def test_targets_stage_peak_is_its_iou_blocks_and_the_record(monkeypatch):
-    # No iou_matrix call.  The peak is each vertebra's IoU block over its
-    # rectangle (the pixels along x and along y where it overlaps some anchor,
-    # by every type), kept until the forced claims are made, two more blocks
-    # of temporaries while the largest is formed, and the record.  An (M, K)
-    # IoU matrix over every anchor near some vertebra (10.5 MB here) or dense
-    # maps over every anchor, 120 B each (19.5 MB), would break the bound.
-    sagittal, annotations, anchors, gt, _ = small_targets_inputs(0.0, monkeypatch)
-    near = anchor_ious(anchors, gt).reshape(len(gt), *anchors.image_shape, -1) > 0
-    blocks = [np.any(v, axis=(1, 2)).sum() * np.any(v, axis=(0, 2)).sum() * anchors.n_types
-              for v in near]
+    # No iou_matrix call.  The peak is each vertebra's candidate IoU block,
+    # kept until the forced claims are made, at most one full block (a
+    # vertebra with no unclaimed anchor above the threshold), and the record
+    # with the inputs of its encoding.  A candidate block spans the pixel
+    # columns and rows that hold an anchor above the threshold, by every
+    # type; a full block those where the vertebra overlaps some anchor.
+    # Full blocks for every vertebra (2.7 MB here), an (M, K) IoU matrix over
+    # every anchor near some vertebra (10.5 MB) or dense maps over every
+    # anchor, 120 B each (19.5 MB), would break the bound.
+    sagittal, annotations, anchors, gt, _ = targets_inputs(small_phantom(0.0), SMALL_CONFIG,
+                                                           monkeypatch)
+    ious = anchor_ious(anchors, gt).reshape(len(gt), *anchors.image_shape, -1)
+
+    def block_sizes(floor):
+        return [np.any(v, axis=(1, 2)).sum() * np.any(v, axis=(0, 2)).sum() * anchors.n_types
+                for v in ious > floor]
+
+    candidate, full = block_sizes(SMALL_CONFIG.assign_iou), block_sizes(0.0)
     calls = []
     monkeypatch.setattr(detection, "iou_matrix", lambda a, b: calls.append(1))
     (_, targets), peak = traced_peak(targets_stage, sagittal, annotations, SMALL_CONFIG)
     assert not calls
-    record = 120 * targets.n_positive
-    assert peak < 8 * (sum(blocks) + 2 * max(blocks)) + record, (peak, blocks, record)
+    # index, matched, offsets and weight (120 B), and the matched keypoints
+    # and the anchors' centers and sides they are encoded from (128 B)
+    record = (120 + 128) * targets.n_positive
+    assert peak < 8 * (sum(candidate) + max(full)) + record, (peak, candidate, full, record)
 
 
 def test_pack_unpack_round_trip(chain):
