@@ -29,11 +29,14 @@ def localization_error(pred_centers, gt_centers) -> np.ndarray:
     """Distance (mm) from each predicted center to the nearest ground-truth one.
 
     Both arguments are world-mm center rows, shape (3,) or (n, 3); no
-    predicted center gives an empty array.  A distance past the float range
-    is inf.
+    predicted center gives an empty array.  A non-finite coordinate raises
+    ValueError naming its argument; a distance past the float range is inf.
     """
     pred = np.atleast_2d(np.asarray(pred_centers, dtype=float))
     gt = np.atleast_2d(np.asarray(gt_centers, dtype=float))
+    for name, centers in (("pred_centers", pred), ("gt_centers", gt)):
+        if not np.all(np.isfinite(centers)):
+            raise ValueError(f"{name} must be finite, got {reprlib.repr(centers.tolist())}")
     if gt.size == 0:
         raise ValueError("localization error needs at least one ground-truth center")
     if pred.size == 0:

@@ -115,10 +115,7 @@ def write_va1(path, vertebrae: list[VertebraKeypoints]) -> Path:
     doc = {"vertebrae": [
         {
             "label": kps.label,
-            "keypoints_mm": {
-                key: [float(c) for c in pt]
-                for key, pt in zip(KEYPOINT_KEYS, kps.as_array())
-            },
+            "keypoints_mm": dict(zip(KEYPOINT_KEYS, kps.as_array().tolist())),
         }
         for kps in vertebrae
     ]}

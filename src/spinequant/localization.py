@@ -8,6 +8,8 @@ absolute error in mm.
 """
 from __future__ import annotations
 
+import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ SPAN_SLACK_MM = 1e-9  # how far a slice may pass a centerline's end and still li
 
 @dataclass(frozen=True)
 class CenterlinePolyline:
-    """One world-mm (x, y) point per axial slice, ordered by strictly increasing z."""
+    """One finite world-mm (x, y) point per axial slice, ordered by strictly increasing z."""
 
     xy: np.ndarray   # (n, 2)
     z: np.ndarray    # (n,)
@@ -32,6 +34,9 @@ class CenterlinePolyline:
         z = owned_array(self.z, float)
         if xy.ndim != 2 or xy.shape[1] != 2 or z.shape != (xy.shape[0],):
             raise ValueError(f"inconsistent polyline arrays: {xy.shape} vs {z.shape}")
+        for name, arr in (("xy", xy), ("z", z)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {reprlib.repr(arr.tolist())}")
         if len(z) > 1 and not np.all(np.diff(z) > 0):
             raise ValueError("slice positions must be strictly increasing")
         object.__setattr__(self, "xy", xy)
@@ -52,7 +57,10 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
     In "probabilities" mode the map itself (non-negative, positive total mass)
     is normalized into weights; in "logits" mode weights are a softmax of
     ``temperature * values``.  Returns continuous (x, y) grid coordinates.
+    A non-finite ``temperature`` raises ValueError in either mode.
     """
+    if not math.isfinite(temperature):
+        raise ValueError(f"temperature must be finite, got {temperature!r}")
     # C order keeps the pairwise sums, and so the result, bitwise independent
     # of the map's memory layout (a slice of a VG1 raster is Fortran-ordered).
     values = np.asarray(values, dtype=float, order="C")
@@ -114,8 +122,11 @@ def centerline_target(annotations: list[VertebraKeypoints],
     (``splines.pchip``, PCHIP), which pass through the keypoints without
     overshooting between vertebrae.
     The curve is evaluated at every entry of ``z_slices`` (world mm) lying
-    between the extreme keypoints.
+    between the extreme keypoints; a non-finite entry raises ValueError.
     """
+    z_slices = np.asarray(z_slices, dtype=float)
+    if not np.all(np.isfinite(z_slices)):
+        raise ValueError(f"z_slices must be finite, got {reprlib.repr(z_slices.tolist())}")
     if not annotations:
         raise GeometryError("no annotations")
     pts = np.concatenate([kps.as_array()[2:4] for kps in annotations])
@@ -130,7 +141,6 @@ def centerline_target(annotations: list[VertebraKeypoints],
     xy /= np.bincount(inverse)[:, None]
 
     fit = pchip(z_unique, xy)
-    z_slices = np.asarray(z_slices, dtype=float)
     inside = (z_slices >= z_unique[0]) & (z_slices <= z_unique[-1])
     z_eval = z_slices[inside]
     if len(z_eval) < 2:

@@ -189,13 +189,12 @@ class VertebraResult:
         return {
             "score": self.score,
             "label": self.label,
-            "keypoints": [[float(c) for c in row] for row in self.keypoints_px],
-            "keypoints_world": [[float(c) for c in row] for row in self.keypoints_mm],
+            "keypoints": np.asarray(self.keypoints_px, dtype=float).tolist(),
+            "keypoints_world": np.asarray(self.keypoints_mm, dtype=float).tolist(),
             "heights_mm": [m.h_a, m.h_m, m.h_p],
             "genant": m.genant,
             "grade": m.grade,
-            "center_mm": [float(c) for c in
-                          (self.keypoints_mm[2] + self.keypoints_mm[3]) / 2],
+            "center_mm": ((self.keypoints_mm[2] + self.keypoints_mm[3]) / 2).tolist(),
         }
 
 

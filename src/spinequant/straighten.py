@@ -318,15 +318,8 @@ class StraightenTransform:
             "delta": self.delta,
             "i_half": self.i_half,
             "j_half": self.j_half,
-            "rows": [
-                {
-                    "s": float(self.s[k]),
-                    "c": [float(x) for x in self.centers[k]],
-                    "u": [float(x) for x in self.u[k]],
-                    "v": [float(x) for x in self.v[k]],
-                }
-                for k in range(self.n_rows)
-            ],
+            "rows": [{"s": s, "c": c, "u": u, "v": v} for s, c, u, v in zip(
+                self.s.tolist(), self.centers.tolist(), self.u.tolist(), self.v.tolist())],
         }
 
     @classmethod

@@ -1,10 +1,13 @@
 """References the tests hold the array code to: scalar ones (one box, one
 anchor or one point set at a time), whole-grid ones (every anchor at once),
-per-study ones (one study of an evaluation set at a time) and a point-list
-phantom rasterizer.
+per-study ones (one study of an evaluation set at a time), a point-list
+phantom rasterizer and the element-by-element walk of the JSON number rule.
 
 A box is a plain (cx, cy, w, h) row.
 """
+import math
+import numbers
+import reprlib
 from dataclasses import asdict
 
 import numpy as np
@@ -217,3 +220,30 @@ def fill_body(values, cfg, center, axis_lr, axis_ap, axis_up, width, depth, heig
     inside = (np.abs(local_lr) <= width / 2) & (np.abs(local_ap) <= half_depth) \
         & (np.abs(local_up) <= h / 2)
     values[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]][inside] = BODY_INTENSITY
+
+
+def finite_numbers_walk(value, name: str, shape: tuple = (), integer: bool = False):
+    """``core.finite_numbers`` as a recursive walk: one generator frame per element.
+
+    Each leaf must be a real number (an integer if ``integer``), not a bool,
+    and finite as a float; each sequence a list, tuple or ndarray of the
+    length ``shape`` gives.  Returns the same nested tuples of floats (or
+    ints) and raises the same ValueError message.
+    """
+    number = numbers.Integral if integer else numbers.Real
+
+    def walk(v, dims):
+        if not dims:
+            if isinstance(v, bool) or not isinstance(v, number) or not math.isfinite(v):
+                raise ValueError
+            return int(v) if integer else float(v)
+        if not isinstance(v, (list, tuple, np.ndarray)) or dims[0] not in (None, len(v)):
+            raise ValueError
+        return tuple(walk(x, dims[1:]) for x in v)
+
+    try:
+        return walk(value, shape)
+    except (ValueError, TypeError, OverflowError):
+        kind = "finite integer" if integer else "finite number"
+        what = f"{kind}s of shape {shape}".replace("None", "n") if shape else f"a {kind}"
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}") from None

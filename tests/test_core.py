@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, GeometryError,
                              Volume3D, _corners, boxes_from_keypoints,
@@ -10,7 +11,7 @@ from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
 from spinequant.straighten import SpineCurve, StraightenTransform
 
-from oracles import iou, trilinear_sample
+from oracles import finite_numbers_walk, iou, trilinear_sample
 
 
 def bbox_from_keypoints(kps) -> np.ndarray:
@@ -320,6 +321,75 @@ def test_finite_numbers_returns_tuples_of_python_numbers():
     assert type(finite_numbers(np.int64(2), "x", integer=True)) is int
     assert finite_numbers([], "x", (None, 3)) == ()
     assert finite_numbers(7, "x") == 7.0 and type(finite_numbers(7, "x")) is float
+
+
+SHAPES = [(), (3,), (None,), (None, 3), (6, 3)]
+# Leaves finite_numbers takes, and leaves it refuses or that stand where a sequence belongs.
+int_leaves = st.integers(-10 ** 6, 10 ** 6)
+real_leaves = st.one_of(st.floats(-1e6, 1e6), int_leaves)
+odd_leaves = st.one_of(
+    st.floats(), st.integers(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 10 ** 400, -10 ** 400,
+                     True, False, np.True_, np.False_, None, "1.5", "", {}, {"a": 1.0}]),
+    st.floats(width=32).map(np.float32), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats().map(np.array),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4)))
+
+
+@st.composite
+def nested_values(draw, dims, integer, odd):
+    """A value of nesting ``dims``; where ``odd``, a leaf or a length may be wrong."""
+    if not dims:
+        if odd and draw(st.integers(0, 7)) == 0:
+            return draw(odd_leaves)
+        return draw(int_leaves if integer else real_leaves)
+    n = dims[0] if dims[0] is not None else draw(st.integers(0, 5))
+    if odd and draw(st.integers(0, 7)) == 0:
+        n = max(n + draw(st.sampled_from([-1, 1])), 0)
+    items = [draw(nested_values(dims[1:], integer, odd)) for _ in range(n)]
+    if odd and len(dims) == 2 and len(items) >= 2 and items[0] and draw(st.booleans()):
+        # Ragged rows that keep the total leaf count: row 0 gives a leaf to row 1.
+        items[0], items[1] = items[0][:-1], [*items[1], items[0][-1]]
+    return draw(st.sampled_from([list, tuple]))(items)
+
+
+@st.composite
+def number_rule_cases(draw):
+    shape, integer = draw(st.sampled_from(SHAPES)), draw(st.booleans())
+    kind = draw(st.sampled_from(["clean", "odd", "array", "any"]))
+    if kind == "any":
+        value = draw(st.recursive(odd_leaves, lambda kids: st.one_of(
+            st.lists(kids, max_size=6), st.lists(kids, max_size=6).map(tuple),
+            st.dictionaries(st.text(max_size=2), kids, max_size=2)), max_leaves=20))
+    else:
+        value = draw(nested_values(shape, integer, kind == "odd"))
+        if kind == "array":
+            value = np.array(value, dtype=draw(st.sampled_from([float, np.float32, np.int64])))
+    return value, shape, integer
+
+
+def rule_outcome(rule, value, shape, integer):
+    """(repr and leaf types of the result, None) or (None, the ValueError message)."""
+    try:
+        got = rule(value, "field", shape, integer)
+    except ValueError as exc:
+        return None, str(exc)
+
+    def types(v):
+        return tuple(map(types, v)) if isinstance(v, tuple) else type(v)
+    return (repr(got), types(got)), None
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(number_rule_cases())
+@example((True, (), False)).via("bool")
+@example(([[1.0, 2.0], [3.0, 4.0, 5.0, 6.0]], (None, 3), False)).via("ragged rows")
+@example(([[1, 2, 3], [4, np.True_, 6]], (None, 3), True)).via("numpy bool")
+@example(([-0.0, float("nan"), 1.0], (3,), False)).via("nan")
+@example((np.zeros((6, 3), np.float32), (6, 3), False)).via("float32 rows")
+def test_finite_numbers_matches_the_recursive_walk_property(case):
+    assert rule_outcome(finite_numbers, *case) == rule_outcome(finite_numbers_walk, *case)
 
 
 def test_volume_accepts_numpy_numbers_as_geometry():

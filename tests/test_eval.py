@@ -44,6 +44,17 @@ def test_localization_empty_gt_error():
         localization_error([[0, 0, 0]], np.empty((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", ["pred_centers", "gt_centers"])
+def test_localization_error_refuses_non_finite_centers(arg, bad):
+    # One finite ground-truth center is left, so the nearest distance would exist.
+    centers = {"pred_centers": [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]],
+               "gt_centers": [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]}
+    centers[arg][0][1] = bad
+    with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+        localization_error(**centers)
+
+
 @pytest.mark.parametrize("pred", [[], np.empty((0, 3))])
 def test_localization_of_no_prediction_is_empty(pred):
     got = localization_error(pred, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])

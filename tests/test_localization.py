@@ -146,6 +146,33 @@ def test_slicewise_centerline_rejects_nan_map():
         slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["xy", "z"])
+def test_polyline_refuses_non_finite_values_naming_the_field(field, bad):
+    arrays = {"xy": np.zeros((5, 2)), "z": np.arange(5.0)}
+    arrays[field][-1] = bad  # a last z of +inf passes the strictly-increasing test
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        CenterlinePolyline(arrays["xy"], arrays["z"])
+
+
+@pytest.mark.parametrize("mode", ["probabilities", "logits"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_soft_argmax_refuses_non_finite_temperature(bad, mode):
+    with pytest.raises(ValueError, match="^temperature must be finite"):
+        soft_argmax_2d(np.ones((4, 3)), mode=mode, temperature=bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_centerline_target_refuses_non_finite_slices(bad):
+    z = np.linspace(25, 35, 11)
+    z[5] = bad
+    with pytest.raises(ValueError, match="^z_slices must be finite"):
+        centerline_target([make_keypoints(10, 10, 10, center=(5.0, 7.0, 30.0))], z)
+
+
 def test_centerline_target_reproduces_linear_data():
     # middle keypoints on the line x = 0.5 z + 3, y = -2
     anns = []

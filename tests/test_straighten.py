@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -278,11 +280,19 @@ def test_transform_round_trips_through_dict():
     curve = build_spine_curve(line_polyline(dx=0.2), step=1.0)
     vol = _random_volume()
     _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(5.0, 5.0))
-    back = StraightenTransform.from_dict(transform.to_dict())
-    np.testing.assert_allclose(back.centers, transform.centers)
-    np.testing.assert_allclose(back.v, transform.v)
-    assert back.delta == transform.delta
-    assert back.j_half == transform.j_half
+    doc = transform.to_dict()
+    back = StraightenTransform.from_dict(json.loads(json.dumps(doc)))
+    for name in ("s", "centers", "u", "v"):
+        assert np.array_equal(getattr(back, name), getattr(transform, name)), name
+    assert (back.delta, back.i_half, back.j_half) == (
+        transform.delta, transform.i_half, transform.j_half)
+    # The rows hold the very Python floats a float() per element would give.
+    rows = [{"s": float(transform.s[k]), "c": [float(x) for x in transform.centers[k]],
+             "u": [float(x) for x in transform.u[k]], "v": [float(x) for x in transform.v[k]]}
+            for k in range(transform.n_rows)]
+    assert doc["rows"] == rows
+    assert all(type(r["s"]) is float and all(type(x) is float for key in "cuv" for x in r[key])
+               for r in doc["rows"])
 
 
 def sinusoid_curve(lr_amplitude, lr_wavelength, phase, ap_amplitude, ap_slope):
