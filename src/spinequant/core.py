@@ -79,7 +79,8 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
     count of triples.  Each leaf must be a real number, finite as a float,
     and an integer if ``integer``; bools, strings and None are not numbers.
     Returns tuples of floats (or ints), else raises ValueError naming ``name``.
-    Ranges are the caller's to check.
+    Ranges are the caller's to check.  ``finite_array`` is its twin for array
+    arguments, with the same shape notation and message.
 
     The value is checked one nesting level at a time, not one element at a
     time: each level is one flat list whose element types and lengths are
@@ -93,6 +94,8 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
     some 300 rows.  ``type(True)`` is ``bool``, not ``int``, so a bool
     misses the identity test and the ABC branch refuses it.
     """
+    if type(value) is float and not (shape or integer) and math.isfinite(value):
+        return value  # one finite float, the common argument, at once
     number = numbers.Integral if integer else numbers.Real
     exact = (int,) if integer else (float, int)
     try:
@@ -112,9 +115,7 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
             raise ValueError
         level = list(map(int if integer else float, level))
     except (ValueError, TypeError, OverflowError):
-        kind = "finite integer" if integer else "finite number"
-        what = f"{kind}s of shape {shape}".replace("None", "n") if shape else f"a {kind}"
-        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}") from None
+        raise _refusal(value, name, shape, integer) from None
     for n, lengths in reversed(counts):
         items = iter(level)
         level = (list(zip(*[items] * n)) if n else
@@ -122,10 +123,39 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
     return level[0]
 
 
+def finite_array(value, name: str, shape: tuple = (), dtype=float, order=None) -> np.ndarray:
+    """The array twin of ``finite_numbers``, with its shape notation and message:
+    ``np.asarray(value, dtype, order)`` for ``dtype`` float, an integer or bool.
+    Every element must be finite as a float, tested before any cast, else
+    ValueError naming ``name``.  Ranges are the caller's."""
+    try:
+        arr = np.asarray(value, dtype=float, order=order)
+        if (arr.ndim == len(shape) and all(n is None or n == m for n, m in zip(shape, arr.shape))
+                and np.isfinite(arr).all()):
+            return arr if dtype is float else np.asarray(value, dtype=dtype, order=order)
+    except (ValueError, TypeError, OverflowError):
+        pass
+    raise _refusal(value, name, shape, False)
+
+
+def _refusal(value, name: str, shape: tuple, integer: bool) -> ValueError:
+    kind = "finite integer" if integer else "finite number"
+    what = f"{kind}s of shape {shape}".replace("None", "n") if shape else f"a {kind}"
+    return ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+
+def check_unit_interval(name: str, value: float, closed: bool) -> None:
+    """The range rule of thresholds: ValueError naming ``name`` unless ``value``
+    is in [0, 1] (``closed``) or in (0, 1]; NaN is in neither."""
+    if not (0 <= value <= 1 if closed else 0 < value <= 1):
+        raise ValueError(f"{name} must be in {'[' if closed else '('}0, 1], got {value}")
+
+
 # finite_numbers arguments for each numeric annotation of a checked dataclass field.
 _ANNOTATION_RULES = {
     "int": ((), True), "float": ((), False), "tuple[int, int, int]": ((3,), True),
-    "tuple[float, float]": ((2,), False), "tuple[float, float, float]": ((3,), False),
+    "tuple[int, int]": ((2,), True), "tuple[float, float]": ((2,), False),
+    "tuple[float, float, float]": ((3,), False),
     "tuple[float, ...]": ((None,), False),
     "tuple[tuple[float, float, float], ...] | None": ((None, 3), False),
 }
@@ -226,11 +256,15 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         side -= np.maximum(a_lo, (bb[:2] - b_half)[..., None, :])
         np.maximum(side, 0.0, out=side)
         inter = np.multiply(side[0], side[1], out[..., j0:j0 + IOU_BLOCK])
-        union = a_area + (bb[2] * bb[3])[..., None, :]
-        union -= inter
-        inter /= union
-        np.minimum(inter, 1.0, out=inter)
+        iou_ratio(inter, a_area + (bb[2] * bb[3])[..., None, :])
     return out
+
+
+def iou_ratio(inter: np.ndarray, areas) -> np.ndarray:
+    """The one IoU ratio, in place: intersections ``inter`` over the sums of both
+    box areas ``areas`` (broadcast) less ``inter``, capped at 1."""
+    inter /= areas - inter
+    return np.minimum(inter, 1.0, out=inter)
 
 
 def _corners(kps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,14 +285,11 @@ def boxes_from_keypoints(kps: np.ndarray) -> np.ndarray:
     """Tight axis-aligned boxes of K point sets, (K, N, 2) -> (K, 4) rows (cx, cy, w, h).
 
     Raises ValueError unless every point is finite, and GeometryError when
-    any set is collinear along an axis, which signals a corrupt annotation,
+    any set is empty or collinear along an axis, which signals a corrupt annotation,
     or when a box's center, sides or area leave the float range (``MAX_AREA``).
     """
-    kps = np.asarray(kps, dtype=float)
-    if kps.ndim != 3 or kps.shape[1] == 0 or kps.shape[2] != 2 \
-            or not np.all(np.isfinite(kps)):
-        raise ValueError(f"expected finite point sets of shape (K, N, 2), got {kps.shape}")
-    lo, hi = _corners(kps)
+    kps = finite_array(kps, "keypoints", (None, None, 2))
+    lo, hi = _corners(kps) if kps.shape[1] else (0.0, 0.0)  # an empty set has no extent
     if np.any(hi <= lo):
         raise GeometryError("keypoints have zero extent along an axis")
     with np.errstate(over="ignore"):  # refused right below

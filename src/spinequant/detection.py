@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MAX_AREA, GeometryError, boxes_from_keypoints, check_number_fields,
-                   iou_matrix, owned_array)
+                   check_unit_interval, finite_array, finite_numbers, iou_matrix, iou_ratio,
+                   owned_array)
 
 DEFAULT_SCALES_MM = (17.0, 23.0, 28.0, 35.0)
 DEFAULT_RATIOS = (0.8, 1.1, 1.3, 2.0)
@@ -46,6 +47,10 @@ class AnchorGrid:
     image_shape: tuple[int, int]
     sides_px: np.ndarray  # (A, 2)
 
+    def __post_init__(self):
+        check_number_fields(self)
+        object.__setattr__(self, "sides_px", finite_array(self.sides_px, "sides_px", (None, 2)))
+
     @property
     def n_types(self) -> int:
         return len(self.sides_px)
@@ -66,12 +71,12 @@ def generate_anchors(image_shape, pixel_spacing: float,
                      scales_mm=DEFAULT_SCALES_MM,
                      ratios=DEFAULT_RATIOS) -> AnchorGrid:
     """Anchor grid over every pixel center of a ``(nx, ny)`` image."""
-    if pixel_spacing <= 0:
-        raise ValueError("pixel spacing must be positive")
+    if finite_numbers(pixel_spacing, "pixel_spacing") <= 0:
+        raise ValueError("pixel_spacing must be positive")
     if min(image_shape[:2]) <= 0:
-        raise ValueError(f"image shape must have positive sides, got {tuple(image_shape)}")
-    scales_mm = tuple(float(s) for s in scales_mm)
-    ratios = tuple(float(r) for r in ratios)
+        raise ValueError(f"image_shape must have positive sides, got {tuple(image_shape)}")
+    scales_mm = finite_numbers(scales_mm, "scales_mm", (None,))
+    ratios = finite_numbers(ratios, "ratios", (None,))
     if any(s <= 0 for s in scales_mm) or any(r <= 0 for r in ratios):
         raise ValueError("scales and ratios must be positive")
     with np.errstate(over="ignore"):  # an overflow is refused right below
@@ -83,21 +88,24 @@ def generate_anchors(image_shape, pixel_spacing: float,
                             f"anchor_ratios {min(ratios):g}-{max(ratios):g} give anchor sides "
                             f"or areas that overflow or underflow pixels of {pixel_spacing} mm")
     sides.flags.writeable = False
-    return AnchorGrid((int(image_shape[0]), int(image_shape[1])), sides)
+    return AnchorGrid(tuple(image_shape[:2]), sides)
 
 
 def encode_keypoints(keypoints, centers, sides) -> np.ndarray:
     """Offsets (k - center) / side of (P, 6, 2) keypoints from P anchors'
     (P, 2) centers and sides (``AnchorGrid.locate``)."""
-    offsets = np.asarray(keypoints, dtype=float) - np.asarray(centers)[:, None, :]
-    offsets /= np.asarray(sides)[:, None, :]
+    keypoints = finite_array(keypoints, "keypoints", (None, N_KEYPOINTS, 2))
+    offsets = keypoints - finite_array(centers, "centers", (len(keypoints), 2))[:, None, :]
+    offsets /= finite_array(sides, "sides", (len(keypoints), 2))[:, None, :]
     return offsets
 
 
 def decode_keypoints(offsets, centers, sides) -> np.ndarray:
     """Inverse of encode_keypoints: offsets * side + center, (P, 6, 2)."""
-    centers, sides = np.asarray(centers)[:, None, :], np.asarray(sides)[:, None, :]
-    return np.asarray(offsets, dtype=float) * sides + centers
+    offsets = finite_array(offsets, "offsets", (None, N_KEYPOINTS, 2))
+    p = len(offsets)
+    return (offsets * finite_array(sides, "sides", (p, 2))[:, None, :]
+            + finite_array(centers, "centers", (p, 2))[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -121,22 +129,22 @@ class DetectionTargets:
 
     def __post_init__(self):
         check_number_fields(self)
-        index = owned_array(self.index, np.int64)
+        index = owned_array(finite_array(self.index, "index", (None,), np.int64), np.int64)
         n_anchors = math.prod(self.shape)
-        if min(self.shape) <= 0 or index.ndim != 1 or np.any(np.diff(index) <= 0) or (
+        if min(self.shape) <= 0 or np.any(np.diff(index) <= 0) or (
                 len(index) and not 0 <= index[0] <= index[-1] < n_anchors):
             raise ValueError(f"index must hold ascending, distinct anchor indices in "
                              f"[0, {n_anchors}) of a grid of shape {self.shape}")
         object.__setattr__(self, "index", index)
         p = len(index)
-        for name, dtype, shape in (("matched", np.int64, (p,)),
-                                   ("offsets", float, (p, N_KEYPOINTS, 2)),
-                                   ("genant_weights", float, (p,))):
-            values = owned_array(getattr(self, name), dtype)
-            if values.shape != shape:
-                raise ValueError(f"{name} has shape {values.shape}, expected {shape} "
-                                 f"for {p} positive anchors")
-            object.__setattr__(self, name, values)
+        offsets = owned_array(self.offsets, float)  # may be inf: see assign_targets
+        if offsets.shape != (p, N_KEYPOINTS, 2):
+            raise ValueError(f"offsets has shape {offsets.shape}, expected "
+                             f"{(p, N_KEYPOINTS, 2)} for {p} positive anchors")
+        object.__setattr__(self, "offsets", offsets)
+        for name, dtype in (("matched", np.int64), ("genant_weights", float)):
+            object.__setattr__(self, name, owned_array(
+                finite_array(getattr(self, name), name, (p,), dtype), dtype))
         if np.any(self.matched < 0):
             raise ValueError("matched vertebra indices must be >= 0")
 
@@ -195,18 +203,18 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     pixels along x and along y where it overlaps an anchor of some type.
     Every anchor outside that block has IoU exactly 0 with it.
     """
-    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    check_unit_interval("iou_threshold", iou_threshold, closed=False)
     nx, ny = anchors.image_shape
     shape = (nx, ny, anchors.n_types)
     gt = list(ground_truth)
     if not gt:
         return DetectionTargets(shape, [], [], np.empty((0, N_KEYPOINTS, 2)), [])
 
-    gt_weights = np.array([g for _, g in gt], dtype=float)
-    for g in gt_weights:
-        if not 0 < g <= 1:
-            raise ValueError(f"Genant weight must be in (0, 1], got {g}")
-    gt_kps = np.asarray([kps for kps, _ in gt], dtype=float)
+    gt_weights = finite_array([g for _, g in gt], "ground_truth Genant weights", (len(gt),))
+    if not np.all((gt_weights > 0) & (gt_weights <= 1)):
+        raise ValueError(f"Genant weights must be in (0, 1], got {gt_weights.tolist()}")
+    gt_kps = finite_array([kps for kps, _ in gt], "ground_truth keypoints",
+                          (len(gt), N_KEYPOINTS, 2))
     gt_boxes = boxes_from_keypoints(gt_kps)  # (M, 4)
 
     # sides[k][m, i, t]: the overlap along axis k of vertebra m and an anchor
@@ -228,12 +236,12 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     def iou_block(m, pixels):
         # The IoUs of vertebra m over the pixels[0] x pixels[1] x types
         # block; its C order is ascending flat anchor order.
-        return _iou(sides[0][m, pixels[0]][:, None] * sides[1][m, pixels[1]], areas[m])
+        return iou_ratio(sides[0][m, pixels[0]][:, None] * sides[1][m, pixels[1]], areas[m])
 
     # passes[k][m, i]: some anchor on pixel i along axis k may pass the
     # threshold with vertebra m, by the bound of the largest overlap along
     # the other axis.  The candidate block holds every anchor above it.
-    passes = [np.any(_iou(side * peak[:, None], areas[:, None]) > iou_threshold, axis=2)
+    passes = [np.any(iou_ratio(side * peak[:, None], areas[:, None]) > iou_threshold, axis=2)
               for side, peak in zip(sides, peaks[::-1])]
     blocks, index, ious, matched = [], [], [], []
     for m in range(len(gt)):
@@ -251,7 +259,7 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     # candidate block, so only when none is left unclaimed there is the full
     # block searched.  A vertebra whose unclaimed anchors all have IoU 0
     # takes the lowest unclaimed flat index.
-    best = _iou(peaks[0] * peaks[1], areas).max(axis=1)
+    best = iou_ratio(peaks[0] * peaks[1], areas).max(axis=1)
     claims: dict[int, int] = {}
     for m in np.argsort(-best, kind="stable"):
         flat = _first_unclaimed(*blocks[m], iou_threshold, shape, claims)
@@ -307,31 +315,20 @@ def _first_unclaimed(iou, pixels, floor, shape, claims):
     return None
 
 
-def _iou(inter, areas):
-    """IoUs from intersections ``inter`` and the sums of both box areas
-    ``areas`` (broadcast), in place: ``iou_matrix``'s operations in its order."""
-    inter /= areas - inter
-    return np.minimum(inter, 1.0, out=inter)
-
-
-def _check_unit_interval(name: str, value: float, closed: bool) -> None:
-    """ValueError naming ``name`` unless ``value`` is in [0, 1] (``closed``) or in (0, 1]."""
-    if not (0 <= value <= 1 if closed else 0 < value <= 1):
-        raise ValueError(f"{name} must be in {'[' if closed else '('}0, 1], got {value}")
-
-
-def _check_prediction_shapes(pred_objectness, pred_offsets, targets: DetectionTargets):
+def _check_predictions(pred_objectness, pred_offsets, targets: DetectionTargets, eps):
+    """Check ``eps``; the checked objectness map and (P, 6, 2) offsets of the
+    positive anchors, the only offsets the loss reads."""
+    finite_numbers(eps, "eps")
     # C order: numpy's pairwise sums group terms by memory layout, so this keeps
     # the loss bitwise independent of the layout of the predictions (VG1 rasters
     # read as Fortran-ordered views).
-    pred_objectness = np.asarray(pred_objectness, dtype=float, order="C")
-    pred_offsets = np.asarray(pred_offsets, dtype=float, order="C")
-    shape = targets.shape
-    if pred_objectness.shape != shape:
-        raise ValueError(f"objectness shape {pred_objectness.shape} != {shape}")
-    if pred_offsets.shape != shape + (N_KEYPOINTS, 2):
-        raise ValueError(f"offsets shape {pred_offsets.shape} incompatible with {shape}")
-    return pred_objectness, pred_offsets
+    pred_o = finite_array(pred_objectness, "pred_objectness", targets.shape, order="C")
+    pred_e = np.asarray(pred_offsets)
+    if pred_e.shape != targets.shape + (N_KEYPOINTS, 2):
+        raise ValueError(f"pred_offsets has shape {pred_e.shape}, expected "
+                         f"{targets.shape + (N_KEYPOINTS, 2)}")
+    return pred_o, finite_array(pred_e[np.unravel_index(targets.index, targets.shape)],
+                                "pred_offsets", (targets.n_positive, N_KEYPOINTS, 2))
 
 
 def detection_loss_terms(pred_objectness, pred_offsets,
@@ -345,7 +342,7 @@ def detection_loss_terms(pred_objectness, pred_offsets,
     encoded coordinates divided by its Genant index; it is zero when there
     is no positive anchor.
     """
-    pred_o, pred_e = _check_prediction_shapes(pred_objectness, pred_offsets, targets)
+    pred_o, pos_e = _check_predictions(pred_objectness, pred_offsets, targets, eps)
     pos = targets.index
     p = np.clip(pred_o, eps, 1 - eps)
     # Each anchor's log-likelihood: log(1 - p) for a negative, log(p) for a positive.
@@ -356,7 +353,7 @@ def detection_loss_terms(pred_objectness, pred_offsets,
     n_pos = targets.n_positive
     if n_pos == 0:
         return bce, 0.0
-    err = np.abs(pred_e.reshape(-1, N_KEYPOINTS, 2)[pos] - targets.offsets).mean(axis=(1, 2))
+    err = np.abs(pos_e - targets.offsets).mean(axis=(1, 2))
     reg = float(np.sum(err / targets.genant_weights) / n_pos)
     return bce, reg
 
@@ -377,7 +374,7 @@ def detection_loss_grad(pred_objectness, pred_offsets,
     clipping range; the regression gradient uses sign(error), i.e. zero at
     the (non-differentiable) exact match.
     """
-    pred_o, pred_e = _check_prediction_shapes(pred_objectness, pred_offsets, targets)
+    pred_o, pos_e = _check_predictions(pred_objectness, pred_offsets, targets, eps)
     pos = targets.index
     inside = (pred_o > eps) & (pred_o < 1 - eps)
     p = np.clip(pred_o, eps, 1 - eps)
@@ -386,13 +383,12 @@ def detection_loss_grad(pred_objectness, pred_offsets,
     grad.flat[pos] = -1 / p.flat[pos]
     grad_o = np.where(inside, grad / pred_o.size, 0.0)
 
-    grad_e = np.zeros_like(pred_e)
+    grad_e = np.zeros(targets.shape + (N_KEYPOINTS, 2))
     n_pos = targets.n_positive
     if n_pos:
         scale = 1.0 / (targets.genant_weights * n_pos * 2 * N_KEYPOINTS)
         grad_e.reshape(-1, N_KEYPOINTS, 2)[pos] = (
-            np.sign(pred_e.reshape(-1, N_KEYPOINTS, 2)[pos] - targets.offsets)
-            * scale[:, None, None])
+            np.sign(pos_e - targets.offsets) * scale[:, None, None])
     return grad_o, grad_e
 
 
@@ -401,7 +397,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     """Greedy non-maximum suppression, highest score first.
 
     ``boxes`` holds (K, 4) rows (cx, cy, w, h) and ``scores`` their (K,)
-    finite scores; any other shape or a non-finite score raises ValueError,
+    scores, all finite; any other shape or a non-finite value raises ValueError,
     as does an ``iou_threshold`` outside (0, 1].  Returns the indices of the
     kept boxes in descending-score order; ties keep the earlier box (stable
     sort).  A box is suppressed when its IoU with a kept box exceeds
@@ -415,14 +411,9 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     tests each candidate against the boxes kept before it, and ``iou_matrix``
     is symmetric to the bit, so the kept indices are that loop's.
     """
-    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
-    boxes = np.asarray(boxes, dtype=float)
-    scores = np.asarray(scores, dtype=float)
-    if boxes.ndim != 2 or boxes.shape[1] != 4:
-        raise ValueError(f"boxes must have shape (K, 4), got {boxes.shape}")
-    if scores.shape != (len(boxes),) or not np.isfinite(scores).all():
-        raise ValueError(f"scores must be ({len(boxes)},) finite numbers to match boxes, got "
-                         f"shape {scores.shape} with {np.sum(~np.isfinite(scores))} non-finite")
+    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    boxes = finite_array(boxes, "boxes", (None, 4))
+    scores = finite_array(scores, "scores", (len(boxes),))
     alive = np.argsort(-scores, kind="stable")
     alive_boxes = boxes[alive]
     keep: list[int] = []
@@ -446,13 +437,14 @@ def detect_candidates(index, scores, offsets, anchors: AnchorGrid,
     ``iou_threshold`` (in (0, 1]); a threshold out of range raises
     ValueError.  Returns the survivors' (K, 6, 2) image keypoints and (K,)
     scores in keep order; ties break by the order of ``index``.  Non-finite
-    keypoints raise ValueError, and zero extent GeometryError.
+    inputs raise ValueError, and zero extent GeometryError.
     """
-    _check_unit_interval("score_threshold", score_threshold, closed=True)
-    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
-    scores = np.asarray(scores, dtype=float)
+    check_unit_interval("score_threshold", score_threshold, closed=True)
+    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    scores = finite_array(scores, "scores", (None,))
+    index = finite_array(index, "index", scores.shape, np.intp)
     passed = scores > score_threshold
-    kps = decode_keypoints(np.asarray(offsets)[passed], *anchors.locate(np.asarray(index)[passed]))
+    kps = decode_keypoints(np.asarray(offsets)[passed], *anchors.locate(index[passed]))
     scores = scores[passed]
     keep = nms(boxes_from_keypoints(kps), scores, iou_threshold)
     return kps[keep], scores[keep]
@@ -465,16 +457,17 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
     above ``score_threshold``, in flat order, and their (nx, ny, A, 6, 2)
     ``offsets_map`` rows.  Only the candidates' offsets are gathered, so
     float32 maps of any memory layout (views of a VG1 raster) decode to the
-    same bits as float64 copies of them.
+    same bits as float64 copies of them.  A non-finite objectness, or offset
+    of a candidate, raises ValueError naming its map.
     """
-    obj = np.asarray(objectness_map, dtype=float)
     shape = anchors.image_shape + (anchors.n_types,)
-    if obj.shape != shape:
-        raise ValueError(f"objectness shape {obj.shape} != {shape}")
+    obj = finite_array(objectness_map, "objectness_map", shape)
     off = np.asarray(offsets_map)
     if off.shape != shape + (N_KEYPOINTS, 2):
-        raise ValueError(f"offsets shape {off.shape} incompatible with {shape}")
-    _check_unit_interval("score_threshold", score_threshold, closed=True)  # before any gather
+        raise ValueError(f"offsets_map has shape {off.shape}, expected {shape + (N_KEYPOINTS, 2)}")
+    check_unit_interval("score_threshold", score_threshold, closed=True)  # before any gather
     index = np.flatnonzero(obj > score_threshold)
     cand = np.unravel_index(index, shape)
-    return detect_candidates(index, obj[cand], off[cand], anchors, score_threshold, iou_threshold)
+    return detect_candidates(index, obj[cand],
+                             finite_array(off[cand], "offsets_map", (len(index), N_KEYPOINTS, 2)),
+                             anchors, score_threshold, iou_threshold)

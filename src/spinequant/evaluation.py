@@ -15,13 +15,13 @@ together; ``match_detections`` is the same matcher on one study.
 """
 from __future__ import annotations
 
-import reprlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import GeometryError, UndefinedMetricError, boxes_from_keypoints, iou_matrix
-from .detection import N_KEYPOINTS, _check_unit_interval
+from .core import (GeometryError, UndefinedMetricError, boxes_from_keypoints,
+                   check_unit_interval, finite_array, finite_numbers, iou_matrix)
+from .detection import N_KEYPOINTS
 from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
 
 
@@ -32,11 +32,8 @@ def localization_error(pred_centers, gt_centers) -> np.ndarray:
     predicted center gives an empty array.  A non-finite coordinate raises
     ValueError naming its argument; a distance past the float range is inf.
     """
-    pred = np.atleast_2d(np.asarray(pred_centers, dtype=float))
-    gt = np.atleast_2d(np.asarray(gt_centers, dtype=float))
-    for name, centers in (("pred_centers", pred), ("gt_centers", gt)):
-        if not np.all(np.isfinite(centers)):
-            raise ValueError(f"{name} must be finite, got {reprlib.repr(centers.tolist())}")
+    pred, gt = (finite_array(np.atleast_2d(c) if np.size(c) else np.empty((0, 3)), name, (None, 3))
+                for c, name in ((pred_centers, "pred_centers"), (gt_centers, "gt_centers")))
     if gt.size == 0:
         raise ValueError("localization error needs at least one ground-truth center")
     if pred.size == 0:
@@ -117,10 +114,9 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
     by box geometry, so the assignment does not depend on input order.  This
     is the one-study call of the matcher ``evaluate_study_set`` runs.
     """
-    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
-    scores = np.array([float(score) for _, score in detections])
-    if not np.isfinite(scores).all():
-        raise ValueError(f"detections need finite scores, got {reprlib.repr(scores.tolist())}")
+    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    scores = finite_array([score for _, score in detections], "scores of detections",
+                          (len(detections),))
     det_boxes = _box_rows([box for box, _ in detections], "detections")
     gt_boxes = _box_rows(ground_truth, "ground_truth")
     match = _match(det_boxes, scores, np.array([len(det_boxes)]),
@@ -133,10 +129,10 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
 
 
 def _box_rows(rows, name: str) -> np.ndarray:
-    """(n, 4) box rows, else ValueError naming ``name``."""
-    boxes = np.array(rows, dtype=float).reshape(len(rows), 4)
-    if not (np.all(np.isfinite(boxes)) and np.all(boxes[:, 2:] > 0)):
-        raise ValueError(f"{name} must be finite (cx, cy, w, h) boxes with positive sides")
+    """(n, 4) finite box rows of positive sides, else ValueError naming ``name``."""
+    boxes = finite_array(np.reshape(rows, (len(rows), 4)), name, (None, 4))
+    if not np.all(boxes[:, 2:] > 0):
+        raise ValueError(f"{name} must be (cx, cy, w, h) boxes with positive sides")
     return boxes
 
 
@@ -203,12 +199,11 @@ def _padded(rows: np.ndarray, filled: np.ndarray, fill) -> np.ndarray:
 def roc_auc(scores, labels) -> float:
     """Rank-statistic ROC AUC: P(positive outranks negative), ties half.
 
-    Raises UndefinedMetricError when only one class is present.
+    Raises UndefinedMetricError when only one class is present, and
+    ValueError unless ``labels`` is 1D and ``scores`` finite and as long.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=bool)
-    if scores.shape != labels.shape or scores.ndim != 1 or not np.all(np.isfinite(scores)):
-        raise ValueError(f"scores must be finite, 1D, as long as labels: {reprlib.repr(scores)}")
+    labels = finite_array(labels, "labels", (None,), bool)
+    scores = finite_array(scores, "scores", labels.shape)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -250,13 +245,11 @@ def classification_report(pred_genant, gt_genant, threshold: float) -> Classific
     patient level, pass each patient's minimum index on both sides.  A NaN
     or infinite value raises ValueError naming its argument.
     """
-    pred = np.asarray(pred_genant, dtype=float)
-    gt = np.asarray(gt_genant, dtype=float)
-    if pred.shape != gt.shape or pred.ndim != 1 or len(pred) == 0:
+    pred = finite_array(pred_genant, "pred_genant", (None,))
+    gt = finite_array(gt_genant, "gt_genant", pred.shape)
+    threshold = finite_numbers(threshold, "threshold")
+    if len(pred) == 0:
         raise ValueError("need matched 1D prediction/ground-truth pairs")
-    for name, values in (("pred_genant", pred), ("gt_genant", gt), ("threshold", threshold)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite, got {reprlib.repr(values)}")
 
     labels = gt <= threshold
     auc = roc_auc(1 - pred, labels)
@@ -359,10 +352,9 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
     plus a list of undefined-metric messages (empty when every metric was
     computable).
     """
-    _check_unit_interval("iou_threshold", iou_threshold, closed=False)
-    for name, cut in (("mild_cut", mild_cut), ("moderate_cut", moderate_cut)):
-        if not np.isfinite(cut):
-            raise ValueError(f"{name} must be finite, got {cut!r}")
+    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    mild_cut, moderate_cut = map(finite_numbers, (mild_cut, moderate_cut),
+                                 ("mild_cut", "moderate_cut"))
     if not moderate_cut < mild_cut:
         raise ValueError(f"moderate_cut must be < mild_cut, got {moderate_cut!r}, {mild_cut!r}")
 
@@ -373,17 +365,14 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
         det_counts.append(len(study["detections"]))
         gt_counts.append(len(study["ground_truth"]))
     det_counts, gt_counts = np.array(det_counts, dtype=int), np.array(gt_counts, dtype=int)
-    kps_rule = f"keypoints must be finite numbers of shape ({N_KEYPOINTS}, 3)"
-    det_kps = _entries([kps for kps, _, _ in det_rows], (N_KEYPOINTS, 3), det_counts,
-                       "detections", kps_rule)
-    det_g = _entries([g for _, g, _ in det_rows], (), det_counts, "detections",
-                     "genant must be a finite number")
-    scores = _entries([1.0 if score is None else score for _, _, score in det_rows], (),
-                      det_counts, "detections", "score must be a finite number or None")
-    gt_kps = _entries([kps for kps, _ in gt_rows], (N_KEYPOINTS, 3), gt_counts,
-                      "ground_truth", kps_rule)
-    gt_g = _entries([g for _, g in gt_rows], (), gt_counts, "ground_truth",
-                    "genant must be a finite number")
+    det_kps = _entries([kps for kps, _, _ in det_rows], det_counts, "detections", "keypoints",
+                       (N_KEYPOINTS, 3))
+    det_g = _entries([g for _, g, _ in det_rows], det_counts, "detections", "genant")
+    scores = _entries([1.0 if score is None else score for _, _, score in det_rows],
+                      det_counts, "detections", "score")
+    gt_kps = _entries([kps for kps, _ in gt_rows], gt_counts, "ground_truth", "keypoints",
+                      (N_KEYPOINTS, 3))
+    gt_g = _entries([g for _, g in gt_rows], gt_counts, "ground_truth", "genant")
 
     match = _match(sagittal_plane_box(det_kps), scores, det_counts,
                    sagittal_plane_box(gt_kps), gt_counts, iou_threshold)
@@ -438,28 +427,23 @@ def _study_minima(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(values, (np.cumsum(counts) - counts)[counts > 0])
 
 
-def _entries(values: list, shape: tuple, counts: np.ndarray, key: str, rule: str) -> np.ndarray:
+def _entries(values: list, counts: np.ndarray, key: str, field: str,
+             shape: tuple = ()) -> np.ndarray:
     """Flat study entries as one (n, *shape) finite float array.
 
-    Else ValueError naming the study, the entry of ``key`` and ``rule`` for
-    the first entry that is not finite numbers of ``shape``.
+    Else ValueError naming the study, the entry of ``key`` and its ``field``,
+    in ``finite_array``'s words, for the first entry not finite numbers of ``shape``.
     """
-    try:
-        arr = np.array(values, dtype=float)
-        if arr.shape == (len(values), *shape) and np.isfinite(arr).all():
-            return arr
-    except (TypeError, ValueError):  # ragged, or not numbers: named below
-        pass
     if not values:
         return np.empty((0, *shape))
-
-    def usable(v) -> bool:
+    try:
+        return finite_array(values, key, (len(values), *shape))
+    except ValueError:  # named below, by study and entry
+        pass
+    for i, v in enumerate(values):
         try:
-            return np.shape(v) == shape and bool(np.isfinite(np.asarray(v, dtype=float)).all())
-        except (TypeError, ValueError):
-            return False
-
-    i = next(i for i, v in enumerate(values) if not usable(v))
-    study = int(np.searchsorted(np.cumsum(counts), i, side="right"))
-    raise ValueError(f"study {study}: {key}[{i - int(counts[:study].sum())}] {rule}, "
-                     f"got {reprlib.repr(values[i])}")
+            finite_array(v, field, shape)
+        except ValueError as exc:
+            study = int(np.searchsorted(np.cumsum(counts), i, side="right"))
+            raise ValueError(f"study {study}: {key}[{i - int(counts[:study].sum())}] {exc}"
+                             ) from None

@@ -7,12 +7,11 @@ smallest height divided by the largest.
 """
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, owned_array
+from .core import GeometryError, finite_array, finite_numbers, owned_array
 
 # Canonical keypoint order used for (6, k) arrays everywhere in the package.
 KEYPOINT_KEYS = ("as", "ai", "ms", "mi", "ps", "pi")
@@ -39,10 +38,8 @@ class VertebraKeypoints:
     label: str | None = None
 
     def __post_init__(self):
-        points = owned_array(self.points, float)
-        if points.shape != (6, 3) or not np.all(np.isfinite(points)):
-            raise ValueError(f"keypoints must be a finite (6, 3) array, got {points!r}")
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points",
+                           owned_array(finite_array(self.points, "points", (6, 3)), float))
 
     def as_array(self) -> np.ndarray:
         """(6, 3) array in canonical keypoint order."""
@@ -73,8 +70,8 @@ def heights(kps: VertebraKeypoints) -> tuple[float, float, float]:
 
 def genant_index(h_a: float, h_m: float, h_p: float) -> float:
     """Ratio of the smallest to the largest of the three heights."""
-    h = (h_a, h_m, h_p)
-    if any(not np.isfinite(v) or v <= 0 for v in h):
+    h = tuple(map(finite_numbers, (h_a, h_m, h_p), ("h_a", "h_m", "h_p")))
+    if min(h) <= 0:
         raise ValueError(f"heights must be positive, got {h}")
     return min(h) / max(h)
 
@@ -83,17 +80,16 @@ def grade(g: float, mild_cut: float = DEFAULT_MILD_CUT,
           moderate_cut: float = DEFAULT_MODERATE_CUT,
           severe_cut: float = DEFAULT_SEVERE_CUT) -> str:
     """Severity grade for a Genant index; boundaries are inclusive (<= cut)."""
-    if not np.isfinite(g):
-        raise ValueError(f"g must be a finite Genant index, got {g}")
-    cuts = (severe_cut, moderate_cut, mild_cut)
+    g, *cuts = map(finite_numbers, (g, severe_cut, moderate_cut, mild_cut),
+                   ("g", "severe_cut", "moderate_cut", "mild_cut"))
     return next((name for name, cut in zip(GRADES[::-1], cuts) if g <= cut), "normal")
 
 
 def patient_score(indices, **grade_cuts) -> tuple[float, str]:
     """Patient-level score: the minimum Genant index and its grade."""
-    indices = [float(v) for v in indices]
-    if not indices or not np.all(np.isfinite(indices)):
-        raise ValueError(f"indices must be one or more finite values, got {reprlib.repr(indices)}")
+    indices = finite_numbers(indices, "indices", (None,))
+    if not indices:
+        raise ValueError("indices must be one or more values, got none")
     g = min(indices)
     return g, grade(g, **grade_cuts)
 

@@ -8,13 +8,11 @@ absolute error in mm.
 """
 from __future__ import annotations
 
-import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, Volume3D, owned_array
+from .core import GeometryError, Volume3D, finite_array, finite_numbers, owned_array
 from .genant import VertebraKeypoints
 from .splines import pchip
 
@@ -30,13 +28,8 @@ class CenterlinePolyline:
     z: np.ndarray    # (n,)
 
     def __post_init__(self):
-        xy = owned_array(self.xy, float)
-        z = owned_array(self.z, float)
-        if xy.ndim != 2 or xy.shape[1] != 2 or z.shape != (xy.shape[0],):
-            raise ValueError(f"inconsistent polyline arrays: {xy.shape} vs {z.shape}")
-        for name, arr in (("xy", xy), ("z", z)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite, got {reprlib.repr(arr.tolist())}")
+        xy = owned_array(finite_array(self.xy, "xy", (None, 2)), float)
+        z = owned_array(finite_array(self.z, "z", (len(xy),)), float)
         if len(z) > 1 and not np.all(np.diff(z) > 0):
             raise ValueError("slice positions must be strictly increasing")
         object.__setattr__(self, "xy", xy)
@@ -57,17 +50,12 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
     In "probabilities" mode the map itself (non-negative, positive total mass)
     is normalized into weights; in "logits" mode weights are a softmax of
     ``temperature * values``.  Returns continuous (x, y) grid coordinates.
-    A non-finite ``temperature`` raises ValueError in either mode.
+    An unknown ``mode`` or a non-finite ``temperature`` or map raises ValueError.
     """
-    if not math.isfinite(temperature):
-        raise ValueError(f"temperature must be finite, got {temperature!r}")
+    temperature = _check_mode(mode, temperature)
     # C order keeps the pairwise sums, and so the result, bitwise independent
     # of the map's memory layout (a slice of a VG1 raster is Fortran-ordered).
-    values = np.asarray(values, dtype=float, order="C")
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2D map, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("map has NaN or infinite entries")
+    values = finite_array(values, "values", (None, None), order="C")
     if mode == "probabilities":
         if np.any(values < 0):
             raise ValueError("probability map has negative entries")
@@ -75,15 +63,20 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
         if not total > 0:
             raise GeometryError("probability map has no mass")
         w = values / total
-    elif mode == "logits":
+    else:
         shifted = temperature * (values - values.max())
         e = np.exp(shifted)
         w = e / e.sum()
-    else:
-        raise ValueError(f"unknown soft-argmax mode {mode!r}")
     xs = np.arange(values.shape[0], dtype=float)
     ys = np.arange(values.shape[1], dtype=float)
     return float(w.sum(axis=1) @ xs), float(w.sum(axis=0) @ ys)
+
+
+def _check_mode(mode: str, temperature: float) -> float:
+    """The soft-argmax ``temperature`` as a float, once ``mode`` and it are known good."""
+    if mode not in ("probabilities", "logits"):
+        raise ValueError(f"unknown soft-argmax mode {mode!r}")
+    return finite_numbers(temperature, "temperature")
 
 
 def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
@@ -95,8 +88,10 @@ def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
     "probabilities" mode an all-zero map, as a network may emit off the spine,
     holds no position: its slice is skipped, at an end or in the middle, and
     ``upsample_curve`` spans the gap; fewer than two slices left raise
-    GeometryError.  Other per-slice failures are re-raised with the slice index.
+    GeometryError.  A bad ``mode`` or ``temperature`` is a ValueError before any
+    slice is read; a fault in a slice's map is re-raised as GeometryError with its index.
     """
+    _check_mode(mode, temperature)
     values = maps.values
     pts = []
     for k in range(values.shape[2]):
@@ -124,9 +119,7 @@ def centerline_target(annotations: list[VertebraKeypoints],
     The curve is evaluated at every entry of ``z_slices`` (world mm) lying
     between the extreme keypoints; a non-finite entry raises ValueError.
     """
-    z_slices = np.asarray(z_slices, dtype=float)
-    if not np.all(np.isfinite(z_slices)):
-        raise ValueError(f"z_slices must be finite, got {reprlib.repr(z_slices.tolist())}")
+    z_slices = finite_array(z_slices, "z_slices", (None,))
     if not annotations:
         raise GeometryError("no annotations")
     pts = np.concatenate([kps.as_array()[2:4] for kps in annotations])
@@ -166,7 +159,7 @@ def upsample_curve(curve: CenterlinePolyline, z_fine: np.ndarray) -> CenterlineP
     """
     if len(curve) < 2:
         raise GeometryError("need at least two coarse samples")
-    z_fine = np.sort(np.asarray(z_fine, dtype=float))
+    z_fine = np.sort(finite_array(z_fine, "z_fine", (None,)))
     if np.any(z_fine < curve.z[0] - SPAN_SLACK_MM) or np.any(z_fine > curve.z[-1] + SPAN_SLACK_MM):
         raise GeometryError(f"slices outside the centerline's span "
                             f"[{curve.z[0]:g}, {curve.z[-1]:g}] mm")

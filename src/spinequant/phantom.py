@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import MAX_GRID_VOXELS, Volume3D, check_grid, check_number_fields, require
+from .core import (MAX_GRID_VOXELS, Volume3D, check_grid, check_number_fields, finite_numbers,
+                   require)
 from .genant import VertebraKeypoints, genant_index
 from .localization import centerline_target
 
@@ -203,6 +204,7 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
     The returned stack covers the slices of ``vol`` inside the annotated
     span, each holding an isotropic Gaussian normalized to unit mass.
     """
+    sigma_vox = finite_numbers(sigma_vox, "sigma_vox")
     target = centerline_target(annotations, vol.slice_z_world())
     nx, ny = vol.shape[:2]
     maps = np.empty((nx, ny, len(target)), dtype=np.float32, order="F")

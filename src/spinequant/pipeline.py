@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import detection, genant, localization, straighten
-from .core import DEFAULT_FILL, GeometryError, Volume3D, check_number_fields, check_size, require
+from .core import (DEFAULT_FILL, GeometryError, Volume3D, check_number_fields, check_size,
+                   finite_numbers, require)
 from .detection import AnchorGrid, DetectionTargets
 from .genant import VertebraKeypoints
 from .localization import CenterlinePolyline
@@ -356,12 +357,6 @@ class ChainResult:
         }
 
 
-def _check_keypoint_noise(keypoint_noise_mm: float) -> None:
-    if not (np.isfinite(keypoint_noise_mm) and keypoint_noise_mm >= 0):
-        raise ValueError(
-            f"keypoint_noise_mm must be finite and >= 0, got {keypoint_noise_mm!r}")
-
-
 def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
                       keypoint_noise_mm: float = 0.0,
                       noise_seed: int = 0) -> ChainResult:
@@ -372,7 +367,8 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
     imperfect regression head.  The volume and heatmaps are dropped once the
     plane is straightened, so neither is alive during target assignment.
     """
-    _check_keypoint_noise(keypoint_noise_mm)
+    if not finite_numbers(keypoint_noise_mm, "keypoint_noise_mm") >= 0:
+        raise ValueError(f"keypoint_noise_mm must be >= 0, got {keypoint_noise_mm!r}")
     volume, annotations, planted, heatmaps = oracle_phantom(phantom_cfg, cfg)
     sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
     del volume, heatmaps
@@ -394,11 +390,12 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     exactly that magnitude.  The positive anchors go to
     ``detect_candidates`` with score 1; no map over all anchors is built.
     """
-    _check_keypoint_noise(keypoint_noise_mm)
+    if not finite_numbers(keypoint_noise_mm, "keypoint_noise_mm") >= 0:
+        raise ValueError(f"keypoint_noise_mm must be >= 0, got {keypoint_noise_mm!r}")
     targets = chain.targets
     offsets = targets.offsets
     if keypoint_noise_mm > 0:
-        rng = np.random.default_rng(noise_seed)
+        rng = np.random.default_rng(finite_numbers(noise_seed, "noise_seed", integer=True))
         sigma_px = keypoint_noise_mm / chain.straighten.delta
         noise = rng.normal(0.0, sigma_px, size=offsets.shape)
         centers, sides = chain.anchors.locate(targets.index)

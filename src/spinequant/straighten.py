@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_FILL, GeometryError, Volume3D, _sample_voxel_coords,
-                   check_number_fields, check_size, finite_numbers, owned_array, require)
+                   check_number_fields, check_size, finite_array, finite_numbers, owned_array,
+                   require)
 from .localization import CenterlinePolyline
 from .splines import not_a_knot_spline, smoothing_spline
 
@@ -26,23 +27,20 @@ _FRAME_TOL = 1e-9
 def _set_checked_rows(obj, names: tuple[str, ...]) -> None:
     """Store ``obj.s`` and the named per-sample fields as read-only float arrays.
 
-    ``s`` must be strictly increasing with at least two samples and each
-    named array finite with shape (len(s), 3).  Checks are written so that
-    NaN fails them.
+    ``s`` must be finite and strictly increasing with at least two samples, and
+    each named array finite of shape (len(s), 3): a GeometryError, as rows are computed.
     """
-    s = owned_array(obj.s, float)
-    if s.ndim != 1 or len(s) < 2:
+    try:
+        s = finite_array(obj.s, "s", (None,))
+        rows = [finite_array(getattr(obj, name), name, (len(s), 3)) for name in names]
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from None
+    if len(s) < 2:
         raise GeometryError("curve needs at least two samples")
     if not np.all(np.diff(s) > 0):
         raise GeometryError("arc length must be strictly increasing")
-    object.__setattr__(obj, "s", s)
-    for name in names:
-        arr = owned_array(getattr(obj, name), float)
-        if arr.shape != (len(s), 3):
-            raise ValueError(f"{name} must have shape ({len(s)}, 3)")
-        if not np.all(np.isfinite(arr)):
-            raise GeometryError(f"{name} must be finite")
-        object.__setattr__(obj, name, arr)
+    for name, arr in zip(("s", *names), (s, *rows)):
+        object.__setattr__(obj, name, owned_array(arr, float))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,6 +110,8 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
     left-right axis (``_rotation_minimizing_frames``).
     ``pad_mm`` extends the curve straight beyond both ends.
     """
+    step, smoothing, pad_mm = map(finite_numbers, (step, smoothing, pad_mm),
+                                  ("step", "smoothing", "pad_mm"))
     if len(polyline) < 4:
         raise GeometryError("need at least four centerline points")
     z = polyline.z
@@ -251,10 +251,10 @@ class StraightenTransform:
         """Map image pixels (x = anterior-posterior, y = arc row) to world mm.
 
         Fractional coordinates are allowed; rows are interpolated linearly.
-        Points outside the image bounds raise GeometryError.
+        Points outside the image bounds raise GeometryError, non-finite ones ValueError.
         """
         xy = np.asarray(xy, dtype=float)
-        a, b = xy.reshape(-1, 2).T
+        a, b = finite_array(xy.reshape(-1, 2), "xy", (None, 2)).T
         if np.any((a < -1e-9) | (a > self.n_ap - 1 + 1e-9) |
                   (b < -1e-9) | (b > self.n_rows - 1 + 1e-9)):
             raise GeometryError("pixel outside the straightened image")
@@ -273,11 +273,11 @@ class StraightenTransform:
         the end rows p lies past are candidates; the one nearest the curve wins, and on
         its segment Newton steps solve the condition, a cubic in f.  x is p's v coordinate
         in the row's (u, v) basis, so the left-right offset is dropped.  Exact where the
-        image is one-to-one, i.e. within the curve's radius of curvature.  A pixel that
-        overflows raises GeometryError.
+        image is one-to-one, i.e. within the curve's radius of curvature.  A non-finite
+        point raises ValueError, and a pixel that overflows GeometryError.
         """
         pts = np.asarray(pts, dtype=float)
-        p = pts.reshape(-1, 3)
+        p = finite_array(pts.reshape(-1, 3), "pts", (None, 3))
         c, u, v = self.centers, self.u, self.v
         d, du, dv = np.diff(c, axis=0), np.diff(u, axis=0), np.diff(v, axis=0)
         normal = np.cross(u, v)
@@ -356,6 +356,8 @@ def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
     and row spacing equals the curve's arc-length step.  A left-right
     half-extent of 0 samples only the mid-sagittal plane (i_half = 0).
     """
+    delta, fill = map(finite_numbers, (delta, fill), ("delta", "fill"))
+    half_extent = finite_numbers(half_extent, "half_extent", (2,))
     if delta <= 0:
         raise ValueError("delta must be positive")
     i_half = int(np.floor(half_extent[0] / delta + 1e-9))
@@ -375,10 +377,10 @@ def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
                + oi[:, None, None, None] * curve.u[None, None, k0:k1, :]
                + oj[None, :, None, None] * curve.v[None, None, k0:k1, :])
         idx = (pts.reshape(-1, 3) - origin) / spacing
-        out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, float(fill)).reshape(
+        out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, fill).reshape(
             ni, nj, k1 - k0)
     transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v,
-                                    float(delta), i_half, j_half)
+                                    delta, i_half, j_half)
     out.flags.writeable = False  # so Volume3D adopts the raster rather than copying it
     straight = Volume3D(out, (delta, delta, curve.step),
                         (-i_half * delta, -j_half * delta, float(curve.s[0])))

@@ -290,11 +290,11 @@ def test_targets_record_is_read_only_and_owns_its_arrays():
     ({"index": [1, 1]}, "distinct"),
     ({"index": [1, 8]}, r"\[0, 8\)"),
     ({"index": [-1, 4]}, r"\[0, 8\)"),
-    ({"index": [[1, 4]]}, "ascending"),
+    ({"index": [[1, 4]]}, "^index must be finite numbers of shape"),
     ({"shape": (2, 0, 2)}, "grid of shape"),
-    ({"matched": [0]}, "matched has shape"),
+    ({"matched": [0]}, "^matched must be finite numbers of shape"),
     ({"offsets": np.zeros((2, 6, 1))}, "offsets has shape"),
-    ({"genant_weights": np.ones(3)}, "genant_weights has shape"),
+    ({"genant_weights": np.ones(3)}, "genant_weights must be finite numbers of shape"),
     ({"matched": [0, -1]}, ">= 0"),
 ])
 def test_targets_record_refuses_inconsistent_arrays(changes, match):

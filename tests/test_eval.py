@@ -309,7 +309,8 @@ def test_classification_refuses_non_finite_values(name, bad):
         args[name] = bad
     else:
         args[name][0] = bad
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    rule = "a finite number" if name == "threshold" else "finite numbers of shape"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
         classification_report(**args)
 
 

@@ -105,7 +105,7 @@ def test_grade_refuses_non_finite_index(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_patient_score_refuses_non_finite_index(bad):
     for indices in ([bad, 0.5], [0.5, bad]):  # first or last: min() must not hide it
-        with pytest.raises(ValueError, match="indices must be one or more finite"):
+        with pytest.raises(ValueError, match="^indices must be finite numbers of shape"):
             patient_score(indices)
 
 

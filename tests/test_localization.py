@@ -161,8 +161,20 @@ def test_polyline_refuses_non_finite_values_naming_the_field(field, bad):
 @pytest.mark.parametrize("mode", ["probabilities", "logits"])
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_soft_argmax_refuses_non_finite_temperature(bad, mode):
-    with pytest.raises(ValueError, match="^temperature must be finite"):
+    with pytest.raises(ValueError, match="^temperature must be a finite number"):
         soft_argmax_2d(np.ones((4, 3)), mode=mode, temperature=bad)
+
+
+@pytest.mark.parametrize("mode, temperature, match", [
+    *(("logits", bad, "^temperature") for bad in NON_FINITE),
+    ("argmax", 1.0, "^unknown soft-argmax mode"),
+])
+def test_slicewise_centerline_refuses_a_bad_argument_before_its_slices(mode, temperature, match):
+    # A NaN temperature once read "GeometryError: slice 0: temperature must be finite".
+    maps = Volume3D(np.ones((4, 4, 3)), (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=match) as exc:
+        slicewise_centerline(maps, mode=mode, temperature=temperature)
+    assert exc.type is ValueError
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
