@@ -208,12 +208,15 @@ def owned_array(values, dtype) -> np.ndarray:
 
 
 def _read_only(values: np.ndarray) -> bool:
-    """Whether no array in the view chain down to the owner of the memory is writeable."""
-    while values is not None:
-        if not isinstance(values, np.ndarray) or values.flags.writeable:
+    """Whether no array in the view chain, nor the buffer owning the memory, is writeable."""
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
             return False
         values = values.base
-    return True
+    try:
+        return values is None or memoryview(values).readonly
+    except TypeError:
+        return False
 
 
 IOU_BLOCK = 4096  # columns of b per block of iou_matrix, so its side arrays stay in cache

@@ -3,8 +3,9 @@
 VG1 is a JSON header next to a raw little-endian float32 blob in x-fastest
 (Fortran) order: byte ``4*k`` holds voxel ``(k % nx, (k // nx) % ny,
 k // (nx*ny))``.  Rasters keep that order in memory: ``read_vg1`` returns
-a read-only Fortran-ordered view of the blob it read, and ``write_vg1``
-writes a Fortran-ordered float32 raster without copying it.  The header is::
+a read-only Fortran-ordered map of the blob's file (one file descriptor while
+it is alive), and ``write_vg1`` writes a Fortran-ordered float32 raster
+without copying it, replacing a blob, never rewriting it in place.  The header is::
 
     {"shape": [nx, ny, nz], "spacing": [sx, sy, sz],
      "origin": [ox, oy, oz], "dtype": "f32", "data": "<relative path>"}
@@ -20,12 +21,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .core import Volume3D, finite_numbers
 from .genant import KEYPOINT_KEYS, VertebraKeypoints
+
+FINITE_CHUNK = 1 << 22  # elements per finiteness pass of read_vg1: a 4 MiB mask at any size
 
 
 class FormatError(ValueError):
@@ -58,7 +62,7 @@ def write_json(path, obj) -> None:
 
 
 def write_vg1(path, vol: Volume3D) -> Path:
-    """Write a volume as a VG1 header plus its raw data file."""
+    """Write a VG1 header and its raw data file; the file is replaced, never rewritten."""
     path = Path(path)
     data_name = path.name + ".raw"
     header = {
@@ -69,14 +73,22 @@ def write_vg1(path, vol: Volume3D) -> Path:
         "data": data_name,
     }
     # values.T in C order is the x-fastest blob: no copy for Fortran-ordered float32.
-    with open(path.with_name(data_name), "wb") as fh:
-        fh.write(np.ascontiguousarray(vol.values.T, dtype="<f4").data)
+    # It goes to a temporary sibling, so a raster mapped from the old file keeps its values.
+    tmp = path.with_name(data_name + ".tmp")
+    try:
+        tmp.write_bytes(np.ascontiguousarray(vol.values.T, dtype="<f4").data)
+        os.replace(tmp, path.with_name(data_name))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     write_json(path, header)
     return path
 
 
 def read_vg1(path) -> Volume3D:
-    """Read a VG1 volume; validates the header, the blob size and finiteness."""
+    """Read a VG1 volume; validates the header, the blob size and finiteness.
+
+    ``values`` maps the data file read-only, holding one file descriptor while alive."""
     path = Path(path)
     header = read_json(path)
     for key in ("shape", "spacing", "origin", "dtype", "data"):
@@ -95,13 +107,12 @@ def read_vg1(path) -> Volume3D:
     data_path = path.parent / header["data"]
     if not data_path.is_file():
         raise FormatError(f"{path}: data file not found: {data_path}")
-    raw = np.fromfile(data_path, dtype="<f4")
-    if raw.size != math.prod(shape):
-        raise FormatError(
-            f"{path}: data size {raw.size} does not match shape {shape}")
-    if not np.isfinite(raw).all():
+    if (size := data_path.stat().st_size) != 4 * math.prod(shape):
+        raise FormatError(f"{path}: data size {size} bytes does not match shape {shape}")
+    raw = np.memmap(data_path, "<f4", mode="r")  # read-only, so Volume3D adopts it
+    if not all(np.isfinite(raw[i:i + FINITE_CHUNK]).all()
+               for i in range(0, raw.size, FINITE_CHUNK)):
         raise FormatError(f"{path}: data holds NaN or infinite values")
-    raw.flags.writeable = False  # so Volume3D adopts the blob instead of copying it
     values = raw.reshape(shape, order="F")
     try:
         return Volume3D(values, header["spacing"], header["origin"])

@@ -204,7 +204,8 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
     The returned stack covers the slices of ``vol`` inside the annotated
     span, each holding an isotropic Gaussian normalized to unit mass.
     """
-    sigma_vox = finite_numbers(sigma_vox, "sigma_vox")
+    if not (sigma_vox := finite_numbers(sigma_vox, "sigma_vox")) > 0:
+        raise ValueError(f"sigma_vox must be positive, got {sigma_vox}")
     target = centerline_target(annotations, vol.slice_z_world())
     nx, ny = vol.shape[:2]
     maps = np.empty((nx, ny, len(target)), dtype=np.float32, order="F")

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinequant.cli import main
-from spinequant.formats import FormatError, read_vg1, write_json, write_va1, write_vg1
+from spinequant.formats import (FINITE_CHUNK, FormatError, read_vg1, write_json, write_va1,
+                                write_vg1)
 from spinequant.pipeline import PipelineConfig
 
 from conftest import traced_peak
@@ -350,10 +351,12 @@ def _volume_header(edit):
     return case
 
 
-def _truncate_blob(header, tmp):
-    raw = Path(header["data"]).read_bytes()
-    (tmp / "v.raw").write_bytes(raw[:len(raw) // 2])
-    header["data"] = str(tmp / "v.raw")
+def _edited_blob(edit):
+    """_volume_header edit: the header names v.raw, the phantom's blob after edit(bytes)."""
+    def header_edit(header, tmp):
+        (tmp / "v.raw").write_bytes(edit(Path(header["data"]).read_bytes()))
+        header["data"] = str(tmp / "v.raw")
+    return header_edit
 
 
 def _binary_header(small, tmp):
@@ -475,7 +478,13 @@ MALFORMED_INPUTS = [
      _detections(lambda e: e["keypoints_world"][0].__setitem__(0, None)), 2),
     ("detections keypoint a numeric string",
      _detections(lambda e: e["keypoints_world"][0].__setitem__(0, "12.5")), 2),
-    ("vg1 blob truncated", _volume_header(_truncate_blob), 2),
+    ("vg1 blob truncated", _volume_header(_edited_blob(lambda raw: raw[:len(raw) // 2])), 2,
+     "does not match shape"),
+    # The exact byte length is checked before the blob is mapped: no 1-3 trailing bytes are
+    # dropped, and an empty file never reaches the map.
+    ("vg1 blob one byte long", _volume_header(_edited_blob(lambda raw: raw + b"\0")), 2,
+     "does not match shape"),
+    ("vg1 blob empty", _volume_header(_edited_blob(lambda raw: b"")), 2, "does not match shape"),
     ("vg1 header not JSON", _file("v.vg1", '{"shape": [64, ', ["straighten", "v.vg1",
                                                                 "--annotations", "ph/gt.va1"]), 2),
     ("vg1 header without data", _volume_header(lambda h, t: h.pop("data")), 2),
@@ -786,8 +795,9 @@ def criterion_9_peaks(tmp_path_factory):
 
 def test_score_predictions_peak_memory_stays_near_the_raster(criterion_9_peaks):
     root, peaks = criterion_9_peaks
-    # The raster is read once and decoded in place: no float64 or reordered copy.
-    assert peaks["score"] <= 1.5 * (root / "tg" / "targets.vg1.raw").stat().st_size
+    # The raster maps its file and is decoded in place: no copy of it, no float64 or
+    # reordered one, and no raster-sized finiteness mask.
+    assert peaks["score"] <= 0.6 * (root / "tg" / "targets.vg1.raw").stat().st_size
 
 
 def test_targets_peak_memory_stays_near_the_raster(criterion_9_peaks):
@@ -799,8 +809,61 @@ def test_targets_peak_memory_stays_near_the_raster(criterion_9_peaks):
 
 def test_straighten_peak_memory_stays_near_the_volume(criterion_9_peaks):
     root, peaks = criterion_9_peaks
-    # The volume is read once; the working grid holds geometry only, no voxel values.
-    assert peaks["straighten"] <= 3.6 * (root / "ph" / "volume.vg1.raw").stat().st_size
+    # The volume maps its file, with no copy and no volume-sized finiteness mask; the
+    # working grid holds geometry only, no voxel values.
+    assert peaks["straighten"] <= 0.5 * (root / "ph" / "volume.vg1.raw").stat().st_size
+
+
+def _loss_run(small, annotations, predictions, out, capsys):
+    """targets --loss on the small image: (printed line, manifest loss block)."""
+    assert run("targets", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+               annotations, "--loss", "--predictions", predictions, "--output", out) == 0
+    manifest = json.loads((out / "targets_manifest.json").read_text())
+    return capsys.readouterr().out, manifest["loss"]
+
+
+def test_targets_loss_reads_predictions_it_overwrites_as_they_were(small, tmp_path, capsys):
+    # targets.vg1 is both the predictions and an output.  Its predictions, from all of
+    # gt.va1, are scored against the targets of every vertebra but the first: writing the
+    # new targets must not reach the mapped predictions the loss reads afterwards.
+    assert run("targets", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+               small / "ph" / "gt.va1", "--output", tmp_path / "tg") == 0
+    doc = json.loads((small / "ph" / "gt.va1").read_text())
+    doc["vertebrae"] = doc["vertebrae"][1:]
+    write_json(tmp_path / "a.va1", doc)
+    (tmp_path / "copy").mkdir()
+    for name in ("targets.vg1", "targets.vg1.raw"):
+        (tmp_path / "copy" / name).write_bytes((tmp_path / "tg" / name).read_bytes())
+    want = _loss_run(small, tmp_path / "a.va1", tmp_path / "copy" / "targets.vg1",
+                     tmp_path / "elsewhere", capsys)
+    got = _loss_run(small, tmp_path / "a.va1", tmp_path / "tg" / "targets.vg1",
+                    tmp_path / "tg", capsys)
+    assert got == want and want[1]["bce"] > 1e-3
+    for name in ("targets.vg1.raw", "loss_grad.vg1.raw"):
+        assert ((tmp_path / "tg" / name).read_bytes()
+                == (tmp_path / "elsewhere" / name).read_bytes()), name
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+_CHUNK_EDGES = {"last voxel of the first chunk": FINITE_CHUNK - 1,
+                "first voxel of the second chunk": FINITE_CHUNK, "last voxel": -1}
+
+
+@pytest.mark.parametrize("index", sorted(_CHUNK_EDGES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_voxel_past_the_first_chunk_exits_2(small, tmp_path, capsys, index, bad):
+    from spinequant.core import Volume3D
+
+    # A raster of one chunk and five voxels more, checked chunk by chunk.
+    values = np.ones((FINITE_CHUNK + 5, 1, 1), dtype=np.float32)
+    values[_CHUNK_EDGES[index]] = bad
+    write_vg1(tmp_path / "p.vg1", Volume3D(values, (1, 1, 1)))
+    with pytest.raises(FormatError, match="NaN or infinite"):
+        read_vg1(tmp_path / "p.vg1")
+    assert run("score", small / "st" / "sagittal.vg1", small / "st" / "transform.json",
+               "--predictions", tmp_path / "p.vg1", "--output", tmp_path / "o") == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_working_spacing_reaches_phantom_and_straighten(tmp_path):

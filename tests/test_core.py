@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, GeometryError,
                              Volume3D, _corners, boxes_from_keypoints,
-                             finite_numbers, iou_matrix)
+                             finite_numbers, iou_matrix, owned_array)
 from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
 from spinequant.straighten import SpineCurve, StraightenTransform
@@ -422,6 +424,37 @@ def test_volume_adopts_read_only_input_only():
     vol = Volume3D(view, (1, 1, 1))
     writeable[0] = 99.0
     assert vol.values[0, 0, 0] == 0.0
+
+
+def _buffer_owners(tmp_path):
+    """(name, owner of 24 bytes, whether its buffer is read-only) for the owners
+    numpy arrays can view besides arrays."""
+    maps = {}
+    for access in ("READ", "WRITE", "COPY"):
+        (tmp_path / access).write_bytes(bytes(24))
+        with open(tmp_path / access, "r+b") as fh:
+            maps[access] = mmap.mmap(fh.fileno(), 0, access=getattr(mmap, f"ACCESS_{access}"))
+    return [("bytes", bytes(24), True), ("ACCESS_READ map", maps["READ"], True),
+            ("bytearray", bytearray(24), False), ("ACCESS_WRITE map", maps["WRITE"], False),
+            ("ACCESS_COPY map", maps["COPY"], False)]
+
+
+def test_owned_array_adopts_a_read_only_buffer_and_copies_a_writeable_one(tmp_path):
+    for name, owner, read_only in _buffer_owners(tmp_path):
+        arr = np.frombuffer(owner, dtype=np.float32).reshape(2, 3)
+        arr.flags.writeable = False
+        got = owned_array(arr, np.float32)
+        assert (got is arr) == read_only, name
+        assert np.shares_memory(got, arr) == read_only, name
+        assert not got.flags.writeable, name
+        if not read_only:
+            memoryview(owner).cast("B")[:4] = np.float32(7.0).tobytes()
+            assert arr[0, 0] == 7.0 and got[0, 0] == 0.0, name
+    # An owner that exports no buffer (a sliding window's) counts as writeable.
+    frozen = np.arange(6.0, dtype=np.float32)
+    frozen.flags.writeable = False
+    windows = np.lib.stride_tricks.sliding_window_view(frozen, 3)
+    assert not windows.flags.writeable and owned_array(windows, np.float32) is not windows
 
 
 def _curve_rows(n=4):

@@ -65,6 +65,40 @@ def test_vg1_reads_as_a_read_only_fortran_view_of_the_blob(tmp_path):
     assert back.values.base is not None  # adopted, not copied, by Volume3D
 
 
+def test_vg1_raster_maps_its_file(tmp_path):
+    back = read_vg1(write_vg1(tmp_path / "v.vg1",
+                              Volume3D(np.zeros((2, 3, 4), dtype=np.float32), (1, 1, 1))))
+    with open(tmp_path / "v.vg1.raw", "r+b") as fh:
+        fh.write(np.float32(5.0).tobytes())  # in place, as write_vg1 never writes
+    assert back.values[0, 0, 0] == 5.0
+
+
+def test_vg1_rewrite_leaves_a_mapped_raster_its_values(tmp_path):
+    values = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    back = read_vg1(write_vg1(tmp_path / "v.vg1", Volume3D(values, (1, 1, 1))))
+    write_vg1(tmp_path / "v.vg1", Volume3D(-values, (1, 1, 1)))
+    assert np.array_equal(back.values, values)
+    assert np.array_equal(read_vg1(tmp_path / "v.vg1").values, -values)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vg1", "v.vg1.raw"]
+
+
+def test_vg1_write_that_fails_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "v.vg1.raw").mkdir()  # a file cannot replace a directory
+    with pytest.raises(OSError):
+        write_vg1(tmp_path / "v.vg1", Volume3D(np.ones((3, 2, 2)), (1, 1, 1)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vg1.raw"]
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw + b"\0", lambda raw: raw[:-1], lambda raw: b""],
+                         ids=["one trailing byte", "one byte short", "empty"])
+def test_vg1_refuses_a_blob_not_exactly_its_shape(tmp_path, edit):
+    path = write_vg1(tmp_path / "v.vg1", Volume3D(np.ones((3, 2, 2)), (1, 1, 1)))
+    raw = tmp_path / "v.vg1.raw"
+    raw.write_bytes(edit(raw.read_bytes()))
+    with pytest.raises(FormatError, match="data size .* does not match shape"):
+        read_vg1(path)
+
+
 def test_vg1_write_is_deterministic(tmp_path):
     vol = Volume3D(np.arange(24, dtype=np.float32).reshape(2, 3, 4), (1, 2, 3))
     write_vg1(tmp_path / "a.vg1", vol)

@@ -250,6 +250,15 @@ def test_oracle_heatmaps_straight_spine_maxima_align():
     assert len(set(peaks)) == 1
 
 
+@pytest.mark.parametrize("sigma_vox", [0.0, -2.0])
+def test_oracle_heatmaps_refuses_a_sigma_that_is_not_positive(sigma_vox):
+    # Zero would divide by zero into NaN maps, and -2 would render the maps of +2.
+    vol, anns, _ = generate_phantom(small_config())
+    working = working_grid(vol, PipelineConfig(working_spacing_mm=3.0))
+    with pytest.raises(ValueError, match="^sigma_vox must be positive"):
+        oracle_heatmaps(anns, working, sigma_vox=sigma_vox)
+
+
 def test_annotation_target_tracks_planted_sinusoid():
     cfg = PhantomConfig(scoliosis_amplitude_mm=15.0, seed=0)
     vol, anns, _ = generate_phantom(cfg)
