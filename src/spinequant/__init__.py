@@ -22,7 +22,7 @@ from .localization import (CenterlinePolyline, centerline_mae, centerline_target
 from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
 from .pipeline import PipelineConfig, run_phantom_chain
 from .straighten import (SpineCurve, StraightenedImage, StraightenTransform,
-                         build_spine_curve, mid_sagittal_slice, straighten_volume)
+                         build_spine_curve, straighten_plane)
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,8 @@ __all__ = [
     "decode_keypoints", "detect", "detect_candidates", "detection_loss", "detection_loss_grad",
     "encode_keypoints", "generate_anchors", "generate_phantom", "genant_index",
     "grade", "heights", "localization_error", "match_detections",
-    "mid_sagittal_slice", "nms", "oracle_heatmaps", "patient_score",
+    "nms", "oracle_heatmaps", "patient_score",
     "read_va1", "read_vg1", "roc_auc", "run_phantom_chain",
-    "slicewise_centerline", "soft_argmax_2d", "straighten_volume",
+    "slicewise_centerline", "soft_argmax_2d", "straighten_plane",
     "upsample_curve", "write_va1", "write_vg1",
 ]

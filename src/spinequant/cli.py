@@ -24,8 +24,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, genant, pipeline
 from .core import GeometryError, UndefinedMetricError, Volume3D, finite_numbers
 from .formats import (FormatError, read_json, read_va1, read_vg1, write_json, write_va1,
@@ -156,12 +154,7 @@ def _read_sagittal_and_transform(sagittal_path: Path,
         transform = StraightenTransform.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{transform_path}: bad transform ({exc})") from exc
-    values = np.asarray(sagittal_vol.values[0], dtype=np.float32)
-    if values.shape != (transform.n_ap, transform.n_rows):
-        raise GeometryError(
-            f"sagittal image {values.shape} does not match the transform "
-            f"({transform.n_ap}, {transform.n_rows})")
-    return StraightenedImage(values, transform)
+    return StraightenedImage(sagittal_vol.values[0], transform)
 
 
 def _read_predictions(path: Path, sagittal, n_types: int):

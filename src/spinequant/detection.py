@@ -443,8 +443,12 @@ def detect_candidates(index, scores, offsets, anchors: AnchorGrid,
     check_unit_interval("iou_threshold", iou_threshold, closed=False)
     scores = finite_array(scores, "scores", (None,))
     index = finite_array(index, "index", scores.shape, np.intp)
+    offsets = np.asarray(offsets)
+    if offsets.shape != scores.shape + (N_KEYPOINTS, 2):
+        raise ValueError(f"offsets has shape {offsets.shape}, expected "
+                         f"{scores.shape + (N_KEYPOINTS, 2)}")
     passed = scores > score_threshold
-    kps = decode_keypoints(np.asarray(offsets)[passed], *anchors.locate(index[passed]))
+    kps = decode_keypoints(offsets[passed], *anchors.locate(index[passed]))
     scores = scores[passed]
     keep = nms(boxes_from_keypoints(kps), scores, iou_threshold)
     return kps[keep], scores[keep]

@@ -202,7 +202,9 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
     """Per-slice Gaussian heatmaps centered on the centerline target.
 
     The returned stack covers the slices of ``vol`` inside the annotated
-    span, each holding an isotropic Gaussian normalized to unit mass.
+    span, each holding an isotropic Gaussian normalized to unit mass.  A
+    ``sigma_vox`` so small that a slice's Gaussian underflows to 0 raises
+    ValueError.
     """
     if not (sigma_vox := finite_numbers(sigma_vox, "sigma_vox")) > 0:
         raise ValueError(f"sigma_vox must be positive, got {sigma_vox}")
@@ -212,8 +214,12 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
     gx = np.arange(nx)[:, None]
     gy = np.arange(ny)[None, :]
     for i, (cx, cy, _) in enumerate(vol.world_to_voxel(target.points())):
-        m = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * sigma_vox ** 2))
-        maps[:, :, i] = m / m.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):  # sigma_vox ** 2 may underflow
+            m = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * sigma_vox ** 2))
+        if not (mass := m.sum()) > 0:
+            raise ValueError(f"sigma_vox {sigma_vox} is too small: the Gaussian of slice {i} "
+                             "underflows to 0")
+        maps[:, :, i] = m / mass
     maps.flags.writeable = False  # so Volume3D adopts the stack rather than copying it
     # target.z holds the span's slice positions of vol, first one first.
     return Volume3D(maps, vol.spacing, (vol.origin[0], vol.origin[1], float(target.z[0])))

@@ -148,10 +148,9 @@ def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
                      ) -> StraightenedImage:
     """The mid-sagittal image of the volume straightened along its centerline.
 
-    Every later stage reads only this plane and its transform, so the
-    left-right half-extent is 0 and no other plane of the straightened
-    volume is computed.  Before the curve is built, the size budget counts
-    each row's plane pixels plus its ``ROW_COST``.
+    Only the anterior-posterior half-extent, ``half_extent_mm[1]``, is read.
+    Before the curve is built, the size budget counts each row's plane pixels
+    plus its ``ROW_COST``.
     """
     polyline = extract_centerline(vol, cfg, heatmaps=heatmaps, annotations=annotations)
     rows = float(polyline.z[-1] - polyline.z[0] + 2 * cfg.curve_pad_mm) / cfg.delta_mm  # at least
@@ -161,10 +160,8 @@ def straighten_stage(vol: Volume3D, cfg: PipelineConfig,
     curve = straighten.build_spine_curve(polyline, step=cfg.delta_mm,
                                          smoothing=cfg.smoothing_lambda,
                                          pad_mm=cfg.curve_pad_mm)
-    plane, transform = straighten.straighten_volume(
-        vol, curve, delta=cfg.delta_mm, half_extent=(0.0, cfg.half_extent_mm[1]),
-        fill=cfg.fill)
-    return straighten.mid_sagittal_slice(plane, transform)
+    return straighten.straighten_plane(vol, curve, delta=cfg.delta_mm,
+                                       half_extent=cfg.half_extent_mm[1], fill=cfg.fill)
 
 
 def image_anchors(image: StraightenedImage, cfg: PipelineConfig) -> AnchorGrid:

@@ -3,9 +3,10 @@
 The centerline polyline is smoothed and resampled by arc length, each sample
 gets an orthonormal frame {t, u, v} (tangent, left-right, anterior-posterior)
 by double-reflection rotation-minimizing transport, in closed form, and the
-volume is resampled so the curve becomes the straight vertical line of the
-output grid.  The sampling map is kept so 2D points found on the straightened
-mid-sagittal image can be mapped back to 3D world coordinates.
+volume is sampled on the mid-sagittal plane of the straightened spine: the
+curve becomes the plane's central column.  Every later stage reads this plane
+alone, so no other left-right offset is sampled.  The sampling map is kept so
+2D points found on the plane can be mapped back to 3D world coordinates.
 """
 from __future__ import annotations
 
@@ -89,10 +90,6 @@ class SpineCurve:
 
     def __len__(self) -> int:
         return len(self.s)
-
-    @property
-    def step(self) -> float:
-        return float(self.s[1] - self.s[0])
 
 
 def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
@@ -212,14 +209,14 @@ def _rotation_minimizing_frames(centers: np.ndarray,
 
 @dataclass(frozen=True)
 class StraightenTransform:
-    """Sampling map of a straightened volume, kept for inversion.
+    """Sampling map of the straightened plane, kept for inversion.
 
-    Row b of the straightened grid lies on the plane through ``centers[b]``
-    spanned by u (left-right) and v (anterior-posterior); in-plane pixels are
-    ``delta`` mm apart with (i_half, j_half) pixels on each side of the curve.
-    Construction raises ValueError unless the rows are finite with strictly
-    increasing ``s``, u and v are unit length and orthogonal, ``delta`` is
-    a positive normal float and the halves are integers >= 0.
+    Row b of the plane lies on the line through ``centers[b]`` along v
+    (anterior-posterior), in the plane spanned by u (left-right) and v; its
+    pixels are ``delta`` mm apart with ``j_half`` pixels on each side of the
+    curve.  Construction raises ValueError unless the rows are finite with
+    strictly increasing ``s``, u and v are unit length and orthogonal,
+    ``delta`` is a positive normal float and ``j_half`` an integer >= 0.
     """
 
     s: np.ndarray
@@ -227,7 +224,6 @@ class StraightenTransform:
     u: np.ndarray
     v: np.ndarray
     delta: float
-    i_half: int
     j_half: int
 
     def __post_init__(self):
@@ -236,8 +232,7 @@ class StraightenTransform:
         check_number_fields(self)
         # A subnormal delta has an infinite reciprocal or too few digits to scale by.
         require(self, self.delta >= sys.float_info.min, "delta", "a positive normal float")
-        if min(self.i_half, self.j_half) < 0:
-            raise ValueError(f"i_half and j_half must be >= 0, got {self.i_half}, {self.j_half}")
+        require(self, self.j_half >= 0, "j_half", ">= 0")
 
     @property
     def n_rows(self) -> int:
@@ -316,7 +311,6 @@ class StraightenTransform:
         """JSON-ready description: per-row s, c, u, v plus pixel geometry."""
         return {
             "delta": self.delta,
-            "i_half": self.i_half,
             "j_half": self.j_half,
             "rows": [{"s": s, "c": c, "u": u, "v": v} for s, c, u, v in zip(
                 self.s.tolist(), self.centers.tolist(), self.u.tolist(), self.v.tolist())],
@@ -324,48 +318,61 @@ class StraightenTransform:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StraightenTransform":
+        """Inverse of ``to_dict``.  Other keys, such as the left-right half-width
+        (always 0) that older files held, are ignored."""
         rows = doc["rows"]
 
         def column(key, shape):
             return np.array(finite_numbers([r[key] for r in rows], f"{key!r} of each row", shape))
 
         return cls(column("s", (None,)), *(column(key, (None, 3)) for key in "cuv"),
-                   doc["delta"], doc["i_half"], doc["j_half"])
+                   doc["delta"], doc["j_half"])
 
 
 @dataclass(frozen=True)
 class StraightenedImage:
-    """The mid-sagittal plane of a straightened volume plus its inverse map."""
+    """The straightened mid-sagittal plane plus its inverse map.
+
+    ``values`` are taken through ``owned_array`` as float32 and must have the
+    transform's shape (n_ap, n_rows): a GeometryError otherwise.
+    """
 
     values: np.ndarray           # (n_ap, n_rows)
     transform: StraightenTransform
+
+    def __post_init__(self):
+        values = owned_array(self.values, np.float32)
+        want = (self.transform.n_ap, self.transform.n_rows)
+        if values.shape != want:
+            raise GeometryError(f"sagittal image {values.shape} does not match the transform {want}")
+        object.__setattr__(self, "values", values)
 
     @property
     def delta(self) -> float:
         return self.transform.delta
 
 
-def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
-                      half_extent: tuple[float, float] = (60.0, 60.0),
-                      fill: float = DEFAULT_FILL) -> tuple[Volume3D, StraightenTransform]:
-    """Resample the volume so the curve becomes the straight vertical line.
+def straighten_plane(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
+                     half_extent: float = 60.0,
+                     fill: float = DEFAULT_FILL) -> StraightenedImage:
+    """Sample the volume on the mid-sagittal plane of the straightened spine.
 
-    Output voxel (i, j, k) samples the input at
-    ``c(s_k) + (i - i_half) * delta * u(s_k) + (j - j_half) * delta * v(s_k)``,
-    so the curve itself maps to the centered column i = j = 0 (offset indices)
-    and row spacing equals the curve's arc-length step.  A left-right
-    half-extent of 0 samples only the mid-sagittal plane (i_half = 0).
+    Pixel (j, k) samples the input at ``c(s_k) + (j - j_half) * delta * v(s_k)``
+    with ``j_half = floor(half_extent / delta)``, so the curve itself maps to
+    the central column j = j_half and row spacing equals the curve's
+    arc-length step.  Points outside the volume take ``fill``.
     """
-    delta, fill = map(finite_numbers, (delta, fill), ("delta", "fill"))
-    half_extent = finite_numbers(half_extent, "half_extent", (2,))
+    delta, half_extent, fill = map(finite_numbers, (delta, half_extent, fill),
+                                   ("delta", "half_extent", "fill"))
     if delta <= 0:
         raise ValueError("delta must be positive")
-    i_half = int(np.floor(half_extent[0] / delta + 1e-9))
-    j_half = int(np.floor(half_extent[1] / delta + 1e-9))
-    ni, nj, nk = 2 * i_half + 1, 2 * j_half + 1, len(curve)
-    oi = delta * (np.arange(ni) - i_half)
-    oj = delta * (np.arange(nj) - j_half)
-    out = np.empty((ni, nj, nk), dtype=np.float32)
+    j_half = np.floor(half_extent / delta + 1e-9)
+    check_size((2 * j_half + 1, len(curve)),
+               f"delta {delta} and half_extent {half_extent}: the straightened plane")
+    transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v, delta, int(j_half))
+    nj, nk = transform.n_ap, transform.n_rows
+    oj = delta * (np.arange(nj) - transform.j_half)
+    out = np.empty((nj, nk), dtype=np.float32)
     spacing = np.asarray(vol.spacing)
     origin = np.asarray(vol.origin)
 
@@ -373,24 +380,8 @@ def straighten_volume(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
     # the peak memory of plane sampling.
     for k0 in range(0, nk, 32):
         k1 = min(k0 + 32, nk)
-        pts = (curve.centers[None, None, k0:k1, :]
-               + oi[:, None, None, None] * curve.u[None, None, k0:k1, :]
-               + oj[None, :, None, None] * curve.v[None, None, k0:k1, :])
+        pts = curve.centers[None, k0:k1, :] + oj[:, None, None] * curve.v[None, k0:k1, :]
         idx = (pts.reshape(-1, 3) - origin) / spacing
-        out[:, :, k0:k1] = _sample_voxel_coords(vol.values, idx, fill).reshape(
-            ni, nj, k1 - k0)
-    transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v,
-                                    delta, i_half, j_half)
-    out.flags.writeable = False  # so Volume3D adopts the raster rather than copying it
-    straight = Volume3D(out, (delta, delta, curve.step),
-                        (-i_half * delta, -j_half * delta, float(curve.s[0])))
-    return straight, transform
-
-
-def mid_sagittal_slice(straight: Volume3D, transform: StraightenTransform) -> StraightenedImage:
-    """Extract the zero left-right-offset plane of a straightened volume."""
-    ni = straight.shape[0]
-    if ni != 2 * transform.i_half + 1 or straight.shape[1] != transform.n_ap \
-            or straight.shape[2] != transform.n_rows:
-        raise GeometryError("straightened volume does not match the transform")
-    return StraightenedImage(np.asarray(straight.values[transform.i_half]), transform)
+        out[:, k0:k1] = _sample_voxel_coords(vol.values, idx, fill).reshape(nj, k1 - k0)
+    out.flags.writeable = False  # so StraightenedImage adopts the plane rather than copying it
+    return StraightenedImage(out, transform)

@@ -17,7 +17,7 @@ from spinequant.genant import genant_index, grade
 from spinequant.localization import CenterlinePolyline, soft_argmax_2d
 from spinequant.phantom import PhantomConfig
 from spinequant.pipeline import (PipelineConfig, rescore_chain, run_phantom_chain)
-from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
+from spinequant.straighten import build_spine_curve, straighten_plane
 
 from test_detection import loss_oracle, random_fixture
 from test_eval import auc_oracle
@@ -143,9 +143,7 @@ def test_criterion_5_straightening():
                    (1.0, 1.0, 1.0))
     polyline = CenterlinePolyline(np.tile([20.0, 20.0], (60, 1)), np.arange(60.0))
     curve = build_spine_curve(polyline, step=1.0)
-    straight, transform = straighten_volume(vol, curve, delta=1.0,
-                                            half_extent=(10.0, 10.0))
-    image = mid_sagittal_slice(straight, transform)
+    image = straighten_plane(vol, curve, delta=1.0, half_extent=10.0)
     assert np.max(np.abs(image.values - vol.values[20, 10:31, :])) <= 1e-5
     # circular arc: tangents against the closed form
     radius = 100.0
@@ -250,11 +248,15 @@ def test_criterion_8_performance():
     polyline = CenterlinePolyline(
         np.column_stack([256 + 20 * np.sin(z / 60), np.full_like(z, 256.0)]), z)
     curve = build_spine_curve(polyline, step=1.0)
+    # The plane the pipeline samples, 121 pixels per row at the default 60 mm
+    # half-extent.  Sampling as wide a left-right extent too, a 121 x 121 x 300
+    # grid, took about 0.8 s on 2 cores and would fail the bound.
     t0 = time.perf_counter()
-    straight, _ = straighten_volume(vol, curve, delta=1.0)
+    image = straighten_plane(vol, curve, delta=1.0)
     t_straighten = time.perf_counter() - t0
-    assert t_straighten < 8.0
-    del vol, straight
+    assert image.values.shape == (121, len(curve))
+    assert t_straighten < 0.5
+    del vol, image
 
     # The timed chain is the default-size phantom; test_phantom_that_builds_renders
     # covers generate_phantom's shape rule, and a ChainResult keeps no volume.

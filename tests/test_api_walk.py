@@ -26,7 +26,7 @@ from spinequant import (AnchorGrid, CenterlinePolyline, DetectionTargets, Phanto
                         encode_keypoints, genant_index, generate_anchors, grade,
                         localization_error, match_detections, nms, oracle_heatmaps,
                         patient_score, roc_auc, run_phantom_chain, slicewise_centerline,
-                        soft_argmax_2d, straighten_volume, upsample_curve)
+                        soft_argmax_2d, straighten_plane, upsample_curve)
 
 EXEMPT = {
     ("Volume3D", "values"): "image intensities: one pass over the default phantom costs "
@@ -41,8 +41,8 @@ NOT_WALKED = {
     "EvalReport": "an output record that evaluate_study_set fills after construction",
     "GenantMeasurement": "an output record: measure makes it from checked keypoints",
     **dict.fromkeys(("FormatError", "GeometryError", "UndefinedMetricError"), "exceptions"),
-    **dict.fromkeys(("centerline_mae", "generate_phantom", "heights", "mid_sagittal_slice",
-                     "read_va1", "read_vg1", "write_va1", "write_vg1"),
+    **dict.fromkeys(("centerline_mae", "generate_phantom", "heights", "read_va1", "read_vg1",
+                     "write_va1", "write_vg1"),
                     "takes only records and paths, which check their numbers themselves"),
 }
 # Where a message names an argument by more than its name.
@@ -66,7 +66,7 @@ def shapes():
     polyline = CenterlinePolyline(np.full((20, 2), [10.0, 12.0]), np.arange(0.0, 40.0, 2.0))
     curve = build_spine_curve(polyline, step=1.0)
     vol = Volume3D(np.zeros((20, 24, 44), dtype=np.float32), (1.0, 1.0, 1.0))
-    _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(2.0, 3.0))
+    transform = straighten_plane(vol, curve, delta=1.0, half_extent=3.0).transform
     anchors = generate_anchors((4, 3), 1.0, scales_mm=(3.0,), ratios=(1.0,))
     targets = DetectionTargets((2, 2, 1), np.arange(4), np.zeros(4, dtype=int),
                                np.zeros((4, 6, 2)), np.ones(4))
@@ -92,8 +92,7 @@ def _calls():
         "SpineCurve": (SpineCurve, {k: getattr(curve, k)
                                     for k in ("s", "centers", "t", "u", "v")}),
         "StraightenTransform": (StraightenTransform, {
-            k: getattr(transform, k) for k in ("s", "centers", "u", "v", "delta", "i_half",
-                                               "j_half")}),
+            k: getattr(transform, k) for k in ("s", "centers", "u", "v", "delta", "j_half")}),
         "StraightenedImage": (StraightenedImage, {"values": np.zeros((7, transform.n_rows)),
                                                   "transform": transform}),
         "VertebraKeypoints": (VertebraKeypoints, {"points": vertebra(10.0).points,
@@ -167,8 +166,8 @@ def _calls():
             "temperature": 1.0}),
         "soft_argmax_2d": (soft_argmax_2d, {"values": np.arange(12.0).reshape(4, 3),
                                             "mode": "probabilities", "temperature": 1.0}),
-        "straighten_volume": (straighten_volume, {"vol": vol, "curve": curve, "delta": 1.0,
-                                                  "half_extent": (2.0, 3.0), "fill": -1024.0}),
+        "straighten_plane": (straighten_plane, {"vol": vol, "curve": curve, "delta": 1.0,
+                                                "half_extent": 3.0, "fill": -1024.0}),
         "upsample_curve": (upsample_curve, {"curve": polyline,
                                             "z_fine": np.arange(1.0, 37.0, 0.5)}),
     }

@@ -173,8 +173,19 @@ def test_straighten_writes_only_the_plane_and_transform(workspace):
         ["sagittal.vg1", "sagittal.vg1.raw", "transform.json"]
     sagittal = read_vg1(workspace / "st" / "sagittal.vg1")
     transform = json.loads((workspace / "st" / "transform.json").read_text())
-    assert transform["i_half"] == 0
+    assert sorted(transform) == ["config", "delta", "j_half", "rows"]
     assert sagittal.shape == (1, 2 * transform["j_half"] + 1, len(transform["rows"]))
+
+
+def test_score_reads_a_transform_that_still_holds_i_half(workspace, tmp_path):
+    # transform.json files once also held "i_half": 0, the left-right half-width.
+    doc = json.loads((workspace / "st" / "transform.json").read_text())
+    write_json(tmp_path / "older.json", {"delta": doc["delta"], "i_half": 0, **doc})
+    assert run("score", workspace / "st" / "sagittal.vg1", tmp_path / "older.json",
+               "--predictions", workspace / "tg" / "targets.vg1", "--output", tmp_path / "sc",
+               "--config", workspace / "config.json") == 0
+    assert (tmp_path / "sc" / "detections.json").read_bytes() == \
+        (workspace / "sc" / "detections.json").read_bytes()
 
 
 def test_steep_scoliosis_straightens_from_both_inputs(tmp_path):
@@ -720,7 +731,7 @@ def test_fuzzed_anchor_sizes_write_only_targets_score_reads(small, tmp_path_fact
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(st.sampled_from(["delta", "i_half", "j_half", "rows", "s", "c", "u", "v"]),
+@given(st.sampled_from(["delta", "j_half", "rows", "s", "c", "u", "v"]),
        st.integers(0, 2 ** 16), _JSON | _TRIPLES | st.floats(-300, 300) | st.integers(-2, 80)
        | st.lists(st.floats(-100, 100), min_size=3, max_size=3)
        | st.floats(0, 1e-300))

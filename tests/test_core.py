@@ -11,7 +11,7 @@ from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, GeometryError,
                              finite_numbers, iou_matrix, owned_array)
 from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
-from spinequant.straighten import SpineCurve, StraightenTransform
+from spinequant.straighten import SpineCurve, StraightenedImage, StraightenTransform
 
 from oracles import finite_numbers_walk, iou, trilinear_sample
 
@@ -472,8 +472,12 @@ RECORDS = {
     "SpineCurve": (_curve_rows, lambda a: SpineCurve(*a),
                    lambda r: [r.s, r.centers, r.t, r.u, r.v]),
     "StraightenTransform": (lambda: [a for k, a in enumerate(_curve_rows()) if k != 2],
-                            lambda a: StraightenTransform(*a, 1.0, 0, 2),
+                            lambda a: StraightenTransform(*a, 1.0, 2),
                             lambda r: [r.s, r.centers, r.u, r.v]),
+    "StraightenedImage": (lambda: [np.arange(10.0, dtype=np.float32).reshape(5, 2)],
+                          lambda a: StraightenedImage(a[0], StraightenTransform(
+                              *[r for k, r in enumerate(_curve_rows(2)) if k != 2], 1.0, 2)),
+                          lambda r: [r.values]),
     "VertebraKeypoints": (lambda: [np.arange(18.0).reshape(6, 3)],
                           lambda a: VertebraKeypoints(a[0]), lambda r: [r.points]),
 }

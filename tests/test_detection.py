@@ -759,6 +759,14 @@ def test_detect_refuses_thresholds_out_of_range(name, value):
                           **thresholds)
 
 
+@pytest.mark.parametrize("shape", [(2, 6, 2), (4, 6, 2), (3, 5, 2), (3, 12)])
+def test_detect_candidates_refuses_offsets_of_another_shape(shape):
+    # (2, 6, 2) offsets for 3 scores once ended in numpy's boolean-index IndexError.
+    grid = generate_anchors((4, 3), 1.0, scales_mm=(3.0,), ratios=(1.0,))
+    with pytest.raises(ValueError, match=r"^offsets has shape .*expected \(3, 6, 2\)"):
+        detect_candidates(np.arange(3), np.ones(3), np.zeros(shape), grid)
+
+
 def test_detect_oracle_round_trip():
     grid = generate_anchors((30, 40), 1.0, scales_mm=(8.0, 10.0), ratios=(1.0,))
     gt = [(keypoints_for_box(14.0, 8.0, 8.0, 7.0), 0.9),

@@ -250,12 +250,17 @@ def test_oracle_heatmaps_straight_spine_maxima_align():
     assert len(set(peaks)) == 1
 
 
-@pytest.mark.parametrize("sigma_vox", [0.0, -2.0])
-def test_oracle_heatmaps_refuses_a_sigma_that_is_not_positive(sigma_vox):
+@pytest.mark.parametrize("sigma_vox, message", [
+    (0.0, "must be positive"), (-2.0, "must be positive"),
+    (0.01, "is too small"), (1e-200, "is too small")])
+def test_oracle_heatmaps_refuses_a_sigma_it_cannot_render(sigma_vox, message):
     # Zero would divide by zero into NaN maps, and -2 would render the maps of +2.
-    vol, anns, _ = generate_phantom(small_config())
+    # On this scoliotic spine, at 0.01 voxel the Gaussians of 13 of the 31 slices,
+    # whose targets lie off voxel centers, underflow to all zeros and would divide
+    # into NaN maps; at 1e-200 every slice's does.
+    vol, anns, _ = generate_phantom(small_config(scoliosis_amplitude_mm=15.0))
     working = working_grid(vol, PipelineConfig(working_spacing_mm=3.0))
-    with pytest.raises(ValueError, match="^sigma_vox must be positive"):
+    with pytest.raises(ValueError, match=f"^sigma_vox .*{message}"):
         oracle_heatmaps(anns, working, sigma_vox=sigma_vox)
 
 

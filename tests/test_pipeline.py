@@ -13,7 +13,7 @@ from spinequant.pipeline import (ROW_COST, PipelineConfig, extract_centerline, o
                                  pack_prediction_planes, pack_targets,
                                  rescore_chain, run_phantom_chain, score_stage, straighten_stage,
                                  targets_stage, unpack_prediction_planes, working_grid)
-from spinequant.straighten import build_spine_curve, mid_sagittal_slice, straighten_volume
+from spinequant.straighten import build_spine_curve, straighten_plane
 
 from conftest import traced_peak
 from oracles import anchor_ious, full_grid_targets, study_set_report
@@ -425,22 +425,20 @@ def test_working_grid_refuses_a_grid_over_the_voxel_budget(monkeypatch):
         working_grid(huge, PipelineConfig(working_spacing_mm=1e-300))
 
 
-def test_straighten_stage_plane_matches_full_volume_plane():
-    cfg = PipelineConfig(half_extent_mm=(25.0, 30.0))
+def test_straighten_stage_reads_only_the_ap_half_extent():
     vol, anns, _ = generate_phantom(PhantomConfig(
         n_vertebrae=4, shape=(80, 80, 144), spacing=(1.25, 1.25, 1.25),
         scoliosis_amplitude_mm=10.0, seed=5))
+    cfg = PipelineConfig(half_extent_mm=(25.0, 30.0))
     sagittal = straighten_stage(vol, cfg, annotations=anns)
+    assert sagittal.transform.j_half == 30
+    lr = straighten_stage(vol, PipelineConfig(half_extent_mm=(0.0, 30.0)), annotations=anns)
+    assert sagittal.values.tobytes() == lr.values.tobytes()
     curve = build_spine_curve(extract_centerline(vol, cfg, annotations=anns), step=cfg.delta_mm,
                               smoothing=cfg.smoothing_lambda, pad_mm=cfg.curve_pad_mm)
-    full, transform = straighten_volume(vol, curve, delta=cfg.delta_mm,
-                                        half_extent=cfg.half_extent_mm, fill=cfg.fill)
-    want = mid_sagittal_slice(full, transform).values
-    assert sagittal.values.dtype == want.dtype
-    assert sagittal.values.tobytes() == want.tobytes()
-    assert sagittal.transform.centers.tobytes() == transform.centers.tobytes()
-    assert sagittal.transform.i_half == 0
-    assert sagittal.transform.j_half == transform.j_half == 30
+    want = straighten_plane(vol, curve, delta=cfg.delta_mm, half_extent=30.0, fill=cfg.fill)
+    assert sagittal.values.tobytes() == want.values.tobytes()
+    assert sagittal.transform.centers.tobytes() == want.transform.centers.tobytes()
 
 
 class CurveBuilt(Exception):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinequant import core
+from spinequant import core, straighten
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
 from spinequant.splines import not_a_knot_spline, smoothing_spline
-from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenTransform,
-                                   _rotation_minimizing_frames, build_spine_curve,
-                                   mid_sagittal_slice, straighten_volume)
+from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenedImage,
+                                   StraightenTransform, _rotation_minimizing_frames,
+                                   build_spine_curve, straighten_plane)
 
 from conftest import traced_peak
 from oracles import trilinear_sample
@@ -160,30 +160,45 @@ def _random_volume(shape=(24, 22, 40), spacing=(1.0, 1.0, 1.0), seed=0):
 
 
 def test_identity_straightening_reproduces_window():
+    # The plane of a straight centered curve is the original sagittal plane through it.
     vol = _random_volume()
     cx, cy = 12.0, 11.0
     polyline = CenterlinePolyline(np.tile([cx, cy], (40, 1)), np.arange(40.0))
     curve = build_spine_curve(polyline, step=1.0)
-    straight, transform = straighten_volume(vol, curve, delta=1.0,
-                                            half_extent=(6.0, 5.0))
-    assert straight.shape == (13, 11, 40)
-    window = vol.values[6:19, 6:17, :]
-    np.testing.assert_allclose(straight.values, window, atol=1e-5)
-    # mid-sagittal slice is the original sagittal plane through the curve
-    image = mid_sagittal_slice(straight, transform)
+    image = straighten_plane(vol, curve, delta=1.0, half_extent=5.0)
+    assert image.values.shape == (11, 40)
     np.testing.assert_allclose(image.values, vol.values[12, 6:17, :], atol=1e-5)
 
 
-def test_straightened_raster_is_adopted_not_copied(monkeypatch):
-    # Volume3D takes its values through core.owned_array; a copy would hold the raster twice.
+def test_straightened_plane_is_adopted_not_copied(monkeypatch):
+    # StraightenedImage takes its values through core.owned_array; a copy would hold
+    # the plane twice.
     polyline = CenterlinePolyline(np.tile([12.0, 11.0], (40, 1)), np.arange(40.0))
     vol, curve = _random_volume(), build_spine_curve(polyline, step=1.0)
     handed, owned_array = [], core.owned_array
-    monkeypatch.setattr(core, "owned_array",
+    monkeypatch.setattr(straighten, "owned_array",
                         lambda values, dtype: handed.append(values) or owned_array(values, dtype))
-    straight, _ = straighten_volume(vol, curve, delta=1.0, half_extent=(6.0, 5.0))
-    assert straight.values is handed[-1]
-    assert not straight.values.flags.writeable
+    image = straighten_plane(vol, curve, delta=1.0, half_extent=5.0)
+    assert image.values is handed[-1]
+    assert not image.values.flags.writeable
+
+
+def test_straightened_image_refuses_values_of_another_shape():
+    curve = build_spine_curve(line_polyline(), step=1.0)
+    image = straighten_plane(_random_volume(), curve, delta=1.0, half_extent=3.0)
+    n_ap, n_rows = image.values.shape
+    for shape in ((n_ap, n_rows - 1), (n_ap + 2, n_rows), (n_rows, n_ap), (1, n_ap, n_rows)):
+        with pytest.raises(GeometryError, match="does not match the transform"):
+            StraightenedImage(np.zeros(shape), image.transform)
+
+
+@pytest.mark.parametrize("delta", [5e-324, 1e-9])
+def test_straighten_plane_refuses_a_plane_past_the_size_budget(delta):
+    # 3 mm over 5e-324 mm pixels is infinitely many, and over 1e-9 mm a 6e9-pixel row:
+    # an OverflowError and a 45 GiB allocation before the plane was sized first.
+    curve = build_spine_curve(line_polyline(), step=1.0)
+    with pytest.raises(GeometryError, match=f"^delta {delta} and half_extent 3.0"):
+        straighten_plane(_random_volume(), curve, delta=delta, half_extent=3.0)
 
 
 def test_straighten_constant_volume():
@@ -192,18 +207,45 @@ def test_straighten_constant_volume():
     polyline = CenterlinePolyline(
         np.column_stack([8 + 2 * np.sin(z / 7), np.full_like(z, 8.0)]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
-    straight, _ = straighten_volume(vol, curve, delta=1.0, half_extent=(4.0, 4.0))
-    ok = np.isclose(straight.values, 2.5, atol=1e-6) | (straight.values == -1024.0)
+    image = straighten_plane(vol, curve, delta=1.0, half_extent=4.0)
+    ok = np.isclose(image.values, 2.5, atol=1e-6) | (image.values == -1024.0)
     assert ok.all()
-    inner = straight.values[2:-2, 2:-2, 2:-2]
+    inner = image.values[2:-2, 2:-2]
     np.testing.assert_allclose(inner, 2.5, atol=1e-6)
+
+
+# A 40 x 36 x 56 volume of anisotropic voxels, off the world origin.
+ORACLE_VOLUME = Volume3D(np.random.default_rng(11).uniform(-500, 500, (40, 36, 56)),
+                         (1.0, 1.25, 0.9), (-2.0, -1.0, 0.5))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(0, 5), st.floats(40, 150), st.floats(0, 2 * np.pi), st.floats(0, 5),
+       st.floats(0.5, 2.0), st.floats(0, 30))
+def test_plane_pixels_are_trilinear_samples_of_their_world_points_property(
+        lr_amplitude, wavelength, phase, ap_amplitude, delta, half_extent):
+    # Gentle curves through the volume.  The 6 mm pad puts the first rows below
+    # it, and a wide half-extent reaches past its sides: those pixels take fill.
+    z = np.linspace(2.0, 48.0, 24)
+    xy = np.column_stack([20 + lr_amplitude * np.sin(2 * np.pi * z / wavelength + phase),
+                          21 + ap_amplitude * np.sin(2 * np.pi * z / wavelength)])
+    curve = build_spine_curve(CenterlinePolyline(xy, z), step=delta, pad_mm=6.0)
+    image = straighten_plane(ORACLE_VOLUME, curve, delta=delta, half_extent=half_extent,
+                             fill=-7.5)
+    transform = image.transform
+    assert image.values.shape == (2 * int(half_extent / delta + 1e-9) + 1, len(curve))
+    j, k = np.meshgrid(np.arange(transform.n_ap), np.arange(transform.n_rows), indexing="ij")
+    world = transform.pixel_to_world(np.stack([j, k], axis=-1).astype(float))
+    want = trilinear_sample(ORACLE_VOLUME, world, fill=-7.5)
+    np.testing.assert_allclose(image.values, want, rtol=0, atol=1e-4)
+    assert np.any(image.values == -7.5)
 
 
 def test_to_world_hits_curve_samples_exactly():
     polyline, _ = circle_polyline()
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     vol = _random_volume(shape=(40, 30, 100))
-    _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(8.0, 8.0))
+    transform = straighten_plane(vol, curve, delta=1.0, half_extent=8.0).transform
     for k in (0, 5, len(curve) - 1):
         got = transform.pixel_to_world((transform.j_half, float(k)))
         np.testing.assert_allclose(got, curve.centers[k], atol=1e-12)
@@ -215,9 +257,8 @@ def test_central_column_traces_centerline_intensities():
         np.column_stack([14 + 4 * np.sin(z / 11), np.full_like(z, 9.0)]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     vol = _random_volume(shape=(30, 20, 70), seed=5)
-    straight, transform = straighten_volume(vol, curve, delta=1.0,
-                                            half_extent=(5.0, 5.0))
-    column = straight.values[transform.i_half, transform.j_half, :]
+    image = straighten_plane(vol, curve, delta=1.0, half_extent=5.0)
+    column = image.values[image.transform.j_half, :]
     want = trilinear_sample(vol, curve.centers)
     np.testing.assert_allclose(column, want, atol=1e-4)
 
@@ -225,7 +266,7 @@ def test_central_column_traces_centerline_intensities():
 def test_to_world_out_of_bounds():
     curve = build_spine_curve(line_polyline(), step=1.0)
     vol = _random_volume()
-    _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(5.0, 5.0))
+    transform = straighten_plane(vol, curve, delta=1.0, half_extent=5.0).transform
     with pytest.raises(GeometryError):
         transform.pixel_to_world((-1.0, 0.0))
     with pytest.raises(GeometryError):
@@ -238,7 +279,7 @@ def test_world_pixel_round_trip_within_pixel():
         np.column_stack([20 + 12 * np.sin(z / 25), 15 + 0.05 * z]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     vol = _random_volume(shape=(48, 36, 90))
-    _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(10.0, 10.0))
+    transform = straighten_plane(vol, curve, delta=1.0, half_extent=10.0).transform
     rng = np.random.default_rng(8)
     # points close to the curve plane (the mid-sagittal neighborhood)
     ks = rng.integers(2, len(curve) - 3, 40)
@@ -260,7 +301,7 @@ def test_arc_distance_bounds_straightened_distance():
         np.column_stack([10 + 6 * np.sin(z / 10), np.full_like(z, 9.0)]), z)
     curve = build_spine_curve(polyline, step=1.0, smoothing=0.0)
     vol = _random_volume(shape=(32, 20, 70))
-    _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(6.0, 6.0))
+    transform = straighten_plane(vol, curve, delta=1.0, half_extent=6.0).transform
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = sorted(rng.integers(0, transform.n_rows, 2).tolist())
@@ -270,7 +311,7 @@ def test_arc_distance_bounds_straightened_distance():
         assert np.linalg.norm(pa - pb) <= abs(curve.s[b] - curve.s[a]) * (1 + 1e-3) + 1e-9
     # equality for a straight curve
     line = build_spine_curve(line_polyline(), step=1.0)
-    _, t2 = straighten_volume(vol, line, delta=1.0, half_extent=(4.0, 4.0))
+    t2 = straighten_plane(vol, line, delta=1.0, half_extent=4.0).transform
     pa = t2.pixel_to_world((t2.j_half, 3.0))
     pb = t2.pixel_to_world((t2.j_half, 33.0))
     assert np.linalg.norm(pa - pb) == pytest.approx(30.0, abs=1e-9)
@@ -279,13 +320,16 @@ def test_arc_distance_bounds_straightened_distance():
 def test_transform_round_trips_through_dict():
     curve = build_spine_curve(line_polyline(dx=0.2), step=1.0)
     vol = _random_volume()
-    _, transform = straighten_volume(vol, curve, delta=1.0, half_extent=(5.0, 5.0))
+    transform = straighten_plane(vol, curve, delta=1.0, half_extent=5.0).transform
     doc = transform.to_dict()
+    assert list(doc) == ["delta", "j_half", "rows"]
     back = StraightenTransform.from_dict(json.loads(json.dumps(doc)))
     for name in ("s", "centers", "u", "v"):
         assert np.array_equal(getattr(back, name), getattr(transform, name)), name
-    assert (back.delta, back.i_half, back.j_half) == (
-        transform.delta, transform.i_half, transform.j_half)
+    assert (back.delta, back.j_half) == (transform.delta, transform.j_half)
+    # Older files also hold an i_half, always 0; it is ignored.
+    older = StraightenTransform.from_dict({"delta": 1.0, "i_half": 0, **doc})
+    assert older.to_dict() == doc
     # The rows hold the very Python floats a float() per element would give.
     rows = [{"s": float(transform.s[k]), "c": [float(x) for x in transform.centers[k]],
              "u": [float(x) for x in transform.u[k]], "v": [float(x) for x in transform.v[k]]}
@@ -381,10 +425,11 @@ def transform_and_reach(curve, delta):
     """Transform of the curve's 60 mm mid-sagittal plane at pixels of ``delta`` mm,
     and the largest AP offset (mm) at which the image is sure to be one-to-one:
     half the smallest radius of curvature, step / max |t_{k+1} - t_k| with t = u x v."""
-    transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v, delta, 0,
+    transform = StraightenTransform(curve.s, curve.centers, curve.u, curve.v, delta,
                                     int(60 / delta))
     kink = np.max(np.linalg.norm(np.diff(np.cross(transform.u, transform.v), axis=0), axis=1))
-    return transform, min(transform.j_half * delta, curve.step / max(2 * kink, 1e-9))
+    step = curve.s[1] - curve.s[0]
+    return transform, min(transform.j_half * delta, step / max(2 * kink, 1e-9))
 
 
 def row_axes(transform, b):
