@@ -58,12 +58,12 @@ class Volume3D:
 
     def voxel_to_world(self, idx) -> np.ndarray:
         """Map (continuous) voxel indices, shape (..., 3), to world mm."""
-        idx = np.asarray(idx, dtype=float)
+        idx = finite_array(idx, "idx", np.shape(idx)[:-1] + (3,))
         return np.asarray(self.origin) + idx * np.asarray(self.spacing)
 
     def world_to_voxel(self, pts) -> np.ndarray:
         """Map world-mm points, shape (..., 3), to continuous voxel indices."""
-        pts = np.asarray(pts, dtype=float)
+        pts = finite_array(pts, "pts", np.shape(pts)[:-1] + (3,))
         return (pts - np.asarray(self.origin)) / np.asarray(self.spacing)
 
     def slice_z_world(self) -> np.ndarray:
@@ -126,16 +126,20 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
 def finite_array(value, name: str, shape: tuple = (), dtype=float, order=None) -> np.ndarray:
     """The array twin of ``finite_numbers``, with its shape notation and message:
     ``np.asarray(value, dtype, order)`` for ``dtype`` float, an integer or bool.
-    Every element must be finite as a float, tested before any cast, else
-    ValueError naming ``name``.  Ranges are the caller's."""
+    Every element must be finite as a float, tested before any cast, and equal to
+    its cast for an integer ``dtype``, else ValueError naming ``name``.  Ranges are the caller's."""
+    integer = False  # the refusal speaks of integers once only the cast fails
     try:
         arr = np.asarray(value, dtype=float, order=order)
         if (arr.ndim == len(shape) and all(n is None or n == m for n, m in zip(shape, arr.shape))
                 and np.isfinite(arr).all()):
-            return arr if dtype is float else np.asarray(value, dtype=dtype, order=order)
+            cast = arr if dtype is float else np.asarray(value, dtype=dtype, order=order)
+            integer = cast is not value and np.issubdtype(dtype, np.integer)
+            if not integer or np.array_equal(cast, arr):
+                return cast
     except (ValueError, TypeError, OverflowError):
         pass
-    raise _refusal(value, name, shape, False)
+    raise _refusal(value, name, shape, integer)
 
 
 def _refusal(value, name: str, shape: tuple, integer: bool) -> ValueError:
@@ -309,14 +313,13 @@ _HULL_TOL = 1e-6  # voxel units; absorbs float noise at the exact hull boundary
 def _axis_taps(c: np.ndarray, n: int):
     """Interpolation taps of continuous coordinates along one axis of n voxels.
 
-    Returns the base index i0, the next index i1, the fraction f and the hull
-    mask.  The base is clipped so that i0 + 1 stays addressable; the fraction
-    is taken against the clipped base, which is exact on the far face.
+    Returns the base index i0, the fraction f and the hull mask.  The base is
+    clipped so that i0 + 1 stays addressable; the fraction is taken against the
+    clipped base, which is exact on the far face.
     """
     inside = (c >= -_HULL_TOL) & (c <= n - 1 + _HULL_TOL)
     i0 = np.clip(np.floor(c).astype(np.intp), 0, max(n - 2, 0))
-    f = np.clip(c - i0, 0.0, 1.0)
-    return i0, np.minimum(i0 + 1, n - 1), f, inside
+    return i0, np.clip(c - i0, 0.0, 1.0), inside
 
 
 def _lerp(lo, hi, f):
@@ -324,14 +327,20 @@ def _lerp(lo, hi, f):
 
 
 def _sample_voxel_coords(values: np.ndarray, idx: np.ndarray, fill: float) -> np.ndarray:
-    """Trilinear interpolation at continuous voxel coordinates (N, 3)."""
-    (x0, x1, fx, in_x), (y0, y1, fy, in_y), (z0, z1, fz, in_z) = (
+    """Trilinear interpolation at continuous voxel coordinates (N, 3).  Each corner is one
+    ``take`` from a flat view of the raster at the base offset plus the corner's element
+    strides (none on an axis of one voxel, whose stride may be anything); a raster
+    neither C- nor F-contiguous has no such view and is copied once."""
+    if not values.flags.forc:
+        values = np.ascontiguousarray(values)
+    flat = values.ravel(order="K")
+    (x0, fx, in_x), (y0, fy, in_y), (z0, fz, in_z) = (
         _axis_taps(idx[:, k], n) for k, n in enumerate(values.shape))
-    c00 = _lerp(values[x0, y0, z0], values[x1, y0, z0], fx)
-    c10 = _lerp(values[x0, y1, z0], values[x1, y1, z0], fx)
-    c01 = _lerp(values[x0, y0, z1], values[x1, y0, z1], fx)
-    c11 = _lerp(values[x0, y1, z1], values[x1, y1, z1], fx)
-    out = _lerp(_lerp(c00, c10, fy), _lerp(c01, c11, fy), fz)
+    sx, sy, sz = (s // values.itemsize * (n > 1) for s, n in zip(values.strides, values.shape))
+    base = x0 * sx + y0 * sy + z0 * sz
+    c0, c1 = ([_lerp(flat.take(base + o), flat.take(base + o + sx), fx) for o in (dz, dz + sy)]
+              for dz in (0, sz))
+    out = _lerp(_lerp(*c0, fy), _lerp(*c1, fy), fz)
     return np.where(in_x & in_y & in_z, out, fill)
 
 

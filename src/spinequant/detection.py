@@ -61,6 +61,10 @@ class AnchorGrid:
 
     def locate(self, index) -> tuple[np.ndarray, np.ndarray]:
         """(P, 2) float centers (ix, iy) and (P, 2) sides of the flat anchor indices ``index``."""
+        index = finite_array(index, "index", (None,), np.intp)
+        if index.size and not 0 <= index.min() <= index.max() < self.n_anchors:
+            raise ValueError(f"index must be in [0, {self.n_anchors}), got {index.min()} to "
+                             f"{index.max()}")
         pixel, t = np.divmod(index, self.n_types)
         centers = np.empty((len(pixel), 2))
         np.divmod(pixel, self.image_shape[1], out=(centers[:, 0], centers[:, 1]))

@@ -18,6 +18,8 @@ from .splines import pchip
 
 
 SPAN_SLACK_MM = 1e-9  # how far a slice may pass a centerline's end and still lie on it
+# Slices per soft-argmax pass: 8-32 timed alike on the default 54 x 54 stack; 16 is a 0.37 MB slab.
+CENTERLINE_SLAB = 16
 
 
 @dataclass(frozen=True)
@@ -56,20 +58,25 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
     # C order keeps the pairwise sums, and so the result, bitwise independent
     # of the map's memory layout (a slice of a VG1 raster is Fortran-ordered).
     values = finite_array(values, "values", (None, None), order="C")
+    return _soft_argmax(values[None].copy(), mode, temperature)[0]
+
+
+def _soft_argmax(maps: np.ndarray, mode: str, temperature: float) -> list[tuple[float, float]]:
+    """``soft_argmax_2d`` of each of (S, nx, ny) ``maps``, which it may overwrite once float64 and
+    C-ordered; the dots stay one per map, as a batched (S, nx) @ (nx,) rounds otherwise."""
+    w = finite_array(maps, "values", (None, None, None), order="C")
     if mode == "probabilities":
-        if np.any(values < 0):
+        if np.any(w < 0):
             raise ValueError("probability map has negative entries")
-        total = values.sum()
-        if not total > 0:
+        if not np.all((total := w.sum(axis=(1, 2))) > 0):
             raise GeometryError("probability map has no mass")
-        w = values / total
     else:
-        shifted = temperature * (values - values.max())
-        e = np.exp(shifted)
-        w = e / e.sum()
-    xs = np.arange(values.shape[0], dtype=float)
-    ys = np.arange(values.shape[1], dtype=float)
-    return float(w.sum(axis=1) @ xs), float(w.sum(axis=0) @ ys)
+        w -= w.max(axis=(1, 2), keepdims=True)
+        w *= temperature
+        total = np.exp(w, out=w).sum(axis=(1, 2))
+    w /= total[:, None, None]
+    xs, ys = (np.arange(n, dtype=float) for n in w.shape[1:])
+    return [(float(a @ xs), float(b @ ys)) for a, b in zip(w.sum(axis=2), w.sum(axis=1))]
 
 
 def _check_mode(mode: str, temperature: float) -> float:
@@ -90,17 +97,24 @@ def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
     ``upsample_curve`` spans the gap; fewer than two slices left raise
     GeometryError.  A bad ``mode`` or ``temperature`` is a ValueError before any
     slice is read; a fault in a slice's map is re-raised as GeometryError with its index.
+    Slabs of ``CENTERLINE_SLAB`` maps are decoded at once, a failing one again map by map.
     """
-    _check_mode(mode, temperature)
+    temperature = _check_mode(mode, temperature)
     values = maps.values
     pts = []
-    for k in range(values.shape[2]):
-        if mode == "probabilities" and not values[:, :, k].any():
-            continue
+    for k0 in range(0, values.shape[2], CENTERLINE_SLAB):
+        slab = values[:, :, k0:k0 + CENTERLINE_SLAB].transpose(2, 0, 1)
+        ks = k0 + np.flatnonzero(slab.any(axis=(1, 2)) | (mode == "logits"))
         try:
-            pts.append((*soft_argmax_2d(values[:, :, k], mode=mode, temperature=temperature), k))
-        except (GeometryError, ValueError) as exc:
-            raise GeometryError(f"slice {k}: {exc}") from exc
+            xy = _soft_argmax(slab if len(ks) == len(slab) else slab[ks - k0], mode, temperature)
+            pts += [(x, y, k) for (x, y), k in zip(xy, ks)]
+        except (GeometryError, ValueError):
+            for k in ks:
+                try:
+                    soft_argmax_2d(values[:, :, k], mode=mode, temperature=temperature)
+                except (GeometryError, ValueError) as exc:
+                    raise GeometryError(f"slice {k}: {exc}") from exc
+            raise
     if len(pts) < min(2, values.shape[2]):
         raise GeometryError(f"only {len(pts)} of {values.shape[2]} slices have probability "
                             "mass; a centerline needs two")

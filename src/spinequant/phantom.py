@@ -24,6 +24,8 @@ from .localization import centerline_target
 
 BODY_INTENSITY = 400.0
 BACKGROUND_INTENSITY = -1000.0
+# Slices per Gaussian pass: 8-32 timed alike on the default 54 x 54 grid; 16 is a 0.37 MB buffer.
+HEATMAP_SLAB = 16
 
 # Planted height triples (h_a, h_m, h_p) for the default 12-vertebra phantom.
 # The pattern spans normal through severe grades with comfortable gaps around
@@ -204,22 +206,26 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
     The returned stack covers the slices of ``vol`` inside the annotated
     span, each holding an isotropic Gaussian normalized to unit mass.  A
     ``sigma_vox`` so small that a slice's Gaussian underflows to 0 raises
-    ValueError.
+    ValueError.  Made ``HEATMAP_SLAB`` slices at a time, each by one slice's operations.
     """
     if not (sigma_vox := finite_numbers(sigma_vox, "sigma_vox")) > 0:
         raise ValueError(f"sigma_vox must be positive, got {sigma_vox}")
     target = centerline_target(annotations, vol.slice_z_world())
     nx, ny = vol.shape[:2]
     maps = np.empty((nx, ny, len(target)), dtype=np.float32, order="F")
-    gx = np.arange(nx)[:, None]
-    gy = np.arange(ny)[None, :]
-    for i, (cx, cy, _) in enumerate(vol.world_to_voxel(target.points())):
+    gx, gy = np.arange(nx)[None, :, None], np.arange(ny)[None, None, :]
+    centers = vol.world_to_voxel(target.points())
+    buffer = np.empty((min(HEATMAP_SLAB, len(target)), nx, ny))
+    for i0 in range(0, len(target), HEATMAP_SLAB):
+        cx, cy = (centers[i0:i0 + HEATMAP_SLAB, k, None, None] for k in (0, 1))
+        m = np.add((gx - cx) ** 2, (gy - cy) ** 2, out=buffer[:len(cx)])
         with np.errstate(divide="ignore", invalid="ignore"):  # sigma_vox ** 2 may underflow
-            m = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * sigma_vox ** 2))
-        if not (mass := m.sum()) > 0:
-            raise ValueError(f"sigma_vox {sigma_vox} is too small: the Gaussian of slice {i} "
-                             "underflows to 0")
-        maps[:, :, i] = m / mass
+            m /= -(2 * sigma_vox ** 2)  # (-m) / s, as the sign of a quotient is exact
+        if not np.all((mass := np.exp(m, out=m).sum(axis=(1, 2))) > 0):
+            raise ValueError(f"sigma_vox {sigma_vox} is too small: the Gaussian of slice "
+                             f"{i0 + np.argmin(mass > 0)} underflows to 0")
+        m /= mass[:, None, None]
+        maps[:, :, i0:i0 + HEATMAP_SLAB] = m.transpose(1, 2, 0)
     maps.flags.writeable = False  # so Volume3D adopts the stack rather than copying it
     # target.z holds the span's slice positions of vol, first one first.
     return Volume3D(maps, vol.spacing, (vol.origin[0], vol.origin[1], float(target.z[0])))

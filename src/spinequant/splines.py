@@ -146,16 +146,21 @@ def _solve_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``band`` has 2w + 1 columns with ``band[i, w + j - i] = A[i, j]`` and
     zeros where j falls outside A.  A must need no pivoting (symmetric
     positive definite, or strictly diagonally dominant).  Time and memory
-    are O(n w^2) and O(n w).
+    are O(n w^2) and O(n w).  The forward sweep runs on Python floats, each step the product
+    and difference numpy would form.  The back-substitution stays numpy: its ``@`` goes
+    through BLAS, whose sums may round otherwise than plain ones, so the spline bits depend
+    on the BLAS build.
     """
-    band, x = band.copy(), rhs.astype(float)
     n, width = band.shape
     w = width // 2
+    rows, x = band.tolist(), rhs.reshape(n, rhs.size // max(n, 1)).tolist()
     for i in range(n - 1):
         for k in range(1, min(w, n - 1 - i) + 1):
-            f = band[i + k, w - k] / band[i, w]
-            band[i + k, w - k:width - k] -= f * band[i, w:]
-            x[i + k] -= f * x[i]
+            row = rows[i + k]
+            f = row[w - k] / rows[i][w]
+            row[w - k:width - k] = [a - f * b for a, b in zip(row[w - k:width - k], rows[i][w:])]
+            x[i + k] = [a - f * b for a, b in zip(x[i + k], x[i])]
+    band, x = np.array(rows), np.array(x, dtype=float).reshape(rhs.shape)
     for i in range(n - 1, -1, -1):
         k = min(w, n - 1 - i)
         x[i] = (x[i] - band[i, w + 1:w + 1 + k] @ x[i + 1:i + 1 + k]) / band[i, w]

@@ -375,13 +375,14 @@ def straighten_plane(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
     out = np.empty((nj, nk), dtype=np.float32)
     spacing = np.asarray(vol.spacing)
     origin = np.asarray(vol.origin)
+    values = vol.values if vol.values.flags.forc else np.ascontiguousarray(vol.values)
 
-    # Chunks of at most 32 rows bound the temporary point arrays, and so
-    # the peak memory of plane sampling.
+    # Chunks of at most 32 rows bound the temporary point arrays, and so the peak
+    # memory of plane sampling; a raster neither C- nor F-ordered was copied once above.
     for k0 in range(0, nk, 32):
         k1 = min(k0 + 32, nk)
         pts = curve.centers[None, k0:k1, :] + oj[:, None, None] * curve.v[None, k0:k1, :]
         idx = (pts.reshape(-1, 3) - origin) / spacing
-        out[:, k0:k1] = _sample_voxel_coords(vol.values, idx, fill).reshape(nj, k1 - k0)
+        out[:, k0:k1] = _sample_voxel_coords(values, idx, fill).reshape(nj, k1 - k0)
     out.flags.writeable = False  # so StraightenedImage adopts the plane rather than copying it
     return StraightenedImage(out, transform)

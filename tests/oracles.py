@@ -1,7 +1,9 @@
 """References the tests hold the array code to: scalar ones (one box, one
 anchor or one point set at a time), whole-grid ones (every anchor at once),
-per-study ones (one study of an evaluation set at a time), a point-list
-phantom rasterizer and the element-by-element walk of the JSON number rule.
+per-study ones (one study of an evaluation set at a time), per-slice ones
+(one heatmap slice or soft-argmax map at a time), the banded elimination on
+numpy rows, the three-index trilinear gather, a point-list phantom
+rasterizer and the element-by-element walk of the JSON number rule.
 
 A box is a plain (cx, cy, w, h) row.
 """
@@ -12,11 +14,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from spinequant.core import (DEFAULT_FILL, UndefinedMetricError, _sample_voxel_coords,
-                             iou_matrix)
+from spinequant.core import (DEFAULT_FILL, GeometryError, UndefinedMetricError, _HULL_TOL,
+                             _sample_voxel_coords, finite_array, iou_matrix)
 from spinequant.evaluation import (EvalReport, _mean_std, classification_report,
                                    sagittal_plane_box)
 from spinequant.genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
+from spinequant.localization import CenterlinePolyline, centerline_target
 from spinequant.phantom import BODY_INTENSITY
 
 
@@ -247,3 +250,97 @@ def finite_numbers_walk(value, name: str, shape: tuple = (), integer: bool = Fal
         kind = "finite integer" if integer else "finite number"
         what = f"{kind}s of shape {shape}".replace("None", "n") if shape else f"a {kind}"
         raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}") from None
+
+
+def soft_argmax_reference(values, mode="probabilities", temperature=1.0) -> tuple[float, float]:
+    """``localization.soft_argmax_2d`` on one map, with its checks and messages:
+    the weights of a float64 C-ordered copy, reduced to their two marginals."""
+    values = finite_array(values, "values", (None, None), order="C")
+    if mode == "probabilities":
+        if np.any(values < 0):
+            raise ValueError("probability map has negative entries")
+        total = values.sum()
+        if not total > 0:
+            raise GeometryError("probability map has no mass")
+        w = values / total
+    else:
+        shifted = temperature * (values - values.max())
+        e = np.exp(shifted)
+        w = e / e.sum()
+    xs = np.arange(values.shape[0], dtype=float)
+    ys = np.arange(values.shape[1], dtype=float)
+    return float(w.sum(axis=1) @ xs), float(w.sum(axis=0) @ ys)
+
+
+def slicewise_centerline_reference(maps, mode="probabilities", temperature=1.0):
+    """``localization.slicewise_centerline`` one slice at a time: all-zero maps skipped
+    in "probabilities" mode, a bad slice's fault re-raised with its index."""
+    values = maps.values
+    pts = []
+    for k in range(values.shape[2]):
+        if mode == "probabilities" and not values[:, :, k].any():
+            continue
+        try:
+            pts.append((*soft_argmax_reference(values[:, :, k], mode, temperature), k))
+        except (GeometryError, ValueError) as exc:
+            raise GeometryError(f"slice {k}: {exc}") from exc
+    if len(pts) < min(2, values.shape[2]):
+        raise GeometryError(f"only {len(pts)} of {values.shape[2]} slices have probability "
+                            "mass; a centerline needs two")
+    world = maps.voxel_to_world(np.array(pts, dtype=float).reshape(-1, 3))
+    return CenterlinePolyline(world[:, :2], world[:, 2])
+
+
+def oracle_heatmaps_reference(annotations, vol, sigma_vox=2.0) -> np.ndarray:
+    """The (nx, ny, n) float32 stack of ``phantom.oracle_heatmaps``, one slice's
+    Gaussian at a time, with its underflow refusal."""
+    target = centerline_target(annotations, vol.slice_z_world())
+    nx, ny = vol.shape[:2]
+    maps = np.empty((nx, ny, len(target)), dtype=np.float32, order="F")
+    gx = np.arange(nx)[:, None]
+    gy = np.arange(ny)[None, :]
+    for i, (cx, cy, _) in enumerate(vol.world_to_voxel(target.points())):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * sigma_vox ** 2))
+        if not (mass := m.sum()) > 0:
+            raise ValueError(f"sigma_vox {sigma_vox} is too small: the Gaussian of slice {i} "
+                             "underflows to 0")
+        maps[:, :, i] = m / mass
+    return maps
+
+
+def solve_banded_reference(band, rhs) -> np.ndarray:
+    """``splines._solve_banded`` with the forward sweep on numpy rows."""
+    band, x = band.copy(), rhs.astype(float)
+    n, width = band.shape
+    w = width // 2
+    for i in range(n - 1):
+        for k in range(1, min(w, n - 1 - i) + 1):
+            f = band[i + k, w - k] / band[i, w]
+            band[i + k, w - k:width - k] -= f * band[i, w:]
+            x[i + k] -= f * x[i]
+    for i in range(n - 1, -1, -1):
+        k = min(w, n - 1 - i)
+        x[i] = (x[i] - band[i, w + 1:w + 1 + k] @ x[i + 1:i + 1 + k]) / band[i, w]
+    return x
+
+
+def sample_voxel_coords_reference(values, idx, fill) -> np.ndarray:
+    """``core._sample_voxel_coords`` with each corner gathered by three index arrays."""
+    taps = []
+    for k, n in enumerate(values.shape):
+        c = idx[:, k]
+        i0 = np.clip(np.floor(c).astype(np.intp), 0, max(n - 2, 0))
+        inside = (c >= -_HULL_TOL) & (c <= n - 1 + _HULL_TOL)
+        taps.append((i0, np.minimum(i0 + 1, n - 1), np.clip(c - i0, 0.0, 1.0), inside))
+    (x0, x1, fx, in_x), (y0, y1, fy, in_y), (z0, z1, fz, in_z) = taps
+
+    def lerp(lo, hi, f):
+        return lo * (1 - f) + hi * f
+
+    c00 = lerp(values[x0, y0, z0], values[x1, y0, z0], fx)
+    c10 = lerp(values[x0, y1, z0], values[x1, y1, z0], fx)
+    c01 = lerp(values[x0, y0, z1], values[x1, y0, z1], fx)
+    c11 = lerp(values[x0, y1, z1], values[x1, y1, z1], fx)
+    out = lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz)
+    return np.where(in_x & in_y & in_z, out, fill)

@@ -1,7 +1,9 @@
 """The ``__all__`` walk: every numeric argument of the public API refuses NaN and infinities.
 
-Each exported function and record, the two world/pixel maps of
-``StraightenTransform`` and ``evaluate_study_set`` have one valid call below.
+Each exported function and record, the record methods that map coordinates or
+indices (``StraightenTransform``'s two world/pixel maps, ``Volume3D``'s two
+world/voxel maps and ``AnchorGrid.locate``) and ``evaluate_study_set`` have one
+valid call below.
 For each argument that holds numbers (a number, or numbers nested in lists,
 tuples, dicts and arrays), NaN, +inf and -inf are put in turn at a drawn
 position, and the call must raise ValueError (or its subclass GeometryError)
@@ -99,6 +101,10 @@ def _calls():
                                                   "label": "V1"}),
         "Volume3D": (Volume3D, {"values": np.zeros((2, 2, 2)), "spacing": (1.0, 1.0, 1.0),
                                 "origin": (0.0, 0.0, 0.0)}),
+        "Volume3D.voxel_to_world": (vol.voxel_to_world, {"idx": np.array([[1.0, 2.0, 3.5],
+                                                                          [0.0, 4.0, 9.0]])}),
+        "Volume3D.world_to_voxel": (vol.world_to_voxel, {"pts": np.array([2.0, 3.0, 4.5])}),
+        "AnchorGrid.locate": (anchors.locate, {"index": np.array([0, 5, 11])}),
         "StraightenTransform.pixel_to_world": (transform.pixel_to_world,
                                                {"xy": np.array([[1.0, 2.0], [3.0, 4.5]])}),
         "StraightenTransform.world_to_pixel": (transform.world_to_pixel,
@@ -232,3 +238,24 @@ def test_every_numeric_argument_refuses_non_finite_values_by_name(name, arg, bad
     with pytest.raises(ValueError) as exc:
         fn(**{**kwargs, arg: inject(kwargs[arg], path, bad)})
     assert re.search(NAMED.get((name, arg), rf"(?<!\w){arg}(?!\w)"), str(exc.value))
+
+
+@pytest.mark.parametrize("name, arg, value", [
+    ("Volume3D.voxel_to_world", "idx", [np.nan, 0.0, 0.0]),
+    ("Volume3D.voxel_to_world", "idx", [[1.0, 2.0]]),
+    ("Volume3D.world_to_voxel", "pts", [np.inf, 0.0, 0.0]),
+    ("Volume3D.world_to_voxel", "pts", 3.0),
+    ("AnchorGrid.locate", "index", np.array([1.5])),
+    ("AnchorGrid.locate", "index", np.array([12])),
+    ("AnchorGrid.locate", "index", np.array([10**6])),
+    ("AnchorGrid.locate", "index", np.array([-1])),
+    ("AnchorGrid.locate", "index", np.array([[1, 2]])),
+], ids=["nan voxel", "voxel pair", "inf point", "scalar point", "float index",
+        "index one past the grid", "index far past the grid", "negative index", "2d index"])
+def test_record_methods_refuse_bad_shapes_and_indices_by_name(name, arg, value):
+    # These once passed NaN and inf through, raised numpy's errors (a TypeError for
+    # the float index), or returned a center off the grid: (333333, 1) for 10**6.
+    fn, kwargs = _calls()[name]
+    with pytest.raises(ValueError, match=rf"^{arg} must be") as exc:
+        fn(**{**kwargs, arg: value})
+    assert exc.type is ValueError

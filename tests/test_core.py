@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, GeometryError,
-                             Volume3D, _corners, boxes_from_keypoints,
+                             Volume3D, _corners, _sample_voxel_coords, boxes_from_keypoints,
                              finite_numbers, iou_matrix, owned_array)
 from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
 from spinequant.straighten import SpineCurve, StraightenedImage, StraightenTransform
 
-from oracles import finite_numbers_walk, iou, trilinear_sample
+from oracles import finite_numbers_walk, iou, sample_voxel_coords_reference, trilinear_sample
 
 
 def bbox_from_keypoints(kps) -> np.ndarray:
@@ -262,6 +262,35 @@ def test_trilinear_reproduces_trilinear_functions():
     got = trilinear_sample(vol, pts)
     want = fn(pts[:, 0], pts[:, 1], pts[:, 2])
     np.testing.assert_allclose(got, want, atol=1e-4, rtol=1e-5)
+
+
+def raster_views(values) -> dict:
+    """The same float32 raster C-ordered, Fortran-ordered, and as read-only views that are
+    neither, which Volume3D adopts as they are: every other x and z of a larger raster
+    with y reversed, and the transpose of a transposed copy."""
+    values = np.asarray(values, np.float32)
+    big = np.zeros((2 * values.shape[0], values.shape[1], 2 * values.shape[2]), np.float32)
+    big[::2, ::-1, ::2] = values
+    swapped = np.ascontiguousarray(values.transpose(1, 0, 2))
+    big.flags.writeable = swapped.flags.writeable = False
+    return {"C": np.ascontiguousarray(values), "F": np.asfortranarray(values),
+            "strided": big[::2, ::-1, ::2], "transposed": swapped.transpose(1, 0, 2)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(shape=st.tuples(*[st.integers(1, 9)] * 3), n=st.integers(0, 200),
+       fill=st.sampled_from([DEFAULT_FILL, 0.0, 7.5]), seed=st.integers(0, 2**32 - 1))
+def test_sample_voxel_coords_equals_the_three_index_gather(shape, n, fill, seed):
+    # Points run a voxel past every face, with some exactly on voxel centers and faces.
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 100.0, shape).astype(np.float32)
+    idx = rng.uniform(-1.0, 1.0, (n, 3)) + rng.uniform(0.0, 1.0, (n, 3)) * shape
+    idx[::3] = np.round(idx[::3])
+    idx[1::5, 0] = shape[0] - 1
+    for layout, raster in raster_views(values).items():
+        assert np.array_equal(raster, values)
+        got = _sample_voxel_coords(raster, idx, fill)
+        assert np.array_equal(got, sample_voxel_coords_reference(values, idx, fill)), layout
 
 
 def test_world_voxel_round_trip():

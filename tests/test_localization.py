@@ -5,11 +5,16 @@ from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, Volume3D
 from spinequant.genant import VertebraKeypoints
-from spinequant.localization import (CenterlinePolyline, centerline_mae,
+from spinequant.localization import (CENTERLINE_SLAB, CenterlinePolyline, centerline_mae,
                                      centerline_target, slicewise_centerline,
                                      soft_argmax_2d, upsample_curve)
+from spinequant.phantom import PhantomConfig
+from spinequant.pipeline import PipelineConfig, oracle_phantom
 from spinequant.splines import pchip
 
+from conftest import traced_peak
+from oracles import slicewise_centerline_reference, soft_argmax_reference
+from test_core import raster_views
 from test_genant import make_keypoints
 
 
@@ -359,3 +364,87 @@ def test_slicewise_centerline_returns_world_coordinates():
     poly = slicewise_centerline(Volume3D(stack, (2.0, 3.0, 4.0), (10.0, 20.0, 30.0)))
     np.testing.assert_allclose(poly.xy, [[12.0, 26.0], [16.0, 23.0]])
     np.testing.assert_allclose(poly.z, [30.0, 34.0])
+
+
+# One slice, one slab, one slab and a slice, and two slabs with a short third.
+SLICE_COUNTS = (1, CENTERLINE_SLAB, CENTERLINE_SLAB + 1, 2 * CENTERLINE_SLAB + 5)
+
+
+def random_maps(rng, shape, mode, empty) -> np.ndarray:
+    """Peaked non-negative maps (probabilities) or signed logits, with the ``empty``
+    slices all zero."""
+    if mode == "probabilities":
+        stack = rng.random(shape) ** 8 * rng.uniform(1e-3, 1e3)
+    else:
+        stack = rng.normal(0.0, 3.0, shape)
+    stack[:, :, sorted(empty)] = 0.0
+    return stack
+
+
+def outcome(fn, *args):
+    """(xy, z) bytes of a decoded polyline, or the text of the error raised instead."""
+    try:
+        poly = fn(*args)
+    except (GeometryError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return poly.xy.tobytes(), poly.z.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(n=st.sampled_from(SLICE_COUNTS), mode=st.sampled_from(["probabilities", "logits"]),
+       layout=st.sampled_from(["F", "C", "strided", "transposed"]), nx=st.integers(9, 40),
+       ny=st.integers(9, 40), temperature=st.floats(0.05, 20.0),
+       empty=st.sets(st.sampled_from(["first", "middle", "last"])),
+       seed=st.integers(0, 2**32 - 1))
+def test_slicewise_centerline_equals_the_per_slice_reference(n, mode, layout, nx, ny,
+                                                            temperature, empty, seed):
+    rng = np.random.default_rng(seed)
+    where = {"first": 0, "middle": n // 2, "last": n - 1}
+    stack = random_maps(rng, (nx, ny, n), mode, {where[e] for e in empty})
+    maps = Volume3D(raster_views(stack)[layout], (1.5, 2.0, 2.5), (3.0, -4.0, 10.0))
+    assert maps.values.flags.c_contiguous == (layout == "C")
+    want = outcome(slicewise_centerline_reference, maps, mode, temperature)
+    assert outcome(slicewise_centerline, maps, mode, temperature) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.sampled_from(SLICE_COUNTS), mode=st.sampled_from(["probabilities", "logits"]),
+       layout=st.sampled_from(["F", "C", "strided", "transposed"]),
+       faults=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+           [np.nan, np.inf, -np.inf, -0.5])), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_slicewise_centerline_reports_the_first_bad_slice_as_the_reference(n, mode, layout,
+                                                                          faults, seed):
+    rng = np.random.default_rng(seed)
+    stack = random_maps(rng, (12, 10, n), mode, set())
+    for at, bad in faults:
+        stack[rng.integers(12), rng.integers(10), at % n] = bad
+    maps = Volume3D(raster_views(stack)[layout], (1.0, 1.0, 1.0))
+    want = outcome(slicewise_centerline_reference, maps, mode, 1.0)
+    assert outcome(slicewise_centerline, maps, mode, 1.0) == want
+    bad_slices = [at % n for at, bad in faults
+                  if mode == "probabilities" or bad != -0.5]  # a logit may be negative
+    if bad_slices:
+        assert want[0] == "GeometryError" and want[1].startswith(f"slice {min(bad_slices)}: ")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(mode=st.sampled_from(["probabilities", "logits"]), nx=st.integers(1, 40),
+       ny=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_soft_argmax_equals_the_one_map_reference(mode, nx, ny, seed):
+    m = random_maps(np.random.default_rng(seed), (nx, ny, 1), mode, set())[:, :, 0]
+    for values in (m, m.astype(np.float32), np.asfortranarray(m)):
+        before = values.copy()
+        assert soft_argmax_2d(values, mode, 2.0) == soft_argmax_reference(values, mode, 2.0)
+        assert np.array_equal(values, before)  # the caller's map is not overwritten
+
+
+def test_slicewise_centerline_memory_is_bounded_by_its_slabs():
+    # The default chain's 54 x 54 x 95 working-grid stack: 2.2 MB as float64.
+    # Decoding it one slab at a time peaks near one slab (0.37 MB); converting
+    # the whole stack at once would hold all of it.
+    maps = oracle_phantom(PhantomConfig(scoliosis_amplitude_mm=15.0), PipelineConfig())[3]
+    poly, peak = traced_peak(slicewise_centerline, maps)
+    assert len(poly) == maps.shape[2]
+    stack = maps.values.size * 8
+    assert peak < stack / 2, (peak, stack)

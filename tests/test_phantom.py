@@ -11,10 +11,13 @@ from spinequant.detection import assign_targets, decode_keypoints, detect
 from spinequant.formats import write_vg1
 from spinequant.genant import genant_index, heights
 from spinequant.localization import slicewise_centerline
-from spinequant.phantom import DEFAULT_HEIGHTS, PhantomConfig, generate_phantom, oracle_heatmaps
+from spinequant.core import Volume3D
+from spinequant.genant import VertebraKeypoints
+from spinequant.phantom import (DEFAULT_HEIGHTS, HEATMAP_SLAB, PhantomConfig, generate_phantom,
+                                oracle_heatmaps)
 from spinequant.pipeline import PipelineConfig, image_anchors, straighten_stage, working_grid
 from conftest import traced_peak
-from oracles import fill_body
+from oracles import fill_body, oracle_heatmaps_reference
 from test_core import bbox_from_keypoints
 
 
@@ -262,6 +265,52 @@ def test_oracle_heatmaps_refuses_a_sigma_it_cannot_render(sigma_vox, message):
     working = working_grid(vol, PipelineConfig(working_spacing_mm=3.0))
     with pytest.raises(ValueError, match=f"^sigma_vox .*{message}"):
         oracle_heatmaps(anns, working, sigma_vox=sigma_vox)
+
+
+def spine_through(xy, z_last) -> list[VertebraKeypoints]:
+    """One vertebra per (x, y) row, its middle keypoints at two of 2 len(xy) evenly
+    spaced heights from 0 to ``z_last`` mm, the other four on the middle ones."""
+    z = np.linspace(0.0, z_last, 2 * len(xy))
+    return [VertebraKeypoints([[x, y, z[2 * i + 1 - j % 2]] for j in range(6)])
+            for i, (x, y) in enumerate(xy)]
+
+
+# The fewest slices a target spans, one slab, one slab and a slice, two slabs and a part.
+HEATMAP_COUNTS = (2, HEATMAP_SLAB, HEATMAP_SLAB + 1, 2 * HEATMAP_SLAB + 5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.sampled_from(HEATMAP_COUNTS), nx=st.integers(4, 30), ny=st.integers(4, 30),
+       sigma_vox=st.one_of(st.floats(0.3, 8.0), st.floats(0.004, 0.012)),
+       moved=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_oracle_heatmaps_equal_the_per_slice_reference(n, nx, ny, sigma_vox, moved, seed):
+    # The target stays on a voxel center up to the ``moved``-th of 4 vertebrae and
+    # leaves it after: at a sigma of about a hundredth of a voxel the Gaussians
+    # underflow from some slice on, which both must name.
+    rng = np.random.default_rng(seed)
+    xy = np.array([[nx // 2, ny // 2]] * 4, dtype=float)
+    xy[moved:] += rng.uniform(-1.5, 1.5, (4 - moved, 2))
+    anns = spine_through(xy, n - 1.0)
+    vol = Volume3D(np.zeros((nx, ny, n + 5), np.float32), (1.0, 1.0, 1.0), (0.0, 0.0, -2.0))
+    try:
+        want = oracle_heatmaps_reference(anns, vol, sigma_vox)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            oracle_heatmaps(anns, vol, sigma_vox)
+        assert str(got.value) == str(exc)
+        return
+    got = oracle_heatmaps(anns, vol, sigma_vox).values
+    assert got.shape == (nx, ny, n) and got.flags.f_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_oracle_heatmaps_memory_is_bounded_by_their_output():
+    # The default chain's 54 x 54 x 95 stack is 1.1 MB of float32; one slab's float64
+    # Gaussians are 0.37 MB, while the whole stack at once holds 2.2 MB of them.
+    vol, anns, _ = generate_phantom(PhantomConfig(scoliosis_amplitude_mm=15.0))
+    stack, peak = traced_peak(oracle_heatmaps, anns, working_grid(vol, PipelineConfig()))
+    assert stack.shape[2] > 4 * HEATMAP_SLAB
+    assert peak < 2 * stack.values.nbytes, (peak, stack.values.nbytes)
 
 
 def test_annotation_target_tracks_planted_sinusoid():

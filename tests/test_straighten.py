@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from spinequant import core, straighten
 from spinequant.core import GeometryError, Volume3D
 from spinequant.localization import CenterlinePolyline
-from spinequant.splines import not_a_knot_spline, smoothing_spline
+from spinequant.splines import _solve_banded, not_a_knot_spline, smoothing_spline
 from spinequant.straighten import (_FRAME_TOL, SpineCurve, StraightenedImage,
                                    StraightenTransform, _rotation_minimizing_frames,
                                    build_spine_curve, straighten_plane)
 
 from conftest import traced_peak
-from oracles import trilinear_sample
+from oracles import solve_banded_reference, trilinear_sample
 from test_localization import assert_fit_matches, spline_data, spline_examples
 
 
@@ -125,6 +125,21 @@ def test_smoothing_spline_matches_scipy_property(data, log_lam):
     lam = 10.0 ** log_lam
     assert_fit_matches(smoothing_spline(x, y, lam), make_smoothing_spline(x, y, lam=lam),
                        x, y, 1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(w=st.integers(1, 2), n=st.integers(1, 300), columns=st.sampled_from([None, 1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_banded_equals_the_numpy_sweep(w, n, columns, seed):
+    # Diagonally dominant band matrices, zero outside the matrix, as both splines build.
+    rng = np.random.default_rng(seed)
+    band = rng.normal(0.0, 1.0, (n, 2 * w + 1))
+    band[:, w] = np.abs(band[:, w]) + 2 * w + rng.uniform(0.0, 5.0, n)
+    rows, cols = np.indices(band.shape)
+    band[(rows + cols - w < 0) | (rows + cols - w >= n)] = 0.0
+    rhs = rng.normal(0.0, 10.0, (n,) if columns is None else (n, columns))
+    got = _solve_banded(band, rhs)
+    assert got.shape == rhs.shape and np.array_equal(got, solve_banded_reference(band, rhs))
 
 
 @pytest.mark.parametrize("lam", [1e20, 1.7e308])
