@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import reprlib
 from dataclasses import dataclass, fields
 
@@ -72,15 +73,17 @@ class Volume3D:
         return self.origin[2] + self.spacing[2] * np.arange(nz)
 
 
-def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
+def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False,
+                   domain: str | None = None):
     """The one rule for numbers read from JSON: finite reals nested as ``shape`` says.
 
     ``shape`` () is one number, (3,) a list or tuple of three, (None, 3) any
     count of triples.  Each leaf must be a real number, finite as a float,
-    and an integer if ``integer``; bools, strings and None are not numbers.
-    Returns tuples of floats (or ints), else raises ValueError naming ``name``.
-    Ranges are the caller's to check.  ``finite_array`` is its twin for array
-    arguments, with the same shape notation and message.
+    an integer if ``integer`` and in ``domain`` (a key of ``DOMAINS``) if one
+    is given; bools, strings and None are not numbers.  Returns tuples of
+    floats (or ints), else raises ValueError naming ``name`` and the domain.
+    ``finite_array`` is its twin for array arguments, with the same shape
+    notation and message.
 
     The value is checked one nesting level at a time, not one element at a
     time: each level is one flat list whose element types and lengths are
@@ -94,7 +97,8 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
     some 300 rows.  ``type(True)`` is ``bool``, not ``int``, so a bool
     misses the identity test and the ABC branch refuses it.
     """
-    if type(value) is float and not (shape or integer) and math.isfinite(value):
+    if (type(value) is float and not (shape or integer) and math.isfinite(value)
+            and (domain is None or _in_domain(value, value, domain))):
         return value  # one finite float, the common argument, at once
     number = numbers.Integral if integer else numbers.Real
     exact = (int,) if integer else (float, int)
@@ -114,8 +118,10 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
         if not all(map(math.isfinite, level)):
             raise ValueError
         level = list(map(int if integer else float, level))
+        if domain and level and not _in_domain(min(level), max(level), domain):
+            raise ValueError
     except (ValueError, TypeError, OverflowError):
-        raise _refusal(value, name, shape, integer) from None
+        raise _refusal(value, name, shape, integer, domain) from None
     for n, lengths in reversed(counts):
         items = iter(level)
         level = (list(zip(*[items] * n)) if n else
@@ -123,36 +129,45 @@ def finite_numbers(value, name: str, shape: tuple = (), integer: bool = False):
     return level[0]
 
 
-def finite_array(value, name: str, shape: tuple = (), dtype=float, order=None) -> np.ndarray:
-    """The array twin of ``finite_numbers``, with its shape notation and message:
+def finite_array(value, name: str, shape: tuple = (), dtype=float, order=None,
+                 domain: str | None = None) -> np.ndarray:
+    """The array twin of ``finite_numbers``, with its shape notation, domains and message:
     ``np.asarray(value, dtype, order)`` for ``dtype`` float, an integer or bool.
-    Every element must be finite as a float, tested before any cast, and equal to
-    its cast for an integer ``dtype``, else ValueError naming ``name``.  Ranges are the caller's."""
+    Every element must be finite as a float, tested before any cast, in ``domain``
+    if one is given, and equal to its cast for an integer ``dtype``, else ValueError
+    naming ``name``."""
     integer = False  # the refusal speaks of integers once only the cast fails
     try:
         arr = np.asarray(value, dtype=float, order=order)
         if (arr.ndim == len(shape) and all(n is None or n == m for n, m in zip(shape, arr.shape))
-                and np.isfinite(arr).all()):
+                and np.isfinite(arr).all()
+                and (domain is None or not arr.size or _in_domain(arr.min(), arr.max(), domain))):
             cast = arr if dtype is float else np.asarray(value, dtype=dtype, order=order)
             integer = cast is not value and np.issubdtype(dtype, np.integer)
             if not integer or np.array_equal(cast, arr):
                 return cast
     except (ValueError, TypeError, OverflowError):
         pass
-    raise _refusal(value, name, shape, integer)
+    raise _refusal(value, name, shape, integer, domain)
 
 
-def _refusal(value, name: str, shape: tuple, integer: bool) -> ValueError:
+# The ranges finite_numbers and finite_array can require of every number: the test
+# of the least one against 0, and the largest allowed.
+DOMAINS = {"> 0": (operator.gt, math.inf), ">= 0": (operator.ge, math.inf),
+           "(0, 1]": (operator.gt, 1.0), "[0, 1]": (operator.ge, 1.0)}
+
+
+def _in_domain(least, largest, domain: str) -> bool:
+    above, top = DOMAINS[domain]
+    return above(least, 0) and largest <= top
+
+
+def _refusal(value, name: str, shape: tuple, integer: bool, domain: str | None) -> ValueError:
     kind = "finite integer" if integer else "finite number"
     what = f"{kind}s of shape {shape}".replace("None", "n") if shape else f"a {kind}"
+    if domain:
+        what += f"{', each' if shape else ''} {'in ' if domain.endswith(']') else ''}{domain}"
     return ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
-
-
-def check_unit_interval(name: str, value: float, closed: bool) -> None:
-    """The range rule of thresholds: ValueError naming ``name`` unless ``value``
-    is in [0, 1] (``closed``) or in (0, 1]; NaN is in neither."""
-    if not (0 <= value <= 1 if closed else 0 < value <= 1):
-        raise ValueError(f"{name} must be in {'[' if closed else '('}0, 1], got {value}")
 
 
 # finite_numbers arguments for each numeric annotation of a checked dataclass field.
@@ -187,8 +202,7 @@ def require(obj, ok: bool, name: str, rule: str) -> None:
 def check_grid(shape, spacing, origin) -> None:
     """Raise ValueError unless ``spacing`` is positive and the far voxel
     ``origin + (shape - 1) * spacing`` of the grid is finite."""
-    if min(spacing) <= 0:
-        raise ValueError(f"spacing must be three positive numbers, got {spacing}")
+    finite_numbers(spacing, "spacing", (3,), domain="> 0")
     if not all(math.isfinite(o + (n - 1) * s) for o, n, s in zip(origin, shape, spacing)):
         raise ValueError(f"spacing {spacing} and origin {origin} put the far "
                          f"voxel of a {shape} grid at infinity")
@@ -223,7 +237,6 @@ def _read_only(values: np.ndarray) -> bool:
         return False
 
 
-IOU_BLOCK = 4096  # columns of b per block of iou_matrix, so its side arrays stay in cache
 # Largest box area iou_matrix takes: the sum of two such areas, its union, stays finite.
 MAX_AREA = float(np.finfo(float).max) / 2
 
@@ -236,35 +249,23 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one (N, M) matrix, and (S, K, 4) and (S, G, 4) give S blocks of (K, G),
     the IoUs within each of S box sets.
 
-    The columns of ``b`` are taken in blocks of ``IOU_BLOCK``; within a
-    block the x and y overlaps of every pair are formed together in one
-    (2, ..., N, block) side array and the ratios are written into the
-    preallocated result, so the temporaries stay small and a short call
-    costs a few numpy operations.  A pair that does not overlap gets exactly
-    0, and identical boxes, whose rounded corners can give a ratio just
-    above 1, get exactly 1.
+    The x and y overlaps of every pair are formed together in one
+    (2, ..., N, M) side array, so a short call costs a few numpy operations.
+    A pair that does not overlap gets exactly 0, and identical boxes, whose
+    rounded corners can give a ratio just above 1, get exactly 1.
     """
-    # (4, ..., M) blocks of b are made contiguous, so the (2, ..., N, block)
-    # broadcasts run along contiguous memory (an (N, M, 2) layout is about
-    # twice as slow at large M); a is only broadcast, so its (4, ..., N) view
-    # is not copied.
+    # b is made contiguous as (4, ..., M), so the (2, ..., N, M) broadcasts run
+    # along contiguous memory (an (N, M, 2) layout is about twice as slow at
+    # large M); a is only broadcast, so its (4, ..., N) view is not copied.
     a = np.array(a, dtype=float, ndmin=2, copy=None)
     b = np.array(b, dtype=float, ndmin=2, copy=None)
-    out = np.empty(a.shape[:-1] + b.shape[-2:-1])
     a = a.transpose(-1, *range(a.ndim - 1))
-    a_half = a[2:] / 2
-    a_lo, a_hi = (a[:2] - a_half)[..., None], (a[:2] + a_half)[..., None]
-    a_area = (a[2] * a[3])[..., None]
-    for j0 in range(0, out.shape[-1], IOU_BLOCK):
-        bb = b[..., j0:j0 + IOU_BLOCK, :]
-        bb = np.ascontiguousarray(bb.transpose(-1, *range(bb.ndim - 1)))
-        b_half = bb[2:] / 2
-        side = np.minimum(a_hi, (bb[:2] + b_half)[..., None, :])
-        side -= np.maximum(a_lo, (bb[:2] - b_half)[..., None, :])
-        np.maximum(side, 0.0, out=side)
-        inter = np.multiply(side[0], side[1], out[..., j0:j0 + IOU_BLOCK])
-        iou_ratio(inter, a_area + (bb[2] * bb[3])[..., None, :])
-    return out
+    b = np.ascontiguousarray(b.transpose(-1, *range(b.ndim - 1)))
+    a_half, b_half = a[2:] / 2, b[2:] / 2
+    side = np.minimum((a[:2] + a_half)[..., None], (b[:2] + b_half)[..., None, :])
+    side -= np.maximum((a[:2] - a_half)[..., None], (b[:2] - b_half)[..., None, :])
+    np.maximum(side, 0.0, out=side)
+    return iou_ratio(side[0] * side[1], (a[2] * a[3])[..., None] + (b[2] * b[3])[..., None, :])
 
 
 def iou_ratio(inter: np.ndarray, areas) -> np.ndarray:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MAX_AREA, GeometryError, boxes_from_keypoints, check_number_fields,
-                   check_unit_interval, finite_array, finite_numbers, iou_matrix, iou_ratio,
-                   owned_array)
+                   finite_array, finite_numbers, iou_matrix, iou_ratio, owned_array, require)
 
 DEFAULT_SCALES_MM = (17.0, 23.0, 28.0, 35.0)
 DEFAULT_RATIOS = (0.8, 1.1, 1.3, 2.0)
@@ -41,7 +40,8 @@ class AnchorGrid:
     row t holds the (width, height) of anchor type t, and t runs
     scale-major, t = scale_index * len(ratios) + ratio_index.  Anchor
     (ix, iy, t) is centered on pixel (ix, iy); its flat index is
-    (ix * ny + iy) * A + t, the C order of an (nx, ny, A) array.
+    (ix * ny + iy) * A + t, the C order of an (nx, ny, A) array.  Both image
+    sides and every anchor side must be > 0, else ValueError.
     """
 
     image_shape: tuple[int, int]
@@ -49,7 +49,9 @@ class AnchorGrid:
 
     def __post_init__(self):
         check_number_fields(self)
-        object.__setattr__(self, "sides_px", finite_array(self.sides_px, "sides_px", (None, 2)))
+        require(self, min(self.image_shape) > 0, "image_shape", "two sides > 0")
+        object.__setattr__(self, "sides_px",
+                           finite_array(self.sides_px, "sides_px", (None, 2), domain="> 0"))
 
     @property
     def n_types(self) -> int:
@@ -74,15 +76,11 @@ class AnchorGrid:
 def generate_anchors(image_shape, pixel_spacing: float,
                      scales_mm=DEFAULT_SCALES_MM,
                      ratios=DEFAULT_RATIOS) -> AnchorGrid:
-    """Anchor grid over every pixel center of a ``(nx, ny)`` image."""
-    if finite_numbers(pixel_spacing, "pixel_spacing") <= 0:
-        raise ValueError("pixel_spacing must be positive")
-    if min(image_shape[:2]) <= 0:
-        raise ValueError(f"image_shape must have positive sides, got {tuple(image_shape)}")
-    scales_mm = finite_numbers(scales_mm, "scales_mm", (None,))
-    ratios = finite_numbers(ratios, "ratios", (None,))
-    if any(s <= 0 for s in scales_mm) or any(r <= 0 for r in ratios):
-        raise ValueError("scales and ratios must be positive")
+    """Anchor grid over every pixel center of a ``(nx, ny)`` image; the pixel
+    spacing, scales and ratios must be > 0 (``AnchorGrid`` checks the image sides)."""
+    finite_numbers(pixel_spacing, "pixel_spacing", domain="> 0")
+    scales_mm = finite_numbers(scales_mm, "scales_mm", (None,), domain="> 0")
+    ratios = finite_numbers(ratios, "ratios", (None,), domain="> 0")
     with np.errstate(over="ignore"):  # an overflow is refused right below
         sides = np.array([[s / np.sqrt(r), s * np.sqrt(r)] for s in scales_mm for r in ratios],
                          dtype=float).reshape(-1, 2) / pixel_spacing
@@ -97,18 +95,18 @@ def generate_anchors(image_shape, pixel_spacing: float,
 
 def encode_keypoints(keypoints, centers, sides) -> np.ndarray:
     """Offsets (k - center) / side of (P, 6, 2) keypoints from P anchors'
-    (P, 2) centers and sides (``AnchorGrid.locate``)."""
+    (P, 2) centers and sides (``AnchorGrid.locate``); every side must be > 0."""
     keypoints = finite_array(keypoints, "keypoints", (None, N_KEYPOINTS, 2))
     offsets = keypoints - finite_array(centers, "centers", (len(keypoints), 2))[:, None, :]
-    offsets /= finite_array(sides, "sides", (len(keypoints), 2))[:, None, :]
+    offsets /= finite_array(sides, "sides", (len(keypoints), 2), domain="> 0")[:, None, :]
     return offsets
 
 
 def decode_keypoints(offsets, centers, sides) -> np.ndarray:
-    """Inverse of encode_keypoints: offsets * side + center, (P, 6, 2)."""
+    """Inverse of encode_keypoints: offsets * side + center, (P, 6, 2); sides > 0."""
     offsets = finite_array(offsets, "offsets", (None, N_KEYPOINTS, 2))
     p = len(offsets)
-    return (offsets * finite_array(sides, "sides", (p, 2))[:, None, :]
+    return (offsets * finite_array(sides, "sides", (p, 2), domain="> 0")[:, None, :]
             + finite_array(centers, "centers", (p, 2))[:, None, :])
 
 
@@ -118,11 +116,11 @@ class DetectionTargets:
 
     ``index`` holds the positive anchors' flat indices (see ``AnchorGrid``)
     in ascending order, and row p of the other arrays belongs to anchor
-    ``index[p]``: the index of its matched vertebra, its encoded keypoints
-    and that vertebra's Genant index.  Every other anchor is negative: its
-    objectness, offsets and weight are 0 and it matches no vertebra.
-    ``dense`` rebuilds the maps over every anchor.  The arrays are read-only
-    (``owned_array``).
+    ``index[p]``: the index (>= 0) of its matched vertebra, its encoded
+    keypoints and that vertebra's Genant index (in (0, 1]).  Every other
+    anchor is negative: its objectness, offsets and weight are 0 and it
+    matches no vertebra.  ``dense`` rebuilds the maps over every anchor.
+    The arrays are read-only (``owned_array``).
     """
 
     shape: tuple[int, int, int]
@@ -146,11 +144,10 @@ class DetectionTargets:
             raise ValueError(f"offsets has shape {offsets.shape}, expected "
                              f"{(p, N_KEYPOINTS, 2)} for {p} positive anchors")
         object.__setattr__(self, "offsets", offsets)
-        for name, dtype in (("matched", np.int64), ("genant_weights", float)):
+        for name, dtype, domain in (("matched", np.int64, ">= 0"),
+                                    ("genant_weights", float, "(0, 1]")):
             object.__setattr__(self, name, owned_array(
-                finite_array(getattr(self, name), name, (p,), dtype), dtype))
-        if np.any(self.matched < 0):
-            raise ValueError("matched vertebra indices must be >= 0")
+                finite_array(getattr(self, name), name, (p,), dtype, domain=domain), dtype))
 
     @property
     def n_positive(self) -> int:
@@ -207,16 +204,15 @@ def assign_targets(anchors: AnchorGrid, ground_truth,
     pixels along x and along y where it overlaps an anchor of some type.
     Every anchor outside that block has IoU exactly 0 with it.
     """
-    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    finite_numbers(iou_threshold, "iou_threshold", domain="(0, 1]")
     nx, ny = anchors.image_shape
     shape = (nx, ny, anchors.n_types)
     gt = list(ground_truth)
     if not gt:
         return DetectionTargets(shape, [], [], np.empty((0, N_KEYPOINTS, 2)), [])
 
-    gt_weights = finite_array([g for _, g in gt], "ground_truth Genant weights", (len(gt),))
-    if not np.all((gt_weights > 0) & (gt_weights <= 1)):
-        raise ValueError(f"Genant weights must be in (0, 1], got {gt_weights.tolist()}")
+    gt_weights = finite_array([g for _, g in gt], "ground_truth Genant weights", (len(gt),),
+                              domain="(0, 1]")
     gt_kps = finite_array([kps for kps, _ in gt], "ground_truth keypoints",
                           (len(gt), N_KEYPOINTS, 2))
     gt_boxes = boxes_from_keypoints(gt_kps)  # (M, 4)
@@ -319,10 +315,9 @@ def _first_unclaimed(iou, pixels, floor, shape, claims):
     return None
 
 
-def _check_predictions(pred_objectness, pred_offsets, targets: DetectionTargets, eps):
-    """Check ``eps``; the checked objectness map and (P, 6, 2) offsets of the
-    positive anchors, the only offsets the loss reads."""
-    finite_numbers(eps, "eps")
+def _check_predictions(pred_objectness, pred_offsets, targets: DetectionTargets):
+    """The checked objectness map and (P, 6, 2) offsets of the positive
+    anchors, the only offsets the loss reads."""
     # C order: numpy's pairwise sums group terms by memory layout, so this keeps
     # the loss bitwise independent of the layout of the predictions (VG1 rasters
     # read as Fortran-ordered views).
@@ -336,19 +331,18 @@ def _check_predictions(pred_objectness, pred_offsets, targets: DetectionTargets,
 
 
 def detection_loss_terms(pred_objectness, pred_offsets,
-                         targets: DetectionTargets,
-                         eps: float = BCE_EPS) -> tuple[float, float]:
+                         targets: DetectionTargets) -> tuple[float, float]:
     """(bce, regression) parts of the detection loss.
 
     bce is the mean binary cross-entropy over all anchors with predictions
-    clipped to [eps, 1-eps].  The regression part averages, over positive
+    clipped to [BCE_EPS, 1 - BCE_EPS].  The regression part averages, over positive
     anchors, the mean absolute offset error of the matched vertebra's 12
     encoded coordinates divided by its Genant index; it is zero when there
     is no positive anchor.
     """
-    pred_o, pos_e = _check_predictions(pred_objectness, pred_offsets, targets, eps)
+    pred_o, pos_e = _check_predictions(pred_objectness, pred_offsets, targets)
     pos = targets.index
-    p = np.clip(pred_o, eps, 1 - eps)
+    p = np.clip(pred_o, BCE_EPS, 1 - BCE_EPS)
     # Each anchor's log-likelihood: log(1 - p) for a negative, log(p) for a positive.
     log_lik = np.log1p(-p)
     log_lik.flat[pos] = np.log(p.flat[pos])
@@ -362,26 +356,24 @@ def detection_loss_terms(pred_objectness, pred_offsets,
     return bce, reg
 
 
-def detection_loss(pred_objectness, pred_offsets, targets: DetectionTargets,
-                   eps: float = BCE_EPS) -> float:
+def detection_loss(pred_objectness, pred_offsets, targets: DetectionTargets) -> float:
     """Objectness BCE plus Genant-weighted keypoint regression error."""
-    bce, reg = detection_loss_terms(pred_objectness, pred_offsets, targets, eps=eps)
+    bce, reg = detection_loss_terms(pred_objectness, pred_offsets, targets)
     return bce + reg
 
 
 def detection_loss_grad(pred_objectness, pred_offsets,
-                        targets: DetectionTargets,
-                        eps: float = BCE_EPS) -> tuple[np.ndarray, np.ndarray]:
+                        targets: DetectionTargets) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of detection_loss w.r.t. both prediction arrays.
 
     The BCE gradient is zero where the prediction is saturated past the
     clipping range; the regression gradient uses sign(error), i.e. zero at
     the (non-differentiable) exact match.
     """
-    pred_o, pos_e = _check_predictions(pred_objectness, pred_offsets, targets, eps)
+    pred_o, pos_e = _check_predictions(pred_objectness, pred_offsets, targets)
     pos = targets.index
-    inside = (pred_o > eps) & (pred_o < 1 - eps)
-    p = np.clip(pred_o, eps, 1 - eps)
+    inside = (pred_o > BCE_EPS) & (pred_o < 1 - BCE_EPS)
+    p = np.clip(pred_o, BCE_EPS, 1 - BCE_EPS)
     # d(-log-likelihood)/dp: 1 / (1 - p) for a negative, -1 / p for a positive.
     grad = 1 / (1 - p)
     grad.flat[pos] = -1 / p.flat[pos]
@@ -415,7 +407,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
     tests each candidate against the boxes kept before it, and ``iou_matrix``
     is symmetric to the bit, so the kept indices are that loop's.
     """
-    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    finite_numbers(iou_threshold, "iou_threshold", domain="(0, 1]")
     boxes = finite_array(boxes, "boxes", (None, 4))
     scores = finite_array(scores, "scores", (len(boxes),))
     alive = np.argsort(-scores, kind="stable")
@@ -443,8 +435,8 @@ def detect_candidates(index, scores, offsets, anchors: AnchorGrid,
     scores in keep order; ties break by the order of ``index``.  Non-finite
     inputs raise ValueError, and zero extent GeometryError.
     """
-    check_unit_interval("score_threshold", score_threshold, closed=True)
-    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    finite_numbers(score_threshold, "score_threshold", domain="[0, 1]")
+    finite_numbers(iou_threshold, "iou_threshold", domain="(0, 1]")
     scores = finite_array(scores, "scores", (None,))
     index = finite_array(index, "index", scores.shape, np.intp)
     offsets = np.asarray(offsets)
@@ -473,7 +465,7 @@ def detect(objectness_map, offsets_map, anchors: AnchorGrid,
     off = np.asarray(offsets_map)
     if off.shape != shape + (N_KEYPOINTS, 2):
         raise ValueError(f"offsets_map has shape {off.shape}, expected {shape + (N_KEYPOINTS, 2)}")
-    check_unit_interval("score_threshold", score_threshold, closed=True)  # before any gather
+    finite_numbers(score_threshold, "score_threshold", domain="[0, 1]")  # before any gather
     index = np.flatnonzero(obj > score_threshold)
     cand = np.unravel_index(index, shape)
     return detect_candidates(index, obj[cand],

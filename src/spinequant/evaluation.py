@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import (GeometryError, UndefinedMetricError, boxes_from_keypoints,
-                   check_unit_interval, finite_array, finite_numbers, iou_matrix)
+                   finite_array, finite_numbers, iou_matrix)
 from .detection import N_KEYPOINTS
 from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
 
@@ -114,7 +114,7 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
     by box geometry, so the assignment does not depend on input order.  This
     is the one-study call of the matcher ``evaluate_study_set`` runs.
     """
-    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    finite_numbers(iou_threshold, "iou_threshold", domain="(0, 1]")
     scores = finite_array([score for _, score in detections], "scores of detections",
                           (len(detections),))
     det_boxes = _box_rows([box for box, _ in detections], "detections")
@@ -352,7 +352,7 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
     plus a list of undefined-metric messages (empty when every metric was
     computable).
     """
-    check_unit_interval("iou_threshold", iou_threshold, closed=False)
+    finite_numbers(iou_threshold, "iou_threshold", domain="(0, 1]")
     mild_cut, moderate_cut = map(finite_numbers, (mild_cut, moderate_cut),
                                  ("mild_cut", "moderate_cut"))
     if not moderate_cut < mild_cut:

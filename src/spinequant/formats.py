@@ -97,11 +97,9 @@ def read_vg1(path) -> Volume3D:
     if header["dtype"] != "f32":
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
     try:
-        shape = finite_numbers(header["shape"], "shape", (3,), integer=True)
+        shape = finite_numbers(header["shape"], "shape", (3,), integer=True, domain="> 0")
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if min(shape) <= 0:
-        raise FormatError(f"{path}: shape must be positive, got {shape}")
     if not isinstance(header["data"], str):
         raise FormatError(f"{path}: 'data' must be a file name, got {header['data']!r}")
     data_path = path.parent / header["data"]

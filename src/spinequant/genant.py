@@ -69,10 +69,9 @@ def heights(kps: VertebraKeypoints) -> tuple[float, float, float]:
 
 
 def genant_index(h_a: float, h_m: float, h_p: float) -> float:
-    """Ratio of the smallest to the largest of the three heights."""
-    h = tuple(map(finite_numbers, (h_a, h_m, h_p), ("h_a", "h_m", "h_p")))
-    if min(h) <= 0:
-        raise ValueError(f"heights must be positive, got {h}")
+    """Ratio of the smallest to the largest of the three heights, each > 0."""
+    h = [finite_numbers(v, name, domain="> 0")
+         for v, name in zip((h_a, h_m, h_p), ("h_a", "h_m", "h_p"))]
     return min(h) / max(h)
 
 

@@ -51,8 +51,9 @@ def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
 
     In "probabilities" mode the map itself (non-negative, positive total mass)
     is normalized into weights; in "logits" mode weights are a softmax of
-    ``temperature * values``.  Returns continuous (x, y) grid coordinates.
-    An unknown ``mode`` or a non-finite ``temperature`` or map raises ValueError.
+    ``temperature * values``, and ``temperature`` must be > 0 in either mode.
+    Returns continuous (x, y) grid coordinates.  An unknown ``mode``, a
+    ``temperature`` out of range or a non-finite map raises ValueError.
     """
     temperature = _check_mode(mode, temperature)
     # C order keeps the pairwise sums, and so the result, bitwise independent
@@ -83,7 +84,7 @@ def _check_mode(mode: str, temperature: float) -> float:
     """The soft-argmax ``temperature`` as a float, once ``mode`` and it are known good."""
     if mode not in ("probabilities", "logits"):
         raise ValueError(f"unknown soft-argmax mode {mode!r}")
-    return finite_numbers(temperature, "temperature")
+    return finite_numbers(temperature, "temperature", domain="> 0")
 
 
 def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
@@ -95,7 +96,7 @@ def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
     "probabilities" mode an all-zero map, as a network may emit off the spine,
     holds no position: its slice is skipped, at an end or in the middle, and
     ``upsample_curve`` spans the gap; fewer than two slices left raise
-    GeometryError.  A bad ``mode`` or ``temperature`` is a ValueError before any
+    GeometryError.  A bad ``mode`` or ``temperature`` (not > 0) is a ValueError before any
     slice is read; a fault in a slice's map is re-raised as GeometryError with its index.
     Slabs of ``CENTERLINE_SLAB`` maps are decoded at once, a failing one again map by map.
     """

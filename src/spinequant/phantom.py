@@ -204,12 +204,11 @@ def oracle_heatmaps(annotations: list[VertebraKeypoints], vol: Volume3D,
     """Per-slice Gaussian heatmaps centered on the centerline target.
 
     The returned stack covers the slices of ``vol`` inside the annotated
-    span, each holding an isotropic Gaussian normalized to unit mass.  A
-    ``sigma_vox`` so small that a slice's Gaussian underflows to 0 raises
+    span, each holding an isotropic Gaussian normalized to unit mass.
+    ``sigma_vox`` must be > 0, and one so small that a slice's Gaussian underflows to 0 raises
     ValueError.  Made ``HEATMAP_SLAB`` slices at a time, each by one slice's operations.
     """
-    if not (sigma_vox := finite_numbers(sigma_vox, "sigma_vox")) > 0:
-        raise ValueError(f"sigma_vox must be positive, got {sigma_vox}")
+    sigma_vox = finite_numbers(sigma_vox, "sigma_vox", domain="> 0")
     target = centerline_target(annotations, vol.slice_z_world())
     nx, ny = vol.shape[:2]
     maps = np.empty((nx, ny, len(target)), dtype=np.float32, order="F")

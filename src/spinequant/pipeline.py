@@ -364,8 +364,7 @@ def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
     imperfect regression head.  The volume and heatmaps are dropped once the
     plane is straightened, so neither is alive during target assignment.
     """
-    if not finite_numbers(keypoint_noise_mm, "keypoint_noise_mm") >= 0:
-        raise ValueError(f"keypoint_noise_mm must be >= 0, got {keypoint_noise_mm!r}")
+    finite_numbers(keypoint_noise_mm, "keypoint_noise_mm", domain=">= 0")
     volume, annotations, planted, heatmaps = oracle_phantom(phantom_cfg, cfg)
     sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
     del volume, heatmaps
@@ -387,8 +386,7 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     exactly that magnitude.  The positive anchors go to
     ``detect_candidates`` with score 1; no map over all anchors is built.
     """
-    if not finite_numbers(keypoint_noise_mm, "keypoint_noise_mm") >= 0:
-        raise ValueError(f"keypoint_noise_mm must be >= 0, got {keypoint_noise_mm!r}")
+    finite_numbers(keypoint_noise_mm, "keypoint_noise_mm", domain=">= 0")
     targets = chain.targets
     offsets = targets.offsets
     if keypoint_noise_mm > 0:

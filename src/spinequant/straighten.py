@@ -105,16 +105,18 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
     resampled at uniform arc-length ``step``, tangents come from central
     differences, and the rotation-minimizing frames start from the patient
     left-right axis (``_rotation_minimizing_frames``).
-    ``pad_mm`` extends the curve straight beyond both ends.
+    ``pad_mm`` extends the curve straight beyond both ends.  ``step`` must be
+    > 0, and ``smoothing`` and ``pad_mm`` >= 0, else ValueError.
     """
-    step, smoothing, pad_mm = map(finite_numbers, (step, smoothing, pad_mm),
-                                  ("step", "smoothing", "pad_mm"))
+    step = finite_numbers(step, "step", domain="> 0")
+    smoothing = finite_numbers(smoothing, "smoothing", domain=">= 0")
+    pad_mm = finite_numbers(pad_mm, "pad_mm", domain=">= 0")
     if len(polyline) < 4:
         raise GeometryError("need at least four centerline points")
     z = polyline.z
     span = float(z[-1] - z[0])
-    if span <= 0 or step <= 0:
-        raise GeometryError("degenerate centerline or step")
+    if span <= 0:
+        raise GeometryError("degenerate centerline")
     if len(polyline) >= 5 and smoothing > 0:
         fit = smoothing_spline(z, polyline.xy, smoothing)
     else:
@@ -360,12 +362,12 @@ def straighten_plane(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
     Pixel (j, k) samples the input at ``c(s_k) + (j - j_half) * delta * v(s_k)``
     with ``j_half = floor(half_extent / delta)``, so the curve itself maps to
     the central column j = j_half and row spacing equals the curve's
-    arc-length step.  Points outside the volume take ``fill``.
+    arc-length step.  Points outside the volume take ``fill``.  ``delta`` must
+    be > 0 and ``half_extent`` >= 0, else ValueError.
     """
-    delta, half_extent, fill = map(finite_numbers, (delta, half_extent, fill),
-                                   ("delta", "half_extent", "fill"))
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = finite_numbers(delta, "delta", domain="> 0")
+    half_extent = finite_numbers(half_extent, "half_extent", domain=">= 0")
+    fill = finite_numbers(fill, "fill")
     j_half = np.floor(half_extent / delta + 1e-9)
     check_size((2 * j_half + 1, len(curve)),
                f"delta {delta} and half_extent {half_extent}: the straightened plane")

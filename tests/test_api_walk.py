@@ -9,6 +9,10 @@ tuples, dicts and arrays), NaN, +inf and -inf are put in turn at a drawn
 position, and the call must raise ValueError (or its subclass GeometryError)
 whose message names the argument.  Arguments that may stay non-finite are listed in ``EXEMPT``, each
 with its reason, and exports with no numeric argument in ``NOT_WALKED``.
+
+The range axis: each argument with a domain (``core.DOMAINS``), listed in ``RANGES``, is given
+0 and a value outside its domain, which must raise a plain ValueError naming the argument and
+the domain, and the bounds its domain includes, which must be accepted.
 """
 import functools
 import numbers
@@ -132,12 +136,10 @@ def _calls():
             "score_threshold": 0.5, "iou_threshold": 0.45}),
         "detection_loss": (detection_loss, {
             "pred_objectness": np.full((2, 2, 1), 0.7),
-            "pred_offsets": rng.normal(0.0, 0.3, (2, 2, 1, 6, 2)), "targets": targets,
-            "eps": 1e-7}),
+            "pred_offsets": rng.normal(0.0, 0.3, (2, 2, 1, 6, 2)), "targets": targets}),
         "detection_loss_grad": (detection_loss_grad, {
             "pred_objectness": np.full((2, 2, 1), 0.7),
-            "pred_offsets": rng.normal(0.0, 0.3, (2, 2, 1, 6, 2)), "targets": targets,
-            "eps": 1e-7}),
+            "pred_offsets": rng.normal(0.0, 0.3, (2, 2, 1, 6, 2)), "targets": targets}),
         "encode_keypoints": (encode_keypoints, {"keypoints": rng.normal(0.0, 3.0, (2, 6, 2)),
                                                 "centers": [[1.0, 2.0], [3.0, 1.0]],
                                                 "sides": [[2.0, 3.0], [3.0, 3.0]]}),
@@ -259,3 +261,74 @@ def test_record_methods_refuse_bad_shapes_and_indices_by_name(name, arg, value):
     with pytest.raises(ValueError, match=rf"^{arg} must be") as exc:
         fn(**{**kwargs, arg: value})
     assert exc.type is ValueError
+
+
+# (call, argument, position of the number in it, domain): every ranged argument of the walk.
+RANGES = [
+    ("AnchorGrid", "image_shape", (0,), "> 0"),
+    ("AnchorGrid", "sides_px", (1,), "> 0"),
+    ("DetectionTargets", "matched", (2,), ">= 0"),
+    ("DetectionTargets", "genant_weights", (3,), "(0, 1]"),
+    ("Volume3D", "spacing", (1,), "> 0"),
+    ("assign_targets", "ground_truth", (1, 1), "(0, 1]"),
+    ("assign_targets", "iou_threshold", (), "(0, 1]"),
+    ("build_spine_curve", "step", (), "> 0"),
+    ("build_spine_curve", "smoothing", (), ">= 0"),
+    ("build_spine_curve", "pad_mm", (), ">= 0"),
+    ("decode_keypoints", "sides", (1, 0), "> 0"),
+    ("detect", "score_threshold", (), "[0, 1]"),
+    ("detect", "iou_threshold", (), "(0, 1]"),
+    ("detect_candidates", "score_threshold", (), "[0, 1]"),
+    ("detect_candidates", "iou_threshold", (), "(0, 1]"),
+    ("encode_keypoints", "sides", (0, 1), "> 0"),
+    ("evaluation.evaluate_study_set", "iou_threshold", (), "(0, 1]"),
+    ("genant_index", "h_a", (), "> 0"),
+    ("genant_index", "h_m", (), "> 0"),
+    ("genant_index", "h_p", (), "> 0"),
+    ("generate_anchors", "image_shape", (1,), "> 0"),
+    ("generate_anchors", "pixel_spacing", (), "> 0"),
+    ("generate_anchors", "scales_mm", (1,), "> 0"),
+    ("generate_anchors", "ratios", (0,), "> 0"),
+    ("match_detections", "iou_threshold", (), "(0, 1]"),
+    ("nms", "iou_threshold", (), "(0, 1]"),
+    ("oracle_heatmaps", "sigma_vox", (), "> 0"),
+    ("run_phantom_chain", "keypoint_noise_mm", (), ">= 0"),
+    ("slicewise_centerline", "temperature", (), "> 0"),
+    ("soft_argmax_2d", "temperature", (), "> 0"),
+    ("straighten_plane", "delta", (), "> 0"),
+    ("straighten_plane", "half_extent", (), ">= 0"),
+]
+# Per domain: 0 and the values outside it that must be refused (integers where an integer
+# is read, so the domain and not the type refuses them), and the bounds it includes.
+REFUSED = {"> 0": (0, -1), ">= 0": (-1,), "(0, 1]": (0, 1.5, -0.1), "[0, 1]": (-0.1, 1.5)}
+BOUNDS = {"> 0": (), ">= 0": (0,), "(0, 1]": (1,), "[0, 1]": (0, 1)}
+
+
+def test_the_range_table_names_arguments_of_the_walk():
+    calls = _calls()
+    for name, arg, path, _ in RANGES:
+        assert path in leaves(calls[name][1][arg])
+
+
+@pytest.mark.parametrize("name, arg, path, domain, value", [
+    (*case, value) for case in RANGES for value in REFUSED[case[3]]],
+    ids=[f"{name}-{arg}={value}" for name, arg, _, domain in RANGES for value in REFUSED[domain]])
+def test_every_ranged_argument_refuses_values_outside_its_domain_by_name(name, arg, path,
+                                                                         domain, value):
+    # Before the domain rule, temperature 0 and -1, smoothing and pad_mm -1,
+    # half_extent -1 (refused as j_half), AnchorGrid's image side 0 and anchor side -1
+    # passed or were refused without their name, and a side of 0 in encode_keypoints
+    # divided by zero.
+    fn, kwargs = _calls()[name]
+    with pytest.raises(ValueError) as exc:
+        fn(**{**kwargs, arg: inject(kwargs[arg], path, value)})
+    assert exc.type is ValueError
+    assert re.search(rf"(?<!\w){arg}(?!\w)", str(exc.value)) and domain in str(exc.value)
+
+
+@pytest.mark.parametrize("name, arg, path, value", [
+    (name, arg, path, value) for name, arg, path, domain in RANGES for value in BOUNDS[domain]],
+    ids=[f"{name}-{arg}={value}" for name, arg, _, domain in RANGES for value in BOUNDS[domain]])
+def test_every_ranged_argument_accepts_the_bounds_of_its_domain(name, arg, path, value):
+    fn, kwargs = _calls()[name]
+    fn(**{**kwargs, arg: inject(kwargs[arg], path, value)})

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinequant.core import (DEFAULT_FILL, IOU_BLOCK, GeometryError,
-                             Volume3D, _corners, _sample_voxel_coords, boxes_from_keypoints,
-                             finite_numbers, iou_matrix, owned_array)
+from spinequant.core import (DEFAULT_FILL, GeometryError, Volume3D, _corners,
+                             _sample_voxel_coords, boxes_from_keypoints, finite_numbers,
+                             iou_matrix, owned_array)
 from spinequant.genant import VertebraKeypoints
 from spinequant.localization import CenterlinePolyline
 from spinequant.straighten import SpineCurve, StraightenedImage, StraightenTransform
@@ -105,9 +105,9 @@ def test_iou_matrix_bitwise_equals_reference_formula():
             assert got.tobytes() == iou_matrix_reference(x, y).tobytes()
     row = np.array([1.0, 2.0, 3.0, 4.0])
     assert iou_matrix(row, b).tobytes() == iou_matrix_reference(row, b).tobytes()
-    # Column counts on both sides of the block edges of b, and empty inputs.
+    # Column counts as large as the first call of NMS (about 10,600 boxes), and empty inputs.
     for n in (0, 1, 12):
-        for m in (0, IOU_BLOCK - 1, IOU_BLOCK, IOU_BLOCK + 1, 3 * IOU_BLOCK + 5):
+        for m in (0, 4095, 4096, 4097, 12293):
             a = np.column_stack([rng.integers(-20, 20, (n, 2)), rng.integers(1, 12, (n, 2))])
             b = np.column_stack([rng.uniform(-20, 20, (m, 2)), rng.uniform(0.5, 12, (m, 2))])
             for x, y in ((a, b), (b, a)):

@@ -885,6 +885,14 @@ def test_only_anchor_grid_locate_indexes_sides_by_type():
     assert hits == len(gather.findall(inspect.getsource(AnchorGrid.locate))) == 1
 
 
+@pytest.mark.parametrize("loss", [detection_loss, detection_loss_terms, detection_loss_grad])
+def test_the_loss_clips_at_bce_eps_only(loss):
+    # An eps argument once inverted the clip range at 0.7 without a word.
+    targets = positive_targets()
+    with pytest.raises(TypeError):
+        loss(np.full(targets.shape, 0.7), np.zeros(targets.shape + (6, 2)), targets, eps=0.7)
+
+
 def test_loss_does_not_depend_on_memory_layout():
     # At this size a sum in Fortran order rounds differently from one in C order.
     _, targets, pred_o, pred_e = random_fixture(np.random.default_rng(0), nx=121, ny=316,

@@ -139,6 +139,9 @@ def test_vg1_errors(tmp_path):
     ("spacing", [True, 1.0, 1.0]),
     ("spacing", 5),
     ("spacing", "abc"),
+    ("spacing", [1.0, 0.0, 1.0]),
+    ("shape", [3, 0, 3]),
+    ("shape", [3, 3, -1]),
     ("origin", [0.0, 0.0]),
     ("origin", [0.0, float("nan"), 0.0]),
     ("origin", [float("-inf"), 0.0, 0.0]),

@@ -1,5 +1,10 @@
-"""The north star's dependency rule: ``src/`` imports only the standard library,
-numpy and spinequant itself (scipy is a test oracle, never a runtime import)."""
+"""Rules on the source, read from its syntax trees.
+
+The north star's dependency rule: ``src/`` imports only the standard library,
+numpy and spinequant itself (scipy is a test oracle, never a runtime import).
+The range rule: a range on an argument is stated only as a ``domain`` of
+``core.finite_numbers``/``core.finite_array`` (or a record's ``require``), so no
+other module raises an error whose text states a range by hand."""
 import ast
 import sys
 from pathlib import Path
@@ -25,3 +30,25 @@ def test_src_imports_only_the_standard_library_and_numpy():
     assert modules
     outside = {path.name: sorted(imported_packages(path) - ALLOWED) for path in modules}
     assert {name: pkgs for name, pkgs in outside.items() if pkgs} == {}
+
+
+RANGE_PHRASES = ("must be positive", "must be >= 0", "must be in (0, 1]", "must be in [0, 1]")
+
+
+def range_raises(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) of each string literal, f-string parts included, that states
+    a range inside a ``raise`` statement."""
+    return [(node.lineno, sub.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            for sub in ast.walk(node.exc)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            and any(phrase in sub.value for phrase in RANGE_PHRASES)]
+
+
+def test_ranges_are_refused_only_through_the_domains_of_core():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "check_unit_interval" not in {
+        node.name for node in ast.walk(trees["core.py"]) if isinstance(node, ast.FunctionDef)}
+    found = {name: range_raises(tree) for name, tree in trees.items() if name != "core.py"}
+    assert {name: raises for name, raises in found.items() if raises} == {}

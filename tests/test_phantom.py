@@ -254,7 +254,7 @@ def test_oracle_heatmaps_straight_spine_maxima_align():
 
 
 @pytest.mark.parametrize("sigma_vox, message", [
-    (0.0, "must be positive"), (-2.0, "must be positive"),
+    (0.0, "must be a finite number > 0"), (-2.0, "must be a finite number > 0"),
     (0.01, "is too small"), (1e-200, "is too small")])
 def test_oracle_heatmaps_refuses_a_sigma_it_cannot_render(sigma_vox, message):
     # Zero would divide by zero into NaN maps, and -2 would render the maps of +2.
