@@ -49,7 +49,7 @@ class Volume3D:
         values = owned_array(self.values, np.float32)
         if values.ndim != 3:
             raise ValueError(f"expected a 3D array, got shape {values.shape}")
-        check_number_fields(self)
+        check_number_fields(self, spacing="> 0")
         check_grid(values.shape, self.spacing, self.origin)
         object.__setattr__(self, "values", values)
 
@@ -180,17 +180,19 @@ _ANNOTATION_RULES = {
 }
 
 
-def check_number_fields(obj) -> None:
+def check_number_fields(obj, **domains: str) -> None:
     """Pass each numeric field of a frozen dataclass through ``finite_numbers``.
 
     The rule comes from the field's annotation, a string under ``from
-    __future__ import annotations``; None stays where the annotation allows.
+    __future__ import annotations``; None stays where the annotation allows.  A
+    record states each field's range here, as a keyword naming its ``DOMAINS``
+    key, and keeps ``require`` for rules that are not ranges.
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in _ANNOTATION_RULES and not (value is None and f.type.endswith("| None")):
-            object.__setattr__(obj, f.name,
-                               finite_numbers(value, f.name, *_ANNOTATION_RULES[f.type]))
+            object.__setattr__(obj, f.name, finite_numbers(
+                value, f.name, *_ANNOTATION_RULES[f.type], domain=domains.get(f.name)))
 
 
 def require(obj, ok: bool, name: str, rule: str) -> None:
@@ -200,9 +202,8 @@ def require(obj, ok: bool, name: str, rule: str) -> None:
 
 
 def check_grid(shape, spacing, origin) -> None:
-    """Raise ValueError unless ``spacing`` is positive and the far voxel
-    ``origin + (shape - 1) * spacing`` of the grid is finite."""
-    finite_numbers(spacing, "spacing", (3,), domain="> 0")
+    """Raise ValueError unless the far voxel ``origin + (shape - 1) * spacing`` of
+    the grid is finite; the caller has checked ``spacing`` > 0 and ``origin`` finite."""
     if not all(math.isfinite(o + (n - 1) * s) for o, n, s in zip(origin, shape, spacing)):
         raise ValueError(f"spacing {spacing} and origin {origin} put the far "
                          f"voxel of a {shape} grid at infinity")

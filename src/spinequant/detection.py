@@ -41,17 +41,18 @@ class AnchorGrid:
     scale-major, t = scale_index * len(ratios) + ratio_index.  Anchor
     (ix, iy, t) is centered on pixel (ix, iy); its flat index is
     (ix * ny + iy) * A + t, the C order of an (nx, ny, A) array.  Both image
-    sides and every anchor side must be > 0, else ValueError.
+    sides and every anchor side must be > 0, and the table must hold a row,
+    else ValueError.  A writeable ``sides_px`` is copied (``owned_array``).
     """
 
     image_shape: tuple[int, int]
     sides_px: np.ndarray  # (A, 2)
 
     def __post_init__(self):
-        check_number_fields(self)
-        require(self, min(self.image_shape) > 0, "image_shape", "two sides > 0")
-        object.__setattr__(self, "sides_px",
-                           finite_array(self.sides_px, "sides_px", (None, 2), domain="> 0"))
+        check_number_fields(self, image_shape="> 0")
+        object.__setattr__(self, "sides_px", owned_array(
+            finite_array(self.sides_px, "sides_px", (None, 2), domain="> 0"), float))
+        require(self, self.n_types > 0, "sides_px", "at least one (width, height) row")
 
     @property
     def n_types(self) -> int:
@@ -77,10 +78,13 @@ def generate_anchors(image_shape, pixel_spacing: float,
                      scales_mm=DEFAULT_SCALES_MM,
                      ratios=DEFAULT_RATIOS) -> AnchorGrid:
     """Anchor grid over every pixel center of a ``(nx, ny)`` image; the pixel
-    spacing, scales and ratios must be > 0 (``AnchorGrid`` checks the image sides)."""
+    spacing, scales and ratios must be > 0, with at least one scale and one ratio
+    (``AnchorGrid`` checks the image sides)."""
     finite_numbers(pixel_spacing, "pixel_spacing", domain="> 0")
     scales_mm = finite_numbers(scales_mm, "scales_mm", (None,), domain="> 0")
     ratios = finite_numbers(ratios, "ratios", (None,), domain="> 0")
+    if not (scales_mm and ratios):
+        raise ValueError(f"{'ratios' if scales_mm else 'scales_mm'} must be non-empty, got ()")
     with np.errstate(over="ignore"):  # an overflow is refused right below
         sides = np.array([[s / np.sqrt(r), s * np.sqrt(r)] for s in scales_mm for r in ratios],
                          dtype=float).reshape(-1, 2) / pixel_spacing
@@ -130,10 +134,10 @@ class DetectionTargets:
     genant_weights: np.ndarray  # (P,)
 
     def __post_init__(self):
-        check_number_fields(self)
+        check_number_fields(self, shape="> 0")
         index = owned_array(finite_array(self.index, "index", (None,), np.int64), np.int64)
         n_anchors = math.prod(self.shape)
-        if min(self.shape) <= 0 or np.any(np.diff(index) <= 0) or (
+        if np.any(np.diff(index) <= 0) or (
                 len(index) and not 0 <= index[0] <= index[-1] < n_anchors):
             raise ValueError(f"index must hold ascending, distinct anchor indices in "
                              f"[0, {n_anchors}) of a grid of shape {self.shape}")

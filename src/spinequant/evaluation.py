@@ -108,7 +108,7 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
     """Greedily match detections to ground truth by descending score.
 
     ``detections`` are (box, finite score) pairs and ``ground_truth`` box
-    rows, with boxes as finite (cx, cy, w, h) rows of positive sides.  Each
+    rows, with boxes as finite (cx, cy, w, h) rows, w and h > 0.  Each
     detection claims the unclaimed ground-truth box with the highest IoU
     above the threshold, which must be in (0, 1].  Ordering ties are broken
     by box geometry, so the assignment does not depend on input order.  This
@@ -129,10 +129,9 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
 
 
 def _box_rows(rows, name: str) -> np.ndarray:
-    """(n, 4) finite box rows of positive sides, else ValueError naming ``name``."""
+    """(n, 4) finite box rows (cx, cy, w, h), w and h > 0, else ValueError naming ``name``."""
     boxes = finite_array(np.reshape(rows, (len(rows), 4)), name, (None, 4))
-    if not np.all(boxes[:, 2:] > 0):
-        raise ValueError(f"{name} must be (cx, cy, w, h) boxes with positive sides")
+    finite_array(boxes[:, 2:], f"{name} (w, h)", (None, 2), domain="> 0")
     return boxes
 
 

@@ -65,25 +65,22 @@ class PhantomConfig:
 
     def __post_init__(self):
         """Refuse any description ``generate_phantom`` cannot render, size bounds first."""
-        check_number_fields(self)
+        check_number_fields(self, seed=">= 0", **dict.fromkeys(
+            ("spacing", "pitch_mm", "body_width_mm", "body_depth_mm", "scoliosis_wavelength_mm",
+             "heights_mm"), "> 0"))
         require(self, min(self.shape) >= 8, "shape", "at least 8 voxels along each axis")
         require(self, math.prod(self.shape) <= MAX_GRID_VOXELS, "shape",
                 f"at most {MAX_GRID_VOXELS} voxels")
         check_grid(self.shape, self.spacing, self.origin)
         require(self, 2 <= self.n_vertebrae <= self.shape[2], "n_vertebrae",
                 "at least 2 and at most one per slice (shape[2])")
-        for name in ("pitch_mm", "body_width_mm", "body_depth_mm", "scoliosis_wavelength_mm"):
-            require(self, getattr(self, name) > 0, name, "positive")
         # Ten sigma of noise must stay inside the float32 range the voxels are stored in.
         require(self, 0 <= self.noise_sigma <= float(np.finfo(np.float32).max) / 10,
                 "noise_sigma", "in [0, 3.4e37]")
-        require(self, self.seed >= 0, "seed", "a non-negative integer")  # numpy's rule
         extent = [(n - 1) * s for n, s in zip(self.shape, self.spacing)]
         span = (self.n_vertebrae - 1) * self.pitch_mm
         require(self, self.heights_mm != (), "heights_mm", "non-empty")
-        heights = self.resolved_heights()  # n_vertebrae is bounded by now
-        require(self, min(map(min, heights)) > 0, "heights_mm", "positive triples")
-        tallest = [max(trip) for trip in heights]
+        tallest = [max(trip) for trip in self.resolved_heights()]  # n_vertebrae is bounded
         for a, b in zip(tallest[:-1], tallest[1:]):
             if (a + b) / 2 >= self.pitch_mm:
                 raise ValueError(

@@ -54,18 +54,14 @@ class PipelineConfig:
     fill: float = DEFAULT_FILL
 
     def __post_init__(self):
-        check_number_fields(self)
-        for name in ("working_spacing_mm", "delta_mm", "softargmax_temperature"):
-            require(self, getattr(self, name) > 0, name, "positive")
-        for name in ("smoothing_lambda", "curve_pad_mm"):
-            require(self, getattr(self, name) >= 0, name, "non-negative")
-        require(self, min(self.half_extent_mm) >= 0, "half_extent_mm", "a pair of values >= 0")
+        check_number_fields(
+            self, **dict.fromkeys(("working_spacing_mm", "delta_mm", "softargmax_temperature",
+                                   "anchor_scales_mm", "anchor_ratios"), "> 0"),
+            **dict.fromkeys(("smoothing_lambda", "curve_pad_mm", "half_extent_mm"), ">= 0"),
+            **dict.fromkeys(("nms_iou", "assign_iou", "match_iou"), "(0, 1]"),
+            objectness_threshold="[0, 1]")
         for name in ("anchor_scales_mm", "anchor_ratios"):
-            values = getattr(self, name)
-            require(self, len(values) > 0 and min(values) > 0, name, "non-empty and positive")
-        for name in ("nms_iou", "assign_iou", "match_iou"):
-            require(self, 0 < getattr(self, name) <= 1, name, "in (0, 1]")
-        require(self, 0 <= self.objectness_threshold <= 1, "objectness_threshold", "in [0, 1]")
+            require(self, len(getattr(self, name)) > 0, name, "non-empty")
         require(self, self.softargmax_mode in ("probabilities", "logits"),
                 "softargmax_mode", "'probabilities' or 'logits'")
         if not self.severe_cut < self.moderate_cut < self.mild_cut:

@@ -165,6 +165,8 @@ def build_spine_curve(polyline: CenterlinePolyline, step: float = 1.0,
     u, v = _rotation_minimizing_frames(centers, t)
 
     if pad_mm > 0:
+        check_size((n_samples + 2 * pad_mm / step, 3),
+                   f"pad_mm {pad_mm} at step {step} mm: the padded curve")
         n_pad = int(np.ceil(pad_mm / step - 1e-9))
         lo = centers[0] - np.outer(step * np.arange(n_pad, 0, -1), t[0])
         hi = centers[-1] + np.outer(step * np.arange(1, n_pad + 1), t[-1])
@@ -231,10 +233,9 @@ class StraightenTransform:
     def __post_init__(self):
         _set_checked_rows(self, ("centers", "u", "v"))
         _check_frames(self, ("u", "v"))
-        check_number_fields(self)
+        check_number_fields(self, delta="> 0", j_half=">= 0")
         # A subnormal delta has an infinite reciprocal or too few digits to scale by.
-        require(self, self.delta >= sys.float_info.min, "delta", "a positive normal float")
-        require(self, self.j_half >= 0, "j_half", ">= 0")
+        require(self, self.delta >= sys.float_info.min, "delta", "a normal float")
 
     @property
     def n_rows(self) -> int:

@@ -10,7 +10,8 @@ position, and the call must raise ValueError (or its subclass GeometryError)
 whose message names the argument.  Arguments that may stay non-finite are listed in ``EXEMPT``, each
 with its reason, and exports with no numeric argument in ``NOT_WALKED``.
 
-The range axis: each argument with a domain (``core.DOMAINS``), listed in ``RANGES``, is given
+The range axis: each argument with a domain (``core.DOMAINS``), a record's field given one
+through ``core.check_number_fields`` included, listed in ``RANGES``, is given
 0 and a value outside its domain, which must raise a plain ValueError naming the argument and
 the domain, and the bounds its domain includes, which must be accepted.
 """
@@ -263,12 +264,35 @@ def test_record_methods_refuse_bad_shapes_and_indices_by_name(name, arg, value):
     assert exc.type is ValueError
 
 
-# (call, argument, position of the number in it, domain): every ranged argument of the walk.
+# (call, argument, position of the number in it, domain): every ranged argument of the walk,
+# record fields included.
 RANGES = [
     ("AnchorGrid", "image_shape", (0,), "> 0"),
     ("AnchorGrid", "sides_px", (1,), "> 0"),
+    ("DetectionTargets", "shape", (1,), "> 0"),
     ("DetectionTargets", "matched", (2,), ">= 0"),
     ("DetectionTargets", "genant_weights", (3,), "(0, 1]"),
+    ("PhantomConfig", "spacing", (2,), "> 0"),
+    ("PhantomConfig", "scoliosis_wavelength_mm", (), "> 0"),
+    ("PhantomConfig", "pitch_mm", (), "> 0"),
+    ("PhantomConfig", "body_width_mm", (), "> 0"),
+    ("PhantomConfig", "body_depth_mm", (), "> 0"),
+    ("PhantomConfig", "heights_mm", (0, 1), "> 0"),
+    ("PhantomConfig", "seed", (), ">= 0"),
+    ("PipelineConfig", "working_spacing_mm", (), "> 0"),
+    ("PipelineConfig", "delta_mm", (), "> 0"),
+    ("PipelineConfig", "half_extent_mm", (1,), ">= 0"),
+    ("PipelineConfig", "smoothing_lambda", (), ">= 0"),
+    ("PipelineConfig", "curve_pad_mm", (), ">= 0"),
+    ("PipelineConfig", "anchor_scales_mm", (0,), "> 0"),
+    ("PipelineConfig", "anchor_ratios", (2,), "> 0"),
+    ("PipelineConfig", "objectness_threshold", (), "[0, 1]"),
+    ("PipelineConfig", "nms_iou", (), "(0, 1]"),
+    ("PipelineConfig", "assign_iou", (), "(0, 1]"),
+    ("PipelineConfig", "match_iou", (), "(0, 1]"),
+    ("PipelineConfig", "softargmax_temperature", (), "> 0"),
+    ("StraightenTransform", "delta", (), "> 0"),
+    ("StraightenTransform", "j_half", (), ">= 0"),
     ("Volume3D", "spacing", (1,), "> 0"),
     ("assign_targets", "ground_truth", (1, 1), "(0, 1]"),
     ("assign_targets", "iou_threshold", (), "(0, 1]"),

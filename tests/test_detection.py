@@ -54,6 +54,27 @@ def test_anchor_grid_rejects_zero_side():
             generate_anchors(shape, 1.0)
 
 
+@pytest.mark.parametrize("arg", ["scales_mm", "ratios"])
+def test_anchor_grid_refuses_no_scales_or_no_ratios_by_name(arg):
+    # An empty scales_mm once gave a grid of 0 anchor types, on which assign_targets
+    # raised numpy's "zero-size array to reduction operation maximum".
+    with pytest.raises(ValueError, match=f"^{arg} must be non-empty, got"):
+        generate_anchors((20, 10), 1.0, **{arg: ()})
+    with pytest.raises(ValueError, match=r"^sides_px must be at least one \(width, height\) row"):
+        AnchorGrid((20, 10), np.empty((0, 2)))
+
+
+def test_anchor_grid_keeps_its_sides_from_later_writes_to_the_source():
+    # The record once held the caller's array: this write turned its side to -5.
+    source = np.array([[2.0, 2.0]])
+    grid = AnchorGrid((4, 4), source)
+    source[0, 0] = -5.0
+    assert grid.sides_px.tolist() == [[2.0, 2.0]]
+    assert not grid.sides_px.flags.writeable and source.flags.writeable
+    table = generate_anchors((4, 4), 1.0).sides_px  # a read-only table is adopted uncopied
+    assert AnchorGrid((4, 4), table).sides_px is table
+
+
 def test_anchor_grid_rejects_sides_that_overflow():
     # 80 mm over pixels of 3e-308 mm is beyond float range.
     with pytest.raises(GeometryError, match="overflow"):
@@ -291,7 +312,7 @@ def test_targets_record_is_read_only_and_owns_its_arrays():
     ({"index": [1, 8]}, r"\[0, 8\)"),
     ({"index": [-1, 4]}, r"\[0, 8\)"),
     ({"index": [[1, 4]]}, "^index must be finite numbers of shape"),
-    ({"shape": (2, 0, 2)}, "grid of shape"),
+    ({"shape": (2, 0, 2)}, "^shape must be"),
     ({"matched": [0]}, "^matched must be finite numbers of shape"),
     ({"offsets": np.zeros((2, 6, 1))}, "offsets has shape"),
     ({"genant_weights": np.ones(3)}, "genant_weights must be finite numbers of shape"),

@@ -170,6 +170,16 @@ def test_match_refuses_non_finite_or_flat_boxes(bad):
         match_detections([(good[0], 1.0)], [good[1], np.array(bad)])
 
 
+@pytest.mark.parametrize("side", [0.0, -1.0])
+def test_match_refuses_a_box_side_outside_its_domain_by_name(side):
+    good = boxes_along_column(2)
+    bad = np.array([0.0, 0.0, side, 2.0])
+    with pytest.raises(ValueError, match=r"^detections \(w, h\) must be .*, each > 0, got"):
+        match_detections([(good[0], 1.0), (bad, 0.5)], good)
+    with pytest.raises(ValueError, match=r"^ground_truth \(w, h\) must be .*, each > 0, got"):
+        match_detections([(good[0], 1.0)], [good[1], bad])
+
+
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
 def test_match_refuses_a_non_finite_score(score):
     # A NaN score once ranked last: detection 1 took the box and 0 counted a false positive.

@@ -2,9 +2,10 @@
 
 The north star's dependency rule: ``src/`` imports only the standard library,
 numpy and spinequant itself (scipy is a test oracle, never a runtime import).
-The range rule: a range on an argument is stated only as a ``domain`` of
-``core.finite_numbers``/``core.finite_array`` (or a record's ``require``), so no
-other module raises an error whose text states a range by hand."""
+The range rule: a range on an argument or a record field is stated only as a
+``domain`` of ``core.finite_numbers``/``core.finite_array`` (a record names its
+fields' domains to ``core.check_number_fields``), so no module raises an error
+whose text states a range by hand, and no ``require`` rule text states one."""
 import ast
 import sys
 from pathlib import Path
@@ -32,17 +33,31 @@ def test_src_imports_only_the_standard_library_and_numpy():
     assert {name: pkgs for name, pkgs in outside.items() if pkgs} == {}
 
 
-RANGE_PHRASES = ("must be positive", "must be >= 0", "must be in (0, 1]", "must be in [0, 1]")
+RANGE_PHRASES = ("must be positive", "must be >= 0", "must be in (0, 1]", "must be in [0, 1]",
+                 "with positive sides")
+# A require rule is the text after "must be", so any of these in it states a range.
+RULE_PHRASES = ("positive", "non-negative", "> 0", ">= 0", "(0, 1]", "[0, 1]")
 
 
-def range_raises(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, text) of each string literal, f-string parts included, that states
-    a range inside a ``raise`` statement."""
-    return [(node.lineno, sub.value) for node in ast.walk(tree)
-            if isinstance(node, ast.Raise) and node.exc is not None
-            for sub in ast.walk(node.exc)
+def _texts(node: ast.AST, phrases) -> list[tuple[int, str]]:
+    """(line, text) of each string literal under ``node``, f-string parts included,
+    that holds one of ``phrases``."""
+    return [(sub.lineno, sub.value) for sub in ast.walk(node)
             if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-            and any(phrase in sub.value for phrase in RANGE_PHRASES)]
+            and any(phrase in sub.value for phrase in phrases)]
+
+
+def stated_ranges(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) of each string that states a range inside a ``raise`` statement
+    or in the rule, the last argument, of a ``require`` call."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            hits += _texts(node.exc, RANGE_PHRASES)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "require" and node.args):
+            hits += _texts(node.args[-1], RULE_PHRASES)
+    return hits
 
 
 def test_ranges_are_refused_only_through_the_domains_of_core():
@@ -50,5 +65,5 @@ def test_ranges_are_refused_only_through_the_domains_of_core():
              for path in sorted(SRC.glob("*.py"))}
     assert "check_unit_interval" not in {
         node.name for node in ast.walk(trees["core.py"]) if isinstance(node, ast.FunctionDef)}
-    found = {name: range_raises(tree) for name, tree in trees.items() if name != "core.py"}
-    assert {name: raises for name, raises in found.items() if raises} == {}
+    found = {name: stated_ranges(tree) for name, tree in trees.items() if name != "core.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -434,6 +435,14 @@ def test_build_spine_curve_memory_is_bounded_by_its_output():
     assert len(curve) > 24000
     returned = sum(getattr(curve, name).nbytes for name in ("s", "centers", "t", "u", "v"))
     assert peak < 5 * returned, (peak, returned)
+
+
+@pytest.mark.parametrize("pad_mm", [1e15, 1e30])
+def test_build_spine_curve_sizes_its_padding_by_name(pad_mm):
+    # The padding was once unsized: 1e15 mm raised a MemoryError for 7.11 PiB, and
+    # 1e30 mm numpy's unnamed "Maximum allowed size exceeded".
+    with pytest.raises(GeometryError, match=re.escape(f"pad_mm {pad_mm} at step 1.0 mm")):
+        build_spine_curve(line_polyline(), step=1.0, pad_mm=pad_mm)
 
 
 def transform_and_reach(curve, delta):
