@@ -48,7 +48,7 @@ class Volume3D:
     def __post_init__(self):
         values = owned_array(self.values, np.float32)
         if values.ndim != 3:
-            raise ValueError(f"expected a 3D array, got shape {values.shape}")
+            raise ValueError(f"values must be a 3D array, got shape {values.shape}")
         check_number_fields(self, spacing="> 0")
         check_grid(values.shape, self.spacing, self.origin)
         object.__setattr__(self, "values", values)

@@ -22,23 +22,7 @@ import numpy as np
 from .core import (GeometryError, UndefinedMetricError, boxes_from_keypoints,
                    finite_array, finite_numbers, iou_matrix)
 from .detection import N_KEYPOINTS
-from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT
-
-
-def localization_error(pred_centers, gt_centers) -> np.ndarray:
-    """Distance (mm) from each predicted center to the nearest ground-truth one.
-
-    Both arguments are world-mm center rows, shape (3,) or (n, 3); no
-    predicted center gives an empty array.  A non-finite coordinate raises
-    ValueError naming its argument; a distance past the float range is inf.
-    """
-    pred, gt = (finite_array(np.atleast_2d(c) if np.size(c) else np.empty((0, 3)), name, (None, 3))
-                for c, name in ((pred_centers, "pred_centers"), (gt_centers, "gt_centers")))
-    if gt.size == 0:
-        raise ValueError("localization error needs at least one ground-truth center")
-    if pred.size == 0:
-        return np.empty(0)
-    return np.sqrt(_squared_distances(pred, gt).min(axis=-1))
+from .genant import DEFAULT_MILD_CUT, DEFAULT_MODERATE_CUT, body_centers
 
 
 def _squared_distances(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -130,7 +114,7 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5) -> Ma
 
 def _box_rows(rows, name: str) -> np.ndarray:
     """(n, 4) finite box rows (cx, cy, w, h), w and h > 0, else ValueError naming ``name``."""
-    boxes = finite_array(np.reshape(rows, (len(rows), 4)), name, (None, 4))
+    boxes = finite_array(rows if len(rows) else np.empty((0, 4)), name, (None, 4))
     finite_array(boxes[:, 2:], f"{name} (w, h)", (None, 2), domain="> 0")
     return boxes
 
@@ -390,8 +374,8 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
     localized = np.repeat(gt_counts > 0, det_counts)
     if localized.any():
         det_filled, gt_filled = _filled(det_counts), _filled(gt_counts)
-        dist = _squared_distances(_padded(_centers(det_kps), det_filled, 0.0),
-                                  _padded(_centers(gt_kps), gt_filled, 0.0))
+        dist = _squared_distances(_padded(body_centers(det_kps), det_filled, 0.0),
+                                  _padded(body_centers(gt_kps), gt_filled, 0.0))
         dist[~np.broadcast_to(gt_filled[:, None, :], dist.shape)] = np.inf
         errs = np.sqrt(dist.min(axis=2)[det_filled])
         report.localization_mean_mm, report.localization_std_mm = _mean_std(errs[localized])
@@ -414,11 +398,6 @@ def evaluate_study_set(studies, iou_threshold: float = 0.5,
             except (UndefinedMetricError, ValueError) as exc:
                 problems.append(f"{name}/{level}: {exc}")
     return report, problems
-
-
-def _centers(kps: np.ndarray) -> np.ndarray:
-    """Vertebral body centers of (n, 6, 3) keypoints: midpoints of the middle pair."""
-    return (kps[:, 2] + kps[:, 3]) / 2
 
 
 def _study_minima(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

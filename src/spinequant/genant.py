@@ -46,8 +46,13 @@ class VertebraKeypoints:
         return self.points
 
     def center(self) -> np.ndarray:
-        """Vertebral body center: midpoint of the middle height endpoints."""
-        return (self.points[2] + self.points[3]) / 2
+        """Vertebral body center: ``body_centers`` of the keypoints."""
+        return body_centers(self.points)
+
+
+def body_centers(kps: np.ndarray) -> np.ndarray:
+    """Vertebral body centers of (..., 6, 3) keypoints: midpoints of the middle pair."""
+    return (kps[..., 2, :] + kps[..., 3, :]) / 2
 
 
 def heights(kps: VertebraKeypoints) -> tuple[float, float, float]:

@@ -3,8 +3,7 @@
 Per axial slice, a 2D map is reduced to one (x, y) point with a soft-argmax;
 stacking the points over slices yields the 3D centerline polyline.  The
 regression target interpolates the annotated middle-height keypoints over
-the same slice grid, and the objective between the two is a plain mean
-absolute error in mm.
+the same slice grid.
 """
 from __future__ import annotations
 
@@ -154,16 +153,6 @@ def centerline_target(annotations: list[VertebraKeypoints],
     if len(z_eval) < 2:
         raise GeometryError("fewer than two slices fall inside the annotated span")
     return CenterlinePolyline(fit(z_eval), z_eval)
-
-
-def centerline_mae(pred: CenterlinePolyline, target: CenterlinePolyline) -> float:
-    """Mean absolute per-coordinate deviation between two polylines.
-
-    Both polylines must share their slice grid; the result is in mm.
-    """
-    if len(pred) != len(target) or not np.allclose(pred.z, target.z, atol=1e-9):
-        raise ValueError("polylines cover different slice ranges")
-    return float(np.mean(np.abs(pred.xy - target.xy)))
 
 
 def upsample_curve(curve: CenterlinePolyline, z_fine: np.ndarray) -> CenterlinePolyline:

@@ -188,14 +188,17 @@ class VertebraResult:
             "heights_mm": [m.h_a, m.h_m, m.h_p],
             "genant": m.genant,
             "grade": m.grade,
-            "center_mm": ((self.keypoints_mm[2] + self.keypoints_mm[3]) / 2).tolist(),
+            "center_mm": genant.body_centers(self.keypoints_mm).tolist(),
         }
 
 
 def score_detections(keypoints_px: np.ndarray, scores: np.ndarray,
                      transform: StraightenTransform, cfg: PipelineConfig
                      ) -> list[VertebraResult]:
-    """Map (K, 6, 2) detected keypoints back to 3D in one call and grade them."""
+    """Map (K, 6, 2) detected keypoints back to 3D in one call and grade them; a detection
+    with a keypoint off the image is dropped, as clipping it would give a wrong height."""
+    on_image = transform.inside(keypoints_px).all(axis=-1)
+    keypoints_px, scores = keypoints_px[on_image], scores[on_image]
     kps_mm = transform.pixel_to_world(keypoints_px.reshape(-1, 2)).reshape(
         -1, detection.N_KEYPOINTS, 3)
     return [VertebraResult(score, px, mm,

@@ -56,8 +56,7 @@ def _check_frames(obj, names: tuple[str, ...]) -> None:
         if not np.max(np.abs(np.linalg.norm(getattr(obj, name), axis=1) - 1)) <= _FRAME_TOL:
             raise GeometryError(f"{name} axes are not unit length")
     for a, b in itertools.combinations(names, 2):
-        dots = np.einsum("ij,ij->i", getattr(obj, a), getattr(obj, b))
-        if not np.max(np.abs(dots)) <= _FRAME_TOL:
+        if not np.max(np.abs(_dot(getattr(obj, a), getattr(obj, b)))) <= _FRAME_TOL:
             raise GeometryError(f"{a} and {b} axes are not orthogonal")
 
 
@@ -79,8 +78,7 @@ class SpineCurve:
     def __post_init__(self):
         _set_checked_rows(self, ("centers", "t", "u", "v"))
         _check_frames(self, ("t", "u", "v"))
-        handed = np.einsum("ij,ij->i", np.cross(self.t, self.u), self.v)
-        if not np.min(handed) >= 1 - 1e-6:
+        if not np.min(_dot(np.cross(self.t, self.u), self.v)) >= 1 - 1e-6:
             raise GeometryError("frames are not right-handed")
         # Chord length between consecutive samples can not exceed the arc step
         # (up to the discretization error of the arc-length table).
@@ -245,17 +243,23 @@ class StraightenTransform:
     def n_ap(self) -> int:
         return 2 * self.j_half + 1
 
+    def inside(self, xy) -> np.ndarray:
+        """Whether each pixel (x, y), shape (..., 2), lies on the image, within 1e-9 px."""
+        a, b = np.moveaxis(np.asarray(xy, dtype=float), -1, 0)
+        return ((a >= -1e-9) & (a <= self.n_ap - 1 + 1e-9) &
+                (b >= -1e-9) & (b <= self.n_rows - 1 + 1e-9))
+
     def pixel_to_world(self, xy) -> np.ndarray:
         """Map image pixels (x = anterior-posterior, y = arc row) to world mm.
 
         Fractional coordinates are allowed; rows are interpolated linearly.
-        Points outside the image bounds raise GeometryError, non-finite ones ValueError.
+        Points not ``inside`` the image raise GeometryError, non-finite ones ValueError.
         """
         xy = np.asarray(xy, dtype=float)
-        a, b = finite_array(xy.reshape(-1, 2), "xy", (None, 2)).T
-        if np.any((a < -1e-9) | (a > self.n_ap - 1 + 1e-9) |
-                  (b < -1e-9) | (b > self.n_rows - 1 + 1e-9)):
+        pix = finite_array(xy.reshape(-1, 2), "xy", (None, 2))
+        if not np.all(self.inside(pix)):
             raise GeometryError("pixel outside the straightened image")
+        a, b = pix.T
         k = np.clip(np.floor(b).astype(int), 0, self.n_rows - 2)
         frac = (b - k)[:, None]
         c = (1 - frac) * self.centers[k] + frac * self.centers[k + 1]
@@ -280,7 +284,7 @@ class StraightenTransform:
         d, du, dv = np.diff(c, axis=0), np.diff(u, axis=0), np.diff(v, axis=0)
         normal = np.cross(u, v)
         # Every point is ahead of a plane before row 0 and behind one after the last.
-        ends = (np.sign(d[0] @ normal[0]), -np.sign(d[-1] @ normal[-1]))
+        ends = (np.sign(_dot(d[0], normal[0])), -np.sign(_dot(d[-1], normal[-1])))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rel = p[:, None] - c
             side = np.pad(np.sign(_dot(rel, normal)), ((0, 0), (1, 1)), constant_values=ends)
@@ -347,7 +351,7 @@ class StraightenedImage:
         values = owned_array(self.values, np.float32)
         want = (self.transform.n_ap, self.transform.n_rows)
         if values.shape != want:
-            raise GeometryError(f"sagittal image {values.shape} does not match the transform {want}")
+            raise GeometryError(f"values {values.shape} does not match the transform {want}")
         object.__setattr__(self, "values", values)
 
     @property

@@ -142,6 +142,29 @@ def test_score_zero_detections(workspace, tmp_path):
     assert sagittal.shape[1:] == targets.shape[:2]
 
 
+def test_score_drops_a_prediction_off_the_plane(workspace, tmp_path):
+    # One stray box whose keypoints decode past the plane's anterior edge once
+    # failed the whole study with exit 3.
+    from spinequant import detection, pipeline
+    from spinequant.core import Volume3D
+
+    targets = read_vg1(workspace / "tg" / "targets.vg1")
+    anchors = detection.generate_anchors(targets.shape[:2], targets.spacing[0])
+    objectness, offsets, _ = (np.array(a) for a in pipeline.unpack_prediction_planes(
+        targets.values, anchors.n_types))
+    centers, sides = anchors.locate([0])
+    stray = [[[x, y] for x in (-5.0, -3.0, -1.0) for y in (2.0, 8.0)]]
+    objectness[0, 0, 0] = 1.0
+    offsets[0, 0, 0] = detection.encode_keypoints(stray, centers, sides)[0]
+    write_vg1(tmp_path / "stray.vg1", Volume3D(pipeline.pack_prediction_planes(
+        objectness, offsets), targets.spacing, targets.origin))
+    assert run("score", workspace / "st" / "sagittal.vg1", workspace / "st" / "transform.json",
+               "--predictions", tmp_path / "stray.vg1", "--output", tmp_path / "sc",
+               "--config", workspace / "config.json") == 0
+    assert ((tmp_path / "sc" / "detections.json").read_bytes()
+            == (workspace / "sc" / "detections.json").read_bytes())
+
+
 def test_evaluate_multiple_studies_patient_level(workspace, tmp_path):
     # a fractured study plus a healthy one: patient-level AUC becomes defined
     healthy = [make_keypoints(20 - 0.4 * k, 20, 20, center=(60.0, 60.0, 40.0 + 24 * k))

@@ -4,61 +4,73 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, UndefinedMetricError, iou_matrix
-from spinequant.evaluation import (classification_report, evaluate_study_set,
-                                   localization_error, match_detections, roc_auc)
+from spinequant.evaluation import (classification_report, evaluate_study_set, match_detections,
+                                   roc_auc)
 
 from oracles import study_set_report
 from test_genant import make_keypoints
 
 
 # ---------------------------------------------------------------------------
-# localization
+# localization: evaluate_study_set's distances to the nearest body center
 # ---------------------------------------------------------------------------
 
+def localization(det_kps, gt_kps):
+    """The localization mean and std, mm, of one study's detections ``det_kps``
+    against its ground truth ``gt_kps``, every vertebra graded 1.0."""
+    report, _ = evaluate_study_set([{"detections": [(k, 1.0, 1.0) for k in det_kps],
+                                     "ground_truth": [(k, 1.0) for k in gt_kps]}])
+    return report.localization_mean_mm, report.localization_std_mm
+
+
 def test_localization_zero_for_exact_centers():
-    centers = [make_keypoints(center=(0, 0, 20.0 * k)).center() for k in range(4)]
-    np.testing.assert_allclose(localization_error(centers, centers), 0.0, atol=1e-12)
+    kps = [make_keypoints(center=(0, 0, 20.0 * k)).as_array() for k in range(4)]
+    np.testing.assert_allclose(localization(kps, kps), 0.0, atol=1e-12)
 
 
 def test_localization_single_pred():
-    gt = [make_keypoints(center=(0, 0, 0)).center(), make_keypoints(center=(0, 0, 30)).center()]
-    err = localization_error([[0.0, 3.0, 0.0]], gt)
-    assert err[0] == pytest.approx(3.0, abs=1e-12)
+    gt = [make_keypoints(center=(0, 0, z)).as_array() for z in (0.0, 30.0)]
+    mean, std = localization([gt[0] + [0.0, 3.0, 0.0]], gt)
+    assert mean == pytest.approx(3.0, abs=1e-12) and std == 0.0
 
 
 def test_localization_matches_bruteforce_and_gt_permutation():
+    # make_keypoints plants each body center, so the brute force needs no center formula.
     rng = np.random.default_rng(0)
-    gt = rng.uniform(0, 100, (7, 3))
-    preds = rng.uniform(0, 100, (11, 3))
-    got = localization_error(preds, gt)
-    for i, p in enumerate(preds):
-        want = min(np.linalg.norm(p - c) for c in gt)
-        assert got[i] == pytest.approx(want, abs=1e-12)
-    np.testing.assert_allclose(localization_error(preds, gt[rng.permutation(len(gt))]), got)
+    gt_centers, pred_centers = rng.uniform(0, 100, (7, 3)), rng.uniform(0, 100, (11, 3))
+    gt = [make_keypoints(center=c).as_array() for c in gt_centers]
+    preds = [make_keypoints(center=c).as_array() for c in pred_centers]
+    want = [min(np.linalg.norm(p - c) for c in gt_centers) for p in pred_centers]
+    got = localization(preds, gt)
+    np.testing.assert_allclose(got, (np.mean(want), np.std(want)), rtol=1e-12)
+    np.testing.assert_allclose(localization(preds, [gt[i] for i in rng.permutation(len(gt))]),
+                               got)
 
 
 def test_localization_empty_gt_error():
-    with pytest.raises(ValueError):
-        localization_error([[0, 0, 0]], [])
-    with pytest.raises(ValueError):
-        localization_error([[0, 0, 0]], np.empty((0, 3)))
+    # Without ground truth no detection has a nearest center: the error is undefined.
+    pred = [make_keypoints(center=(0, 0, 0)).as_array()]
+    assert localization(pred, []) == (None, None)
+    assert localization(pred, np.empty((0, 6, 3))) == (None, None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("arg", ["pred_centers", "gt_centers"])
 def test_localization_error_refuses_non_finite_centers(arg, bad):
-    # One finite ground-truth center is left, so the nearest distance would exist.
-    centers = {"pred_centers": [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]],
-               "gt_centers": [[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]}
-    centers[arg][0][1] = bad
-    with pytest.raises(ValueError, match=f"^{arg} must be finite"):
-        localization_error(**centers)
+    # One finite ground-truth vertebra is left, so the nearest distance would exist;
+    # keypoint 2 is one of the two that form the body center.
+    kps = {"pred_centers": [make_keypoints(center=(0, 0, z)).as_array().copy() for z in (0, 30)],
+           "gt_centers": [make_keypoints(center=(0, 0, z)).as_array().copy() for z in (1, 31)]}
+    kps[arg][0][2, 1] = bad
+    key = {"pred_centers": "detections", "gt_centers": "ground_truth"}[arg]
+    with pytest.raises(ValueError, match=rf"^study 0: {key}\[0\] keypoints must be finite"):
+        localization(kps["pred_centers"], kps["gt_centers"])
 
 
-@pytest.mark.parametrize("pred", [[], np.empty((0, 3))])
+@pytest.mark.parametrize("pred", [[], np.empty((0, 6, 3))])
 def test_localization_of_no_prediction_is_empty(pred):
-    got = localization_error(pred, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-    assert got.shape == (0,)
+    gt = [make_keypoints(center=(0, 0, z)).as_array() for z in (0.0, 30.0)]
+    assert localization(pred, gt) == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +420,6 @@ def test_evaluate_study_set_refuses_localization_errors_past_the_float_range():
     study = study_fixture([1.0, 0.7])
     kps, g, score = study["detections"][0]
     study["detections"][0] = (kps + [1e200, 0.0, 0.0], g, score)
-    assert localization_error(kps[2] + [1e200, 0.0, 0.0], [kps[2]])[0] == np.inf
     with pytest.raises(GeometryError, match="float range"):
         evaluate_study_set([study])
 

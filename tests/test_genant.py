@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinequant.core import GeometryError
-from spinequant.genant import (VertebraKeypoints, genant_index, grade, heights,
+from spinequant.genant import (VertebraKeypoints, body_centers, genant_index, grade, heights,
                                measure, patient_score)
 
 
@@ -13,6 +13,15 @@ def make_keypoints(h_a=10.0, h_m=10.0, h_p=10.0, center=(0.0, 0.0, 0.0), depth=2
         pts.append([cx, cy + off, cz + h / 2])
         pts.append([cx, cy + off, cz - h / 2])
     return VertebraKeypoints(np.array(pts))
+
+
+def test_body_centers_are_the_planted_centers_of_any_stack():
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(-50, 50, (2, 3, 3))
+    kps = np.array([[make_keypoints(center=c).as_array() for c in row] for row in centers])
+    np.testing.assert_allclose(body_centers(kps), centers, atol=1e-12)
+    assert body_centers(kps[0, 0]).shape == (3,)
+    assert np.array_equal(make_keypoints(center=centers[1, 2]).center(), body_centers(kps[1, 2]))
 
 
 def test_heights_vertical_pairs():

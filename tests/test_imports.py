@@ -5,10 +5,14 @@ numpy and spinequant itself (scipy is a test oracle, never a runtime import).
 The range rule: a range on an argument or a record field is stated only as a
 ``domain`` of ``core.finite_numbers``/``core.finite_array`` (a record names its
 fields' domains to ``core.check_number_fields``), so no module raises an error
-whose text states a range by hand, and no ``require`` rule text states one."""
+whose text states a range by hand, and no ``require`` rule text states one.
+The caller rule: every name in ``spinequant.__all__`` is read by another module
+of ``src/``, a demo, the benchmark or the acceptance gate, not by unit tests alone."""
 import ast
 import sys
 from pathlib import Path
+
+import spinequant
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spinequant"
 ALLOWED = sys.stdlib_module_names | {"numpy", "spinequant"}
@@ -67,3 +71,24 @@ def test_ranges_are_refused_only_through_the_domains_of_core():
         node.name for node in ast.walk(trees["core.py"]) if isinstance(node, ast.FunctionDef)}
     found = {name: stated_ranges(tree) for name, tree in trees.items() if name != "core.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+ROOT = SRC.parents[1]
+
+
+def read_names(path: Path) -> set[str]:
+    """Every name a module reads, bare or as an attribute; the names its ``def``,
+    ``class`` and ``import`` statements bind are not read."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_name_has_a_caller():
+    # An export read only by its own unit tests is a second copy of an idea or dead
+    # code: the stages, the demos, the benchmark or the acceptance gate must read it.
+    callers = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    callers += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
+                ROOT / "tests" / "test_acceptance.py"]
+    unread = sorted(set(spinequant.__all__) - set().union(*map(read_names, callers)))
+    assert not unread, f"no caller reads {unread}"

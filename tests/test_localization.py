@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from spinequant.core import GeometryError, Volume3D
 from spinequant.genant import VertebraKeypoints
-from spinequant.localization import (CENTERLINE_SLAB, CenterlinePolyline, centerline_mae,
-                                     centerline_target, slicewise_centerline,
-                                     soft_argmax_2d, upsample_curve)
+from spinequant.localization import (CENTERLINE_SLAB, CenterlinePolyline, centerline_target,
+                                     slicewise_centerline, soft_argmax_2d, upsample_curve)
 from spinequant.phantom import PhantomConfig
 from spinequant.pipeline import PipelineConfig, oracle_phantom
 from spinequant.splines import pchip
@@ -287,43 +286,6 @@ def test_centerline_target_needs_two_distinct_z():
     broken = VertebraKeypoints(pts)
     with pytest.raises(GeometryError):
         centerline_target([broken], np.arange(-10.0, 10.0))
-
-
-def test_centerline_mae_examples():
-    z = np.arange(12, dtype=float)
-    xy = np.column_stack([np.linspace(0, 5, 12), np.linspace(-2, 2, 12)])
-    a = CenterlinePolyline(xy, z)
-    assert centerline_mae(a, a) == 0.0
-    b = CenterlinePolyline(xy + [1.0, 0.0], z)
-    assert centerline_mae(a, b) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_centerline_mae_matches_bruteforce():
-    rng = np.random.default_rng(4)
-    z = np.arange(30, dtype=float)
-    a = CenterlinePolyline(rng.normal(size=(30, 2)), z)
-    b = CenterlinePolyline(rng.normal(size=(30, 2)), z)
-    total = 0.0
-    for k in range(30):
-        total += abs(a.xy[k, 0] - b.xy[k, 0]) + abs(a.xy[k, 1] - b.xy[k, 1])
-    assert centerline_mae(a, b) == pytest.approx(total / 60, abs=1e-12)
-
-
-def test_centerline_mae_metric_properties():
-    rng = np.random.default_rng(5)
-    z = np.arange(15, dtype=float)
-    polys = [CenterlinePolyline(rng.normal(size=(15, 2)), z)
-             for _ in range(3)]
-    a, b, c = polys
-    assert centerline_mae(a, b) == centerline_mae(b, a)
-    assert centerline_mae(a, c) <= centerline_mae(a, b) + centerline_mae(b, c) + 1e-12
-
-
-def test_centerline_mae_range_mismatch():
-    a = CenterlinePolyline(np.zeros((5, 2)), np.arange(5.0))
-    b = CenterlinePolyline(np.zeros((4, 2)), np.arange(4.0))
-    with pytest.raises(ValueError):
-        centerline_mae(a, b)
 
 
 def test_upsample_linear_curve_stays_linear():

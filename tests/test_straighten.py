@@ -289,6 +289,22 @@ def test_to_world_out_of_bounds():
         transform.pixel_to_world((0.0, transform.n_rows + 4.0))
 
 
+@pytest.mark.parametrize("axis, edge", [(0, "first"), (0, "last"), (1, "first"), (1, "last")],
+                         ids=["anterior", "posterior", "top row", "bottom row"])
+def test_inside_holds_each_edge_within_its_tolerance(axis, edge):
+    curve = build_spine_curve(line_polyline(), step=1.0)
+    transform = straighten_plane(_random_volume(), curve, delta=1.0, half_extent=5.0).transform
+    last = (transform.n_ap - 1, transform.n_rows - 1)[axis]
+    on, step = (0.0, -1.0) if edge == "first" else (last, 1.0)
+    xy = np.full((3, 2), 2.0)
+    xy[:, axis] = on + step * np.array([0.0, 1e-10, 1e-8])
+    assert transform.inside(xy).tolist() == [True, True, False]
+    assert transform.inside(xy.reshape(3, 1, 2)).shape == (3, 1)
+    transform.pixel_to_world(xy[:2])
+    with pytest.raises(GeometryError, match="outside"):
+        transform.pixel_to_world(xy[2])
+
+
 def test_world_pixel_round_trip_within_pixel():
     z = np.linspace(0, 80, 81)
     polyline = CenterlinePolyline(
