@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GeometryError, Volume3D, finite_array, finite_numbers, owned_array
+from .core import GeometryError, Volume3D, finite_array, owned_array
 from .genant import VertebraKeypoints
 from .splines import pchip
 
@@ -44,74 +44,55 @@ class CenterlinePolyline:
         return np.column_stack([self.xy, self.z])
 
 
-def soft_argmax_2d(values: np.ndarray, mode: str = "probabilities",
-                   temperature: float = 1.0) -> tuple[float, float]:
-    """Differentiable argmax of one 2D map: the weight-averaged grid position.
+def soft_argmax_2d(values: np.ndarray) -> tuple[float, float]:
+    """Differentiable argmax of one 2D probability map: the weight-averaged grid position.
 
-    In "probabilities" mode the map itself (non-negative, positive total mass)
-    is normalized into weights; in "logits" mode weights are a softmax of
-    ``temperature * values``, and ``temperature`` must be > 0 in either mode.
-    Returns continuous (x, y) grid coordinates.  An unknown ``mode``, a
-    ``temperature`` out of range or a non-finite map raises ValueError.
+    The map (non-negative, positive total mass) is normalized into weights.
+    Returns continuous (x, y) grid coordinates.  A negative or non-finite entry
+    raises ValueError, a map with no mass GeometryError.
     """
-    temperature = _check_mode(mode, temperature)
     # C order keeps the pairwise sums, and so the result, bitwise independent
     # of the map's memory layout (a slice of a VG1 raster is Fortran-ordered).
     values = finite_array(values, "values", (None, None), order="C")
-    return _soft_argmax(values[None].copy(), mode, temperature)[0]
+    return _soft_argmax(values[None].copy())[0]
 
 
-def _soft_argmax(maps: np.ndarray, mode: str, temperature: float) -> list[tuple[float, float]]:
+def _soft_argmax(maps: np.ndarray) -> list[tuple[float, float]]:
     """``soft_argmax_2d`` of each of (S, nx, ny) ``maps``, which it may overwrite once float64 and
     C-ordered; the dots stay one per map, as a batched (S, nx) @ (nx,) rounds otherwise."""
     w = finite_array(maps, "values", (None, None, None), order="C")
-    if mode == "probabilities":
-        if np.any(w < 0):
-            raise ValueError("probability map has negative entries")
-        if not np.all((total := w.sum(axis=(1, 2))) > 0):
-            raise GeometryError("probability map has no mass")
-    else:
-        w -= w.max(axis=(1, 2), keepdims=True)
-        w *= temperature
-        total = np.exp(w, out=w).sum(axis=(1, 2))
+    if np.any(w < 0):
+        raise ValueError("probability map has negative entries")
+    if not np.all((total := w.sum(axis=(1, 2))) > 0):
+        raise GeometryError("probability map has no mass")
     w /= total[:, None, None]
     xs, ys = (np.arange(n, dtype=float) for n in w.shape[1:])
     return [(float(a @ xs), float(b @ ys)) for a, b in zip(w.sum(axis=2), w.sum(axis=1))]
 
 
-def _check_mode(mode: str, temperature: float) -> float:
-    """The soft-argmax ``temperature`` as a float, once ``mode`` and it are known good."""
-    if mode not in ("probabilities", "logits"):
-        raise ValueError(f"unknown soft-argmax mode {mode!r}")
-    return finite_numbers(temperature, "temperature", domain="> 0")
-
-
-def slicewise_centerline(maps: Volume3D, mode: str = "probabilities",
-                         temperature: float = 1.0) -> CenterlinePolyline:
+def slicewise_centerline(maps: Volume3D) -> CenterlinePolyline:
     """Decode one point per axial slice of ``maps`` into the world-mm polyline.
 
-    The slices of the volume hold probability maps (or logits); each decoded
-    voxel position goes through the volume's ``voxel_to_world``.  In
-    "probabilities" mode an all-zero map, as a network may emit off the spine,
-    holds no position: its slice is skipped, at an end or in the middle, and
-    ``upsample_curve`` spans the gap; fewer than two slices left raise
-    GeometryError.  A bad ``mode`` or ``temperature`` (not > 0) is a ValueError before any
-    slice is read; a fault in a slice's map is re-raised as GeometryError with its index.
-    Slabs of ``CENTERLINE_SLAB`` maps are decoded at once, a failing one again map by map.
+    The slices of the volume hold probability maps; each decoded voxel position
+    goes through the volume's ``voxel_to_world``.  An all-zero map, as a network
+    may emit off the spine, holds no position: its slice is skipped, at an end or
+    in the middle, and ``upsample_curve`` spans the gap; fewer than two slices left
+    raise GeometryError.  A fault in a slice's map is re-raised as GeometryError
+    with its index.  Slabs of ``CENTERLINE_SLAB`` maps are decoded at once, a
+    failing one again map by map.
     """
-    temperature = _check_mode(mode, temperature)
     values = maps.values
     pts = []
     for k0 in range(0, values.shape[2], CENTERLINE_SLAB):
         slab = values[:, :, k0:k0 + CENTERLINE_SLAB].transpose(2, 0, 1)
-        ks = k0 + np.flatnonzero(slab.any(axis=(1, 2)) | (mode == "logits"))
+        ks = k0 + np.flatnonzero(slab.any(axis=(1, 2)))
         try:
-            xy = _soft_argmax(slab if len(ks) == len(slab) else slab[ks - k0], mode, temperature)
+            xy = _soft_argmax(slab if len(ks) == len(slab) else slab[ks - k0])
             pts += [(x, y, k) for (x, y), k in zip(xy, ks)]
         except (GeometryError, ValueError):
             for k in ks:
                 try:
-                    soft_argmax_2d(values[:, :, k], mode=mode, temperature=temperature)
+                    soft_argmax_2d(values[:, :, k])
                 except (GeometryError, ValueError) as exc:
                     raise GeometryError(f"slice {k}: {exc}") from exc
             raise

@@ -22,6 +22,7 @@ from .phantom import PhantomConfig, generate_phantom, oracle_heatmaps
 from .straighten import StraightenedImage, StraightenTransform
 
 N_COORDS = 2 * detection.N_KEYPOINTS  # encoded coordinates per anchor
+F32 = np.finfo(np.float32)
 # Size-budget elements each curve row costs beyond its plane pixels: its frame,
 # its transform.json row and the Python objects of to_dict (about 3.7 KB of
 # memory per row, measured at 65,000 rows).
@@ -49,21 +50,19 @@ class PipelineConfig:
     mild_cut: float = genant.DEFAULT_MILD_CUT
     moderate_cut: float = genant.DEFAULT_MODERATE_CUT
     severe_cut: float = genant.DEFAULT_SEVERE_CUT
-    softargmax_mode: str = "probabilities"
-    softargmax_temperature: float = 1.0
     fill: float = DEFAULT_FILL
 
     def __post_init__(self):
         check_number_fields(
-            self, **dict.fromkeys(("working_spacing_mm", "delta_mm", "softargmax_temperature",
-                                   "anchor_scales_mm", "anchor_ratios"), "> 0"),
+            self, **dict.fromkeys(("working_spacing_mm", "delta_mm", "anchor_scales_mm",
+                                   "anchor_ratios"), "> 0"),
             **dict.fromkeys(("smoothing_lambda", "curve_pad_mm", "half_extent_mm"), ">= 0"),
             **dict.fromkeys(("nms_iou", "assign_iou", "match_iou"), "(0, 1]"),
             objectness_threshold="[0, 1]")
         for name in ("anchor_scales_mm", "anchor_ratios"):
             require(self, len(getattr(self, name)) > 0, name, "non-empty")
-        require(self, self.softargmax_mode in ("probabilities", "logits"),
-                "softargmax_mode", "'probabilities' or 'logits'")
+        # The fill must stay inside the float32 range the straightened plane is stored in.
+        require(self, abs(self.fill) <= float(F32.max), "fill", "in [-3.4e38, 3.4e38]")
         if not self.severe_cut < self.moderate_cut < self.mild_cut:
             raise ValueError(
                 "grade cuts must be ordered severe_cut < moderate_cut < mild_cut, "
@@ -74,6 +73,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """Inverse of ``to_dict``.  Older configs echo two settings of a soft-argmax mode since
+        removed; they load when they hold the probability-map decoding in use now."""
+        doc = {**doc}
+        if (mode := doc.pop("softargmax_mode", "probabilities")) != "probabilities":
+            raise ValueError(f"softargmax_mode must be 'probabilities', got {mode!r}")
+        finite_numbers(doc.pop("softargmax_temperature", 1.0), "softargmax_temperature",
+                       domain="> 0")
         return cls(**doc)
 
     def grade_cuts(self) -> dict:
@@ -126,8 +132,7 @@ def extract_centerline(vol: Volume3D, cfg: PipelineConfig,
         if not np.allclose(heatmaps.spacing, working.spacing, atol=1e-6) or \
                 not np.allclose(heatmaps.origin[:2], working.origin[:2], atol=1e-6):
             raise GeometryError("heatmap volume is not on the working grid")
-        coarse = localization.slicewise_centerline(
-            heatmaps, mode=cfg.softargmax_mode, temperature=cfg.softargmax_temperature)
+        coarse = localization.slicewise_centerline(heatmaps)
     else:
         coarse = localization.centerline_target(annotations, working.slice_z_world())
     z_fine = vol.slice_z_world()
@@ -271,9 +276,6 @@ def pack_prediction_planes(objectness: np.ndarray, offsets: np.ndarray,
     return out
 
 
-F32 = np.finfo(np.float32)
-
-
 def pack_targets(targets: DetectionTargets) -> np.ndarray:
     """``pack_prediction_planes`` of the targets' dense maps, written from the
     positive anchors only.
@@ -353,24 +355,19 @@ class ChainResult:
         }
 
 
-def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig,
-                      keypoint_noise_mm: float = 0.0,
-                      noise_seed: int = 0) -> ChainResult:
+def run_phantom_chain(phantom_cfg: PhantomConfig, cfg: PipelineConfig) -> ChainResult:
     """Phantom -> oracle heatmaps -> straightening -> oracle detection -> grading.
 
-    ``keypoint_noise_mm`` adds Gaussian noise of that magnitude to every
-    regressed keypoint coordinate of the positive anchors, emulating an
-    imperfect regression head.  The volume and heatmaps are dropped once the
+    The detections decode the oracle targets without noise (``rescore_chain`` is
+    where keypoint noise enters).  The volume and heatmaps are dropped once the
     plane is straightened, so neither is alive during target assignment.
     """
-    finite_numbers(keypoint_noise_mm, "keypoint_noise_mm", domain=">= 0")
     volume, annotations, planted, heatmaps = oracle_phantom(phantom_cfg, cfg)
     sagittal = straighten_stage(volume, cfg, heatmaps=heatmaps)
     del volume, heatmaps
     anchors, targets = targets_stage(sagittal, annotations, cfg)
     chain = ChainResult(annotations, planted, sagittal, anchors, targets, [])
-    _, results = rescore_chain(chain, cfg, keypoint_noise_mm=keypoint_noise_mm,
-                               noise_seed=noise_seed)
+    _, results = rescore_chain(chain, cfg)
     return replace(chain, results=results)
 
 

@@ -368,11 +368,13 @@ def straighten_plane(vol: Volume3D, curve: SpineCurve, delta: float = 1.0,
     with ``j_half = floor(half_extent / delta)``, so the curve itself maps to
     the central column j = j_half and row spacing equals the curve's
     arc-length step.  Points outside the volume take ``fill``.  ``delta`` must
-    be > 0 and ``half_extent`` >= 0, else ValueError.
+    be > 0, ``half_extent`` >= 0 and ``fill`` inside the float32 range, else ValueError.
     """
     delta = finite_numbers(delta, "delta", domain="> 0")
     half_extent = finite_numbers(half_extent, "half_extent", domain=">= 0")
     fill = finite_numbers(fill, "fill")
+    if abs(fill) > float(np.finfo(np.float32).max):  # the range the plane is stored in
+        raise ValueError(f"fill must be in [-3.4e38, 3.4e38], got {fill!r}")
     j_half = np.floor(half_extent / delta + 1e-9)
     check_size((2 * j_half + 1, len(curve)),
                f"delta {delta} and half_extent {half_extent}: the straightened plane")

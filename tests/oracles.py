@@ -252,36 +252,31 @@ def finite_numbers_walk(value, name: str, shape: tuple = (), integer: bool = Fal
         raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}") from None
 
 
-def soft_argmax_reference(values, mode="probabilities", temperature=1.0) -> tuple[float, float]:
+def soft_argmax_reference(values) -> tuple[float, float]:
     """``localization.soft_argmax_2d`` on one map, with its checks and messages:
     the weights of a float64 C-ordered copy, reduced to their two marginals."""
     values = finite_array(values, "values", (None, None), order="C")
-    if mode == "probabilities":
-        if np.any(values < 0):
-            raise ValueError("probability map has negative entries")
-        total = values.sum()
-        if not total > 0:
-            raise GeometryError("probability map has no mass")
-        w = values / total
-    else:
-        shifted = temperature * (values - values.max())
-        e = np.exp(shifted)
-        w = e / e.sum()
+    if np.any(values < 0):
+        raise ValueError("probability map has negative entries")
+    total = values.sum()
+    if not total > 0:
+        raise GeometryError("probability map has no mass")
+    w = values / total
     xs = np.arange(values.shape[0], dtype=float)
     ys = np.arange(values.shape[1], dtype=float)
     return float(w.sum(axis=1) @ xs), float(w.sum(axis=0) @ ys)
 
 
-def slicewise_centerline_reference(maps, mode="probabilities", temperature=1.0):
-    """``localization.slicewise_centerline`` one slice at a time: all-zero maps skipped
-    in "probabilities" mode, a bad slice's fault re-raised with its index."""
+def slicewise_centerline_reference(maps):
+    """``localization.slicewise_centerline`` one slice at a time: all-zero maps skipped,
+    a bad slice's fault re-raised with its index."""
     values = maps.values
     pts = []
     for k in range(values.shape[2]):
-        if mode == "probabilities" and not values[:, :, k].any():
+        if not values[:, :, k].any():
             continue
         try:
-            pts.append((*soft_argmax_reference(values[:, :, k], mode, temperature), k))
+            pts.append((*soft_argmax_reference(values[:, :, k]), k))
         except (GeometryError, ValueError) as exc:
             raise GeometryError(f"slice {k}: {exc}") from exc
     if len(pts) < min(2, values.shape[2]):

@@ -244,8 +244,15 @@ def small(tmp_path_factory):
     ("straighten", '{"half_extent_mm": [60, -5]}'),
     ("straighten", '{"half_extent_mm": [60]}'),
     ("targets", '{"anchor_scales_mm": []}'),
+    # Older configs echo the soft-argmax settings: only the values in use now load.
     ("straighten", '{"softargmax_temperature": NaN}'),
     ("straighten", '{"softargmax_mode": "bogus"}'),
+    ("straighten", '{"softargmax_mode": "logits"}'),
+    ("straighten", '{"softargmax_mode": null}'),
+    ("straighten", '{"softargmax_temperature": 0}'),
+    # A fill past float32 was once written to sagittal.vg1 as inf, with exit 0.
+    ("straighten", '{"fill": 1e39}'),
+    ("straighten", '{"fill": -1e39}'),
     ("straighten", '{"smoothing_lambda": -1}'),
     # PipelineConfig has no seed: an echoed config that still carries one names it.
     ("straighten", '{"seed": NaN}'),
@@ -265,6 +272,43 @@ def test_unusable_config_exits_2(small, tmp_path, capsys, command, config):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# The config block each JSON artifact echoed while the soft-argmax had a logits mode.
+OLDER_CONFIG = """{
+  "anchor_ratios": [0.8, 1.1, 1.3, 2.0],
+  "anchor_scales_mm": [17.0, 23.0, 28.0, 35.0],
+  "assign_iou": 0.5,
+  "curve_pad_mm": 15.0,
+  "delta_mm": 1.0,
+  "fill": -1024.0,
+  "half_extent_mm": [60.0, 60.0],
+  "match_iou": 0.5,
+  "mild_cut": 0.8,
+  "moderate_cut": 0.74,
+  "nms_iou": 0.45,
+  "objectness_threshold": 0.5,
+  "severe_cut": 0.6,
+  "smoothing_lambda": 10.0,
+  "softargmax_mode": "probabilities",
+  "softargmax_temperature": 1.0,
+  "working_spacing_mm": 3.0
+}"""
+
+
+@pytest.mark.parametrize("temperature", ["1.0", "2.5"])
+def test_an_older_echoed_config_still_loads(small, tmp_path, temperature):
+    # Any finite temperature > 0 loaded before, and the probability maps never read it.
+    config = OLDER_CONFIG.replace('"softargmax_temperature": 1.0',
+                                  f'"softargmax_temperature": {temperature}')
+    (tmp_path / "cfg.json").write_text(config)
+    assert run("straighten", small / "ph" / "volume.vg1",
+               "--heatmaps", small / "ph" / "heatmaps.vg1",
+               "--output", tmp_path / "o", "--config", tmp_path / "cfg.json") == 0
+    names = sorted(p.name for p in (small / "st").iterdir())
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "o" / name).read_bytes() == (small / "st" / name).read_bytes(), name
 
 
 def test_straighten_accepts_the_largest_finite_smoothing_lambda(small, tmp_path):

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,7 @@ from spinequant.genant import VertebraKeypoints
 from spinequant.localization import (CENTERLINE_SLAB, CenterlinePolyline, centerline_target,
                                      slicewise_centerline, soft_argmax_2d, upsample_curve)
 from spinequant.phantom import PhantomConfig
-from spinequant.pipeline import PipelineConfig, oracle_phantom
+from spinequant.pipeline import PipelineConfig, oracle_phantom, run_phantom_chain
 from spinequant.splines import pchip
 
 from conftest import traced_peak
@@ -69,26 +71,23 @@ def test_soft_argmax_translation_equivariance():
         assert y1 - y0 == pytest.approx(dy, abs=1e-9)
 
 
-def test_soft_argmax_logits_mode():
-    m = np.zeros((5, 5))  # all-equal logits: softmax is uniform
-    x, y = soft_argmax_2d(m, mode="logits")
-    assert (x, y) == (2.0, 2.0)
-    # Sharp temperature concentrates on the max entry.
-    m[3, 1] = 5.0
-    x, y = soft_argmax_2d(m, mode="logits", temperature=50.0)
-    assert x == pytest.approx(3.0, abs=1e-6)
-    assert y == pytest.approx(1.0, abs=1e-6)
+@pytest.mark.parametrize("shape", [(40, 40), (37, 53)])
+def test_soft_argmax_does_not_depend_on_memory_layout(shape):
+    m = np.random.default_rng(3).random(shape).astype(np.float32)
+    want = soft_argmax_2d(m)
+    for other in (np.asfortranarray(m), m.astype(np.float64),
+                  np.asfortranarray(m, dtype=np.float64)):
+        assert soft_argmax_2d(other) == want
 
 
-@pytest.mark.parametrize("mode", ["probabilities", "logits"])
-def test_soft_argmax_does_not_depend_on_memory_layout(mode):
-    rng = np.random.default_rng(3)
-    for shape in ((40, 40), (37, 53)):
-        m = rng.random(shape).astype(np.float32)
-        want = soft_argmax_2d(m, mode=mode)
-        for other in (np.asfortranarray(m), m.astype(np.float64),
-                      np.asfortranarray(m, dtype=np.float64)):
-            assert soft_argmax_2d(other, mode=mode) == want
+@pytest.mark.parametrize("fn, params", [
+    (soft_argmax_2d, ["values"]), (slicewise_centerline, ["maps"]),
+    (run_phantom_chain, ["phantom_cfg", "cfg"]),
+], ids=["soft_argmax_2d", "slicewise_centerline", "run_phantom_chain"])
+def test_the_centerline_decoder_takes_no_settings(fn, params):
+    # Probability maps are the one input: the logits mode, its temperature and the chain's
+    # keypoint noise (rescore_chain's alone) are no arguments.
+    assert list(inspect.signature(fn).parameters) == params
 
 
 def test_slicewise_centerline_does_not_depend_on_memory_layout():
@@ -137,10 +136,6 @@ def test_slicewise_centerline_needs_two_slices_with_mass():
     stack[2, 2, 3] = 1.0
     with pytest.raises(GeometryError, match="only 1 of 4 slices have probability mass"):
         slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)))
-    # Logits decode every slice, an all-zero one as a uniform map.
-    poly = slicewise_centerline(Volume3D(stack, (1.0, 1.0, 1.0)), mode="logits")
-    assert len(poly) == 4
-    np.testing.assert_allclose(poly.xy[0], [2.0, 2.0])
 
 
 def test_slicewise_centerline_rejects_nan_map():
@@ -160,25 +155,6 @@ def test_polyline_refuses_non_finite_values_naming_the_field(field, bad):
     arrays[field][-1] = bad  # a last z of +inf passes the strictly-increasing test
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         CenterlinePolyline(arrays["xy"], arrays["z"])
-
-
-@pytest.mark.parametrize("mode", ["probabilities", "logits"])
-@pytest.mark.parametrize("bad", NON_FINITE)
-def test_soft_argmax_refuses_non_finite_temperature(bad, mode):
-    with pytest.raises(ValueError, match="^temperature must be a finite number"):
-        soft_argmax_2d(np.ones((4, 3)), mode=mode, temperature=bad)
-
-
-@pytest.mark.parametrize("mode, temperature, match", [
-    *(("logits", bad, "^temperature") for bad in NON_FINITE),
-    ("argmax", 1.0, "^unknown soft-argmax mode"),
-])
-def test_slicewise_centerline_refuses_a_bad_argument_before_its_slices(mode, temperature, match):
-    # A NaN temperature once read "GeometryError: slice 0: temperature must be finite".
-    maps = Volume3D(np.ones((4, 4, 3)), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match=match) as exc:
-        slicewise_centerline(maps, mode=mode, temperature=temperature)
-    assert exc.type is ValueError
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -332,13 +308,9 @@ def test_slicewise_centerline_returns_world_coordinates():
 SLICE_COUNTS = (1, CENTERLINE_SLAB, CENTERLINE_SLAB + 1, 2 * CENTERLINE_SLAB + 5)
 
 
-def random_maps(rng, shape, mode, empty) -> np.ndarray:
-    """Peaked non-negative maps (probabilities) or signed logits, with the ``empty``
-    slices all zero."""
-    if mode == "probabilities":
-        stack = rng.random(shape) ** 8 * rng.uniform(1e-3, 1e3)
-    else:
-        stack = rng.normal(0.0, 3.0, shape)
+def random_maps(rng, shape, empty) -> np.ndarray:
+    """Peaked non-negative probability maps, with the ``empty`` slices all zero."""
+    stack = rng.random(shape) ** 8 * rng.uniform(1e-3, 1e3)
     stack[:, :, sorted(empty)] = 0.0
     return stack
 
@@ -353,51 +325,46 @@ def outcome(fn, *args):
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(n=st.sampled_from(SLICE_COUNTS), mode=st.sampled_from(["probabilities", "logits"]),
+@given(n=st.sampled_from(SLICE_COUNTS),
        layout=st.sampled_from(["F", "C", "strided", "transposed"]), nx=st.integers(9, 40),
-       ny=st.integers(9, 40), temperature=st.floats(0.05, 20.0),
-       empty=st.sets(st.sampled_from(["first", "middle", "last"])),
+       ny=st.integers(9, 40), empty=st.sets(st.sampled_from(["first", "middle", "last"])),
        seed=st.integers(0, 2**32 - 1))
-def test_slicewise_centerline_equals_the_per_slice_reference(n, mode, layout, nx, ny,
-                                                            temperature, empty, seed):
+def test_slicewise_centerline_equals_the_per_slice_reference(n, layout, nx, ny, empty, seed):
     rng = np.random.default_rng(seed)
     where = {"first": 0, "middle": n // 2, "last": n - 1}
-    stack = random_maps(rng, (nx, ny, n), mode, {where[e] for e in empty})
+    stack = random_maps(rng, (nx, ny, n), {where[e] for e in empty})
     maps = Volume3D(raster_views(stack)[layout], (1.5, 2.0, 2.5), (3.0, -4.0, 10.0))
     assert maps.values.flags.c_contiguous == (layout == "C")
-    want = outcome(slicewise_centerline_reference, maps, mode, temperature)
-    assert outcome(slicewise_centerline, maps, mode, temperature) == want
+    want = outcome(slicewise_centerline_reference, maps)
+    assert outcome(slicewise_centerline, maps) == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(n=st.sampled_from(SLICE_COUNTS), mode=st.sampled_from(["probabilities", "logits"]),
+@given(n=st.sampled_from(SLICE_COUNTS),
        layout=st.sampled_from(["F", "C", "strided", "transposed"]),
        faults=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
            [np.nan, np.inf, -np.inf, -0.5])), min_size=1, max_size=2),
        seed=st.integers(0, 2**32 - 1))
-def test_slicewise_centerline_reports_the_first_bad_slice_as_the_reference(n, mode, layout,
-                                                                          faults, seed):
+def test_slicewise_centerline_reports_the_first_bad_slice_as_the_reference(n, layout, faults,
+                                                                          seed):
     rng = np.random.default_rng(seed)
-    stack = random_maps(rng, (12, 10, n), mode, set())
+    stack = random_maps(rng, (12, 10, n), set())
     for at, bad in faults:
         stack[rng.integers(12), rng.integers(10), at % n] = bad
     maps = Volume3D(raster_views(stack)[layout], (1.0, 1.0, 1.0))
-    want = outcome(slicewise_centerline_reference, maps, mode, 1.0)
-    assert outcome(slicewise_centerline, maps, mode, 1.0) == want
-    bad_slices = [at % n for at, bad in faults
-                  if mode == "probabilities" or bad != -0.5]  # a logit may be negative
-    if bad_slices:
-        assert want[0] == "GeometryError" and want[1].startswith(f"slice {min(bad_slices)}: ")
+    want = outcome(slicewise_centerline_reference, maps)
+    assert outcome(slicewise_centerline, maps) == want
+    bad_slice = min(at % n for at, _ in faults)
+    assert want[0] == "GeometryError" and want[1].startswith(f"slice {bad_slice}: ")
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(mode=st.sampled_from(["probabilities", "logits"]), nx=st.integers(1, 40),
-       ny=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-def test_soft_argmax_equals_the_one_map_reference(mode, nx, ny, seed):
-    m = random_maps(np.random.default_rng(seed), (nx, ny, 1), mode, set())[:, :, 0]
+@given(nx=st.integers(1, 40), ny=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_soft_argmax_equals_the_one_map_reference(nx, ny, seed):
+    m = random_maps(np.random.default_rng(seed), (nx, ny, 1), set())[:, :, 0]
     for values in (m, m.astype(np.float32), np.asfortranarray(m)):
         before = values.copy()
-        assert soft_argmax_2d(values, mode, 2.0) == soft_argmax_reference(values, mode, 2.0)
+        assert soft_argmax_2d(values) == soft_argmax_reference(values)
         assert np.array_equal(values, before)  # the caller's map is not overwritten
 
 

@@ -154,18 +154,10 @@ def test_rescore_drops_only_the_detections_off_the_image(chain, noise_mm):
     assert dropped > 0
 
 
-@pytest.mark.parametrize("noise", [float("nan"), -0.5, float("inf")])
-def test_bad_keypoint_noise_is_refused(chain, noise, monkeypatch):
+@pytest.mark.parametrize("noise", [float("nan"), -0.5, float("inf"), float("-inf")])
+def test_bad_keypoint_noise_is_refused(chain, noise):
     with pytest.raises(ValueError, match="keypoint_noise_mm"):
         rescore_chain(chain, PipelineConfig(), keypoint_noise_mm=noise)
-
-    # run_phantom_chain refuses it before it builds anything.
-    def oracle_phantom(*args):
-        raise AssertionError("the phantom was built")
-
-    monkeypatch.setattr(pipeline, "oracle_phantom", oracle_phantom)
-    with pytest.raises(ValueError, match="keypoint_noise_mm"):
-        run_phantom_chain(PhantomConfig(), PipelineConfig(), keypoint_noise_mm=noise)
 
 
 def test_finished_chain_releases_its_volume(monkeypatch):
@@ -394,16 +386,43 @@ def test_config_round_trips_through_dict():
     ("fill", float("nan")), ("delta_mm", float("inf")),
 ])
 def test_config_rejects_out_of_range_values(field, value):
+    # The two soft-argmax settings are no fields; from_dict refuses an older config's
+    # value of either that was not the probability-map decoding in use now.
     with pytest.raises(ValueError, match=field):
-        PipelineConfig(**{field: value})
+        PipelineConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize("legacy", [
+    {"softargmax_mode": "probabilities"}, {"softargmax_temperature": 1.0},
+    {"softargmax_temperature": 0.25}, {"softargmax_temperature": 4},
+    {"softargmax_temperature": 1e-300}, {"softargmax_temperature": 1e300},
+    {"softargmax_mode": "probabilities", "softargmax_temperature": 1.0},
+], ids=lambda legacy: "-".join(f"{k}={v}" for k, v in legacy.items()))
+def test_an_older_config_loads_when_it_decodes_probabilities(legacy):
+    # Older configs echo the soft-argmax mode and a temperature that mode never read.
+    doc = {**PipelineConfig().to_dict(), **legacy}
+    before = dict(doc)
+    assert PipelineConfig.from_dict(doc) == PipelineConfig()
+    assert doc == before  # the caller's dict keeps both settings
+
+
+@pytest.mark.parametrize("field, value", [
+    ("softargmax_mode", "logits"), ("softargmax_mode", "Probabilities"),
+    ("softargmax_mode", None), ("softargmax_temperature", -1.0),
+    ("softargmax_temperature", float("inf")), ("softargmax_temperature", "1.0"),
+    ("softargmax_temperature", True), ("softargmax_temperature", None),
+])
+def test_an_older_config_with_another_decoding_is_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be") as exc:
+        PipelineConfig.from_dict({**PipelineConfig().to_dict(), field: value})
+    assert exc.type is ValueError
 
 
 def test_config_accepts_range_bounds():
     PipelineConfig(nms_iou=1.0, assign_iou=1.0, match_iou=1.0,
                    objectness_threshold=0.0)
     PipelineConfig(objectness_threshold=1.0)
-    PipelineConfig(half_extent_mm=(0.0, 0.0), smoothing_lambda=0.0, curve_pad_mm=0.0,
-                   softargmax_mode="logits", fill=0)
+    PipelineConfig(half_extent_mm=(0.0, 0.0), smoothing_lambda=0.0, curve_pad_mm=0.0, fill=0)
 
 
 @pytest.mark.parametrize("shape, spacing, working_mm, want", [
