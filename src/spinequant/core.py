@@ -280,10 +280,13 @@ def _corners(kps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K, 2) lower and upper corners of (K, N, 2) point sets, N >= 1.
 
     Elementwise over the N (K, 2) slices: the same values as ``kps.min(axis=1)``
-    and ``kps.max(axis=1)``, whose reductions over the short middle axis take
-    about 3.5x as long.
+    and ``kps.max(axis=1)``.  The corners keep the memory order of the slices,
+    so a (K, N, 2) view of coordinate-major (2, N, K) memory gives (K, 2)
+    views of (2, K) memory, and every pass runs along K.  In C order the
+    reductions over the short middle axis take about 4x as long as this
+    loop; in coordinate-major order the two take about the same time.
     """
-    lo, hi = kps[:, 0].copy(), kps[:, 0].copy()
+    lo, hi = kps[:, 0].copy(order="K"), kps[:, 0].copy(order="K")
     for j in range(1, kps.shape[1]):
         np.minimum(lo, kps[:, j], out=lo)
         np.maximum(hi, kps[:, j], out=hi)
@@ -293,7 +296,9 @@ def _corners(kps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def boxes_from_keypoints(kps: np.ndarray) -> np.ndarray:
     """Tight axis-aligned boxes of K point sets, (K, N, 2) -> (K, 4) rows (cx, cy, w, h).
 
-    Raises ValueError unless every point is finite, and GeometryError when
+    The boxes follow the memory order of the points: C-ordered points give C-ordered
+    rows, and a view of coordinate-major (2, N, K) points gives a (K, 4) view of
+    (4, K) memory.  Raises ValueError unless every point is finite, and GeometryError when
     any set is empty or collinear along an axis, which signals a corrupt annotation,
     or when a box's center, sides or area leave the float range (``MAX_AREA``).
     """

@@ -107,11 +107,23 @@ def encode_keypoints(keypoints, centers, sides) -> np.ndarray:
 
 
 def decode_keypoints(offsets, centers, sides) -> np.ndarray:
-    """Inverse of encode_keypoints: offsets * side + center, (P, 6, 2); sides > 0."""
+    """Inverse of encode_keypoints: offsets * side + center, (P, 6, 2); sides > 0.
+
+    The keypoints keep the memory order of ``offsets``, so a view of
+    coordinate-major (2, 6, P) offsets decodes along contiguous P.  Keypoints
+    that leave the float range raise GeometryError naming the offsets and sides.
+    """
     offsets = finite_array(offsets, "offsets", (None, N_KEYPOINTS, 2))
     p = len(offsets)
-    return (offsets * finite_array(sides, "sides", (p, 2), domain="> 0")[:, None, :]
-            + finite_array(centers, "centers", (p, 2))[:, None, :])
+    sides = finite_array(sides, "sides", (p, 2), domain="> 0")
+    with np.errstate(over="ignore"):  # refused right below
+        kps = offsets * sides[:, None, :]
+        kps += finite_array(centers, "centers", (p, 2))[:, None, :]
+    if not np.isfinite(kps).all():
+        raise GeometryError(f"offsets of up to {np.abs(offsets).max():.6g} anchor sides, on "
+                            f"anchor sides of up to {sides.max():.6g} px, leave the float "
+                            "range once decoded")
+    return kps
 
 
 @dataclass(frozen=True)
@@ -396,32 +408,43 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
         iou_threshold: float = DEFAULT_NMS_IOU) -> np.ndarray:
     """Greedy non-maximum suppression, highest score first.
 
-    ``boxes`` holds (K, 4) rows (cx, cy, w, h) and ``scores`` their (K,)
-    scores, all finite; any other shape or a non-finite value raises ValueError,
-    as does an ``iou_threshold`` outside (0, 1].  Returns the indices of the
-    kept boxes in descending-score order; ties keep the earlier box (stable
-    sort).  A box is suppressed when its IoU with a kept box exceeds
-    ``iou_threshold``, so a threshold of 1 suppresses nothing.
+    ``boxes`` holds (K, 4) rows (cx, cy, w, h) with sides w, h > 0 and
+    ``scores`` their (K,) scores, all finite; any other shape or value raises
+    ValueError, as does an ``iou_threshold`` outside (0, 1].  Returns the
+    indices of the kept boxes in descending-score order; ties keep the earlier
+    box (stable sort).  A box is suppressed when its IoU with a kept box
+    exceeds ``iou_threshold``, so a threshold of 1 suppresses nothing.
 
     Suppression goes one kept box at a time: the first box still alive is
-    kept, one ``iou_matrix`` call gives its IoU with every box alive after
-    it, and those above the threshold are dropped at once.  That is
-    O(kept x K) work in one call per kept box, not one call per candidate.
-    The pairs tested are the (kept, later) pairs of the textbook loop that
-    tests each candidate against the boxes kept before it, and ``iou_matrix``
-    is symmetric to the bit, so the kept indices are that loop's.
+    kept, and one ``iou_matrix`` call gives its IoU with the boxes alive after
+    it whose y-interval overlaps its own; those above the threshold are
+    dropped at once.  The intervals are cy -/+ h/2, formed as ``iou_matrix``
+    forms them, and the tests are strict, so every box left out has a y
+    overlap <= 0 and so an IoU of 0, which never suppresses.  The pairs whose
+    IoU can suppress are thus the (kept, later) pairs of the textbook loop
+    that tests each candidate against the boxes kept before it, and
+    ``iou_matrix`` is symmetric to the bit, so the kept indices are that
+    loop's.  The boxes are ranked once into (4, K) memory, so each overlap
+    test runs along contiguous K.
     """
     finite_numbers(iou_threshold, "iou_threshold", domain="(0, 1]")
     boxes = finite_array(boxes, "boxes", (None, 4))
+    finite_array(boxes[:, 2:], "boxes (w, h)", (None, 2), domain="> 0")
     scores = finite_array(scores, "scores", (len(boxes),))
-    alive = np.argsort(-scores, kind="stable")
-    alive_boxes = boxes[alive]
+    order = np.argsort(-scores, kind="stable")
+    ranked = boxes.T.take(order, axis=1)  # (4, K); a fancy index takes about 3x as long
+    half = ranked[3] / 2
+    lo, hi = ranked[1] - half, ranked[1] + half
+    alive = np.ones(len(order), dtype=bool)
     keep: list[int] = []
-    while len(alive):
-        keep.append(alive[0])
+    r = 0
+    while r < len(order) and alive[r]:
+        keep.append(order[r])
+        alive[r] = False
+        near = np.flatnonzero((lo < hi[r]) & (hi > lo[r]) & alive)
         # Not ``<=``: a NaN IoU suppresses nothing.
-        survive = ~(iou_matrix(alive_boxes[:1], alive_boxes[1:])[0] > iou_threshold)
-        alive, alive_boxes = alive[1:][survive], alive_boxes[1:][survive]
+        alive[near[iou_matrix(ranked[:, r:r + 1].T, ranked[:, near].T)[0] > iou_threshold]] = False
+        r = alive.argmax()  # the first box alive: every box before it is kept or dropped
     return np.array(keep, dtype=np.intp)
 
 
@@ -437,7 +460,14 @@ def detect_candidates(index, scores, offsets, anchors: AnchorGrid,
     ``iou_threshold`` (in (0, 1]); a threshold out of range raises
     ValueError.  Returns the survivors' (K, 6, 2) image keypoints and (K,)
     scores in keep order; ties break by the order of ``index``.  Non-finite
-    inputs raise ValueError, and zero extent GeometryError.
+    inputs raise ValueError, and zero extent or keypoints past the float
+    range GeometryError.
+
+    The candidates' offsets are gathered once into coordinate-major (2, 6, P)
+    memory and their centers and sides into (2, P), so the decode, the
+    corners and the boxes (``nms`` gets a (P, 4) view of (4, P) memory) each
+    run along contiguous P: with (P, 6, 2) rows numpy's inner loops run over
+    2 elements.  Only the kept keypoints go back to (K, 6, 2) rows.
     """
     finite_numbers(score_threshold, "score_threshold", domain="[0, 1]")
     finite_numbers(iou_threshold, "iou_threshold", domain="(0, 1]")
@@ -447,11 +477,18 @@ def detect_candidates(index, scores, offsets, anchors: AnchorGrid,
     if offsets.shape != scores.shape + (N_KEYPOINTS, 2):
         raise ValueError(f"offsets has shape {offsets.shape}, expected "
                          f"{scores.shape + (N_KEYPOINTS, 2)}")
+    offsets = np.ascontiguousarray(offsets.T)  # (2, 6, P); no copy when already so
     passed = scores > score_threshold
-    kps = decode_keypoints(offsets[passed], *anchors.locate(index[passed]))
-    scores = scores[passed]
-    keep = nms(boxes_from_keypoints(kps), scores, iou_threshold)
-    return kps[keep], scores[keep]
+    # detect and rescore_chain pass only candidates above the threshold.  Gathering
+    # all of them again copies 1 MB on the default phantom, which cost a rescore
+    # about 500 page faults and 30% of its time.
+    if not passed.all():
+        index, scores, offsets = index[passed], scores[passed], offsets[..., passed]
+    centers, sides = (np.ascontiguousarray(a.T) for a in anchors.locate(index))
+    kps = decode_keypoints(offsets.T, centers.T, sides.T).T  # (2, 6, P)
+    del offsets  # a copy, if one was made, goes before the boxes and NMS
+    keep = nms(boxes_from_keypoints(kps.T), scores, iou_threshold)
+    return np.ascontiguousarray(kps[..., keep].T), scores[keep]
 
 
 def detect(objectness_map, offsets_map, anchors: AnchorGrid,

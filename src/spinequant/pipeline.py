@@ -381,6 +381,10 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     and encoded against the anchor sides, so decoded pixel positions carry
     exactly that magnitude.  The positive anchors go to
     ``detect_candidates`` with score 1; no map over all anchors is built.
+    The noise is drawn in (P, 6, 2) row order, which fixes the draw each
+    coordinate gets, and moved once into coordinate-major (2, 6, P) memory,
+    where it is encoded and added to the offsets along contiguous P;
+    ``detect_candidates`` takes a view of that memory.
     """
     finite_numbers(keypoint_noise_mm, "keypoint_noise_mm", domain=">= 0")
     targets = chain.targets
@@ -388,10 +392,12 @@ def rescore_chain(chain: ChainResult, cfg: PipelineConfig,
     if keypoint_noise_mm > 0:
         rng = np.random.default_rng(finite_numbers(noise_seed, "noise_seed", integer=True))
         sigma_px = keypoint_noise_mm / chain.straighten.delta
-        noise = rng.normal(0.0, sigma_px, size=offsets.shape)
-        centers, sides = chain.anchors.locate(targets.index)
+        noise = np.ascontiguousarray(rng.normal(0.0, sigma_px, size=offsets.shape).T)
+        sides = np.ascontiguousarray(chain.anchors.locate(targets.index)[1].T)
         # Noise is a shift in pixels: its offsets are those from a center at 0.
-        offsets = offsets + detection.encode_keypoints(noise, np.zeros_like(centers), sides)
+        offsets = detection.encode_keypoints(noise.T, np.zeros_like(sides.T), sides.T)
+        del noise
+        offsets += targets.offsets
     dets = detection.detect_candidates(targets.index, np.ones(targets.n_positive), offsets,
                                        chain.anchors, score_threshold=cfg.objectness_threshold,
                                        iou_threshold=cfg.nms_iou)

@@ -340,6 +340,7 @@ RANGES = [
     ("generate_anchors", "ratios", (0,), "> 0"),
     ("match_detections", "iou_threshold", (), "(0, 1]"),
     ("nms", "iou_threshold", (), "(0, 1]"),
+    ("nms", "boxes", (7,), "> 0"),
     ("oracle_heatmaps", "sigma_vox", (), "> 0"),
     ("straighten_plane", "delta", (), "> 0"),
     ("straighten_plane", "half_extent", (), ">= 0"),

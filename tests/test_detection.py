@@ -1,7 +1,9 @@
 import inspect
 import math
 import re
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -708,6 +710,70 @@ def test_nms_equals_oracle_on_tie_heavy_boxes(rows, data, thr):
     assert nms(boxes, scores, thr).tolist() == nms_oracle(boxes, scores.tolist(), thr)
 
 
+def nms_pairs_oracle(boxes, scores, thr):
+    """How many IoUs a windowed NMS forms (the oracle): for each kept box, the
+    boxes ranked after it, not suppressed by a box kept before it, whose
+    y-interval overlaps its own (strictly)."""
+    ranked = sorted(range(len(scores)), key=lambda i: -scores[i])
+    kept = nms_oracle(boxes, scores, thr)
+    count = 0
+    for n, k in enumerate(kept):
+        _, k_lo, _, k_hi = corners(boxes[k])
+        for s in ranked[ranked.index(k) + 1:]:
+            _, s_lo, _, s_hi = corners(boxes[s])
+            count += (s_lo < k_hi and s_hi > k_lo
+                      and all(iou(boxes[s], boxes[j]) <= thr for j in kept[:n]))
+    return count
+
+
+@st.composite
+def edge_touching_boxes(draw):
+    """Up to 24 (cx, cy, w, h) boxes: non-integer centers, sides from 1e-3 to 1e3,
+    and many a box whose lower (or upper) y-edge lands on an upper (or lower) one of
+    an earlier box, or on the double just below or above it."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 24))):
+        w, h = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+        cx, cy = (draw(st.floats(-50.0, 50.0)) for _ in range(2))
+        if boxes and draw(st.booleans()):
+            other = draw(st.sampled_from(boxes))
+            _, other_lo, _, other_hi = corners(other)
+            above = draw(st.booleans())
+            target = other_hi if above else other_lo
+            target = draw(st.sampled_from((target, np.nextafter(target, -np.inf),
+                                           np.nextafter(target, np.inf))))
+            cx = other[0] + draw(st.floats(-1.0, 1.0)) * other[2]
+            cy = target + h / 2 if above else target - h / 2
+            for _ in range(16):  # a few ulps of cy put the edge on the target
+                edge = corners((cx, cy, w, h))[1 if above else 3]
+                if edge == target:
+                    break
+                cy = np.nextafter(cy, np.inf if edge < target else -np.inf)
+        boxes.append((cx, float(cy), w, h))
+    return boxes
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edge_touching_boxes(), st.data(), st.sampled_from((1e-9, 0.1, 0.45, 0.9, 1.0)))
+def test_windowed_nms_equals_oracle_and_forms_only_overlapping_ious(rows, data, thr):
+    # The window is the strict y-overlap: a box whose edge touches the kept one's
+    # (IoU 0) is not compared, and one that overlaps it by one ulp is.
+    boxes = np.array(rows)
+    scores = data.draw(st.lists(st.sampled_from((0.2, 0.5, 0.9)), min_size=len(rows),
+                                max_size=len(rows)))
+    formed = []
+    real = detection.iou_matrix
+
+    def counting(a, b):
+        formed.append(real(a, b))
+        return formed[-1]
+
+    with mock.patch.object(detection, "iou_matrix", counting):
+        kept = nms(boxes, np.array(scores), thr).tolist()
+    assert kept == nms_oracle(rows, scores, thr)
+    assert sum(f.size for f in formed) == nms_pairs_oracle(rows, scores, thr)
+
+
 def test_nms_keeps_every_disjoint_box():
     boxes = np.array([[3.0 * i, 0.0, 2.0, 2.0] for i in range(500)])
     scores = np.random.default_rng(17).uniform(size=500)
@@ -750,6 +816,16 @@ def test_nms_refuses_non_finite_scores(score):
         nms(boxes, np.array([score, 0.5, 0.4]), 0.45)
 
 
+@pytest.mark.parametrize("sides", [(0.0, 0.0), (-2.0, -2.0), (2.0, 0.0), (-1.0, 2.0)])
+def test_nms_refuses_box_sides_at_or_below_zero_by_name(sides):
+    # Two zero-size boxes once gave numpy's "invalid value encountered in divide",
+    # and two overlapping boxes of sides -2 were both kept without a word.
+    boxes = np.array([[0.0, 0.0, *sides], [0.5, 0.0, *sides]])
+    with pytest.raises(ValueError, match=r"^boxes \(w, h\) must be finite numbers of shape "
+                                         r"\(n, 2\), each > 0"):
+        nms(boxes, np.array([0.9, 0.8]), 0.45)
+
+
 # The ranges PipelineConfig enforces on objectness_threshold and nms_iou.
 BAD_IOU_THRESHOLDS = (float("nan"), -0.5, 0.0, 1.5)
 BAD_SCORE_THRESHOLDS = (float("nan"), -1.0, 1.5)
@@ -786,6 +862,24 @@ def test_detect_candidates_refuses_offsets_of_another_shape(shape):
     grid = generate_anchors((4, 3), 1.0, scales_mm=(3.0,), ratios=(1.0,))
     with pytest.raises(ValueError, match=r"^offsets has shape .*expected \(3, 6, 2\)"):
         detect_candidates(np.arange(3), np.ones(3), np.zeros(shape), grid)
+
+
+@pytest.mark.parametrize("offset", [1e308, -1e308])
+def test_a_decode_past_the_float_range_is_refused_by_name(offset):
+    # Offsets of 1e308 on sides of 3 px once gave numpy's "overflow encountered in
+    # multiply" and then "keypoints must be finite numbers ...", naming neither the
+    # offsets nor the sides; decode_keypoints alone returned inf.
+    grid = generate_anchors((4, 3), 1.0, scales_mm=(3.0,), ratios=(1.0,))
+    offsets = np.random.default_rng(3).normal(0.0, 0.3, (3, 6, 2))
+    offsets[1, 4, 0] = offset
+    refusal = (r"^offsets of up to 1e\+308 anchor sides, on anchor sides of up to 3 px, "
+               r"leave the float range once decoded")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=refusal):
+            detect_candidates(np.arange(3), np.ones(3), offsets, grid)
+        with pytest.raises(GeometryError, match=refusal):
+            decode_keypoints(offsets, np.zeros((3, 2)), np.full((3, 2), 3.0))
 
 
 def test_detect_oracle_round_trip():
